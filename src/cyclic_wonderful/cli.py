@@ -172,9 +172,8 @@ def _cmd_locate(config: RunConfig) -> int:
         chain = tropical.combinatorial_type(curve, spec)
         located = locate_point(fan, point)
         if located != chain:
-            raise AssertionError(
-                "combinatorial type disagrees with point location"
-            )
+            config.emit("error: combinatorial type disagrees with point location")
+            return 1
     else:
         assert config.point is not None
         point = _parse_point(config.point, spec)

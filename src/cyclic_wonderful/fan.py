@@ -17,6 +17,12 @@ the stellar route, which starts from the product of the n one-dimensional
 factor fans and subdivides at the non-singleton ray vectors in an
 inclusion-increasing order.  They must agree cone-for-cone, and the test
 suite checks that they do.
+
+Cone coordinates are exact and integer.  Each cone caches, on first use, an
+invertible k x k minor M of its generator matrix and the integer matrix
+delta * M^-1 from fraction-free (Bareiss) elimination, so membership of a
+rational point is a few integer dot products.  Nothing assumes the cone is
+unimodular: any simplicial cone works.
 """
 
 from __future__ import annotations
@@ -25,8 +31,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
-from typing import Iterable, Mapping, Sequence
+from math import gcd, lcm
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .guards import check_fan_size
 from .lattice import (
@@ -38,7 +44,7 @@ from .lattice import (
     is_nested,
     validate_subset,
 )
-from .linalg import matrix_rank, smith_divisors, solve_columns
+from .linalg import matrix_rank, smith_divisors
 
 Vector = tuple[int, ...]
 
@@ -85,6 +91,52 @@ def _vector_gcd(vec: Iterable[int]) -> int:
     return g
 
 
+def _scaled_point(point: Sequence) -> tuple[tuple[int, ...], int]:
+    """``(D * point, D)`` for the lcm ``D`` of the coordinates' denominators."""
+    coords = [Fraction(x) for x in point]
+    scale = lcm(*(x.denominator for x in coords))
+    return tuple(x.numerator * (scale // x.denominator) for x in coords), scale
+
+
+def _gauss_jordan(m: list[list[int]], k: int) -> tuple[list[int], int]:
+    """Fraction-free Gauss-Jordan elimination (Bareiss) through the first k
+    columns of the integer matrix m, in place, with row swaps.
+
+    Every division is exact, since each entry stays a minor of the input.
+    Returns the original index of the row now at each position, and the last
+    pivot delta: rows 0..k-1 end with delta times the identity in the first
+    k columns.  Raises ValueError when those columns are dependent.
+    """
+    order = list(range(len(m)))
+    prev = 1
+    for c in range(k):
+        p = next((i for i in range(c, len(m)) if m[i][c]), None)
+        if p is None:
+            raise ValueError("columns are linearly dependent")
+        m[c], m[p] = m[p], m[c]
+        order[c], order[p] = order[p], order[c]
+        piv = m[c]
+        pv = piv[c]
+        for i, row in enumerate(m):
+            if i != c:
+                f = row[c]
+                m[i] = [(pv * x - f * y) // prev for x, y in zip(row, piv)]
+        prev = pv
+    return order, prev
+
+
+class _Inverse(NamedTuple):
+    """An exact integer inverse of a cone's generator matrix A (rays as columns).
+
+    ``rows`` picks k ambient rows whose k x k minor M of A is invertible and
+    ``adj = delta * M^-1`` with ``delta > 0``.
+    """
+
+    rows: tuple[int, ...]
+    adj: tuple[tuple[int, ...], ...]
+    delta: int
+
+
 @dataclass(frozen=True)
 class Cone:
     """A simplicial cone: primitive ray generators plus its nested-set label."""
@@ -103,14 +155,59 @@ class Cone:
     def contains(self, point: Sequence) -> bool:
         return self.coefficients(point) is not None
 
+    @cached_property
+    def _inverse(self) -> _Inverse:
+        """Computed on first use, so cones a scan never tries cost nothing."""
+        k = len(self.rays)
+        a = [list(row) for row in zip(*self.rays)]
+        order, _ = _gauss_jordan([row[:] for row in a], k)
+        rows = tuple(order[:k])
+        m = [a[i] + [int(i == j) for j in rows] for i in rows]
+        _, delta = _gauss_jordan(m, k)
+        sign = 1 if delta > 0 else -1
+        adj = tuple(tuple(sign * x for x in row[k:]) for row in m[:k])
+        return _Inverse(rows, adj, sign * delta)
+
+    def _scaled_coefficients(self, p: Vector) -> list[int] | None:
+        """Cone coordinates times ``delta * D`` of the point ``p / D``.
+
+        ``p`` is an integer vector of the right length.  Returns None unless
+        the coordinates are nonnegative and reproduce the point exactly.
+        """
+        rows, adj, delta = self._inverse
+        ps = [p[i] for i in rows]
+        c = [sum(x * y for x, y in zip(row, ps)) for row in adj]
+        if any(x < 0 for x in c):
+            return None
+        residual = [delta * x for x in p]
+        for cj, ray in zip(c, self.rays):
+            if cj:
+                residual = [x - cj * y for x, y in zip(residual, ray)]
+        return None if any(residual) else c
+
     def coefficients(self, point: Sequence) -> list[Fraction] | None:
-        """Nonnegative cone coordinates of an ambient point, if it lies here."""
+        """Nonnegative cone coordinates of a rational point, if it lies here.
+
+        Exact integer arithmetic for any simplicial cone, unimodular or not:
+        with ``D`` the lcm of the point's denominators and the cached
+        ``adj = delta * M^-1`` of an invertible k x k minor M of the rays,
+        ``c`` is ``adj`` applied to the entries of ``D * point`` in M's rows.
+        The point lies in the cone exactly when ``c >= 0`` and
+        ``sum_j c_j ray_j`` equals ``delta * D * point``; the coordinates are
+        then ``c_j / (delta * D)``.  Raises ValueError when the cone has rays
+        and the point's length differs from theirs, or when the rays are
+        linearly dependent.
+        """
         if not self.rays:
             return [] if all(Fraction(x) == 0 for x in point) else None
-        sol = solve_columns(self.rays, point)
-        if sol is None or any(c < 0 for c in sol):
+        p, scale = _scaled_point(point)
+        if len(p) != len(self.rays[0]):
+            raise ValueError(f"point has length {len(p)}, expected {len(self.rays[0])}")
+        c = self._scaled_coefficients(p)
+        if c is None:
             return None
-        return sol
+        scale *= self._inverse.delta
+        return [Fraction(x, scale) for x in c]
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,10 +225,8 @@ class Fan:
 
     @cached_property
     def maximal_cones(self) -> tuple[Cone, ...]:
-        keys = list(self.cones)
-        maximal = [
-            k for k in keys if not any(k < other for other in keys)
-        ]
+        """The cones with n-element labels: these fans are pure of dimension n."""
+        maximal = [k for k in self.cones if len(k) == self.spec.n]
         maximal.sort(key=lambda k: sorted(d.sort_key() for d in k))
         return tuple(self.cones[k] for k in maximal)
 
@@ -269,17 +364,19 @@ def fans_equal(f1: Fan, f2: Fan) -> bool:
 def locate_point(fan: Fan, point: Sequence) -> Chain | None:
     """The chain whose cone's relative interior contains the point.
 
-    Tries every maximal cone with an exact rational solve; the located chain
-    keeps exactly the generators with strictly positive coefficients.
-    Returns None when the point is outside the fan's support.
+    Scans the maximal cones with the exact integer membership test of
+    ``Cone.coefficients`` (the point is scaled to integers once), which works
+    for any simplicial cone; the located chain keeps exactly the generators
+    with strictly positive coefficients.  Returns None when the point is
+    outside the fan's support.
     """
-    point = tuple(Fraction(x) for x in point)
-    if len(point) != fan.spec.ambient_dim:
+    p, _ = _scaled_point(point)
+    if len(p) != fan.spec.ambient_dim:
         raise ValueError(
-            f"point has length {len(point)}, expected {fan.spec.ambient_dim}"
+            f"point has length {len(p)}, expected {fan.spec.ambient_dim}"
         )
     for cone in fan.maximal_cones:
-        coeffs = cone.coefficients(point)
+        coeffs = cone._scaled_coefficients(p)
         if coeffs is None:
             continue
         support = [d for d, c in zip(cone.label, coeffs) if c > 0]

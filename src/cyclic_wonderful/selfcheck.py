@@ -88,7 +88,7 @@ def suite_fan(spec: ArrangementSpec, seed: int = 0) -> list[CheckResult]:
             f"{len(fan.rays)} rays",
         )
     )
-    maximal = [c for c in fan.maximal_cones if c.dim == spec.n]
+    maximal = fan.maximal_cones
     out.append(
         _result(
             "fan",

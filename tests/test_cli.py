@@ -118,6 +118,15 @@ def test_locate_point_outside_support():
     assert "outside the fan support" in out
 
 
+def test_locate_curve_disagreement_is_a_failed_check(monkeypatch):
+    monkeypatch.setattr("cyclic_wonderful.cli.locate_point", lambda fan, point: None)
+    status, out = invoke(
+        ["locate", "--r", "3", "--n", "2", "--curve", "1:0:2,2:2:1"]
+    )
+    assert status == 1
+    assert out == "error: combinatorial type disagrees with point location\n"
+
+
 def test_locate_requires_exactly_one_target():
     with pytest.raises(SystemExit) as exc:
         config_from_args(["locate", "--r", "2", "--n", "2"])

@@ -2,8 +2,11 @@
 
 import itertools
 import json
+from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cyclic_wonderful.fan import (
     Cone,
@@ -16,6 +19,7 @@ from cyclic_wonderful.fan import (
     ray_vector,
     support_decomposition,
 )
+from cyclic_wonderful.linalg import matrix_rank, solve_columns
 from cyclic_wonderful.lattice import (
     ArrangementSpec,
     BuildingSet,
@@ -107,6 +111,130 @@ def test_cone_dim_equals_chain_length():
         fan = build_fan(spec, BuildingSet.maximal(spec))
         for cone in fan.cones.values():
             assert cone_dim(cone) == len(cone.label)
+
+
+def _maximal_by_inclusion(fan):
+    """The pairwise-subset rule maximal_cones used before filtering by size."""
+    keys = list(fan.cones)
+    maximal = [k for k in keys if not any(k < other for other in keys)]
+    maximal.sort(key=lambda k: sorted(d.sort_key() for d in k))
+    return tuple(fan.cones[k] for k in maximal)
+
+
+@pytest.mark.parametrize("r,n", [(2, 2), (3, 2), (2, 3), (3, 3)])
+@pytest.mark.parametrize("make", [BuildingSet.maximal, BuildingSet.singletons])
+def test_maximal_cones_by_dimension_match_the_inclusion_rule(r, n, make):
+    spec = ArrangementSpec(r, n)
+    fan = build_fan(spec, make(spec))
+    assert fan.maximal_cones == _maximal_by_inclusion(fan)
+
+
+# --- exact cone coordinates --------------------------------------------------
+
+
+def _reference_coefficients(rays, point):
+    """Fraction solve plus the nonnegativity filter."""
+    if not rays:
+        return [] if all(Fraction(x) == 0 for x in point) else None
+    sol = solve_columns(rays, point)
+    return None if sol is None or any(c < 0 for c in sol) else sol
+
+
+def _combination(rays, coeffs, dim):
+    return tuple(sum((c * v[i] for c, v in zip(coeffs, rays)), Fraction(0)) for i in range(dim))
+
+
+_RATIONALS = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+def _fan_cones(r, n):
+    spec = ArrangementSpec(r, n)
+    return spec.ambient_dim, list(build_fan(spec, BuildingSet.maximal(spec)).cones.values())
+
+
+_FAN_CONES = {spec: _fan_cones(*spec) for spec in [(2, 2), (3, 2), (2, 3), (4, 2)]}
+
+
+@pytest.mark.parametrize("spec", list(_FAN_CONES))
+@settings(max_examples=15, deadline=None)
+@given(
+    coeffs=st.lists(_RATIONALS, min_size=3, max_size=3),
+    offset=st.lists(_RATIONALS, min_size=6, max_size=6),
+)
+def test_cone_coefficients_match_the_fraction_solve_on_every_fan_cone(spec, coeffs, offset):
+    dim, cones = _FAN_CONES[spec]
+    for cone in cones:
+        k = len(cone.rays)
+        on = _combination(cone.rays, [abs(c) for c in coeffs[:k]], dim)
+        signed = _combination(cone.rays, coeffs[:k], dim)
+        off = tuple(x + y for x, y in zip(on, offset))
+        for point in (on, signed, off):
+            assert cone.coefficients(point) == _reference_coefficients(cone.rays, point)
+        if k:
+            assert cone.coefficients(on) == [abs(c) for c in coeffs[:k]]
+
+
+@st.composite
+def _rough_cones(draw):
+    """Simplicial cones whose generators do not extend to a lattice basis."""
+    dim = draw(st.integers(2, 4))
+    k = draw(st.integers(1, dim))
+    rays = tuple(
+        tuple(draw(st.lists(st.integers(-3, 3), min_size=dim, max_size=dim)))
+        for _ in range(k)
+    )
+    assume(matrix_rank(rays) == k and not is_smooth_cone(Cone(rays, ())))
+    return rays
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    rays=_rough_cones(),
+    coeffs=st.lists(_RATIONALS, min_size=4, max_size=4),
+    offset=st.lists(_RATIONALS, min_size=4, max_size=4),
+)
+def test_cone_coefficients_match_the_fraction_solve_on_non_unimodular_cones(rays, coeffs, offset):
+    cone = Cone(rays, ())
+    dim, k = len(rays[0]), len(rays)
+    inv = cone._inverse
+    assert inv.delta > 1
+    minor = [[v[i] for v in rays] for i in inv.rows]
+    assert [[sum(a * m[j] for a, m in zip(row, minor)) for j in range(k)] for row in inv.adj] == [
+        [inv.delta * (i == j) for j in range(k)] for i in range(k)
+    ]
+    on = _combination(rays, [abs(c) for c in coeffs[:k]], dim)
+    signed = _combination(rays, coeffs[:k], dim)
+    off = tuple(x + y for x, y in zip(on, offset))
+    for point in (on, signed, off):
+        assert cone.coefficients(point) == _reference_coefficients(rays, point)
+    assert cone.coefficients(on) == [abs(c) for c in coeffs[:k]]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    rays=st.lists(
+        st.lists(st.integers(-3, 3), min_size=3, max_size=3).map(tuple),
+        min_size=1,
+        max_size=3,
+    ),
+    weights=st.lists(st.integers(-2, 2), min_size=3, max_size=3),
+    point=st.lists(_RATIONALS, min_size=3, max_size=3),
+)
+def test_dependent_rays_raise(rays, weights, point):
+    dependent = tuple(sum(w * v[i] for w, v in zip(weights, rays)) for i in range(3))
+    rays = (*rays, dependent)
+    with pytest.raises(ValueError, match="linearly dependent"):
+        solve_columns(rays, point)
+    with pytest.raises(ValueError, match="linearly dependent"):
+        Cone(rays, ()).coefficients(point)
+
+
+def test_cone_rejects_a_point_of_the_wrong_length():
+    cone = Cone(((1, 0, 0), (0, 1, 0)), ())
+    with pytest.raises(ValueError, match="length 2, expected 3"):
+        cone.contains((1, 1))
+    with pytest.raises(ValueError, match="length 4, expected 3"):
+        cone.coefficients((1, 1, 0, 0))
 
 
 # --- stellar construction ----------------------------------------------------
