@@ -76,13 +76,6 @@ class ChowPresentation:
     linear_relations: tuple[LinearRelation, ...]
     reduced_indices: tuple[int, ...]
 
-    def generator_index(self, d: DecoratedSubset) -> int:
-        return self._index[d]
-
-    @property
-    def _index(self) -> dict[DecoratedSubset, int]:
-        return {d: k for k, d in enumerate(self.generators)}
-
     def monomial_vanishes(self, a: DecoratedSubset, b: DecoratedSubset) -> bool:
         """The quadratic relation: the product is zero iff incomparable."""
         return not comparable(a, b)
@@ -233,17 +226,20 @@ class _ChainMonomials:
         return tuple(sorted(mono + (g,)))
 
 
-def _relation_rows(
+def _relation_space(
     monomials: _ChainMonomials,
     relations: Iterable[LinearRelation],
     k: int,
-) -> Iterator[dict[int, int]]:
-    """Rows of the degree-k relation space over the chain-monomial basis.
+) -> SparseEliminator:
+    """The degree-k relation space over the chain-monomial basis.
 
-    Multiplier monomials with non-chain support are skipped: every term they
-    produce dies under the quadratic relations anyway.
+    Feeds (relation) x (degree k-1 chain monomial) for every emitted
+    relation into one eliminator.  Multiplier monomials with non-chain
+    support are skipped: every term they produce dies under the quadratic
+    relations anyway.
     """
     index = {mono: pos for pos, mono in enumerate(monomials.degree(k))}
+    elim = SparseEliminator()
     for rel in relations:
         for mono in monomials.degree(k - 1):
             row: dict[int, int] = {}
@@ -252,7 +248,8 @@ def _relation_rows(
                 if prod is not None:
                     row[index[prod]] = row.get(index[prod], 0) + coeff
             if row:
-                yield row
+                elim.add(row)
+    return elim
 
 
 def betti_oracle(spec: ArrangementSpec) -> GradedDims:
@@ -262,10 +259,9 @@ def betti_oracle(spec: ArrangementSpec) -> GradedDims:
     monomials = _ChainMonomials(spec)
     dims = [1]
     for k in range(1, spec.n + 1):
-        elim = SparseEliminator()
-        for row in _relation_rows(monomials, pres.linear_relations, k):
-            elim.add(row)
-        dims.append(len(monomials.degree(k)) - elim.rank)
+        # unnamed, so each degree's eliminator is freed before the next is built
+        rank = _relation_space(monomials, pres.linear_relations, k).rank
+        dims.append(len(monomials.degree(k)) - rank)
     return GradedDims(tuple(dims))
 
 
@@ -282,17 +278,14 @@ class DegreeReducer:
         self.k = k
         self.monomials = _ChainMonomials(spec)
         self._index = {m: i for i, m in enumerate(self.monomials.degree(k))}
-        pres = presentation(spec)
-        self._elim = SparseEliminator()
-        for row in _relation_rows(self.monomials, pres.linear_relations, k):
-            self._elim.add(row)
+        self._generator_index = {d: i for i, d in enumerate(self.monomials.generators)}
+        relations = presentation(spec).linear_relations
+        self._elim = _relation_space(self.monomials, relations, k)
 
     def monomial_is_zero(self, gens: Sequence[DecoratedSubset]) -> bool:
         if len(gens) != self.k:
             raise ValueError(f"expected a degree-{self.k} monomial")
-        pres_gens = self.monomials.generators
-        idx = {d: i for i, d in enumerate(pres_gens)}
-        mono = tuple(sorted(idx[d] for d in gens))
+        mono = tuple(sorted(self._generator_index[d] for d in gens))
         for x, y in itertools.combinations(mono, 2):
             if not self.monomials.comp[x][y]:
                 return True

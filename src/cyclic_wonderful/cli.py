@@ -36,7 +36,6 @@ class RunConfig:
     seed: int = 0
     out: str | None = None
     via_stellar: bool = False
-    building_set: str = "max"
     oracle: bool = False
     betti_only: bool = False
     curve: str | None = None
@@ -296,7 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fan = sub.add_parser("fan", help="emit the nested-set fan")
     common(p_fan)
     p_fan.add_argument("--via-stellar", action="store_true", dest="via_stellar")
-    p_fan.add_argument("--building-set", choices=["max"], default="max")
 
     p_chow = sub.add_parser("chow", help="emit the Chow presentation and ranks")
     common(p_chow)

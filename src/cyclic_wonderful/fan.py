@@ -44,7 +44,7 @@ from .lattice import (
     is_nested,
     validate_subset,
 )
-from .linalg import matrix_rank, smith_divisors
+from .linalg import combine, matrix_rank, smith_divisors
 
 Vector = tuple[int, ...]
 
@@ -75,13 +75,12 @@ def ray_vector(d: DecoratedSubset, spec: ArrangementSpec) -> Vector:
     if d.size == 0:
         raise ValueError("the empty decorated subset has no ray")
     validate_subset(d, spec)
-    vec = [0] * spec.ambient_dim
-    for i, a in d.items:
-        img = basis_image(spec, i, (-a) % spec.r)
-        vec = [x + y for x, y in zip(vec, img)]
+    vec = combine(
+        [1] * d.size, [basis_image(spec, i, -a) for i, a in d.items], spec.ambient_dim
+    )
     # entries are 0 or +-1 with at least one nonzero, hence already primitive
     assert _vector_gcd(vec) == 1
-    return tuple(vec)
+    return vec
 
 
 def _vector_gcd(vec: Iterable[int]) -> int:

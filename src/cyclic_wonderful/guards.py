@@ -2,7 +2,8 @@
 
 The guards keep desk-scale commands from accidentally requesting exponential
 work.  Setting the environment variable ``CYCLIC_WONDERFUL_MAX_CELLS`` to an
-integer replaces every default bound with that value (expert use).
+integer >= 0 replaces every default bound with that value, ``0`` included
+(expert use); any other value is refused with a ``FeasibilityError``.
 """
 
 from __future__ import annotations
@@ -14,24 +15,29 @@ ENV_OVERRIDE = "CYCLIC_WONDERFUL_MAX_CELLS"
 DEFAULT_FAN_CELLS = 50_000        # rays + maximal cones of a fan build
 DEFAULT_ORACLE_GENERATORS = 1_000  # generator count for the Chow rank oracle
 DEFAULT_NORMAL_N = 3               # vertex enumeration dimension cap
+DEFAULT_NORMAL_CELLS = 1_000       # cells of the normal complex (~11 ms each at n = 3)
 
 
 class FeasibilityError(ValueError):
     """Raised when a requested computation exceeds its guard bound."""
 
 
-def _override() -> int | None:
+def _bound(default: int) -> int:
+    """The override when it is set (an integer >= 0), else the default."""
     raw = os.environ.get(ENV_OVERRIDE)
     if raw is None:
-        return None
+        return default
     try:
-        return int(raw)
-    except ValueError as exc:
-        raise FeasibilityError(f"{ENV_OVERRIDE} must be an integer, got {raw!r}") from exc
+        value = int(raw)
+    except ValueError:
+        value = None
+    if value is None or value < 0:
+        raise FeasibilityError(f"{ENV_OVERRIDE} must be an integer >= 0, got {raw!r}")
+    return value
 
 
 def check_fan_size(rays: int, max_cones: int) -> None:
-    bound = _override() or DEFAULT_FAN_CELLS
+    bound = _bound(DEFAULT_FAN_CELLS)
     if rays + max_cones > bound:
         raise FeasibilityError(
             f"fan with {rays} rays and {max_cones} maximal cones exceeds the "
@@ -40,7 +46,7 @@ def check_fan_size(rays: int, max_cones: int) -> None:
 
 
 def check_oracle_size(generators: int) -> None:
-    bound = _override() or DEFAULT_ORACLE_GENERATORS
+    bound = _bound(DEFAULT_ORACLE_GENERATORS)
     if generators > bound:
         raise FeasibilityError(
             f"rank oracle with {generators} generators exceeds the guard "
@@ -49,14 +55,16 @@ def check_oracle_size(generators: int) -> None:
 
 
 def check_normal_complex(n: int, cells: int) -> None:
-    override = _override()
-    if override is None:
-        if n > DEFAULT_NORMAL_N:
-            raise FeasibilityError(
-                f"normal complex vertex enumeration is guarded to n <= "
-                f"{DEFAULT_NORMAL_N}, got n = {n} (override with {ENV_OVERRIDE})"
-            )
-    elif cells > override:
+    """Without an override, n <= DEFAULT_NORMAL_N and at most
+    DEFAULT_NORMAL_CELLS cells; an override replaces both with a cell bound."""
+    bound = _bound(DEFAULT_NORMAL_CELLS)
+    if ENV_OVERRIDE not in os.environ and n > DEFAULT_NORMAL_N:
         raise FeasibilityError(
-            f"normal complex with {cells} cells exceeds {ENV_OVERRIDE}={override}"
+            f"normal complex vertex enumeration is guarded to n <= "
+            f"{DEFAULT_NORMAL_N}, got n = {n} (override with {ENV_OVERRIDE})"
+        )
+    if cells > bound:
+        raise FeasibilityError(
+            f"normal complex with {cells} cells exceeds the guard bound "
+            f"{bound} (override with {ENV_OVERRIDE})"
         )

@@ -1,9 +1,14 @@
-"""Exact linear algebra kernels: rational solves, integer Smith form, LP.
+"""Exact linear algebra: rational RREF, sparse elimination, Smith form, LP.
 
 Everything runs over ``fractions.Fraction`` or plain Python integers.  The
 matrices in this project are small (ambient dimension n*(r-1), relation
 matrices a few hundred rows) but must be exact, so there is no floating
 point anywhere.
+
+Dense rational elimination is written once, in ``_rref``: ``solve_columns``,
+``matrix_rank`` and ``nullspace`` read their answers off it, and ``combine``
+forms every sum_j c_j v_j.  ``solve_columns`` shares nothing with the
+integer cone kernel of :mod:`cyclic_wonderful.fan`, whose reference it is.
 """
 
 from __future__ import annotations
@@ -19,13 +24,44 @@ def dot(u: Vector, v: Vector) -> Fraction:
     return sum((Fraction(a) * Fraction(b) for a, b in zip(u, v)), Fraction(0))
 
 
-def primitive_vector(v: Iterable[int]) -> tuple[int, ...]:
-    """Divide an integer vector by the gcd of its entries (zero stays zero)."""
-    vt = tuple(int(x) for x in v)
-    g = 0
-    for x in vt:
-        g = gcd(g, x)
-    return vt if g in (0, 1) else tuple(x // g for x in vt)
+def combine(coeffs: Iterable, vectors: Iterable[Vector], dim: int, zero=0) -> tuple:
+    """sum_j coeffs[j] * vectors[j] in dimension dim, skipping zero terms.
+
+    An entry no term touches stays ``zero``; pass ``Fraction(0)`` for a
+    rational result.
+    """
+    out = [zero] * dim
+    for c, vec in zip(coeffs, vectors):
+        if c:
+            for i, x in enumerate(vec):
+                if x:
+                    out[i] += c * x
+    return tuple(out)
+
+
+def _rref(rows: Sequence[Vector], ncols: int) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form over Q of the first ncols columns.
+
+    Entries past column ncols ride along with the row operations (an
+    augmented right-hand side).  Returns the reduced rows, pivot rows first,
+    and the pivot column of each pivot row.
+    """
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots: list[int] = []
+    for col in range(ncols):
+        rank = len(pivots)
+        pr = next((i for i in range(rank, len(m)) if m[i][col] != 0), None)
+        if pr is None:
+            continue
+        m[rank], m[pr] = m[pr], m[rank]
+        pv = m[rank][col]
+        piv = m[rank] = [x / pv for x in m[rank]]
+        for i, row in enumerate(m):
+            if i != rank and row[col] != 0:
+                f = row[col]
+                m[i] = [x - f * y for x, y in zip(row, piv)]
+        pivots.append(col)
+    return m, pivots
 
 
 def solve_columns(cols: Sequence[Vector], target: Vector) -> list[Fraction] | None:
@@ -36,55 +72,18 @@ def solve_columns(cols: Sequence[Vector], target: Vector) -> list[Fraction] | No
     callers (simplicial cones) never produce.
     """
     k = len(cols)
-    d = len(target)
-    aug = [
-        [Fraction(cols[j][i]) for j in range(k)] + [Fraction(target[i])]
-        for i in range(d)
-    ]
-    pivots: list[int] = []
-    row = 0
-    for col in range(k):
-        pr = next((i for i in range(row, d) if aug[i][col] != 0), None)
-        if pr is None:
-            raise ValueError("columns are linearly dependent")
-        aug[row], aug[pr] = aug[pr], aug[row]
-        pv = aug[row][col]
-        aug[row] = [x / pv for x in aug[row]]
-        for i in range(d):
-            if i != row and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[row])]
-        pivots.append(col)
-        row += 1
-    for i in range(row, d):
-        if aug[i][k] != 0:
-            return None
-    sol = [Fraction(0)] * k
-    for rr, col in enumerate(pivots):
-        sol[col] = aug[rr][k]
-    return sol
+    aug = [[col[i] for col in cols] + [t] for i, t in enumerate(target)]
+    m, pivots = _rref(aug, k)
+    if len(pivots) < k:
+        raise ValueError("columns are linearly dependent")
+    if any(row[k] != 0 for row in m[k:]):
+        return None
+    return [row[k] for row in m[:k]]
 
 
 def matrix_rank(rows: Sequence[Vector]) -> int:
-    """Rank over Q by dense Gaussian elimination (small matrices only)."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    rank = 0
-    ncols = len(m[0]) if m else 0
-    col = 0
-    while rank < len(m) and col < ncols:
-        pr = next((i for i in range(rank, len(m)) if m[i][col] != 0), None)
-        if pr is None:
-            col += 1
-            continue
-        m[rank], m[pr] = m[pr], m[rank]
-        pv = m[rank][col]
-        for i in range(rank + 1, len(m)):
-            if m[i][col] != 0:
-                f = m[i][col] / pv
-                m[i] = [x - f * y for x, y in zip(m[i], m[rank])]
-        rank += 1
-        col += 1
-    return rank
+    """Rank over Q by dense elimination (small matrices only)."""
+    return len(_rref(rows, len(rows[0]) if rows else 0)[1])
 
 
 def nullspace(rows: Sequence[Vector]) -> list[tuple[Fraction, ...]]:
@@ -92,29 +91,13 @@ def nullspace(rows: Sequence[Vector]) -> list[tuple[Fraction, ...]]:
     if not rows:
         return []
     ncols = len(rows[0])
-    m = [[Fraction(x) for x in row] for row in rows]
-    piv_of_col: dict[int, int] = {}
-    rank = 0
-    for col in range(ncols):
-        pr = next((i for i in range(rank, len(m)) if m[i][col] != 0), None)
-        if pr is None:
-            continue
-        m[rank], m[pr] = m[pr], m[rank]
-        pv = m[rank][col]
-        m[rank] = [x / pv for x in m[rank]]
-        for i in range(len(m)):
-            if i != rank and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [x - f * y for x, y in zip(m[i], m[rank])]
-        piv_of_col[col] = rank
-        rank += 1
+    m, pivots = _rref(rows, ncols)
     basis = []
-    free = [c for c in range(ncols) if c not in piv_of_col]
-    for fc in free:
+    for fc in sorted(set(range(ncols)) - set(pivots)):
         vec = [Fraction(0)] * ncols
         vec[fc] = Fraction(1)
-        for col, row in piv_of_col.items():
-            vec[col] = -m[row][fc]
+        for row, col in zip(m, pivots):
+            vec[col] = -row[fc]
         basis.append(tuple(vec))
     return basis
 
@@ -176,13 +159,6 @@ class SparseEliminator:
 
     def is_in_span(self, row: dict[int, int]) -> bool:
         return not self.reduce(row)
-
-
-def sparse_rank(rows: Iterable[dict[int, int]]) -> int:
-    elim = SparseEliminator()
-    for row in rows:
-        elim.add(row)
-    return elim.rank
 
 
 def independent_row_indices(rows: Iterable[dict[int, int]]) -> list[int]:

@@ -40,7 +40,7 @@ from .lattice import (
     enumerate_decorated_subsets,
     maximal_chains,
 )
-from .linalg import dot, extreme_points, nullspace, solve_columns
+from .linalg import combine, dot, extreme_points, nullspace, solve_columns
 
 FracVec = tuple[Fraction, ...]
 
@@ -146,12 +146,8 @@ def cell_polytope(chain: Chain, spec: ArrangementSpec) -> Polytope:
         for j in range(n)
     ]
     c_vertices = _orthant_polytope_vertices(overlap, bounds)
-    ambient: list[FracVec] = []
-    for c in c_vertices:
-        vec = [Fraction(0)] * spec.ambient_dim
-        for coeff, g in zip(c, gens):
-            vec = [x + coeff * y for x, y in zip(vec, g)]
-        ambient.append(tuple(vec))
+    dim, zero = spec.ambient_dim, Fraction(0)
+    ambient = [combine(c, gens, dim, zero) for c in c_vertices]
 
     h_rep: list[tuple[FracVec, Fraction]] = []
     for w in nullspace(gens):
@@ -159,21 +155,15 @@ def cell_polytope(chain: Chain, spec: ArrangementSpec) -> Polytope:
         h_rep.append((tuple(-x for x in w), Fraction(0)))
     # dual functionals: duals[j] . v recovers the coefficient c_j on the span
     gram = [[Fraction(dot(gi, gj)) for gj in gens] for gi in gens]
-    duals: list[list[Fraction]] = []
+    duals: list[FracVec] = []
     for j in range(n):
         ej = [Fraction(1) if t == j else Fraction(0) for t in range(n)]
         coeffs = solve_columns([tuple(col) for col in zip(*gram)], ej)
         assert coeffs is not None
-        dual = [Fraction(0)] * spec.ambient_dim
-        for coeff, g in zip(coeffs, gens):
-            dual = [x + coeff * y for x, y in zip(dual, g)]
-        duals.append(dual)
-        h_rep.append((tuple(-x for x in dual), Fraction(0)))
+        duals.append(combine(coeffs, gens, dim, zero))
+        h_rep.append((tuple(-x for x in duals[j]), Fraction(0)))
     for j in range(n):
-        normal = [Fraction(0)] * spec.ambient_dim
-        for s in range(n):
-            normal = [x + overlap[j][s] * y for x, y in zip(normal, duals[s])]
-        h_rep.append((tuple(normal), bounds[j]))
+        h_rep.append((combine(overlap[j], duals, dim, zero), bounds[j]))
     return Polytope(tuple(h_rep), tuple(sorted(ambient)), chain)
 
 

@@ -17,6 +17,7 @@ from fractions import Fraction
 
 from .fan import basis_image
 from .lattice import ArrangementSpec
+from .linalg import combine
 from .tropical import CENTER, TropicalCurve
 
 _MULT = 6364136223846793005
@@ -52,15 +53,14 @@ def sample_ambient_point(rng: Lcg, spec: ArrangementSpec, max_abs: int = 8) -> t
 
 def sample_support_point(rng: Lcg, spec: ArrangementSpec, max_abs: int = 4) -> tuple[Fraction, ...]:
     """A point of the fan's support: per factor, a direction and a length."""
-    vec = [Fraction(0)] * spec.ambient_dim
-    for i in range(1, spec.n + 1):
-        direction = rng.below(spec.r + 1)  # r means "length zero"
-        length = Fraction(rng.below(4 * max_abs), 4)
-        if direction == spec.r or length == 0:
-            continue
-        img = basis_image(spec, i, direction)
-        vec = [x + length * y for x, y in zip(vec, img)]
-    return tuple(vec)
+    # per factor, direction then length; direction r means "length zero"
+    draws = [(rng.below(spec.r + 1), Fraction(rng.below(4 * max_abs), 4)) for _ in range(spec.n)]
+    return combine(
+        [x if a < spec.r else 0 for a, x in draws],
+        [basis_image(spec, i, a) for i, (a, _) in enumerate(draws, start=1)],
+        spec.ambient_dim,
+        Fraction(0),
+    )
 
 
 def sample_mixed_points(

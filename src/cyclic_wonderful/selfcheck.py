@@ -49,30 +49,24 @@ def _result(suite: str, name: str, passed: bool, detail: str = "") -> CheckResul
     return CheckResult(suite, name, bool(passed), detail)
 
 
-def _cone_sets_intersect_as_chain(fan: Fan, a: Chain, b: Chain) -> bool:
-    """Exact double inclusion of cone(a) ∩ cone(b) against the chain rule."""
-    expected = chain_intersect(a, b)
-    cone_a = fan.cone(a)
-    cone_b = fan.cone(b)
-    cone_e = fan.cone(expected)
-    for g in cone_e.rays:
-        if not (cone_a.contains(g) and cone_b.contains(g)):
-            return False
-    # conversely every ray of one cone lying in the other must be in the result
-    for g in cone_a.rays:
-        if cone_b.contains(g) and not cone_e.contains(g):
-            return False
-    for g in cone_b.rays:
-        if cone_a.contains(g) and not cone_e.contains(g):
-            return False
-    # points of both cones must lie in the expected cone: sample the midpoint
-    # of sums of generators, which is interior enough to catch mismatches
-    suma = [sum(col) for col in zip(*cone_a.rays)] if cone_a.rays else None
-    if suma is not None and cone_b.contains(suma) and not cone_e.contains(suma):
+def intersection_law_holds(fan: Fan, a: Chain, b: Chain) -> bool:
+    """Exact checks of cone(a) ∩ cone(b) = cone(a ∧ b) at finitely many points.
+
+    Every ray of the expected cone lies in both cones.  Conversely, each ray
+    of either cone, and the sum of its rays (a point interior enough to catch
+    mismatches), lies in the other cone exactly when it lies in the expected
+    one.
+    """
+    expected = fan.cone(chain_intersect(a, b))
+    cone_a, cone_b = fan.cone(a), fan.cone(b)
+    if not all(cone_a.contains(g) and cone_b.contains(g) for g in expected.rays):
         return False
-    sumb = [sum(col) for col in zip(*cone_b.rays)] if cone_b.rays else None
-    if sumb is not None and cone_a.contains(sumb) and not cone_e.contains(sumb):
-        return False
+    for this, other in ((cone_a, cone_b), (cone_b, cone_a)):
+        points = list(this.rays)
+        if this.rays:
+            points.append(tuple(map(sum, zip(*this.rays))))
+        if any(other.contains(p) != expected.contains(p) for p in points):
+            return False
     return True
 
 
@@ -112,7 +106,7 @@ def suite_fan(spec: ArrangementSpec, seed: int = 0) -> list[CheckResult]:
             (chains[rng.below(len(chains))], chains[rng.below(len(chains))])
             for _ in range(1000)
         ]
-    bad = sum(1 for a, b in pairs if not _cone_sets_intersect_as_chain(fan, a, b))
+    bad = sum(1 for a, b in pairs if not intersection_law_holds(fan, a, b))
     out.append(
         _result(
             "fan",

@@ -11,11 +11,10 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .fan import Fan, basis_labels, ray_vector
+from .fan import Cone, Fan, basis_labels, ray_vector
 from .lattice import (
     ArrangementSpec,
     BuildingSet,
-    Chain,
     DecoratedSubset,
     parse_chain,
     parse_subset,
@@ -29,17 +28,9 @@ def encode_int(x: int) -> int | str:
     return x if _I64_MIN <= x <= _I64_MAX else str(x)
 
 
-def decode_int(x: int | str) -> int:
-    return int(x)
-
-
 def encode_fraction(x) -> str:
     f = Fraction(x)
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-
-
-def decode_fraction(s: str | int) -> Fraction:
-    return Fraction(s)
 
 
 def encode_vector(vec: Sequence[int]) -> list:
@@ -77,13 +68,11 @@ def fan_from_dict(data: dict) -> Fan:
     rays: dict[DecoratedSubset, tuple[int, ...]] = {}
     for entry in data["rays"]:
         d = parse_subset(entry["subset"], spec)
-        vec = tuple(decode_int(x) for x in entry["vector"])
+        vec = tuple(int(x) for x in entry["vector"])
         if vec != ray_vector(d, spec):
             raise ValueError(f"ray vector for {d.text()} does not match its subset")
         subsets_by_id[int(entry["id"])] = d
         rays[d] = vec
-    from .fan import Cone
-
     cones = {}
     for entry in data["cones"]:
         label = tuple(
@@ -99,7 +88,3 @@ def fan_from_dict(data: dict) -> Fan:
         cones[frozenset(label)] = cone
     building = BuildingSet(frozenset(rays), spec, validated=True)
     return Fan(spec, building, rays, cones)
-
-
-def chain_from_text(text: str, spec: ArrangementSpec) -> Chain:
-    return parse_chain(text, spec)

@@ -22,6 +22,7 @@ from typing import Sequence
 
 from .fan import basis_image, support_decomposition
 from .lattice import ArrangementSpec, Chain
+from .linalg import combine
 
 CENTER = None  # spoke value for orbits on the central vertex
 
@@ -72,13 +73,9 @@ def validate_curve(curve: TropicalCurve, spec: ArrangementSpec) -> None:
 def embed(curve: TropicalCurve, spec: ArrangementSpec) -> tuple[Fraction, ...]:
     """Ambient coordinates sum_{L_i > 0} L_i e_i^(l_i)."""
     validate_curve(curve, spec)
-    vec = [Fraction(0)] * spec.ambient_dim
-    for i, (s, length) in enumerate(zip(curve.spokes, curve.lengths), start=1):
-        if length == 0:
-            continue
-        img = basis_image(spec, i, s)
-        vec = [x + length * y for x, y in zip(vec, img)]
-    return tuple(vec)
+    # an orbit on the center has length 0, so its stand-in direction 0 drops out
+    images = [basis_image(spec, i, s or 0) for i, s in enumerate(curve.spokes, start=1)]
+    return combine(curve.lengths, images, spec.ambient_dim, Fraction(0))
 
 
 def combinatorial_type(curve: TropicalCurve, spec: ArrangementSpec) -> Chain:

@@ -29,7 +29,6 @@ from cyclic_wonderful.lattice import (
     BuildingSet,
     Chain,
     DecoratedSubset,
-    chain_intersect,
     enumerate_chains,
 )
 from cyclic_wonderful.normal_complex import (
@@ -38,6 +37,7 @@ from cyclic_wonderful.normal_complex import (
     union_extreme_points,
 )
 from cyclic_wonderful.sampling import Lcg, sample_curve, sample_mixed_points
+from cyclic_wonderful.selfcheck import intersection_law_holds
 from cyclic_wonderful.tropical import combinatorial_type, curve_from_point, embed
 
 BETTI_GRID = [(2, 1), (3, 1), (4, 1), (2, 2), (3, 2), (4, 2), (2, 3), (3, 3)]
@@ -96,27 +96,13 @@ def test_criterion_3_structure_counts():
     _report(3, "ray and maximal-cone counts for r in {2,3,4}, n in {1,2,3}; labeled cone reproduced")
 
 
-def _intersection_law_holds(fan, a, b):
-    expected = fan.cone(chain_intersect(a, b))
-    cone_a, cone_b = fan.cone(a), fan.cone(b)
-    if not all(cone_a.contains(g) and cone_b.contains(g) for g in expected.rays):
-        return False
-    for g in cone_a.rays:
-        if cone_b.contains(g) != expected.contains(g):
-            return False
-    for g in cone_b.rays:
-        if cone_a.contains(g) != expected.contains(g):
-            return False
-    return True
-
-
 def test_criterion_4_cone_intersection_law():
     for r, n in [(2, 2), (3, 2)]:
         spec = ArrangementSpec(r, n)
         fan = _fan(r, n)
         chains = list(enumerate_chains(spec, n))
         for a, b in itertools.product(chains, repeat=2):
-            assert _intersection_law_holds(fan, a, b), (r, n, a.text(), b.text())
+            assert intersection_law_holds(fan, a, b), (r, n, a.text(), b.text())
     spec23 = ArrangementSpec(2, 3)
     fan23 = _fan(2, 3)
     chains23 = list(enumerate_chains(spec23, 3))
@@ -124,7 +110,7 @@ def test_criterion_4_cone_intersection_law():
     for _ in range(1000):
         a = chains23[rng.below(len(chains23))]
         b = chains23[rng.below(len(chains23))]
-        assert _intersection_law_holds(fan23, a, b), (a.text(), b.text())
+        assert intersection_law_holds(fan23, a, b), (a.text(), b.text())
     _report(4, "intersection law exhaustive at (2,2), (3,2); 1000 random pairs at (2,3)")
 
 

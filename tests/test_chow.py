@@ -122,12 +122,23 @@ def test_specific_rank_vectors():
     assert betti_closed_form(ArrangementSpec(2, 3)).dims == (1, 23, 23, 1)
 
 
-@pytest.mark.parametrize("r,n", GRID)
+# every (r, n) with 2 <= r <= 6 and 0 <= n <= 5, exhaustively
+CLOSED_FORM_GRID = [(r, n) for r in range(2, 7) for n in range(6)]
+
+
+@pytest.mark.parametrize("r,n", CLOSED_FORM_GRID)
 def test_rank_one_piece_formula(r, n):
     spec = ArrangementSpec(r, n)
     dims = betti_closed_form(spec).dims
     if n >= 1:
         assert dims[1] == (1 + r) ** n - 1 - n * (r - 1)
+
+
+@pytest.mark.parametrize("r,n", CLOSED_FORM_GRID)
+def test_closed_form_is_palindromic(r, n):
+    # Poincare duality of the smooth compact space
+    dims = betti_closed_form(ArrangementSpec(r, n)).dims
+    assert dims == dims[::-1]
 
 
 def test_r2_total_rank_counts_maximal_cones_and_is_palindromic():
@@ -136,6 +147,12 @@ def test_r2_total_rank_counts_maximal_cones_and_is_palindromic():
         dims = betti_closed_form(spec).dims
         assert sum(dims) == spec.num_maximal_chains
         assert dims == dims[::-1]
+
+
+@pytest.mark.parametrize("r,n", [(2, 3), (3, 3), (4, 2)])
+def test_oracle_ranks_are_palindromic(r, n):
+    dims = betti_oracle(ArrangementSpec(r, n)).dims
+    assert dims == dims[::-1]
 
 
 def test_oracle_guard():

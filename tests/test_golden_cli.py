@@ -1,0 +1,57 @@
+"""Golden CLI corpus: the sha256 of stdout and the exit status of fast commands.
+
+The digests were recorded before the exact linear algebra was merged into one
+elimination routine; any later change that alters a byte of these outputs
+fails here.  The whole corpus runs in-process through ``cli.main`` in a few
+seconds.  To re-record after an intended output change, print
+``hashlib.sha256(stdout).hexdigest()`` for each command and say why in
+CHANGES.md.
+"""
+
+import contextlib
+import hashlib
+import io
+
+import pytest
+
+from cyclic_wonderful.cli import main
+
+GOLDEN = [
+    ("fan --r 2 --n 2", 0, "bae0595223d88a8903cc70c685dbcf5831017c5f96bc658b2a256ae2fe7d4c2a"),
+    ("fan --r 2 --n 2 --format json", 0, "938973239601cb35536819d10e26b48dfd76648bc35906fdf93685de95471e3a"),
+    ("fan --r 2 --n 2 --via-stellar", 0, "bae0595223d88a8903cc70c685dbcf5831017c5f96bc658b2a256ae2fe7d4c2a"),
+    ("chow --r 2 --n 2", 0, "65128702c6a38e8788b86ff615223b041fff87fe26477f4e40f5abfe9d4e1bcd"),
+    ("chow --r 2 --n 2 --format json", 0, "e0cec78693778057f8a4fadde4be6e8cece974fe60b70d105f4593b268b1958b"),
+    ("fan --r 3 --n 2", 0, "82046bc9a4db74f9ba4cd8960d7dfadce2078f0794ef5a666022f7c049968c58"),
+    ("fan --r 3 --n 2 --format json", 0, "c5a2cb9917f761441f0e13d10cef682df417e81671916c877b0493073538b89a"),
+    ("fan --r 3 --n 2 --via-stellar", 0, "82046bc9a4db74f9ba4cd8960d7dfadce2078f0794ef5a666022f7c049968c58"),
+    ("chow --r 3 --n 2", 0, "7e3b41be02600746390289be36277a0f004bfa0fb738dd8eb8fabd8242328f82"),
+    ("chow --r 3 --n 2 --format json", 0, "9f9b3f3d34a5bb574ac603f8cc7c48de1171d1741cdd55183c6b64ebd05d76fb"),
+    ("fan --r 2 --n 3", 0, "253e002e7bad82b4d30e1bcff4c661eea0bfeb86316fbe553b78d13c85a6836a"),
+    ("fan --r 2 --n 3 --format json", 0, "d0e3c3cc73b790d2ea7ff589b8513f7541e2fbded04edcb1bb0177aafe49a475"),
+    ("fan --r 2 --n 3 --via-stellar", 0, "253e002e7bad82b4d30e1bcff4c661eea0bfeb86316fbe553b78d13c85a6836a"),
+    ("chow --r 2 --n 3", 0, "02e60974002962816d97da891e54d752ece224b3ada1012ee9076c64f9144727"),
+    ("chow --r 2 --n 3 --format json", 0, "e81c3bdd16d134c532d6e35cd64e27b9eec67a2d390efae4107da45062e857dc"),
+    ("fan --r 4 --n 2", 0, "7dc0f03bca489c4fe878a2def4157cf4c3bbc10d1ada0fbda876a14a86b83d5b"),
+    ("fan --r 4 --n 2 --format json", 0, "02dc9fe83e14f75c6fd1fdcee57bd401ddd4674d7e8d1e6ae6f91e9e5fe30779"),
+    ("fan --r 4 --n 2 --via-stellar", 0, "7dc0f03bca489c4fe878a2def4157cf4c3bbc10d1ada0fbda876a14a86b83d5b"),
+    ("chow --r 4 --n 2", 0, "bb1748d1508bf95600e0384e3cfd8de4594ca80cbd9be709ef6c16b578d2cd98"),
+    ("chow --r 4 --n 2 --format json", 0, "fc808a274c7e04787e46b05492340a6b80c0b1d2059dc43df8a6b7d9fefaf41e"),
+    ("normal-complex --r 2 --n 2 --union-extremes", 0, "aa366a8d541be6f227778403285919fb2cda0198610b27492a0e09cd344e2c03"),
+    ("normal-complex --r 3 --n 2 --format json", 0, "f6e42f34b48723d95bb92c9b055be68c6f1b5ff3306d3df5de5e80baeaa86598"),
+    ("check --r 2 --n 2 --seed 7", 0, "310f24ff1feae9a9b3f27a08cf253a3b3cb13cd1ef6511c921dc7565ef24cd3c"),
+    ("locate --r 3 --n 2 --curve 1:0:2,2:2:1", 0, "7a9124b53b8c59d4cdc7e34b105f4b180d21aaaa898e95374ada44354dd12d70"),
+    ("locate --r 3 --n 2 --point 0,3,0,1", 0, "84026aa11330bb167bdfd30d9aabfc7005f18416caf00c1094aab95085e644e3"),
+    ("fan --r 1 --n 2", 2, "19a9c3723b7d7f4d89611ed97f66c1f2369ca2ac75bc525df5a199f19f8b3969"),
+    ("locate --r 3 --n 2 --point 1,2", 2, "2360e8858d7deb4b2fdfefd665fff621c57c1bcb7cd8a38e1eced897152e29a7"),
+]
+
+
+@pytest.mark.parametrize("command,status,digest", GOLDEN, ids=[c for c, _, _ in GOLDEN])
+def test_golden_cli_output(monkeypatch, command, status, digest):
+    monkeypatch.delenv("CYCLIC_WONDERFUL_MAX_CELLS", raising=False)
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(command.split())
+    assert code == status
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
