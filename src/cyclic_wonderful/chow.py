@@ -18,6 +18,12 @@ with N_j = multinomial(n; j) * r^|j|.  The oracle knows nothing of that
 formula: it spans degree k by the monomials whose support is a chain,
 expands (linear relation) x (chain monomial of degree k-1) against that
 spanning set, and subtracts the exact rank of the resulting integer matrix.
+Only the n(r-1) reduced relations are expanded; they span the same degree-1
+space as all emitted relations, so their products span the same degree-k
+space.  Columns run in reverse lexicographic order, so each pivot sits on a
+row's lexicographically last chain monomial, and rows are fed shortest
+first.  Row and column order change the fill of the pivot rows, never the
+rank: the elimination is exact integer arithmetic throughout.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import comb, factorial
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .guards import check_oracle_size
 from .lattice import (
@@ -200,67 +206,86 @@ class _ChainMonomials:
     def __init__(self, spec: ArrangementSpec):
         check_oracle_size(spec.num_subsets)
         self.generators = tuple(enumerate_decorated_subsets(spec))
-        m = len(self.generators)
-        self.comp = [
-            [comparable(self.generators[x], self.generators[y]) for y in range(m)]
-            for x in range(m)
+        self.comparable = [
+            frozenset(y for y, b in enumerate(self.generators) if comparable(a, b))
+            for a in self.generators
         ]
         self._by_degree: dict[int, list[tuple[int, ...]]] = {0: [()]}
 
     def degree(self, k: int) -> list[tuple[int, ...]]:
+        """The degree-k chain monomials as sorted index tuples, lexicographically."""
         if k not in self._by_degree:
             prev = self.degree(k - 1)
-            out = []
-            for mono in prev:
-                start = mono[-1] if mono else 0
-                for g in range(start, len(self.generators)):
-                    if all(self.comp[g][x] for x in mono):
-                        out.append(mono + (g,))
-            self._by_degree[k] = out
+            self._by_degree[k] = [
+                mono + (g,)
+                for mono in prev
+                for g in self.multipliers(mono)
+                if not mono or g >= mono[-1]
+            ]
         return self._by_degree[k]
 
-    def extend(self, mono: tuple[int, ...], g: int) -> tuple[int, ...] | None:
-        """mono * generator g, or None when the support stops being a chain."""
-        if not all(self.comp[g][x] for x in mono):
-            return None
-        return tuple(sorted(mono + (g,)))
+    def multipliers(self, mono: tuple[int, ...]) -> Sequence[int]:
+        """The generators comparable to every factor of mono, in increasing order."""
+        if not mono:
+            return range(len(self.generators))
+        return sorted(frozenset.intersection(*(self.comparable[x] for x in mono)))
+
+    def columns(self, k: int) -> dict[tuple[int, ...], int]:
+        """Column of each degree-k chain monomial, in reverse lexicographic order.
+
+        The eliminator pivots on a row's lowest column, which is then the
+        lexicographically last monomial of the row.
+        """
+        last = len(self.degree(k)) - 1
+        return {mono: last - pos for pos, mono in enumerate(self.degree(k))}
 
 
 def _relation_space(
     monomials: _ChainMonomials,
-    relations: Iterable[LinearRelation],
+    relations: Sequence[LinearRelation],
     k: int,
 ) -> SparseEliminator:
     """The degree-k relation space over the chain-monomial basis.
 
-    Feeds (relation) x (degree k-1 chain monomial) for every emitted
-    relation into one eliminator.  Multiplier monomials with non-chain
-    support are skipped: every term they produce dies under the quadratic
-    relations anyway.
+    Spans (relation) x (degree k-1 chain monomial).  Callers pass the
+    n(r-1) reduced relations: every emitted relation is a linear
+    combination of them, and multiplying by a monomial is linear, so the
+    products span the same space as those of all emitted relations.
+    Products whose support is not a chain are dropped: they die under the
+    quadratic relations.  For each multiplier the generators comparable to
+    all of its factors, and the column of each product, are found once.
+
+    Columns are numbered by :meth:`_ChainMonomials.columns` and the rows
+    are fed shortest first; both choices keep the pivot rows sparse and
+    neither changes the span, so the rank and the membership tests stay
+    exact.
     """
-    index = {mono: pos for pos, mono in enumerate(monomials.degree(k))}
-    elim = SparseEliminator()
-    for rel in relations:
-        for mono in monomials.degree(k - 1):
-            row: dict[int, int] = {}
-            for g, coeff in rel.coeffs:
-                prod = monomials.extend(mono, g)
-                if prod is not None:
-                    row[index[prod]] = row.get(index[prod], 0) + coeff
+    columns = monomials.columns(k)
+    rows = []
+    for mono in monomials.degree(k - 1):
+        product = {
+            g: columns[tuple(sorted(mono + (g,)))] for g in monomials.multipliers(mono)
+        }
+        for rel in relations:
+            row = {product[g]: c for g, c in rel.coeffs if g in product}
             if row:
-                elim.add(row)
+                rows.append(row)
+    rows.sort(key=len)
+    elim = SparseEliminator()
+    for row in rows:
+        elim.add(row)
     return elim
 
 
 def betti_oracle(spec: ArrangementSpec) -> GradedDims:
     """Graded ranks by exact elimination, independent of the closed form."""
     check_oracle_size(spec.num_subsets)
-    pres = presentation(spec)
+    relations = presentation(spec).reduced_linear_relations()
     monomials = _ChainMonomials(spec)
     dims = [1]
     for k in range(1, spec.n + 1):
         # unnamed, so each degree's eliminator is freed before the next is built
-        rank = _relation_space(monomials, pres.linear_relations, k).rank
+        rank = _relation_space(monomials, relations, k).rank
         dims.append(len(monomials.degree(k)) - rank)
     return GradedDims(tuple(dims))
 
@@ -277,9 +302,9 @@ class DegreeReducer:
         self.spec = spec
         self.k = k
         self.monomials = _ChainMonomials(spec)
-        self._index = {m: i for i, m in enumerate(self.monomials.degree(k))}
+        self._columns = self.monomials.columns(k)
         self._generator_index = {d: i for i, d in enumerate(self.monomials.generators)}
-        relations = presentation(spec).linear_relations
+        relations = presentation(spec).reduced_linear_relations()
         self._elim = _relation_space(self.monomials, relations, k)
 
     def monomial_is_zero(self, gens: Sequence[DecoratedSubset]) -> bool:
@@ -287,6 +312,6 @@ class DegreeReducer:
             raise ValueError(f"expected a degree-{self.k} monomial")
         mono = tuple(sorted(self._generator_index[d] for d in gens))
         for x, y in itertools.combinations(mono, 2):
-            if not self.monomials.comp[x][y]:
+            if y not in self.monomials.comparable[x]:
                 return True
-        return self._elim.is_in_span({self._index[mono]: 1})
+        return self._elim.is_in_span({self._columns[mono]: 1})

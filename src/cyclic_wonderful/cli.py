@@ -3,8 +3,9 @@
 Subcommands: ``fan`` (emit the fan), ``chow`` (presentation and graded
 ranks), ``locate`` (point or curve to chain), ``normal-complex`` (cells of
 the truncated support) and ``check`` (the cross-module verification
-suites).  Exit status is 0 on success or all checks passing, 1 when a check
-fails, 2 on usage or feasibility errors.
+suites).  Exit status is 0 on success or when no check fails (a check a
+feasibility guard refused prints SKIP), 1 when a check fails, 2 on usage or
+feasibility errors.
 
 Identical arguments and seed produce byte-identical output.
 """
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -223,7 +225,7 @@ def _cmd_normal_complex(config: RunConfig) -> int:
     if config.union_extremes:
         payload["union_extremes"] = [
             [encode_fraction(x) for x in p]
-            for p in normal_complex.union_extreme_points(spec)
+            for p in normal_complex.union_extreme_points(spec, complex_)
         ]
     if config.format == "json":
         _emit_json(config, payload)
@@ -242,17 +244,16 @@ def _cmd_check(config: RunConfig) -> int:
     spec = _spec(config)
     suites = SUITES if config.suite == "all" else (config.suite,)
     results = run_suites(spec, suites, config.seed)
-    failures = 0
     for res in results:
-        status = "PASS" if res.passed else "FAIL"
         detail = f" ({res.detail})" if res.detail else ""
-        config.emit(f"{status} [{res.suite}] {res.name}{detail}")
-        failures += 0 if res.passed else 1
+        config.emit(f"{res.status} [{res.suite}] {res.name}{detail}")
+    count = Counter(res.status for res in results)
+    skipped = f", {count['SKIP']} skipped" if count["SKIP"] else ""
     config.emit(
-        f"{len(results) - failures}/{len(results)} checks passed for "
+        f"{count['PASS']}/{len(results)} checks passed{skipped} for "
         f"r={spec.r}, n={spec.n}"
     )
-    return 1 if failures else 0
+    return 1 if count["FAIL"] else 0
 
 
 _COMMANDS = {

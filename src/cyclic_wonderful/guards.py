@@ -36,6 +36,11 @@ def _bound(default: int) -> int:
     return value
 
 
+def check_override() -> None:
+    """Refuse an override that is set but is not an integer >= 0."""
+    _bound(0)
+
+
 def check_fan_size(rays: int, max_cones: int) -> None:
     bound = _bound(DEFAULT_FAN_CELLS)
     if rays + max_cones > bound:

@@ -59,7 +59,7 @@ def _rref(rows: Sequence[Vector], ncols: int) -> tuple[list[list[Fraction]], lis
         for i, row in enumerate(m):
             if i != rank and row[col] != 0:
                 f = row[col]
-                m[i] = [x - f * y for x, y in zip(row, piv)]
+                m[i] = [x - f * y if y else x for x, y in zip(row, piv)]
         pivots.append(col)
     return m, pivots
 

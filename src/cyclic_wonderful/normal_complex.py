@@ -192,8 +192,14 @@ def in_delta(point: Sequence, spec: ArrangementSpec) -> bool:
     return True
 
 
-def union_extreme_points(spec: ArrangementSpec) -> list[FracVec]:
-    """Extreme points of the convex hull of all cell vertices."""
-    complex_ = complex_cells(spec)
+def union_extreme_points(
+    spec: ArrangementSpec, complex_: NormalComplex | None = None
+) -> list[FracVec]:
+    """Extreme points of the convex hull of all cell vertices.
+
+    Pass ``complex_`` when the complex of ``spec`` is already built.
+    """
+    if complex_ is None:
+        complex_ = complex_cells(spec)
     points = {v for cell in complex_.cells for v in cell.v_rep}
     return extreme_points(points)

@@ -1,7 +1,8 @@
 """Cross-module verification suites behind the ``check`` command.
 
-Each suite returns a list of named pass/fail results; the command line
-formats them and turns any failure into a nonzero exit status.  The checks
+Each suite returns a list of named results, each PASS, FAIL or SKIP (a
+feasibility guard refused the work, so the check did not run); the command
+line formats them and turns any failure into a nonzero exit status.  The checks
 mirror the library's invariants: the two fan constructions agree, cone
 intersections obey the chain rule, graded ranks computed by formula and by
 elimination coincide, tropical round trips are exact, and the normal
@@ -24,7 +25,7 @@ from .fan import (
     is_smooth_cone,
     locate_point,
 )
-from .guards import FeasibilityError
+from .guards import FeasibilityError, check_override
 from .lattice import (
     ArrangementSpec,
     BuildingSet,
@@ -41,12 +42,17 @@ SUITES = ("fan", "chow", "tropical", "normal")
 class CheckResult:
     suite: str
     name: str
-    passed: bool
+    status: str  # "PASS", "FAIL" or "SKIP"
     detail: str = ""
 
 
 def _result(suite: str, name: str, passed: bool, detail: str = "") -> CheckResult:
-    return CheckResult(suite, name, bool(passed), detail)
+    return CheckResult(suite, name, "PASS" if passed else "FAIL", detail)
+
+
+def _skipped(suite: str, name: str, refusal: FeasibilityError) -> CheckResult:
+    """A check that did not run; the detail gives the size and the bound."""
+    return CheckResult(suite, name, "SKIP", str(refusal))
 
 
 def intersection_law_holds(fan: Fan, a: Chain, b: Chain) -> bool:
@@ -95,7 +101,7 @@ def suite_fan(spec: ArrangementSpec, seed: int = 0) -> list[CheckResult]:
         stellar = build_fan_stellar(spec, g)
         out.append(_result("fan", "stellar route equals direct route", fans_equal(fan, stellar)))
     except FeasibilityError as exc:
-        out.append(_result("fan", "stellar route equals direct route", False, str(exc)))
+        out.append(_skipped("fan", "stellar route equals direct route", exc))
     chains = list(enumerate_chains(spec, spec.n))
     pairs: list[tuple[Chain, Chain]]
     if len(chains) ** 2 <= 2500:
@@ -164,8 +170,7 @@ def suite_chow(spec: ArrangementSpec, seed: int = 0) -> list[CheckResult]:
             )
         )
     except FeasibilityError as exc:
-        out.append(_result("chow", "closed form equals rank oracle", False, str(exc)))
-        oracle = None
+        out.append(_skipped("chow", "closed form equals rank oracle", exc))
     pres = chow.presentation(spec)
     out.append(
         _result(
@@ -199,21 +204,18 @@ def suite_chow(spec: ArrangementSpec, seed: int = 0) -> list[CheckResult]:
         )
     )
     if spec.n >= 2 and spec.num_subsets <= 40:
-        reducer = chow.DegreeReducer(spec, 2)
-        gens = pres.generators
-        bad = 0
-        for x, y in itertools.combinations_with_replacement(gens, 2):
-            vanishes = chow.product_support([x, y]) is None
-            if vanishes != reducer.monomial_is_zero([x, y]):
-                bad += 1
-        out.append(
-            _result(
-                "chow",
-                "degree-2 products vanish exactly when incomparable",
-                bad == 0,
-                f"{bad} mismatches",
+        name = "degree-2 products vanish exactly when incomparable"
+        try:
+            reducer = chow.DegreeReducer(spec, 2)
+        except FeasibilityError as exc:
+            out.append(_skipped("chow", name, exc))
+        else:
+            bad = sum(
+                1
+                for x, y in itertools.combinations_with_replacement(pres.generators, 2)
+                if (chow.product_support([x, y]) is None) != reducer.monomial_is_zero([x, y])
             )
-        )
+            out.append(_result("chow", name, bad == 0, f"{bad} mismatches"))
     return out
 
 
@@ -248,7 +250,7 @@ def suite_normal(spec: ArrangementSpec, seed: int = 0) -> list[CheckResult]:
     try:
         complex_ = normal_complex.complex_cells(spec)
     except FeasibilityError as exc:
-        return [_result("normal", "cell construction", False, str(exc))]
+        return [_skipped("normal", "cell construction", exc)]
     out.append(
         _result(
             "normal",
@@ -281,7 +283,7 @@ def suite_normal(spec: ArrangementSpec, seed: int = 0) -> list[CheckResult]:
         )
     )
     if (spec.r, spec.n) == (2, 2):
-        extremes = set(normal_complex.union_extreme_points(spec))
+        extremes = set(normal_complex.union_extreme_points(spec, complex_))
         expect = {
             (Fraction(sa * a), Fraction(sb * b))
             for a, b in itertools.permutations((1, 2))
@@ -308,6 +310,8 @@ def run_suites(
         "tropical": suite_tropical,
         "normal": suite_normal,
     }
+    # an invalid override is a usage error, not a refusal a suite may skip
+    check_override()
     out: list[CheckResult] = []
     for name in suites:
         out.extend(table[name](spec, seed))

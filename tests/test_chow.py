@@ -7,6 +7,8 @@ import pytest
 from cyclic_wonderful.chow import (
     DegreeReducer,
     GradedDims,
+    _ChainMonomials,
+    _relation_space,
     betti_closed_form,
     betti_oracle,
     expected_jump_count,
@@ -20,8 +22,10 @@ from cyclic_wonderful.lattice import (
     Chain,
     DecoratedSubset,
     JumpType,
+    comparable,
     enumerate_chains,
 )
+from cyclic_wonderful.linalg import matrix_rank
 
 
 def ds(*pairs):
@@ -107,7 +111,7 @@ def test_product_support_rejects_empty_input():
 # --- graded ranks ------------------------------------------------------------
 
 
-GRID = [(2, 1), (3, 1), (4, 1), (2, 2), (3, 2), (4, 2), (2, 3), (3, 3)]
+GRID = [(2, 1), (3, 1), (4, 1), (2, 2), (3, 2), (4, 2), (2, 3), (3, 3), (4, 3), (2, 4)]
 
 
 @pytest.mark.parametrize("r,n", GRID)
@@ -149,10 +153,40 @@ def test_r2_total_rank_counts_maximal_cones_and_is_palindromic():
         assert dims == dims[::-1]
 
 
-@pytest.mark.parametrize("r,n", [(2, 3), (3, 3), (4, 2)])
+@pytest.mark.parametrize("r,n", [(2, 3), (3, 3), (4, 2), (4, 3), (2, 4)])
 def test_oracle_ranks_are_palindromic(r, n):
     dims = betti_oracle(ArrangementSpec(r, n)).dims
     assert dims == dims[::-1]
+
+
+@pytest.mark.parametrize("r,n", [(2, 2), (3, 2), (2, 3), (4, 2)])
+def test_relation_space_rank_matches_dense_rank_of_all_emitted_relations(r, n):
+    # the oracle expands only the reduced relations, numbers columns in
+    # reverse lexicographic order and sorts its rows; none of that may change
+    # the rank of (every emitted relation) x (chain monomial), built densely
+    spec = ArrangementSpec(r, n)
+    pres = presentation(spec)
+    gens = pres.generators
+    monomials = _ChainMonomials(spec)
+    for k in range(1, n + 1):
+        basis = [
+            mono
+            for mono in itertools.combinations_with_replacement(range(len(gens)), k)
+            if all(comparable(gens[x], gens[y]) for x, y in itertools.combinations(mono, 2))
+        ]
+        assert monomials.degree(k) == basis
+        column = {mono: pos for pos, mono in enumerate(basis)}
+        dense = []
+        for rel in pres.linear_relations:
+            for mono in monomials.degree(k - 1):
+                row = [0] * len(basis)
+                for g, coeff in rel.coeffs:
+                    prod = tuple(sorted(mono + (g,)))
+                    if prod in column:
+                        row[column[prod]] += coeff
+                dense.append(row)
+        relations = pres.reduced_linear_relations()
+        assert _relation_space(monomials, relations, k).rank == matrix_rank(dense)
 
 
 def test_oracle_guard():

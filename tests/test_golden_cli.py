@@ -1,9 +1,10 @@
 """Golden CLI corpus: the sha256 of stdout and the exit status of fast commands.
 
 The digests were recorded before the exact linear algebra was merged into one
-elimination routine; any later change that alters a byte of these outputs
-fails here.  The whole corpus runs in-process through ``cli.main`` in a few
-seconds.  To re-record after an intended output change, print
+elimination routine (the two ``--betti-only`` digests before the rank oracle
+switched to the reduced relations); any later change that alters a byte of
+these outputs fails here.  The whole corpus runs in-process through
+``cli.main`` in a few seconds.  To re-record after an intended output change, print
 ``hashlib.sha256(stdout).hexdigest()`` for each command and say why in
 CHANGES.md.
 """
@@ -37,6 +38,8 @@ GOLDEN = [
     ("fan --r 4 --n 2 --via-stellar", 0, "7dc0f03bca489c4fe878a2def4157cf4c3bbc10d1ada0fbda876a14a86b83d5b"),
     ("chow --r 4 --n 2", 0, "bb1748d1508bf95600e0384e3cfd8de4594ca80cbd9be709ef6c16b578d2cd98"),
     ("chow --r 4 --n 2 --format json", 0, "fc808a274c7e04787e46b05492340a6b80c0b1d2059dc43df8a6b7d9fefaf41e"),
+    ("chow --r 3 --n 3 --betti-only", 0, "a9bba22b42d347db57f7b2888d7c2cb2212a64d5d08e1c938077875761e533b1"),
+    ("chow --r 2 --n 3 --betti-only", 0, "81795494267c4682b7784f2a778d7ce0f3e8783b678b388ec4683cfe31c3604c"),
     ("normal-complex --r 2 --n 2 --union-extremes", 0, "aa366a8d541be6f227778403285919fb2cda0198610b27492a0e09cd344e2c03"),
     ("normal-complex --r 3 --n 2 --format json", 0, "f6e42f34b48723d95bb92c9b055be68c6f1b5ff3306d3df5de5e80baeaa86598"),
     ("check --r 2 --n 2 --seed 7", 0, "310f24ff1feae9a9b3f27a08cf253a3b3cb13cd1ef6511c921dc7565ef24cd3c"),

@@ -1,11 +1,14 @@
-"""Feasibility guards: one reading of the override for every guard.
+"""Feasibility guards: one reading of the override for every guard, and
+``check`` reporting a refusal as SKIP.
 
 Nothing here builds anything large: the guards are called directly with the
-sizes a command would pass them, and the CLI runs only at (2, 2).
+sizes a command would pass them, and the CLI runs only where a guard refuses
+before any work or at (2, 2) and below.
 """
 
 import pytest
 
+from cyclic_wonderful import cli
 from cyclic_wonderful.cli import main
 from cyclic_wonderful.guards import (
     DEFAULT_NORMAL_CELLS,
@@ -16,6 +19,7 @@ from cyclic_wonderful.guards import (
     check_oracle_size,
 )
 from cyclic_wonderful.lattice import ArrangementSpec
+from cyclic_wonderful.selfcheck import CheckResult
 
 GUARDS = {
     "fan": lambda size: check_fan_size(size, 0),
@@ -82,3 +86,51 @@ def test_cli_override_is_an_inclusive_bound(monkeypatch, capsys):
     assert main(["fan", "--r", "2", "--n", "2"]) == 0
     monkeypatch.setenv(ENV_OVERRIDE, "15")
     assert main(["fan", "--r", "2", "--n", "2"]) == 2
+
+
+# --- check: a guard refusal is SKIP, never FAIL ---------------------------------
+
+
+def test_check_reports_a_refused_normal_complex_as_skipped(no_override, capsys):
+    assert main(["check", "--r", "6", "--n", "3", "--suite", "normal"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [
+        "SKIP [normal] cell construction (normal complex with 1296 cells exceeds "
+        f"the guard bound {DEFAULT_NORMAL_CELLS} (override with {ENV_OVERRIDE}))",
+        "0/1 checks passed, 1 skipped for r=6, n=3",
+    ]
+
+
+def test_check_reports_a_refused_oracle_as_skipped(monkeypatch, capsys):
+    # the (2, 2) oracle and degree reducer need 8 generators
+    monkeypatch.setenv(ENV_OVERRIDE, "5")
+    assert main(["check", "--r", "2", "--n", "2", "--suite", "chow"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("SKIP [chow]") == 2
+    assert "rank oracle with 8 generators exceeds the guard bound 5" in out
+    assert "FAIL" not in out
+    assert out.endswith("3/5 checks passed, 2 skipped for r=2, n=2\n")
+
+
+def test_check_refuses_an_invalid_override_with_exit_2(monkeypatch, capsys):
+    monkeypatch.setenv(ENV_OVERRIDE, "-1")
+    assert main(["check", "--r", "2", "--n", "1", "--suite", "chow"]) == 2
+    out = capsys.readouterr().out
+    assert "must be an integer >= 0" in out
+    assert "SKIP" not in out and "FAIL" not in out
+
+
+def test_a_skip_never_hides_a_fail(monkeypatch, capsys):
+    results = [
+        CheckResult("chow", "refused", "SKIP", "too big"),
+        CheckResult("chow", "broken", "FAIL"),
+        CheckResult("chow", "fine", "PASS"),
+    ]
+    monkeypatch.setattr(cli, "run_suites", lambda spec, suites, seed: results)
+    assert main(["check", "--r", "2", "--n", "1", "--suite", "chow"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "SKIP [chow] refused (too big)",
+        "FAIL [chow] broken",
+        "PASS [chow] fine",
+        "1/3 checks passed, 1 skipped for r=2, n=1",
+    ]

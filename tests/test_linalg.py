@@ -1,8 +1,9 @@
-"""Property tests of the dense exact kernels, each against an independent route.
+"""Property tests of the exact kernels, each against an independent route.
 
-Ranks are compared with the count of nonzero Smith divisors (integer
+Dense ranks are compared with the count of nonzero Smith divisors (integer
 Euclidean steps, no rational elimination); kernels and solutions are checked
-by multiplying back exactly.
+by multiplying back exactly.  The sparse integer eliminator is compared with
+the dense rational ``matrix_rank``.
 """
 
 from fractions import Fraction
@@ -13,8 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclic_wonderful.linalg import (
+    SparseEliminator,
     combine,
     dot,
+    independent_row_indices,
     matrix_rank,
     nullspace,
     smith_divisors,
@@ -96,3 +99,58 @@ def test_combine_keeps_the_element_type_of_zero():
     assert ints == (1, -2) and all(type(x) is int for x in ints)
     fracs = combine([Fraction(1, 2)], [(2, 0, 0)], 3, Fraction(0))
     assert fracs == (1, 0, 0) and all(type(x) is Fraction for x in fracs)
+
+
+# --- the sparse integer eliminator ---------------------------------------------
+
+# mostly zeros, like the relation rows of the rank oracle
+sparse_entries = st.one_of(st.just(0), st.just(0), entries)
+
+
+@st.composite
+def sparse_matrices(draw, max_rows=8, max_cols=6):
+    m = draw(st.integers(1, max_rows))
+    n = draw(st.integers(1, max_cols))
+    row = st.lists(sparse_entries, min_size=n, max_size=n)
+    return draw(st.lists(row, min_size=m, max_size=m))
+
+
+def as_sparse(row):
+    return {c: x for c, x in enumerate(row) if x}
+
+
+def eliminator(rows):
+    elim = SparseEliminator()
+    for row in rows:
+        elim.add(as_sparse(row))
+    return elim
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_matrices(), st.randoms(use_true_random=False))
+def test_eliminator_rank_is_the_dense_rank_in_any_row_order(rows, rnd):
+    shuffled = list(rows)
+    rnd.shuffle(shuffled)
+    assert eliminator(rows).rank == matrix_rank(rows)
+    assert eliminator(shuffled).rank == matrix_rank(rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_matrices(), st.data())
+def test_in_span_exactly_when_the_dense_rank_stays(rows, data):
+    ncols = len(rows[0])
+    if data.draw(st.booleans(), label="row in the span"):
+        x = data.draw(st.lists(entries, min_size=len(rows), max_size=len(rows)))
+        row = list(combine(x, rows, ncols))
+    else:
+        row = data.draw(st.lists(sparse_entries, min_size=ncols, max_size=ncols))
+    in_span = matrix_rank(rows + [row]) == matrix_rank(rows)
+    assert eliminator(rows).is_in_span(as_sparse(row)) == in_span
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_matrices())
+def test_independent_rows_are_the_dense_greedy_scan(rows):
+    ranks = [matrix_rank(rows[:i]) for i in range(len(rows) + 1)]
+    greedy = [i for i in range(len(rows)) if ranks[i + 1] > ranks[i]]
+    assert independent_row_indices(as_sparse(row) for row in rows) == greedy

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+from cyclic_wonderful import normal_complex
+from cyclic_wonderful.cli import main
 from cyclic_wonderful.fan import ray_vector
 from cyclic_wonderful.guards import FeasibilityError
 from cyclic_wonderful.lattice import (
@@ -160,6 +162,19 @@ def test_octagon_extreme_points():
         for sb in (1, -1)
     }
     assert set(extremes) == expected
+
+
+def test_union_extremes_command_builds_the_complex_once(monkeypatch, capsys):
+    builds = []
+
+    def counted(spec):
+        builds.append(spec)
+        return complex_cells(spec)
+
+    monkeypatch.setattr(normal_complex, "complex_cells", counted)
+    assert main(["normal-complex", "--r", "2", "--n", "2", "--union-extremes"]) == 0
+    assert len(builds) == 1
+    assert "union extreme points:" in capsys.readouterr().out
 
 
 # --- membership --------------------------------------------------------------
