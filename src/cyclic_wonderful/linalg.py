@@ -9,12 +9,17 @@ Dense rational elimination is written once, in ``_rref``: ``solve_columns``,
 ``matrix_rank`` and ``nullspace`` read their answers off it, and ``combine``
 forms every sum_j c_j v_j.  ``solve_columns`` shares nothing with the
 integer cone kernel of :mod:`cyclic_wonderful.fan`, whose reference it is.
+
+Hull extremeness is decided over the integers: ``integer_scaled`` clears a
+point set's denominators once, and the phase-1 simplex behind
+``in_convex_hull`` pivots fraction-free (each tableau entry is the basis
+determinant times its rational value; every division is exact).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Vector = Sequence  # any indexable of ints/Fractions
@@ -229,73 +234,121 @@ def smith_divisors(mat: Sequence[Sequence[int]]) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Exact LP feasibility (phase-1 simplex) and convex hull extremeness
+# Exact LP feasibility (integer phase-1 simplex) and convex hull extremeness
 # ---------------------------------------------------------------------------
 
 
-def _lp_feasible_eq(a: list[list[Fraction]], b: list[Fraction]) -> bool:
-    """Feasibility of {x >= 0 : A x = b} by phase-1 simplex with Bland's rule."""
+def integer_scaled(vectors: Iterable[Vector]) -> tuple[list[tuple[int, ...]], int]:
+    """The rational vectors times the lcm D of all their denominators, and D.
+
+    One common D, so ``q . (p / D) <= b`` becomes ``q . p <= b * D`` and
+    hull membership of ``p / D`` among ``P / D`` is that of ``p`` among ``P``.
+    """
+    rows = [[x if isinstance(x, (int, Fraction)) else Fraction(x) for x in v] for v in vectors]
+    scale = lcm(*(x.denominator for v in rows for x in v))
+    return [tuple(x.numerator * (scale // x.denominator) for x in v) for v in rows], scale
+
+
+def _lp_feasible_eq(a: list[list[int]], b: list[int]) -> bool:
+    """Feasibility of {x >= 0 : A x = b} for integer A, b by phase-1 simplex.
+
+    Integer pivoting (Edmonds; Bareiss's exact division): each tableau entry
+    is the current basis determinant ``det`` times its rational value, so a
+    pivot ``pv`` maps every other row's entry v to ``(pv*v - f*w) // det``
+    exactly, leaves the pivot row as it is and makes ``pv`` the new ``det``.
+    Ratio-test pivots are positive, so ``det`` stays positive and every sign
+    test reads the rational sign.  Bland's rule: the first column with a
+    negative reduced cost enters; ratio ties leave by the smallest basis index.
+    """
     m = len(b)
     n = len(a[0]) if m else 0
-    tab: list[list[Fraction]] = []
+    tab: list[list[int]] = []
     for i in range(m):
         row = list(a[i])
         rhs = b[i]
         if rhs < 0:
             row = [-v for v in row]
             rhs = -rhs
-        art = [Fraction(1) if k == i else Fraction(0) for k in range(m)]
-        tab.append(row + art + [rhs])
+        tab.append(row + [int(k == i) for k in range(m)] + [rhs])
     width = n + m
-    obj = [Fraction(0)] * (width + 1)
-    for i in range(m):
-        for j in range(width + 1):
-            obj[j] -= tab[i][j]
-    for i in range(m):
-        obj[n + i] = Fraction(0)  # artificials carry cost 1; reduced cost is 0
+    obj = [-sum(col) for col in zip(*tab)] if m else [0]
+    obj[n : n + m] = [0] * m  # artificials carry cost 1; reduced cost is 0
     basis = list(range(n, n + m))
+    det = 1
     while True:
         enter = next((j for j in range(width) if obj[j] < 0), None)
         if enter is None:
             break
-        candidates = [
-            (tab[i][width] / tab[i][enter], basis[i], i)
-            for i in range(m)
-            if tab[i][enter] > 0
-        ]
-        if not candidates:
-            break  # cannot happen in phase 1; defensive
-        _, _, leave = min(candidates)
-        pv = tab[leave][enter]
-        tab[leave] = [v / pv for v in tab[leave]]
+        leave = None
         for i in range(m):
-            if i != leave and tab[i][enter] != 0:
+            col = tab[i][enter]
+            if col > 0:
+                if leave is None:
+                    leave = i
+                    continue
+                # rhs_i / col_i against rhs_leave / col_leave, both pivots > 0
+                lhs = tab[i][width] * tab[leave][enter]
+                rhs = tab[leave][width] * col
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                    leave = i
+        if leave is None:
+            break  # cannot happen in phase 1; defensive
+        piv = tab[leave]
+        pv = piv[enter]
+        for i in range(m):
+            if i != leave:
                 f = tab[i][enter]
-                tab[i] = [v - f * w for v, w in zip(tab[i], tab[leave])]
-        if obj[enter] != 0:
-            f = obj[enter]
-            obj = [v - f * w for v, w in zip(obj, tab[leave])]
+                tab[i] = [(pv * v - f * w) // det for v, w in zip(tab[i], piv)]
+        f = obj[enter]
+        obj = [(pv * v - f * w) // det for v, w in zip(obj, piv)]
+        det = pv
         basis[leave] = enter
     return obj[width] == 0
 
 
+def _check_lengths(vectors: Iterable[Vector], d: int, what: str) -> None:
+    for v in vectors:
+        if len(v) != d:
+            raise ValueError(f"{what} has length {len(v)}, expected {d}")
+
+
 def in_convex_hull(point: Vector, points: Sequence[Vector]) -> bool:
-    """Exact membership of ``point`` in the convex hull of ``points``."""
+    """Exact membership of ``point`` in the convex hull of ``points``.
+
+    Raises ValueError when a point of the set differs in length from
+    ``point``.
+    """
     if not points:
         return False
     d = len(point)
-    a = [[Fraction(p[i]) for p in points] for i in range(d)]
-    a.append([Fraction(1)] * len(points))
-    b = [Fraction(x) for x in point] + [Fraction(1)]
-    return _lp_feasible_eq(a, b)
+    _check_lengths(points, d, "a point of the set")
+    (p, *qs), _ = integer_scaled([point, *points])
+    a = [[q[i] for q in qs] for i in range(d)]
+    a.append([1] * len(qs))
+    return _lp_feasible_eq(a, [*p, 1])
 
 
 def extreme_points(points: Iterable[Vector]) -> list[tuple[Fraction, ...]]:
-    """The extreme points of the convex hull of a finite point set."""
+    """The extreme points of the convex hull of a finite point set, sorted.
+
+    The set is scaled to integers once.  A point ``p`` that is the unique
+    maximiser of ``<p, .>`` over the set is a vertex of the hull, so it is
+    accepted without an LP.  Every other point is tested by ``in_convex_hull``
+    against the rest of the set, less the points already found inside: those
+    are not vertices, so dropping them leaves the hull as it is.
+    """
     unique = sorted({tuple(Fraction(x) for x in p) for p in points})
-    out = []
-    for i, p in enumerate(unique):
-        others = [q for j, q in enumerate(unique) if j != i]
-        if not in_convex_hull(p, others):
-            out.append(p)
-    return out
+    if unique:
+        _check_lengths(unique, len(unique[0]), "a point")
+    ints, _ = integer_scaled(unique)
+    undecided = []
+    for i, p in enumerate(ints):
+        values = [sum(x * y for x, y in zip(p, q)) for q in ints]
+        if sum(v >= values[i] for v in values) > 1:
+            undecided.append(i)
+    inside: set[int] = set()
+    for i in undecided:
+        rest = [q for j, q in enumerate(ints) if j != i and j not in inside]
+        if in_convex_hull(ints[i], rest):
+            inside.add(i)
+    return [p for i, p in enumerate(unique) if i not in inside]

@@ -22,16 +22,23 @@ Cells are realized only for maximal chains; lower-dimensional faces are
 shared boundaries of those.  Vertex enumeration happens in the cone's own
 coefficient space, where the cone is the nonnegative orthant, and only then
 maps to ambient coordinates.
+
+Membership is integer arithmetic: each cell caches its H-rows cleared of
+denominators, and a rational point p / D (p integer, D > 0) satisfies
+``normal . v <= bound`` exactly when ``normal_int . p <= bound_int * D``.
+The tiling check in ``check`` compares this with ``in_delta`` (subset sums
+of the support decomposition), a route that shares none of it.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
-from .guards import check_normal_complex
+from .guards import check_hull_points, check_normal_complex
 from .fan import ray_vector, support_decomposition
 from .lattice import (
     ArrangementSpec,
@@ -40,7 +47,14 @@ from .lattice import (
     enumerate_decorated_subsets,
     maximal_chains,
 )
-from .linalg import combine, dot, extreme_points, nullspace, solve_columns
+from .linalg import (
+    combine,
+    dot,
+    extreme_points,
+    integer_scaled,
+    nullspace,
+    solve_columns,
+)
 
 FracVec = tuple[Fraction, ...]
 
@@ -72,18 +86,50 @@ class Polytope:
     v_rep: tuple[FracVec, ...]
     label: Chain
 
+    @cached_property
+    def _integer_rows(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """Each H-row as ``(normal, bound)`` times the lcm of its denominators."""
+        rows = []
+        for normal, bound in self.h_rep:
+            (row,), _ = integer_scaled([(*normal, bound)])
+            rows.append((row[:-1], row[-1]))
+        return tuple(rows)
+
+    def _holds(self, p: tuple[int, ...], scale: int) -> bool:
+        """Membership of ``p / scale``, with p an integer vector, scale > 0."""
+        return all(
+            sum(a * x for a, x in zip(normal, p)) <= bound * scale
+            for normal, bound in self._integer_rows
+        )
+
     def contains(self, point: Sequence) -> bool:
-        p = tuple(Fraction(x) for x in point)
-        return all(dot(normal, p) <= bound for normal, bound in self.h_rep)
+        # the origin is a vertex of every cell, so v_rep gives the dimension
+        p, scale = _scaled_point(point, len(self.v_rep[0]))
+        return self._holds(p, scale)
 
 
 @dataclass(frozen=True, eq=False)
 class NormalComplex:
+    """The cells of one arrangement.
+
+    Membership scales the point to integers once and tests every cell's
+    cached integer H-rows with integer dot products.
+    """
+
     spec: ArrangementSpec
     cells: tuple[Polytope, ...]
 
     def contains(self, point: Sequence) -> bool:
-        return any(cell.contains(point) for cell in self.cells)
+        p, scale = _scaled_point(point, self.spec.ambient_dim)
+        return any(cell._holds(p, scale) for cell in self.cells)
+
+
+def _scaled_point(point: Sequence, dim: int) -> tuple[tuple[int, ...], int]:
+    """``point`` as an integer vector over a positive common denominator."""
+    if len(point) != dim:
+        raise ValueError(f"point has length {len(point)}, expected {dim}")
+    (p,), scale = integer_scaled([point])
+    return p, scale
 
 
 def _orthant_polytope_vertices(
@@ -197,9 +243,11 @@ def union_extreme_points(
 ) -> list[FracVec]:
     """Extreme points of the convex hull of all cell vertices.
 
-    Pass ``complex_`` when the complex of ``spec`` is already built.
+    Pass ``complex_`` when the complex of ``spec`` is already built.  The
+    vertex count is guarded before any LP runs.
     """
     if complex_ is None:
         complex_ = complex_cells(spec)
     points = {v for cell in complex_.cells for v in cell.v_rep}
+    check_hull_points(len(points))
     return extreme_points(points)

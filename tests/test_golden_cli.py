@@ -2,11 +2,12 @@
 
 The digests were recorded before the exact linear algebra was merged into one
 elimination routine (the two ``--betti-only`` digests before the rank oracle
-switched to the reduced relations); any later change that alters a byte of
-these outputs fails here.  The whole corpus runs in-process through
-``cli.main`` in a few seconds.  To re-record after an intended output change, print
-``hashlib.sha256(stdout).hexdigest()`` for each command and say why in
-CHANGES.md.
+switched to the reduced relations, the three hull-extreme and normal-suite
+digests before the normal complex moved to integer kernels); any later change
+that alters a byte of these outputs fails here.  The whole corpus runs
+in-process through ``cli.main`` in a few seconds.  To re-record after an
+intended output change, print ``hashlib.sha256(stdout).hexdigest()`` for each
+command and say why in CHANGES.md.
 """
 
 import contextlib
@@ -41,6 +42,9 @@ GOLDEN = [
     ("chow --r 3 --n 3 --betti-only", 0, "a9bba22b42d347db57f7b2888d7c2cb2212a64d5d08e1c938077875761e533b1"),
     ("chow --r 2 --n 3 --betti-only", 0, "81795494267c4682b7784f2a778d7ce0f3e8783b678b388ec4683cfe31c3604c"),
     ("normal-complex --r 2 --n 2 --union-extremes", 0, "aa366a8d541be6f227778403285919fb2cda0198610b27492a0e09cd344e2c03"),
+    ("normal-complex --r 4 --n 2 --union-extremes --format json", 0, "acf9c7a48c7d6f875b42d58c183c53da5f0b673a538f4b19c49fc583be020c70"),
+    ("normal-complex --r 2 --n 3 --union-extremes --format json", 0, "c283c4a0f6da649a5103fc409f46613382eef62b10cfc6d1940c2d798f8978b5"),
+    ("check --r 2 --n 3 --suite normal --seed 3", 0, "3a373a08b33112e88a2af9b3e5dcef1f61493c708d89921a2df0ad05ed7ebae2"),
     ("normal-complex --r 3 --n 2 --format json", 0, "f6e42f34b48723d95bb92c9b055be68c6f1b5ff3306d3df5de5e80baeaa86598"),
     ("check --r 2 --n 2 --seed 7", 0, "310f24ff1feae9a9b3f27a08cf253a3b3cb13cd1ef6511c921dc7565ef24cd3c"),
     ("locate --r 3 --n 2 --curve 1:0:2,2:2:1", 0, "7a9124b53b8c59d4cdc7e34b105f4b180d21aaaa898e95374ada44354dd12d70"),

@@ -2,19 +2,22 @@
 ``check`` reporting a refusal as SKIP.
 
 Nothing here builds anything large: the guards are called directly with the
-sizes a command would pass them, and the CLI runs only where a guard refuses
-before any work or at (2, 2) and below.
+sizes a command would pass them, the CLI runs only where a guard refuses
+before any work or at (2, 2) and below, and the hull guard's calibration is
+checked on the vertex counts of complexes that take well under a second.
 """
 
 import pytest
 
-from cyclic_wonderful import cli
+from cyclic_wonderful import cli, normal_complex
 from cyclic_wonderful.cli import main
 from cyclic_wonderful.guards import (
+    DEFAULT_HULL_POINTS,
     DEFAULT_NORMAL_CELLS,
     ENV_OVERRIDE,
     FeasibilityError,
     check_fan_size,
+    check_hull_points,
     check_normal_complex,
     check_oracle_size,
 )
@@ -25,6 +28,7 @@ GUARDS = {
     "fan": lambda size: check_fan_size(size, 0),
     "oracle": check_oracle_size,
     "normal": lambda size: check_normal_complex(1, size),
+    "hull": check_hull_points,
 }
 
 
@@ -66,6 +70,43 @@ def test_normal_complex_override_replaces_both_default_bounds(monkeypatch):
     check_normal_complex(4, 2000)
     with pytest.raises(FeasibilityError, match="2001 cells"):
         check_normal_complex(3, 2001)
+
+
+def _hull_point_count(r, n):
+    cells = normal_complex.complex_cells(ArrangementSpec(r, n)).cells
+    return len({v for cell in cells for v in cell.v_rep})
+
+
+def test_hull_guard_admits_the_calibrated_specs_and_refuses_3_3(no_override):
+    for r, n in [(2, 3), (4, 2), (8, 2)]:
+        check_hull_points(_hull_point_count(r, n))
+    assert _hull_point_count(8, 2) == 209
+    points = _hull_point_count(3, 3)
+    assert points == 442
+    with pytest.raises(FeasibilityError) as info:
+        check_hull_points(points)
+    assert "hull extremes of 442 cell vertices" in str(info.value)
+    assert f"guard bound {DEFAULT_HULL_POINTS}" in str(info.value)
+
+
+def test_hull_guard_refuses_before_any_lp(monkeypatch):
+    monkeypatch.setenv(ENV_OVERRIDE, "16")  # admits the 8 cells, not the 17 vertices
+    solved = []
+    monkeypatch.setattr(normal_complex, "extreme_points", solved.append)
+    with pytest.raises(FeasibilityError, match="17 cell vertices exceed the guard bound 16"):
+        normal_complex.union_extreme_points(ArrangementSpec(2, 2))
+    assert solved == []
+
+
+def test_cli_refuses_union_extremes_over_the_hull_bound(monkeypatch, capsys):
+    monkeypatch.setenv(ENV_OVERRIDE, "16")
+    assert main(["normal-complex", "--r", "2", "--n", "2", "--union-extremes"]) == 2
+    assert capsys.readouterr().out == (
+        "feasibility error: hull extremes of 17 cell vertices exceed the guard "
+        f"bound 16 (override with {ENV_OVERRIDE})\n"
+    )
+    monkeypatch.setenv(ENV_OVERRIDE, "17")
+    assert main(["normal-complex", "--r", "2", "--n", "2", "--union-extremes"]) == 0
 
 
 def test_cli_refuses_a_zero_override(monkeypatch, capsys):
@@ -110,6 +151,18 @@ def test_check_reports_a_refused_oracle_as_skipped(monkeypatch, capsys):
     assert "rank oracle with 8 generators exceeds the guard bound 5" in out
     assert "FAIL" not in out
     assert out.endswith("3/5 checks passed, 2 skipped for r=2, n=2\n")
+
+
+def test_check_reports_refused_hull_extremes_as_skipped(monkeypatch, capsys):
+    monkeypatch.setenv(ENV_OVERRIDE, "16")
+    assert main(["check", "--r", "2", "--n", "2", "--suite", "normal"]) == 0
+    out = capsys.readouterr().out
+    assert (
+        "SKIP [normal] union extremes are the signed permutations of (1, 2) "
+        "(hull extremes of 17 cell vertices exceed the guard bound 16" in out
+    )
+    assert "FAIL" not in out
+    assert out.endswith("3/4 checks passed, 1 skipped for r=2, n=2\n")
 
 
 def test_check_refuses_an_invalid_override_with_exit_2(monkeypatch, capsys):

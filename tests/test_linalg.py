@@ -3,7 +3,8 @@
 Dense ranks are compared with the count of nonzero Smith divisors (integer
 Euclidean steps, no rational elimination); kernels and solutions are checked
 by multiplying back exactly.  The sparse integer eliminator is compared with
-the dense rational ``matrix_rank``.
+the dense rational ``matrix_rank``, and the integer phase-1 simplex with the
+``Fraction`` simplex it replaced, kept here as the reference.
 """
 
 from fractions import Fraction
@@ -15,8 +16,11 @@ from hypothesis import strategies as st
 
 from cyclic_wonderful.linalg import (
     SparseEliminator,
+    _lp_feasible_eq,
     combine,
     dot,
+    extreme_points,
+    in_convex_hull,
     independent_row_indices,
     matrix_rank,
     nullspace,
@@ -154,3 +158,133 @@ def test_independent_rows_are_the_dense_greedy_scan(rows):
     ranks = [matrix_rank(rows[:i]) for i in range(len(rows) + 1)]
     greedy = [i for i in range(len(rows)) if ranks[i + 1] > ranks[i]]
     assert independent_row_indices(as_sparse(row) for row in rows) == greedy
+
+
+# --- the integer phase-1 simplex and hull extremes ----------------------------
+
+
+def reference_lp_feasible_eq(a, b):
+    """Feasibility of {x >= 0 : A x = b} by a Fraction phase-1 simplex with
+    Bland's rule: the rational tableau the integer kernel scales."""
+    m = len(b)
+    n = len(a[0]) if m else 0
+    tab = []
+    for i in range(m):
+        row = [Fraction(v) for v in a[i]]
+        rhs = Fraction(b[i])
+        if rhs < 0:
+            row = [-v for v in row]
+            rhs = -rhs
+        art = [Fraction(1) if k == i else Fraction(0) for k in range(m)]
+        tab.append(row + art + [rhs])
+    width = n + m
+    obj = [Fraction(0)] * (width + 1)
+    for i in range(m):
+        for j in range(width + 1):
+            obj[j] -= tab[i][j]
+    for i in range(m):
+        obj[n + i] = Fraction(0)  # artificials carry cost 1; reduced cost is 0
+    basis = list(range(n, n + m))
+    while True:
+        enter = next((j for j in range(width) if obj[j] < 0), None)
+        if enter is None:
+            break
+        candidates = [
+            (tab[i][width] / tab[i][enter], basis[i], i) for i in range(m) if tab[i][enter] > 0
+        ]
+        if not candidates:
+            break
+        _, _, leave = min(candidates)
+        pv = tab[leave][enter]
+        tab[leave] = [v / pv for v in tab[leave]]
+        for i in range(m):
+            if i != leave and tab[i][enter] != 0:
+                f = tab[i][enter]
+                tab[i] = [v - f * w for v, w in zip(tab[i], tab[leave])]
+        if obj[enter] != 0:
+            f = obj[enter]
+            obj = [v - f * w for v, w in zip(obj, tab[leave])]
+        basis[leave] = enter
+    return obj[width] == 0
+
+
+def reference_in_convex_hull(point, points):
+    if not points:
+        return False
+    a = [[Fraction(p[i]) for p in points] for i in range(len(point))]
+    a.append([Fraction(1)] * len(points))
+    return reference_lp_feasible_eq(a, [Fraction(x) for x in point] + [Fraction(1)])
+
+
+@st.composite
+def lp_systems(draw):
+    a = draw(matrices(max_rows=4, max_cols=6))
+    if draw(st.booleans(), label="feasible by construction"):
+        x = draw(st.lists(st.integers(0, 3), min_size=len(a[0]), max_size=len(a[0])))
+        b = [sum(v * y for v, y in zip(row, x)) for row in a]
+    else:
+        b = draw(st.lists(st.integers(-6, 6), min_size=len(a), max_size=len(a)))
+    return a, b
+
+
+@settings(max_examples=400, deadline=None)
+@given(lp_systems())
+def test_integer_simplex_agrees_with_the_fraction_simplex(system):
+    a, b = system
+    assert _lp_feasible_eq(a, b) == reference_lp_feasible_eq(a, b)
+
+
+def test_integer_simplex_on_known_systems():
+    assert _lp_feasible_eq([[1, 1]], [2])
+    assert not _lp_feasible_eq([[1, 1]], [-2])
+    assert _lp_feasible_eq([[1, -1]], [-2])  # x = (0, 2)
+    assert not _lp_feasible_eq([[1, 1], [1, 1]], [1, 2])
+    assert _lp_feasible_eq([[2, 3], [1, 0]], [7, 2])  # x = (2, 1)
+
+
+coordinates = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+
+
+@st.composite
+def point_sets(draw):
+    """Rational points, some repeated and some on a line through two others."""
+    d = draw(st.integers(1, 3))
+    base = draw(st.lists(st.tuples(*[coordinates] * d), min_size=1, max_size=7))
+    steps = st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1, 3), Fraction(2), Fraction(-1)])
+    extra = []
+    for _ in range(draw(st.integers(0, 4))):
+        p, q = draw(st.sampled_from(base)), draw(st.sampled_from(base))
+        t = draw(steps)  # t = 0 repeats p
+        extra.append(tuple(x + t * (y - x) for x, y in zip(p, q)))
+    return base + extra
+
+
+@settings(max_examples=300, deadline=None)
+@given(point_sets())
+def test_extreme_points_are_the_points_the_reference_lp_finds_outside_the_rest(points):
+    unique = sorted(set(points))
+    expected = [p for p in unique if not reference_in_convex_hull(p, [q for q in unique if q != p])]
+    assert extreme_points(points) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(point_sets(), st.data())
+def test_in_convex_hull_agrees_with_the_reference_lp(points, data):
+    d = len(points[0])
+    point = data.draw(st.tuples(*[coordinates] * d))
+    assert in_convex_hull(point, points) == reference_in_convex_hull(point, points)
+
+
+def test_hull_extremes_of_a_segment_with_interior_and_repeated_points():
+    points = [(0, 0), (Fraction(1, 2), Fraction(1, 2)), (1, 1), (1, 1), (Fraction(1, 3), Fraction(1, 3))]
+    assert extreme_points(points) == [(0, 0), (1, 1)]
+    assert all(type(x) is Fraction for p in extreme_points(points) for x in p)
+
+
+def test_hull_rejects_points_of_the_wrong_length():
+    with pytest.raises(ValueError, match="length 1, expected 2"):
+        in_convex_hull((0, 0), [(1,), (2,)])
+    with pytest.raises(ValueError, match="length 2, expected 1"):
+        in_convex_hull((0,), [(1, 5), (-1, 5)])
+    with pytest.raises(ValueError, match="length"):
+        extreme_points([(0,), (1, 2)])

@@ -1,9 +1,12 @@
 """Cells of the truncated support: heights, vertices, tiling, symmetry."""
 
+import functools
 import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cyclic_wonderful import normal_complex
 from cyclic_wonderful.cli import main
@@ -164,6 +167,17 @@ def test_octagon_extreme_points():
     assert set(extremes) == expected
 
 
+def test_hull_extremes_at_2_3_are_the_signed_permutations_of_1_2_3():
+    extremes = union_extreme_points(ArrangementSpec(2, 3))
+    expected = {
+        tuple(Fraction(s * x) for s, x in zip(signs, perm))
+        for perm in itertools.permutations((1, 2, 3))
+        for signs in itertools.product((1, -1), repeat=3)
+    }
+    assert len(expected) == 48
+    assert extremes == sorted(expected)
+
+
 def test_union_extremes_command_builds_the_complex_once(monkeypatch, capsys):
     builds = []
 
@@ -204,6 +218,49 @@ def test_cells_tile_the_truncated_support(r, n):
         assert nc.contains(p) == inside
         hits += inside
     assert hits > 0  # the sample must exercise true cases
+
+
+@functools.lru_cache(maxsize=None)
+def _complex(r, n):
+    return complex_cells(ArrangementSpec(r, n))
+
+
+def _fraction_rows_hold(cell, point):
+    return all(dot(normal, point) <= bound for normal, bound in cell.h_rep)
+
+
+@st.composite
+def probe_points(draw, nc):
+    """Rational points near the cells: box points, and points on the line
+    through two vertices of one cell, which meet faces exactly."""
+    dim = nc.spec.ambient_dim
+    if draw(st.booleans(), label="box point"):
+        coordinate = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 3))
+        return tuple(draw(st.lists(coordinate, min_size=dim, max_size=dim)))
+    cell = draw(st.sampled_from(nc.cells))
+    p, q = draw(st.sampled_from(cell.v_rep)), draw(st.sampled_from(cell.v_rep))
+    t = draw(st.builds(Fraction, st.integers(-2, 5), st.integers(1, 3)))
+    return tuple(x + t * (y - x) for x, y in zip(p, q))
+
+
+@pytest.mark.parametrize("r,n", [(2, 2), (3, 2), (2, 3)])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_integer_membership_agrees_with_fraction_rows_in_every_cell(r, n, data):
+    nc = _complex(r, n)
+    point = data.draw(probe_points(nc))
+    holds = [_fraction_rows_hold(cell, point) for cell in nc.cells]
+    assert [cell.contains(point) for cell in nc.cells] == holds
+    assert nc.contains(point) == any(holds)
+
+
+def test_membership_rejects_points_of_the_wrong_length():
+    nc = _complex(2, 2)
+    for point in [(0,), (0, 0, 5)]:
+        with pytest.raises(ValueError, match=f"length {len(point)}, expected 2"):
+            nc.contains(point)
+        with pytest.raises(ValueError, match=f"length {len(point)}, expected 2"):
+            nc.cells[0].contains(point)
 
 
 # --- symmetry and face sharing -----------------------------------------------
