@@ -27,7 +27,7 @@ for subset, vector in sorted(fan.rays.items(), key=lambda kv: kv[0].sort_key()):
 stellar = build_fan_stellar(spec, g)
 print("stellar route agrees with the direct one:", fans_equal(fan, stellar))
 
-print("\npoint location (exact rational solves per cone):")
+print("\npoint location (an integer membership test per cone):")
 for point in [(0, 0), (-1, 1), (-3, -1), (2, 5)]:
     chain = locate_point(fan, point)
     where = chain.text() if chain is not None else "outside the support"

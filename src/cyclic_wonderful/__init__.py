@@ -2,8 +2,8 @@
 
 Public surface, by capability:
 
-* :mod:`cyclic_wonderful.lattice` - decorated subsets, chains, building
-  sets, nestedness.
+* :mod:`cyclic_wonderful.lattice` - decorated subsets, chains, the
+  maximal building set and nestedness.
 * :mod:`cyclic_wonderful.fan` - the nested-set fan over integer lattice
   coordinates, built directly or by stellar subdivision, with point
   location and smoothness checks.
@@ -25,7 +25,6 @@ from .lattice import (
     chain_intersect,
     enumerate_chains,
     enumerate_decorated_subsets,
-    is_building_set,
     is_nested,
     join,
     jump_type,
@@ -103,7 +102,6 @@ __all__ = [
     "enumerate_decorated_subsets",
     "fans_equal",
     "in_delta",
-    "is_building_set",
     "is_nested",
     "is_smooth_cone",
     "join",

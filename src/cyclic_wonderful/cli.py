@@ -62,7 +62,10 @@ def _emit_json(config: RunConfig, payload: dict) -> None:
 
 
 def _parse_point(text: str, spec: ArrangementSpec) -> tuple[Fraction, ...]:
-    coords = tuple(Fraction(part.strip()) for part in text.split(","))
+    try:
+        coords = tuple(Fraction(part.strip()) for part in text.split(","))
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in point {text!r}") from None
     if len(coords) != spec.ambient_dim:
         raise ValueError(
             f"point needs {spec.ambient_dim} coordinates, got {len(coords)}"
@@ -338,8 +341,12 @@ def main(argv: list[str] | None = None) -> int:
     status = run(config)
     text = config.output()
     if config.out:
-        with open(config.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(config.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            sys.stderr.write(f"error: cannot write {config.out!r}: {exc.strerror}\n")
+            return USAGE_ERROR
     else:
         sys.stdout.write(text)
     return status

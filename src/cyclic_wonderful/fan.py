@@ -31,7 +31,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import gcd
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .guards import check_fan_size
@@ -44,7 +44,7 @@ from .lattice import (
     is_nested,
     validate_subset,
 )
-from .linalg import combine, matrix_rank, smith_divisors
+from .linalg import combine, matrix_rank, scaled_point, smith_divisors
 
 Vector = tuple[int, ...]
 
@@ -88,13 +88,6 @@ def _vector_gcd(vec: Iterable[int]) -> int:
     for x in vec:
         g = gcd(g, x)
     return g
-
-
-def _scaled_point(point: Sequence) -> tuple[tuple[int, ...], int]:
-    """``(D * point, D)`` for the lcm ``D`` of the coordinates' denominators."""
-    coords = [Fraction(x) for x in point]
-    scale = lcm(*(x.denominator for x in coords))
-    return tuple(x.numerator * (scale // x.denominator) for x in coords), scale
 
 
 def _gauss_jordan(m: list[list[int]], k: int) -> tuple[list[int], int]:
@@ -148,7 +141,7 @@ class Cone:
         return len(self.rays)
 
     def chain(self) -> Chain:
-        """The label as a chain; valid whenever the label is totally ordered."""
+        """The label as a chain: every cone's label is the prefix set of one."""
         return Chain.from_prefixes(self.label)
 
     def contains(self, point: Sequence) -> bool:
@@ -199,9 +192,7 @@ class Cone:
         """
         if not self.rays:
             return [] if all(Fraction(x) == 0 for x in point) else None
-        p, scale = _scaled_point(point)
-        if len(p) != len(self.rays[0]):
-            raise ValueError(f"point has length {len(p)}, expected {len(self.rays[0])}")
+        p, scale = scaled_point(point, len(self.rays[0]))
         c = self._scaled_coefficients(p)
         if c is None:
             return None
@@ -211,10 +202,13 @@ class Cone:
 
 @dataclass(frozen=True, eq=False)
 class Fan:
-    """An immutable fan: a ray per building-set element used, cones by label."""
+    """An immutable fan: a ray per decorated subset, one cone per chain.
+
+    Cones are keyed by their label, the set of the chain's decorated
+    prefixes.
+    """
 
     spec: ArrangementSpec
-    building_set: BuildingSet
     rays: dict[DecoratedSubset, Vector]
     cones: dict[frozenset[DecoratedSubset], Cone]
 
@@ -229,54 +223,27 @@ class Fan:
         maximal.sort(key=lambda k: sorted(d.sort_key() for d in k))
         return tuple(self.cones[k] for k in maximal)
 
-    def chains(self) -> list[Chain]:
-        """All cone labels as chains (maximal building set fans only)."""
-        return sorted((c.chain() for c in self.cones.values()), key=Chain.sort_key)
-
 
 def _make_cone(label: Iterable[DecoratedSubset], rays: Mapping[DecoratedSubset, Vector]) -> Cone:
     ordered = tuple(sorted(label, key=DecoratedSubset.sort_key))
     return Cone(tuple(rays[d] for d in ordered), ordered)
 
 
-def _nested_sets(g: BuildingSet) -> list[frozenset[DecoratedSubset]]:
-    """All g-nested subsets of g, the empty set included.
-
-    Nestedness is hereditary, so a depth-first search that only extends
-    nested sets is exhaustive.
-    """
-    elements = g.sorted_elements()
-    found: list[frozenset[DecoratedSubset]] = [frozenset()]
-
-    def extend(current: list[DecoratedSubset], start: int) -> None:
-        for k in range(start, len(elements)):
-            cand = elements[k]
-            if not is_nested(current + [cand], g):
-                continue
-            current.append(cand)
-            found.append(frozenset(current))
-            extend(current, k + 1)
-            current.pop()
-
-    extend([], 0)
-    return found
+def _check_maximal(spec: ArrangementSpec, g: BuildingSet) -> None:
+    if g.spec != spec or not g.is_maximal:
+        raise ValueError(
+            "fans are built from the maximal building set of the same spec only"
+        )
 
 
 def build_fan(spec: ArrangementSpec, g: BuildingSet) -> Fan:
-    """One cone per g-nested set, each spanned by its members' ray vectors."""
-    if not g.validated:
-        raise ValueError("building set must be validated before building a fan")
+    """One cone per decorated chain, the nested sets of the maximal g."""
+    _check_maximal(spec, g)
     check_fan_size(len(g.elements), spec.num_maximal_chains)
     rays = {d: ray_vector(d, spec) for d in g.sorted_elements()}
-    if g.is_maximal:
-        labels = [
-            frozenset(chain.prefixes())
-            for chain in enumerate_chains(spec, spec.n)
-        ]
-    else:
-        labels = _nested_sets(g)
+    labels = [frozenset(chain.prefixes()) for chain in enumerate_chains(spec, spec.n)]
     cones = {label: _make_cone(label, rays) for label in labels}
-    return Fan(spec, g, rays, cones)
+    return Fan(spec, rays, cones)
 
 
 def _star_subdivide(
@@ -319,15 +286,9 @@ def build_fan_stellar(spec: ArrangementSpec, g: BuildingSet) -> Fan:
     discards any cone whose label set fails nestedness; with this order the
     pass is a safety net and removes nothing.
     """
-    if not g.validated:
-        raise ValueError("building set must be validated before building a fan")
+    _check_maximal(spec, g)
     check_fan_size(len(g.elements), spec.num_maximal_chains)
     singles = BuildingSet.singletons(spec).elements
-    if not singles <= g.elements:
-        raise ValueError(
-            "stellar construction needs every decorated singleton: the factor "
-            "projections of the building set must themselves be building sets"
-        )
     rays: dict[DecoratedSubset, Vector] = {
         d: ray_vector(d, spec) for d in sorted(singles, key=DecoratedSubset.sort_key)
     }
@@ -348,7 +309,7 @@ def build_fan_stellar(spec: ArrangementSpec, g: BuildingSet) -> Fan:
     cone_map = {s: _make_cone(s, rays) for s in kept}
     used = {d for s in kept for d in s}
     ray_map = {d: rays[d] for d in sorted(used, key=DecoratedSubset.sort_key)}
-    return Fan(spec, g, ray_map, cone_map)
+    return Fan(spec, ray_map, cone_map)
 
 
 def fans_equal(f1: Fan, f2: Fan) -> bool:
@@ -369,11 +330,7 @@ def locate_point(fan: Fan, point: Sequence) -> Chain | None:
     with strictly positive coefficients.  Returns None when the point is
     outside the fan's support.
     """
-    p, _ = _scaled_point(point)
-    if len(p) != fan.spec.ambient_dim:
-        raise ValueError(
-            f"point has length {len(p)}, expected {fan.spec.ambient_dim}"
-        )
+    p, _ = scaled_point(point, fan.spec.ambient_dim)
     for cone in fan.maximal_cones:
         coeffs = cone._scaled_coefficients(p)
         if coeffs is None:

@@ -359,21 +359,21 @@ def chain_intersect(a: Chain, b: Chain) -> Chain:
 
 @dataclass(frozen=True)
 class BuildingSet:
-    """A set of decorated subsets closed enough to direct an iterated blow-up.
+    """A set of decorated subsets relative to which nestedness is decided.
 
-    ``validated`` records whether :func:`is_building_set` has certified the
-    elements; fan construction refuses unvalidated instances.
+    Fans are built from the maximal building set only, whose nested sets are
+    exactly the decorated chains.  The singletons serve as the per-factor
+    building sets of the product fan that the stellar route starts from.
     """
 
     elements: frozenset[DecoratedSubset]
     spec: ArrangementSpec
-    validated: bool = False
 
     @classmethod
     def maximal(cls, spec: ArrangementSpec) -> "BuildingSet":
-        # Every lower interval of the full poset is Boolean, so the whole
-        # poset is a building set; no runtime check needed.
-        return cls(frozenset(enumerate_decorated_subsets(spec)), spec, validated=True)
+        # every lower interval of the full poset is Boolean, so the whole
+        # poset is a building set
+        return cls(frozenset(enumerate_decorated_subsets(spec)), spec)
 
     @classmethod
     def singletons(cls, spec: ArrangementSpec) -> "BuildingSet":
@@ -382,12 +382,7 @@ class BuildingSet:
             for i in range(1, spec.n + 1)
             for a in range(spec.r)
         )
-        return cls(els, spec, validated=True)
-
-    def validate(self) -> "BuildingSet":
-        if not is_building_set(self.elements, self.spec):
-            raise ValueError("not a building set")
-        return BuildingSet(self.elements, self.spec, validated=True)
+        return cls(els, spec)
 
     def sorted_elements(self) -> list[DecoratedSubset]:
         return sorted(self.elements, key=DecoratedSubset.sort_key)
@@ -395,71 +390,6 @@ class BuildingSet:
     @property
     def is_maximal(self) -> bool:
         return len(self.elements) == self.spec.num_subsets
-
-
-def _interval_product_isomorphic(
-    x: DecoratedSubset, maxima: list[DecoratedSubset]
-) -> bool:
-    """Brute-force check that [0,x] is the product of the intervals [0,z].
-
-    Builds the canonical map (y_1, ..., y_m) -> y_1 v ... v y_m from the
-    product of lower intervals of the maxima into [0,x] and verifies it is an
-    order isomorphism.  Intended for small supports only.
-    """
-    interval = [x.restrict(sub) for size in range(len(x.indices) + 1)
-                for sub in itertools.combinations(x.indices, size)]
-    factors = [
-        [z.restrict(sub) for size in range(len(z.indices) + 1)
-         for sub in itertools.combinations(z.indices, size)]
-        for z in maxima
-    ]
-    points = list(itertools.product(*factors)) if factors else [()]
-    if len(points) != len(interval):
-        return False
-    images = []
-    for tup in points:
-        img = DecoratedSubset(())
-        for y in tup:
-            j = join(img, y)
-            assert j is not None  # components restrict the same decoration
-            img = j
-        images.append(img)
-    if len(set(images)) != len(images) or set(images) != set(interval):
-        return False
-    for (t1, i1), (t2, i2) in itertools.product(zip(points, images), repeat=2):
-        below = all(leq(y1, y2) for y1, y2 in zip(t1, t2))
-        if below != leq(i1, i2):
-            return False
-    return True
-
-
-def is_building_set(
-    elements: Iterable[DecoratedSubset], spec: ArrangementSpec
-) -> bool:
-    """Whether every lower interval factors through the maxima of G below it.
-
-    Lower intervals here are Boolean, so the factorization is equivalent to
-    the index sets of the maxima partitioning the support; small intervals
-    (support size <= 4) instead run the direct product-isomorphism check.
-    """
-    g = set(elements)
-    for d in g:
-        validate_subset(d, spec)
-    for x in enumerate_decorated_subsets(spec):
-        below = [d for d in g if leq(d, x)]
-        maxima = [d for d in below if not any(d != e and leq(d, e) for e in below)]
-        if x.size <= 4:
-            if not _interval_product_isomorphic(x, maxima):
-                return False
-        else:
-            seen: set[int] = set()
-            for d in maxima:
-                if seen & set(d.indices):
-                    return False
-                seen |= set(d.indices)
-            if seen != set(x.indices):
-                return False
-    return True
 
 
 def _antichains(elements: list[DecoratedSubset]) -> Iterator[tuple[DecoratedSubset, ...]]:

@@ -249,6 +249,17 @@ def integer_scaled(vectors: Iterable[Vector]) -> tuple[list[tuple[int, ...]], in
     return [tuple(x.numerator * (scale // x.denominator) for x in v) for v in rows], scale
 
 
+def scaled_point(point: Vector, dim: int) -> tuple[tuple[int, ...], int]:
+    """``(D * point, D)`` for the lcm ``D`` of the coordinates' denominators.
+
+    Raises ValueError when the point's length is not ``dim``.
+    """
+    if len(point) != dim:
+        raise ValueError(f"point has length {len(point)}, expected {dim}")
+    (p,), scale = integer_scaled([point])
+    return p, scale
+
+
 def _lp_feasible_eq(a: list[list[int]], b: list[int]) -> bool:
     """Feasibility of {x >= 0 : A x = b} for integer A, b by phase-1 simplex.
 

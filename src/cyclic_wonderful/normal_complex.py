@@ -53,6 +53,7 @@ from .linalg import (
     extreme_points,
     integer_scaled,
     nullspace,
+    scaled_point,
     solve_columns,
 )
 
@@ -104,7 +105,7 @@ class Polytope:
 
     def contains(self, point: Sequence) -> bool:
         # the origin is a vertex of every cell, so v_rep gives the dimension
-        p, scale = _scaled_point(point, len(self.v_rep[0]))
+        p, scale = scaled_point(point, len(self.v_rep[0]))
         return self._holds(p, scale)
 
 
@@ -120,16 +121,8 @@ class NormalComplex:
     cells: tuple[Polytope, ...]
 
     def contains(self, point: Sequence) -> bool:
-        p, scale = _scaled_point(point, self.spec.ambient_dim)
+        p, scale = scaled_point(point, self.spec.ambient_dim)
         return any(cell._holds(p, scale) for cell in self.cells)
-
-
-def _scaled_point(point: Sequence, dim: int) -> tuple[tuple[int, ...], int]:
-    """``point`` as an integer vector over a positive common denominator."""
-    if len(point) != dim:
-        raise ValueError(f"point has length {len(point)}, expected {dim}")
-    (p,), scale = integer_scaled([point])
-    return p, scale
 
 
 def _orthant_polytope_vertices(

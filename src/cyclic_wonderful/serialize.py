@@ -12,13 +12,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .fan import Cone, Fan, basis_labels, ray_vector
-from .lattice import (
-    ArrangementSpec,
-    BuildingSet,
-    DecoratedSubset,
-    parse_chain,
-    parse_subset,
-)
+from .lattice import ArrangementSpec, DecoratedSubset, parse_chain, parse_subset
 
 _I64_MAX = (1 << 63) - 1
 _I64_MIN = -(1 << 63)
@@ -86,5 +80,4 @@ def fan_from_dict(data: dict) -> Fan:
         if frozenset(declared.prefixes()) != frozenset(label):
             raise ValueError(f"cone chain {entry['chain']!r} does not match ray ids")
         cones[frozenset(label)] = cone
-    building = BuildingSet(frozenset(rays), spec, validated=True)
-    return Fan(spec, building, rays, cones)
+    return Fan(spec, rays, cones)

@@ -137,7 +137,10 @@ def parse_curve(text: str, spec: ArrangementSpec) -> TropicalCurve:
                 spoke: int | None = CENTER
             else:
                 spoke = int(fields[1])
-            length = Fraction(fields[2])
+            try:
+                length = Fraction(fields[2])
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator in curve component {part!r}") from None
             spokes[i - 1] = spoke
             lengths[i - 1] = length
     curve = TropicalCurve(tuple(spokes), tuple(lengths))

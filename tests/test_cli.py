@@ -127,6 +127,15 @@ def test_locate_curve_disagreement_is_a_failed_check(monkeypatch):
     assert out == "error: combinatorial type disagrees with point location\n"
 
 
+@pytest.mark.parametrize(
+    "target", [["--point", "1/0,0"], ["--curve", "1:0:1/0"]], ids=["point", "curve"]
+)
+def test_locate_zero_denominator_is_a_usage_error(target):
+    status, out = invoke(["locate", "--r", "2", "--n", "2", *target])
+    assert status == 2
+    assert out.startswith("error: zero denominator")
+
+
 def test_locate_requires_exactly_one_target():
     with pytest.raises(SystemExit) as exc:
         config_from_args(["locate", "--r", "2", "--n", "2"])
@@ -213,6 +222,17 @@ def test_main_writes_to_file(tmp_path):
     assert status == 0
     payload = json.loads(out_file.read_text())
     assert payload["r"] == 2
+
+
+@pytest.mark.parametrize("where", ["missing/fan.txt", "."])
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys, where):
+    # a file in a missing directory, and a path that is a directory
+    target = tmp_path / where
+    assert main(["fan", "--r", "2", "--n", "1", "--out", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write")
+    assert len(captured.err.splitlines()) == 1
 
 
 def test_usage_error_exit_code_via_subprocess():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from cyclic_wonderful.fan import (
     Cone,
+    Fan,
     build_fan,
     build_fan_stellar,
     cone_dim,
@@ -89,11 +90,21 @@ def test_fan_2_2_labeled_cone():
     assert set(cone.rays) == {e20, pair} == {(0, -1), (1, -1)}
 
 
-def test_build_fan_rejects_unvalidated_building_set():
+def _pairs(spec):
+    elements = BuildingSet.maximal(spec).elements
+    return BuildingSet(frozenset(d for d in elements if d.size == 2), spec)
+
+
+@pytest.mark.parametrize("builder", [build_fan, build_fan_stellar])
+@pytest.mark.parametrize(
+    "make",
+    [BuildingSet.singletons, _pairs, lambda spec: BuildingSet.maximal(ArrangementSpec(2, 1))],
+    ids=["singletons", "pairs", "other-spec"],
+)
+def test_builders_reject_a_non_maximal_building_set(make, builder):
     spec = ArrangementSpec(2, 2)
-    raw = BuildingSet(BuildingSet.maximal(spec).elements, spec, validated=False)
-    with pytest.raises(ValueError):
-        build_fan(spec, raw)
+    with pytest.raises(ValueError, match="maximal building set"):
+        builder(spec, make(spec))
 
 
 def test_fan_closed_under_faces():
@@ -122,10 +133,9 @@ def _maximal_by_inclusion(fan):
 
 
 @pytest.mark.parametrize("r,n", [(2, 2), (3, 2), (2, 3), (3, 3)])
-@pytest.mark.parametrize("make", [BuildingSet.maximal, BuildingSet.singletons])
-def test_maximal_cones_by_dimension_match_the_inclusion_rule(r, n, make):
+def test_maximal_cones_by_dimension_match_the_inclusion_rule(r, n):
     spec = ArrangementSpec(r, n)
-    fan = build_fan(spec, make(spec))
+    fan = build_fan(spec, BuildingSet.maximal(spec))
     assert fan.maximal_cones == _maximal_by_inclusion(fan)
 
 
@@ -265,24 +275,13 @@ def test_stellar_of_2_2_subdivides_the_four_product_cones():
     assert pair_rays <= set(fan.rays.values())
 
 
-def test_stellar_requires_all_singletons():
-    spec = ArrangementSpec(2, 2)
-    partial = BuildingSet(
-        frozenset(d for d in BuildingSet.maximal(spec).elements if d.size == 2),
-        spec,
-        validated=True,
-    )
-    with pytest.raises(ValueError):
-        build_fan_stellar(spec, partial)
-
-
 def test_fans_equal_basics():
     spec = ArrangementSpec(2, 2)
     g = BuildingSet.maximal(spec)
     fan = build_fan(spec, g)
     assert fans_equal(fan, fan)
-    product = build_fan(spec, BuildingSet.singletons(spec))
-    assert not fans_equal(fan, product)
+    no_2_cones = {k: c for k, c in fan.cones.items() if c.dim < 2}
+    assert not fans_equal(fan, Fan(spec, fan.rays, no_2_cones))
 
 
 # --- point location ----------------------------------------------------------

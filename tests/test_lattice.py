@@ -1,4 +1,4 @@
-"""Combinatorics tests: posets, joins, chains, building sets, nestedness."""
+"""Combinatorics tests: posets, joins, chains, nestedness."""
 
 import itertools
 
@@ -15,7 +15,6 @@ from cyclic_wonderful.lattice import (
     chain_intersect,
     enumerate_chains,
     enumerate_decorated_subsets,
-    is_building_set,
     is_nested,
     join,
     jump_type,
@@ -261,43 +260,6 @@ def test_jump_type_examples():
     assert jump_type(chain([(1, 2)], {1: 0, 2: 0})) == JumpType((2,))
 
 
-# --- building sets -----------------------------------------------------------
-
-
-def test_maximal_set_is_building():
-    spec = ArrangementSpec(2, 2)
-    assert is_building_set(enumerate_decorated_subsets(spec), spec)
-
-
-@pytest.mark.parametrize("r,n", [(2, 1), (2, 2), (3, 2), (2, 3)])
-def test_singletons_are_building(r, n):
-    spec = ArrangementSpec(r, n)
-    singles = [
-        ds((i, a)) for i in range(1, n + 1) for a in range(r)
-    ]
-    assert is_building_set(singles, spec)
-
-
-def test_missing_generators_break_the_building_property():
-    spec = ArrangementSpec(2, 2)
-    assert not is_building_set([ds((1, 0), (2, 0))], spec)
-
-
-def test_partition_criterion_matches_interval_isomorphism():
-    # the two routes inside is_building_set must agree; compare them directly
-    from cyclic_wonderful.lattice import _interval_product_isomorphic
-
-    spec = ArrangementSpec(2, 3)
-    g = set(enumerate_decorated_subsets(spec))
-    for x in enumerate_decorated_subsets(spec):
-        below = [d for d in g if leq(d, x)]
-        maxima = [d for d in below if not any(d != e and leq(d, e) for e in below)]
-        partition_ok = (
-            sorted(i for d in maxima for i in d.indices) == list(x.indices)
-        )
-        assert partition_ok == _interval_product_isomorphic(x, maxima)
-
-
 # --- nested sets -------------------------------------------------------------
 
 
@@ -342,10 +304,3 @@ def test_is_nested_rejects_elements_outside_the_building_set():
     with pytest.raises(ValueError):
         is_nested({ds((1, 0), (2, 0))}, g)
 
-
-def test_validate_flags_bad_building_sets():
-    spec = ArrangementSpec(2, 2)
-    bad = BuildingSet(frozenset({ds((1, 0), (2, 0))}), spec)
-    assert not bad.validated
-    with pytest.raises(ValueError):
-        bad.validate()
