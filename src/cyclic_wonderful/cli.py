@@ -97,14 +97,12 @@ def _cmd_fan(config: RunConfig) -> int:
 
 def _betti_rows(spec: ArrangementSpec, want_oracle: bool) -> list[dict]:
     closed = chow.betti_closed_form(spec)
-    oracle_dims: tuple[int, ...] | None = None
-    if want_oracle:
-        oracle_dims = chow.betti_oracle(spec).dims
-    else:
-        try:
-            oracle_dims = chow.betti_oracle(spec).dims
-        except FeasibilityError:
-            oracle_dims = None
+    try:
+        oracle_dims: tuple[int, ...] | None = chow.betti_oracle(spec).dims
+    except FeasibilityError:
+        if want_oracle:
+            raise
+        oracle_dims = None
     rows = []
     for k, b in enumerate(closed.dims):
         o = oracle_dims[k] if oracle_dims is not None else None
@@ -305,7 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_chow.add_argument(
         "--oracle",
         action="store_true",
-        help="insist on the rank oracle even past the feasibility guard",
+        help="make the rank oracle's feasibility guard an error (exit 2) "
+        "instead of printing - in the oracle column",
     )
     p_chow.add_argument("--betti-only", action="store_true", dest="betti_only")
 

@@ -15,7 +15,7 @@ ENV_OVERRIDE = "CYCLIC_WONDERFUL_MAX_CELLS"
 DEFAULT_FAN_CELLS = 50_000        # rays + maximal cones of a fan build
 DEFAULT_ORACLE_GENERATORS = 1_000  # generator count for the Chow rank oracle
 DEFAULT_NORMAL_N = 3               # vertex enumeration dimension cap
-DEFAULT_NORMAL_CELLS = 1_000       # cells of the normal complex (~11 ms each at n = 3)
+DEFAULT_NORMAL_CELLS = 1_000       # cells of the normal complex (~1 ms each at n = 3)
 # distinct cell vertices whose hull extremes ``--union-extremes`` computes:
 # (9, 2) has 262 and takes ~6 s, (10, 2) has 321 and takes ~14 s
 DEFAULT_HULL_POINTS = 300

@@ -25,10 +25,6 @@ from typing import Iterable, Sequence
 Vector = Sequence  # any indexable of ints/Fractions
 
 
-def dot(u: Vector, v: Vector) -> Fraction:
-    return sum((Fraction(a) * Fraction(b) for a, b in zip(u, v)), Fraction(0))
-
-
 def combine(coeffs: Iterable, vectors: Iterable[Vector], dim: int, zero=0) -> tuple:
     """sum_j coeffs[j] * vectors[j] in dimension dim, skipping zero terms.
 

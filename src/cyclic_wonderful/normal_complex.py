@@ -19,9 +19,13 @@ bounded by the corresponding height.  For r = 2, n = 2 this union is the
 octagon whose vertices are the signed permutations of (1, 2).
 
 Cells are realized only for maximal chains; lower-dimensional faces are
-shared boundaries of those.  Vertex enumeration happens in the cone's own
-coefficient space, where the cone is the nonnegative orthant, and only then
-maps to ambient coordinates.
+shared boundaries of those.  Both representations of a cell are closed
+forms, for two reasons.  The steps between consecutive generators of a
+chain lie in distinct factor blocks, so they are orthogonal: the dual rows
+that read off the cone coefficients are differences of the steps scaled by
+their squared norms, with no solve.  And in per-level lengths every cell is
+the same polytope, combinatorially a cube, whose 2^n vertices depend on n
+only and are computed once.
 
 Membership is integer arithmetic: each cell caches its H-rows cleared of
 denominators, and a rational point p / D (p integer, D > 0) satisfies
@@ -34,7 +38,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from fractions import Fraction
 from typing import Sequence
 
@@ -47,15 +51,7 @@ from .lattice import (
     enumerate_decorated_subsets,
     maximal_chains,
 )
-from .linalg import (
-    combine,
-    dot,
-    extreme_points,
-    integer_scaled,
-    nullspace,
-    scaled_point,
-    solve_columns,
-)
+from .linalg import combine, extreme_points, integer_scaled, nullspace, scaled_point
 
 FracVec = tuple[Fraction, ...]
 
@@ -125,49 +121,43 @@ class NormalComplex:
         return any(cell._holds(p, scale) for cell in self.cells)
 
 
-def _orthant_polytope_vertices(
-    gram: list[list[Fraction]], bounds: list[Fraction]
-) -> list[FracVec]:
-    """Vertices of {c >= 0 : gram c <= bounds} by exhausting constraint bases.
+@cache
+def _vertex_lengths(n: int) -> tuple[FracVec, ...]:
+    """Per-level lengths y of every cell vertex, one per set of tight levels.
 
-    The dimension here is the chain length (n at most 3 under the guard), so
-    trying every n-subset of the 2n constraints is cheap and exact.
+    A cell is {y_1 >= ... >= y_n >= 0 : y_1 + ... + y_j <= delta(n, j)}, and
+    the increments delta(n, j) - delta(n, j-1) = n - j + 1 strictly decrease,
+    so the cell is combinatorially a cube: each set T = {t_1 < ... < t_m} of
+    tight truncation levels gives one vertex, constant on every block
+    (t_{k-1}, t_k] at that block's mean increment and 0 after t_m.
     """
-    n = len(bounds)
-    if n == 0:
-        return [()]
-    rows: list[tuple[FracVec, Fraction]] = []
-    for j in range(n):
-        normal = tuple(Fraction(-1) if t == j else Fraction(0) for t in range(n))
-        rows.append((normal, Fraction(0)))  # -c_j <= 0
-    for j in range(n):
-        rows.append((tuple(gram[j]), bounds[j]))
-    vertices: set[FracVec] = set()
-    for subset in itertools.combinations(range(len(rows)), n):
-        cols = [
-            tuple(rows[k][0][t] for k in subset) for t in range(n)
-        ]
-        target = [rows[k][1] for k in subset]
-        try:
-            sol = solve_columns(cols, target)
-        except ValueError:
-            continue  # singular basis
-        if sol is None:
-            continue
-        point = tuple(sol)
-        if all(dot(normal, point) <= bound for normal, bound in rows):
-            vertices.add(point)
-    return sorted(vertices)
+    vertices = []
+    for m in range(n + 1):
+        for tight in itertools.combinations(range(1, n + 1), m):
+            y: list[Fraction] = []
+            prev = 0
+            for t in tight:
+                y += [Fraction(delta(n, t) - delta(n, prev), t - prev)] * (t - prev)
+                prev = t
+            vertices.append(tuple(y + [Fraction(0)] * (n - prev)))
+    return tuple(vertices)
 
 
 def cell_polytope(chain: Chain, spec: ArrangementSpec) -> Polytope:
     """The truncated-cone cell of a maximal chain.
 
+    Level j of the chain adds one factor, so the step f_j = g_j - g_{j-1}
+    between consecutive generators is that factor's direction, in its own
+    block of coordinates: the steps are pairwise orthogonal.  With per-level
+    lengths y_j >= 0 the cell's points are sum_j y_j f_j, and its vertices
+    are the closed-form cube corners of ``_vertex_lengths``.
+
     H-representation groups, all in ambient coordinates:
       * paired equalities pinning v to the span of the cone (absent for r=2),
-      * one inequality per generator expressing nonnegativity of the cone
-        coefficient (via the dual basis of the generators inside the span),
-      * one truncation  v * u_j <= z_j  per flag level.
+      * one inequality per generator expressing nonnegativity of its cone
+        coefficient y_j - y_{j+1}: with u_j = f_j / |f_j|^2, so that
+        u_j . f_s = [j = s], the row is -(u_j - u_{j+1}),
+      * one truncation  (u_1 + ... + u_j) . v <= delta(n, j)  per flag level.
     """
     if not chain.is_maximal(spec):
         raise ValueError(
@@ -177,32 +167,22 @@ def cell_polytope(chain: Chain, spec: ArrangementSpec) -> Polytope:
     check_normal_complex(spec.n, spec.num_maximal_chains)
     gens = [ray_vector(p, spec) for p in chain.prefixes()]
     n = len(gens)
-    bounds = [Fraction(delta(spec.n, len(s))) for s in chain.sets]
-    # in cone coordinates c, the subset-sum of level j is
-    # sum_s |I_j /\ I_s| c_s, since factor i contributes to c_s iff i is in I_s
-    overlap = [
-        [Fraction(len(set(chain.sets[j]) & set(chain.sets[s]))) for s in range(n)]
-        for j in range(n)
-    ]
-    c_vertices = _orthant_polytope_vertices(overlap, bounds)
     dim, zero = spec.ambient_dim, Fraction(0)
-    ambient = [combine(c, gens, dim, zero) for c in c_vertices]
+    steps = [
+        tuple(a - b for a, b in zip(g, prev))
+        for prev, g in zip([(0,) * dim, *gens], gens)
+    ]
+    ambient = [combine(y, steps, dim, zero) for y in _vertex_lengths(n)]
 
     h_rep: list[tuple[FracVec, Fraction]] = []
     for w in nullspace(gens):
-        h_rep.append((w, Fraction(0)))
-        h_rep.append((tuple(-x for x in w), Fraction(0)))
-    # dual functionals: duals[j] . v recovers the coefficient c_j on the span
-    gram = [[Fraction(dot(gi, gj)) for gj in gens] for gi in gens]
-    duals: list[FracVec] = []
+        h_rep.append((w, zero))
+        h_rep.append((combine([-1], [w], dim, zero), zero))
+    units = [combine([Fraction(1, sum(x * x for x in f))], [f], dim, zero) for f in steps]
     for j in range(n):
-        ej = [Fraction(1) if t == j else Fraction(0) for t in range(n)]
-        coeffs = solve_columns([tuple(col) for col in zip(*gram)], ej)
-        assert coeffs is not None
-        duals.append(combine(coeffs, gens, dim, zero))
-        h_rep.append((tuple(-x for x in duals[j]), Fraction(0)))
+        h_rep.append((combine([-1, 1], units[j : j + 2], dim, zero), zero))
     for j in range(n):
-        h_rep.append((combine(overlap[j], duals, dim, zero), bounds[j]))
+        h_rep.append((combine([1] * (j + 1), units, dim, zero), Fraction(delta(spec.n, j + 1))))
     return Polytope(tuple(h_rep), tuple(sorted(ambient)), chain)
 
 

@@ -121,9 +121,11 @@ def parse_curve(text: str, spec: ArrangementSpec) -> TropicalCurve:
 
     Every orbit index not mentioned sits on the center; spoke ``c`` means
     the center and requires length zero.  Lengths may be ``p/q`` fractions.
+    An orbit index may appear at most once.
     """
     spokes: list[int | None] = [CENTER] * spec.n
     lengths: list[Fraction] = [Fraction(0)] * spec.n
+    seen: set[int] = set()
     text = text.strip()
     if text:
         for part in text.split(","):
@@ -133,6 +135,9 @@ def parse_curve(text: str, spec: ArrangementSpec) -> TropicalCurve:
             i = int(fields[0])
             if not 1 <= i <= spec.n:
                 raise ValueError(f"orbit index {i} outside [1, {spec.n}]")
+            if i in seen:
+                raise ValueError(f"orbit index {i} given more than once")
+            seen.add(i)
             if fields[1] == "c":
                 spoke: int | None = CENTER
             else:

@@ -80,6 +80,14 @@ def test_chow_oracle_flag_fails_past_the_guard():
     assert "guard" in out
 
 
+def test_chow_without_oracle_flag_prints_dashes_past_the_guard():
+    status, out = invoke(["chow", "--r", "10", "--n", "3", "--betti-only"])
+    assert status == 0
+    table = [line.split() for line in out.strip().splitlines()[1:]]
+    assert [row[1] for row in table] == ["1", "1303", "1303", "1"]
+    assert all(row[2:] == ["-", "-"] for row in table)
+
+
 # --- locate ------------------------------------------------------------------
 
 
@@ -134,6 +142,12 @@ def test_locate_zero_denominator_is_a_usage_error(target):
     status, out = invoke(["locate", "--r", "2", "--n", "2", *target])
     assert status == 2
     assert out.startswith("error: zero denominator")
+
+
+def test_locate_repeated_orbit_index_is_a_usage_error():
+    status, out = invoke(["locate", "--r", "2", "--n", "2", "--curve", "1:0:1,1:1:2"])
+    assert status == 2
+    assert out == "error: orbit index 1 given more than once\n"
 
 
 def test_locate_requires_exactly_one_target():

@@ -3,8 +3,10 @@
 The digests were recorded before the exact linear algebra was merged into one
 elimination routine (the two ``--betti-only`` digests before the rank oracle
 switched to the reduced relations, the three hull-extreme and normal-suite
-digests before the normal complex moved to integer kernels); any later change
-that alters a byte of these outputs fails here.  The whole corpus runs
+digests before the normal complex moved to integer kernels, the two
+``normal-complex --format json`` digests at (3,3) and (5,1) before cells were
+built from closed forms); any later change that alters a byte of these
+outputs fails here.  The whole corpus runs
 in-process through ``cli.main`` in a few seconds.  To re-record after an
 intended output change, print ``hashlib.sha256(stdout).hexdigest()`` for each
 command and say why in CHANGES.md.
@@ -46,6 +48,8 @@ GOLDEN = [
     ("normal-complex --r 2 --n 3 --union-extremes --format json", 0, "c283c4a0f6da649a5103fc409f46613382eef62b10cfc6d1940c2d798f8978b5"),
     ("check --r 2 --n 3 --suite normal --seed 3", 0, "3a373a08b33112e88a2af9b3e5dcef1f61493c708d89921a2df0ad05ed7ebae2"),
     ("normal-complex --r 3 --n 2 --format json", 0, "f6e42f34b48723d95bb92c9b055be68c6f1b5ff3306d3df5de5e80baeaa86598"),
+    ("normal-complex --r 3 --n 3 --format json", 0, "d58bc653b3155aa9d94350c70ed60aedeeb05d92f91218df62dfebf7e704e585"),
+    ("normal-complex --r 5 --n 1 --format json", 0, "39b221b27906bd59726c3b3a13f27a63a371766be53a1379dd16720ca6417108"),
     ("check --r 2 --n 2 --seed 7", 0, "310f24ff1feae9a9b3f27a08cf253a3b3cb13cd1ef6511c921dc7565ef24cd3c"),
     ("locate --r 3 --n 2 --curve 1:0:2,2:2:1", 0, "7a9124b53b8c59d4cdc7e34b105f4b180d21aaaa898e95374ada44354dd12d70"),
     ("locate --r 3 --n 2 --point 0,3,0,1", 0, "84026aa11330bb167bdfd30d9aabfc7005f18416caf00c1094aab95085e644e3"),

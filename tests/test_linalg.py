@@ -18,7 +18,6 @@ from cyclic_wonderful.linalg import (
     SparseEliminator,
     _lp_feasible_eq,
     combine,
-    dot,
     extreme_points,
     in_convex_hull,
     independent_row_indices,
@@ -36,6 +35,10 @@ def matrices(draw, max_rows=5, max_cols=5):
     m = draw(st.integers(1, max_rows))
     n = draw(st.integers(1, max_cols))
     return draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=m, max_size=m))
+
+
+def dot(u, v):
+    return sum((Fraction(a) * Fraction(b) for a, b in zip(u, v)), Fraction(0))
 
 
 def smith_rank(rows):

@@ -19,7 +19,7 @@ from cyclic_wonderful.lattice import (
     chain_intersect,
     maximal_chains,
 )
-from cyclic_wonderful.linalg import dot, solve_columns
+from cyclic_wonderful.linalg import solve_columns
 from cyclic_wonderful.normal_complex import (
     cell_polytope,
     complex_cells,
@@ -29,6 +29,10 @@ from cyclic_wonderful.normal_complex import (
     z_vector,
 )
 from cyclic_wonderful.sampling import Lcg, sample_mixed_points
+
+
+def dot(u, v):
+    return sum((Fraction(a) * Fraction(b) for a, b in zip(u, v)), Fraction(0))
 
 
 def ds(*pairs):
@@ -349,3 +353,77 @@ def test_neighboring_cells_share_exact_faces(r, n):
         shared = chain_intersect(cell_a.label, cell_b.label)
         got = _face_vertices(cell_a, cell_b, shared, spec)
         assert got == set(cell_a.v_rep) & set(cell_b.v_rep)
+
+
+# --- closed forms against independent routes ---------------------------------
+
+
+@pytest.mark.parametrize(
+    "r,n,stride", [(2, 2, 1), (3, 2, 1), (4, 2, 1), (2, 3, 1), (3, 3, 54), (2, 4, 128)]
+)
+def test_cells_have_the_vertices_of_their_own_h_rep(monkeypatch, r, n, stride):
+    # every stride-th cell; (2, 4) needs the override
+    monkeypatch.setenv("CYCLIC_WONDERFUL_MAX_CELLS", "1000")
+    spec = ArrangementSpec(r, n)
+    chains = sorted(maximal_chains(spec), key=Chain.sort_key)
+    for c in chains[::stride]:
+        cell = cell_polytope(c, spec)
+        assert cell.v_rep == tuple(sorted(_face_vertices(cell, cell, c, spec)))
+
+
+@pytest.mark.parametrize("r,n", [(3, 2), (4, 2), (3, 3)])
+def test_cone_rows_read_off_the_cone_coefficients_inside_the_span(r, n):
+    """Row groups: paired equalities, n nonnegativity rows, n truncations.
+
+    A nonnegativity row is minus the dual functional of its generator (it
+    pairs to -1 with it and 0 with the others, and is orthogonal to every
+    equality row, so it lies in the cone's span); truncation row j pairs
+    with generator s to |I_j & I_s|.
+    """
+    spec = ArrangementSpec(r, n)
+    equalities = spec.ambient_dim - n
+    for cell in complex_cells(spec).cells:
+        gens = [ray_vector(p, spec) for p in cell.label.prefixes()]
+        rows = [normal for normal, _ in cell.h_rep]
+        assert len(rows) == 2 * equalities + 2 * n
+        eq_rows = rows[: 2 * equalities]
+        cone_rows = rows[2 * equalities : 2 * equalities + n]
+        truncations = rows[2 * equalities + n :]
+        for j, row in enumerate(cone_rows):
+            assert [-dot(row, g) for g in gens] == [int(s == j) for s in range(n)]
+            assert all(dot(row, w) == 0 for w in eq_rows)
+        for j, row in enumerate(truncations):
+            assert [dot(row, g) for g in gens] == [min(j, s) + 1 for s in range(n)]
+
+
+def _orthant_vertices(gram, bounds):
+    """Vertices of {c >= 0 : gram c <= bounds} by exhausting the bases of n
+    of its 2n constraints."""
+    n = len(bounds)
+    rows = [
+        (tuple(Fraction(-1) if t == j else Fraction(0) for t in range(n)), Fraction(0))
+        for j in range(n)
+    ]
+    rows += [(tuple(gram[j]), bounds[j]) for j in range(n)]
+    vertices = set()
+    for subset in itertools.combinations(range(len(rows)), n):
+        cols = [tuple(rows[k][0][t] for k in subset) for t in range(n)]
+        try:
+            sol = solve_columns(cols, [rows[k][1] for k in subset])
+        except ValueError:
+            continue  # singular basis
+        if sol is not None and all(dot(normal, sol) <= bound for normal, bound in rows):
+            vertices.add(tuple(sol))
+    return sorted(vertices)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_vertex_lengths_match_the_exhaustive_orthant_search(n):
+    # in cone coordinates c the level-j subset sum is sum_s min(j, s) c_s
+    # (levels counted from 1), and c_s = y_s - y_{s+1} for the lengths y
+    gram = [[Fraction(min(j, s) + 1) for s in range(n)] for j in range(n)]
+    bounds = [Fraction(delta(n, j + 1)) for j in range(n)]
+    lengths = normal_complex._vertex_lengths(n)
+    cone = sorted(tuple(a - b for a, b in zip(y, (*y[1:], 0))) for y in lengths)
+    assert len(lengths) == 2**n
+    assert cone == _orthant_vertices(gram, bounds)

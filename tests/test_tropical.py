@@ -150,6 +150,8 @@ def test_parse_curve_rejects_bad_input():
         parse_curve("1:7:1", spec)
     with pytest.raises(ValueError):
         parse_curve("1:0", spec)
+    with pytest.raises(ValueError, match="orbit index 1 given more than once"):
+        parse_curve("1:0:1,1:1:2", spec)
 
 
 def test_render_pinwheel_mentions_levels_and_center():
