@@ -24,7 +24,7 @@ from .fan import build_fan, build_fan_stellar, locate_point
 from .guards import FeasibilityError, check_fan_size
 from .lattice import ArrangementSpec, BuildingSet
 from .selfcheck import SUITES, run_suites
-from .serialize import encode_fraction, fan_to_dict
+from .serialize import fan_to_dict
 
 USAGE_ERROR = 2
 
@@ -181,7 +181,7 @@ def _cmd_locate(config: RunConfig) -> int:
         point = _parse_point(config.point, spec)
         located = locate_point(fan, point)
         chain = located
-    coords = [encode_fraction(x) for x in point]
+    coords = [str(x) for x in point]
     if config.format == "json":
         _emit_json(
             config,
@@ -212,20 +212,20 @@ def _cmd_normal_complex(config: RunConfig) -> int:
                 "chain": cell.label.text(),
                 "h_rep": [
                     {
-                        "normal": [encode_fraction(x) for x in normal],
-                        "bound": encode_fraction(bound),
+                        "normal": [str(x) for x in normal],
+                        "bound": str(bound),
                     }
                     for normal, bound in cell.h_rep
                 ],
                 "vertices": [
-                    [encode_fraction(x) for x in v] for v in cell.v_rep
+                    [str(x) for x in v] for v in cell.v_rep
                 ],
             }
         )
     payload: dict = {"r": spec.r, "n": spec.n, "cells": cells}
     if config.union_extremes:
         payload["union_extremes"] = [
-            [encode_fraction(x) for x in p]
+            [str(x) for x in p]
             for p in normal_complex.union_extreme_points(spec, complex_)
         ]
     if config.format == "json":

@@ -15,8 +15,11 @@ length.
 Two constructions are provided: the direct one (one cone per nested set) and
 the stellar route, which starts from the product of the n one-dimensional
 factor fans and subdivides at the non-singleton ray vectors in an
-inclusion-increasing order.  They must agree cone-for-cone, and the test
-suite checks that they do.
+inclusion-increasing order.  Each subdivision's cone is known without a
+search: the ray of (I, a) is the sum of the singleton rays (i, a(i)), and
+that singleton cone survives until (I, a) is processed, since only smaller
+decorated subsets (processed later) could subdivide it.  The two routes
+must agree cone-for-cone, and the test suite checks that they do.
 
 Cone coordinates are exact and integer.  Each cone caches, on first use, an
 invertible k x k minor M of its generator matrix and the integer matrix
@@ -252,19 +255,21 @@ def _star_subdivide(
     new_label: DecoratedSubset,
     v: Vector,
 ) -> set[frozenset[DecoratedSubset]]:
-    """Stellar subdivision at v, which must lie in the relative interior of
-    a unique existing cone tau.  Cones containing tau are replaced by joins
-    of the new ray with their faces not containing tau."""
-    tau = None
-    for s in cones:
-        if not s:
-            continue
-        cone = _make_cone(s, rays)
-        coeffs = cone.coefficients(v)
-        if coeffs is not None and all(c > 0 for c in coeffs):
-            tau = s
-            break
-    if tau is None:
+    """Stellar subdivision at v = ray_vector(new_label), replacing every cone
+    that contains tau by the joins of the new ray with its faces not
+    containing tau.
+
+    tau is known without a search: it is the cone of the singletons
+    (i, a(i)) of new_label = (I, a), whose rays sum to v.  A subdivision at
+    d' removes only the cones containing the singleton cone of d', so only
+    a d' < new_label could have removed tau; such a d' has smaller support
+    and is processed later, and singletons are never subdivided.  Relative
+    interiors of a fan's cones are disjoint, so tau is the one cone holding
+    v in its relative interior.  The check below confirms that on tau's
+    single cone."""
+    tau = frozenset(DecoratedSubset((p,)) for p in new_label.items)
+    coeffs = _make_cone(tau, rays)._scaled_coefficients(v) if tau in cones else None
+    if coeffs is None or not all(c > 0 for c in coeffs):
         raise ValueError("subdivision vector lies outside the fan support")
     out = {s for s in cones if not tau <= s}
     for s in cones:
@@ -282,7 +287,9 @@ def build_fan_stellar(spec: ArrangementSpec, g: BuildingSet) -> Fan:
     singleton ray per factor) and subdivides at the ray vector of every
     non-singleton element, ordered by increasing inclusion of the loci the
     elements cut out: deepest intersections first, so support size runs
-    downward (ties broken by the global deterministic order).  A final pass
+    downward (ties broken by the global deterministic order).  That order
+    keeps each element's singleton cone intact until its own step, so every
+    step subdivides that known cone (see ``_star_subdivide``).  A final pass
     discards any cone whose label set fails nestedness; with this order the
     pass is a safety net and removes nothing.
     """

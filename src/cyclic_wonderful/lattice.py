@@ -87,22 +87,8 @@ class DecoratedSubset:
         return tuple(i for i, _ in self.items)
 
     @property
-    def decoration(self) -> dict[int, int]:
-        return dict(self.items)
-
-    @property
     def size(self) -> int:
         return len(self.items)
-
-    def residue(self, i: int) -> int:
-        for j, a in self.items:
-            if j == i:
-                return a
-        raise KeyError(i)
-
-    def restrict(self, indices: Iterable[int]) -> "DecoratedSubset":
-        wanted = set(indices)
-        return DecoratedSubset(tuple(p for p in self.items if p[0] in wanted))
 
     def sort_key(self) -> tuple[int, tuple[tuple[int, int], ...]]:
         """Global deterministic order: by size, then lexicographic on pairs."""
@@ -194,10 +180,6 @@ class Chain:
     @property
     def length(self) -> int:
         return len(self.sets)
-
-    @property
-    def top(self) -> DecoratedSubset:
-        return DecoratedSubset(self.decoration)
 
     def level(self, j: int) -> DecoratedSubset:
         """The decorated prefix (I_j, a|I_j), 1-based."""

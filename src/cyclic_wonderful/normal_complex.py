@@ -164,7 +164,6 @@ def cell_polytope(chain: Chain, spec: ArrangementSpec) -> Polytope:
             "cells are realized for maximal chains only; shorter chains label "
             "shared faces of the maximal cells"
         )
-    check_normal_complex(spec.n, spec.num_maximal_chains)
     gens = [ray_vector(p, spec) for p in chain.prefixes()]
     n = len(gens)
     dim, zero = spec.ambient_dim, Fraction(0)

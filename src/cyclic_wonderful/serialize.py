@@ -1,14 +1,13 @@
 """JSON encodings shared by the command-line front end.
 
-Conventions: rationals serialize as ``"p/q"`` strings (plain ``"p"`` when
-the denominator is 1); integers inside vectors stay JSON numbers unless
-they exceed 64 bits, in which case they become decimal strings.  Both rules
-keep the wire format exact.
+Conventions: rationals serialize as ``str(Fraction)``, the ``"p/q"`` string
+(plain ``"p"`` when the denominator is 1); integers inside vectors stay JSON
+numbers unless they exceed 64 bits, in which case they become decimal
+strings.  Both rules keep the wire format exact.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Sequence
 
 from .fan import Cone, Fan, basis_labels, ray_vector
@@ -20,11 +19,6 @@ _I64_MIN = -(1 << 63)
 
 def encode_int(x: int) -> int | str:
     return x if _I64_MIN <= x <= _I64_MAX else str(x)
-
-
-def encode_fraction(x) -> str:
-    f = Fraction(x)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
 def encode_vector(vec: Sequence[int]) -> list:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from cyclic_wonderful.fan import (
     Cone,
     Fan,
+    _star_subdivide,
     build_fan,
     build_fan_stellar,
     cone_dim,
@@ -28,6 +29,7 @@ from cyclic_wonderful.lattice import (
     DecoratedSubset,
     chain_intersect,
     enumerate_chains,
+    is_nested,
 )
 from cyclic_wonderful.sampling import Lcg, sample_mixed_points
 from cyclic_wonderful.serialize import fan_from_dict, fan_to_dict
@@ -257,11 +259,70 @@ def test_stellar_2_1_performs_no_subdivisions():
     assert fans_equal(build_fan(spec, g), build_fan_stellar(spec, g))
 
 
-@pytest.mark.parametrize("r,n", [(2, 2), (3, 2), (2, 3)])
+@pytest.mark.parametrize("r,n", [(2, 2), (3, 2), (2, 3), (3, 3), (4, 3), (2, 4)])
 def test_stellar_equals_direct(r, n):
     spec = ArrangementSpec(r, n)
     g = BuildingSet.maximal(spec)
     assert fans_equal(build_fan(spec, g), build_fan_stellar(spec, g))
+
+
+def _cones_holding_in_relative_interior(cones, rays, v):
+    """Every nonzero cone whose relative interior holds v, by a full scan."""
+    hits = []
+    for s in cones:
+        coeffs = Cone(tuple(rays[d] for d in s), tuple(s)).coefficients(v) if s else None
+        if coeffs is not None and all(c > 0 for c in coeffs):
+            hits.append(s)
+    return hits
+
+
+@pytest.mark.parametrize("r,n,steps", [(2, 2, 4), (3, 2, 9), (2, 3, 20), (3, 3, 54)])
+def test_stellar_subdivides_the_one_cone_a_full_scan_finds(r, n, steps):
+    # replay the stellar subdivisions; at every step the scan over all current
+    # cones must find exactly the singleton cone of the new label
+    spec = ArrangementSpec(r, n)
+    g = BuildingSet.maximal(spec)
+    singles = BuildingSet.singletons(spec).elements
+    rays = {d: ray_vector(d, spec) for d in singles}
+    per_factor = [[None] + [ds((i, a)) for a in range(r)] for i in range(1, n + 1)]
+    cones = {
+        frozenset(d for d in combo if d is not None)
+        for combo in itertools.product(*per_factor)
+    }
+    order = sorted(g.elements - singles, key=lambda x: (-x.size, x.items))
+    for d in order:
+        v = ray_vector(d, spec)
+        tau = frozenset(ds(p) for p in d.items)
+        assert _cones_holding_in_relative_interior(cones, rays, v) == [tau]
+        cones = _star_subdivide(cones, rays, d, v)
+        rays[d] = v
+    assert len(order) == steps
+    kept = {s for s in cones if is_nested(s, g)}
+    assert kept == set(build_fan_stellar(spec, g).cones)
+
+
+def test_star_subdivide_refuses_a_vector_off_its_cone():
+    spec = ArrangementSpec(2, 2)
+    rays = {ds((i, a)): ray_vector(ds((i, a)), spec) for i in (1, 2) for a in (0, 1)}
+    pair = ds((1, 0), (2, 0))
+    tau = frozenset({ds((1, 0)), ds((2, 0))})
+    with pytest.raises(ValueError, match="outside the fan support"):
+        _star_subdivide({frozenset()}, rays, pair, ray_vector(pair, spec))
+    # tau is present, but v = its first ray is on tau's boundary
+    with pytest.raises(ValueError, match="outside the fan support"):
+        _star_subdivide({tau}, rays, pair, rays[ds((1, 0))])
+
+
+def test_stellar_route_never_enumerates_chains(monkeypatch):
+    spec = ArrangementSpec(3, 2)
+    g = BuildingSet.maximal(spec)
+    direct = build_fan(spec, g)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the stellar route must not read enumerate_chains")
+
+    monkeypatch.setattr("cyclic_wonderful.fan.enumerate_chains", refuse)
+    assert fans_equal(direct, build_fan_stellar(spec, g))
 
 
 def test_stellar_of_2_2_subdivides_the_four_product_cones():

@@ -5,7 +5,8 @@ elimination routine (the two ``--betti-only`` digests before the rank oracle
 switched to the reduced relations, the three hull-extreme and normal-suite
 digests before the normal complex moved to integer kernels, the two
 ``normal-complex --format json`` digests at (3,3) and (5,1) before cells were
-built from closed forms); any later change that alters a byte of these
+built from closed forms, the two stellar digests at (3,3) and (2,4) before
+the stellar route took the subdivided cone in closed form); any later change that alters a byte of these
 outputs fails here.  The whole corpus runs
 in-process through ``cli.main`` in a few seconds.  To re-record after an
 intended output change, print ``hashlib.sha256(stdout).hexdigest()`` for each
@@ -53,6 +54,8 @@ GOLDEN = [
     ("check --r 2 --n 2 --seed 7", 0, "310f24ff1feae9a9b3f27a08cf253a3b3cb13cd1ef6511c921dc7565ef24cd3c"),
     ("locate --r 3 --n 2 --curve 1:0:2,2:2:1", 0, "7a9124b53b8c59d4cdc7e34b105f4b180d21aaaa898e95374ada44354dd12d70"),
     ("locate --r 3 --n 2 --point 0,3,0,1", 0, "84026aa11330bb167bdfd30d9aabfc7005f18416caf00c1094aab95085e644e3"),
+    ("fan --r 3 --n 3 --via-stellar --format json", 0, "0b62ae802b1c323b2f76f37a3f6aed6e53133351e81ce2ca8b27bed0dc2201e6"),
+    ("fan --r 2 --n 4 --via-stellar", 0, "b129809afd2184a031f0d0d5d3a9ffca6cb0b4ae4053e7cdbf63f38110f75fb2"),
     ("fan --r 1 --n 2", 2, "19a9c3723b7d7f4d89611ed97f66c1f2369ca2ac75bc525df5a199f19f8b3969"),
     ("locate --r 3 --n 2 --point 1,2", 2, "2360e8858d7deb4b2fdfefd665fff621c57c1bcb7cd8a38e1eced897152e29a7"),
 ]

@@ -160,6 +160,17 @@ def test_complex_guard():
         complex_cells(ArrangementSpec(2, 4))
 
 
+def test_one_cell_is_built_beyond_the_complex_guard(monkeypatch):
+    # (6,3) has 1296 maximal chains, over the complex's cell bound; the bound
+    # limits whole complexes, and a single cell costs the same at any r
+    monkeypatch.delenv("CYCLIC_WONDERFUL_MAX_CELLS", raising=False)
+    spec = ArrangementSpec(6, 3)
+    cell = cell_polytope(maximal_chains(spec)[0], spec)
+    assert len(cell.v_rep) == 2**spec.n
+    with pytest.raises(FeasibilityError):
+        complex_cells(spec)
+
+
 def test_octagon_extreme_points():
     extremes = union_extreme_points(ArrangementSpec(2, 2))
     expected = {
