@@ -8,7 +8,13 @@ their agreement is a real check.
 """
 
 from cyclic_wonderful import ArrangementSpec, betti_closed_form, betti_oracle
-from cyclic_wonderful.chow import jump_census, presentation
+from cyclic_wonderful.chow import (
+    _ChainMonomials,
+    _relation_rows,
+    _relation_space,
+    jump_census,
+    presentation,
+)
 
 spec = ArrangementSpec(r=2, n=3)
 pres = presentation(spec)
@@ -31,6 +37,20 @@ print("  k      closed  oracle")
 for k, (b, o) in enumerate(zip(closed.dims, oracle.dims)):
     print(f"  {k}      {b:6d}  {o:6d}")
 assert closed == oracle
+
+# the oracle's elimination, degree by degree: nearly every pivot row has
+# lead 1, and the eliminator subtracts those in place with no gcd
+print("\nrank oracle per degree (graded rank = monomials - rank):")
+print("  k  monomials  rows  rank  lead-1 pivots")
+monomials = _ChainMonomials(spec)
+relations = pres.reduced_linear_relations()
+for k in range(1, spec.n + 1):
+    rows = _relation_rows(monomials, relations, k)
+    elim = _relation_space(monomials, relations, k)
+    lead_one = sum(1 for col, row in elim.pivots.items() if row[col] == 1)
+    size = len(monomials.degree(k))
+    print(f"  {k}  {size:9d}  {len(rows):4d}  {elim.rank:4d}  {lead_one:13d}")
+    assert size - elim.rank == closed.dims[k]
 
 # for r = 2 the fan is complete and smooth, so the total rank counts the
 # maximal cones and the rank vector is palindromic

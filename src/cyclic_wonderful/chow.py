@@ -23,7 +23,10 @@ space as all emitted relations, so their products span the same degree-k
 space.  Columns run in reverse lexicographic order, so each pivot sits on a
 row's lexicographically last chain monomial, and rows are fed shortest
 first.  Row and column order change the fill of the pivot rows, never the
-rank: the elimination is exact integer arithmetic throughout.
+rank: the elimination is exact integer arithmetic throughout.  With this
+order nearly every pivot row has lead 1, so a row is updated in place
+against it with no gcd; only a step against another lead scales the row and
+divides it by its content.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from dataclasses import dataclass
 from math import comb, factorial
 from typing import Iterator, Sequence
 
-from .guards import check_oracle_size
+from .guards import COUNT_CAP, check_oracle_size
 from .lattice import (
     ArrangementSpec,
     Chain,
@@ -204,12 +207,16 @@ class _ChainMonomials:
     """Degree-graded monomials in the generators whose support is a chain."""
 
     def __init__(self, spec: ArrangementSpec):
-        check_oracle_size(spec.num_subsets)
+        check_oracle_size(spec.num_subsets_upto(COUNT_CAP))
         self.generators = tuple(enumerate_decorated_subsets(spec))
-        self.comparable = [
-            frozenset(y for y, b in enumerate(self.generators) if comparable(a, b))
-            for a in self.generators
-        ]
+        # comparability is symmetric: test each unordered pair once
+        sets: list[set[int]] = [set() for _ in self.generators]
+        pairs = itertools.combinations_with_replacement(enumerate(self.generators), 2)
+        for (x, a), (y, b) in pairs:
+            if comparable(a, b):
+                sets[x].add(y)
+                sets[y].add(x)
+        self.comparable = [frozenset(s) for s in sets]
         self._by_degree: dict[int, list[tuple[int, ...]]] = {0: [()]}
 
     def degree(self, k: int) -> list[tuple[int, ...]]:
@@ -240,6 +247,37 @@ class _ChainMonomials:
         return {mono: last - pos for pos, mono in enumerate(self.degree(k))}
 
 
+def _relation_rows(
+    monomials: _ChainMonomials,
+    relations: Sequence[LinearRelation],
+    k: int,
+) -> list[dict[int, int]]:
+    """The rows (relation) x (degree k-1 chain monomial), shortest first.
+
+    Rows run over the degree-(k-1) monomials in order and, for each, over
+    the relations in order; the sort is stable.  Products whose support is
+    not a chain are dropped: they die under the quadratic relations.  Each
+    monomial's rows are built from its multipliers through a generator ->
+    (relation index, coefficient) index, so no relation is scanned for
+    generators the monomial cannot take.
+    """
+    columns = monomials.columns(k)
+    by_generator: list[list[tuple[int, int]]] = [[] for _ in monomials.generators]
+    for index, rel in enumerate(relations):
+        for g, c in rel.coeffs:
+            by_generator[g].append((index, c))
+    rows = []
+    for mono in monomials.degree(k - 1):
+        mono_rows: dict[int, dict[int, int]] = {}
+        for g in monomials.multipliers(mono):
+            col = columns[tuple(sorted(mono + (g,)))]
+            for index, c in by_generator[g]:
+                mono_rows.setdefault(index, {})[col] = c
+        rows.extend(mono_rows[index] for index in sorted(mono_rows))
+    rows.sort(key=len)
+    return rows
+
+
 def _relation_space(
     monomials: _ChainMonomials,
     relations: Sequence[LinearRelation],
@@ -247,39 +285,26 @@ def _relation_space(
 ) -> SparseEliminator:
     """The degree-k relation space over the chain-monomial basis.
 
-    Spans (relation) x (degree k-1 chain monomial).  Callers pass the
-    n(r-1) reduced relations: every emitted relation is a linear
-    combination of them, and multiplying by a monomial is linear, so the
-    products span the same space as those of all emitted relations.
-    Products whose support is not a chain are dropped: they die under the
-    quadratic relations.  For each multiplier the generators comparable to
-    all of its factors, and the column of each product, are found once.
+    Spans the rows of :func:`_relation_rows`.  Callers pass the n(r-1)
+    reduced relations: every emitted relation is a linear combination of
+    them, and multiplying by a monomial is linear, so the products span the
+    same space as those of all emitted relations.
 
     Columns are numbered by :meth:`_ChainMonomials.columns` and the rows
     are fed shortest first; both choices keep the pivot rows sparse and
     neither changes the span, so the rank and the membership tests stay
-    exact.
+    exact.  Nearly every pivot row then has lead 1, which the eliminator
+    subtracts in place with no gcd.
     """
-    columns = monomials.columns(k)
-    rows = []
-    for mono in monomials.degree(k - 1):
-        product = {
-            g: columns[tuple(sorted(mono + (g,)))] for g in monomials.multipliers(mono)
-        }
-        for rel in relations:
-            row = {product[g]: c for g, c in rel.coeffs if g in product}
-            if row:
-                rows.append(row)
-    rows.sort(key=len)
     elim = SparseEliminator()
-    for row in rows:
+    for row in _relation_rows(monomials, relations, k):
         elim.add(row)
     return elim
 
 
 def betti_oracle(spec: ArrangementSpec) -> GradedDims:
     """Graded ranks by exact elimination, independent of the closed form."""
-    check_oracle_size(spec.num_subsets)
+    check_oracle_size(spec.num_subsets_upto(COUNT_CAP))
     relations = presentation(spec).reduced_linear_relations()
     monomials = _ChainMonomials(spec)
     dims = [1]

@@ -4,6 +4,11 @@ The guards keep desk-scale commands from accidentally requesting exponential
 work.  Setting the environment variable ``CYCLIC_WONDERFUL_MAX_CELLS`` to an
 integer >= 0 replaces every default bound with that value, ``0`` included
 (expert use); any other value is refused with a ``FeasibilityError``.
+
+A spec's sizes reach the guards capped at ``COUNT_CAP + 1`` (see
+``ArrangementSpec.num_subsets_upto``): a refusal never computes ``(1+r)^n``
+or ``n! r^n`` in full, and a capped size prints as ``more than`` the bound.
+An override above ``COUNT_CAP`` acts as ``COUNT_CAP``.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ DEFAULT_NORMAL_CELLS = 1_000       # cells of the normal complex (~1 ms each at 
 # distinct cell vertices whose hull extremes ``--union-extremes`` computes:
 # (9, 2) has 262 and takes ~6 s, (10, 2) has 321 and takes ~14 s
 DEFAULT_HULL_POINTS = 300
+COUNT_CAP = 10**18                 # sizes above this are never computed in full
 
 
 class FeasibilityError(ValueError):
@@ -36,7 +42,12 @@ def _bound(default: int) -> int:
         value = None
     if value is None or value < 0:
         raise FeasibilityError(f"{ENV_OVERRIDE} must be an integer >= 0, got {raw!r}")
-    return value
+    return min(value, COUNT_CAP)
+
+
+def _size(count: int, bound: int) -> str:
+    """The count, or ``more than <bound>`` for a count capped above COUNT_CAP."""
+    return str(count) if count <= COUNT_CAP else f"more than {bound}"
 
 
 def check_override() -> None:
@@ -48,8 +59,8 @@ def check_fan_size(rays: int, max_cones: int) -> None:
     bound = _bound(DEFAULT_FAN_CELLS)
     if rays + max_cones > bound:
         raise FeasibilityError(
-            f"fan with {rays} rays and {max_cones} maximal cones exceeds the "
-            f"guard bound {bound} (override with {ENV_OVERRIDE})"
+            f"fan with {_size(rays, bound)} rays and {_size(max_cones, bound)} "
+            f"maximal cones exceeds the guard bound {bound} (override with {ENV_OVERRIDE})"
         )
 
 
@@ -57,8 +68,8 @@ def check_oracle_size(generators: int) -> None:
     bound = _bound(DEFAULT_ORACLE_GENERATORS)
     if generators > bound:
         raise FeasibilityError(
-            f"rank oracle with {generators} generators exceeds the guard "
-            f"bound {bound} (override with {ENV_OVERRIDE})"
+            f"rank oracle with {_size(generators, bound)} generators exceeds "
+            f"the guard bound {bound} (override with {ENV_OVERRIDE})"
         )
 
 
@@ -73,7 +84,7 @@ def check_normal_complex(n: int, cells: int) -> None:
         )
     if cells > bound:
         raise FeasibilityError(
-            f"normal complex with {cells} cells exceeds the guard bound "
+            f"normal complex with {_size(cells, bound)} cells exceeds the guard bound "
             f"{bound} (override with {ENV_OVERRIDE})"
         )
 

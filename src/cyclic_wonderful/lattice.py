@@ -27,6 +27,16 @@ from math import factorial
 from typing import Iterable, Iterator
 
 
+def _product_upto(factors: Iterable[int], cap: int) -> int:
+    """The product of factors (each >= 1) when it is at most cap, else cap + 1."""
+    out = 1
+    for f in factors:
+        out *= f
+        if out > cap:
+            return cap + 1
+    return out
+
+
 @dataclass(frozen=True)
 class ArrangementSpec:
     """Size parameters: r points per line (r >= 2), n line factors (n >= 0)."""
@@ -51,6 +61,18 @@ class ArrangementSpec:
     def num_maximal_chains(self) -> int:
         """Number of full flags with decoration, n! * r^n."""
         return factorial(self.n) * self.r ** self.n
+
+    def num_subsets_upto(self, cap: int) -> int:
+        """``num_subsets`` when it is at most cap, else cap + 1.
+
+        Stops multiplying once the partial product passes cap, so a huge
+        spec costs a few products, not the full count.
+        """
+        return _product_upto(itertools.repeat(1 + self.r, self.n), cap + 1) - 1
+
+    def num_maximal_chains_upto(self, cap: int) -> int:
+        """``num_maximal_chains`` when it is at most cap, else cap + 1."""
+        return _product_upto((i * self.r for i in range(1, self.n + 1)), cap)
 
     @property
     def ambient_dim(self) -> int:

@@ -10,6 +10,12 @@ Dense rational elimination is written once, in ``_rref``: ``solve_columns``,
 forms every sum_j c_j v_j.  ``solve_columns`` shares nothing with the
 integer cone kernel of :mod:`cyclic_wonderful.fan`, whose reference it is.
 
+Sparse integer elimination (``SparseEliminator``) updates each row in place:
+against a pivot row of lead 1 it subtracts a multiple over the pivot's
+columns with no gcd, and only a pivot of another lead scales the row, which
+is then divided by its content.  A surviving row is divided by its content
+once, when it becomes a pivot.
+
 Hull extremeness is decided over the integers: ``integer_scaled`` clears a
 point set's denominators once, and the phase-1 simplex behind
 ``in_convex_hull`` pivots fraction-free (each tableau entry is the basis
@@ -116,13 +122,17 @@ def _normalize_int_row(row: dict[int, int]) -> dict[int, int]:
 
 
 class SparseEliminator:
-    """Incremental fraction-free elimination over the integers.
+    """Incremental exact elimination over the integers.
 
     Rows are sparse ``{column: coefficient}`` dicts.  Feeding a row reduces
     it against the pivots collected so far; a surviving nonzero row becomes
-    a new pivot.  Updates use integer cross-multiplication followed by a gcd
-    division, which keeps coefficients small for the near-unimodular rows
-    this project produces.
+    a new pivot, divided by its content and with a positive lead.  The row
+    is updated in place: against a pivot of lead 1 (nearly every pivot of
+    the rank oracle) the update is ``r -= b * p`` over the pivot's columns,
+    with no gcd; only a pivot of lead ``a > 1`` scales the row by
+    ``a / gcd(a, b)``, and the row is then divided by its content.  Each
+    intermediate row is a nonzero multiple of the cross-multiplied one, so
+    the pivots are the same.
     """
 
     def __init__(self) -> None:
@@ -140,14 +150,19 @@ class SparseEliminator:
             if p is None:
                 return _normalize_int_row(r)
             a, b = p[c], r[c]
-            new: dict[int, int] = {}
-            for col in set(r) | set(p):
-                v = a * r.get(col, 0) - b * p.get(col, 0)
-                if v:
-                    new[col] = v
-            if new:
-                new = _normalize_int_row(new)
-            r = new
+            if a != 1:
+                g = gcd(a, b)
+                a, b = a // g, b // g
+            if a != 1:  # a did not divide b: scale the row
+                r = {col: a * v for col, v in r.items()}
+            for col, v in p.items():
+                x = r.get(col, 0) - b * v
+                if x:
+                    r[col] = x
+                else:
+                    del r[col]
+            if a != 1 and r:
+                r = _normalize_int_row(r)
         return {}
 
     def add(self, row: dict[int, int]) -> bool:

@@ -42,7 +42,7 @@ from functools import cache, cached_property
 from fractions import Fraction
 from typing import Sequence
 
-from .guards import check_hull_points, check_normal_complex
+from .guards import COUNT_CAP, check_hull_points, check_normal_complex
 from .fan import ray_vector, support_decomposition
 from .lattice import (
     ArrangementSpec,
@@ -187,7 +187,7 @@ def cell_polytope(chain: Chain, spec: ArrangementSpec) -> Polytope:
 
 def complex_cells(spec: ArrangementSpec) -> NormalComplex:
     """One cell per maximal chain, in the deterministic chain order."""
-    check_normal_complex(spec.n, spec.num_maximal_chains)
+    check_normal_complex(spec.n, spec.num_maximal_chains_upto(COUNT_CAP))
     chains = sorted(maximal_chains(spec), key=Chain.sort_key)
     return NormalComplex(spec, tuple(cell_polytope(c, spec) for c in chains))
 

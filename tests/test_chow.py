@@ -3,11 +3,13 @@
 import itertools
 
 import pytest
+from test_linalg import ReferenceEliminator
 
 from cyclic_wonderful.chow import (
     DegreeReducer,
     GradedDims,
     _ChainMonomials,
+    _relation_rows,
     _relation_space,
     betti_closed_form,
     betti_oracle,
@@ -25,7 +27,7 @@ from cyclic_wonderful.lattice import (
     comparable,
     enumerate_chains,
 )
-from cyclic_wonderful.linalg import matrix_rank
+from cyclic_wonderful.linalg import SparseEliminator, matrix_rank
 
 
 def ds(*pairs):
@@ -111,7 +113,7 @@ def test_product_support_rejects_empty_input():
 # --- graded ranks ------------------------------------------------------------
 
 
-GRID = [(2, 1), (3, 1), (4, 1), (2, 2), (3, 2), (4, 2), (2, 3), (3, 3), (4, 3), (2, 4)]
+GRID = [(2, 1), (3, 1), (4, 1), (2, 2), (3, 2), (4, 2), (2, 3), (3, 3), (4, 3), (2, 4), (3, 4)]
 
 
 @pytest.mark.parametrize("r,n", GRID)
@@ -187,6 +189,28 @@ def test_relation_space_rank_matches_dense_rank_of_all_emitted_relations(r, n):
                 dense.append(row)
         relations = pres.reduced_linear_relations()
         assert _relation_space(monomials, relations, k).rank == matrix_rank(dense)
+
+
+@pytest.mark.parametrize("r,n", [(3, 3), (4, 3), (2, 4)])
+def test_oracle_rows_give_the_cross_multiplied_pivots(r, n):
+    spec = ArrangementSpec(r, n)
+    monomials = _ChainMonomials(spec)
+    relations = presentation(spec).reduced_linear_relations()
+    for k in range(1, n + 1):
+        rows = _relation_rows(monomials, relations, k)
+        elim, reference = SparseEliminator(), ReferenceEliminator()
+        for row in rows:
+            assert elim.add(row) == reference.add(row)
+        assert elim.pivots == reference.pivots
+
+
+@pytest.mark.parametrize("r,n", [(2, 2), (3, 2), (2, 3)])
+def test_comparable_sets_list_every_comparable_generator(r, n):
+    monomials = _ChainMonomials(ArrangementSpec(r, n))
+    gens = monomials.generators
+    assert monomials.comparable == [
+        frozenset(y for y, b in enumerate(gens) if comparable(a, b)) for a in gens
+    ]
 
 
 def test_oracle_guard():

@@ -6,8 +6,10 @@ switched to the reduced relations, the three hull-extreme and normal-suite
 digests before the normal complex moved to integer kernels, the two
 ``normal-complex --format json`` digests at (3,3) and (5,1) before cells were
 built from closed forms, the two stellar digests at (3,3) and (2,4) before
-the stellar route took the subdivided cone in closed form); any later change that alters a byte of these
-outputs fails here.  The whole corpus runs
+the stellar route took the subdivided cone in closed form, the two
+``chow --format json`` digests at (4,3) and (2,4) before the rank oracle's
+eliminator updated rows in place); any later change that alters a byte of
+these outputs fails here.  The whole corpus runs
 in-process through ``cli.main`` in a few seconds.  To re-record after an
 intended output change, print ``hashlib.sha256(stdout).hexdigest()`` for each
 command and say why in CHANGES.md.
@@ -44,6 +46,8 @@ GOLDEN = [
     ("chow --r 4 --n 2 --format json", 0, "fc808a274c7e04787e46b05492340a6b80c0b1d2059dc43df8a6b7d9fefaf41e"),
     ("chow --r 3 --n 3 --betti-only", 0, "a9bba22b42d347db57f7b2888d7c2cb2212a64d5d08e1c938077875761e533b1"),
     ("chow --r 2 --n 3 --betti-only", 0, "81795494267c4682b7784f2a778d7ce0f3e8783b678b388ec4683cfe31c3604c"),
+    ("chow --r 4 --n 3 --format json", 0, "c26838f127762d9d7e739433918578ea959a70dec35e3180a360214303b5a291"),
+    ("chow --r 2 --n 4 --format json", 0, "30a18088e7a6ce05469fcf95aa6ee595330da2ed1f414fb79662f3e28206ce95"),
     ("normal-complex --r 2 --n 2 --union-extremes", 0, "aa366a8d541be6f227778403285919fb2cda0198610b27492a0e09cd344e2c03"),
     ("normal-complex --r 4 --n 2 --union-extremes --format json", 0, "acf9c7a48c7d6f875b42d58c183c53da5f0b673a538f4b19c49fc583be020c70"),
     ("normal-complex --r 2 --n 3 --union-extremes --format json", 0, "c283c4a0f6da649a5103fc409f46613382eef62b10cfc6d1940c2d798f8978b5"),

@@ -7,11 +7,15 @@ before any work or at (2, 2) and below, and the hull guard's calibration is
 checked on the vertex counts of complexes that take well under a second.
 """
 
+import time
+
 import pytest
 
 from cyclic_wonderful import cli, normal_complex
 from cyclic_wonderful.cli import main
 from cyclic_wonderful.guards import (
+    COUNT_CAP,
+    DEFAULT_FAN_CELLS,
     DEFAULT_HULL_POINTS,
     DEFAULT_NORMAL_CELLS,
     ENV_OVERRIDE,
@@ -127,6 +131,52 @@ def test_cli_override_is_an_inclusive_bound(monkeypatch, capsys):
     assert main(["fan", "--r", "2", "--n", "2"]) == 0
     monkeypatch.setenv(ENV_OVERRIDE, "15")
     assert main(["fan", "--r", "2", "--n", "2"]) == 2
+
+
+# --- huge specs: refused from capped sizes, never counted in full ---------------
+
+
+@pytest.mark.parametrize("r,n", [(2, 0), (2, 1), (3, 2), (4, 3), (2, 5), (7, 4), (2, 20)])
+@pytest.mark.parametrize("cap", [0, 1, 8, 80, 1000, 10**6])
+def test_capped_counts_are_the_exact_counts_up_to_the_cap(r, n, cap):
+    spec = ArrangementSpec(r, n)
+    assert spec.num_subsets_upto(cap) == min(spec.num_subsets, cap + 1)
+    assert spec.num_maximal_chains_upto(cap) == min(spec.num_maximal_chains, cap + 1)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "chow --r 3 --n 3000",
+        "chow --r 99999 --n 99999",
+        "chow --r 1000000 --n 1000000",
+    ],
+)
+def test_cli_refuses_a_huge_spec_at_once(no_override, capsys, argv):
+    start = time.perf_counter()
+    assert main(argv.split()) == 2
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().out == (
+        f"feasibility error: fan with more than {DEFAULT_FAN_CELLS} rays and more "
+        f"than {DEFAULT_FAN_CELLS} maximal cones exceeds the guard bound "
+        f"{DEFAULT_FAN_CELLS} (override with {ENV_OVERRIDE})\n"
+    )
+
+
+def test_oracle_guard_prints_a_capped_size_as_more_than_the_bound(no_override):
+    with pytest.raises(FeasibilityError) as info:
+        check_oracle_size(ArrangementSpec(3, 3000).num_subsets_upto(COUNT_CAP))
+    assert str(info.value) == (
+        "rank oracle with more than 1000 generators exceeds the guard bound 1000 "
+        f"(override with {ENV_OVERRIDE})"
+    )
+
+
+def test_an_override_above_the_count_cap_acts_as_the_cap(monkeypatch):
+    monkeypatch.setenv(ENV_OVERRIDE, str(10**40))
+    check_oracle_size(COUNT_CAP)
+    with pytest.raises(FeasibilityError, match=f"more than {COUNT_CAP} generators"):
+        check_oracle_size(ArrangementSpec(3, 3000).num_subsets_upto(COUNT_CAP))
 
 
 # --- check: a guard refusal is SKIP, never FAIL ---------------------------------

@@ -3,12 +3,14 @@
 Dense ranks are compared with the count of nonzero Smith divisors (integer
 Euclidean steps, no rational elimination); kernels and solutions are checked
 by multiplying back exactly.  The sparse integer eliminator is compared with
-the dense rational ``matrix_rank``, and the integer phase-1 simplex with the
-``Fraction`` simplex it replaced, kept here as the reference.
+the dense rational ``matrix_rank`` and, pivot for pivot, with the
+cross-multiply-and-normalise eliminator that its in-place updates replaced;
+the integer phase-1 simplex is compared with the ``Fraction`` simplex it
+replaced.  Both replaced kernels are kept here as references.
 """
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -161,6 +163,83 @@ def test_independent_rows_are_the_dense_greedy_scan(rows):
     ranks = [matrix_rank(rows[:i]) for i in range(len(rows) + 1)]
     greedy = [i for i in range(len(rows)) if ranks[i + 1] > ranks[i]]
     assert independent_row_indices(as_sparse(row) for row in rows) == greedy
+
+
+class ReferenceEliminator(SparseEliminator):
+    """Every step cross-multiplies, ``a * r - b * p`` over the union of both
+    rows' columns, and divides the result by its content with a positive lead."""
+
+    def reduce(self, row):
+        r = {c: int(v) for c, v in row.items() if v}
+        while r:
+            c = min(r)
+            p = self.pivots.get(c)
+            if p is None:
+                return normalized(r)
+            a, b = p[c], r[c]
+            new = {}
+            for col in set(r) | set(p):
+                v = a * r.get(col, 0) - b * p.get(col, 0)
+                if v:
+                    new[col] = v
+            r = normalized(new) if new else new
+        return {}
+
+
+def normalized(row):
+    g = 0
+    for v in row.values():
+        g = gcd(g, v)
+    sign = -1 if row[min(row)] < 0 else 1
+    return {c: sign * (v // g) for c, v in row.items()}
+
+
+wide_entries = st.integers(-50, 50)
+
+
+@st.composite
+def wide_sparse_matrices(draw, max_rows=10, max_cols=7):
+    """Mostly zeros, the rest up to 50 in size: pivot leads other than 1 occur."""
+    m = draw(st.integers(1, max_rows))
+    n = draw(st.integers(1, max_cols))
+    row = st.lists(st.one_of(st.just(0), st.just(0), wide_entries), min_size=n, max_size=n)
+    return draw(st.lists(row, min_size=m, max_size=m))
+
+
+def fed(elim, rows):
+    for row in rows:
+        elim.add(as_sparse(row))
+    return elim
+
+
+@settings(max_examples=300, deadline=None)
+@given(wide_sparse_matrices())
+def test_in_place_pivots_are_the_cross_multiplied_pivots(rows):
+    assert fed(SparseEliminator(), rows).pivots == fed(ReferenceEliminator(), rows).pivots
+
+
+@settings(max_examples=300, deadline=None)
+@given(wide_sparse_matrices(), st.data())
+def test_in_place_span_answers_are_the_cross_multiplied_answers(rows, data):
+    ncols = len(rows[0])
+    if data.draw(st.booleans(), label="row in the span"):
+        x = data.draw(st.lists(st.integers(-3, 3), min_size=len(rows), max_size=len(rows)))
+        row = list(combine(x, rows, ncols))
+    else:
+        row = data.draw(st.lists(wide_entries, min_size=ncols, max_size=ncols))
+    got = fed(SparseEliminator(), rows).is_in_span(as_sparse(row))
+    assert got == fed(ReferenceEliminator(), rows).is_in_span(as_sparse(row))
+
+
+def test_a_pivot_of_lead_2_scales_the_row_and_divides_out_the_content():
+    elim = SparseEliminator()
+    assert elim.add({0: 2, 1: 1})
+    # gcd(2, 3) = 1: 2 * (3, 5) - 3 * (2, 1) = (0, 7), content 7
+    assert elim.add({0: 3, 1: 5})
+    assert elim.pivots == {0: {0: 2, 1: 1}, 1: {1: 1}}
+    # gcd(2, -4) = 2 leaves no scaling: (-4, 0, 6) + 2 * (2, 1, 0) = (0, 2, 6)
+    assert elim.add({0: -4, 2: 6})
+    assert elim.pivots[2] == {2: 1}
 
 
 # --- the integer phase-1 simplex and hull extremes ----------------------------
