@@ -26,7 +26,6 @@ from .lattice import (
     enumerate_chains,
     enumerate_decorated_subsets,
     is_nested,
-    join,
     jump_type,
     leq,
     maximal_chains,
@@ -104,7 +103,6 @@ __all__ = [
     "in_delta",
     "is_nested",
     "is_smooth_cone",
-    "join",
     "jump_census",
     "jump_type",
     "leq",

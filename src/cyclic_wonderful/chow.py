@@ -119,16 +119,15 @@ def presentation(spec: ArrangementSpec) -> ChowPresentation:
 def product_support(ds: Sequence[DecoratedSubset]) -> Chain | None:
     """The stratum chain cut out by a product of divisor generators.
 
-    Returns the chain of the distinct factors when they are pairwise
-    comparable, and None when any pair is incomparable (the product is zero).
+    Returns the chain of the distinct factors when they form one, and None
+    otherwise: then two factors are incomparable and the product is zero.
     """
     if not ds:
         raise ValueError("product of an empty list of divisors is undefined")
-    distinct = sorted(set(ds), key=DecoratedSubset.sort_key)
-    for a, b in itertools.combinations(distinct, 2):
-        if not comparable(a, b):
-            return None
-    return Chain.from_prefixes(distinct)
+    try:
+        return Chain.from_prefixes(ds)
+    except ValueError:  # two neighbouring factors do not nest
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -304,9 +303,8 @@ def _relation_space(
 
 def betti_oracle(spec: ArrangementSpec) -> GradedDims:
     """Graded ranks by exact elimination, independent of the closed form."""
-    check_oracle_size(spec.num_subsets_upto(COUNT_CAP))
+    monomials = _ChainMonomials(spec)  # guards the oracle before any enumeration
     relations = presentation(spec).reduced_linear_relations()
-    monomials = _ChainMonomials(spec)
     dims = [1]
     for k in range(1, spec.n + 1):
         # unnamed, so each degree's eliminator is freed before the next is built

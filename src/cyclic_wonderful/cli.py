@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from . import chow, normal_complex, tropical
 from .fan import build_fan, build_fan_stellar, locate_point
-from .guards import COUNT_CAP, FeasibilityError, check_fan_size
+from .guards import FeasibilityError, check_fan_spec
 from .lattice import ArrangementSpec, BuildingSet
 from .selfcheck import SUITES, run_suites
 from .serialize import fan_to_dict
@@ -57,11 +57,6 @@ def _spec(config: RunConfig) -> ArrangementSpec:
     return ArrangementSpec(config.r, config.n)
 
 
-def _check_fan_size(spec: ArrangementSpec) -> None:
-    """Refuse before any work, from sizes that are never computed in full."""
-    check_fan_size(spec.num_subsets_upto(COUNT_CAP), spec.num_maximal_chains_upto(COUNT_CAP))
-
-
 def _emit_json(config: RunConfig, payload: dict) -> None:
     config.emit(json.dumps(payload, indent=2))
 
@@ -80,7 +75,7 @@ def _parse_point(text: str, spec: ArrangementSpec) -> tuple[Fraction, ...]:
 
 def _cmd_fan(config: RunConfig) -> int:
     spec = _spec(config)
-    _check_fan_size(spec)
+    check_fan_spec(spec)
     g = BuildingSet.maximal(spec)
     fan = build_fan_stellar(spec, g) if config.via_stellar else build_fan(spec, g)
     payload = fan_to_dict(fan)
@@ -124,7 +119,7 @@ def _betti_rows(spec: ArrangementSpec, want_oracle: bool) -> list[dict]:
 
 def _cmd_chow(config: RunConfig) -> int:
     spec = _spec(config)
-    _check_fan_size(spec)
+    check_fan_spec(spec)
     pres = chow.presentation(spec)
     rows = _betti_rows(spec, config.oracle)
     if config.format == "json":
@@ -171,7 +166,7 @@ def _cmd_chow(config: RunConfig) -> int:
 
 def _cmd_locate(config: RunConfig) -> int:
     spec = _spec(config)
-    _check_fan_size(spec)
+    check_fan_spec(spec)
     fan = build_fan(spec, BuildingSet.maximal(spec))
     if config.curve is not None:
         curve = tropical.parse_curve(config.curve, spec)

@@ -12,9 +12,10 @@ u = sum_{i in I} e_i^(-a(i) mod r); a chain contributes one ray per decorated
 prefix and those rays span a simplicial cone whose dimension is the chain
 length.
 
-Two constructions are provided: the direct one (one cone per nested set) and
-the stellar route, which starts from the product of the n one-dimensional
-factor fans and subdivides at the non-singleton ray vectors in an
+Two constructions are provided: the direct one (one cone per decorated chain,
+the nested sets of the maximal building set) and the stellar route, which
+starts from the product of the n one-dimensional factor fans, whose rays are
+the singletons, and subdivides at the non-singleton ray vectors in an
 inclusion-increasing order.  Each subdivision's cone is known without a
 search: the ray of (I, a) is the sum of the singleton rays (i, a(i)), and
 that singleton cone survives until (I, a) is processed, since only smaller
@@ -37,7 +38,7 @@ from functools import cached_property
 from math import gcd
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .guards import check_fan_size
+from .guards import check_fan_spec
 from .lattice import (
     ArrangementSpec,
     BuildingSet,
@@ -242,7 +243,7 @@ def _check_maximal(spec: ArrangementSpec, g: BuildingSet) -> None:
 def build_fan(spec: ArrangementSpec, g: BuildingSet) -> Fan:
     """One cone per decorated chain, the nested sets of the maximal g."""
     _check_maximal(spec, g)
-    check_fan_size(len(g.elements), spec.num_maximal_chains)
+    check_fan_spec(spec)
     rays = {d: ray_vector(d, spec) for d in g.sorted_elements()}
     labels = [frozenset(chain.prefixes()) for chain in enumerate_chains(spec, spec.n)]
     cones = {label: _make_cone(label, rays) for label in labels}
@@ -283,32 +284,33 @@ def _star_subdivide(
 def build_fan_stellar(spec: ArrangementSpec, g: BuildingSet) -> Fan:
     """Stellar-subdivision construction of the same fan.
 
-    Starts from the product of the factor fans (all cones with at most one
-    singleton ray per factor) and subdivides at the ray vector of every
-    non-singleton element, ordered by increasing inclusion of the loci the
-    elements cut out: deepest intersections first, so support size runs
-    downward (ties broken by the global deterministic order).  That order
+    Starts from the product of the factor fans: its rays are the singletons,
+    and its cones are the sets with at most one singleton per factor.  It
+    then subdivides at the ray vector of every non-singleton element,
+    ordered by increasing inclusion of the loci the elements cut out:
+    deepest intersections first, so support size runs downward (ties broken
+    by the global deterministic order).  That order
     keeps each element's singleton cone intact until its own step, so every
     step subdivides that known cone (see ``_star_subdivide``).  A final pass
-    discards any cone whose label set fails nestedness; with this order the
-    pass is a safety net and removes nothing.
+    discards any cone whose label set is not a chain (``is_nested``); with
+    this order the pass is a safety net and removes nothing.
     """
     _check_maximal(spec, g)
-    check_fan_size(len(g.elements), spec.num_maximal_chains)
-    singles = BuildingSet.singletons(spec).elements
-    rays: dict[DecoratedSubset, Vector] = {
-        d: ray_vector(d, spec) for d in sorted(singles, key=DecoratedSubset.sort_key)
-    }
+    check_fan_spec(spec)
     # product fan: at most one singleton ray per factor
     per_factor: list[list[DecoratedSubset | None]] = [
         [None] + [DecoratedSubset(((i, a),)) for a in range(spec.r)]
         for i in range(1, spec.n + 1)
     ]
+    rays: dict[DecoratedSubset, Vector] = {
+        d: ray_vector(d, spec) for factor in per_factor for d in factor[1:]
+    }
     cones: set[frozenset[DecoratedSubset]] = set()
     for combo in itertools.product(*per_factor):
         cones.add(frozenset(d for d in combo if d is not None))
     # larger supports cut out smaller loci, which must be subdivided first
-    for d in sorted(g.elements - singles, key=lambda x: (-x.size, x.items)):
+    non_singletons = (d for d in g.elements if d.size > 1)
+    for d in sorted(non_singletons, key=lambda x: (-x.size, x.items)):
         v = ray_vector(d, spec)
         cones = _star_subdivide(cones, rays, d, v)
         rays[d] = v

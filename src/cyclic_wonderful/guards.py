@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import os
 
+from .lattice import ArrangementSpec
+
 ENV_OVERRIDE = "CYCLIC_WONDERFUL_MAX_CELLS"
 
 DEFAULT_FAN_CELLS = 50_000        # rays + maximal cones of a fan build
 DEFAULT_ORACLE_GENERATORS = 1_000  # generator count for the Chow rank oracle
-DEFAULT_NORMAL_N = 3               # vertex enumeration dimension cap
 DEFAULT_NORMAL_CELLS = 1_000       # cells of the normal complex (~1 ms each at n = 3)
 # distinct cell vertices whose hull extremes ``--union-extremes`` computes:
 # (9, 2) has 262 and takes ~6 s, (10, 2) has 321 and takes ~14 s
@@ -64,6 +65,11 @@ def check_fan_size(rays: int, max_cones: int) -> None:
         )
 
 
+def check_fan_spec(spec: ArrangementSpec) -> None:
+    """Refuse before any work, from sizes that are never computed in full."""
+    check_fan_size(spec.num_subsets_upto(COUNT_CAP), spec.num_maximal_chains_upto(COUNT_CAP))
+
+
 def check_oracle_size(generators: int) -> None:
     bound = _bound(DEFAULT_ORACLE_GENERATORS)
     if generators > bound:
@@ -73,15 +79,8 @@ def check_oracle_size(generators: int) -> None:
         )
 
 
-def check_normal_complex(n: int, cells: int) -> None:
-    """Without an override, n <= DEFAULT_NORMAL_N and at most
-    DEFAULT_NORMAL_CELLS cells; an override replaces both with a cell bound."""
+def check_normal_complex(cells: int) -> None:
     bound = _bound(DEFAULT_NORMAL_CELLS)
-    if ENV_OVERRIDE not in os.environ and n > DEFAULT_NORMAL_N:
-        raise FeasibilityError(
-            f"normal complex vertex enumeration is guarded to n <= "
-            f"{DEFAULT_NORMAL_N}, got n = {n} (override with {ENV_OVERRIDE})"
-        )
     if cells > bound:
         raise FeasibilityError(
             f"normal complex with {_size(cells, bound)} cells exceeds the guard bound "

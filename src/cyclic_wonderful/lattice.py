@@ -13,7 +13,9 @@ Flags of such intersections are *decorated chains*: strictly increasing
 subsets I_1 < I_2 < ... < I_l with a single decoration on the largest one
 (inner sets inherit it by restriction).  Chains simultaneously index the
 cones of the associated fan, the boundary strata of the compactified moduli
-space, and the nested sets of the maximal building set.
+space, and the nested sets of the maximal building set, the only building set
+used here.  A set of decorated subsets is a chain exactly when, sorted by
+size, each is below the next, so one neighbour test decides nestedness.
 
 Everything here is pure combinatorics over exact integers; all values are
 immutable and all functions are side-effect free.
@@ -24,7 +26,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import factorial
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 
 def _product_upto(factors: Iterable[int], cap: int) -> int:
@@ -191,9 +193,10 @@ class Chain:
     def from_prefixes(cls, prefixes: Iterable[DecoratedSubset]) -> "Chain":
         """Assemble a chain from its decorated prefixes (checked for nesting)."""
         ordered = sorted(set(prefixes), key=DecoratedSubset.sort_key)
-        for a, b in zip(ordered, ordered[1:]):
-            if not leq(a, b):
-                raise ValueError(f"{a.text()} and {b.text()} do not nest")
+        unnested = _first_unnested_pair(ordered)
+        if unnested is not None:
+            a, b = unnested
+            raise ValueError(f"{a.text()} and {b.text()} do not nest")
         if not ordered:
             return cls.empty()
         top = ordered[-1]
@@ -270,17 +273,19 @@ def comparable(a: DecoratedSubset, b: DecoratedSubset) -> bool:
     return leq(a, b) or leq(b, a)
 
 
-def join(a: DecoratedSubset, b: DecoratedSubset) -> DecoratedSubset | None:
-    """Least upper bound, or None when the residues clash on a shared index.
+def _first_unnested_pair(
+    ordered: Sequence[DecoratedSubset],
+) -> tuple[DecoratedSubset, DecoratedSubset] | None:
+    """The first neighbours (a, b) with a not <= b, or None for a chain.
 
-    A clash means the corresponding geometric intersection is empty, so the
-    poset is only a partial join semilattice; no artificial top is adjoined.
+    ``ordered`` holds distinct decorated subsets sorted by ``sort_key``.  The
+    neighbour test decides chain-ness: ``leq`` is transitive, and two
+    distinct subsets of the same size are incomparable.
     """
-    merged = dict(a.items)
-    for i, x in b.items:
-        if merged.setdefault(i, x) != x:
-            return None
-    return DecoratedSubset.of(merged)
+    for a, b in zip(ordered, ordered[1:]):
+        if not leq(a, b):
+            return a, b
+    return None
 
 
 def enumerate_decorated_subsets(spec: ArrangementSpec) -> list[DecoratedSubset]:
@@ -357,7 +362,7 @@ def chain_intersect(a: Chain, b: Chain) -> Chain:
 
 
 # ---------------------------------------------------------------------------
-# Building sets and nested sets
+# The maximal building set and its nested sets
 # ---------------------------------------------------------------------------
 
 
@@ -366,8 +371,7 @@ class BuildingSet:
     """A set of decorated subsets relative to which nestedness is decided.
 
     Fans are built from the maximal building set only, whose nested sets are
-    exactly the decorated chains.  The singletons serve as the per-factor
-    building sets of the product fan that the stellar route starts from.
+    exactly the decorated chains.
     """
 
     elements: frozenset[DecoratedSubset]
@@ -379,15 +383,6 @@ class BuildingSet:
         # poset is a building set
         return cls(frozenset(enumerate_decorated_subsets(spec)), spec)
 
-    @classmethod
-    def singletons(cls, spec: ArrangementSpec) -> "BuildingSet":
-        els = frozenset(
-            DecoratedSubset(((i, a),))
-            for i in range(1, spec.n + 1)
-            for a in range(spec.r)
-        )
-        return cls(els, spec)
-
     def sorted_elements(self) -> list[DecoratedSubset]:
         return sorted(self.elements, key=DecoratedSubset.sort_key)
 
@@ -396,43 +391,16 @@ class BuildingSet:
         return len(self.elements) == self.spec.num_subsets
 
 
-def _antichains(elements: list[DecoratedSubset]) -> Iterator[tuple[DecoratedSubset, ...]]:
-    """All subsets of size >= 2 whose elements are pairwise incomparable.
-
-    Pairs come out before their extensions, so callers that reject on the
-    first offending antichain exit quickly.
-    """
-
-    def extend(prefix: tuple[DecoratedSubset, ...], start: int) -> Iterator[tuple]:
-        for k in range(start, len(elements)):
-            cand = elements[k]
-            if any(comparable(cand, e) for e in prefix):
-                continue
-            grown = prefix + (cand,)
-            if len(grown) >= 2:
-                yield grown
-            yield from extend(grown, k + 1)
-
-    yield from extend((), 0)
-
-
 def is_nested(s: Iterable[DecoratedSubset], g: BuildingSet) -> bool:
-    """Nestedness of s relative to g: no antichain of s joins into g.
+    """Nestedness of s relative to the maximal building set g.
 
-    An antichain whose join does not exist (empty geometric intersection) is
-    treated as not nested; for the maximal building set the criterion then
-    collapses to "s is totally ordered".
+    For the maximal building set the nested sets are exactly the chains, so
+    this is the neighbour test of ``_first_unnested_pair``.
     """
+    if not g.is_maximal:
+        raise ValueError("nestedness is decided for the maximal building set only")
     s_list = sorted(set(s), key=DecoratedSubset.sort_key)
     stray = [d for d in s_list if d not in g.elements]
     if stray:
         raise ValueError(f"{stray[0].text()} is not in the building set")
-    for anti in _antichains(s_list):
-        j: DecoratedSubset | None = anti[0]
-        for d in anti[1:]:
-            j = join(j, d)
-            if j is None:
-                break
-        if j is None or j in g.elements:
-            return False
-    return True
+    return _first_unnested_pair(s_list) is None

@@ -187,7 +187,7 @@ def cell_polytope(chain: Chain, spec: ArrangementSpec) -> Polytope:
 
 def complex_cells(spec: ArrangementSpec) -> NormalComplex:
     """One cell per maximal chain, in the deterministic chain order."""
-    check_normal_complex(spec.n, spec.num_maximal_chains_upto(COUNT_CAP))
+    check_normal_complex(spec.num_maximal_chains_upto(COUNT_CAP))
     chains = sorted(maximal_chains(spec), key=Chain.sort_key)
     return NormalComplex(spec, tuple(cell_polytope(c, spec) for c in chains))
 

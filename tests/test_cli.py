@@ -196,10 +196,18 @@ def test_normal_complex_union_extremes_octagon():
     }
 
 
-def test_normal_complex_guard():
+def test_normal_complex_guard(monkeypatch):
+    # the guard bounds the cells alone: 4! 2^4 = 384 run, 4! 3^4 = 1944 do not
+    monkeypatch.delenv("CYCLIC_WONDERFUL_MAX_CELLS", raising=False)
     status, out = invoke(["normal-complex", "--r", "2", "--n", "4"])
+    assert status == 0
+    assert out.startswith("normal complex for r=2, n=4: 384 cells\n")
+    status, out = invoke(["normal-complex", "--r", "3", "--n", "4"])
     assert status == 2
-    assert "guard" in out
+    assert out == (
+        "feasibility error: normal complex with 1944 cells exceeds the guard bound "
+        "1000 (override with CYCLIC_WONDERFUL_MAX_CELLS)\n"
+    )
 
 
 # --- check -------------------------------------------------------------------

@@ -25,13 +25,13 @@ from cyclic_wonderful.guards import (
     check_normal_complex,
     check_oracle_size,
 )
-from cyclic_wonderful.lattice import ArrangementSpec
+from cyclic_wonderful.lattice import ArrangementSpec, BuildingSet
 from cyclic_wonderful.selfcheck import CheckResult
 
 GUARDS = {
     "fan": lambda size: check_fan_size(size, 0),
     "oracle": check_oracle_size,
-    "normal": lambda size: check_normal_complex(1, size),
+    "normal": check_normal_complex,
     "hull": check_hull_points,
 }
 
@@ -58,22 +58,20 @@ def test_negative_or_non_integer_override_is_refused(monkeypatch, guard, raw):
 
 
 def test_normal_complex_default_bounds_cells_as_well_as_n(no_override):
-    check_normal_complex(3, DEFAULT_NORMAL_CELLS)
+    check_normal_complex(DEFAULT_NORMAL_CELLS)
     cells_r50 = ArrangementSpec(50, 3).num_maximal_chains
     assert cells_r50 == 750_000
     with pytest.raises(FeasibilityError) as info:
-        check_normal_complex(3, cells_r50)
+        check_normal_complex(cells_r50)
     assert "750000 cells" in str(info.value)
     assert f"guard bound {DEFAULT_NORMAL_CELLS}" in str(info.value)
-    with pytest.raises(FeasibilityError, match="n <= 3"):
-        check_normal_complex(4, 1)
 
 
 def test_normal_complex_override_replaces_both_default_bounds(monkeypatch):
     monkeypatch.setenv(ENV_OVERRIDE, "2000")
-    check_normal_complex(4, 2000)
+    check_normal_complex(2000)
     with pytest.raises(FeasibilityError, match="2001 cells"):
-        check_normal_complex(3, 2001)
+        check_normal_complex(2001)
 
 
 def _hull_point_count(r, n):
@@ -189,6 +187,23 @@ def test_check_reports_a_refused_normal_complex_as_skipped(no_override, capsys):
         "SKIP [normal] cell construction (normal complex with 1296 cells exceeds "
         f"the guard bound {DEFAULT_NORMAL_CELLS} (override with {ENV_OVERRIDE}))",
         "0/1 checks passed, 1 skipped for r=6, n=3",
+    ]
+
+
+@pytest.mark.parametrize("suite", ["fan", "tropical"])
+def test_check_refuses_a_huge_fan_before_enumerating_it(no_override, monkeypatch, capsys, suite):
+    def enumerate_nothing(spec):
+        raise AssertionError("the building set was enumerated before the fan guard")
+
+    monkeypatch.setattr(BuildingSet, "maximal", enumerate_nothing)
+    start = time.perf_counter()
+    assert main(["check", "--r", "3", "--n", "40", "--suite", suite]) == 0
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().out.splitlines() == [
+        f"SKIP [{suite}] fan construction (fan with more than {DEFAULT_FAN_CELLS} rays "
+        f"and more than {DEFAULT_FAN_CELLS} maximal cones exceeds the guard bound "
+        f"{DEFAULT_FAN_CELLS} (override with {ENV_OVERRIDE}))",
+        "0/1 checks passed, 1 skipped for r=3, n=40",
     ]
 
 

@@ -1,4 +1,4 @@
-"""Combinatorics tests: posets, joins, chains, nestedness."""
+"""Combinatorics tests: posets, chains, nestedness."""
 
 import itertools
 
@@ -16,7 +16,6 @@ from cyclic_wonderful.lattice import (
     enumerate_chains,
     enumerate_decorated_subsets,
     is_nested,
-    join,
     jump_type,
     leq,
     maximal_chains,
@@ -78,19 +77,13 @@ def test_enumeration_counts_cross_checked_by_brute_force():
         assert len(enumerate_decorated_subsets(ArrangementSpec(r, n))) == brute
 
 
-# --- partial order and joins -------------------------------------------------
+# --- partial order ----------------------------------------------------------
 
 
 def test_leq_examples():
     assert leq(ds((1, 0)), ds((1, 0), (2, 1)))
     assert not leq(ds((1, 0)), ds((1, 1)))
     assert not leq(ds((1, 0), (2, 1)), ds((1, 0)))
-
-
-def test_join_examples():
-    assert join(ds((1, 0)), ds((2, 1))) == ds((1, 0), (2, 1))
-    assert join(ds((1, 0)), ds((1, 1))) is None
-    assert join(ds((1, 0)), ds((1, 0), (2, 1))) == ds((1, 0), (2, 1))
 
 
 subset_strategy = st.dictionaries(
@@ -106,19 +99,6 @@ def test_leq_is_a_partial_order(a, b, c):
         assert a == b
     if leq(a, b) and leq(b, c):
         assert leq(a, c)
-
-
-@settings(max_examples=200, deadline=None)
-@given(subset_strategy, subset_strategy, subset_strategy)
-def test_join_is_the_least_upper_bound(a, b, c):
-    j = join(a, b)
-    if j is None:
-        # no common upper bound can exist either
-        assert not (leq(a, c) and leq(b, c))
-    else:
-        assert leq(a, j) and leq(b, j)
-        if leq(a, c) and leq(b, c):
-            assert leq(j, c)
 
 
 # --- chains ------------------------------------------------------------------
@@ -267,8 +247,8 @@ def test_nested_examples_for_the_maximal_building_set():
     spec = ArrangementSpec(2, 2)
     g = BuildingSet.maximal(spec)
     assert is_nested({ds((1, 0)), ds((1, 0), (2, 1))}, g)
-    assert not is_nested({ds((1, 0)), ds((2, 0))}, g)  # join exists and is in g
-    assert not is_nested({ds((1, 0)), ds((1, 1))}, g)  # join is absent
+    assert not is_nested({ds((1, 0)), ds((2, 0))}, g)  # disjoint supports
+    assert not is_nested({ds((1, 0)), ds((1, 1))}, g)  # residues clash
 
 
 @pytest.mark.parametrize("r,n", [(2, 2), (3, 2)])
@@ -284,23 +264,15 @@ def test_maximal_nested_means_totally_ordered(r, n):
             assert is_nested(combo, g) == totally_ordered
 
 
-def test_product_nestedness_factor_by_factor():
-    # for the union of the per-factor singleton building sets, a set is nested
-    # exactly when each factor contributes at most one element
-    spec = ArrangementSpec(2, 2)
-    g = BuildingSet.singletons(spec)
-    for size in range(len(g.elements) + 1):
-        for combo in itertools.combinations(g.sorted_elements(), size):
-            per_factor_ok = all(
-                len([d for d in combo if d.indices == (i,)]) <= 1
-                for i in (1, 2)
-            )
-            assert is_nested(combo, g) == per_factor_ok
-
-
 def test_is_nested_rejects_elements_outside_the_building_set():
-    spec = ArrangementSpec(2, 2)
-    g = BuildingSet.singletons(spec)
-    with pytest.raises(ValueError):
+    g = BuildingSet.maximal(ArrangementSpec(2, 1))
+    with pytest.raises(ValueError, match="not in the building set"):
         is_nested({ds((1, 0), (2, 0))}, g)
+
+
+def test_is_nested_rejects_a_non_maximal_building_set():
+    spec = ArrangementSpec(2, 2)
+    pairs = BuildingSet(frozenset(ds((1, a), (2, b)) for a in (0, 1) for b in (0, 1)), spec)
+    with pytest.raises(ValueError, match="maximal building set only"):
+        is_nested({ds((1, 0), (2, 0))}, pairs)
 

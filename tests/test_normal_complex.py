@@ -157,7 +157,7 @@ def test_complex_2_1_union_is_a_symmetric_interval():
 
 def test_complex_guard():
     with pytest.raises(FeasibilityError):
-        complex_cells(ArrangementSpec(2, 4))
+        complex_cells(ArrangementSpec(3, 4))  # 1944 cells
 
 
 def test_one_cell_is_built_beyond_the_complex_guard(monkeypatch):
