@@ -62,8 +62,10 @@ def _emit_json(config: RunConfig, payload: dict) -> None:
 
 
 def _parse_point(text: str, spec: ArrangementSpec) -> tuple[Fraction, ...]:
+    # an empty text is the one point of R^0, the ambient space at n = 0
+    parts = text.split(",") if text.strip() else []
     try:
-        coords = tuple(Fraction(part.strip()) for part in text.split(","))
+        coords = tuple(Fraction(part.strip()) for part in parts)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in point {text!r}") from None
     if len(coords) != spec.ambient_dim:

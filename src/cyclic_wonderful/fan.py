@@ -22,11 +22,15 @@ that singleton cone survives until (I, a) is processed, since only smaller
 decorated subsets (processed later) could subdivide it.  The two routes
 must agree cone-for-cone, and the test suite checks that they do.
 
-Cone coordinates are exact and integer.  Each cone caches, on first use, an
-invertible k x k minor M of its generator matrix and the integer matrix
-delta * M^-1 from fraction-free (Bareiss) elimination, so membership of a
-rational point is a few integer dot products.  Nothing assumes the cone is
-unimodular: any simplicial cone works.
+Cone coordinates are exact and integer.  Each cone caches, on first use,
+the result of one fraction-free (Bareiss) Gauss-Jordan pass through the ray
+columns of [A | I], A the rays as columns: k coefficient rows, delta times a
+left inverse of A, and dim - k span-check rows, a basis of A's left kernel,
+each kept as its nonzero (index, coeff) pairs.  Membership of a rational
+point scaled to integers is a few sparse integer dot products that stop at
+the first span-check row the point fails, then at the first negative
+coordinate.  Nothing assumes the cone is unimodular: any simplicial cone
+works.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import gcd
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -94,42 +98,58 @@ def _vector_gcd(vec: Iterable[int]) -> int:
     return g
 
 
-def _gauss_jordan(m: list[list[int]], k: int) -> tuple[list[int], int]:
+def _gauss_jordan(m: list[list[int]], k: int) -> int:
     """Fraction-free Gauss-Jordan elimination (Bareiss) through the first k
     columns of the integer matrix m, in place, with row swaps.
 
     Every division is exact, since each entry stays a minor of the input.
-    Returns the original index of the row now at each position, and the last
-    pivot delta: rows 0..k-1 end with delta times the identity in the first
-    k columns.  Raises ValueError when those columns are dependent.
+    Returns the last pivot delta: rows 0..k-1 end with delta times the
+    identity in the first k columns, and the rows below end with zeros
+    there.  Raises ValueError when those columns are dependent.
     """
-    order = list(range(len(m)))
     prev = 1
     for c in range(k):
         p = next((i for i in range(c, len(m)) if m[i][c]), None)
         if p is None:
             raise ValueError("columns are linearly dependent")
         m[c], m[p] = m[p], m[c]
-        order[c], order[p] = order[p], order[c]
         piv = m[c]
         pv = piv[c]
         for i, row in enumerate(m):
-            if i != c:
-                f = row[c]
-                m[i] = [(pv * x - f * y) // prev for x, y in zip(row, piv)]
+            f = row[c]
+            if i == c or (not f and pv == prev):
+                continue  # the update would leave this row as it is
+            m[i] = [(pv * x - f * y) // prev for x, y in zip(row, piv)]
         prev = pv
-    return order, prev
+    return prev
+
+
+SparseRow = tuple[tuple[int, int], ...]
+
+
+@lru_cache(maxsize=4096)
+def _sparse(row: tuple[int, ...], sign: int) -> SparseRow:
+    """The nonzero ``(index, sign * coeff)`` pairs of a dense row.
+
+    Cached so that equal rows share one tuple: the cones of a fan repeat few
+    rows (124 distinct among the 3,456 of the maximal cones at r = 4,
+    n = 3), and sharing them halves the memory of the cones' caches.
+    """
+    return tuple((i, sign * x) for i, x in enumerate(row) if x)
 
 
 class _Inverse(NamedTuple):
-    """An exact integer inverse of a cone's generator matrix A (rays as columns).
+    """An exact integer left inverse of a cone's generator matrix A (rays as
+    columns), kept as sparse ``(index, coeff)`` rows over the ambient indices.
 
-    ``rows`` picks k ambient rows whose k x k minor M of A is invertible and
-    ``adj = delta * M^-1`` with ``delta > 0``.
+    ``coeff_rows`` are the k rows of ``delta * L`` for a left inverse L of A
+    (``L A = I``), with ``delta > 0``; ``span_rows`` are dim - k independent
+    rows y with ``y A = 0``, so a point lies in the span of the rays exactly
+    when every one of them pairs to zero with it.
     """
 
-    rows: tuple[int, ...]
-    adj: tuple[tuple[int, ...], ...]
+    coeff_rows: tuple[SparseRow, ...]
+    span_rows: tuple[SparseRow, ...]
     delta: int
 
 
@@ -149,57 +169,77 @@ class Cone:
         return Chain.from_prefixes(self.label)
 
     def contains(self, point: Sequence) -> bool:
-        return self.coefficients(point) is not None
+        """Whether the point lies in the cone, by the scaled integer test."""
+        p, _ = scaled_point(point, len(self.rays[0]) if self.rays else len(point))
+        return self._scaled_coefficients(p) is not None
 
     @cached_property
     def _inverse(self) -> _Inverse:
-        """Computed on first use, so cones a scan never tries cost nothing."""
-        k = len(self.rays)
-        a = [list(row) for row in zip(*self.rays)]
-        order, _ = _gauss_jordan([row[:] for row in a], k)
-        rows = tuple(order[:k])
-        m = [a[i] + [int(i == j) for j in rows] for i in rows]
-        _, delta = _gauss_jordan(m, k)
+        """One Bareiss pass through the first k columns of ``[A | I]``.
+
+        The pass multiplies ``[A | I]`` on the left by an invertible R, so
+        ``R A`` is delta times the identity stacked on zeros: the first k
+        rows of R are the coefficient rows, the other dim - k rows span the
+        left kernel of A.  Computed on first use, so cones a scan never
+        tries cost nothing.
+        """
+        k, dim = len(self.rays), len(self.rays[0])
+        m = [
+            [v[i] for v in self.rays] + [int(i == j) for j in range(dim)]
+            for i in range(dim)
+        ]
+        delta = _gauss_jordan(m, k)
         sign = 1 if delta > 0 else -1
-        adj = tuple(tuple(sign * x for x in row[k:]) for row in m[:k])
-        return _Inverse(rows, adj, sign * delta)
+        return _Inverse(
+            tuple(_sparse(tuple(row[k:]), sign) for row in m[:k]),
+            tuple(_sparse(tuple(row[k:]), 1) for row in m[k:]),
+            sign * delta,
+        )
 
     def _scaled_coefficients(self, p: Vector) -> list[int] | None:
         """Cone coordinates times ``delta * D`` of the point ``p / D``.
 
-        ``p`` is an integer vector of the right length.  Returns None unless
-        the coordinates are nonnegative and reproduce the point exactly.
+        ``p`` is an integer vector of the right length.  Returns None at the
+        first span-check row that does not vanish on ``p`` (the point is off
+        the rays' span), else at the first negative coordinate; otherwise
+        the coordinates reproduce the point exactly.
         """
-        rows, adj, delta = self._inverse
-        ps = [p[i] for i in rows]
-        c = [sum(x * y for x, y in zip(row, ps)) for row in adj]
-        if any(x < 0 for x in c):
-            return None
-        residual = [delta * x for x in p]
-        for cj, ray in zip(c, self.rays):
-            if cj:
-                residual = [x - cj * y for x, y in zip(residual, ray)]
-        return None if any(residual) else c
+        if not self.rays:
+            return None if any(p) else []
+        coeff_rows, span_rows, _ = self._inverse
+        for row in span_rows:
+            s = 0
+            for i, y in row:
+                s += y * p[i]
+            if s:
+                return None
+        c = []
+        for row in coeff_rows:
+            s = 0
+            for i, a in row:
+                s += a * p[i]
+            if s < 0:
+                return None
+            c.append(s)
+        return c
 
     def coefficients(self, point: Sequence) -> list[Fraction] | None:
         """Nonnegative cone coordinates of a rational point, if it lies here.
 
         Exact integer arithmetic for any simplicial cone, unimodular or not:
-        with ``D`` the lcm of the point's denominators and the cached
-        ``adj = delta * M^-1`` of an invertible k x k minor M of the rays,
-        ``c`` is ``adj`` applied to the entries of ``D * point`` in M's rows.
-        The point lies in the cone exactly when ``c >= 0`` and
-        ``sum_j c_j ray_j`` equals ``delta * D * point``; the coordinates are
-        then ``c_j / (delta * D)``.  Raises ValueError when the cone has rays
-        and the point's length differs from theirs, or when the rays are
-        linearly dependent.
+        with ``D`` the lcm of the point's denominators, ``D * point`` lies in
+        the span of the rays exactly when every cached span-check row
+        vanishes on it, and its coordinates there are then the cached
+        coefficient rows ``delta * L`` applied to it, ``c``.  The point lies
+        in the cone exactly when, in addition, ``c >= 0``; the coordinates
+        are then ``c_j / (delta * D)``.  Raises ValueError when the cone has
+        rays and the point's length differs from theirs, or when the rays
+        are linearly dependent.
         """
-        if not self.rays:
-            return [] if all(Fraction(x) == 0 for x in point) else None
-        p, scale = scaled_point(point, len(self.rays[0]))
+        p, scale = scaled_point(point, len(self.rays[0]) if self.rays else len(point))
         c = self._scaled_coefficients(p)
-        if c is None:
-            return None
+        if not c:  # None, or [] for the rayless cone at the origin
+            return c
         scale *= self._inverse.delta
         return [Fraction(x, scale) for x in c]
 
@@ -333,11 +373,11 @@ def fans_equal(f1: Fan, f2: Fan) -> bool:
 def locate_point(fan: Fan, point: Sequence) -> Chain | None:
     """The chain whose cone's relative interior contains the point.
 
-    Scans the maximal cones with the exact integer membership test of
-    ``Cone.coefficients`` (the point is scaled to integers once), which works
-    for any simplicial cone; the located chain keeps exactly the generators
-    with strictly positive coefficients.  Returns None when the point is
-    outside the fan's support.
+    Scans the maximal cones in order with the exact integer membership test
+    of ``Cone._scaled_coefficients`` (the point is scaled to integers once),
+    which works for any simplicial cone; the located chain keeps exactly the
+    generators with strictly positive coefficients.  Returns None when the
+    point is outside the fan's support.
     """
     p, _ = scaled_point(point, fan.spec.ambient_dim)
     for cone in fan.maximal_cones:

@@ -263,10 +263,13 @@ def integer_scaled(vectors: Iterable[Vector]) -> tuple[list[tuple[int, ...]], in
 def scaled_point(point: Vector, dim: int) -> tuple[tuple[int, ...], int]:
     """``(D * point, D)`` for the lcm ``D`` of the coordinates' denominators.
 
+    A point of plain ``int`` entries is returned as it is, with ``D = 1``.
     Raises ValueError when the point's length is not ``dim``.
     """
     if len(point) != dim:
         raise ValueError(f"point has length {len(point)}, expected {dim}")
+    if all(type(x) is int for x in point):
+        return tuple(point), 1
     (p,), scale = integer_scaled([point])
     return p, scale
 

@@ -28,8 +28,10 @@ the same polytope, combinatorially a cube, whose 2^n vertices depend on n
 only and are computed once.
 
 Membership is integer arithmetic: each cell caches its H-rows cleared of
-denominators, and a rational point p / D (p integer, D > 0) satisfies
-``normal . v <= bound`` exactly when ``normal_int . p <= bound_int * D``.
+denominators, each normal kept as its nonzero (index, coeff) pairs, and a
+rational point p / D (p integer, D > 0) satisfies ``normal . v <= bound``
+exactly when ``normal_int . p <= bound_int * D``; a cell's test stops at its
+first violated row.
 The tiling check in ``check`` compares this with ``in_delta`` (subset sums
 of the support decomposition), a route that shares none of it.
 """
@@ -84,20 +86,25 @@ class Polytope:
     label: Chain
 
     @cached_property
-    def _integer_rows(self) -> tuple[tuple[tuple[int, ...], int], ...]:
-        """Each H-row as ``(normal, bound)`` times the lcm of its denominators."""
+    def _integer_rows(self) -> tuple[tuple[tuple[tuple[int, int], ...], int], ...]:
+        """Each H-row as ``(normal, bound)`` times the lcm of its denominators,
+        the normal kept as its nonzero ``(index, coeff)`` pairs."""
         rows = []
         for normal, bound in self.h_rep:
             (row,), _ = integer_scaled([(*normal, bound)])
-            rows.append((row[:-1], row[-1]))
+            rows.append((tuple((i, a) for i, a in enumerate(row[:-1]) if a), row[-1]))
         return tuple(rows)
 
     def _holds(self, p: tuple[int, ...], scale: int) -> bool:
-        """Membership of ``p / scale``, with p an integer vector, scale > 0."""
-        return all(
-            sum(a * x for a, x in zip(normal, p)) <= bound * scale
-            for normal, bound in self._integer_rows
-        )
+        """Membership of ``p / scale``, with p an integer vector, scale > 0;
+        stops at the first violated row."""
+        for normal, bound in self._integer_rows:
+            s = 0
+            for i, a in normal:
+                s += a * p[i]
+            if s > bound * scale:
+                return False
+        return True
 
     def contains(self, point: Sequence) -> bool:
         # the origin is a vertex of every cell, so v_rep gives the dimension

@@ -126,6 +126,13 @@ def test_locate_point_outside_support():
     assert "outside the fan support" in out
 
 
+def test_locate_reads_an_empty_point_as_the_point_of_r_0():
+    status, out = invoke(["locate", "--r", "3", "--n", "0", "--point", ""])
+    assert (status, out) == (0, "point: ()\nchain: {}\n")
+    status, out = invoke(["locate", "--r", "3", "--n", "1", "--point", ""])
+    assert (status, out) == (2, "error: point needs 2 coordinates, got 0\n")
+
+
 def test_locate_curve_disagreement_is_a_failed_check(monkeypatch):
     monkeypatch.setattr("cyclic_wonderful.cli.locate_point", lambda fan, point: None)
     status, out = invoke(

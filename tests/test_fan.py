@@ -214,16 +214,58 @@ def test_cone_coefficients_match_the_fraction_solve_on_non_unimodular_cones(rays
     dim, k = len(rays[0]), len(rays)
     inv = cone._inverse
     assert inv.delta > 1
-    minor = [[v[i] for v in rays] for i in inv.rows]
-    assert [[sum(a * m[j] for a, m in zip(row, minor)) for j in range(k)] for row in inv.adj] == [
+
+    def pair(row, ray):
+        return sum(a * ray[i] for i, a in row)
+
+    assert [[pair(row, ray) for ray in rays] for row in inv.coeff_rows] == [
         [inv.delta * (i == j) for j in range(k)] for i in range(k)
     ]
+    assert len(inv.span_rows) == dim - k
+    assert all(pair(row, ray) == 0 for row in inv.span_rows for ray in rays)
     on = _combination(rays, [abs(c) for c in coeffs[:k]], dim)
     signed = _combination(rays, coeffs[:k], dim)
     off = tuple(x + y for x, y in zip(on, offset))
     for point in (on, signed, off):
         assert cone.coefficients(point) == _reference_coefficients(rays, point)
     assert cone.coefficients(on) == [abs(c) for c in coeffs[:k]]
+
+
+@st.composite
+def _cones_below_full_rank(draw):
+    """Simplicial cones with fewer rays than the ambient dimension."""
+    dim = draw(st.integers(2, 4))
+    k = draw(st.integers(1, dim - 1))
+    rays = tuple(
+        tuple(draw(st.lists(st.integers(-3, 3), min_size=dim, max_size=dim)))
+        for _ in range(k)
+    )
+    assume(matrix_rank(rays) == k)
+    return rays
+
+
+@settings(max_examples=150, deadline=None)
+@given(rays=_cones_below_full_rank(), integral=st.booleans(), data=st.data())
+def test_contains_agrees_with_coefficients_off_the_span_and_at_a_negative_coordinate(
+    rays, integral, data
+):
+    cone = Cone(rays, ())
+    dim, k = len(rays[0]), len(rays)
+    numbers = st.integers(-4, 4) if integral else _RATIONALS
+    coeffs = [abs(c) for c in data.draw(st.lists(numbers, min_size=k, max_size=k))]
+    offset = data.draw(st.lists(numbers, min_size=dim, max_size=dim))
+    negative = [-1 - coeffs[0], *coeffs[1:]]
+    inside = _combination(rays, coeffs, dim)
+    in_span = _combination(rays, negative, dim)
+    off_span = tuple(x + y for x, y in zip(inside, offset))
+    assume(solve_columns(rays, off_span) is None)
+    points = [inside, in_span, off_span]
+    if integral:
+        points = [tuple(int(x) for x in p) for p in points]
+        assert all(type(x) is int for p in points for x in p)
+    assert [cone.contains(p) for p in points] == [True, False, False]
+    for p in points:
+        assert cone.contains(p) == (cone.coefficients(p) is not None)
 
 
 @settings(max_examples=100, deadline=None)
@@ -375,6 +417,13 @@ def test_locate_outside_the_support():
     spec = ArrangementSpec(3, 2)
     fan = build_fan(spec, BuildingSet.maximal(spec))
     assert locate_point(fan, (1, 1, 0, 0)) is None
+
+
+def test_locate_at_n_0_is_the_empty_chain():
+    # R^0 has one point, the empty one, in the one (rayless) cone
+    spec = ArrangementSpec(3, 0)
+    fan = build_fan(spec, BuildingSet.maximal(spec))
+    assert locate_point(fan, ()) == Chain.empty()
 
 
 def test_locate_checks_dimension():

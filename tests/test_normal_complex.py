@@ -19,7 +19,7 @@ from cyclic_wonderful.lattice import (
     chain_intersect,
     maximal_chains,
 )
-from cyclic_wonderful.linalg import solve_columns
+from cyclic_wonderful.linalg import integer_scaled, scaled_point, solve_columns
 from cyclic_wonderful.normal_complex import (
     cell_polytope,
     complex_cells,
@@ -267,6 +267,31 @@ def test_integer_membership_agrees_with_fraction_rows_in_every_cell(r, n, data):
     holds = [_fraction_rows_hold(cell, point) for cell in nc.cells]
     assert [cell.contains(point) for cell in nc.cells] == holds
     assert nc.contains(point) == any(holds)
+
+
+def _dense_integer_rows_hold(cell, point):
+    """Every H-row cleared of denominators, as a dense integer row."""
+    p, scale = scaled_point(point, len(point))
+    for normal, bound in cell.h_rep:
+        (row,), _ = integer_scaled([(*normal, bound)])
+        if sum(a * x for a, x in zip(row[:-1], p)) > row[-1] * scale:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("r,n", [(3, 2), (2, 3), (4, 2)])
+def test_complex_membership_equals_the_dense_integer_rows(r, n):
+    nc = _complex(r, n)
+    sampled = sample_mixed_points(Lcg(1), nc.spec, 120, max_abs=n + 2)
+    # integer points take the scaled-point fast path; vertices sit on faces
+    integral = [tuple(int(2 * x) for x in p) for p in sampled[:40]]
+    vertices = [v for cell in nc.cells[:6] for v in cell.v_rep]
+    hits = 0
+    for p in sampled + integral + vertices:
+        expected = any(_dense_integer_rows_hold(cell, p) for cell in nc.cells)
+        assert nc.contains(p) == expected
+        hits += expected
+    assert 0 < hits < len(sampled) + len(integral) + len(vertices)
 
 
 def test_membership_rejects_points_of_the_wrong_length():
