@@ -197,6 +197,19 @@ def expected_jump_count(spec: ArrangementSpec, jt: JumpType) -> int:
     return _multinomial(spec.n, jt.parts) * spec.r ** jt.total
 
 
+def nonempty_chain_count(spec: ArrangementSpec) -> int:
+    """sum_{s=1..n} C(n, s) * r^s * Fub(s): a nonempty chain is a decorated
+    top set of size s with an ordered set partition of it (the jumps).
+
+    Fub(s) counts the ordered set partitions of an s-set, by the recursion
+    on the first block: Fub(s) = sum_{k=1..s} C(s, k) * Fub(s - k).
+    """
+    fub = [1]
+    for s in range(1, spec.n + 1):
+        fub.append(sum(comb(s, k) * fub[s - k] for k in range(1, s + 1)))
+    return sum(comb(spec.n, s) * spec.r**s * fub[s] for s in range(1, spec.n + 1))
+
+
 # ---------------------------------------------------------------------------
 # Rank oracle
 # ---------------------------------------------------------------------------

@@ -285,8 +285,13 @@ def build_fan(spec: ArrangementSpec, g: BuildingSet) -> Fan:
     _check_maximal(spec, g)
     check_fan_spec(spec)
     rays = {d: ray_vector(d, spec) for d in g.sorted_elements()}
-    labels = [frozenset(chain.prefixes()) for chain in enumerate_chains(spec, spec.n)]
-    cones = {label: _make_cone(label, rays) for label in labels}
+    # labels hold the ray table's own subsets, so cones share them; a chain's
+    # prefixes strictly grow in size, hence come in sort_key order already
+    table = {d.items: d for d in rays}
+    cones = {}
+    for chain in enumerate_chains(spec, spec.n):
+        label = tuple(table[items] for items in chain.prefix_items())
+        cones[frozenset(label)] = Cone(tuple(rays[d] for d in label), label)
     return Fan(spec, rays, cones)
 
 

@@ -18,13 +18,16 @@ used here.  A set of decorated subsets is a chain exactly when, sorted by
 size, each is below the next, so one neighbour test decides nestedness.
 
 Everything here is pure combinatorics over exact integers; all values are
-immutable and all functions are side-effect free.
+immutable and all functions are side-effect free.  The one stored result is
+a chain's tuple of decorated prefixes, built on first use (or taken from
+``Chain.from_prefixes``) and then shared by every later caller.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from math import factorial
 from typing import Iterable, Iterator, Sequence
 
@@ -172,8 +175,10 @@ class Chain:
             if not (prev < cur):
                 raise ValueError(f"flag not strictly increasing at {s}")
             prev = cur
-        deco_keys = tuple(i for i, _ in self.decoration)
         top = self.sets[-1] if self.sets else ()
+        if top and top[0] < 1:  # every set is inside the sorted top set
+            raise ValueError(f"indices must be >= 1, got {top}")
+        deco_keys = tuple(i for i, _ in self.decoration)
         if deco_keys != top:
             raise ValueError(
                 f"decoration keys {deco_keys} must equal the largest set {top}"
@@ -199,20 +204,31 @@ class Chain:
             raise ValueError(f"{a.text()} and {b.text()} do not nest")
         if not ordered:
             return cls.empty()
-        top = ordered[-1]
-        return cls(tuple(d.indices for d in ordered), top.items)
+        chain = cls(tuple(d.indices for d in ordered), ordered[-1].items)
+        # the nesting test above makes these the prefixes ``_prefixes`` builds
+        chain.__dict__["_prefixes"] = tuple(ordered)
+        return chain
 
     @property
     def length(self) -> int:
         return len(self.sets)
 
+    def prefix_items(self) -> Iterator[tuple[tuple[int, int], ...]]:
+        """The ``items`` of each decorated prefix, innermost first."""
+        deco = dict(self.decoration)
+        return (tuple((i, deco[i]) for i in s) for s in self.sets)
+
+    @cached_property
+    def _prefixes(self) -> tuple[DecoratedSubset, ...]:
+        """The decorated prefixes (I_j, a|I_j), built once per chain."""
+        return tuple(DecoratedSubset(items) for items in self.prefix_items())
+
     def level(self, j: int) -> DecoratedSubset:
         """The decorated prefix (I_j, a|I_j), 1-based."""
-        deco = dict(self.decoration)
-        return DecoratedSubset(tuple((i, deco[i]) for i in self.sets[j - 1]))
+        return self._prefixes[j - 1]
 
     def prefixes(self) -> tuple[DecoratedSubset, ...]:
-        return tuple(self.level(j) for j in range(1, self.length + 1))
+        return self._prefixes
 
     def is_maximal(self, spec: ArrangementSpec) -> bool:
         return self.length == spec.n and (not self.sets or len(self.sets[-1]) == spec.n)

@@ -15,6 +15,7 @@ from cyclic_wonderful.chow import (
     betti_oracle,
     expected_jump_count,
     jump_census,
+    nonempty_chain_count,
     presentation,
     product_support,
 )
@@ -26,8 +27,10 @@ from cyclic_wonderful.lattice import (
     JumpType,
     comparable,
     enumerate_chains,
+    jump_type,
 )
 from cyclic_wonderful.linalg import SparseEliminator, matrix_rank
+from cyclic_wonderful.selfcheck import suite_chow
 
 
 def ds(*pairs):
@@ -243,6 +246,27 @@ def test_jump_census_matches_multinomials_and_totals(r, n):
         assert count == expected_jump_count(spec, jt)
     nonempty = sum(1 for c in enumerate_chains(spec, n) if c.length > 0)
     assert sum(census.values()) == nonempty
+
+
+@pytest.mark.parametrize(
+    "r,n", [(2, 0), (2, 1), (3, 2), (2, 3), (4, 3), (2, 4), (3, 4)]
+)
+def test_nonempty_chain_count_matches_the_enumeration(r, n):
+    spec = ArrangementSpec(r, n)
+    count = sum(1 for c in enumerate_chains(spec, n) if c.length > 0)
+    assert nonempty_chain_count(spec) == count
+
+
+def test_check_fails_an_enumerator_that_drops_a_jump_type(monkeypatch):
+    def without_single_steps(spec, max_length):
+        for c in enumerate_chains(spec, max_length):
+            if jump_type(c) != JumpType((1, 1)):
+                yield c
+
+    for site in ("cyclic_wonderful.chow", "cyclic_wonderful.selfcheck"):
+        monkeypatch.setattr(f"{site}.enumerate_chains", without_single_steps)
+    results = {c.name: c for c in suite_chow(ArrangementSpec(2, 2))}
+    assert results["jump census matches multinomial counts"].status == "FAIL"
 
 
 # --- products against the oracle's reduction ---------------------------------

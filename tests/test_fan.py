@@ -30,6 +30,7 @@ from cyclic_wonderful.lattice import (
     chain_intersect,
     enumerate_chains,
     is_nested,
+    parse_chain,
 )
 from cyclic_wonderful.sampling import Lcg, sample_mixed_points
 from cyclic_wonderful.serialize import fan_from_dict, fan_to_dict
@@ -111,6 +112,29 @@ def test_builders_reject_a_non_maximal_building_set(make, builder):
     spec = ArrangementSpec(2, 2)
     with pytest.raises(ValueError, match="maximal building set"):
         builder(spec, make(spec))
+
+
+@pytest.mark.parametrize("r,n", [(3, 2), (2, 3), (4, 3)])
+def test_cone_labels_share_the_ray_tables_subsets(r, n):
+    spec = ArrangementSpec(r, n)
+    fan = build_fan(spec, BuildingSet.maximal(spec))
+    keys = {d: d for d in fan.rays}
+    for label, cone in fan.cones.items():
+        assert all(keys[d] is d for d in cone.label)
+        assert frozenset(cone.label) == label
+        assert list(cone.label) == sorted(cone.label, key=DecoratedSubset.sort_key)
+        assert cone.rays == tuple(fan.rays[d] for d in cone.label)
+
+
+def test_cone_lookup_from_value_equal_subsets():
+    spec = ArrangementSpec(3, 2)
+    fan = build_fan(spec, BuildingSet.maximal(spec))
+    parsed = parse_chain("{2:1}<{1:0,2:1}", spec)
+    keys = {d: d for d in fan.rays}
+    assert all(keys[d] is not d for d in parsed.prefixes())
+    cone = fan.cone(parsed)
+    assert cone.label == parsed.prefixes()
+    assert cone.chain() == parsed
 
 
 def test_fan_closed_under_faces():

@@ -8,9 +8,11 @@ digests before the normal complex moved to integer kernels, the two
 built from closed forms, the two stellar digests at (3,3) and (2,4) before
 the stellar route took the subdivided cone in closed form, the two
 ``chow --format json`` digests at (4,3) and (2,4) before the rank oracle's
-eliminator updated rows in place); any later change that alters a byte of
-these outputs fails here.  The whole corpus runs
-in-process through ``cli.main`` in a few seconds.  To re-record after an
+eliminator updated rows in place, and the two full ``check`` runs at (3,2)
+and (2,3), the ``fan --format json`` at (4,3) and the ``locate`` at (4,3)
+before chains cached their decorated prefixes); any later change that alters
+a byte of these outputs fails here.  The whole corpus runs in-process through
+``cli.main`` in a few seconds.  To re-record after an
 intended output change, print ``hashlib.sha256(stdout).hexdigest()`` for each
 command and say why in CHANGES.md.
 """
@@ -60,6 +62,10 @@ GOLDEN = [
     ("locate --r 3 --n 2 --point 0,3,0,1", 0, "84026aa11330bb167bdfd30d9aabfc7005f18416caf00c1094aab95085e644e3"),
     ("fan --r 3 --n 3 --via-stellar --format json", 0, "0b62ae802b1c323b2f76f37a3f6aed6e53133351e81ce2ca8b27bed0dc2201e6"),
     ("fan --r 2 --n 4 --via-stellar", 0, "b129809afd2184a031f0d0d5d3a9ffca6cb0b4ae4053e7cdbf63f38110f75fb2"),
+    ("check --r 3 --n 2 --seed 5", 0, "cd5b0acba8a2c603b9c0a4a3305b680cf2da2b3a78b7abc158f2f0168cc53c8e"),
+    ("check --r 2 --n 3 --seed 5", 0, "4fc58a13e9c481f14879e80a1e63648f1a3815c1139bc8ff7a1aadcb03b25882"),
+    ("fan --r 4 --n 3 --format json", 0, "df1a8a5b875058da880dfa3206a1bb99b2dc868b2604290de0498a4254d149ca"),
+    ("locate --r 4 --n 3 --point 1,0,0,0,2,0,-1,-1,-1", 0, "3020828e5452ea6de027f8d5a3f48ec0743f6d2b6c56e8e378df8418e2b714e0"),
     ("fan --r 1 --n 2", 2, "19a9c3723b7d7f4d89611ed97f66c1f2369ca2ac75bc525df5a199f19f8b3969"),
     ("locate --r 3 --n 2 --point 1,2", 2, "2360e8858d7deb4b2fdfefd665fff621c57c1bcb7cd8a38e1eced897152e29a7"),
 ]

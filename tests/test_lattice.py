@@ -130,6 +130,44 @@ def test_chain_prefixes():
     assert c.prefixes() == (ds((2, 0)), ds((1, 1), (2, 0)))
 
 
+def test_chain_rejects_an_index_below_one():
+    with pytest.raises(ValueError, match=">= 1"):
+        Chain(((0,),), ((0, 1),))
+    with pytest.raises(ValueError, match=">= 1"):
+        Chain.of([(0,), (0, 2)], {0: 1, 2: 0})
+
+
+def test_chain_builds_its_prefixes_once():
+    c = chain([(3,), (2, 3, 4)], {2: 1, 3: 0, 4: 2})
+    assert c.prefixes() is c.prefixes()
+    assert all(c.level(j) is p for j, p in enumerate(c.prefixes(), start=1))
+
+
+def test_from_prefixes_keeps_the_subsets_it_was_given():
+    given = [ds((1, 1), (2, 0)), ds((2, 0))]
+    c = Chain.from_prefixes(given)
+    assert c.prefixes() == (ds((2, 0)), ds((1, 1), (2, 0)))
+    assert c.prefixes()[0] is given[1] and c.prefixes()[1] is given[0]
+
+
+_SMALL_CHAINS = [
+    c
+    for r, n in [(2, 1), (3, 2), (2, 3), (4, 3)]
+    for c in enumerate_chains(ArrangementSpec(r, n), n)
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(_SMALL_CHAINS))
+def test_cached_prefixes_equal_fresh_subsets_and_rebuild_the_chain(c):
+    deco = dict(c.decoration)
+    fresh = tuple(DecoratedSubset.of({i: deco[i] for i in s}) for s in c.sets)
+    assert c.prefixes() == fresh
+    assert Chain.from_prefixes(c.prefixes()) == c
+    rebuilt = Chain.from_prefixes(reversed(fresh))
+    assert rebuilt == c and rebuilt.prefixes() == fresh
+
+
 # --- chain intersection ------------------------------------------------------
 
 
