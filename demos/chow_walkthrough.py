@@ -38,18 +38,22 @@ for k, (b, o) in enumerate(zip(closed.dims, oracle.dims)):
     print(f"  {k}      {b:6d}  {o:6d}")
 assert closed == oracle
 
-# the oracle's elimination, degree by degree: nearly every pivot row has
-# lead 1, and the eliminator subtracts those in place with no gcd
+# the oracle's elimination, degree by degree: rows are fed one relation at a
+# time, a row is skipped when the F5 criterion proves it redundant (at r = 2
+# every fed row raises the rank), and nearly every pivot row has lead 1
 print("\nrank oracle per degree (graded rank = monomials - rank):")
-print("  k  monomials  rows  rank  lead-1 pivots")
+print("  k  monomials  rows  skipped  rank  lead-1 pivots")
 monomials = _ChainMonomials(spec)
 relations = pres.reduced_linear_relations()
+pivots = {}
 for k in range(1, spec.n + 1):
-    rows = _relation_rows(monomials, relations, k)
-    elim = _relation_space(monomials, relations, k)
+    rows = sum(len(block) for block in _relation_rows(monomials, relations, k, pivots))
+    # a degree-(k-1) pivot made by relation i skips the rows of every later one
+    skipped = sum(len(relations) - 1 - i for i in pivots.values())
+    elim, pivots = _relation_space(monomials, relations, k, pivots)
     lead_one = sum(1 for col, row in elim.pivots.items() if row[col] == 1)
     size = len(monomials.degree(k))
-    print(f"  {k}  {size:9d}  {len(rows):4d}  {elim.rank:4d}  {lead_one:13d}")
+    print(f"  {k}  {size:9d}  {rows:4d}  {skipped:7d}  {elim.rank:4d}  {lead_one:13d}")
     assert size - elim.rank == closed.dims[k]
 
 # for r = 2 the fan is complete and smooth, so the total rank counts the

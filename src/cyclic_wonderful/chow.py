@@ -21,12 +21,22 @@ spanning set, and subtracts the exact rank of the resulting integer matrix.
 Only the n(r-1) reduced relations are expanded; they span the same degree-1
 space as all emitted relations, so their products span the same degree-k
 space.  Columns run in reverse lexicographic order, so each pivot sits on a
-row's lexicographically last chain monomial, and rows are fed shortest
-first.  Row and column order change the fill of the pivot rows, never the
-rank: the elimination is exact integer arithmetic throughout.  With this
-order nearly every pivot row has lead 1, so a row is updated in place
-against it with no gcd; only a step against another lead scales the row and
-divides it by its content.
+row's lexicographically last chain monomial.
+
+Rows are fed relation-major (every row of reduced relation 0, then of
+relation 1, ...), shortest first within a relation, and the row L_j * mu is
+skipped when mu became a degree-(k-1) pivot while a relation before j was
+fed (Faugere's F5 criterion).  Such a mu is the lead of some
+g = sum_{i<j} h_i L_i, and L_j g = sum_{i<j} L_i (h_i L_j), so L_j mu is a
+combination of rows of earlier relations and rows L_j mu' with mu' past mu;
+induction on (relation, monomial) shows the skipped rows add nothing to the
+span.  The argument needs the relation-major feed and holds for any column
+order, with "lead" meaning the eliminator's pivot.  At r = 2 no fed row
+reduces to zero.  Row order, column order and the skipped rows change the
+fill of the pivot rows, never the rank: the elimination is exact integer
+arithmetic throughout.  With this order nearly every pivot row has lead 1,
+so a row is updated in place against it with no gcd; only a step against
+another lead scales the row and divides it by its content.
 """
 
 from __future__ import annotations
@@ -221,13 +231,16 @@ class _ChainMonomials:
     def __init__(self, spec: ArrangementSpec):
         check_oracle_size(spec.num_subsets_upto(COUNT_CAP))
         self.generators = tuple(enumerate_decorated_subsets(spec))
-        # comparability is symmetric: test each unordered pair once
+        # a <= b exactly when a is a restriction of b: walk each generator's
+        # nonempty restrictions instead of testing every pair
+        index = {d.items: x for x, d in enumerate(self.generators)}
         sets: list[set[int]] = [set() for _ in self.generators]
-        pairs = itertools.combinations_with_replacement(enumerate(self.generators), 2)
-        for (x, a), (y, b) in pairs:
-            if comparable(a, b):
-                sets[x].add(y)
-                sets[y].add(x)
+        for y, b in enumerate(self.generators):
+            for size in range(1, len(b.items) + 1):
+                for items in itertools.combinations(b.items, size):
+                    x = index[items]
+                    sets[x].add(y)
+                    sets[y].add(x)
         self.comparable = [frozenset(s) for s in sets]
         self._by_degree: dict[int, list[tuple[int, ...]]] = {0: [()]}
 
@@ -263,14 +276,18 @@ def _relation_rows(
     monomials: _ChainMonomials,
     relations: Sequence[LinearRelation],
     k: int,
-) -> list[dict[int, int]]:
-    """The rows (relation) x (degree k-1 chain monomial), shortest first.
+    lower_pivots: dict[int, int],
+) -> list[list[dict[int, int]]]:
+    """The rows (relation) x (degree k-1 chain monomial), one block per relation.
 
-    Rows run over the degree-(k-1) monomials in order and, for each, over
-    the relations in order; the sort is stable.  Products whose support is
-    not a chain are dropped: they die under the quadratic relations.  Each
-    monomial's rows are built from its multipliers through a generator ->
-    (relation index, coefficient) index, so no relation is scanned for
+    Block j holds the rows of relation j, shortest first (stable over the
+    degree-(k-1) monomials in order).  Products whose support is not a chain
+    are dropped: they die under the quadratic relations.  The row (j, mu) is
+    skipped when ``lower_pivots`` (degree-(k-1) pivot column -> relation
+    index, from :func:`_relation_space`) says mu's column became a pivot
+    while a relation before j was fed: that row is redundant (F5 criterion).
+    Each monomial's rows are built from its multipliers through a generator
+    -> (relation index, coefficient) index, so no relation is scanned for
     generators the monomial cannot take.
     """
     columns = monomials.columns(k)
@@ -278,51 +295,91 @@ def _relation_rows(
     for index, rel in enumerate(relations):
         for g, c in rel.coeffs:
             by_generator[g].append((index, c))
-    rows = []
-    for mono in monomials.degree(k - 1):
+    blocks: list[list[dict[int, int]]] = [[] for _ in relations]
+    lower = monomials.degree(k - 1)
+    last = len(lower) - 1
+    for pos, mono in enumerate(lower):
+        # rows of relations past the pivot's creator are redundant
+        keep = lower_pivots.get(last - pos, len(relations))
         mono_rows: dict[int, dict[int, int]] = {}
         for g in monomials.multipliers(mono):
             col = columns[tuple(sorted(mono + (g,)))]
             for index, c in by_generator[g]:
+                if index > keep:
+                    break
                 mono_rows.setdefault(index, {})[col] = c
-        rows.extend(mono_rows[index] for index in sorted(mono_rows))
-    rows.sort(key=len)
-    return rows
+        for index, row in mono_rows.items():
+            blocks[index].append(row)
+    for block in blocks:
+        block.sort(key=len)
+    return blocks
 
 
 def _relation_space(
     monomials: _ChainMonomials,
     relations: Sequence[LinearRelation],
     k: int,
-) -> SparseEliminator:
+    lower_pivots: dict[int, int],
+) -> tuple[SparseEliminator, dict[int, int]]:
     """The degree-k relation space over the chain-monomial basis.
 
-    Spans the rows of :func:`_relation_rows`.  Callers pass the n(r-1)
-    reduced relations: every emitted relation is a linear combination of
-    them, and multiplying by a monomial is linear, so the products span the
-    same space as those of all emitted relations.
+    Returns the eliminator and the map from each of its pivot columns to
+    the relation whose block created it, which the next degree passes back
+    as ``lower_pivots``.  Callers pass the n(r-1) reduced relations: every
+    emitted relation is a linear combination of them, and multiplying by a
+    monomial is linear, so the products span the same space as those of all
+    emitted relations.
 
-    Columns are numbered by :meth:`_ChainMonomials.columns` and the rows
-    are fed shortest first; both choices keep the pivot rows sparse and
+    The rows are fed relation-major, block by block from
+    :func:`_relation_rows`, which skips (j, mu) when mu is the lead (the
+    eliminator's pivot, its lowest column) of some g = sum_{i<j} h_i L_i
+    in degree k-1.  The span is unchanged: L_j g = sum_{i<j} L_i (h_i L_j),
+    so L_j mu is a combination of rows of earlier relations and of rows
+    (j, mu') with mu' past mu among g's other monomials; induction on
+    (relation, monomial) finishes.  The argument holds in the quotient by
+    the incomparable products and for any column order, but it needs the
+    relation-major feed: a pivot created in block i is a combination of
+    rows of relations <= i only.
+
+    Columns are numbered by :meth:`_ChainMonomials.columns` and each block
+    is fed shortest first; both choices keep the pivot rows sparse and
     neither changes the span, so the rank and the membership tests stay
     exact.  Nearly every pivot row then has lead 1, which the eliminator
     subtracts in place with no gcd.
     """
+    blocks = _relation_rows(monomials, relations, k, lower_pivots)
     elim = SparseEliminator()
-    for row in _relation_rows(monomials, relations, k):
-        elim.add(row)
-    return elim
+    creators: list[int] = []  # relation index of each pivot, in insertion order
+    for index, block in enumerate(blocks):
+        for row in block:
+            elim.add(row)
+        creators.extend([index] * (elim.rank - len(creators)))
+    return elim, dict(zip(elim.pivots, creators))
+
+
+def _relation_spaces(
+    spec: ArrangementSpec, top: int
+) -> tuple[_ChainMonomials, list[int], SparseEliminator]:
+    """The chain monomials, the ranks of degrees 1..top and the degree-top space.
+
+    One loop over the degrees carries the pivot -> relation map from each
+    degree to the next; only one eliminator is alive at a time.
+    """
+    monomials = _ChainMonomials(spec)  # guards the oracle before any enumeration
+    relations = presentation(spec).reduced_linear_relations()
+    ranks: list[int] = []
+    elim, pivots = SparseEliminator(), {}
+    for k in range(1, top + 1):
+        del elim  # free degree k-1 before degree k is built
+        elim, pivots = _relation_space(monomials, relations, k, pivots)
+        ranks.append(elim.rank)
+    return monomials, ranks, elim
 
 
 def betti_oracle(spec: ArrangementSpec) -> GradedDims:
     """Graded ranks by exact elimination, independent of the closed form."""
-    monomials = _ChainMonomials(spec)  # guards the oracle before any enumeration
-    relations = presentation(spec).reduced_linear_relations()
-    dims = [1]
-    for k in range(1, spec.n + 1):
-        # unnamed, so each degree's eliminator is freed before the next is built
-        rank = _relation_space(monomials, relations, k).rank
-        dims.append(len(monomials.degree(k)) - rank)
+    monomials, ranks, _ = _relation_spaces(spec, spec.n)
+    dims = [1] + [len(monomials.degree(k)) - rank for k, rank in enumerate(ranks, 1)]
     return GradedDims(tuple(dims))
 
 
@@ -337,11 +394,9 @@ class DegreeReducer:
     def __init__(self, spec: ArrangementSpec, k: int):
         self.spec = spec
         self.k = k
-        self.monomials = _ChainMonomials(spec)
+        self.monomials, _, self._elim = _relation_spaces(spec, k)
         self._columns = self.monomials.columns(k)
         self._generator_index = {d: i for i, d in enumerate(self.monomials.generators)}
-        relations = presentation(spec).reduced_linear_relations()
-        self._elim = _relation_space(self.monomials, relations, k)
 
     def monomial_is_zero(self, gens: Sequence[DecoratedSubset]) -> bool:
         if len(gens) != self.k:

@@ -11,6 +11,7 @@ from cyclic_wonderful.chow import (
     _ChainMonomials,
     _relation_rows,
     _relation_space,
+    _relation_spaces,
     betti_closed_form,
     betti_oracle,
     expected_jump_count,
@@ -29,7 +30,7 @@ from cyclic_wonderful.lattice import (
     enumerate_chains,
     jump_type,
 )
-from cyclic_wonderful.linalg import SparseEliminator, matrix_rank
+from cyclic_wonderful.linalg import SparseEliminator
 from cyclic_wonderful.selfcheck import suite_chow
 
 
@@ -164,34 +165,60 @@ def test_oracle_ranks_are_palindromic(r, n):
     assert dims == dims[::-1]
 
 
-@pytest.mark.parametrize("r,n", [(2, 2), (3, 2), (2, 3), (4, 2)])
+def expanded_rows(monomials, relations, k):
+    """Every (relation) x (degree k-1 chain monomial) row over the degree-k
+    chain monomials, with no row skipped: the reference for the oracle."""
+    columns = monomials.columns(k)
+    for rel in relations:
+        for mono in monomials.degree(k - 1):
+            row = {}
+            for g, coeff in rel.coeffs:
+                col = columns.get(tuple(sorted(mono + (g,))))
+                if col is not None:
+                    row[col] = row.get(col, 0) + coeff
+            yield row
+
+
+@pytest.mark.parametrize("r,n", [(2, 2), (3, 2), (2, 3), (4, 2), (3, 3)])
 def test_relation_space_rank_matches_dense_rank_of_all_emitted_relations(r, n):
     # the oracle expands only the reduced relations, numbers columns in
-    # reverse lexicographic order and sorts its rows; none of that may change
-    # the rank of (every emitted relation) x (chain monomial), built densely
+    # reverse lexicographic order, feeds its rows relation-major and skips
+    # the rows the F5 criterion proves redundant; none of that may change
+    # the span of (every emitted relation) x (chain monomial), built densely
     spec = ArrangementSpec(r, n)
     pres = presentation(spec)
     gens = pres.generators
-    monomials = _ChainMonomials(spec)
     for k in range(1, n + 1):
+        monomials, _, elim = _relation_spaces(spec, k)
         basis = [
             mono
             for mono in itertools.combinations_with_replacement(range(len(gens)), k)
             if all(comparable(gens[x], gens[y]) for x, y in itertools.combinations(mono, 2))
         ]
         assert monomials.degree(k) == basis
-        column = {mono: pos for pos, mono in enumerate(basis)}
-        dense = []
-        for rel in pres.linear_relations:
-            for mono in monomials.degree(k - 1):
-                row = [0] * len(basis)
-                for g, coeff in rel.coeffs:
-                    prod = tuple(sorted(mono + (g,)))
-                    if prod in column:
-                        row[column[prod]] += coeff
-                dense.append(row)
-        relations = pres.reduced_linear_relations()
-        assert _relation_space(monomials, relations, k).rank == matrix_rank(dense)
+        # every row of every emitted relation, ranked by the cross-multiplied
+        # reference (a Fraction RREF takes 10 s at (3, 3), degree 3)
+        reference = ReferenceEliminator()
+        for row in expanded_rows(monomials, pres.linear_relations, k):
+            assert elim.is_in_span(row)
+            reference.add(row)
+        assert elim.rank == reference.rank
+
+
+@pytest.mark.parametrize("r,n", [(2, 2), (2, 3), (2, 4)])
+def test_every_fed_row_raises_the_rank_at_r2(monkeypatch, r, n):
+    # at r = 2 the F5 criterion skips every row that would reduce to zero
+    fed = []
+    add = SparseEliminator.add
+
+    def recording_add(self, row):
+        fed.append(add(self, row))
+        return fed[-1]
+
+    monkeypatch.setattr(SparseEliminator, "add", recording_add)
+    spec = ArrangementSpec(r, n)
+    assert betti_oracle(spec) == betti_closed_form(spec)
+    assert fed and all(fed)
 
 
 @pytest.mark.parametrize("r,n", [(3, 3), (4, 3), (2, 4)])
@@ -199,15 +226,19 @@ def test_oracle_rows_give_the_cross_multiplied_pivots(r, n):
     spec = ArrangementSpec(r, n)
     monomials = _ChainMonomials(spec)
     relations = presentation(spec).reduced_linear_relations()
+    pivots = {}
     for k in range(1, n + 1):
-        rows = _relation_rows(monomials, relations, k)
         elim, reference = SparseEliminator(), ReferenceEliminator()
-        for row in rows:
-            assert elim.add(row) == reference.add(row)
+        for block in _relation_rows(monomials, relations, k, pivots):
+            for row in block:
+                assert elim.add(row) == reference.add(row)
         assert elim.pivots == reference.pivots
+        oracle, pivots = _relation_space(monomials, relations, k, pivots)
+        assert oracle.pivots == elim.pivots
+        assert set(pivots) == set(elim.pivots)
 
 
-@pytest.mark.parametrize("r,n", [(2, 2), (3, 2), (2, 3)])
+@pytest.mark.parametrize("r,n", [(2, 2), (3, 2), (2, 3), (3, 3), (4, 2), (2, 4)])
 def test_comparable_sets_list_every_comparable_generator(r, n):
     monomials = _ChainMonomials(ArrangementSpec(r, n))
     gens = monomials.generators
@@ -279,3 +310,17 @@ def test_degree_two_vanishing_matches_rank_reduction(r, n):
     gens = presentation(spec).generators
     for a, b in itertools.combinations_with_replacement(gens, 2):
         assert (product_support([a, b]) is None) == reducer.monomial_is_zero([a, b])
+
+
+@pytest.mark.parametrize("r,n", [(3, 2), (2, 3), (4, 2)])
+def test_degree_two_reducer_matches_the_unpruned_rows(r, n):
+    spec = ArrangementSpec(r, n)
+    reducer = DegreeReducer(spec, 2)
+    monomials = reducer.monomials
+    unpruned = SparseEliminator()
+    for row in expanded_rows(monomials, presentation(spec).reduced_linear_relations(), 2):
+        unpruned.add(row)
+    columns = monomials.columns(2)
+    for mono in monomials.degree(2):
+        gens = [monomials.generators[x] for x in mono]
+        assert reducer.monomial_is_zero(gens) == unpruned.is_in_span({columns[mono]: 1})

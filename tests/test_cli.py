@@ -1,10 +1,14 @@
 """Command-line behavior: exit codes, schemas, determinism, round trips."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from cyclic_wonderful.cli import config_from_args, main, run
 from cyclic_wonderful.fan import build_fan, fans_equal
@@ -72,6 +76,43 @@ def test_chow_full_output_lists_generators_and_relations():
     assert payload["generators"] == ["{1:0}", "{1:1}"]
     assert len(payload["linear_relations"]) == 1
     assert payload["betti"][0]["match"] is True
+
+
+def main_stdout(argv):
+    """Exit status and stdout of ``cli.main``; argparse's exit is its status."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            status = main(argv)
+        except SystemExit as exc:
+            status = exc.code
+    return status, out.getvalue()
+
+
+JUNK = st.sampled_from(["x", "2.5", "", "-", "--r", "1e3"])
+CHOW_ARGV = st.builds(
+    lambda r, n, fmt, flags: ["chow", "--r", r, "--n", n, *fmt, *flags],
+    st.one_of(st.integers(1, 5).map(str), JUNK),
+    st.one_of(st.integers(-1, 3).map(str), JUNK),
+    st.sampled_from([[], ["--format", "text"], ["--format", "json"]]),
+    st.lists(st.sampled_from(["--betti-only", "--oracle"]), unique=True),
+)
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(CHOW_ARGV)
+@example(["chow", "--r", "1", "--n", "2"])
+@example(["chow", "--r", "x", "--n", "2"])
+@example(["chow", "--r", "2", "--n", "-1"])
+def test_chow_argv_fuzz_exits_0_or_2_with_repeatable_output(monkeypatch, argv):
+    monkeypatch.delenv("CYCLIC_WONDERFUL_MAX_CELLS", raising=False)
+    status, out = main_stdout(argv)
+    assert status in (0, 2)
+    assert main_stdout(argv) == (status, out)
 
 
 def test_chow_oracle_flag_fails_past_the_guard():

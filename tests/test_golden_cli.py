@@ -10,7 +10,9 @@ the stellar route took the subdivided cone in closed form, the two
 ``chow --format json`` digests at (4,3) and (2,4) before the rank oracle's
 eliminator updated rows in place, and the two full ``check`` runs at (3,2)
 and (2,3), the ``fan --format json`` at (4,3) and the ``locate`` at (4,3)
-before chains cached their decorated prefixes); any later change that alters
+before chains cached their decorated prefixes, and the ``chow --format json``
+at (3,4) before the rank oracle skipped the rows the F5 criterion proves
+redundant); any later change that alters
 a byte of these outputs fails here.  The whole corpus runs in-process through
 ``cli.main`` in a few seconds.  To re-record after an
 intended output change, print ``hashlib.sha256(stdout).hexdigest()`` for each
@@ -50,6 +52,7 @@ GOLDEN = [
     ("chow --r 2 --n 3 --betti-only", 0, "81795494267c4682b7784f2a778d7ce0f3e8783b678b388ec4683cfe31c3604c"),
     ("chow --r 4 --n 3 --format json", 0, "c26838f127762d9d7e739433918578ea959a70dec35e3180a360214303b5a291"),
     ("chow --r 2 --n 4 --format json", 0, "30a18088e7a6ce05469fcf95aa6ee595330da2ed1f414fb79662f3e28206ce95"),
+    ("chow --r 3 --n 4 --format json", 0, "6fecb64a5c52a773ba32a99fcba097cae8bcb5e2d74a7027934d2f7060d51854"),
     ("normal-complex --r 2 --n 2 --union-extremes", 0, "aa366a8d541be6f227778403285919fb2cda0198610b27492a0e09cd344e2c03"),
     ("normal-complex --r 4 --n 2 --union-extremes --format json", 0, "acf9c7a48c7d6f875b42d58c183c53da5f0b673a538f4b19c49fc583be020c70"),
     ("normal-complex --r 2 --n 3 --union-extremes --format json", 0, "c283c4a0f6da649a5103fc409f46613382eef62b10cfc6d1940c2d798f8978b5"),
