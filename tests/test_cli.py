@@ -7,7 +7,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from cyclic_wonderful.cli import config_from_args, main, run
@@ -105,14 +105,16 @@ CHOW_ARGV = st.builds(
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 @given(CHOW_ARGV)
-@example(["chow", "--r", "1", "--n", "2"])
-@example(["chow", "--r", "x", "--n", "2"])
-@example(["chow", "--r", "2", "--n", "-1"])
 def test_chow_argv_fuzz_exits_0_or_2_with_repeatable_output(monkeypatch, argv):
     monkeypatch.delenv("CYCLIC_WONDERFUL_MAX_CELLS", raising=False)
     status, out = main_stdout(argv)
     assert status in (0, 2)
     assert main_stdout(argv) == (status, out)
+
+
+@pytest.mark.parametrize("r,n", [("1", "2"), ("x", "2"), ("2", "-1")])
+def test_chow_bad_r_or_n_is_a_usage_error(r, n):
+    assert main_stdout(["chow", "--r", r, "--n", n])[0] == 2
 
 
 def test_chow_oracle_flag_fails_past_the_guard():
