@@ -8,16 +8,18 @@ subset.  Relations come in two families:
   generators whose decoration sends i to a equals the sum of those sending
   i to b.
 
-Graded ranks are computed two independent ways.  The closed form sums
-binomials over jump types: the rank of degree k is
+Graded ranks are computed two independent ways.  The closed form sums over
+jump types: the rank of degree k is the coefficient of t^k in
 
-    C(n, k) + sum over compositions j with all parts >= 2 and |j| <= n of
-    N_j * sum_{mu, 1 <= mu_t < j_t} C(n - |j|, k - |mu|),
+    P_n(t) = sum_m C(n, m) * F_m(t) * (1 + t)^(n - m),  F_0 = 1,
+    F_m(t) = sum_{j=2..m} C(m, j) * r^j * (t + ... + t^(j-1)) * F_(m-j)(t),
 
-with N_j = multinomial(n; j) * r^|j|.  The oracle knows nothing of that
-formula: it spans degree k by the monomials whose support is a chain,
-expands (linear relation) x (chain monomial of degree k-1) against that
-spanning set, and subtracts the exact rank of the resulting integer matrix.
+where F_m sums multinomial(m; j) * r^m * prod_i (t + ... + t^(j_i - 1)) over
+the compositions j of m with all parts >= 2; splitting off the first part j
+gives the recurrence.  The oracle knows nothing of that formula: it spans
+degree k by the monomials whose support is a chain, expands (linear
+relation) x (chain monomial of degree k-1) against that spanning set, and
+subtracts the exact rank of the resulting integer matrix.
 Only the n(r-1) reduced relations are expanded; they span the same degree-1
 space as all emitted relations, so their products span the same degree-k
 space.  Columns run in reverse lexicographic order, so each pivot sits on a
@@ -44,7 +46,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import comb, factorial
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .guards import COUNT_CAP, check_oracle_size
 from .lattice import (
@@ -52,7 +54,6 @@ from .lattice import (
     Chain,
     DecoratedSubset,
     JumpType,
-    comparable,
     enumerate_chains,
     enumerate_decorated_subsets,
     jump_type,
@@ -94,10 +95,6 @@ class ChowPresentation:
     generators: tuple[DecoratedSubset, ...]
     linear_relations: tuple[LinearRelation, ...]
     reduced_indices: tuple[int, ...]
-
-    def monomial_vanishes(self, a: DecoratedSubset, b: DecoratedSubset) -> bool:
-        """The quadratic relation: the product is zero iff incomparable."""
-        return not comparable(a, b)
 
     def reduced_linear_relations(self) -> tuple[LinearRelation, ...]:
         return tuple(self.linear_relations[k] for k in self.reduced_indices)
@@ -145,17 +142,6 @@ def product_support(ds: Sequence[DecoratedSubset]) -> Chain | None:
 # ---------------------------------------------------------------------------
 
 
-def _compositions_min2(total_max: int) -> Iterator[tuple[int, ...]]:
-    """Compositions with all parts >= 2 and sum <= total_max, any length >= 1."""
-
-    def extend(prefix: tuple[int, ...], remaining: int) -> Iterator[tuple[int, ...]]:
-        for part in range(2, remaining + 1):
-            yield prefix + (part,)
-            yield from extend(prefix + (part,), remaining - part)
-
-    yield from extend((), total_max)
-
-
 def _multinomial(n: int, parts: Sequence[int]) -> int:
     rest = n - sum(parts)
     if rest < 0:
@@ -167,27 +153,28 @@ def _multinomial(n: int, parts: Sequence[int]) -> int:
 
 
 def betti_closed_form(spec: ArrangementSpec) -> GradedDims:
-    """Graded ranks via the jump-type sum.
+    """Graded ranks via the first-jump recurrence of the jump-type sum.
 
-    Compositions with a part below 2 contribute nothing (their inner index
-    set is empty), so the iteration skips them outright.
+    A composition of m is a first part j >= 2 and a composition of m - j, and
+    multinomial(m; j, rest) = C(m, j) * multinomial(m - j; rest), which gives
+    F_m from F_(m-2), ..., F_0.  The window t + ... + t^(j-1) is
+    (t - t^j) / (1 - t): F_m is built times (1 - t), then summed cumulatively.
     """
     n, r = spec.n, spec.r
-    dims = []
-    for k in range(n + 1):
-        total = comb(n, k)
-        for j in _compositions_min2(n):
-            nj = _multinomial(n, j) * r ** sum(j)
-            if nj == 0:
-                continue
-            inner = 0
-            for mu in itertools.product(*(range(1, part) for part in j)):
-                m = n - sum(j)
-                kk = k - sum(mu)
-                if 0 <= kk <= m:
-                    inner += comb(m, kk)
-            total += nj * inner
-        dims.append(total)
+    fs = [[1]]  # fs[m][d]: coefficient of t^d in F_m
+    for m in range(1, n + 1):
+        shifted = [0] * (m + 1)  # (1 - t) * F_m
+        for j in range(2, m + 1):
+            weight = comb(m, j) * r**j
+            for d, c in enumerate(fs[m - j]):
+                shifted[d + 1] += weight * c
+                shifted[d + j] -= weight * c
+        fs.append(list(itertools.accumulate(shifted)))
+    dims = [0] * (n + 1)
+    for m, fm in enumerate(fs):
+        for d, c in enumerate(fm):
+            for e in range(n - m + 1):
+                dims[d + e] += comb(n, m) * c * comb(n - m, e)
     return GradedDims(tuple(dims))
 
 

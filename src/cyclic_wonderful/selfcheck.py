@@ -159,6 +159,10 @@ def suite_fan(spec: ArrangementSpec, seed: int = 0) -> list[CheckResult]:
 
 
 def suite_chow(spec: ArrangementSpec, seed: int = 0) -> list[CheckResult]:
+    try:
+        check_fan_spec(spec)  # before the generators and chains are enumerated
+    except FeasibilityError as exc:
+        return [_skipped("chow", "presentation and chain census", exc)]
     out: list[CheckResult] = []
     closed = chow.betti_closed_form(spec)
     try:

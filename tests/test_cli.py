@@ -112,6 +112,27 @@ def test_chow_argv_fuzz_exits_0_or_2_with_repeatable_output(monkeypatch, argv):
     assert main_stdout(argv) == (status, out)
 
 
+CHECK_CHOW_ARGV = st.builds(
+    lambda r, n, seed: ["check", "--suite", "chow", "--r", r, "--n", n, *seed],
+    st.one_of(st.integers(1, 4).map(str), JUNK),
+    st.one_of(st.sampled_from(["-1", "0", "1", "2", "3", "40", "3000"]), JUNK),
+    st.sampled_from([[], ["--seed", "5"], ["--seed", "x"]]),
+)
+
+
+@settings(
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(CHECK_CHOW_ARGV)
+def test_check_chow_argv_fuzz_exits_0_1_or_2_with_repeatable_output(monkeypatch, argv):
+    monkeypatch.delenv("CYCLIC_WONDERFUL_MAX_CELLS", raising=False)
+    status, out = main_stdout(argv)
+    assert status in (0, 1, 2)
+    assert main_stdout(argv) == (status, out)
+
+
 @pytest.mark.parametrize("r,n", [("1", "2"), ("x", "2"), ("2", "-1")])
 def test_chow_bad_r_or_n_is_a_usage_error(r, n):
     assert main_stdout(["chow", "--r", r, "--n", n])[0] == 2

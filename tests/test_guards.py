@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from cyclic_wonderful import cli, normal_complex
+from cyclic_wonderful import cli, guards, normal_complex
 from cyclic_wonderful.cli import main
 from cyclic_wonderful.guards import (
     COUNT_CAP,
@@ -207,15 +207,47 @@ def test_check_refuses_a_huge_fan_before_enumerating_it(no_override, monkeypatch
     ]
 
 
-def test_check_reports_a_refused_oracle_as_skipped(monkeypatch, capsys):
-    # the (2, 2) oracle and degree reducer need 8 generators
-    monkeypatch.setenv(ENV_OVERRIDE, "5")
+def test_check_reports_a_refused_oracle_as_skipped(no_override, monkeypatch, capsys):
+    # the (2, 2) oracle and degree reducer need 8 generators; an override of 5
+    # would refuse the suite's fan pre-check first, so lower only the default
+    monkeypatch.setattr(guards, "DEFAULT_ORACLE_GENERATORS", 5)
     assert main(["check", "--r", "2", "--n", "2", "--suite", "chow"]) == 0
     out = capsys.readouterr().out
     assert out.count("SKIP [chow]") == 2
     assert "rank oracle with 8 generators exceeds the guard bound 5" in out
     assert "FAIL" not in out
     assert out.endswith("3/5 checks passed, 2 skipped for r=2, n=2\n")
+
+
+def test_check_refuses_the_chow_suite_by_the_fan_guard(monkeypatch, capsys):
+    # the (2, 2) fan has 8 rays and 8 maximal cones
+    monkeypatch.setenv(ENV_OVERRIDE, "5")
+    assert main(["check", "--r", "2", "--n", "2", "--suite", "chow"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "SKIP [chow] presentation and chain census (fan with 8 rays and 8 maximal "
+        f"cones exceeds the guard bound 5 (override with {ENV_OVERRIDE}))",
+        "0/1 checks passed, 1 skipped for r=2, n=2",
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv,lines",
+    [
+        ("check --r 3 --n 40 --suite chow", ["SKIP [chow]"]),
+        ("check --r 3 --n 3000 --suite chow", ["SKIP [chow]"]),
+        (
+            "check --r 3 --n 40",
+            ["SKIP [fan]", "SKIP [chow]", "SKIP [tropical]", "SKIP [normal]"],
+        ),
+    ],
+)
+def test_check_skips_a_huge_spec_at_once(no_override, capsys, argv, lines):
+    start = time.perf_counter()
+    assert main(argv.split()) == 0
+    assert time.perf_counter() - start < 1
+    out = capsys.readouterr().out.splitlines()
+    assert [line[: line.index("]") + 1] for line in out[:-1]] == lines
+    assert out[-1].startswith(f"0/{len(lines)} checks passed, {len(lines)} skipped")
 
 
 def test_check_reports_refused_hull_extremes_as_skipped(monkeypatch, capsys):
