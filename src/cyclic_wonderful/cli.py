@@ -292,8 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--r", type=int, required=True, help="points per factor, r >= 2")
         p.add_argument("--n", type=int, required=True, help="number of factors, n >= 0")
-        p.add_argument("--format", choices=["text", "json"], default="text")
-        p.add_argument("--seed", type=int, default=0, help="sampling seed")
         p.add_argument("--out", default=None, help="write output to this file")
 
     p_fan = sub.add_parser("fan", help="emit the nested-set fan")
@@ -320,8 +318,12 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_nc)
     p_nc.add_argument("--union-extremes", action="store_true", dest="union_extremes")
 
+    for p in (p_fan, p_chow, p_locate, p_nc):  # the commands that read it
+        p.add_argument("--format", choices=["text", "json"], default="text")
+
     p_check = sub.add_parser("check", help="run the verification suites")
     common(p_check)
+    p_check.add_argument("--seed", type=int, default=0, help="sampling seed")
     p_check.add_argument("--suite", choices=["all", *SUITES], default="all")
 
     return parser

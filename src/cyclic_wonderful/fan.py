@@ -155,7 +155,8 @@ class _Inverse(NamedTuple):
 
 @dataclass(frozen=True)
 class Cone:
-    """A simplicial cone: primitive ray generators plus its nested-set label."""
+    """A simplicial cone: primitive ray generators plus its nested-set label,
+    the decorated prefixes of its chain, one per ray and innermost first."""
 
     rays: tuple[Vector, ...]
     label: tuple[DecoratedSubset, ...]
@@ -163,10 +164,6 @@ class Cone:
     @property
     def dim(self) -> int:
         return len(self.rays)
-
-    def chain(self) -> Chain:
-        """The label as a chain: every cone's label is the prefix set of one."""
-        return Chain.from_prefixes(self.label)
 
     def contains(self, point: Sequence) -> bool:
         """Whether the point lies in the cone, by the scaled integer test."""
@@ -248,29 +245,23 @@ class Cone:
 class Fan:
     """An immutable fan: a ray per decorated subset, one cone per chain.
 
-    Cones are keyed by their label, the set of the chain's decorated
-    prefixes.
+    Cones are keyed by their chain, and a cone's label is that chain's own
+    tuple of decorated prefixes.
     """
 
     spec: ArrangementSpec
     rays: dict[DecoratedSubset, Vector]
-    cones: dict[frozenset[DecoratedSubset], Cone]
+    cones: dict[Chain, Cone]
 
-    def cone(self, label: Chain | Iterable[DecoratedSubset]) -> Cone:
-        key = frozenset(label.prefixes()) if isinstance(label, Chain) else frozenset(label)
-        return self.cones[key]
+    def cone(self, chain: Chain) -> Cone:
+        return self.cones[chain]
 
     @cached_property
     def maximal_cones(self) -> tuple[Cone, ...]:
         """The cones with n-element labels: these fans are pure of dimension n."""
-        maximal = [k for k in self.cones if len(k) == self.spec.n]
-        maximal.sort(key=lambda k: sorted(d.sort_key() for d in k))
-        return tuple(self.cones[k] for k in maximal)
-
-
-def _make_cone(label: Iterable[DecoratedSubset], rays: Mapping[DecoratedSubset, Vector]) -> Cone:
-    ordered = tuple(sorted(label, key=DecoratedSubset.sort_key))
-    return Cone(tuple(rays[d] for d in ordered), ordered)
+        maximal = [c for c in self.cones.values() if c.dim == self.spec.n]
+        maximal.sort(key=lambda c: [d.sort_key() for d in c.label])
+        return tuple(maximal)
 
 
 def _check_maximal(spec: ArrangementSpec, g: BuildingSet) -> None:
@@ -281,17 +272,21 @@ def _check_maximal(spec: ArrangementSpec, g: BuildingSet) -> None:
 
 
 def build_fan(spec: ArrangementSpec, g: BuildingSet) -> Fan:
-    """One cone per decorated chain, the nested sets of the maximal g."""
+    """One cone per decorated chain, the nested sets of the maximal g.
+
+    The chains share their subsets and come shortest first, so each subset
+    keys the ray table, as its length-1 chain, before a longer chain's cone
+    looks its ray up; labels and ray table hold the very same subsets.
+    """
     _check_maximal(spec, g)
     check_fan_spec(spec)
-    rays = {d: ray_vector(d, spec) for d in g.sorted_elements()}
-    # labels hold the ray table's own subsets, so cones share them; a chain's
-    # prefixes strictly grow in size, hence come in sort_key order already
-    table = {d.items: d for d in rays}
+    rays: dict[DecoratedSubset, Vector] = {}
     cones = {}
     for chain in enumerate_chains(spec, spec.n):
-        label = tuple(table[items] for items in chain.prefix_items())
-        cones[frozenset(label)] = Cone(tuple(rays[d] for d in label), label)
+        if chain.length == 1:
+            (d,) = chain.prefixes
+            rays[d] = ray_vector(d, spec)
+        cones[chain] = Cone(tuple(rays[d] for d in chain.prefixes), chain.prefixes)
     return Fan(spec, rays, cones)
 
 
@@ -313,8 +308,10 @@ def _star_subdivide(
     interiors of a fan's cones are disjoint, so tau is the one cone holding
     v in its relative interior.  The check below confirms that on tau's
     single cone."""
-    tau = frozenset(DecoratedSubset((p,)) for p in new_label.items)
-    coeffs = _make_cone(tau, rays)._scaled_coefficients(v) if tau in cones else None
+    singletons = tuple(DecoratedSubset((p,)) for p in new_label.items)
+    tau = frozenset(singletons)
+    tau_cone = Cone(tuple(rays[d] for d in singletons), singletons)
+    coeffs = tau_cone._scaled_coefficients(v) if tau in cones else None
     if coeffs is None or not all(c > 0 for c in coeffs):
         raise ValueError("subdivision vector lies outside the fan support")
     out = {s for s in cones if not tau <= s}
@@ -359,9 +356,9 @@ def build_fan_stellar(spec: ArrangementSpec, g: BuildingSet) -> Fan:
         v = ray_vector(d, spec)
         cones = _star_subdivide(cones, rays, d, v)
         rays[d] = v
-    kept = {s for s in cones if is_nested(s, g)}
-    cone_map = {s: _make_cone(s, rays) for s in kept}
-    used = {d for s in kept for d in s}
+    kept = [Chain.from_prefixes(s) for s in cones if is_nested(s, g)]
+    cone_map = {c: Cone(tuple(rays[d] for d in c.prefixes), c.prefixes) for c in kept}
+    used = {d for c in kept for d in c.prefixes}
     ray_map = {d: rays[d] for d in sorted(used, key=DecoratedSubset.sort_key)}
     return Fan(spec, ray_map, cone_map)
 
@@ -389,8 +386,7 @@ def locate_point(fan: Fan, point: Sequence) -> Chain | None:
         coeffs = cone._scaled_coefficients(p)
         if coeffs is None:
             continue
-        support = [d for d, c in zip(cone.label, coeffs) if c > 0]
-        return Chain.from_prefixes(support)
+        return Chain(tuple(d for d, c in zip(cone.label, coeffs) if c > 0))
     return None
 
 

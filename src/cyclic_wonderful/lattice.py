@@ -18,16 +18,13 @@ used here.  A set of decorated subsets is a chain exactly when, sorted by
 size, each is below the next, so one neighbour test decides nestedness.
 
 Everything here is pure combinatorics over exact integers; all values are
-immutable and all functions are side-effect free.  The one stored result is
-a chain's tuple of decorated prefixes, built on first use (or taken from
-``Chain.from_prefixes``) and then shared by every later caller.
+immutable and all functions are side-effect free.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
 from math import factorial
 from typing import Iterable, Iterator, Sequence
 
@@ -156,91 +153,71 @@ def validate_subset(d: DecoratedSubset, spec: ArrangementSpec) -> None:
 
 @dataclass(frozen=True)
 class Chain:
-    """A strictly increasing flag of subsets with a decoration on the largest.
+    """A strictly increasing flag of decorated subsets.
 
-    ``sets`` holds sorted index tuples I_1 < ... < I_l; ``decoration`` holds
-    the (index, residue) pairs of the largest set.  Length 0 is the empty
-    chain, which labels the zero cone and the open moduli stratum.
+    ``prefixes`` holds the decorated prefixes (I_1, a|I_1) < ... < (I_l, a),
+    innermost first: the supports strictly grow and each inner decoration is
+    the restriction of the largest one.  Length 0 is the empty chain, which
+    labels the zero cone and the open moduli stratum.
     """
 
-    sets: tuple[tuple[int, ...], ...]
-    decoration: tuple[tuple[int, int], ...]
+    prefixes: tuple[DecoratedSubset, ...]
 
     def __post_init__(self) -> None:
-        prev: frozenset[int] = frozenset()
-        for s in self.sets:
-            if tuple(sorted(s)) != s:
-                raise ValueError(f"set {s} not sorted")
-            cur = frozenset(s)
-            if not (prev < cur):
-                raise ValueError(f"flag not strictly increasing at {s}")
-            prev = cur
-        top = self.sets[-1] if self.sets else ()
-        if top and top[0] < 1:  # every set is inside the sorted top set
-            raise ValueError(f"indices must be >= 1, got {top}")
-        deco_keys = tuple(i for i, _ in self.decoration)
+        # the bottom element heads every chain, so an empty prefix is refused
+        unnested = _first_unnested_pair((_BOTTOM, *self.prefixes))
+        if unnested is not None:
+            a, b = unnested
+            raise ValueError(f"{a.text()} and {b.text()} do not nest")
+
+    @classmethod
+    def empty(cls) -> "Chain":
+        return cls(())
+
+    @classmethod
+    def of(cls, sets: Iterable[Iterable[int]], decoration: dict[int, int]) -> "Chain":
+        sets_t = [tuple(sorted(s)) for s in sets]
+        top = sets_t[-1] if sets_t else ()
+        deco_keys = tuple(sorted(decoration))
         if deco_keys != top:
             raise ValueError(
                 f"decoration keys {deco_keys} must equal the largest set {top}"
             )
-
-    @classmethod
-    def empty(cls) -> "Chain":
-        return cls((), ())
-
-    @classmethod
-    def of(cls, sets: Iterable[Iterable[int]], decoration: dict[int, int]) -> "Chain":
-        sets_t = tuple(tuple(sorted(s)) for s in sets)
-        deco = tuple(sorted(decoration.items()))
-        return cls(sets_t, deco)
+        try:
+            return cls(tuple(DecoratedSubset(tuple((i, decoration[i]) for i in s)) for s in sets_t))
+        except KeyError as exc:
+            raise ValueError(f"index {exc} is outside the largest set {top}") from None
 
     @classmethod
     def from_prefixes(cls, prefixes: Iterable[DecoratedSubset]) -> "Chain":
-        """Assemble a chain from its decorated prefixes (checked for nesting)."""
-        ordered = sorted(set(prefixes), key=DecoratedSubset.sort_key)
-        unnested = _first_unnested_pair(ordered)
-        if unnested is not None:
-            a, b = unnested
-            raise ValueError(f"{a.text()} and {b.text()} do not nest")
-        if not ordered:
-            return cls.empty()
-        chain = cls(tuple(d.indices for d in ordered), ordered[-1].items)
-        # the nesting test above makes these the prefixes ``_prefixes`` builds
-        chain.__dict__["_prefixes"] = tuple(ordered)
-        return chain
+        """Assemble a chain from its decorated prefixes, in any order."""
+        return cls(tuple(sorted(set(prefixes), key=DecoratedSubset.sort_key)))
+
+    @property
+    def sets(self) -> tuple[tuple[int, ...], ...]:
+        """The sorted index tuples I_1 < ... < I_l."""
+        return tuple(d.indices for d in self.prefixes)
+
+    @property
+    def decoration(self) -> tuple[tuple[int, int], ...]:
+        """The (index, residue) pairs of the largest set."""
+        return self.prefixes[-1].items if self.prefixes else ()
 
     @property
     def length(self) -> int:
-        return len(self.sets)
-
-    def prefix_items(self) -> Iterator[tuple[tuple[int, int], ...]]:
-        """The ``items`` of each decorated prefix, innermost first."""
-        deco = dict(self.decoration)
-        return (tuple((i, deco[i]) for i in s) for s in self.sets)
-
-    @cached_property
-    def _prefixes(self) -> tuple[DecoratedSubset, ...]:
-        """The decorated prefixes (I_j, a|I_j), built once per chain."""
-        return tuple(DecoratedSubset(items) for items in self.prefix_items())
-
-    def level(self, j: int) -> DecoratedSubset:
-        """The decorated prefix (I_j, a|I_j), 1-based."""
-        return self._prefixes[j - 1]
-
-    def prefixes(self) -> tuple[DecoratedSubset, ...]:
-        return self._prefixes
+        return len(self.prefixes)
 
     def is_maximal(self, spec: ArrangementSpec) -> bool:
-        return self.length == spec.n and (not self.sets or len(self.sets[-1]) == spec.n)
+        return self.length == spec.n and (not self.prefixes or self.prefixes[-1].size == spec.n)
 
     def sort_key(self):
         return (self.length, self.sets, self.decoration)
 
     def text(self) -> str:
         """Canonical text form: prefixes separated by ``<``; empty chain is ``{}``."""
-        if not self.sets:
+        if not self.prefixes:
             return "{}"
-        return "<".join(p.text() for p in self.prefixes())
+        return "<".join(p.text() for p in self.prefixes)
 
     def __str__(self) -> str:  # pragma: no cover - convenience
         return self.text()
@@ -270,7 +247,7 @@ class JumpType:
 
 
 def jump_type(chain: Chain) -> JumpType:
-    sizes = [len(s) for s in chain.sets]
+    sizes = [d.size for d in chain.prefixes]
     return JumpType(tuple(b - a for a, b in zip([0] + sizes, sizes)))
 
 
@@ -280,26 +257,30 @@ def jump_type(chain: Chain) -> JumpType:
 
 
 def leq(a: DecoratedSubset, b: DecoratedSubset) -> bool:
-    """Partial order: containment of supports with agreeing residues."""
-    deco_b = dict(b.items)
-    return all(deco_b.get(i) == x for i, x in a.items)
+    """Partial order: containment of supports with agreeing residues, that
+    is, of the sets of (index, residue) pairs."""
+    return set(a.items).issubset(b.items)
 
 
 def comparable(a: DecoratedSubset, b: DecoratedSubset) -> bool:
     return leq(a, b) or leq(b, a)
 
 
+_BOTTOM = DecoratedSubset(())
+
+
 def _first_unnested_pair(
     ordered: Sequence[DecoratedSubset],
 ) -> tuple[DecoratedSubset, DecoratedSubset] | None:
-    """The first neighbours (a, b) with a not <= b, or None for a chain.
+    """The first neighbours (a, b) with a not strictly below b, or None for
+    a chain.
 
-    ``ordered`` holds distinct decorated subsets sorted by ``sort_key``.  The
+    ``ordered`` holds decorated subsets sorted by ``sort_key``.  The
     neighbour test decides chain-ness: ``leq`` is transitive, and two
     distinct subsets of the same size are incomparable.
     """
     for a, b in zip(ordered, ordered[1:]):
-        if not leq(a, b):
+        if not (a.size < b.size and leq(a, b)):
             return a, b
     return None
 
@@ -337,30 +318,39 @@ def _subflags(top: tuple[int, ...], k: int) -> Iterator[tuple[tuple[int, ...], .
             yield flag + (s,)
 
 
+def _decorated_chain(table: dict, flag: Iterable[tuple[int, ...]], deco: dict[int, int]) -> Chain:
+    """The chain of the flag, each set decorated by restricting deco; its
+    prefixes are the table's objects, keyed by their ``items``."""
+    return Chain(tuple(table[tuple((i, deco[i]) for i in s)] for s in flag))
+
+
 def enumerate_chains(spec: ArrangementSpec, max_length: int) -> Iterator[Chain]:
     """All chains of length <= max_length, in a fixed deterministic order.
 
     The stream is re-created from scratch on every call; there is no shared
-    cursor, so concurrent consumers are safe.
+    cursor, so concurrent consumers are safe.  The chains of one call share
+    their decorated subsets: equal prefixes are the same object.
     """
     if not 0 <= max_length <= spec.n:
         raise ValueError(f"max_length must be within [0, {spec.n}], got {max_length}")
+    table = {d.items: d for d in enumerate_decorated_subsets(spec)}
     yield Chain.empty()
     for length in range(1, max_length + 1):
         for size in range(length, spec.n + 1):
             for top in itertools.combinations(range(1, spec.n + 1), size):
                 for flag in _subflags(top, length - 1):
                     for deco in itertools.product(range(spec.r), repeat=size):
-                        yield Chain(flag + (top,), tuple(zip(top, deco)))
+                        yield _decorated_chain(table, flag + (top,), dict(zip(top, deco)))
 
 
 def maximal_chains(spec: ArrangementSpec) -> list[Chain]:
     """Full flags on [n] with a decoration: n! * r^n of them."""
+    table = {d.items: d for d in enumerate_decorated_subsets(spec)}
     out = []
     for perm in itertools.permutations(range(1, spec.n + 1)):
         flag = tuple(tuple(sorted(perm[: j + 1])) for j in range(spec.n))
         for deco in itertools.product(range(spec.r), repeat=spec.n):
-            out.append(Chain(flag, tuple(zip(range(1, spec.n + 1), deco))))
+            out.append(_decorated_chain(table, flag, dict(zip(range(1, spec.n + 1), deco))))
     return out
 
 
@@ -373,8 +363,8 @@ def chain_intersect(a: Chain, b: Chain) -> Chain:
     prefixes, so the intersection chain consists of the decorated prefixes
     common to both chains.
     """
-    b_prefixes = set(b.prefixes())
-    return Chain.from_prefixes([p for p in a.prefixes() if p in b_prefixes])
+    b_prefixes = set(b.prefixes)
+    return Chain.from_prefixes([p for p in a.prefixes if p in b_prefixes])
 
 
 # ---------------------------------------------------------------------------
@@ -398,9 +388,6 @@ class BuildingSet:
         # every lower interval of the full poset is Boolean, so the whole
         # poset is a building set
         return cls(frozenset(enumerate_decorated_subsets(spec)), spec)
-
-    def sorted_elements(self) -> list[DecoratedSubset]:
-        return sorted(self.elements, key=DecoratedSubset.sort_key)
 
     @property
     def is_maximal(self) -> bool:

@@ -171,7 +171,7 @@ def cell_polytope(chain: Chain, spec: ArrangementSpec) -> Polytope:
             "cells are realized for maximal chains only; shorter chains label "
             "shared faces of the maximal cells"
         )
-    gens = [ray_vector(p, spec) for p in chain.prefixes()]
+    gens = [ray_vector(p, spec) for p in chain.prefixes]
     n = len(gens)
     dim, zero = spec.ambient_dim, Fraction(0)
     steps = [

@@ -97,7 +97,7 @@ def suite_fan(spec: ArrangementSpec, seed: int = 0) -> list[CheckResult]:
         _result(
             "fan",
             "maximal cone count n! r^n",
-            spec.n == 0 or len(maximal) == spec.num_maximal_chains,
+            len(maximal) == spec.num_maximal_chains,
             f"{len(maximal)} maximal cones",
         )
     )
@@ -137,15 +137,13 @@ def suite_fan(spec: ArrangementSpec, seed: int = 0) -> list[CheckResult]:
     rng = Lcg(seed)
     points = sample_mixed_points(rng, spec, 1000)
     located = sum(1 for p in points if locate_point(fan, p) is not None)
-    if spec.r == 2:
-        out.append(
-            _result(
-                "fan",
-                "complete for r = 2: all sampled points locate",
-                located == len(points),
-                f"{located}/{len(points)}",
-            )
+    if spec.r == 2 or spec.n == 0:
+        name = (
+            "complete for r = 2: all sampled points locate"
+            if spec.r == 2
+            else "complete for n = 0: the fan is the origin of R^0"
         )
+        out.append(_result("fan", name, located == len(points), f"{located}/{len(points)}"))
     else:
         out.append(
             _result(

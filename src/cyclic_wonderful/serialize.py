@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .fan import Cone, Fan, basis_labels, ray_vector
-from .lattice import ArrangementSpec, DecoratedSubset, parse_chain, parse_subset
+from .lattice import ArrangementSpec, Chain, DecoratedSubset, parse_chain, parse_subset
 
 _I64_MAX = (1 << 63) - 1
 _I64_MIN = -(1 << 63)
@@ -32,13 +32,11 @@ def fan_to_dict(fan: Fan) -> dict:
         {"id": ids[d], "subset": d.text(), "vector": encode_vector(fan.rays[d])}
         for d in subsets
     ]
-    cones = []
-    for label in sorted(fan.cones, key=lambda s: sorted(d.sort_key() for d in s)):
-        cone = fan.cones[label]
-        ray_ids = sorted(ids[d] for d in cone.label)
-        cones.append(
-            {"dim": cone.dim, "ray_ids": ray_ids, "chain": cone.chain().text()}
-        )
+    cones = [
+        {"dim": cone.dim, "ray_ids": sorted(ids[d] for d in cone.label), "chain": chain.text()}
+        for chain, cone in fan.cones.items()
+    ]
+    # distinct cones have distinct ray sets, so this order is total
     cones.sort(key=lambda c: (c["dim"], c["ray_ids"]))
     return {
         "r": fan.spec.r,
@@ -63,15 +61,8 @@ def fan_from_dict(data: dict) -> Fan:
         rays[d] = vec
     cones = {}
     for entry in data["cones"]:
-        label = tuple(
-            sorted(
-                (subsets_by_id[int(k)] for k in entry["ray_ids"]),
-                key=DecoratedSubset.sort_key,
-            )
-        )
-        cone = Cone(tuple(rays[d] for d in label), label)
-        declared = parse_chain(entry["chain"], spec)
-        if frozenset(declared.prefixes()) != frozenset(label):
+        chain = Chain.from_prefixes(subsets_by_id[int(k)] for k in entry["ray_ids"])
+        if parse_chain(entry["chain"], spec) != chain:
             raise ValueError(f"cone chain {entry['chain']!r} does not match ray ids")
-        cones[frozenset(label)] = cone
+        cones[chain] = Cone(tuple(rays[d] for d in chain.prefixes), chain.prefixes)
     return Fan(spec, rays, cones)

@@ -133,6 +133,80 @@ def test_check_chow_argv_fuzz_exits_0_1_or_2_with_repeatable_output(monkeypatch,
     assert main_stdout(argv) == (status, out)
 
 
+RATIONAL = st.sampled_from(["0", "1", "-1", "1/2", "-3/2", "1/0", "x"])
+TRIPLE = st.builds(
+    lambda i, spoke, length: f"{i}:{spoke}:{length}",
+    st.integers(0, 3),
+    st.sampled_from(["0", "1", "2", "c", "x"]),
+    RATIONAL,
+)
+
+
+@st.composite
+def fan_locate_check_argv(draw):
+    """A fan, locate or check argv at r in 1..3 and n in -1..2.
+
+    A point mostly has the ambient length, so that many of them locate; one
+    argv in four then has one of its tokens replaced by junk.
+    """
+    r, n = draw(st.integers(1, 3)), draw(st.integers(-1, 2))
+    command = draw(st.sampled_from(["fan", "locate", "check"]))
+    argv = [command, "--r", str(r), "--n", str(n)]
+    if command == "check":
+        argv += ["--suite", draw(st.sampled_from(["fan", "tropical", "normal"]))]
+        argv += draw(st.sampled_from([[], ["--seed", "3"]]))
+    else:
+        argv += draw(st.sampled_from([[], ["--format", "text"], ["--format", "json"]]))
+    if command == "fan":
+        argv += draw(st.sampled_from([[], ["--via-stellar"]]))
+    elif command == "locate" and draw(st.booleans()):
+        dim = max((r - 1) * n, 0)
+        size = draw(st.sampled_from([dim, dim, dim + 1, max(dim - 1, 0)]))
+        point = draw(st.lists(RATIONAL, min_size=size, max_size=size))
+        # the = form passes a value that starts with "-" as the value
+        argv.append("--point=" + ",".join(point))
+    elif command == "locate":
+        argv.append("--curve=" + ",".join(draw(st.lists(TRIPLE | JUNK, max_size=3))))
+    if draw(st.integers(0, 3)) == 0:
+        argv[draw(st.integers(1, len(argv) - 1))] = draw(JUNK)
+    return argv
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(fan_locate_check_argv())
+def test_fan_locate_and_check_argv_fuzz_exits_0_or_2_with_repeatable_output(
+    monkeypatch, argv
+):
+    monkeypatch.delenv("CYCLIC_WONDERFUL_MAX_CELLS", raising=False)
+    status, out = main_stdout(argv)
+    assert status in (0, 2)
+    assert main_stdout(argv) == (status, out)
+
+
+@pytest.mark.parametrize("r", ["3", "5"])
+def test_check_passes_at_n_0_for_r_above_2(r):
+    # the fan at n = 0 is the origin of R^0, so it is complete for every r
+    status, out = main_stdout(["check", "--r", r, "--n", "0"])
+    assert status == 0
+    assert "FAIL" not in out
+    assert "PASS [fan] complete for n = 0" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--r", "2", "--n", "1", "--format", "json"],
+        ["fan", "--r", "2", "--n", "1", "--seed", "1"],
+    ],
+)
+def test_an_option_the_command_does_not_read_is_a_usage_error(argv):
+    assert main_stdout(argv)[0] == 2
+
+
 @pytest.mark.parametrize("r,n", [("1", "2"), ("x", "2"), ("2", "-1")])
 def test_chow_bad_r_or_n_is_a_usage_error(r, n):
     assert main_stdout(["chow", "--r", r, "--n", n])[0] == 2

@@ -119,9 +119,9 @@ def test_cone_labels_share_the_ray_tables_subsets(r, n):
     spec = ArrangementSpec(r, n)
     fan = build_fan(spec, BuildingSet.maximal(spec))
     keys = {d: d for d in fan.rays}
-    for label, cone in fan.cones.items():
+    for chain, cone in fan.cones.items():
         assert all(keys[d] is d for d in cone.label)
-        assert frozenset(cone.label) == label
+        assert cone.label is chain.prefixes
         assert list(cone.label) == sorted(cone.label, key=DecoratedSubset.sort_key)
         assert cone.rays == tuple(fan.rays[d] for d in cone.label)
 
@@ -131,19 +131,19 @@ def test_cone_lookup_from_value_equal_subsets():
     fan = build_fan(spec, BuildingSet.maximal(spec))
     parsed = parse_chain("{2:1}<{1:0,2:1}", spec)
     keys = {d: d for d in fan.rays}
-    assert all(keys[d] is not d for d in parsed.prefixes())
+    assert all(keys[d] is not d for d in parsed.prefixes)
     cone = fan.cone(parsed)
-    assert cone.label == parsed.prefixes()
-    assert cone.chain() == parsed
+    assert cone.label == parsed.prefixes
+    assert Chain(cone.label) == parsed
 
 
 def test_fan_closed_under_faces():
     spec = ArrangementSpec(3, 2)
     fan = build_fan(spec, BuildingSet.maximal(spec))
-    for label in fan.cones:
-        for size in range(len(label)):
-            for sub in itertools.combinations(label, size):
-                assert frozenset(sub) in fan.cones
+    for chain in fan.cones:
+        for size in range(chain.length):
+            for sub in itertools.combinations(chain.prefixes, size):
+                assert Chain(sub) in fan.cones
 
 
 def test_cone_dim_equals_chain_length():
@@ -156,10 +156,10 @@ def test_cone_dim_equals_chain_length():
 
 def _maximal_by_inclusion(fan):
     """The pairwise-subset rule maximal_cones used before filtering by size."""
-    keys = list(fan.cones)
+    keys = [frozenset(c.prefixes) for c in fan.cones]
     maximal = [k for k in keys if not any(k < other for other in keys)]
     maximal.sort(key=lambda k: sorted(d.sort_key() for d in k))
-    return tuple(fan.cones[k] for k in maximal)
+    return tuple(fan.cone(Chain.from_prefixes(k)) for k in maximal)
 
 
 @pytest.mark.parametrize("r,n", [(2, 2), (3, 2), (2, 3), (3, 3)])
@@ -368,7 +368,7 @@ def test_stellar_subdivides_the_one_cone_a_full_scan_finds(r, n, steps):
         rays[d] = v
     assert len(order) == steps
     kept = {s for s in cones if is_nested(s, g)}
-    assert kept == set(build_fan_stellar(spec, g).cones)
+    assert kept == {frozenset(c.prefixes) for c in build_fan_stellar(spec, g).cones}
 
 
 def test_star_subdivide_refuses_a_vector_off_its_cone():

@@ -12,7 +12,11 @@ eliminator updated rows in place, and the two full ``check`` runs at (3,2)
 and (2,3), the ``fan --format json`` at (4,3) and the ``locate`` at (4,3)
 before chains cached their decorated prefixes, and the ``chow --format json``
 at (3,4) before the rank oracle skipped the rows the F5 criterion proves
-redundant); any later change that alters
+redundant, and the ``check --suite fan`` at (3,3), the ``check --suite
+tropical`` at (4,2) and the ``locate --curve`` at (4,3) before chains and
+cone labels became one tuple of decorated prefixes: between them they look
+up cones by chain, intersect chains, build the stellar fan and locate a
+curve's chain); any later change that alters
 a byte of these outputs fails here.  The whole corpus runs in-process through
 ``cli.main`` in a few seconds.  To re-record after an
 intended output change, print ``hashlib.sha256(stdout).hexdigest()`` for each
@@ -69,6 +73,9 @@ GOLDEN = [
     ("check --r 2 --n 3 --seed 5", 0, "4fc58a13e9c481f14879e80a1e63648f1a3815c1139bc8ff7a1aadcb03b25882"),
     ("fan --r 4 --n 3 --format json", 0, "df1a8a5b875058da880dfa3206a1bb99b2dc868b2604290de0498a4254d149ca"),
     ("locate --r 4 --n 3 --point 1,0,0,0,2,0,-1,-1,-1", 0, "3020828e5452ea6de027f8d5a3f48ec0743f6d2b6c56e8e378df8418e2b714e0"),
+    ("check --r 3 --n 3 --suite fan --seed 1", 0, "869ad75cc7075987fc052df1704867491ef20055cde3b34b7404c7914f5a694c"),
+    ("check --r 4 --n 2 --suite tropical --seed 2", 0, "4dbd16917363db8bb9d9fd373910f864d508e7df653cff799d6ec2f8f6440980"),
+    ("locate --r 4 --n 3 --curve 1:0:2,2:3:2,3:c:0", 0, "ba52bb937324716b1309d80ca5ec6fe7562a696cec1c049700ef174a56455c6e"),
     ("fan --r 1 --n 2", 2, "19a9c3723b7d7f4d89611ed97f66c1f2369ca2ac75bc525df5a199f19f8b3969"),
     ("locate --r 3 --n 2 --point 1,2", 2, "2360e8858d7deb4b2fdfefd665fff621c57c1bcb7cd8a38e1eced897152e29a7"),
 ]

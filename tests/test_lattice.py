@@ -109,6 +109,22 @@ def test_chain_validation():
         Chain.of([(1,), (1,)], {1: 0})  # not strictly increasing
     with pytest.raises(ValueError):
         Chain.of([(1,)], {2: 0})  # decoration keys must match the top set
+    with pytest.raises(ValueError, match="outside the largest set"):
+        Chain.of([(3,), (1, 2)], {1: 0, 2: 0})
+
+
+@pytest.mark.parametrize(
+    "prefixes",
+    [
+        [ds()],  # the bottom element is no prefix
+        [ds((1, 0)), ds((1, 0))],  # sizes must grow strictly
+        [ds((1, 0)), ds((1, 1), (2, 0))],  # residues clash
+        [ds((1, 0), (2, 0)), ds((1, 0))],  # innermost first
+    ],
+)
+def test_chain_checks_every_pair_of_neighbours(prefixes):
+    with pytest.raises(ValueError, match="do not nest"):
+        Chain(tuple(prefixes))
 
 
 def test_chain_text_round_trip():
@@ -127,27 +143,21 @@ def test_subset_text_round_trip():
 
 def test_chain_prefixes():
     c = chain([(2,), (1, 2)], {1: 1, 2: 0})
-    assert c.prefixes() == (ds((2, 0)), ds((1, 1), (2, 0)))
+    assert c.prefixes == (ds((2, 0)), ds((1, 1), (2, 0)))
 
 
 def test_chain_rejects_an_index_below_one():
     with pytest.raises(ValueError, match=">= 1"):
-        Chain(((0,),), ((0, 1),))
+        Chain((DecoratedSubset(((0, 1),)),))
     with pytest.raises(ValueError, match=">= 1"):
         Chain.of([(0,), (0, 2)], {0: 1, 2: 0})
-
-
-def test_chain_builds_its_prefixes_once():
-    c = chain([(3,), (2, 3, 4)], {2: 1, 3: 0, 4: 2})
-    assert c.prefixes() is c.prefixes()
-    assert all(c.level(j) is p for j, p in enumerate(c.prefixes(), start=1))
 
 
 def test_from_prefixes_keeps_the_subsets_it_was_given():
     given = [ds((1, 1), (2, 0)), ds((2, 0))]
     c = Chain.from_prefixes(given)
-    assert c.prefixes() == (ds((2, 0)), ds((1, 1), (2, 0)))
-    assert c.prefixes()[0] is given[1] and c.prefixes()[1] is given[0]
+    assert c.prefixes == (ds((2, 0)), ds((1, 1), (2, 0)))
+    assert c.prefixes[0] is given[1] and c.prefixes[1] is given[0]
 
 
 _SMALL_CHAINS = [
@@ -159,13 +169,13 @@ _SMALL_CHAINS = [
 
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from(_SMALL_CHAINS))
-def test_cached_prefixes_equal_fresh_subsets_and_rebuild_the_chain(c):
+def test_prefixes_equal_fresh_subsets_and_rebuild_the_chain(c):
     deco = dict(c.decoration)
     fresh = tuple(DecoratedSubset.of({i: deco[i] for i in s}) for s in c.sets)
-    assert c.prefixes() == fresh
-    assert Chain.from_prefixes(c.prefixes()) == c
+    assert c.prefixes == fresh
+    assert Chain.from_prefixes(c.prefixes) == c
     rebuilt = Chain.from_prefixes(reversed(fresh))
-    assert rebuilt == c and rebuilt.prefixes() == fresh
+    assert rebuilt == c and rebuilt.prefixes == fresh
 
 
 # --- chain intersection ------------------------------------------------------
@@ -186,9 +196,9 @@ def cones_intersect_correctly(a, b, spec):
     from cyclic_wonderful.fan import ray_vector
 
     result = chain_intersect(a, b)
-    gens_a = [ray_vector(p, spec) for p in a.prefixes()]
-    gens_b = [ray_vector(p, spec) for p in b.prefixes()]
-    gens_r = [ray_vector(p, spec) for p in result.prefixes()]
+    gens_a = [ray_vector(p, spec) for p in a.prefixes]
+    gens_b = [ray_vector(p, spec) for p in b.prefixes]
+    gens_r = [ray_vector(p, spec) for p in result.prefixes]
     # every generator of the result is in both cones
     if not all(
         cone_membership(g, gens_a) and cone_membership(g, gens_b) for g in gens_r
@@ -293,7 +303,7 @@ def test_nested_examples_for_the_maximal_building_set():
 def test_maximal_nested_means_totally_ordered(r, n):
     spec = ArrangementSpec(r, n)
     g = BuildingSet.maximal(spec)
-    elements = g.sorted_elements()
+    elements = enumerate_decorated_subsets(spec)
     for size in range(len(elements) + 1):
         for combo in itertools.combinations(elements, size):
             totally_ordered = all(

@@ -124,7 +124,7 @@ def test_cell_contained_in_its_cone():
     spec = ArrangementSpec(3, 2)
     for c in maximal_chains(spec)[:6]:
         cell = cell_polytope(c, spec)
-        gens = [ray_vector(p, spec) for p in c.prefixes()]
+        gens = [ray_vector(p, spec) for p in c.prefixes]
         for v in cell.v_rep:
             sol = solve_columns(gens, v)
             assert sol is not None and all(x >= 0 for x in sol)
@@ -350,7 +350,7 @@ def _face_vertices(cell_a, cell_b, shared, spec):
     cone constraints reduce to nonnegativity and each cell contributes its
     truncation rows.
     """
-    gens = [ray_vector(p, spec) for p in shared.prefixes()]
+    gens = [ray_vector(p, spec) for p in shared.prefixes]
     k = len(gens)
     if k == 0:
         return {tuple(Fraction(0) for _ in range(spec.ambient_dim))}
@@ -419,7 +419,7 @@ def test_cone_rows_read_off_the_cone_coefficients_inside_the_span(r, n):
     spec = ArrangementSpec(r, n)
     equalities = spec.ambient_dim - n
     for cell in complex_cells(spec).cells:
-        gens = [ray_vector(p, spec) for p in cell.label.prefixes()]
+        gens = [ray_vector(p, spec) for p in cell.label.prefixes]
         rows = [normal for normal, _ in cell.h_rep]
         assert len(rows) == 2 * equalities + 2 * n
         eq_rows = rows[: 2 * equalities]
