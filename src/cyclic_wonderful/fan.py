@@ -26,11 +26,20 @@ Cone coordinates are exact and integer.  Each cone caches, on first use,
 the result of one fraction-free (Bareiss) Gauss-Jordan pass through the ray
 columns of [A | I], A the rays as columns: k coefficient rows, delta times a
 left inverse of A, and dim - k span-check rows, a basis of A's left kernel,
-each kept as its nonzero (index, coeff) pairs.  Membership of a rational
-point scaled to integers is a few sparse integer dot products that stop at
-the first span-check row the point fails, then at the first negative
-coordinate.  Nothing assumes the cone is unimodular: any simplicial cone
-works.
+each kept as its nonzero (index, coeff) pairs.  One cone's membership test
+of a rational point scaled to integers is a few sparse integer dot products
+that stop at the first span-check row the point fails, then at the first
+negative coordinate.  Nothing assumes the cone is unimodular: any simplicial
+cone works.
+
+The maximal cones repeat these rows heavily: at r = 4, n = 3 the 384 of
+them hold 3,456 rows, of which 124 are distinct (32 as span-check rows, 104
+as coefficient rows).  Point location therefore asks the fan's
+``linalg.SharedRowIndex`` for the first maximal cone that holds the point:
+each distinct row of the cones scanned so far is evaluated once per point,
+and a bitmask per row drops every cone whose test on that row fails.  Cones
+never scanned are tested one by one, as before, so a one-shot location
+computes no more inverses than the plain scan.
 """
 
 from __future__ import annotations
@@ -52,7 +61,15 @@ from .lattice import (
     is_nested,
     validate_subset,
 )
-from .linalg import combine, matrix_rank, scaled_point, smith_divisors
+from .linalg import (
+    RowTest,
+    SharedRowIndex,
+    SparseRow,
+    combine,
+    matrix_rank,
+    scaled_point,
+    smith_divisors,
+)
 
 Vector = tuple[int, ...]
 
@@ -124,9 +141,6 @@ def _gauss_jordan(m: list[list[int]], k: int) -> int:
     return prev
 
 
-SparseRow = tuple[tuple[int, int], ...]
-
-
 @lru_cache(maxsize=4096)
 def _sparse(row: tuple[int, ...], sign: int) -> SparseRow:
     """The nonzero ``(index, sign * coeff)`` pairs of a dense row.
@@ -181,10 +195,11 @@ class Cone:
         tries cost nothing.
         """
         k, dim = len(self.rays), len(self.rays[0])
-        m = [
-            [v[i] for v in self.rays] + [int(i == j) for j in range(dim)]
-            for i in range(dim)
-        ]
+        m = []
+        for i, a_row in enumerate(zip(*self.rays)):
+            unit = [0] * dim
+            unit[i] = 1
+            m.append([*a_row, *unit])
         delta = _gauss_jordan(m, k)
         sign = 1 if delta > 0 else -1
         return _Inverse(
@@ -262,6 +277,27 @@ class Fan:
         maximal = [c for c in self.cones.values() if c.dim == self.spec.n]
         maximal.sort(key=lambda c: [d.sort_key() for d in c.label])
         return tuple(maximal)
+
+    @cached_property
+    def _cone_index(self) -> SharedRowIndex:
+        """The maximal cones' span-check and coefficient rows, registered as
+        ``locate_point`` scans the cones."""
+        return SharedRowIndex(self.maximal_cones, _cone_tests, _cone_holds)
+
+
+def _cone_tests(cone: Cone) -> list[RowTest]:
+    """Span-check rows vanish and coefficient rows are >= 0 on a point of
+    the cone.  The rayless cone is maximal only at n = 0, where the ambient
+    space is R^0 and it holds the one point there."""
+    if not cone.rays:
+        return []
+    coeff_rows, span_rows, _ = cone._inverse
+    return [(row, 0, 0) for row in span_rows] + [(row, 0, None) for row in coeff_rows]
+
+
+def _cone_holds(cone: Cone, p: Vector, scale: int) -> bool:
+    # every bound of a cone's tests is 0, so the point's scale cannot matter
+    return cone._scaled_coefficients(p) is not None
 
 
 def _check_maximal(spec: ArrangementSpec, g: BuildingSet) -> None:
@@ -375,19 +411,23 @@ def fans_equal(f1: Fan, f2: Fan) -> bool:
 def locate_point(fan: Fan, point: Sequence) -> Chain | None:
     """The chain whose cone's relative interior contains the point.
 
-    Scans the maximal cones in order with the exact integer membership test
-    of ``Cone._scaled_coefficients`` (the point is scaled to integers once),
-    which works for any simplicial cone; the located chain keeps exactly the
-    generators with strictly positive coefficients.  Returns None when the
-    point is outside the fan's support.
+    Finds the first maximal cone, in ``maximal_cones`` order, that holds
+    the point by the exact integer test of ``Cone._scaled_coefficients``
+    (the point is scaled to integers once), which works for any simplicial
+    cone.  The search goes through the fan's ``SharedRowIndex``: each
+    distinct span-check or coefficient row of the cones scanned so far is
+    evaluated at most once per point, and a cone not yet scanned is tested
+    on its own, as the plain scan would.  The located chain keeps exactly
+    the generators with strictly positive coefficients.  Returns None when
+    the point is outside the fan's support.
     """
-    p, _ = scaled_point(point, fan.spec.ambient_dim)
-    for cone in fan.maximal_cones:
-        coeffs = cone._scaled_coefficients(p)
-        if coeffs is None:
-            continue
-        return Chain(tuple(d for d, c in zip(cone.label, coeffs) if c > 0))
-    return None
+    p, scale = scaled_point(point, fan.spec.ambient_dim)
+    k = fan._cone_index.first(p, scale)
+    if k is None:
+        return None
+    cone = fan.maximal_cones[k]
+    coeffs = cone._scaled_coefficients(p)
+    return Chain(tuple(d for d, c in zip(cone.label, coeffs) if c > 0))
 
 
 def is_smooth_cone(cone: Cone) -> bool:

@@ -1,4 +1,5 @@
-"""Exact linear algebra: rational RREF, sparse elimination, Smith form, LP.
+"""Exact linear algebra: rational RREF, sparse elimination, Smith form, a
+shared-row membership index, LP.
 
 Everything runs over ``fractions.Fraction`` or plain Python integers.  The
 matrices in this project are small (ambient dimension n*(r-1), relation
@@ -16,6 +17,11 @@ columns with no gcd, and only a pivot of another lead scales the row, which
 is then divided by its content.  A surviving row is divided by its content
 once, when it becomes a pivot.
 
+``SharedRowIndex`` finds the first member of a scan (the maximal cones of a
+fan, the cells of a normal complex) whose sparse integer row tests all hold
+at a point.  The members share most of their rows, so it evaluates each
+distinct row once per point and drops members by bitmask.
+
 Hull extremeness is decided over the integers: ``integer_scaled`` clears a
 point set's denominators once, and the phase-1 simplex behind
 ``in_convex_hull`` pivots fraction-free (each tableau entry is the basis
@@ -26,7 +32,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 Vector = Sequence  # any indexable of ints/Fractions
 
@@ -242,6 +248,89 @@ def smith_divisors(mat: Sequence[Sequence[int]]) -> list[int]:
             elif di == 0 and dj != 0:
                 divisors[i], divisors[j] = dj, 0
     return divisors
+
+
+# ---------------------------------------------------------------------------
+# First member of a scan whose integer rows hold, one evaluation per row
+# ---------------------------------------------------------------------------
+
+SparseRow = tuple[tuple[int, int], ...]
+# (row, lo, hi): the test lo * D <= row . p <= hi * D at the point p / D,
+# either bound None for no bound
+RowTest = tuple[SparseRow, int | None, int | None]
+
+
+class SharedRowIndex:
+    """The first member, in scan order, whose integer row tests all hold.
+
+    A member holds at ``p / scale`` (p an integer vector, scale > 0) when
+    every test ``(row, lo, hi)`` that ``tests(member)`` gives holds there:
+    ``lo * scale <= row . p <= hi * scale``, with ``row`` a sparse
+    ``(index, coeff)`` row and a None bound absent.  ``holds(member, p,
+    scale)`` is the same verdict, decided by the member itself.
+
+    The members a query has scanned are always a prefix of the scan.  Each
+    distinct row of a registered member, keyed by value, carries one bitmask
+    of members per pair of bounds it is tested against.  A query evaluates
+    each distinct row at most once, skipping a row that no member still
+    alive uses, and clears the members of every test that fails; the lowest
+    surviving bit is the first registered member that holds.  When none
+    does, the query goes on with the plain scan, asking ``holds`` of one
+    unscanned member after the other up to the first that holds, so a query
+    never computes more of the members' rows than the plain scan would.  The
+    members it scanned are registered at the start of the next query, so a
+    one-shot query pays nothing for the index.
+    """
+
+    def __init__(
+        self,
+        members: Sequence,
+        tests: Callable[[Any], Iterable[RowTest]],
+        holds: Callable[[Any, tuple[int, ...], int], bool],
+    ) -> None:
+        self._members = members
+        self._tests = tests
+        self._holds = holds
+        self._count = 0  # members[:_count] are registered
+        self._scanned = 0  # members[:_scanned] have been asked `holds`
+        # row -> [mask of every member using it, {(lo, hi): mask}]
+        self._rows: dict[SparseRow, list] = {}
+
+    def first(self, p: Sequence[int], scale: int) -> int | None:
+        """Position of the first member that holds at ``p / scale``, or None."""
+        for member in self._members[self._count : self._scanned]:
+            self._register(member)
+        alive = (1 << self._count) - 1
+        for row, (users, checks) in self._rows.items():
+            if not users & alive:
+                continue
+            s = 0
+            for i, a in row:
+                s += a * p[i]
+            for (lo, hi), mask in checks.items():
+                if (lo is not None and s < lo * scale) or (hi is not None and s > hi * scale):
+                    alive &= ~mask
+            if not alive:
+                break
+        if alive:
+            return (alive & -alive).bit_length() - 1
+        for k in range(self._scanned, len(self._members)):
+            if self._holds(self._members[k], p, scale):
+                self._scanned = k + 1
+                return k
+        self._scanned = len(self._members)
+        return None
+
+    def _register(self, member) -> None:
+        bit = 1 << self._count
+        self._count += 1
+        for row, lo, hi in self._tests(member):
+            entry = self._rows.get(row)
+            if entry is None:
+                entry = self._rows[row] = [0, {}]
+            entry[0] |= bit
+            checks = entry[1]
+            checks[lo, hi] = checks.get((lo, hi), 0) | bit
 
 
 # ---------------------------------------------------------------------------

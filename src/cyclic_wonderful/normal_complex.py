@@ -30,8 +30,12 @@ only and are computed once.
 Membership is integer arithmetic: each cell caches its H-rows cleared of
 denominators, each normal kept as its nonzero (index, coeff) pairs, and a
 rational point p / D (p integer, D > 0) satisfies ``normal . v <= bound``
-exactly when ``normal_int . p <= bound_int * D``; a cell's test stops at its
-first violated row.
+exactly when ``normal_int . p <= bound_int * D``; one cell's test stops at
+its first violated row.  The cells repeat their rows (253 distinct among
+the 6,912 H-rows at r = 4, n = 3), so membership in the complex goes through
+a ``linalg.SharedRowIndex`` over the cells: each distinct row is evaluated
+once per point, and a bitmask per row drops every cell it violates.  The
+index reads only the cells' own rows, not the point's chain.
 The tiling check in ``check`` compares this with ``in_delta`` (subset sums
 of the support decomposition), a route that shares none of it.
 """
@@ -53,7 +57,16 @@ from .lattice import (
     enumerate_decorated_subsets,
     maximal_chains,
 )
-from .linalg import combine, extreme_points, integer_scaled, nullspace, scaled_point
+from .linalg import (
+    RowTest,
+    SharedRowIndex,
+    SparseRow,
+    combine,
+    extreme_points,
+    integer_scaled,
+    nullspace,
+    scaled_point,
+)
 
 FracVec = tuple[Fraction, ...]
 
@@ -86,7 +99,7 @@ class Polytope:
     label: Chain
 
     @cached_property
-    def _integer_rows(self) -> tuple[tuple[tuple[tuple[int, int], ...], int], ...]:
+    def _integer_rows(self) -> tuple[tuple[SparseRow, int], ...]:
         """Each H-row as ``(normal, bound)`` times the lcm of its denominators,
         the normal kept as its nonzero ``(index, coeff)`` pairs."""
         rows = []
@@ -112,20 +125,30 @@ class Polytope:
         return self._holds(p, scale)
 
 
+def _cell_tests(cell: Polytope) -> list[RowTest]:
+    return [(normal, None, bound) for normal, bound in cell._integer_rows]
+
+
 @dataclass(frozen=True, eq=False)
 class NormalComplex:
     """The cells of one arrangement.
 
-    Membership scales the point to integers once and tests every cell's
-    cached integer H-rows with integer dot products.
+    Membership scales the point to integers once and asks whether some
+    cell's cached integer H-rows all hold, through a ``SharedRowIndex`` over
+    the cells: each distinct row of the cells scanned so far is evaluated at
+    most once per point, and a cell not yet scanned is tested on its own.
     """
 
     spec: ArrangementSpec
     cells: tuple[Polytope, ...]
 
+    @cached_property
+    def _cell_index(self) -> SharedRowIndex:
+        return SharedRowIndex(self.cells, _cell_tests, Polytope._holds)
+
     def contains(self, point: Sequence) -> bool:
         p, scale = scaled_point(point, self.spec.ambient_dim)
-        return any(cell._holds(p, scale) for cell in self.cells)
+        return self._cell_index.first(p, scale) is not None
 
 
 @cache

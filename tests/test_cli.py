@@ -187,6 +187,28 @@ def test_fan_locate_and_check_argv_fuzz_exits_0_or_2_with_repeatable_output(
     assert main_stdout(argv) == (status, out)
 
 
+NORMAL_COMPLEX_ARGV = st.builds(
+    lambda r, n, fmt, flags: ["normal-complex", "--r", r, "--n", n, *fmt, *flags],
+    st.one_of(st.integers(1, 4).map(str), JUNK),
+    st.one_of(st.integers(-1, 2).map(str), JUNK),
+    st.sampled_from([[], ["--format", "text"], ["--format", "json"], ["--format", "x"]]),
+    st.sampled_from([[], ["--union-extremes"]]),
+)
+
+
+@settings(
+    max_examples=100,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(NORMAL_COMPLEX_ARGV)
+def test_normal_complex_argv_fuzz_exits_0_or_2_with_repeatable_output(monkeypatch, argv):
+    monkeypatch.delenv("CYCLIC_WONDERFUL_MAX_CELLS", raising=False)
+    status, out = main_stdout(argv)
+    assert status in (0, 2)
+    assert main_stdout(argv) == (status, out)
+
+
 @pytest.mark.parametrize("r", ["3", "5"])
 def test_check_passes_at_n_0_for_r_above_2(r):
     # the fan at n = 0 is the origin of R^0, so it is complete for every r

@@ -1,5 +1,6 @@
 """Fan construction, point location, smoothness, and the two build routes."""
 
+import functools
 import itertools
 import json
 from fractions import Fraction
@@ -12,6 +13,7 @@ from cyclic_wonderful.fan import (
     Cone,
     Fan,
     _star_subdivide,
+    basis_image,
     build_fan,
     build_fan_stellar,
     cone_dim,
@@ -21,7 +23,7 @@ from cyclic_wonderful.fan import (
     ray_vector,
     support_decomposition,
 )
-from cyclic_wonderful.linalg import matrix_rank, solve_columns
+from cyclic_wonderful.linalg import combine, matrix_rank, scaled_point, solve_columns
 from cyclic_wonderful.lattice import (
     ArrangementSpec,
     BuildingSet,
@@ -455,6 +457,99 @@ def test_locate_checks_dimension():
     fan = build_fan(spec, BuildingSet.maximal(spec))
     with pytest.raises(ValueError):
         locate_point(fan, (1, 0))
+
+
+def scan_locate(fan, point):
+    """Point location as the plain scan over the maximal cones, the loop
+    that the shared-row index replaced; the reference for it."""
+    p, _ = scaled_point(point, fan.spec.ambient_dim)
+    for cone in fan.maximal_cones:
+        coeffs = cone._scaled_coefficients(p)
+        if coeffs is None:
+            continue
+        return Chain(tuple(d for d, c in zip(cone.label, coeffs) if c > 0))
+    return None
+
+
+@functools.lru_cache(maxsize=None)
+def _built_fan(r, n):
+    spec = ArrangementSpec(r, n)
+    return build_fan(spec, BuildingSet.maximal(spec))
+
+
+_SMALL = st.integers(-3, 3)
+
+
+@st.composite
+def fan_points(draw, fan):
+    """Box points, integral or fractional; support points (one direction per
+    factor); face points (ray sums of one maximal cone with some
+    coefficients zero); and a face point plus a box offset, mostly off the
+    support at r > 2."""
+    spec, dim = fan.spec, fan.spec.ambient_dim
+    kind = draw(st.sampled_from(["box", "fraction", "support", "face", "off"]))
+    if kind == "box":
+        return tuple(draw(st.lists(_SMALL, min_size=dim, max_size=dim)))
+    if kind == "fraction":
+        return tuple(draw(st.lists(_RATIONALS, min_size=dim, max_size=dim)))
+    if kind == "support":
+        lengths = draw(st.lists(_RATIONALS.map(abs), min_size=spec.n, max_size=spec.n))
+        images = [
+            basis_image(spec, i, draw(st.integers(0, spec.r - 1)))
+            for i in range(1, spec.n + 1)
+        ]
+        return combine(lengths, images, dim, Fraction(0))
+    cone = draw(st.sampled_from(fan.maximal_cones))
+    coeffs = draw(
+        st.lists(st.sampled_from([0, 0, 1, 2, Fraction(1, 2)]), min_size=cone.dim, max_size=cone.dim)
+    )
+    face = combine(coeffs, cone.rays, dim, Fraction(0))
+    if kind == "face":
+        return face
+    offset = draw(st.lists(_SMALL, min_size=dim, max_size=dim))
+    return tuple(x + y for x, y in zip(face, offset))
+
+
+@pytest.mark.parametrize("r,n", [(2, 1), (2, 2), (3, 2), (4, 2), (2, 3), (3, 3), (3, 0)])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_indexed_location_equals_the_plain_scan(r, n, data):
+    built = _built_fan(r, n)
+    # a new Fan over the same cones starts with an empty index, which the
+    # points then find empty, partly registered and (after a miss) full
+    fan = Fan(built.spec, built.rays, built.cones)
+    for point in data.draw(st.lists(fan_points(built), min_size=1, max_size=8)):
+        assert locate_point(fan, point) == scan_locate(fan, point)
+
+
+@pytest.mark.parametrize("where", ["origin", "first", "middle", "last", "miss"])
+def test_one_location_computes_the_inverses_of_the_scanned_cones_only(where):
+    # the one-shot `locate` command pays for the cones up to the located one
+    spec = ArrangementSpec(3, 3)
+    fan = build_fan(spec, BuildingSet.maximal(spec))
+    cones = fan.maximal_cones
+    dim = spec.ambient_dim
+    if where == "origin":
+        point, expected = (0,) * dim, 0
+    elif where == "miss":
+        point, expected = (1, 1) + (0,) * (dim - 2), None
+    else:
+        # the ray sum lies inside this cone only
+        expected = {"first": 0, "middle": len(cones) // 2, "last": len(cones) - 1}[where]
+        point = combine([1] * spec.n, cones[expected].rays, dim)
+
+    def computed():
+        return sum("_inverse" in cone.__dict__ for cone in cones)
+
+    located = locate_point(fan, point)
+    count = computed()
+    position = next((j for j, c in enumerate(cones) if c.contains(point)), None)
+    assert count == (len(cones) if position is None else position + 1)
+    assert position == expected
+    assert (located is None) == (position is None)
+    # a repeated location is answered from the registered cones alone
+    assert locate_point(fan, point) == located
+    assert computed() == count
 
 
 # --- smoothness --------------------------------------------------------------

@@ -16,7 +16,11 @@ redundant, and the ``check --suite fan`` at (3,3), the ``check --suite
 tropical`` at (4,2) and the ``locate --curve`` at (4,3) before chains and
 cone labels became one tuple of decorated prefixes: between them they look
 up cones by chain, intersect chains, build the stellar fan and locate a
-curve's chain); any later change that alters
+curve's chain, and the ``locate`` of a face point of the complete (2,4) fan
+and the ``check --suite normal`` at (3,3) before point location and cell
+membership went through the shared-row index: the first is located in a
+cone's proper face, the second tests 500 points against 162 cells); any
+later change that alters
 a byte of these outputs fails here.  The whole corpus runs in-process through
 ``cli.main`` in a few seconds.  To re-record after an
 intended output change, print ``hashlib.sha256(stdout).hexdigest()`` for each
@@ -76,6 +80,8 @@ GOLDEN = [
     ("check --r 3 --n 3 --suite fan --seed 1", 0, "869ad75cc7075987fc052df1704867491ef20055cde3b34b7404c7914f5a694c"),
     ("check --r 4 --n 2 --suite tropical --seed 2", 0, "4dbd16917363db8bb9d9fd373910f864d508e7df653cff799d6ec2f8f6440980"),
     ("locate --r 4 --n 3 --curve 1:0:2,2:3:2,3:c:0", 0, "ba52bb937324716b1309d80ca5ec6fe7562a696cec1c049700ef174a56455c6e"),
+    ("locate --r 2 --n 4 --point 2,2,0,-1", 0, "b3ad60ace39dc72e3c60f22d169ec6558cbd73b4692cfd9d8ff91418f1f3d6da"),
+    ("check --r 3 --n 3 --suite normal --seed 2", 0, "09192c542613eb66059eb03a041c687937a0f0b2fba338dc09697e0195dce7f1"),
     ("fan --r 1 --n 2", 2, "19a9c3723b7d7f4d89611ed97f66c1f2369ca2ac75bc525df5a199f19f8b3969"),
     ("locate --r 3 --n 2 --point 1,2", 2, "2360e8858d7deb4b2fdfefd665fff621c57c1bcb7cd8a38e1eced897152e29a7"),
 ]

@@ -6,7 +6,8 @@ by multiplying back exactly.  The sparse integer eliminator is compared with
 the dense rational ``matrix_rank`` and, pivot for pivot, with the
 cross-multiply-and-normalise eliminator that its in-place updates replaced;
 the integer phase-1 simplex is compared with the ``Fraction`` simplex it
-replaced.  Both replaced kernels are kept here as references.
+replaced.  Both replaced kernels are kept here as references.  The shared-row
+index is compared with the member-by-member scan.
 """
 
 from fractions import Fraction
@@ -17,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclic_wonderful.linalg import (
+    SharedRowIndex,
     SparseEliminator,
     _lp_feasible_eq,
     combine,
@@ -370,3 +372,47 @@ def test_hull_rejects_points_of_the_wrong_length():
         in_convex_hull((0,), [(1, 5), (-1, 5)])
     with pytest.raises(ValueError, match="length"):
         extreme_points([(0,), (1, 2)])
+
+
+# --- shared-row index ----------------------------------------------------------
+
+_BOUND = st.one_of(st.none(), st.integers(-2, 2))
+# a few fixed rows, so that members share rows under different bounds
+_ROW = st.sampled_from([(), ((0, 1),), ((0, 1), (2, -1)), ((1, 2),)]) | st.lists(
+    st.tuples(st.integers(0, 2), st.integers(-2, 2).filter(bool)), max_size=3
+).map(lambda pairs: tuple(sorted(dict(pairs).items())))
+_MEMBER = st.lists(st.tuples(_ROW, _BOUND, _BOUND), max_size=4)
+
+
+def _test_holds(test, p, scale):
+    row, lo, hi = test
+    s = sum(a * p[i] for i, a in row)
+    return (lo is None or lo * scale <= s) and (hi is None or s <= hi * scale)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    members=st.lists(_MEMBER, max_size=12),
+    points=st.lists(
+        st.tuples(st.lists(st.integers(-3, 3), min_size=3, max_size=3), st.integers(1, 3)),
+        min_size=1,
+        max_size=6,
+    ),
+)
+def test_shared_row_index_finds_the_first_member_the_scan_finds(members, points):
+    asked = []
+
+    def holds(member, p, scale):
+        asked.append(member)
+        return all(_test_holds(t, p, scale) for t in member)
+
+    index = SharedRowIndex(members, lambda member: member, holds)
+    scanned = 0
+    for p, scale in points:
+        expected = next((k for k, m in enumerate(members) if holds(m, p, scale)), None)
+        asked.clear()
+        assert index.first(p, scale) == expected
+        # only members past every one asked before are asked, in scan order
+        stop = len(members) if expected is None else expected + 1
+        assert asked == members[scanned:stop]
+        scanned = max(scanned, stop)

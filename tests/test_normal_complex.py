@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from cyclic_wonderful import normal_complex
 from cyclic_wonderful.cli import main
-from cyclic_wonderful.fan import ray_vector
+from cyclic_wonderful.fan import basis_image, ray_vector
 from cyclic_wonderful.guards import FeasibilityError
 from cyclic_wonderful.lattice import (
     ArrangementSpec,
@@ -19,8 +19,9 @@ from cyclic_wonderful.lattice import (
     chain_intersect,
     maximal_chains,
 )
-from cyclic_wonderful.linalg import integer_scaled, scaled_point, solve_columns
+from cyclic_wonderful.linalg import combine, integer_scaled, scaled_point, solve_columns
 from cyclic_wonderful.normal_complex import (
+    NormalComplex,
     cell_polytope,
     complex_cells,
     delta,
@@ -51,6 +52,14 @@ def test_delta_values():
     assert delta(3, 3) == 6
     assert delta(5, 0) == 0
     assert delta(1, 1) == 1
+
+
+def test_delta_is_the_closed_form_height():
+    # both tiling routes read delta, so the tiling check cannot catch a wrong
+    # height; this pins it on its own
+    for n in range(13):
+        for k in range(n + 1):
+            assert delta(n, k) == k * (2 * n - k + 1) // 2
 
 
 def test_delta_range_check():
@@ -267,6 +276,55 @@ def test_integer_membership_agrees_with_fraction_rows_in_every_cell(r, n, data):
     holds = [_fraction_rows_hold(cell, point) for cell in nc.cells]
     assert [cell.contains(point) for cell in nc.cells] == holds
     assert nc.contains(point) == any(holds)
+
+
+def scan_contains(nc, point):
+    """Position of the first cell holding the point by the plain scan over
+    the cells, the loop that the shared-row index replaced, or None."""
+    p, scale = scaled_point(point, nc.spec.ambient_dim)
+    return next((k for k, cell in enumerate(nc.cells) if cell._holds(p, scale)), None)
+
+
+@st.composite
+def complex_points(draw, nc):
+    """``probe_points`` (box points and points through two vertices of one
+    cell, on and past its faces), plus support points (one direction per
+    factor, inside and past the region) and a unit step off a cell vertex,
+    mostly off the support."""
+    spec, dim = nc.spec, nc.spec.ambient_dim
+    kind = draw(st.sampled_from(["probe", "probe", "support", "off"]))
+    if kind == "probe":
+        return draw(probe_points(nc))
+    vertex = draw(st.sampled_from(draw(st.sampled_from(nc.cells)).v_rep))
+    if kind == "off" and dim:
+        step = [0] * dim
+        step[draw(st.integers(0, dim - 1))] = draw(st.sampled_from([-1, 1]))
+        return tuple(x + y for x, y in zip(vertex, step))
+    lengths = draw(
+        st.lists(
+            st.builds(Fraction, st.integers(0, 3 * spec.n), st.integers(1, 2)),
+            min_size=spec.n,
+            max_size=spec.n,
+        )
+    )
+    images = [
+        basis_image(spec, i, draw(st.integers(0, spec.r - 1))) for i in range(1, spec.n + 1)
+    ]
+    return combine(lengths, images, dim, Fraction(0))
+
+
+@pytest.mark.parametrize("r,n", [(2, 1), (2, 2), (3, 2), (4, 2), (2, 3), (3, 3), (3, 0)])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_indexed_membership_equals_the_plain_scan(r, n, data):
+    built = _complex(r, n)
+    # a new complex over the same cells starts with an empty index, which
+    # the points then find empty, partly registered and (after a miss) full
+    nc = NormalComplex(built.spec, built.cells)
+    for point in data.draw(st.lists(complex_points(built), min_size=1, max_size=8)):
+        expected = scan_contains(nc, point)
+        assert nc.contains(point) == (expected is not None)
+        assert nc._cell_index.first(*scaled_point(point, nc.spec.ambient_dim)) == expected
 
 
 def _dense_integer_rows_hold(cell, point):
