@@ -330,9 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(argv: list[str]) -> RunConfig:
-    args = build_parser().parse_args(argv)
-    fields = {k: v for k, v in vars(args).items() if v is not None or k in ("out",)}
-    return RunConfig(**fields)
+    return RunConfig(**vars(build_parser().parse_args(argv)))
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -24,13 +24,15 @@ must agree cone-for-cone, and the test suite checks that they do.
 
 Cone coordinates are exact and integer.  Each cone caches, on first use,
 the result of one fraction-free (Bareiss) Gauss-Jordan pass through the ray
-columns of [A | I], A the rays as columns: k coefficient rows, delta times a
-left inverse of A, and dim - k span-check rows, a basis of A's left kernel,
-each kept as its nonzero (index, coeff) pairs.  One cone's membership test
-of a rational point scaled to integers is a few sparse integer dot products
-that stop at the first span-check row the point fails, then at the first
-negative coordinate.  Nothing assumes the cone is unimodular: any simplicial
-cone works.
+columns of [A | I], A the rays as columns: dim - k span-check rows, a basis
+of A's left kernel, and k coefficient rows, delta times a left inverse of A,
+each kept as its nonzero (index, coeff) pairs.  They are kept as the cone's
+``linalg.RowTest`` tests, span-check rows ``(row, 0, 0)`` (the row vanishes
+on the point) first and coefficient rows ``(row, 0, None)`` (a nonnegative
+coordinate) after, so one cone's membership test of a rational point scaled
+to integers is ``linalg.tests_hold``, which stops at the first test the
+point fails.  Nothing assumes the cone is unimodular: any simplicial cone
+works.
 
 The maximal cones repeat these rows heavily: at r = 4, n = 3 the 384 of
 them hold 3,456 rows, of which 124 are distinct (32 as span-check rows, 104
@@ -38,8 +40,8 @@ as coefficient rows).  Point location therefore asks the fan's
 ``linalg.SharedRowIndex`` for the first maximal cone that holds the point:
 each distinct row of the cones scanned so far is evaluated once per point,
 and a bitmask per row drops every cone whose test on that row fails.  Cones
-never scanned are tested one by one, as before, so a one-shot location
-computes no more inverses than the plain scan.
+never scanned are tested one by one by ``tests_hold``, so a one-shot
+location computes no more inverses than the plain scan.
 """
 
 from __future__ import annotations
@@ -64,11 +66,11 @@ from .lattice import (
 from .linalg import (
     RowTest,
     SharedRowIndex,
-    SparseRow,
     combine,
     matrix_rank,
     scaled_point,
     smith_divisors,
+    tests_hold,
 )
 
 Vector = tuple[int, ...]
@@ -142,28 +144,30 @@ def _gauss_jordan(m: list[list[int]], k: int) -> int:
 
 
 @lru_cache(maxsize=4096)
-def _sparse(row: tuple[int, ...], sign: int) -> SparseRow:
-    """The nonzero ``(index, sign * coeff)`` pairs of a dense row.
+def _row_test(row: tuple[int, ...], sign: int, hi: int | None) -> RowTest:
+    """The test ``(pairs, 0, hi)`` of a dense row, ``pairs`` its nonzero
+    ``(index, sign * coeff)`` pairs.
 
-    Cached so that equal rows share one tuple: the cones of a fan repeat few
+    Cached so that equal tests share one tuple: the cones of a fan repeat few
     rows (124 distinct among the 3,456 of the maximal cones at r = 4,
-    n = 3), and sharing them halves the memory of the cones' caches.
+    n = 3), and sharing them keeps the cones' caches small.
     """
-    return tuple((i, sign * x) for i, x in enumerate(row) if x)
+    return tuple((i, sign * x) for i, x in enumerate(row) if x), 0, hi
 
 
 class _Inverse(NamedTuple):
     """An exact integer left inverse of a cone's generator matrix A (rays as
-    columns), kept as sparse ``(index, coeff)`` rows over the ambient indices.
+    columns), kept as the cone's row tests over the ambient indices.
 
-    ``coeff_rows`` are the k rows of ``delta * L`` for a left inverse L of A
-    (``L A = I``), with ``delta > 0``; ``span_rows`` are dim - k independent
-    rows y with ``y A = 0``, so a point lies in the span of the rays exactly
-    when every one of them pairs to zero with it.
+    The first dim - k tests are ``(y, 0, 0)`` for independent rows y with
+    ``y A = 0``, so a point lies in the span of the rays exactly when every
+    one of them pairs to zero with it.  The last k are ``(row, 0, None)``
+    for the rows of ``delta * L``, L a left inverse of A (``L A = I``) and
+    ``delta > 0``: the point's cone coordinates, times delta, are >= 0.
     """
 
-    coeff_rows: tuple[SparseRow, ...]
-    span_rows: tuple[SparseRow, ...]
+    tests: tuple[RowTest, ...]
+    k: int
     delta: int
 
 
@@ -181,8 +185,10 @@ class Cone:
 
     def contains(self, point: Sequence) -> bool:
         """Whether the point lies in the cone, by the scaled integer test."""
-        p, _ = scaled_point(point, len(self.rays[0]) if self.rays else len(point))
-        return self._scaled_coefficients(p) is not None
+        p, scale = scaled_point(point, len(self.rays[0]) if self.rays else len(point))
+        if not self.rays:
+            return not any(p)
+        return tests_hold(self._inverse.tests, p, scale)
 
     @cached_property
     def _inverse(self) -> _Inverse:
@@ -203,35 +209,33 @@ class Cone:
         delta = _gauss_jordan(m, k)
         sign = 1 if delta > 0 else -1
         return _Inverse(
-            tuple(_sparse(tuple(row[k:]), sign) for row in m[:k]),
-            tuple(_sparse(tuple(row[k:]), 1) for row in m[k:]),
+            (
+                *(_row_test(tuple(row[k:]), 1, 0) for row in m[k:]),
+                *(_row_test(tuple(row[k:]), sign, None) for row in m[:k]),
+            ),
+            k,
             sign * delta,
         )
 
     def _scaled_coefficients(self, p: Vector) -> list[int] | None:
         """Cone coordinates times ``delta * D`` of the point ``p / D``.
 
-        ``p`` is an integer vector of the right length.  Returns None at the
-        first span-check row that does not vanish on ``p`` (the point is off
-        the rays' span), else at the first negative coordinate; otherwise
-        the coordinates reproduce the point exactly.
+        ``p`` is an integer vector of the right length.  Returns None when a
+        test of the cone fails (the point is off the rays' span, or a
+        coordinate is negative); otherwise the coordinates reproduce the
+        point exactly.  Every bound of a cone's tests is 0, so ``D`` does
+        not enter them.
         """
         if not self.rays:
             return None if any(p) else []
-        coeff_rows, span_rows, _ = self._inverse
-        for row in span_rows:
-            s = 0
-            for i, y in row:
-                s += y * p[i]
-            if s:
-                return None
+        tests, k, _ = self._inverse
+        if not tests_hold(tests, p, 1):
+            return None
         c = []
-        for row in coeff_rows:
+        for row, _, _ in tests[-k:]:
             s = 0
             for i, a in row:
                 s += a * p[i]
-            if s < 0:
-                return None
             c.append(s)
         return c
 
@@ -280,24 +284,15 @@ class Fan:
 
     @cached_property
     def _cone_index(self) -> SharedRowIndex:
-        """The maximal cones' span-check and coefficient rows, registered as
-        ``locate_point`` scans the cones."""
-        return SharedRowIndex(self.maximal_cones, _cone_tests, _cone_holds)
+        """The maximal cones' span-check and coefficient tests, registered
+        as ``locate_point`` scans the cones."""
+        return SharedRowIndex(self.maximal_cones, _cone_tests)
 
 
-def _cone_tests(cone: Cone) -> list[RowTest]:
-    """Span-check rows vanish and coefficient rows are >= 0 on a point of
-    the cone.  The rayless cone is maximal only at n = 0, where the ambient
-    space is R^0 and it holds the one point there."""
-    if not cone.rays:
-        return []
-    coeff_rows, span_rows, _ = cone._inverse
-    return [(row, 0, 0) for row in span_rows] + [(row, 0, None) for row in coeff_rows]
-
-
-def _cone_holds(cone: Cone, p: Vector, scale: int) -> bool:
-    # every bound of a cone's tests is 0, so the point's scale cannot matter
-    return cone._scaled_coefficients(p) is not None
+def _cone_tests(cone: Cone) -> tuple[RowTest, ...]:
+    """The cone's cached tests.  The rayless cone is maximal only at n = 0,
+    where the ambient space is R^0 and it holds the one point there."""
+    return cone._inverse.tests if cone.rays else ()
 
 
 def _check_maximal(spec: ArrangementSpec, g: BuildingSet) -> None:
@@ -412,12 +407,12 @@ def locate_point(fan: Fan, point: Sequence) -> Chain | None:
     """The chain whose cone's relative interior contains the point.
 
     Finds the first maximal cone, in ``maximal_cones`` order, that holds
-    the point by the exact integer test of ``Cone._scaled_coefficients``
-    (the point is scaled to integers once), which works for any simplicial
-    cone.  The search goes through the fan's ``SharedRowIndex``: each
-    distinct span-check or coefficient row of the cones scanned so far is
-    evaluated at most once per point, and a cone not yet scanned is tested
-    on its own, as the plain scan would.  The located chain keeps exactly
+    the point by the exact integer tests of its ``_inverse`` (the point is
+    scaled to integers once), which work for any simplicial cone.  The
+    search goes through the fan's ``SharedRowIndex``: each distinct
+    span-check or coefficient row of the cones scanned so far is evaluated
+    at most once per point, and a cone not yet scanned is tested on its
+    own, as the plain scan would.  The located chain keeps exactly
     the generators with strictly positive coefficients.  Returns None when
     the point is outside the fan's support.
     """

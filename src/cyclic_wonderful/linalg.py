@@ -17,10 +17,14 @@ columns with no gcd, and only a pivot of another lead scales the row, which
 is then divided by its content.  A surviving row is divided by its content
 once, when it becomes a pivot.
 
-``SharedRowIndex`` finds the first member of a scan (the maximal cones of a
-fan, the cells of a normal complex) whose sparse integer row tests all hold
-at a point.  The members share most of their rows, so it evaluates each
-distinct row once per point and drops members by bitmask.
+Membership in a cone of a fan or a cell of a normal complex is one kind of
+question: do a few sparse integer row tests ``(row, lo, hi)``, meaning
+``lo * D <= row . p <= hi * D``, all hold at a point ``p / D``.
+``tests_hold`` answers it for one member, stopping at the first failing
+test.  ``SharedRowIndex`` finds the first member of a scan (the maximal
+cones of a fan, the cells of a normal complex) whose tests all hold; the
+members share most of their rows, so it evaluates each distinct row once
+per point and drops members by bitmask.
 
 Hull extremeness is decided over the integers: ``integer_scaled`` clears a
 point set's denominators once, and the phase-1 simplex behind
@@ -260,14 +264,23 @@ SparseRow = tuple[tuple[int, int], ...]
 RowTest = tuple[SparseRow, int | None, int | None]
 
 
+def tests_hold(tests: Iterable[RowTest], p: Sequence[int], scale: int) -> bool:
+    """Whether every test ``lo * scale <= row . p <= hi * scale`` holds, with
+    p an integer vector and scale > 0; stops at the first that fails."""
+    for row, lo, hi in tests:
+        s = 0
+        for i, a in row:
+            s += a * p[i]
+        if (lo is not None and s < lo * scale) or (hi is not None and s > hi * scale):
+            return False
+    return True
+
+
 class SharedRowIndex:
     """The first member, in scan order, whose integer row tests all hold.
 
     A member holds at ``p / scale`` (p an integer vector, scale > 0) when
-    every test ``(row, lo, hi)`` that ``tests(member)`` gives holds there:
-    ``lo * scale <= row . p <= hi * scale``, with ``row`` a sparse
-    ``(index, coeff)`` row and a None bound absent.  ``holds(member, p,
-    scale)`` is the same verdict, decided by the member itself.
+    ``tests_hold(tests(member), p, scale)``.
 
     The members a query has scanned are always a prefix of the scan.  Each
     distinct row of a registered member, keyed by value, carries one bitmask
@@ -275,24 +288,18 @@ class SharedRowIndex:
     each distinct row at most once, skipping a row that no member still
     alive uses, and clears the members of every test that fails; the lowest
     surviving bit is the first registered member that holds.  When none
-    does, the query goes on with the plain scan, asking ``holds`` of one
-    unscanned member after the other up to the first that holds, so a query
-    never computes more of the members' rows than the plain scan would.  The
+    does, the query goes on with the plain scan, testing one unscanned
+    member after the other up to the first that holds, so a query never
+    computes more of the members' rows than the plain scan would.  The
     members it scanned are registered at the start of the next query, so a
     one-shot query pays nothing for the index.
     """
 
-    def __init__(
-        self,
-        members: Sequence,
-        tests: Callable[[Any], Iterable[RowTest]],
-        holds: Callable[[Any, tuple[int, ...], int], bool],
-    ) -> None:
+    def __init__(self, members: Sequence, tests: Callable[[Any], Iterable[RowTest]]) -> None:
         self._members = members
         self._tests = tests
-        self._holds = holds
         self._count = 0  # members[:_count] are registered
-        self._scanned = 0  # members[:_scanned] have been asked `holds`
+        self._scanned = 0  # members[:_scanned] have been tested
         # row -> [mask of every member using it, {(lo, hi): mask}]
         self._rows: dict[SparseRow, list] = {}
 
@@ -315,7 +322,7 @@ class SharedRowIndex:
         if alive:
             return (alive & -alive).bit_length() - 1
         for k in range(self._scanned, len(self._members)):
-            if self._holds(self._members[k], p, scale):
+            if tests_hold(self._tests(self._members[k]), p, scale):
                 self._scanned = k + 1
                 return k
         self._scanned = len(self._members)

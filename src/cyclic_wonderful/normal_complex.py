@@ -28,14 +28,16 @@ the same polytope, combinatorially a cube, whose 2^n vertices depend on n
 only and are computed once.
 
 Membership is integer arithmetic: each cell caches its H-rows cleared of
-denominators, each normal kept as its nonzero (index, coeff) pairs, and a
-rational point p / D (p integer, D > 0) satisfies ``normal . v <= bound``
-exactly when ``normal_int . p <= bound_int * D``; one cell's test stops at
-its first violated row.  The cells repeat their rows (253 distinct among
-the 6,912 H-rows at r = 4, n = 3), so membership in the complex goes through
-a ``linalg.SharedRowIndex`` over the cells: each distinct row is evaluated
-once per point, and a bitmask per row drops every cell it violates.  The
-index reads only the cells' own rows, not the point's chain.
+denominators as ``linalg.RowTest`` tests ``(normal, None, bound)``, each
+normal kept as its nonzero (index, coeff) pairs, and a rational point p / D
+(p integer, D > 0) satisfies ``normal . v <= bound`` exactly when
+``normal_int . p <= bound_int * D``.  One cell's membership test is
+``linalg.tests_hold``, which stops at its first violated row.  The cells
+repeat their rows (253 distinct among the 6,912 H-rows at r = 4, n = 3),
+so membership in the complex goes through a ``linalg.SharedRowIndex`` over
+the cells' tests: each distinct row is evaluated once per point, and a
+bitmask per row drops every cell it violates.  The index reads only the
+cells' own rows, not the point's chain.
 The tiling check in ``check`` compares this with ``in_delta`` (subset sums
 of the support decomposition), a route that shares none of it.
 """
@@ -60,12 +62,12 @@ from .lattice import (
 from .linalg import (
     RowTest,
     SharedRowIndex,
-    SparseRow,
     combine,
     extreme_points,
     integer_scaled,
     nullspace,
     scaled_point,
+    tests_hold,
 )
 
 FracVec = tuple[Fraction, ...]
@@ -99,34 +101,20 @@ class Polytope:
     label: Chain
 
     @cached_property
-    def _integer_rows(self) -> tuple[tuple[SparseRow, int], ...]:
-        """Each H-row as ``(normal, bound)`` times the lcm of its denominators,
-        the normal kept as its nonzero ``(index, coeff)`` pairs."""
-        rows = []
+    def _tests(self) -> tuple[RowTest, ...]:
+        """Each H-row times the lcm of its denominators, as the test
+        ``(normal, None, bound)`` with the normal kept as its nonzero
+        ``(index, coeff)`` pairs."""
+        tests = []
         for normal, bound in self.h_rep:
             (row,), _ = integer_scaled([(*normal, bound)])
-            rows.append((tuple((i, a) for i, a in enumerate(row[:-1]) if a), row[-1]))
-        return tuple(rows)
-
-    def _holds(self, p: tuple[int, ...], scale: int) -> bool:
-        """Membership of ``p / scale``, with p an integer vector, scale > 0;
-        stops at the first violated row."""
-        for normal, bound in self._integer_rows:
-            s = 0
-            for i, a in normal:
-                s += a * p[i]
-            if s > bound * scale:
-                return False
-        return True
+            tests.append((tuple((i, a) for i, a in enumerate(row[:-1]) if a), None, row[-1]))
+        return tuple(tests)
 
     def contains(self, point: Sequence) -> bool:
         # the origin is a vertex of every cell, so v_rep gives the dimension
         p, scale = scaled_point(point, len(self.v_rep[0]))
-        return self._holds(p, scale)
-
-
-def _cell_tests(cell: Polytope) -> list[RowTest]:
-    return [(normal, None, bound) for normal, bound in cell._integer_rows]
+        return tests_hold(self._tests, p, scale)
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,8 +122,8 @@ class NormalComplex:
     """The cells of one arrangement.
 
     Membership scales the point to integers once and asks whether some
-    cell's cached integer H-rows all hold, through a ``SharedRowIndex`` over
-    the cells: each distinct row of the cells scanned so far is evaluated at
+    cell's cached tests all hold, through a ``SharedRowIndex`` over the
+    cells: each distinct row of the cells scanned so far is evaluated at
     most once per point, and a cell not yet scanned is tested on its own.
     """
 
@@ -144,7 +132,7 @@ class NormalComplex:
 
     @cached_property
     def _cell_index(self) -> SharedRowIndex:
-        return SharedRowIndex(self.cells, _cell_tests, Polytope._holds)
+        return SharedRowIndex(self.cells, lambda cell: cell._tests)
 
     def contains(self, point: Sequence) -> bool:
         p, scale = scaled_point(point, self.spec.ambient_dim)

@@ -1,35 +1,21 @@
 """JSON encodings shared by the command-line front end.
 
 Conventions: rationals serialize as ``str(Fraction)``, the ``"p/q"`` string
-(plain ``"p"`` when the denominator is 1); integers inside vectors stay JSON
-numbers unless they exceed 64 bits, in which case they become decimal
-strings.  Both rules keep the wire format exact.
+(plain ``"p"`` when the denominator is 1), and integers stay JSON numbers.
+Both rules keep the wire format exact.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from .fan import Cone, Fan, basis_labels, ray_vector
 from .lattice import ArrangementSpec, Chain, DecoratedSubset, parse_chain, parse_subset
-
-_I64_MAX = (1 << 63) - 1
-_I64_MIN = -(1 << 63)
-
-
-def encode_int(x: int) -> int | str:
-    return x if _I64_MIN <= x <= _I64_MAX else str(x)
-
-
-def encode_vector(vec: Sequence[int]) -> list:
-    return [encode_int(int(x)) for x in vec]
 
 
 def fan_to_dict(fan: Fan) -> dict:
     subsets = sorted(fan.rays, key=DecoratedSubset.sort_key)
     ids = {d: k for k, d in enumerate(subsets)}
     rays = [
-        {"id": ids[d], "subset": d.text(), "vector": encode_vector(fan.rays[d])}
+        {"id": ids[d], "subset": d.text(), "vector": list(fan.rays[d])}
         for d in subsets
     ]
     cones = [

@@ -244,11 +244,15 @@ def test_cone_coefficients_match_the_fraction_solve_on_non_unimodular_cones(rays
     def pair(row, ray):
         return sum(a * ray[i] for i, a in row)
 
-    assert [[pair(row, ray) for ray in rays] for row in inv.coeff_rows] == [
+    # span-check tests (row, 0, 0) first, then coefficient tests (row, 0, None)
+    span_rows = [row for row, _, _ in inv.tests[: dim - k]]
+    coeff_rows = [row for row, _, _ in inv.tests[dim - k :]]
+    assert [(lo, hi) for _, lo, hi in inv.tests] == [(0, 0)] * (dim - k) + [(0, None)] * k
+    assert [[pair(row, ray) for ray in rays] for row in coeff_rows] == [
         [inv.delta * (i == j) for j in range(k)] for i in range(k)
     ]
-    assert len(inv.span_rows) == dim - k
-    assert all(pair(row, ray) == 0 for row in inv.span_rows for ray in rays)
+    assert len(span_rows) == dim - k
+    assert all(pair(row, ray) == 0 for row in span_rows for ray in rays)
     on = _combination(rays, [abs(c) for c in coeffs[:k]], dim)
     signed = _combination(rays, coeffs[:k], dim)
     off = tuple(x + y for x, y in zip(on, offset))

@@ -7,7 +7,8 @@ the dense rational ``matrix_rank`` and, pivot for pivot, with the
 cross-multiply-and-normalise eliminator that its in-place updates replaced;
 the integer phase-1 simplex is compared with the ``Fraction`` simplex it
 replaced.  Both replaced kernels are kept here as references.  The shared-row
-index is compared with the member-by-member scan.
+index, and its one-member evaluator ``tests_hold``, are compared with the
+member-by-member scan.
 """
 
 from fractions import Fraction
@@ -17,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cyclic_wonderful import linalg
 from cyclic_wonderful.linalg import (
     SharedRowIndex,
     SparseEliminator,
@@ -402,17 +404,26 @@ def _test_holds(test, p, scale):
 def test_shared_row_index_finds_the_first_member_the_scan_finds(members, points):
     asked = []
 
-    def holds(member, p, scale):
+    def tests(member):
         asked.append(member)
+        return member
+
+    def holds(member, p, scale):
         return all(_test_holds(t, p, scale) for t in member)
 
-    index = SharedRowIndex(members, lambda member: member, holds)
-    scanned = 0
+    index = SharedRowIndex(members, tests)
+    registered = scanned = 0
     for p, scale in points:
+        # (through the module: pytest would collect a bare `tests_hold`)
+        assert [linalg.tests_hold(m, p, scale) for m in members] == [
+            holds(m, p, scale) for m in members
+        ]
         expected = next((k for k, m in enumerate(members) if holds(m, p, scale)), None)
         asked.clear()
         assert index.first(p, scale) == expected
-        # only members past every one asked before are asked, in scan order
+        # the members scanned before and not yet registered are registered,
+        # then only members past every one scanned before are tested, in
+        # scan order
         stop = len(members) if expected is None else expected + 1
-        assert asked == members[scanned:stop]
-        scanned = max(scanned, stop)
+        assert asked == members[registered : max(scanned, stop)]
+        registered, scanned = scanned, max(scanned, stop)

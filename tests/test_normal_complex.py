@@ -281,8 +281,9 @@ def test_integer_membership_agrees_with_fraction_rows_in_every_cell(r, n, data):
 def scan_contains(nc, point):
     """Position of the first cell holding the point by the plain scan over
     the cells, the loop that the shared-row index replaced, or None."""
-    p, scale = scaled_point(point, nc.spec.ambient_dim)
-    return next((k for k, cell in enumerate(nc.cells) if cell._holds(p, scale)), None)
+    return next(
+        (k for k, cell in enumerate(nc.cells) if _dense_integer_rows_hold(cell, point)), None
+    )
 
 
 @st.composite
