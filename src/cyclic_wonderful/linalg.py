@@ -305,8 +305,8 @@ class SharedRowIndex:
 
     def first(self, p: Sequence[int], scale: int) -> int | None:
         """Position of the first member that holds at ``p / scale``, or None."""
-        for member in self._members[self._count : self._scanned]:
-            self._register(member)
+        if self._count < self._scanned:
+            self._register()
         alive = (1 << self._count) - 1
         for row, (users, checks) in self._rows.items():
             if not users & alive:
@@ -328,16 +328,29 @@ class SharedRowIndex:
         self._scanned = len(self._members)
         return None
 
-    def _register(self, member) -> None:
-        bit = 1 << self._count
-        self._count += 1
-        for row, lo, hi in self._tests(member):
+    def _register(self) -> None:
+        """Registers the members the last query scanned, in one batch: each
+        test's bits are set in one byte string, which becomes its mask, so
+        no mask as wide as the scan is OR-ed once per member."""
+        start = self._count
+        width = ((self._scanned - start) >> 3) + 1
+        gathered: dict[RowTest, bytearray] = {}
+        for bit, member in enumerate(self._members[start : self._scanned]):
+            byte, flag = bit >> 3, 1 << (bit & 7)
+            for test in self._tests(member):
+                buf = gathered.get(test)
+                if buf is None:
+                    buf = gathered[test] = bytearray(width)
+                buf[byte] |= flag
+        for (row, lo, hi), buf in gathered.items():
+            mask = int.from_bytes(buf, "little") << start
             entry = self._rows.get(row)
             if entry is None:
                 entry = self._rows[row] = [0, {}]
-            entry[0] |= bit
+            entry[0] |= mask
             checks = entry[1]
-            checks[lo, hi] = checks.get((lo, hi), 0) | bit
+            checks[lo, hi] = checks.get((lo, hi), 0) | mask
+        self._count = self._scanned
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from cyclic_wonderful import fan as fan_module
 from cyclic_wonderful.fan import (
     Cone,
     Fan,
+    _Inverse,
     _star_subdivide,
     basis_image,
     build_fan,
@@ -323,6 +325,104 @@ def test_cone_rejects_a_point_of_the_wrong_length():
         cone.contains((1, 1))
     with pytest.raises(ValueError, match="length 4, expected 3"):
         cone.coefficients((1, 1, 0, 0))
+
+
+# --- the prefix-resumed elimination -----------------------------------------
+
+
+def _gauss_jordan(m, k):
+    """Fraction-free Gauss-Jordan elimination (Bareiss) through the first k
+    columns of the integer matrix m, in place, with row swaps; returns the
+    last pivot.  The one full pass per cone that ``Cone._inverse`` ran before
+    it resumed each cone from the cached state of its leading rays."""
+    prev = 1
+    for c in range(k):
+        p = next((i for i in range(c, len(m)) if m[i][c]), None)
+        if p is None:
+            raise ValueError("columns are linearly dependent")
+        m[c], m[p] = m[p], m[c]
+        piv = m[c]
+        pv = piv[c]
+        for i, row in enumerate(m):
+            f = row[c]
+            if i == c or (not f and pv == prev):
+                continue
+            m[i] = [(pv * x - f * y) // prev for x, y in zip(row, piv)]
+        prev = pv
+    return prev
+
+
+def _reference_inverse(rays):
+    """The cone's ``_Inverse`` from one full pass over ``[A | I]``."""
+    k, dim = len(rays), len(rays[0])
+    m = [[*a_row, *(int(i == j) for j in range(dim))] for i, a_row in enumerate(zip(*rays))]
+    delta = _gauss_jordan(m, k)
+    sign = 1 if delta > 0 else -1
+
+    def test(row, s, hi):
+        return tuple((i, s * x) for i, x in enumerate(row[k:]) if x), 0, hi
+
+    return _Inverse(
+        (*(test(row, 1, 0) for row in m[k:]), *(test(row, sign, None) for row in m[:k])),
+        k,
+        sign * delta,
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(rays=_rough_cones(), data=st.data())
+def test_inverse_equals_the_full_pass_on_non_unimodular_cones_in_any_ray_order(rays, data):
+    rays = tuple(data.draw(st.permutations(rays)))
+    assert Cone(rays, ())._inverse == _reference_inverse(rays)
+
+
+@pytest.mark.parametrize("spec", [(3, 2), (2, 3), (4, 2)])
+def test_inverse_equals_the_full_pass_on_every_fan_cone(spec):
+    _, cones = _fan_cones(*spec)  # new cones: no inverse computed yet
+    for cone in cones:
+        if cone.rays:
+            assert cone._inverse == _reference_inverse(cone.rays)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    rays=st.lists(
+        st.lists(st.integers(-3, 3), min_size=3, max_size=3).map(tuple),
+        min_size=1,
+        max_size=3,
+    ),
+    weights=st.lists(st.integers(-2, 2), min_size=3, max_size=3),
+    data=st.data(),
+)
+def test_dependent_rays_raise_the_full_pass_error(rays, weights, data):
+    dependent = tuple(sum(w * v[i] for w, v in zip(weights, rays)) for i in range(3))
+    rays = tuple(data.draw(st.permutations((*rays, dependent))))
+    with pytest.raises(ValueError) as expected:
+        _reference_inverse(rays)
+    with pytest.raises(ValueError) as raised:
+        Cone(rays, ())._inverse
+    assert str(raised.value) == str(expected.value)
+
+
+def test_a_cold_full_scan_takes_one_step_per_cone_and_per_shared_prefix(monkeypatch):
+    steps = []
+    step = fan_module._bareiss_step
+
+    def counted(state, c, a):
+        steps.append(c)
+        return step(state, c, a)
+
+    monkeypatch.setattr(fan_module, "_bareiss_step", counted)
+    fan_module._prefix_elimination.cache_clear()
+    spec = ArrangementSpec(3, 3)
+    fan = build_fan(spec, BuildingSet.maximal(spec))
+    cones = fan.maximal_cones
+    assert locate_point(fan, (1, 1) + (0,) * (spec.ambient_dim - 2)) is None
+    prefixes = {cone.rays[:j] for cone in cones for j in range(1, spec.n)}
+    # 162 last steps and 9 + 54 shared ones, where one pass per cone took 486
+    assert (len(cones), len(prefixes)) == (162, 63)
+    assert len(steps) == 225
+    assert steps.count(spec.n - 1) == len(cones)
 
 
 # --- stellar construction ----------------------------------------------------

@@ -22,7 +22,10 @@ membership went through the shared-row index: the first is located in a
 cone's proper face, the second tests 500 points against 162 cells), and the
 ``locate`` at (4,4) (a one-shot scan that passes 5,197 of the 6,144 maximal
 cones) and the ``check --suite normal`` at (4,3) before cones and cells
-handed the shared-row index their row tests; any later change that alters
+handed the shared-row index their row tests, and the full ``check`` at
+(4,2) before each cone's inverse resumed from the elimination state of its
+leading rays (every suite; its fan suite locates 1,000 sampled points, half
+of them outside the support); any later change that alters
 a byte of these outputs fails here.  The whole corpus runs in-process through
 ``cli.main`` in a few seconds.  To re-record after an
 intended output change, print ``hashlib.sha256(stdout).hexdigest()`` for each
@@ -86,6 +89,7 @@ GOLDEN = [
     ("check --r 3 --n 3 --suite normal --seed 2", 0, "09192c542613eb66059eb03a041c687937a0f0b2fba338dc09697e0195dce7f1"),
     ("locate --r 4 --n 4 --point 1,0,0,0,2,0,-1,-1,-1,0,0,3", 0, "20dd79839446bab032a40d33844d0cffd75e8972f4dc87b74b1b47cd8a483248"),
     ("check --r 4 --n 3 --suite normal --seed 4", 0, "1f8ecd644e31c5d9c3afc1e652703e7ee0fc8e6ae4c322cc55d8e216b991a473"),
+    ("check --r 4 --n 2 --seed 3", 0, "af0dcbbfd0ecb7e3d7de6be6eae3841ef622d1cec046b585dbd5f53e6412d6a2"),
     ("fan --r 1 --n 2", 2, "19a9c3723b7d7f4d89611ed97f66c1f2369ca2ac75bc525df5a199f19f8b3969"),
     ("locate --r 3 --n 2 --point 1,2", 2, "2360e8858d7deb4b2fdfefd665fff621c57c1bcb7cd8a38e1eced897152e29a7"),
 ]

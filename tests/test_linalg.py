@@ -8,7 +8,8 @@ cross-multiply-and-normalise eliminator that its in-place updates replaced;
 the integer phase-1 simplex is compared with the ``Fraction`` simplex it
 replaced.  Both replaced kernels are kept here as references.  The shared-row
 index, and its one-member evaluator ``tests_hold``, are compared with the
-member-by-member scan.
+member-by-member scan, and its batch registration with the member-by-member
+registration it replaced.
 """
 
 from fractions import Fraction
@@ -392,6 +393,19 @@ def _test_holds(test, p, scale):
     return (lo is None or lo * scale <= s) and (hi is None or s <= hi * scale)
 
 
+def _rows_one_by_one(members):
+    """The index's row table as the replaced registration built it: one
+    member at a time, its bit OR-ed into each mask it belongs to."""
+    rows = {}
+    for k, member in enumerate(members):
+        bit = 1 << k
+        for row, lo, hi in member:
+            entry = rows.setdefault(row, [0, {}])
+            entry[0] |= bit
+            entry[1][lo, hi] = entry[1].get((lo, hi), 0) | bit
+    return rows
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     members=st.lists(_MEMBER, max_size=12),
@@ -426,4 +440,22 @@ def test_shared_row_index_finds_the_first_member_the_scan_finds(members, points)
         # scan order
         stop = len(members) if expected is None else expected + 1
         assert asked == members[registered : max(scanned, stop)]
+        # the batch registered the same masks, and the rows in the same order
+        rows = _rows_one_by_one(members[:scanned])
+        assert index._rows == rows and list(index._rows) == list(rows)
         registered, scanned = scanned, max(scanned, stop)
+
+
+def test_a_batch_wider_than_a_byte_registers_like_one_member_at_a_time():
+    # each member bounds the sum of two coordinates from below; the first
+    # point holds at none of the 20, so the next query registers them in one
+    # batch that spans three bytes
+    members = [[(((k % 3, 1), ((k + 1) % 3, 1)), k % 5 - 2, None)] for k in range(20)]
+    index = SharedRowIndex(members, lambda member: member)
+    points = [((-3, -3, -3), 1), ((0, 0, 0), 1), ((1, 0, 0), 2), ((-3, -3, -3), 1)]
+    scan = [
+        next((k for k, m in enumerate(members) if linalg.tests_hold(m, p, scale)), None)
+        for p, scale in points
+    ]
+    assert [index.first(p, scale) for p, scale in points] == scan == [None, 0, 0, None]
+    assert index._count == 20 and index._rows == _rows_one_by_one(members)
