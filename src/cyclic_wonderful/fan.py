@@ -348,10 +348,11 @@ def build_fan(spec: ArrangementSpec, g: BuildingSet) -> Fan:
     rays: dict[DecoratedSubset, Vector] = {}
     cones = {}
     for chain in enumerate_chains(spec, spec.n):
-        if chain.length == 1:
-            (d,) = chain.prefixes
+        prefixes = chain.prefixes
+        if len(prefixes) == 1:
+            (d,) = prefixes
             rays[d] = ray_vector(d, spec)
-        cones[chain] = Cone(tuple(rays[d] for d in chain.prefixes), chain.prefixes)
+        cones[chain] = Cone(tuple([rays[d] for d in prefixes]), prefixes)
     return Fan(spec, rays, cones)
 
 

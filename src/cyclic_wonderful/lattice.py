@@ -99,6 +99,12 @@ class DecoratedSubset:
             raise ValueError(f"indices must be strictly increasing, got {idx}")
         if any(i < 1 for i in idx):
             raise ValueError(f"indices must be >= 1, got {idx}")
+        # hashed once, to the value the dataclass would compute: subsets key
+        # the ray table and enter every chain's hash
+        object.__setattr__(self, "_hash", hash((self.items,)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def of(cls, pairs: Iterable[tuple[int, int]] | dict[int, int]) -> "DecoratedSubset":
@@ -173,6 +179,13 @@ class Chain:
     @classmethod
     def empty(cls) -> "Chain":
         return cls(())
+
+    @classmethod
+    def _trusted(cls, prefixes: tuple[DecoratedSubset, ...]) -> "Chain":
+        """The chain of prefixes already known to nest, without the check."""
+        chain = object.__new__(cls)
+        object.__setattr__(chain, "prefixes", prefixes)
+        return chain
 
     @classmethod
     def of(cls, sets: Iterable[Iterable[int]], decoration: dict[int, int]) -> "Chain":
@@ -318,10 +331,26 @@ def _subflags(top: tuple[int, ...], k: int) -> Iterator[tuple[tuple[int, ...], .
             yield flag + (s,)
 
 
-def _decorated_chain(table: dict, flag: Iterable[tuple[int, ...]], deco: dict[int, int]) -> Chain:
-    """The chain of the flag, each set decorated by restricting deco; its
-    prefixes are the table's objects, keyed by their ``items``."""
-    return Chain(tuple(table[tuple((i, deco[i]) for i in s)] for s in flag))
+def _flag_chains(table: dict, flag: tuple[tuple[int, ...], ...], r: int) -> list[Chain]:
+    """The r^|top| chains of a flag of index sets, one per decoration of its
+    top set, decorations in ``itertools.product`` order.
+
+    Nesting is checked here, once for the flag: the sets must strictly grow
+    by inclusion, starting from a nonempty one.  Restricting one decoration
+    of the top set to nested index sets gives nested decorated prefixes, so
+    every chain of the flag nests and is built without the per-chain check.
+    The prefixes are the table's objects, keyed by their ``items``.
+    """
+    for a, b in zip(((),) + flag, flag):
+        if not (len(a) < len(b) and set(a) <= set(b)):
+            raise ValueError(f"index sets {a} and {b} do not nest")
+    top = flag[-1] if flag else ()
+    # each set's indices, paired with their positions in top
+    positions = [[(i, top.index(i)) for i in s] for s in flag]
+    return [
+        Chain._trusted(tuple([table[tuple([(i, deco[k]) for i, k in pos])] for pos in positions]))
+        for deco in itertools.product(range(r), repeat=len(top))
+    ]
 
 
 def enumerate_chains(spec: ArrangementSpec, max_length: int) -> Iterator[Chain]:
@@ -329,7 +358,10 @@ def enumerate_chains(spec: ArrangementSpec, max_length: int) -> Iterator[Chain]:
 
     The stream is re-created from scratch on every call; there is no shared
     cursor, so concurrent consumers are safe.  The chains of one call share
-    their decorated subsets: equal prefixes are the same object.
+    their decorated subsets: equal prefixes are the same object.  Nesting is
+    checked once per flag of index sets, in ``_flag_chains``, not once per
+    chain: the prefixes of a chain are one decoration of its top set
+    restricted to the flag's sets, and restrictions to nested sets nest.
     """
     if not 0 <= max_length <= spec.n:
         raise ValueError(f"max_length must be within [0, {spec.n}], got {max_length}")
@@ -339,18 +371,20 @@ def enumerate_chains(spec: ArrangementSpec, max_length: int) -> Iterator[Chain]:
         for size in range(length, spec.n + 1):
             for top in itertools.combinations(range(1, spec.n + 1), size):
                 for flag in _subflags(top, length - 1):
-                    for deco in itertools.product(range(spec.r), repeat=size):
-                        yield _decorated_chain(table, flag + (top,), dict(zip(top, deco)))
+                    yield from _flag_chains(table, flag + (top,), spec.r)
 
 
 def maximal_chains(spec: ArrangementSpec) -> list[Chain]:
-    """Full flags on [n] with a decoration: n! * r^n of them."""
+    """Full flags on [n] with a decoration: n! * r^n of them.
+
+    As in ``enumerate_chains``, nesting is checked once per full flag, in
+    ``_flag_chains``, and that check covers all r^n decorations of the flag.
+    """
     table = {d.items: d for d in enumerate_decorated_subsets(spec)}
     out = []
     for perm in itertools.permutations(range(1, spec.n + 1)):
         flag = tuple(tuple(sorted(perm[: j + 1])) for j in range(spec.n))
-        for deco in itertools.product(range(spec.r), repeat=spec.n):
-            out.append(_decorated_chain(table, flag, dict(zip(range(1, spec.n + 1), deco))))
+        out.extend(_flag_chains(table, flag, spec.r))
     return out
 
 

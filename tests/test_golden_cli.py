@@ -25,7 +25,10 @@ cones) and the ``check --suite normal`` at (4,3) before cones and cells
 handed the shared-row index their row tests, and the full ``check`` at
 (4,2) before each cone's inverse resumed from the elimination state of its
 leading rays (every suite; its fan suite locates 1,000 sampled points, half
-of them outside the support); any later change that alters
+of them outside the support), and the ``fan --format json`` and the ``check
+--suite fan`` at (2,4) before the chain enumerators checked nesting once per
+flag (every chain and cone of the fan, and its chain and intersection
+checks); any later change that alters
 a byte of these outputs fails here.  The whole corpus runs in-process through
 ``cli.main`` in a few seconds.  To re-record after an
 intended output change, print ``hashlib.sha256(stdout).hexdigest()`` for each
@@ -90,6 +93,8 @@ GOLDEN = [
     ("locate --r 4 --n 4 --point 1,0,0,0,2,0,-1,-1,-1,0,0,3", 0, "20dd79839446bab032a40d33844d0cffd75e8972f4dc87b74b1b47cd8a483248"),
     ("check --r 4 --n 3 --suite normal --seed 4", 0, "1f8ecd644e31c5d9c3afc1e652703e7ee0fc8e6ae4c322cc55d8e216b991a473"),
     ("check --r 4 --n 2 --seed 3", 0, "af0dcbbfd0ecb7e3d7de6be6eae3841ef622d1cec046b585dbd5f53e6412d6a2"),
+    ("fan --r 2 --n 4 --format json", 0, "c2e0dafc385ef1bae3abc030349fbd5cd0c2f67759e817797e508d3be861db89"),
+    ("check --r 2 --n 4 --suite fan --seed 1", 0, "78fe6b9d54b965b64b38c3d10f925760025a0790ac14a7a6cf3666fdebd37f79"),
     ("fan --r 1 --n 2", 2, "19a9c3723b7d7f4d89611ed97f66c1f2369ca2ac75bc525df5a199f19f8b3969"),
     ("locate --r 3 --n 2 --point 1,2", 2, "2360e8858d7deb4b2fdfefd665fff621c57c1bcb7cd8a38e1eced897152e29a7"),
 ]

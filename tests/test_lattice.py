@@ -6,7 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cyclic_wonderful.chow import nonempty_chain_count
+from cyclic_wonderful.fan import build_fan
 from cyclic_wonderful.lattice import (
+    _flag_chains,
+    _subflags,
     ArrangementSpec,
     BuildingSet,
     Chain,
@@ -279,6 +283,82 @@ def test_enumerate_chains_is_deterministic():
 
 def test_enumerate_chains_length_zero():
     assert list(enumerate_chains(ArrangementSpec(4, 3), 0)) == [Chain.empty()]
+
+
+def _reference_chain(table, flag, deco):
+    """The chain of the flag with each set decorated by restricting deco,
+    through the validating constructor."""
+    return Chain(tuple(table[tuple((i, deco[i]) for i in s)] for s in flag))
+
+
+def _reference_enumerate_chains(spec, max_length):
+    """``enumerate_chains`` as one validated chain per (flag, decoration)."""
+    table = {d.items: d for d in enumerate_decorated_subsets(spec)}
+    yield Chain.empty()
+    for length in range(1, max_length + 1):
+        for size in range(length, spec.n + 1):
+            for top in itertools.combinations(range(1, spec.n + 1), size):
+                for flag in _subflags(top, length - 1):
+                    for deco in itertools.product(range(spec.r), repeat=size):
+                        yield _reference_chain(table, flag + (top,), dict(zip(top, deco)))
+
+
+def _reference_maximal_chains(spec):
+    """``maximal_chains`` as one validated chain per (full flag, decoration)."""
+    table = {d.items: d for d in enumerate_decorated_subsets(spec)}
+    out = []
+    for perm in itertools.permutations(range(1, spec.n + 1)):
+        flag = tuple(tuple(sorted(perm[: j + 1])) for j in range(spec.n))
+        for deco in itertools.product(range(spec.r), repeat=spec.n):
+            out.append(_reference_chain(table, flag, dict(zip(range(1, spec.n + 1), deco))))
+    return out
+
+
+_ENUMERATED_SPECS = [(2, 1), (3, 2), (2, 3), (4, 3), (2, 4), (3, 3), (3, 0)]
+
+
+@pytest.mark.parametrize("r,n", _ENUMERATED_SPECS)
+def test_enumerated_chains_nest_and_come_in_the_reference_order(r, n):
+    spec = ArrangementSpec(r, n)
+    chains = list(enumerate_chains(spec, n))
+    full = maximal_chains(spec)
+    assert len(chains) == nonempty_chain_count(spec) + 1
+    assert len(full) == spec.num_maximal_chains
+    # each chain passes the full neighbour check of the public constructor
+    for c in chains + full:
+        assert Chain(c.prefixes) == c
+    assert chains == list(_reference_enumerate_chains(spec, n))
+    assert full == _reference_maximal_chains(spec)
+    # equal prefixes are one object: one per decorated subset
+    assert len({id(d) for c in chains for d in c.prefixes}) == spec.num_subsets
+
+
+@pytest.mark.parametrize(
+    "flag",
+    [
+        ((1,), (2, 3)),  # not an inclusion
+        ((1,), (1,)),  # sizes must grow strictly
+        ((1, 2), (1,)),  # innermost first
+        ((), (1,)),  # the bottom element is no prefix
+    ],
+)
+def test_flag_chains_refuse_a_flag_that_does_not_nest(flag):
+    table = {d.items: d for d in enumerate_decorated_subsets(ArrangementSpec(2, 3))}
+    with pytest.raises(ValueError, match="do not nest"):
+        _flag_chains(table, flag, 2)
+
+
+@pytest.mark.parametrize("r,n", [(3, 3), (4, 3), (2, 4)])
+def test_build_fan_keeps_the_reference_insertion_order(monkeypatch, r, n):
+    spec = ArrangementSpec(r, n)
+    g = BuildingSet.maximal(spec)
+    fan = build_fan(spec, g)
+    monkeypatch.setattr("cyclic_wonderful.fan.enumerate_chains", _reference_enumerate_chains)
+    reference = build_fan(spec, g)
+    # fan_to_dict sorts, so the golden digests do not see these orders
+    assert list(fan.cones) == list(reference.cones)
+    assert list(fan.rays) == list(reference.rays)
+    assert fan.maximal_cones == reference.maximal_cones
 
 
 def test_jump_type_examples():
