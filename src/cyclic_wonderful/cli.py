@@ -23,6 +23,7 @@ from . import chow, normal_complex, tropical
 from .fan import build_fan, build_fan_stellar, locate_point
 from .guards import FeasibilityError, check_fan_spec
 from .lattice import ArrangementSpec, BuildingSet
+from .linalg import parse_rational
 from .selfcheck import SUITES, run_suites
 from .serialize import fan_to_dict
 
@@ -64,10 +65,7 @@ def _emit_json(config: RunConfig, payload: dict) -> None:
 def _parse_point(text: str, spec: ArrangementSpec) -> tuple[Fraction, ...]:
     # an empty text is the one point of R^0, the ambient space at n = 0
     parts = text.split(",") if text.strip() else []
-    try:
-        coords = tuple(Fraction(part.strip()) for part in parts)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in point {text!r}") from None
+    coords = tuple(parse_rational(part) for part in parts)
     if len(coords) != spec.ambient_dim:
         raise ValueError(
             f"point needs {spec.ambient_dim} coordinates, got {len(coords)}"
@@ -227,8 +225,7 @@ def _cmd_normal_complex(config: RunConfig) -> int:
     payload: dict = {"r": spec.r, "n": spec.n, "cells": cells}
     if config.union_extremes:
         payload["union_extremes"] = [
-            [str(x) for x in p]
-            for p in normal_complex.union_extreme_points(spec, complex_)
+            [str(x) for x in p] for p in normal_complex.union_extreme_points(spec)
         ]
     if config.format == "json":
         _emit_json(config, payload)

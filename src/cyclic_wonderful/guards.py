@@ -22,9 +22,6 @@ ENV_OVERRIDE = "CYCLIC_WONDERFUL_MAX_CELLS"
 DEFAULT_FAN_CELLS = 50_000        # rays + maximal cones of a fan build
 DEFAULT_ORACLE_GENERATORS = 1_000  # generator count for the Chow rank oracle
 DEFAULT_NORMAL_CELLS = 1_000       # cells of the normal complex (~1 ms each at n = 3)
-# distinct cell vertices whose hull extremes ``--union-extremes`` computes:
-# (9, 2) has 262 and takes ~6 s, (10, 2) has 321 and takes ~14 s
-DEFAULT_HULL_POINTS = 300
 COUNT_CAP = 10**18                 # sizes above this are never computed in full
 
 
@@ -84,14 +81,5 @@ def check_normal_complex(cells: int) -> None:
     if cells > bound:
         raise FeasibilityError(
             f"normal complex with {_size(cells, bound)} cells exceeds the guard bound "
-            f"{bound} (override with {ENV_OVERRIDE})"
-        )
-
-
-def check_hull_points(points: int) -> None:
-    bound = _bound(DEFAULT_HULL_POINTS)
-    if points > bound:
-        raise FeasibilityError(
-            f"hull extremes of {points} cell vertices exceed the guard bound "
             f"{bound} (override with {ENV_OVERRIDE})"
         )

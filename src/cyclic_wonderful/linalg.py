@@ -29,7 +29,8 @@ per point and drops members by bitmask.
 Hull extremeness is decided over the integers: ``integer_scaled`` clears a
 point set's denominators once, and the phase-1 simplex behind
 ``in_convex_hull`` pivots fraction-free (each tableau entry is the basis
-determinant times its rational value; every division is exact).
+determinant times its rational value; every division is exact).  Only
+``check`` runs it, as the second route to the union extremes.
 """
 
 from __future__ import annotations
@@ -381,6 +382,17 @@ def scaled_point(point: Vector, dim: int) -> tuple[tuple[int, ...], int]:
         return tuple(point), 1
     (p,), scale = integer_scaled([point])
     return p, scale
+
+
+def parse_rational(text: str) -> Fraction:
+    """An integer, ``p/q`` or plain decimal; exponent notation (``1e10000000``
+    is ten million digits) and a zero denominator raise ValueError."""
+    if "e" in text.lower():
+        raise ValueError(f"{text!r} is not an integer, p/q or plain decimal")
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def _lp_feasible_eq(a: list[list[int]], b: list[int]) -> bool:

@@ -50,8 +50,8 @@ from functools import cache, cached_property
 from fractions import Fraction
 from typing import Sequence
 
-from .guards import COUNT_CAP, check_hull_points, check_normal_complex
-from .fan import ray_vector, support_decomposition
+from .guards import COUNT_CAP, check_normal_complex
+from .fan import basis_image, ray_vector, support_decomposition
 from .lattice import (
     ArrangementSpec,
     Chain,
@@ -63,7 +63,6 @@ from .linalg import (
     RowTest,
     SharedRowIndex,
     combine,
-    extreme_points,
     integer_scaled,
     nullspace,
     scaled_point,
@@ -220,24 +219,27 @@ def in_delta(point: Sequence, spec: ArrangementSpec) -> bool:
     decomp = support_decomposition(point, spec)
     if decomp is None:
         return False
-    lengths = [x for x, _ in decomp]
-    for size in range(1, spec.n + 1):
-        for subset in itertools.combinations(range(spec.n), size):
-            if sum(lengths[i] for i in subset) > delta(spec.n, size):
-                return False
-    return True
+    # the s largest lengths bound the total of every s-subset
+    totals = itertools.accumulate(sorted((x for x, _ in decomp), reverse=True))
+    return all(total <= delta(spec.n, size) for size, total in enumerate(totals, start=1))
 
 
-def union_extreme_points(
-    spec: ArrangementSpec, complex_: NormalComplex | None = None
-) -> list[FracVec]:
-    """Extreme points of the convex hull of all cell vertices.
+def union_extreme_points(spec: ArrangementSpec) -> list[FracVec]:
+    """Extreme points of the union of the cells, sorted: the permutohedral
+    orbit sum_i sigma(i) e_i^(a_i) over the permutations sigma of 1..n and
+    the residues a.
 
-    Pass ``complex_`` when the complex of ``spec`` is already built.  The
-    vertex count is guarded before any LP runs.
+    Each orbit point is the vertex of one cell where every level is tight,
+    so the normal-complex guard bounds the orbit.  The rest of the union
+    averages orbit points: its lengths lie below the permutohedron of
+    (1, ..., n), and a factor's r residues average to 0.  ``check`` compares
+    the orbit with ``linalg.extreme_points`` over the cells' vertices.
     """
-    if complex_ is None:
-        complex_ = complex_cells(spec)
-    points = {v for cell in complex_.cells for v in cell.v_rep}
-    check_hull_points(len(points))
-    return extreme_points(points)
+    check_normal_complex(spec.num_maximal_chains_upto(COUNT_CAP))
+    n, dim = spec.n, spec.ambient_dim
+    images = [[basis_image(spec, i, a) for a in range(spec.r)] for i in range(1, n + 1)]
+    return sorted(
+        combine(sigma, [block[a] for block, a in zip(images, residues)], dim, Fraction(0))
+        for sigma in itertools.permutations(range(1, n + 1))
+        for residues in itertools.product(range(spec.r), repeat=n)
+    )

@@ -33,6 +33,7 @@ from .lattice import (
     chain_intersect,
     enumerate_chains,
 )
+from .linalg import extreme_points
 from .sampling import Lcg, sample_curve, sample_mixed_points
 
 SUITES = ("fan", "chow", "tropical", "normal")
@@ -290,21 +291,18 @@ def suite_normal(spec: ArrangementSpec, seed: int = 0) -> list[CheckResult]:
         )
     )
     if (spec.r, spec.n) == (2, 2):
-        name = "union extremes are the signed permutations of (1, 2)"
-        try:
-            extremes = set(normal_complex.union_extreme_points(spec, complex_))
-        except FeasibilityError as exc:
-            out.append(_skipped("normal", name, exc))
-            return out
+        # the fraction-free simplex over every cell vertex is the second route
+        extremes = normal_complex.union_extreme_points(spec)
+        hull = extreme_points({v for cell in complex_.cells for v in cell.v_rep})
         expect = {
             (Fraction(sa * a), Fraction(sb * b))
             for a, b in itertools.permutations((1, 2))
             for sa in (1, -1)
             for sb in (1, -1)
         }
-        out.append(
-            _result("normal", name, extremes == expect, f"{len(extremes)} extreme points")
-        )
+        name = "union extremes are the signed permutations of (1, 2)"
+        passed = set(extremes) == expect and extremes == hull
+        out.append(_result("normal", name, passed, f"{len(extremes)} extreme points"))
     return out
 
 

@@ -22,7 +22,7 @@ from typing import Sequence
 
 from .fan import basis_image, support_decomposition
 from .lattice import ArrangementSpec, Chain
-from .linalg import combine
+from .linalg import combine, parse_rational
 
 CENTER = None  # spoke value for orbits on the central vertex
 
@@ -120,7 +120,8 @@ def parse_curve(text: str, spec: ArrangementSpec) -> TropicalCurve:
     """Parse ``i:spoke:length`` triples, e.g. ``1:0:2,2:2:1`` or ``1:c:0``.
 
     Every orbit index not mentioned sits on the center; spoke ``c`` means
-    the center and requires length zero.  Lengths may be ``p/q`` fractions.
+    the center and requires length zero.  Lengths are integers, ``p/q``
+    fractions or plain decimals (``linalg.parse_rational``).
     An orbit index may appear at most once.
     """
     spokes: list[int | None] = [CENTER] * spec.n
@@ -142,12 +143,8 @@ def parse_curve(text: str, spec: ArrangementSpec) -> TropicalCurve:
                 spoke: int | None = CENTER
             else:
                 spoke = int(fields[1])
-            try:
-                length = Fraction(fields[2])
-            except ZeroDivisionError:
-                raise ValueError(f"zero denominator in curve component {part!r}") from None
             spokes[i - 1] = spoke
-            lengths[i - 1] = length
+            lengths[i - 1] = parse_rational(fields[2])
     curve = TropicalCurve(tuple(spokes), tuple(lengths))
     validate_curve(curve, spec)
     return curve

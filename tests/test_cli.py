@@ -5,6 +5,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -133,7 +134,7 @@ def test_check_chow_argv_fuzz_exits_0_1_or_2_with_repeatable_output(monkeypatch,
     assert main_stdout(argv) == (status, out)
 
 
-RATIONAL = st.sampled_from(["0", "1", "-1", "1/2", "-3/2", "1/0", "x"])
+RATIONAL = st.sampled_from(["0", "1", "-1", "1/2", "-3/2", "1/0", "x", "1e3"])
 TRIPLE = st.builds(
     lambda i, spoke, length: f"{i}:{spoke}:{length}",
     st.integers(0, 3),
@@ -311,6 +312,28 @@ def test_locate_zero_denominator_is_a_usage_error(target):
     assert out.startswith("error: zero denominator")
 
 
+@pytest.mark.parametrize(
+    "target",
+    [["--point", "1e10000000"], ["--curve", "1:0:1e10000000"]],
+    ids=["point", "curve"],
+)
+def test_locate_refuses_exponent_notation_at_once(target):
+    start = time.perf_counter()
+    status, out = invoke(["locate", "--r", "2", "--n", "1", *target])
+    assert time.perf_counter() - start < 1
+    assert status == 2
+    assert out == "error: '1e10000000' is not an integer, p/q or plain decimal\n"
+
+
+@pytest.mark.parametrize(
+    "target", [["--point", "1.5, -1/2"], ["--curve", "1:1:1.5,2:0:1/2"]], ids=["point", "curve"]
+)
+def test_locate_reads_decimals_and_fractions(target):
+    status, out = invoke(["locate", "--r", "2", "--n", "2", *target])
+    assert status == 0
+    assert out == "point: (3/2,-1/2)\nchain: {1:1}<{1:1,2:0}\n"
+
+
 def test_locate_repeated_orbit_index_is_a_usage_error():
     status, out = invoke(["locate", "--r", "2", "--n", "2", "--curve", "1:0:1,1:1:2"])
     assert status == 2
@@ -361,6 +384,17 @@ def test_normal_complex_union_extremes_octagon():
         for sa in (1, -1)
         for sb in (1, -1)
     }
+
+
+@pytest.mark.parametrize("r,n", [(3, 3), (4, 3), (2, 4)])
+def test_normal_complex_union_extremes_past_the_old_hull_bound(monkeypatch, r, n):
+    # 442, 989 and 1,697 distinct cell vertices; the orbit has n! r^n points
+    monkeypatch.delenv("CYCLIC_WONDERFUL_MAX_CELLS", raising=False)
+    status, out = invoke(
+        ["normal-complex", "--r", str(r), "--n", str(n), "--union-extremes", "--format", "json"]
+    )
+    assert status == 0
+    assert len(json.loads(out)["union_extremes"]) == ArrangementSpec(r, n).num_maximal_chains
 
 
 def test_normal_complex_guard(monkeypatch):

@@ -28,7 +28,9 @@ leading rays (every suite; its fan suite locates 1,000 sampled points, half
 of them outside the support), and the ``fan --format json`` and the ``check
 --suite fan`` at (2,4) before the chain enumerators checked nesting once per
 flag (every chain and cone of the fan, and its chain and intersection
-checks); any later change that alters
+checks), and the four ``--union-extremes`` digests at (3,2), (5,2), (2,1)
+and (3,0) before the union extremes switched from the hull LP over every
+cell vertex to the closed-form permutohedral orbit; any later change that alters
 a byte of these outputs fails here.  The whole corpus runs in-process through
 ``cli.main`` in a few seconds.  To re-record after an
 intended output change, print ``hashlib.sha256(stdout).hexdigest()`` for each
@@ -95,6 +97,10 @@ GOLDEN = [
     ("check --r 4 --n 2 --seed 3", 0, "af0dcbbfd0ecb7e3d7de6be6eae3841ef622d1cec046b585dbd5f53e6412d6a2"),
     ("fan --r 2 --n 4 --format json", 0, "c2e0dafc385ef1bae3abc030349fbd5cd0c2f67759e817797e508d3be861db89"),
     ("check --r 2 --n 4 --suite fan --seed 1", 0, "78fe6b9d54b965b64b38c3d10f925760025a0790ac14a7a6cf3666fdebd37f79"),
+    ("normal-complex --r 3 --n 2 --union-extremes --format json", 0, "27fc40fd27c8aaca384d7ce0764e6ce3636e233789966ef18430315e5da24ee9"),
+    ("normal-complex --r 5 --n 2 --union-extremes --format json", 0, "7a14575aa3d8e04b8f28e68f7a074276b4dda1d24fc1ee76d4cdc2cd0d50613d"),
+    ("normal-complex --r 2 --n 1 --union-extremes", 0, "34ed19b42e519541801dfff893ad7499d044feb72012df63a5397423a819e6ef"),
+    ("normal-complex --r 3 --n 0 --union-extremes --format json", 0, "e3ab51b747189d51578b18fa23c08567326bdb04ec232795b2dbfa4143d866a9"),
     ("fan --r 1 --n 2", 2, "19a9c3723b7d7f4d89611ed97f66c1f2369ca2ac75bc525df5a199f19f8b3969"),
     ("locate --r 3 --n 2 --point 1,2", 2, "2360e8858d7deb4b2fdfefd665fff621c57c1bcb7cd8a38e1eced897152e29a7"),
 ]

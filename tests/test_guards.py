@@ -3,25 +3,22 @@
 
 Nothing here builds anything large: the guards are called directly with the
 sizes a command would pass them, the CLI runs only where a guard refuses
-before any work or at (2, 2) and below, and the hull guard's calibration is
-checked on the vertex counts of complexes that take well under a second.
+before any work or at (2, 2) and below.
 """
 
 import time
 
 import pytest
 
-from cyclic_wonderful import cli, guards, normal_complex
+from cyclic_wonderful import cli, guards
 from cyclic_wonderful.cli import main
 from cyclic_wonderful.guards import (
     COUNT_CAP,
     DEFAULT_FAN_CELLS,
-    DEFAULT_HULL_POINTS,
     DEFAULT_NORMAL_CELLS,
     ENV_OVERRIDE,
     FeasibilityError,
     check_fan_size,
-    check_hull_points,
     check_normal_complex,
     check_oracle_size,
 )
@@ -32,7 +29,6 @@ GUARDS = {
     "fan": lambda size: check_fan_size(size, 0),
     "oracle": check_oracle_size,
     "normal": check_normal_complex,
-    "hull": check_hull_points,
 }
 
 
@@ -72,43 +68,6 @@ def test_normal_complex_override_replaces_both_default_bounds(monkeypatch):
     check_normal_complex(2000)
     with pytest.raises(FeasibilityError, match="2001 cells"):
         check_normal_complex(2001)
-
-
-def _hull_point_count(r, n):
-    cells = normal_complex.complex_cells(ArrangementSpec(r, n)).cells
-    return len({v for cell in cells for v in cell.v_rep})
-
-
-def test_hull_guard_admits_the_calibrated_specs_and_refuses_3_3(no_override):
-    for r, n in [(2, 3), (4, 2), (8, 2)]:
-        check_hull_points(_hull_point_count(r, n))
-    assert _hull_point_count(8, 2) == 209
-    points = _hull_point_count(3, 3)
-    assert points == 442
-    with pytest.raises(FeasibilityError) as info:
-        check_hull_points(points)
-    assert "hull extremes of 442 cell vertices" in str(info.value)
-    assert f"guard bound {DEFAULT_HULL_POINTS}" in str(info.value)
-
-
-def test_hull_guard_refuses_before_any_lp(monkeypatch):
-    monkeypatch.setenv(ENV_OVERRIDE, "16")  # admits the 8 cells, not the 17 vertices
-    solved = []
-    monkeypatch.setattr(normal_complex, "extreme_points", solved.append)
-    with pytest.raises(FeasibilityError, match="17 cell vertices exceed the guard bound 16"):
-        normal_complex.union_extreme_points(ArrangementSpec(2, 2))
-    assert solved == []
-
-
-def test_cli_refuses_union_extremes_over_the_hull_bound(monkeypatch, capsys):
-    monkeypatch.setenv(ENV_OVERRIDE, "16")
-    assert main(["normal-complex", "--r", "2", "--n", "2", "--union-extremes"]) == 2
-    assert capsys.readouterr().out == (
-        "feasibility error: hull extremes of 17 cell vertices exceed the guard "
-        f"bound 16 (override with {ENV_OVERRIDE})\n"
-    )
-    monkeypatch.setenv(ENV_OVERRIDE, "17")
-    assert main(["normal-complex", "--r", "2", "--n", "2", "--union-extremes"]) == 0
 
 
 def test_cli_refuses_a_zero_override(monkeypatch, capsys):
@@ -190,6 +149,25 @@ def test_check_reports_a_refused_normal_complex_as_skipped(no_override, capsys):
     ]
 
 
+def test_union_extremes_are_refused_only_with_their_complex(monkeypatch, capsys):
+    # the orbit has one point per cell: the normal-complex guard bounds both
+    monkeypatch.setenv(ENV_OVERRIDE, "7")
+    assert main(["normal-complex", "--r", "2", "--n", "2", "--union-extremes"]) == 2
+    assert capsys.readouterr().out == (
+        "feasibility error: normal complex with 8 cells exceeds the guard bound 7 "
+        f"(override with {ENV_OVERRIDE})\n"
+    )
+    assert main(["check", "--r", "2", "--n", "2", "--suite", "normal"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "SKIP [normal] cell construction (normal complex with 8 cells exceeds "
+        f"the guard bound 7 (override with {ENV_OVERRIDE}))",
+        "0/1 checks passed, 1 skipped for r=2, n=2",
+    ]
+    monkeypatch.setenv(ENV_OVERRIDE, "8")
+    assert main(["normal-complex", "--r", "2", "--n", "2", "--union-extremes"]) == 0
+    assert "union extreme points:" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("suite", ["fan", "tropical"])
 def test_check_refuses_a_huge_fan_before_enumerating_it(no_override, monkeypatch, capsys, suite):
     def enumerate_nothing(spec):
@@ -248,18 +226,6 @@ def test_check_skips_a_huge_spec_at_once(no_override, capsys, argv, lines):
     out = capsys.readouterr().out.splitlines()
     assert [line[: line.index("]") + 1] for line in out[:-1]] == lines
     assert out[-1].startswith(f"0/{len(lines)} checks passed, {len(lines)} skipped")
-
-
-def test_check_reports_refused_hull_extremes_as_skipped(monkeypatch, capsys):
-    monkeypatch.setenv(ENV_OVERRIDE, "16")
-    assert main(["check", "--r", "2", "--n", "2", "--suite", "normal"]) == 0
-    out = capsys.readouterr().out
-    assert (
-        "SKIP [normal] union extremes are the signed permutations of (1, 2) "
-        "(hull extremes of 17 cell vertices exceed the guard bound 16" in out
-    )
-    assert "FAIL" not in out
-    assert out.endswith("3/4 checks passed, 1 skipped for r=2, n=2\n")
 
 
 def test_check_refuses_an_invalid_override_with_exit_2(monkeypatch, capsys):

@@ -30,6 +30,7 @@ from cyclic_wonderful.linalg import (
     independent_row_indices,
     matrix_rank,
     nullspace,
+    parse_rational,
     smith_divisors,
     solve_columns,
 )
@@ -245,6 +246,20 @@ def test_a_pivot_of_lead_2_scales_the_row_and_divides_out_the_content():
     # gcd(2, -4) = 2 leaves no scaling: (-4, 0, 6) + 2 * (2, 1, 0) = (0, 2, 6)
     assert elim.add({0: -4, 2: 6})
     assert elim.pivots[2] == {2: 1}
+
+
+@pytest.mark.parametrize(
+    "text,value",
+    [("3", Fraction(3)), (" -3/2 ", Fraction(-3, 2)), ("0.25", Fraction(1, 4)), ("+.5", Fraction(1, 2))],
+)
+def test_parse_rational_reads_integers_fractions_and_plain_decimals(text, value):
+    assert parse_rational(text) == value
+
+
+@pytest.mark.parametrize("text", ["1e3", "2.5E-1", "1/0", "x"])
+def test_parse_rational_refuses_exponents_zero_denominators_and_junk(text):
+    with pytest.raises(ValueError):
+        parse_rational(text)
 
 
 # --- the integer phase-1 simplex and hull extremes ----------------------------

@@ -2,15 +2,16 @@
 
 import functools
 import itertools
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclic_wonderful import normal_complex
+from cyclic_wonderful import linalg, normal_complex, selfcheck
 from cyclic_wonderful.cli import main
-from cyclic_wonderful.fan import basis_image, ray_vector
+from cyclic_wonderful.fan import basis_image, ray_vector, support_decomposition
 from cyclic_wonderful.guards import FeasibilityError
 from cyclic_wonderful.lattice import (
     ArrangementSpec,
@@ -19,7 +20,13 @@ from cyclic_wonderful.lattice import (
     chain_intersect,
     maximal_chains,
 )
-from cyclic_wonderful.linalg import combine, integer_scaled, scaled_point, solve_columns
+from cyclic_wonderful.linalg import (
+    combine,
+    extreme_points,
+    integer_scaled,
+    scaled_point,
+    solve_columns,
+)
 from cyclic_wonderful.normal_complex import (
     NormalComplex,
     cell_polytope,
@@ -202,6 +209,65 @@ def test_hull_extremes_at_2_3_are_the_signed_permutations_of_1_2_3():
     assert extremes == sorted(expected)
 
 
+def _cell_vertices(spec):
+    return {v for cell in complex_cells(spec).cells for v in cell.v_rep}
+
+
+@pytest.mark.parametrize(
+    "r,n", [(2, 0), (3, 1), (2, 2), (3, 2), (4, 2), (2, 3), (5, 2)]
+)
+def test_union_extremes_are_the_hull_extremes_of_the_cell_vertices(r, n):
+    # the fraction-free simplex over every distinct cell vertex is the oracle
+    spec = ArrangementSpec(r, n)
+    assert union_extreme_points(spec) == extreme_points(_cell_vertices(spec))
+
+
+def test_union_extremes_build_no_complex_and_run_no_lp(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the orbit needs neither the cells nor an LP")
+
+    monkeypatch.setattr(normal_complex, "complex_cells", refuse)
+    monkeypatch.setattr(normal_complex, "extreme_points", refuse, raising=False)
+    monkeypatch.setattr(linalg, "extreme_points", refuse)
+    monkeypatch.setattr(linalg, "in_convex_hull", refuse)
+    assert len(union_extreme_points(ArrangementSpec(3, 2))) == 18
+
+
+@pytest.mark.parametrize("r,n", [(3, 3), (4, 3), (2, 4)])
+def test_union_extremes_past_the_old_hull_bound_are_cell_vertices_in_delta(
+    monkeypatch, r, n
+):
+    monkeypatch.delenv("CYCLIC_WONDERFUL_MAX_CELLS", raising=False)
+    spec = ArrangementSpec(r, n)
+    extremes = union_extreme_points(spec)
+    assert len(set(extremes)) == len(extremes) == spec.num_maximal_chains
+    assert set(extremes) <= _cell_vertices(spec)
+    assert all(in_delta(p, spec) for p in extremes)
+
+
+def test_union_extremes_are_bounded_by_the_normal_complex_guard(monkeypatch):
+    monkeypatch.setenv("CYCLIC_WONDERFUL_MAX_CELLS", "7")  # (2,2) has 8 cells
+    with pytest.raises(FeasibilityError, match="normal complex with 8 cells"):
+        union_extreme_points(ArrangementSpec(2, 2))
+
+
+@pytest.mark.parametrize("route", ["orbit", "lp"])
+def test_check_fails_the_2_2_extremes_line_when_either_route_disagrees(monkeypatch, route):
+    # drop one extreme point from one route; the other route must catch it
+    if route == "orbit":
+        target, name = normal_complex, "union_extreme_points"
+    else:
+        target, name = selfcheck, "extreme_points"
+    real = getattr(target, name)
+    monkeypatch.setattr(target, name, lambda arg: real(arg)[1:])
+    [line] = [
+        res
+        for res in selfcheck.suite_normal(ArrangementSpec(2, 2))
+        if res.name == "union extremes are the signed permutations of (1, 2)"
+    ]
+    assert line.status == "FAIL"
+
+
 def test_union_extremes_command_builds_the_complex_once(monkeypatch, capsys):
     builds = []
 
@@ -228,6 +294,43 @@ def test_in_delta_examples():
 def test_in_delta_outside_support():
     spec = ArrangementSpec(3, 2)
     assert not in_delta((1, 1, 0, 0), spec)
+
+
+def reference_in_delta(point, spec):
+    """Every subset of factors, one sum each: 2^n sums."""
+    decomp = support_decomposition(point, spec)
+    if decomp is None:
+        return False
+    lengths = [x for x, _ in decomp]
+    return all(
+        sum(lengths[i] for i in subset) <= delta(spec.n, size)
+        for size in range(1, spec.n + 1)
+        for subset in itertools.combinations(range(spec.n), size)
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_in_delta_agrees_with_every_subset_sum(data):
+    r = data.draw(st.integers(2, 3))
+    n = data.draw(st.integers(0, 6))
+    spec = ArrangementSpec(r, n)
+    # support points: one direction and a small rational length per factor
+    lengths = data.draw(
+        st.lists(st.fractions(0, n + 1, max_denominator=3), min_size=n, max_size=n)
+    )
+    residues = data.draw(st.lists(st.integers(0, r - 1), min_size=n, max_size=n))
+    images = [basis_image(spec, i, a) for i, a in enumerate(residues, start=1)]
+    point = combine(lengths, images, spec.ambient_dim, Fraction(0))
+    assert in_delta(point, spec) == reference_in_delta(point, spec)
+
+
+def test_in_delta_at_n_40_sorts_instead_of_summing_every_subset():
+    spec = ArrangementSpec(2, 40)
+    start = time.perf_counter()
+    assert in_delta((-1,) * 40, spec)  # length 1 each: s <= delta(40, s)
+    assert not in_delta((-1,) * 39 + (-41,), spec)  # one factor past delta(40, 1)
+    assert time.perf_counter() - start < 1
 
 
 @pytest.mark.parametrize("r,n", [(2, 2), (3, 2), (2, 3)])
