@@ -43,14 +43,14 @@ assert closed == oracle
 # every fed row raises the rank), and nearly every pivot row has lead 1
 print("\nrank oracle per degree (graded rank = monomials - rank):")
 print("  k  monomials  rows  skipped  rank  lead-1 pivots")
-monomials = _ChainMonomials(spec)
+monomials = _ChainMonomials(pres.generators)
 relations = pres.reduced_linear_relations()
 pivots = {}
 for k in range(1, spec.n + 1):
     rows = sum(len(block) for block in _relation_rows(monomials, relations, k, pivots))
     # a degree-(k-1) pivot made by relation i skips the rows of every later one
     skipped = sum(len(relations) - 1 - i for i in pivots.values())
-    elim, pivots = _relation_space(monomials, relations, k, pivots)
+    elim, pivots = _relation_space(monomials, relations, k, pivots, spec.n)
     lead_one = sum(1 for col, row in elim.pivots.items() if row[col] == 1)
     size = len(monomials.degree(k))
     print(f"  {k}  {size:9d}  {rows:4d}  {skipped:7d}  {elim.rank:4d}  {lead_one:13d}")

@@ -39,16 +39,27 @@ fill of the pivot rows, never the rank: the elimination is exact integer
 arithmetic throughout.  With this order nearly every pivot row has lead 1,
 so a row is updated in place against it with no gcd; only a step against
 another lead scales the row and divides it by its content.
+
+A monomial's multipliers (the generators comparable to all its factors)
+are found once, filtered from those of the monomial one degree below.  They
+give the next degree's monomials, mu + (g,) for g >= mu[-1] in
+lexicographic order, and the columns of mu's rows: mu * g is the next new
+monomial, or for g < mu[-1] one made earlier, found with g inserted at
+``bisect_right(mu, g)``.  Each degree's lists go once the next degree's rows
+are fed; the top degree gets none.  The oracle is refused before any work
+by its generator count and by the width of its top degree
+(:func:`top_monomial_count`).
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from math import comb, factorial
-from typing import Sequence
+from typing import Iterator, Sequence
 
-from .guards import COUNT_CAP, check_oracle_size
+from .guards import COUNT_CAP, check_oracle_size, check_oracle_width
 from .lattice import (
     ArrangementSpec,
     Chain,
@@ -104,21 +115,25 @@ def presentation(spec: ArrangementSpec) -> ChowPresentation:
     """Generators in the global order plus the emitted linear relations.
 
     Emits one relation per (i, a, b) with a < b, n*r*(r-1)/2 in all, and
-    records a maximal independent subset of them (n*(r-1) relations).
+    records a maximal independent subset of them (n*(r-1) relations).  One
+    pass over the generators fills every relation: a generator decorating
+    i by a enters (i, a, b) with +1 for each b > a and (i, b, a) with -1 for
+    each b < a, in increasing generator order.
     """
     generators = tuple(enumerate_decorated_subsets(spec))
-    index = {d: k for k, d in enumerate(generators)}
-    relations = []
-    for i in range(1, spec.n + 1):
-        for a, b in itertools.combinations(range(spec.r), 2):
-            coeffs: dict[int, int] = {}
-            for d in generators:
-                deco = dict(d.items)
-                if deco.get(i) == a:
-                    coeffs[index[d]] = 1
-                elif deco.get(i) == b:
-                    coeffs[index[d]] = -1
-            relations.append(LinearRelation(i, a, b, tuple(sorted(coeffs.items()))))
+    coeffs: dict[tuple[int, int, int], list[tuple[int, int]]] = {
+        (i, a, b): []
+        for i in range(1, spec.n + 1)
+        for a, b in itertools.combinations(range(spec.r), 2)
+    }
+    for x, d in enumerate(generators):
+        for i, a in d.items:
+            for b in range(spec.r):
+                if a < b:
+                    coeffs[i, a, b].append((x, 1))
+                elif b < a:
+                    coeffs[i, b, a].append((x, -1))
+    relations = [LinearRelation(i, a, b, tuple(c)) for (i, a, b), c in coeffs.items()]
     reduced = independent_row_indices(r.as_dict() for r in relations)
     return ChowPresentation(spec, generators, tuple(relations), tuple(reduced))
 
@@ -212,12 +227,52 @@ def nonempty_chain_count(spec: ArrangementSpec) -> int:
 # ---------------------------------------------------------------------------
 
 
-class _ChainMonomials:
-    """Degree-graded monomials in the generators whose support is a chain."""
+def top_monomial_count(spec: ArrangementSpec) -> int:
+    """The number of degree-n chain monomials, the oracle's widest degree.
 
-    def __init__(self, spec: ArrangementSpec):
-        check_oracle_size(spec.num_subsets_upto(COUNT_CAP))
-        self.generators = tuple(enumerate_decorated_subsets(spec))
+    sum_l chains_l * C(n-1, l-1): a degree-n monomial on a chain of l
+    distinct generators takes each of them at least once.  A chain of
+    length l is a decorated top set of size s with an ordered partition of
+    it into l jumps, so chains_l = sum_s C(n, s) * r^s * Surj(s, l), where
+    Surj(s, l) = l * (Surj(s-1, l-1) + Surj(s-1, l)) counts the surjections
+    of an s-set onto an l-set.  At n = 0 the oracle builds no degree and the
+    count is 0.
+    """
+    n, r = spec.n, spec.r
+    surj = [1] + [0] * n  # surj[l] = Surj(s, l), from s = 0
+    chains = [0] * (n + 1)
+    for s in range(1, n + 1):
+        surj = [0] + [l * (surj[l - 1] + surj[l]) for l in range(1, n + 1)]
+        for l in range(1, s + 1):
+            chains[l] += comb(n, s) * r**s * surj[l]
+    return sum(chains[l] * comb(n - 1, l - 1) for l in range(1, n + 1))
+
+
+def _check_oracle(spec: ArrangementSpec) -> None:
+    """Refuse the rank oracle before any work: first by its generator count,
+    the only bound on the presentation the oracle builds, then by the width
+    of its top degree.
+
+    The generator count reaches the guard capped, so a huge spec costs a
+    few products; one that passes has (1+r)^n <= 10^18, so n <= 37, and its
+    width costs a few more.  Each generator's n-th power is a top-degree
+    chain monomial, so the width is never below the generator count.
+    """
+    check_oracle_size(spec.num_subsets_upto(COUNT_CAP))
+    check_oracle_width(top_monomial_count(spec))
+
+
+class _ChainMonomials:
+    """Degree-graded monomials in the generators whose support is a chain.
+
+    A monomial is a sorted tuple of generator indices.  Its multipliers are
+    the generators comparable to every factor; those of mu + (g,) are the
+    multipliers of mu that are comparable to g, so each degree's lists are
+    filtered from the degree below, once per monomial.
+    """
+
+    def __init__(self, generators: Sequence[DecoratedSubset]):
+        self.generators = tuple(generators)
         # a <= b exactly when a is a restriction of b: walk each generator's
         # nonempty restrictions instead of testing every pair
         index = {d.items: x for x, d in enumerate(self.generators)}
@@ -230,24 +285,35 @@ class _ChainMonomials:
                     sets[y].add(x)
         self.comparable = [frozenset(s) for s in sets]
         self._by_degree: dict[int, list[tuple[int, ...]]] = {0: [()]}
+        self._multipliers: dict[int, list[Sequence[int]]] = {0: [range(len(self.generators))]}
+
+    def _extensions(self, k: int) -> Iterator[tuple[tuple[int, ...], Sequence[int], int]]:
+        """(mu, multipliers of mu, g) for each degree-(k+1) monomial mu + (g,),
+        in lexicographic order: g runs over mu's multipliers from mu[-1] on."""
+        for mono, mults in zip(self.degree(k), self.multipliers(k)):
+            start = bisect_left(mults, mono[-1]) if mono else 0
+            for g in mults[start:]:
+                yield mono, mults, g
 
     def degree(self, k: int) -> list[tuple[int, ...]]:
         """The degree-k chain monomials as sorted index tuples, lexicographically."""
         if k not in self._by_degree:
-            prev = self.degree(k - 1)
-            self._by_degree[k] = [
-                mono + (g,)
-                for mono in prev
-                for g in self.multipliers(mono)
-                if not mono or g >= mono[-1]
-            ]
+            self._by_degree[k] = [mono + (g,) for mono, _, g in self._extensions(k - 1)]
         return self._by_degree[k]
 
-    def multipliers(self, mono: tuple[int, ...]) -> Sequence[int]:
-        """The generators comparable to every factor of mono, in increasing order."""
-        if not mono:
-            return range(len(self.generators))
-        return sorted(frozenset.intersection(*(self.comparable[x] for x in mono)))
+    def multipliers(self, k: int) -> list[Sequence[int]]:
+        """The multipliers of each degree-k monomial, in increasing order,
+        aligned with ``degree(k)``; kept until ``forget_multipliers(k)``."""
+        if k not in self._multipliers:
+            comparable = self.comparable
+            self._multipliers[k] = [
+                list(filter(comparable[g].__contains__, mults))
+                for _, mults, g in self._extensions(k - 1)
+            ]
+        return self._multipliers[k]
+
+    def forget_multipliers(self, k: int) -> None:
+        self._multipliers.pop(k, None)
 
     def columns(self, k: int) -> dict[tuple[int, ...], int]:
         """Column of each degree-k chain monomial, in reverse lexicographic order.
@@ -276,6 +342,11 @@ def _relation_rows(
     Each monomial's rows are built from its multipliers through a generator
     -> (relation index, coefficient) index, so no relation is scanned for
     generators the monomial cannot take.
+
+    The product mu * g with g >= mu[-1] is the next degree-k monomial in
+    lexicographic order, so its column is a running count; one with
+    g < mu[-1] sorts before mu * mu[-1] and is looked up, with g inserted
+    at ``bisect_right(mu, g)``.
     """
     columns = monomials.columns(k)
     by_generator: list[list[tuple[int, int]]] = [[] for _ in monomials.generators]
@@ -285,16 +356,27 @@ def _relation_rows(
     blocks: list[list[dict[int, int]]] = [[] for _ in relations]
     lower = monomials.degree(k - 1)
     last = len(lower) - 1
-    for pos, mono in enumerate(lower):
+    fresh = len(columns)  # one past the column of the last new product
+    for pos, (mono, mults) in enumerate(zip(lower, monomials.multipliers(k - 1))):
         # rows of relations past the pivot's creator are redundant
         keep = lower_pivots.get(last - pos, len(relations))
+        split = bisect_left(mults, mono[-1]) if mono else 0
         mono_rows: dict[int, dict[int, int]] = {}
-        for g in monomials.multipliers(mono):
-            col = columns[tuple(sorted(mono + (g,)))]
+        for at, g in enumerate(mults):
+            if at < split:
+                i = bisect_right(mono, g)
+                col = columns[mono[:i] + (g,) + mono[i:]]
+            else:
+                fresh -= 1
+                col = fresh
             for index, c in by_generator[g]:
                 if index > keep:
                     break
-                mono_rows.setdefault(index, {})[col] = c
+                row = mono_rows.get(index)
+                if row is None:
+                    mono_rows[index] = {col: c}
+                else:
+                    row[col] = c
         for index, row in mono_rows.items():
             blocks[index].append(row)
     for block in blocks:
@@ -307,6 +389,7 @@ def _relation_space(
     relations: Sequence[LinearRelation],
     k: int,
     lower_pivots: dict[int, int],
+    top: int,
 ) -> tuple[SparseEliminator, dict[int, int]]:
     """The degree-k relation space over the chain-monomial basis.
 
@@ -332,9 +415,17 @@ def _relation_space(
     is fed shortest first; both choices keep the pivot rows sparse and
     neither changes the span, so the rank and the membership tests stay
     exact.  Nearly every pivot row then has lead 1, which the eliminator
-    subtracts in place with no gcd.
+    subtracts in place with no gcd.  Every row goes through
+    ``SparseEliminator.add``, which takes it over: the blocks are spent.
+
+    Once the rows exist, degree k's multiplier lists are made from degree
+    k-1's, unless k is ``top``, and degree k-1's are dropped, all before the
+    elimination.
     """
     blocks = _relation_rows(monomials, relations, k, lower_pivots)
+    if k < top:
+        monomials.multipliers(k)
+    monomials.forget_multipliers(k - 1)
     elim = SparseEliminator()
     creators: list[int] = []  # relation index of each pivot, in insertion order
     for index, block in enumerate(blocks):
@@ -345,27 +436,37 @@ def _relation_space(
 
 
 def _relation_spaces(
-    spec: ArrangementSpec, top: int
+    spec: ArrangementSpec, top: int, pres: ChowPresentation | None = None
 ) -> tuple[_ChainMonomials, list[int], SparseEliminator]:
     """The chain monomials, the ranks of degrees 1..top and the degree-top space.
 
     One loop over the degrees carries the pivot -> relation map from each
-    degree to the next; only one eliminator is alive at a time.
+    degree to the next; only one eliminator is alive at a time.  ``pres``
+    is ``presentation(spec)`` when the caller has it.
     """
-    monomials = _ChainMonomials(spec)  # guards the oracle before any enumeration
-    relations = presentation(spec).reduced_linear_relations()
+    _check_oracle(spec)  # before any enumeration
+    if pres is None:
+        pres = presentation(spec)
+    monomials = _ChainMonomials(pres.generators)
+    relations = pres.reduced_linear_relations()
     ranks: list[int] = []
     elim, pivots = SparseEliminator(), {}
     for k in range(1, top + 1):
         del elim  # free degree k-1 before degree k is built
-        elim, pivots = _relation_space(monomials, relations, k, pivots)
+        elim, pivots = _relation_space(monomials, relations, k, pivots, top)
         ranks.append(elim.rank)
     return monomials, ranks, elim
 
 
-def betti_oracle(spec: ArrangementSpec) -> GradedDims:
-    """Graded ranks by exact elimination, independent of the closed form."""
-    monomials, ranks, _ = _relation_spaces(spec, spec.n)
+def betti_oracle(
+    spec: ArrangementSpec, *, _presentation: ChowPresentation | None = None
+) -> GradedDims:
+    """Graded ranks by exact elimination, independent of the closed form.
+
+    ``_presentation`` lets a caller that already built ``presentation(spec)``
+    (the ``chow`` command) hand it over instead of building it again.
+    """
+    monomials, ranks, _ = _relation_spaces(spec, spec.n, _presentation)
     dims = [1] + [len(monomials.degree(k)) - rank for k, rank in enumerate(ranks, 1)]
     return GradedDims(tuple(dims))
 

@@ -95,10 +95,12 @@ def _cmd_fan(config: RunConfig) -> int:
     return 0
 
 
-def _betti_rows(spec: ArrangementSpec, want_oracle: bool) -> list[dict]:
-    closed = chow.betti_closed_form(spec)
+def _betti_rows(pres: chow.ChowPresentation, want_oracle: bool) -> list[dict]:
+    closed = chow.betti_closed_form(pres.spec)
     try:
-        oracle_dims: tuple[int, ...] | None = chow.betti_oracle(spec).dims
+        oracle_dims: tuple[int, ...] | None = chow.betti_oracle(
+            pres.spec, _presentation=pres
+        ).dims
     except FeasibilityError:
         if want_oracle:
             raise
@@ -121,7 +123,7 @@ def _cmd_chow(config: RunConfig) -> int:
     spec = _spec(config)
     check_fan_spec(spec)
     pres = chow.presentation(spec)
-    rows = _betti_rows(spec, config.oracle)
+    rows = _betti_rows(pres, config.oracle)
     if config.format == "json":
         payload: dict = {"r": spec.r, "n": spec.n, "betti": rows}
         if not config.betti_only:

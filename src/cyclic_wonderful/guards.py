@@ -21,6 +21,7 @@ ENV_OVERRIDE = "CYCLIC_WONDERFUL_MAX_CELLS"
 
 DEFAULT_FAN_CELLS = 50_000        # rays + maximal cones of a fan build
 DEFAULT_ORACLE_GENERATORS = 1_000  # generator count for the Chow rank oracle
+DEFAULT_ORACLE_MONOMIALS = 200_000  # the rank oracle's top-degree chain monomials
 DEFAULT_NORMAL_CELLS = 1_000       # cells of the normal complex (~1 ms each at n = 3)
 COUNT_CAP = 10**18                 # sizes above this are never computed in full
 
@@ -73,6 +74,16 @@ def check_oracle_size(generators: int) -> None:
         raise FeasibilityError(
             f"rank oracle with {_size(generators, bound)} generators exceeds "
             f"the guard bound {bound} (override with {ENV_OVERRIDE})"
+        )
+
+
+def check_oracle_width(monomials: int) -> None:
+    """Bound the rank oracle's widest degree, its top-degree chain monomials."""
+    bound = _bound(DEFAULT_ORACLE_MONOMIALS)
+    if monomials > bound:
+        raise FeasibilityError(
+            f"rank oracle with {_size(monomials, bound)} top-degree chain monomials "
+            f"exceeds the guard bound {bound} (override with {ENV_OVERRIDE})"
         )
 
 

@@ -15,7 +15,8 @@ Sparse integer elimination (``SparseEliminator``) updates each row in place:
 against a pivot row of lead 1 it subtracts a multiple over the pivot's
 columns with no gcd, and only a pivot of another lead scales the row, which
 is then divided by its content.  A surviving row is divided by its content
-once, when it becomes a pivot.
+once, when it becomes a pivot, at the lead column the reduction found.  A
+fed row is reduced as it is, with no copy: ``add`` takes it over.
 
 Membership in a cone of a fan or a cell of a normal complex is one kind of
 question: do a few sparse integer row tests ``(row, lo, hi)``, meaning
@@ -120,15 +121,17 @@ def nullspace(rows: Sequence[Vector]) -> list[tuple[Fraction, ...]]:
     return basis
 
 
-def _normalize_int_row(row: dict[int, int]) -> dict[int, int]:
+def _primitive(row: dict[int, int], lead: int) -> dict[int, int]:
+    """The row divided by its content, with a positive entry at ``lead``."""
     g = 0
     for v in row.values():
         g = gcd(g, v)
-    if g > 1:
+        if g == 1:
+            break
+    if row[lead] < 0:
+        g = -g
+    if g != 1:
         row = {c: v // g for c, v in row.items()}
-    lead = row[min(row)]
-    if lead < 0:
-        row = {c: -v for c, v in row.items()}
     return row
 
 
@@ -144,6 +147,10 @@ class SparseEliminator:
     ``a / gcd(a, b)``, and the row is then divided by its content.  Each
     intermediate row is a nonzero multiple of the cross-multiplied one, so
     the pivots are the same.
+
+    ``add`` takes its row over and reduces it as it is, with no copy;
+    ``reduce`` and ``is_in_span`` work on a copy and leave their argument
+    unchanged.
     """
 
     def __init__(self) -> None:
@@ -153,13 +160,15 @@ class SparseEliminator:
     def rank(self) -> int:
         return len(self.pivots)
 
-    def reduce(self, row: dict[int, int]) -> dict[int, int]:
-        r = {c: int(v) for c, v in row.items() if v}
+    def _reduced(self, r: dict[int, int]) -> tuple[int, dict[int, int]] | None:
+        """Reduces r, of nonzero ints, in place; returns its lead column and
+        the primitive row with a positive lead, or None when r reduces to 0."""
+        pivots = self.pivots
         while r:
             c = min(r)
-            p = self.pivots.get(c)
+            p = pivots.get(c)
             if p is None:
-                return _normalize_int_row(r)
+                return c, _primitive(r, c)
             a, b = p[c], r[c]
             if a != 1:
                 g = gcd(a, b)
@@ -173,15 +182,24 @@ class SparseEliminator:
                 else:
                     del r[col]
             if a != 1 and r:
-                r = _normalize_int_row(r)
-        return {}
+                r = _primitive(r, min(r))
+        return None
+
+    def reduce(self, row: dict[int, int]) -> dict[int, int]:
+        """The row reduced against the pivots and made primitive; {} when it
+        is in their span.  The argument is left unchanged."""
+        reduced = self._reduced({c: int(v) for c, v in row.items() if v})
+        return {} if reduced is None else reduced[1]
 
     def add(self, row: dict[int, int]) -> bool:
-        """Feed a row; returns True when it increased the rank."""
-        r = self.reduce(row)
-        if not r:
+        """Feed a row of nonzero ints, which the eliminator takes over: it is
+        reduced in place and may become a pivot row.  Returns True when it
+        increased the rank."""
+        reduced = self._reduced(row)
+        if reduced is None:
             return False
-        self.pivots[min(r)] = r
+        lead, r = reduced
+        self.pivots[lead] = r
         return True
 
     def is_in_span(self, row: dict[int, int]) -> bool:
@@ -189,7 +207,10 @@ class SparseEliminator:
 
 
 def independent_row_indices(rows: Iterable[dict[int, int]]) -> list[int]:
-    """Indices of a maximal independent subset, scanned in input order."""
+    """Indices of a maximal independent subset, scanned in input order.
+
+    The rows, of nonzero ints, are fed to one ``SparseEliminator`` and are
+    taken over by it."""
     elim = SparseEliminator()
     return [i for i, row in enumerate(rows) if elim.add(row)]
 

@@ -164,8 +164,9 @@ def suite_chow(spec: ArrangementSpec, seed: int = 0) -> list[CheckResult]:
         return [_skipped("chow", "presentation and chain census", exc)]
     out: list[CheckResult] = []
     closed = chow.betti_closed_form(spec)
+    pres = chow.presentation(spec)
     try:
-        oracle = chow.betti_oracle(spec)
+        oracle = chow.betti_oracle(spec, _presentation=pres)
         out.append(
             _result(
                 "chow",
@@ -176,7 +177,6 @@ def suite_chow(spec: ArrangementSpec, seed: int = 0) -> list[CheckResult]:
         )
     except FeasibilityError as exc:
         out.append(_skipped("chow", "closed form equals rank oracle", exc))
-    pres = chow.presentation(spec)
     out.append(
         _result(
             "chow",

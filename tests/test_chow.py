@@ -20,6 +20,7 @@ from cyclic_wonderful.chow import (
     nonempty_chain_count,
     presentation,
     product_support,
+    top_monomial_count,
 )
 from cyclic_wonderful.guards import FeasibilityError
 from cyclic_wonderful.lattice import (
@@ -91,6 +92,24 @@ def test_emitted_and_reduced_relation_counts(r, n):
 def test_presentation_generator_count():
     spec = ArrangementSpec(3, 2)
     assert len(presentation(spec).generators) == spec.num_subsets
+
+
+@pytest.mark.parametrize("r,n", [(2, 1), (5, 1), (2, 3), (4, 2), (3, 3), (5, 2), (2, 4)])
+def test_presentation_relations_equal_a_scan_per_relation(r, n):
+    # the reference scans every generator once per relation (i, a, b)
+    pres = presentation(ArrangementSpec(r, n))
+    expected = []
+    for i in range(1, n + 1):
+        for a, b in itertools.combinations(range(r), 2):
+            coeffs = []
+            for x, d in enumerate(pres.generators):
+                deco = dict(d.items)
+                if deco.get(i) == a:
+                    coeffs.append((x, 1))
+                elif deco.get(i) == b:
+                    coeffs.append((x, -1))
+            expected.append((i, a, b, tuple(coeffs)))
+    assert [(rel.i, rel.a, rel.b, rel.coeffs) for rel in pres.linear_relations] == expected
 
 
 # --- product support ---------------------------------------------------------
@@ -252,35 +271,124 @@ def test_every_fed_row_raises_the_rank_at_r2(monkeypatch, r, n):
     assert fed and all(fed)
 
 
+@pytest.mark.parametrize("r,n,rows", [(3, 3, 1117), (4, 3, 2737), (2, 4, 6177)])
+def test_every_oracle_row_is_fed_through_add(monkeypatch, r, n, rows):
+    # add is the oracle's only feed path: the benchmark's add counters and
+    # the r = 2 test above see every row through it
+    spec = ArrangementSpec(r, n)
+    pres = presentation(spec)
+    calls = []
+    add = SparseEliminator.add
+
+    def counting_add(self, row):
+        calls.append(len(row))
+        return add(self, row)
+
+    monkeypatch.setattr(SparseEliminator, "add", counting_add)
+    assert betti_oracle(spec, _presentation=pres) == betti_closed_form(spec)
+    assert len(calls) == rows
+
+
+def reference_multipliers(monomials, mono):
+    """The generators comparable to every factor of mono, by set intersection."""
+    if not mono:
+        return range(len(monomials.generators))
+    return sorted(frozenset.intersection(*(monomials.comparable[x] for x in mono)))
+
+
+def reference_relation_rows(monomials, relations, k, lower_pivots):
+    """The oracle's blocks as they were built before each monomial's
+    multipliers were filtered from the degree below: every product's column
+    is looked up by its sorted tuple."""
+    columns = monomials.columns(k)
+    by_generator = [[] for _ in monomials.generators]
+    for index, rel in enumerate(relations):
+        for g, c in rel.coeffs:
+            by_generator[g].append((index, c))
+    blocks = [[] for _ in relations]
+    lower = monomials.degree(k - 1)
+    last = len(lower) - 1
+    for pos, mono in enumerate(lower):
+        keep = lower_pivots.get(last - pos, len(relations))
+        mono_rows = {}
+        for g in reference_multipliers(monomials, mono):
+            col = columns[tuple(sorted(mono + (g,)))]
+            for index, c in by_generator[g]:
+                if index > keep:
+                    break
+                mono_rows.setdefault(index, {})[col] = c
+        for index, row in mono_rows.items():
+            blocks[index].append(row)
+    for block in blocks:
+        block.sort(key=len)
+    return blocks
+
+
+@pytest.mark.parametrize("r,n", [(2, 2), (3, 2), (2, 3), (3, 3), (4, 3), (2, 4)])
+def test_relation_rows_equal_the_sorted_product_rows(r, n):
+    spec = ArrangementSpec(r, n)
+    pres = presentation(spec)
+    monomials = _ChainMonomials(pres.generators)
+    relations = pres.reduced_linear_relations()
+    pivots = {}
+    for k in range(1, n + 1):
+        for mono, mults in zip(monomials.degree(k - 1), monomials.multipliers(k - 1)):
+            assert list(mults) == list(reference_multipliers(monomials, mono))
+        blocks = _relation_rows(monomials, relations, k, pivots)
+        assert blocks == reference_relation_rows(monomials, relations, k, pivots)
+        _, pivots = _relation_space(monomials, relations, k, pivots, n)
+
+
 @pytest.mark.parametrize("r,n", [(3, 3), (4, 3), (2, 4)])
 def test_oracle_rows_give_the_cross_multiplied_pivots(r, n):
     spec = ArrangementSpec(r, n)
-    monomials = _ChainMonomials(spec)
-    relations = presentation(spec).reduced_linear_relations()
+    pres = presentation(spec)
+    monomials = _ChainMonomials(pres.generators)
+    relations = pres.reduced_linear_relations()
     pivots = {}
     for k in range(1, n + 1):
         elim, reference = SparseEliminator(), ReferenceEliminator()
         for block in _relation_rows(monomials, relations, k, pivots):
             for row in block:
-                assert elim.add(row) == reference.add(row)
+                # add takes its row over: the reference gets its own copy
+                assert elim.add(dict(row)) == reference.add(row)
         assert elim.pivots == reference.pivots
-        oracle, pivots = _relation_space(monomials, relations, k, pivots)
+        oracle, pivots = _relation_space(monomials, relations, k, pivots, n)
         assert oracle.pivots == elim.pivots
         assert set(pivots) == set(elim.pivots)
 
 
 @pytest.mark.parametrize("r,n", [(2, 2), (3, 2), (2, 3), (3, 3), (4, 2), (2, 4)])
 def test_comparable_sets_list_every_comparable_generator(r, n):
-    monomials = _ChainMonomials(ArrangementSpec(r, n))
+    monomials = _ChainMonomials(presentation(ArrangementSpec(r, n)).generators)
     gens = monomials.generators
     assert monomials.comparable == [
         frozenset(y for y, b in enumerate(gens) if comparable(a, b)) for a in gens
     ]
 
 
+@pytest.mark.parametrize(
+    "r,n,width", [(2, 1, 2), (2, 2, 16), (3, 3, 657), (4, 3, 1468), (2, 4, 4160), (3, 4, 18561)]
+)
+def test_top_monomial_count_matches_the_enumeration(r, n, width):
+    spec = ArrangementSpec(r, n)
+    monomials = _ChainMonomials(presentation(spec).generators)
+    assert len(monomials.degree(n)) == top_monomial_count(spec) == width
+
+
+def test_top_monomial_count_at_the_guard():
+    assert top_monomial_count(ArrangementSpec(2, 0)) == 0
+    assert top_monomial_count(ArrangementSpec(4, 4)) == 54_960
+    assert top_monomial_count(ArrangementSpec(2, 5)) == 102_002
+    assert top_monomial_count(ArrangementSpec(2, 6)) == 3_055_248
+
+
 def test_oracle_guard():
-    with pytest.raises(FeasibilityError):
+    with pytest.raises(FeasibilityError, match="generators"):
         betti_oracle(ArrangementSpec(9, 5))
+    # 728 generators pass; the top degree's width does not
+    with pytest.raises(FeasibilityError, match="3055248 top-degree chain monomials"):
+        betti_oracle(ArrangementSpec(2, 6))
 
 
 def test_betti_n0():

@@ -249,6 +249,17 @@ def test_chow_without_oracle_flag_prints_dashes_past_the_guard():
     assert all(row[2:] == ["-", "-"] for row in table)
 
 
+def test_chow_prints_dashes_past_the_oracle_width_at_once():
+    # (2, 6) has 728 generators but 3,055,248 top-degree chain monomials
+    start = time.perf_counter()
+    status, out = invoke(["chow", "--r", "2", "--n", "6", "--betti-only"])
+    assert time.perf_counter() - start < 1
+    assert status == 0
+    table = [line.split() for line in out.strip().splitlines()[1:]]
+    assert [row[1] for row in table] == ["1", "722", "10543", "23548", "10543", "722", "1"]
+    assert all(row[2:] == ["-", "-"] for row in table)
+
+
 # --- locate ------------------------------------------------------------------
 
 

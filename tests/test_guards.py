@@ -16,11 +16,13 @@ from cyclic_wonderful.guards import (
     COUNT_CAP,
     DEFAULT_FAN_CELLS,
     DEFAULT_NORMAL_CELLS,
+    DEFAULT_ORACLE_MONOMIALS,
     ENV_OVERRIDE,
     FeasibilityError,
     check_fan_size,
     check_normal_complex,
     check_oracle_size,
+    check_oracle_width,
 )
 from cyclic_wonderful.lattice import ArrangementSpec, BuildingSet
 from cyclic_wonderful.selfcheck import CheckResult
@@ -28,6 +30,7 @@ from cyclic_wonderful.selfcheck import CheckResult
 GUARDS = {
     "fan": lambda size: check_fan_size(size, 0),
     "oracle": check_oracle_size,
+    "oracle width": check_oracle_width,
     "normal": check_normal_complex,
 }
 
@@ -134,6 +137,18 @@ def test_an_override_above_the_count_cap_acts_as_the_cap(monkeypatch):
     check_oracle_size(COUNT_CAP)
     with pytest.raises(FeasibilityError, match=f"more than {COUNT_CAP} generators"):
         check_oracle_size(ArrangementSpec(3, 3000).num_subsets_upto(COUNT_CAP))
+
+
+def test_oracle_width_guard_refuses_r2_n6_by_its_top_degree(no_override, capsys):
+    # 728 generators pass the generator bound; 3,055,248 top-degree chain
+    # monomials do not, so the oracle is refused before any enumeration
+    start = time.perf_counter()
+    assert main(["chow", "--r", "2", "--n", "6", "--betti-only", "--oracle"]) == 2
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().out == (
+        "feasibility error: rank oracle with 3055248 top-degree chain monomials exceeds "
+        f"the guard bound {DEFAULT_ORACLE_MONOMIALS} (override with {ENV_OVERRIDE})\n"
+    )
 
 
 # --- check: a guard refusal is SKIP, never FAIL ---------------------------------

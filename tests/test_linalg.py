@@ -173,7 +173,17 @@ def test_independent_rows_are_the_dense_greedy_scan(rows):
 
 class ReferenceEliminator(SparseEliminator):
     """Every step cross-multiplies, ``a * r - b * p`` over the union of both
-    rows' columns, and divides the result by its content with a positive lead."""
+    rows' columns, and divides the result by its content with a positive lead.
+
+    ``add`` goes through this ``reduce``: ``SparseEliminator.add`` reduces
+    its row in place without calling ``reduce``."""
+
+    def add(self, row):
+        r = self.reduce(row)
+        if not r:
+            return False
+        self.pivots[min(r)] = r
+        return True
 
     def reduce(self, row):
         r = {c: int(v) for c, v in row.items() if v}
@@ -235,6 +245,20 @@ def test_in_place_span_answers_are_the_cross_multiplied_answers(rows, data):
         row = data.draw(st.lists(wide_entries, min_size=ncols, max_size=ncols))
     got = fed(SparseEliminator(), rows).is_in_span(as_sparse(row))
     assert got == fed(ReferenceEliminator(), rows).is_in_span(as_sparse(row))
+
+
+@settings(max_examples=200, deadline=None)
+@given(wide_sparse_matrices(), st.data())
+def test_membership_tests_leave_their_row_unchanged(rows, data):
+    # add takes its row over; is_in_span and reduce work on a copy
+    elim = fed(SparseEliminator(), rows)
+    ncols = len(rows[0])
+    row = as_sparse(data.draw(st.lists(wide_entries, min_size=ncols, max_size=ncols)))
+    before = dict(row)
+    elim.is_in_span(row)
+    assert row == before
+    elim.reduce(row)
+    assert row == before
 
 
 def test_a_pivot_of_lead_2_scales_the_row_and_divides_out_the_content():
