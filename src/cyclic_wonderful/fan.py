@@ -448,8 +448,10 @@ def locate_point(fan: Fan, point: Sequence) -> Chain | None:
     span-check or coefficient row of the cones scanned so far is evaluated
     at most once per point, and a cone not yet scanned is tested on its
     own, as the plain scan would.  The located chain keeps exactly
-    the generators with strictly positive coefficients.  Returns None when
-    the point is outside the fan's support.
+    the generators with strictly positive coefficients: a subsequence of
+    the cone's label, the prefixes of its chain, so it is built without the
+    nesting check.  Returns None when the point is outside the fan's
+    support.
     """
     p, scale = scaled_point(point, fan.spec.ambient_dim)
     k = fan._cone_index.first(p, scale)
@@ -457,7 +459,7 @@ def locate_point(fan: Fan, point: Sequence) -> Chain | None:
         return None
     cone = fan.maximal_cones[k]
     coeffs = cone._scaled_coefficients(p)
-    return Chain(tuple(d for d, c in zip(cone.label, coeffs) if c > 0))
+    return Chain._trusted(tuple([d for d, c in zip(cone.label, coeffs) if c > 0]))
 
 
 def is_smooth_cone(cone: Cone) -> bool:
@@ -488,7 +490,7 @@ def support_decomposition(
     list of (x_i, a_i) pairs with a_i = None when x_i = 0, or None when some
     block has the wrong shape.
     """
-    point = tuple(Fraction(x) for x in point)
+    point = tuple([x if isinstance(x, Fraction) else Fraction(x) for x in point])
     if len(point) != spec.ambient_dim:
         raise ValueError(
             f"point has length {len(point)}, expected {spec.ambient_dim}"
@@ -507,3 +509,31 @@ def support_decomposition(
         else:
             return None
     return out
+
+
+def support_point(
+    spec: ArrangementSpec, decomposition: Iterable[tuple[Fraction, int | None]]
+) -> tuple[Fraction, ...]:
+    """The point sum_i x_i e_i^(a_i) of the fan's support, the inverse of
+    ``support_decomposition``.
+
+    ``decomposition`` holds one ``(x_i, a_i)`` pair per factor, in factor
+    order: a residue a_i in 0..r-1, or None (or x_i = 0) for a factor at
+    the origin.  Each x_i goes straight into factor i's block, at slot a_i,
+    or as -x_i across the whole block for a_i = 0; every other entry is one
+    shared ``Fraction(0)``.  A length that is not a ``Fraction`` is made
+    one, so every entry is a ``Fraction``.
+    """
+    block = spec.r - 1
+    out = [Fraction(0)] * spec.ambient_dim
+    for i, (x, a) in enumerate(decomposition):
+        if a is None or not x:
+            continue
+        if not isinstance(x, Fraction):
+            x = Fraction(x)
+        off = i * block
+        if a:
+            out[off + a - 1] = x
+        else:
+            out[off : off + block] = [-x] * block
+    return tuple(out)

@@ -395,10 +395,11 @@ def chain_intersect(a: Chain, b: Chain) -> Chain:
     a fan the intersection of two cones is a common face, hence spanned by
     exactly the generators the two cones share.  Generators determine their
     prefixes, so the intersection chain consists of the decorated prefixes
-    common to both chains.
+    common to both chains.  They are a subsequence of a's prefixes, in a's
+    order, so they nest and are not checked again.
     """
     b_prefixes = set(b.prefixes)
-    return Chain.from_prefixes([p for p in a.prefixes if p in b_prefixes])
+    return Chain._trusted(tuple([p for p in a.prefixes if p in b_prefixes]))
 
 
 # ---------------------------------------------------------------------------

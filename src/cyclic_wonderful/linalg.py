@@ -7,9 +7,14 @@ matrices a few hundred rows) but must be exact, so there is no floating
 point anywhere.
 
 Dense rational elimination is written once, in ``_rref``: ``solve_columns``,
-``matrix_rank`` and ``nullspace`` read their answers off it, and ``combine``
-forms every sum_j c_j v_j.  ``solve_columns`` shares nothing with the
-integer cone kernel of :mod:`cyclic_wonderful.fan`, whose reference it is.
+``matrix_rank`` and ``nullspace`` read their answers off it.  ``combine``
+forms the sums sum_j c_j v_j of ray vectors and of the normal complex's
+vertices and facet normals, but not every sum: a point that is one
+multiple of a basis image per factor (a curve's embedding, a sampled
+support point) is built by placement, in ``fan.support_point``, with no
+``Fraction(0) + c * x`` per entry.  ``solve_columns`` shares nothing with
+the integer cone kernel of :mod:`cyclic_wonderful.fan`, whose reference it
+is.
 
 Sparse integer elimination (``SparseEliminator``) updates each row in place:
 against a pivot row of lead 1 it subtracts a multiple over the pivot's
@@ -394,13 +399,19 @@ def integer_scaled(vectors: Iterable[Vector]) -> tuple[list[tuple[int, ...]], in
 def scaled_point(point: Vector, dim: int) -> tuple[tuple[int, ...], int]:
     """``(D * point, D)`` for the lcm ``D`` of the coordinates' denominators.
 
-    A point of plain ``int`` entries is returned as it is, with ``D = 1``.
+    A point of plain ``int`` entries is returned as it is, with ``D = 1``;
+    one of ``int`` and ``Fraction`` entries is cleared by one ``lcm``, and
+    any other entry (``bool``, ``float``) goes through ``integer_scaled``.
     Raises ValueError when the point's length is not ``dim``.
     """
     if len(point) != dim:
         raise ValueError(f"point has length {len(point)}, expected {dim}")
-    if all(type(x) is int for x in point):
+    kinds = set(map(type, point))
+    if kinds <= {int}:
         return tuple(point), 1
+    if kinds <= {int, Fraction}:
+        scale = lcm(*[x.denominator for x in point])
+        return tuple([x.numerator * (scale // x.denominator) for x in point]), scale
     (p,), scale = integer_scaled([point])
     return p, scale
 

@@ -8,16 +8,17 @@ implementation can reproduce the exact sample streams:
 with state_0 = seed (default 0).  Draws use the high bits: an integer below
 m is ((state >> 16) % m) taken after advancing the state once.  All derived
 samples (rationals, ambient points, curves) are defined purely in terms of
-that draw, in the order written below.
+that draw, in the order written below.  A support point takes all its
+draws first, direction then length per factor, and is then placed from
+them (``fan.support_point``), so placing it draws nothing.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .fan import basis_image
+from .fan import support_point
 from .lattice import ArrangementSpec
-from .linalg import combine
 from .tropical import CENTER, TropicalCurve
 
 _MULT = 6364136223846793005
@@ -55,12 +56,7 @@ def sample_support_point(rng: Lcg, spec: ArrangementSpec, max_abs: int = 4) -> t
     """A point of the fan's support: per factor, a direction and a length."""
     # per factor, direction then length; direction r means "length zero"
     draws = [(rng.below(spec.r + 1), Fraction(rng.below(4 * max_abs), 4)) for _ in range(spec.n)]
-    return combine(
-        [x if a < spec.r else 0 for a, x in draws],
-        [basis_image(spec, i, a) for i, (a, _) in enumerate(draws, start=1)],
-        spec.ambient_dim,
-        Fraction(0),
-    )
+    return support_point(spec, [(x, a if a < spec.r else None) for a, x in draws])
 
 
 def sample_mixed_points(

@@ -20,9 +20,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .fan import basis_image, support_decomposition
+from .fan import support_decomposition, support_point
 from .lattice import ArrangementSpec, Chain
-from .linalg import combine, parse_rational
+from .linalg import parse_rational
 
 CENTER = None  # spoke value for orbits on the central vertex
 
@@ -71,11 +71,11 @@ def validate_curve(curve: TropicalCurve, spec: ArrangementSpec) -> None:
 
 
 def embed(curve: TropicalCurve, spec: ArrangementSpec) -> tuple[Fraction, ...]:
-    """Ambient coordinates sum_{L_i > 0} L_i e_i^(l_i)."""
+    """Ambient coordinates sum_{L_i > 0} L_i e_i^(l_i), each length placed
+    in its orbit's block (``fan.support_point``); an orbit on the center
+    (spoke ``CENTER``, which is None) leaves its block zero."""
     validate_curve(curve, spec)
-    # an orbit on the center has length 0, so its stand-in direction 0 drops out
-    images = [basis_image(spec, i, s or 0) for i, s in enumerate(curve.spokes, start=1)]
-    return combine(curve.lengths, images, spec.ambient_dim, Fraction(0))
+    return support_point(spec, zip(curve.lengths, curve.spokes))
 
 
 def combinatorial_type(curve: TropicalCurve, spec: ArrangementSpec) -> Chain:

@@ -700,6 +700,37 @@ def test_cone_intersection_law_exhaustive_2_2():
             assert cone_a.contains(g) == expected.contains(g)
 
 
+# --- trusted chains ----------------------------------------------------------
+
+
+def test_chain_intersect_results_are_checked_chains_at_3_2():
+    """``chain_intersect`` skips the nesting check; the checked constructor
+    accepts every result and gives an equal chain."""
+    spec = ArrangementSpec(3, 2)
+    chains = list(enumerate_chains(spec, spec.n))
+    for a, b in itertools.product(chains, repeat=2):
+        c = chain_intersect(a, b)
+        assert c == Chain(c.prefixes) and hash(c) == hash(Chain(c.prefixes))
+        common = set(a.prefixes) & set(b.prefixes)
+        assert c == Chain.from_prefixes(common)
+
+
+@pytest.mark.parametrize("r,n,count", [(3, 2, 400), (3, 3, 1000)])
+def test_located_chains_are_checked_chains(r, n, count):
+    """``locate_point`` skips the nesting check; the checked constructor
+    accepts every located chain and gives an equal chain."""
+    spec = ArrangementSpec(r, n)
+    fan = build_fan(spec, BuildingSet.maximal(spec))
+    located = [
+        c for c in map(functools.partial(locate_point, fan), sample_mixed_points(Lcg(3), spec, count))
+        if c is not None
+    ]
+    assert len(located) >= count // 2
+    for c in located:
+        assert c == Chain(c.prefixes) and hash(c) == hash(Chain(c.prefixes))
+        assert c in fan.cones
+
+
 # --- support decomposition ---------------------------------------------------
 
 

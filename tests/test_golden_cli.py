@@ -30,7 +30,10 @@ of them outside the support), and the ``fan --format json`` and the ``check
 flag (every chain and cone of the fan, and its chain and intersection
 checks), and the four ``--union-extremes`` digests at (3,2), (5,2), (2,1)
 and (3,0) before the union extremes switched from the hull LP over every
-cell vertex to the closed-form permutohedral orbit; any later change that alters
+cell vertex to the closed-form permutohedral orbit, and the ``check --suite
+tropical`` at (3,3) and (2,4) before sampled points were built by placing
+each factor's length in its block (500 curves embedded, round-tripped and
+located at n >= 3); any later change that alters
 a byte of these outputs fails here.  The whole corpus runs in-process through
 ``cli.main`` in a few seconds.  To re-record after an
 intended output change, print ``hashlib.sha256(stdout).hexdigest()`` for each
@@ -101,6 +104,8 @@ GOLDEN = [
     ("normal-complex --r 5 --n 2 --union-extremes --format json", 0, "7a14575aa3d8e04b8f28e68f7a074276b4dda1d24fc1ee76d4cdc2cd0d50613d"),
     ("normal-complex --r 2 --n 1 --union-extremes", 0, "34ed19b42e519541801dfff893ad7499d044feb72012df63a5397423a819e6ef"),
     ("normal-complex --r 3 --n 0 --union-extremes --format json", 0, "e3ab51b747189d51578b18fa23c08567326bdb04ec232795b2dbfa4143d866a9"),
+    ("check --r 3 --n 3 --suite tropical --seed 1", 0, "084851fbb6c5ced6c759cef8e376e271999c041ea23cd2d4559e290a29a2cee4"),
+    ("check --r 2 --n 4 --suite tropical --seed 2", 0, "4a079faf44c5ad50aac2f76d8ba668e8e24e4bb5ca22e6c973ab9be633ca7b44"),
     ("fan --r 1 --n 2", 2, "19a9c3723b7d7f4d89611ed97f66c1f2369ca2ac75bc525df5a199f19f8b3969"),
     ("locate --r 3 --n 2 --point 1,2", 2, "2360e8858d7deb4b2fdfefd665fff621c57c1bcb7cd8a38e1eced897152e29a7"),
 ]

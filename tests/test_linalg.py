@@ -28,9 +28,11 @@ from cyclic_wonderful.linalg import (
     extreme_points,
     in_convex_hull,
     independent_row_indices,
+    integer_scaled,
     matrix_rank,
     nullspace,
     parse_rational,
+    scaled_point,
     smith_divisors,
     solve_columns,
 )
@@ -498,3 +500,60 @@ def test_a_batch_wider_than_a_byte_registers_like_one_member_at_a_time():
     ]
     assert [index.first(p, scale) for p, scale in points] == scan == [None, 0, 0, None]
     assert index._count == 20 and index._rows == _rows_one_by_one(members)
+
+
+# --- scaled points -----------------------------------------------------------
+
+small_fractions = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 12))
+exact_entries = st.one_of(st.integers(-12, 12), small_fractions)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(exact_entries, max_size=8))
+def test_scaled_point_equals_integer_scaled(point):
+    """Int, Fraction and mixed points are cleared by one lcm, and that gives
+    ``integer_scaled``'s integer point and scale."""
+    (expect,), scale = integer_scaled([point])
+    p, d = scaled_point(point, len(point))
+    assert (p, d) == (expect, scale)
+    assert all(type(x) is int for x in p)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(exact_entries, max_size=6),
+    st.lists(st.one_of(st.booleans(), st.sampled_from([0.5, -0.25, 2.0, 0.0])), min_size=1, max_size=3),
+    st.randoms(use_true_random=False),
+)
+def test_scaled_point_of_bool_and_float_entries_equals_integer_scaled(point, odd, rnd):
+    mixed = point + odd
+    rnd.shuffle(mixed)
+    (expect,), scale = integer_scaled([mixed])
+    assert scaled_point(mixed, len(mixed)) == (expect, scale)
+
+
+def test_only_bool_and_float_entries_go_through_integer_scaled(monkeypatch):
+    calls = []
+
+    def spy(vectors):
+        calls.append(vectors)
+        return integer_scaled(vectors)
+
+    monkeypatch.setattr(linalg, "integer_scaled", spy)
+    for point in [(1, -2), (Fraction(1, 2), 3), (Fraction(2, 3), Fraction(1, 6))]:
+        scaled_point(point, 2)
+    assert calls == []
+    for point in [(True, 1), (Fraction(1, 2), 0.5), (False, Fraction(1, 3))]:
+        scaled_point(point, 2)
+    assert len(calls) == 3
+
+
+def test_scaled_point_examples_and_length_check():
+    assert scaled_point((3, -1), 2) == ((3, -1), 1)
+    assert scaled_point((Fraction(1, 2), 3, Fraction(-2, 3)), 3) == ((3, 18, -4), 6)
+    assert scaled_point((True, Fraction(1, 2)), 2) == ((2, 1), 2)
+    assert scaled_point((0.5, 1), 2) == ((1, 2), 2)
+    assert scaled_point((), 0) == ((), 1)
+    for point in [(1, 2), (Fraction(1, 2),), (0.5, True, 1)]:
+        with pytest.raises(ValueError, match="expected 4"):
+            scaled_point(point, 4)

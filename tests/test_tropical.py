@@ -3,10 +3,19 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cyclic_wonderful.fan import build_fan, locate_point, support_decomposition
+from cyclic_wonderful.fan import (
+    basis_image,
+    build_fan,
+    locate_point,
+    support_decomposition,
+    support_point,
+)
 from cyclic_wonderful.lattice import ArrangementSpec, BuildingSet, Chain
-from cyclic_wonderful.sampling import Lcg, sample_curve
+from cyclic_wonderful.linalg import combine
+from cyclic_wonderful.sampling import Lcg, sample_curve, sample_support_point
 from cyclic_wonderful.tropical import (
     CENTER,
     TropicalCurve,
@@ -16,6 +25,7 @@ from cyclic_wonderful.tropical import (
     format_curve,
     parse_curve,
     render_pinwheel,
+    validate_curve,
 )
 
 
@@ -67,6 +77,76 @@ def test_embedding_lands_in_the_support():
     for _ in range(100):
         curve = sample_curve(rng, spec)
         assert support_decomposition(embed(curve, spec), spec) is not None
+
+
+# --- placement against the combine-based references -------------------------
+
+
+def combine_embed(curve, spec):
+    """The embedding as a sum over every orbit's basis image, the reference
+    for the placed embedding."""
+    validate_curve(curve, spec)
+    # an orbit on the center has length 0, so its stand-in direction 0 drops out
+    images = [basis_image(spec, i, s or 0) for i, s in enumerate(curve.spokes, start=1)]
+    return combine(curve.lengths, images, spec.ambient_dim, Fraction(0))
+
+
+def combine_support_point(rng, spec, max_abs=4):
+    """The support sampler as a sum over every factor's basis image, the
+    reference for the placed sampler: the same draws in the same order."""
+    draws = [(rng.below(spec.r + 1), Fraction(rng.below(4 * max_abs), 4)) for _ in range(spec.n)]
+    return combine(
+        [x if a < spec.r else 0 for a, x in draws],
+        [basis_image(spec, i, a) for i, (a, _) in enumerate(draws, start=1)],
+        spec.ambient_dim,
+        Fraction(0),
+    )
+
+
+specs = st.builds(ArrangementSpec, st.integers(2, 6), st.integers(0, 4))
+seeds = st.integers(0, 2**64 - 1)
+
+
+def all_fractions(point):
+    return all(type(x) is Fraction for x in point)
+
+
+@settings(max_examples=150, deadline=None)
+@given(specs, seeds, st.integers(1, 6))
+def test_support_sampler_places_the_reference_sum_in_the_same_draw_order(spec, seed, max_abs):
+    rng, ref = Lcg(seed), Lcg(seed)
+    for _ in range(5):
+        point = sample_support_point(rng, spec, max_abs)
+        assert point == combine_support_point(ref, spec, max_abs)
+        assert rng.state == ref.state
+        assert len(point) == spec.ambient_dim and all_fractions(point)
+
+
+@settings(max_examples=150, deadline=None)
+@given(specs, seeds)
+def test_embed_places_the_reference_sum(spec, seed):
+    rng = Lcg(seed)
+    for _ in range(5):
+        curve = sample_curve(rng, spec)
+        point = embed(curve, spec)
+        assert point == combine_embed(curve, spec)
+        assert all_fractions(point)
+        assert support_point(spec, support_decomposition(point, spec)) == point
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), specs)
+def test_embed_of_int_lengths_gives_fraction_entries(data, spec):
+    """A curve built with plain int lengths still embeds to Fractions, as
+    ``combine``'s ``Fraction(0) + c * x`` made them."""
+    spokes = data.draw(
+        st.lists(st.one_of(st.none(), st.integers(0, spec.r - 1)), min_size=spec.n, max_size=spec.n)
+    )
+    lengths = tuple(0 if s is CENTER else data.draw(st.integers(1, 9)) for s in spokes)
+    curve = TropicalCurve(tuple(spokes), lengths)
+    point, expect = embed(curve, spec), combine_embed(curve, spec)
+    assert point == expect
+    assert all_fractions(point) and all_fractions(expect)
 
 
 # --- combinatorial type ------------------------------------------------------
