@@ -55,7 +55,6 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from math import comb, factorial
 from typing import Iterator, Sequence
 
@@ -65,6 +64,7 @@ from .lattice import (
     Chain,
     DecoratedSubset,
     JumpType,
+    _Frozen,
     enumerate_chains,
     enumerate_decorated_subsets,
     jump_type,
@@ -72,40 +72,65 @@ from .lattice import (
 from .linalg import SparseEliminator, independent_row_indices
 
 
-@dataclass(frozen=True)
-class GradedDims:
+class GradedDims(_Frozen):
     """Ranks b_0, ..., b_n of the graded pieces."""
 
-    dims: tuple[int, ...]
+    _fields = ("dims",)
 
-    def __post_init__(self) -> None:
-        if not self.dims or self.dims[0] != 1:
-            raise ValueError(f"degree-zero rank must be 1, got {self.dims}")
+    def __init__(self, dims: tuple[int, ...]) -> None:
+        if not dims or dims[0] != 1:
+            raise ValueError(f"degree-zero rank must be 1, got {dims}")
+        object.__setattr__(self, "dims", dims)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.dims == other.dims
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.dims,))
 
     @property
     def total(self) -> int:
         return sum(self.dims)
 
 
-@dataclass(frozen=True)
-class LinearRelation:
+class LinearRelation(_Frozen):
     """sum of generators decorating i by a, minus those decorating i by b."""
 
-    i: int
-    a: int
-    b: int
-    coeffs: tuple[tuple[int, int], ...]  # (generator index, +-1)
+    _fields = ("i", "a", "b", "coeffs")
+
+    def __init__(self, i: int, a: int, b: int, coeffs: tuple[tuple[int, int], ...]) -> None:
+        object.__setattr__(self, "i", i)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "coeffs", coeffs)  # (generator index, +-1)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.i, self.a, self.b, self.coeffs) == (
+                other.i, other.a, other.b, other.coeffs
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.i, self.a, self.b, self.coeffs))
 
     def as_dict(self) -> dict[int, int]:
         return dict(self.coeffs)
 
 
-@dataclass(frozen=True, eq=False)
-class ChowPresentation:
-    spec: ArrangementSpec
-    generators: tuple[DecoratedSubset, ...]
-    linear_relations: tuple[LinearRelation, ...]
-    reduced_indices: tuple[int, ...]
+class ChowPresentation(_Frozen):
+    _fields = ("spec", "generators", "linear_relations", "reduced_indices")
+
+    def __init__(
+        self, spec: ArrangementSpec, generators: tuple[DecoratedSubset, ...],
+        linear_relations: tuple[LinearRelation, ...], reduced_indices: tuple[int, ...],
+    ) -> None:
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "linear_relations", linear_relations)
+        object.__setattr__(self, "reduced_indices", reduced_indices)
 
     def reduced_linear_relations(self) -> tuple[LinearRelation, ...]:
         return tuple(self.linear_relations[k] for k in self.reduced_indices)

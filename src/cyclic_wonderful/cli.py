@@ -16,13 +16,12 @@ import argparse
 import json
 import sys
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import chow, normal_complex, tropical
 from .fan import build_fan, build_fan_stellar, locate_point
 from .guards import FeasibilityError, check_fan_spec
-from .lattice import ArrangementSpec, BuildingSet
+from .lattice import ArrangementSpec, BuildingSet, _Record
 from .linalg import parse_rational
 from .selfcheck import SUITES, run_suites
 from .serialize import fan_to_dict
@@ -30,22 +29,35 @@ from .serialize import fan_to_dict
 USAGE_ERROR = 2
 
 
-@dataclass
-class RunConfig:
-    command: str
-    r: int
-    n: int
-    format: str = "text"
-    seed: int = 0
-    out: str | None = None
-    via_stellar: bool = False
-    oracle: bool = False
-    betti_only: bool = False
-    curve: str | None = None
-    point: str | None = None
-    union_extremes: bool = False
-    suite: str = "all"
-    lines: list[str] = field(default_factory=list)
+class RunConfig(_Record):
+    _fields = ("command", "r", "n", "format", "seed", "out", "via_stellar", "oracle",
+               "betti_only", "curve", "point", "union_extremes", "suite", "lines")
+
+    def __init__(
+        self, command: str, r: int, n: int, format: str = "text", seed: int = 0,
+        out: str | None = None, via_stellar: bool = False, oracle: bool = False,
+        betti_only: bool = False, curve: str | None = None, point: str | None = None,
+        union_extremes: bool = False, suite: str = "all", lines: list[str] | None = None,
+    ) -> None:
+        self.command = command
+        self.r = r
+        self.n = n
+        self.format = format
+        self.seed = seed
+        self.out = out
+        self.via_stellar = via_stellar
+        self.oracle = oracle
+        self.betti_only = betti_only
+        self.curve = curve
+        self.point = point
+        self.union_extremes = union_extremes
+        self.suite = suite
+        self.lines = [] if lines is None else lines
+
+    def __eq__(self, other):  # no __hash__: a mutable config is unhashable
+        if other.__class__ is self.__class__:
+            return vars(self) == vars(other)
+        return NotImplemented
 
     def emit(self, text: str) -> None:
         self.lines.append(text)

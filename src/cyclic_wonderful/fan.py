@@ -53,7 +53,6 @@ location computes no more inverses than the plain scan.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd
@@ -66,6 +65,7 @@ from .lattice import (
     BuildingSet,
     Chain,
     DecoratedSubset,
+    _Frozen,
     enumerate_chains,
     is_nested,
     validate_subset,
@@ -208,13 +208,23 @@ class _Inverse(NamedTuple):
     delta: int
 
 
-@dataclass(frozen=True)
-class Cone:
+class Cone(_Frozen):
     """A simplicial cone: primitive ray generators plus its nested-set label,
     the decorated prefixes of its chain, one per ray and innermost first."""
 
-    rays: tuple[Vector, ...]
-    label: tuple[DecoratedSubset, ...]
+    _fields = ("rays", "label")
+
+    def __init__(self, rays: tuple[Vector, ...], label: tuple[DecoratedSubset, ...]) -> None:
+        object.__setattr__(self, "rays", rays)
+        object.__setattr__(self, "label", label)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.rays, self.label) == (other.rays, other.label)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.rays, self.label))
 
     @property
     def dim(self) -> int:
@@ -294,17 +304,21 @@ class Cone:
         return [Fraction(x, scale) for x in c]
 
 
-@dataclass(frozen=True, eq=False)
-class Fan:
+class Fan(_Frozen):
     """An immutable fan: a ray per decorated subset, one cone per chain.
 
     Cones are keyed by their chain, and a cone's label is that chain's own
     tuple of decorated prefixes.
     """
 
-    spec: ArrangementSpec
-    rays: dict[DecoratedSubset, Vector]
-    cones: dict[Chain, Cone]
+    _fields = ("spec", "rays", "cones")
+
+    def __init__(
+        self, spec: ArrangementSpec, rays: dict[DecoratedSubset, Vector], cones: dict[Chain, Cone]
+    ) -> None:
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "rays", rays)
+        object.__setattr__(self, "cones", cones)
 
     def cone(self, chain: Chain) -> Cone:
         return self.cones[chain]

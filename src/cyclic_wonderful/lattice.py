@@ -24,9 +24,29 @@ immutable and all functions are side-effect free.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import factorial
 from typing import Iterable, Iterator, Sequence
+
+
+class _Record:
+    """A record whose ``repr`` lists its ``_fields``, the constructor's
+    parameters in order, as ``name=value`` pairs."""
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class _Frozen(_Record):
+    """An immutable record: ``__init__`` sets each field through
+    ``object.__setattr__``, and assignment and deletion raise AttributeError
+    (a ``cached_property`` writes to the instance ``__dict__`` directly)."""
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def _product_upto(factors: Iterable[int], cap: int) -> int:
@@ -39,20 +59,28 @@ def _product_upto(factors: Iterable[int], cap: int) -> int:
     return out
 
 
-@dataclass(frozen=True)
-class ArrangementSpec:
+class ArrangementSpec(_Frozen):
     """Size parameters: r points per line (r >= 2), n line factors (n >= 0)."""
 
-    r: int
-    n: int
+    _fields = ("r", "n")
 
-    def __post_init__(self) -> None:
-        if self.r < 2:
+    def __init__(self, r: int, n: int) -> None:
+        if r < 2:
             # r = 1 is a genuinely different object (its fan is not the r=1
             # member of this family), so it is rejected rather than guessed at.
-            raise ValueError(f"r must be at least 2, got {self.r}")
-        if self.n < 0:
-            raise ValueError(f"n must be nonnegative, got {self.n}")
+            raise ValueError(f"r must be at least 2, got {r}")
+        if n < 0:
+            raise ValueError(f"n must be nonnegative, got {n}")
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "n", n)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.r, self.n) == (other.r, other.n)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.r, self.n))
 
     @property
     def num_subsets(self) -> int:
@@ -82,8 +110,7 @@ class ArrangementSpec:
         return self.n * (self.r - 1)
 
 
-@dataclass(frozen=True)
-class DecoratedSubset:
+class DecoratedSubset(_Frozen):
     """A subset of [n] with a residue mod r attached to each element.
 
     Stored as a sorted tuple of (index, residue) pairs.  The empty tuple is
@@ -91,17 +118,23 @@ class DecoratedSubset:
     enumeration and fan machinery works with nonempty subsets only.
     """
 
-    items: tuple[tuple[int, int], ...]
+    _fields = ("items",)
 
-    def __post_init__(self) -> None:
-        idx = [i for i, _ in self.items]
+    def __init__(self, items: tuple[tuple[int, int], ...]) -> None:
+        idx = [i for i, _ in items]
         if idx != sorted(set(idx)):
             raise ValueError(f"indices must be strictly increasing, got {idx}")
         if any(i < 1 for i in idx):
             raise ValueError(f"indices must be >= 1, got {idx}")
-        # hashed once, to the value the dataclass would compute: subsets key
-        # the ray table and enter every chain's hash
-        object.__setattr__(self, "_hash", hash((self.items,)))
+        object.__setattr__(self, "items", items)
+        # hashed once, as the field tuple (items,): subsets key the ray
+        # table and enter every chain's hash
+        object.__setattr__(self, "_hash", hash((items,)))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.items == other.items
+        return NotImplemented
 
     def __hash__(self) -> int:
         return self._hash
@@ -157,8 +190,7 @@ def validate_subset(d: DecoratedSubset, spec: ArrangementSpec) -> None:
             raise ValueError(f"residue {a} outside Z_{spec.r} in {d.text()}")
 
 
-@dataclass(frozen=True)
-class Chain:
+class Chain(_Frozen):
     """A strictly increasing flag of decorated subsets.
 
     ``prefixes`` holds the decorated prefixes (I_1, a|I_1) < ... < (I_l, a),
@@ -167,14 +199,23 @@ class Chain:
     labels the zero cone and the open moduli stratum.
     """
 
-    prefixes: tuple[DecoratedSubset, ...]
+    _fields = ("prefixes",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, prefixes: tuple[DecoratedSubset, ...]) -> None:
         # the bottom element heads every chain, so an empty prefix is refused
-        unnested = _first_unnested_pair((_BOTTOM, *self.prefixes))
+        unnested = _first_unnested_pair((_BOTTOM, *prefixes))
         if unnested is not None:
             a, b = unnested
             raise ValueError(f"{a.text()} and {b.text()} do not nest")
+        object.__setattr__(self, "prefixes", prefixes)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.prefixes == other.prefixes
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.prefixes,))
 
     @classmethod
     def empty(cls) -> "Chain":
@@ -244,15 +285,23 @@ def parse_chain(text: str, spec: ArrangementSpec | None = None) -> Chain:
     return Chain.from_prefixes(prefixes)
 
 
-@dataclass(frozen=True)
-class JumpType:
+class JumpType(_Frozen):
     """Composition of successive set-size increments along a chain."""
 
-    parts: tuple[int, ...]
+    _fields = ("parts",)
 
-    def __post_init__(self) -> None:
-        if any(p < 1 for p in self.parts):
-            raise ValueError(f"jump-type parts must be >= 1, got {self.parts}")
+    def __init__(self, parts: tuple[int, ...]) -> None:
+        if any(p < 1 for p in parts):
+            raise ValueError(f"jump-type parts must be >= 1, got {parts}")
+        object.__setattr__(self, "parts", parts)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.parts == other.parts
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.parts,))
 
     @property
     def total(self) -> int:
@@ -407,16 +456,26 @@ def chain_intersect(a: Chain, b: Chain) -> Chain:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BuildingSet:
+class BuildingSet(_Frozen):
     """A set of decorated subsets relative to which nestedness is decided.
 
     Fans are built from the maximal building set only, whose nested sets are
     exactly the decorated chains.
     """
 
-    elements: frozenset[DecoratedSubset]
-    spec: ArrangementSpec
+    _fields = ("elements", "spec")
+
+    def __init__(self, elements: frozenset[DecoratedSubset], spec: ArrangementSpec) -> None:
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "spec", spec)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.elements, self.spec) == (other.elements, other.spec)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.elements, self.spec))
 
     @classmethod
     def maximal(cls, spec: ArrangementSpec) -> "BuildingSet":

@@ -127,7 +127,8 @@ def nullspace(rows: Sequence[Vector]) -> list[tuple[Fraction, ...]]:
 
 
 def _primitive(row: dict[int, int], lead: int) -> dict[int, int]:
-    """The row divided by its content, with a positive entry at ``lead``."""
+    """The row divided by its content, with a positive entry at ``lead``.
+    A row of content 1 is negated in place: it is the eliminator's own."""
     g = 0
     for v in row.values():
         g = gcd(g, v)
@@ -135,7 +136,10 @@ def _primitive(row: dict[int, int], lead: int) -> dict[int, int]:
             break
     if row[lead] < 0:
         g = -g
-    if g != 1:
+    if g == -1:
+        for c, v in row.items():
+            row[c] = -v
+    elif g != 1:
         row = {c: v // g for c, v in row.items()}
     return row
 

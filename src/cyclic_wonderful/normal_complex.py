@@ -45,7 +45,6 @@ of the support decomposition), a route that shares none of it.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cache, cached_property
 from fractions import Fraction
 from typing import Sequence
@@ -56,6 +55,7 @@ from .lattice import (
     ArrangementSpec,
     Chain,
     DecoratedSubset,
+    _Frozen,
     enumerate_decorated_subsets,
     maximal_chains,
 )
@@ -86,8 +86,7 @@ def z_vector(spec: ArrangementSpec) -> dict[DecoratedSubset, int]:
     }
 
 
-@dataclass(frozen=True, eq=False)
-class Polytope:
+class Polytope(_Frozen):
     """Exact H- and V-representations of one cell, with its chain label.
 
     Constraints read ``normal * v <= bound`` with the coordinate dot
@@ -95,9 +94,14 @@ class Polytope:
     opposite inequalities.
     """
 
-    h_rep: tuple[tuple[FracVec, Fraction], ...]
-    v_rep: tuple[FracVec, ...]
-    label: Chain
+    _fields = ("h_rep", "v_rep", "label")
+
+    def __init__(
+        self, h_rep: tuple[tuple[FracVec, Fraction], ...], v_rep: tuple[FracVec, ...], label: Chain
+    ) -> None:
+        object.__setattr__(self, "h_rep", h_rep)
+        object.__setattr__(self, "v_rep", v_rep)
+        object.__setattr__(self, "label", label)
 
     @cached_property
     def _tests(self) -> tuple[RowTest, ...]:
@@ -116,8 +120,7 @@ class Polytope:
         return tests_hold(self._tests, p, scale)
 
 
-@dataclass(frozen=True, eq=False)
-class NormalComplex:
+class NormalComplex(_Frozen):
     """The cells of one arrangement.
 
     Membership scales the point to integers once and asks whether some
@@ -126,8 +129,11 @@ class NormalComplex:
     most once per point, and a cell not yet scanned is tested on its own.
     """
 
-    spec: ArrangementSpec
-    cells: tuple[Polytope, ...]
+    _fields = ("spec", "cells")
+
+    def __init__(self, spec: ArrangementSpec, cells: tuple[Polytope, ...]) -> None:
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "cells", cells)
 
     @cached_property
     def _cell_index(self) -> SharedRowIndex:

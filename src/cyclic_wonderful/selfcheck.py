@@ -12,7 +12,6 @@ complex tiles the truncated support.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
@@ -33,6 +32,7 @@ from .lattice import (
     ArrangementSpec,
     BuildingSet,
     Chain,
+    _Frozen,
     chain_intersect,
     enumerate_chains,
 )
@@ -42,12 +42,24 @@ from .sampling import Lcg, sample_curve, sample_mixed_points
 SUITES = ("fan", "chow", "tropical", "normal")
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    suite: str
-    name: str
-    status: str  # "PASS", "FAIL" or "SKIP"
-    detail: str = ""
+class CheckResult(_Frozen):
+    _fields = ("suite", "name", "status", "detail")
+
+    def __init__(self, suite: str, name: str, status: str, detail: str = "") -> None:
+        object.__setattr__(self, "suite", suite)
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "status", status)  # "PASS", "FAIL" or "SKIP"
+        object.__setattr__(self, "detail", detail)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.suite, self.name, self.status, self.detail) == (
+                other.suite, other.name, other.status, other.detail
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.suite, self.name, self.status, self.detail))
 
 
 def _result(suite: str, name: str, passed: bool, detail: str = "") -> CheckResult:
@@ -274,17 +286,14 @@ def suite_tropical(spec: ArrangementSpec, seed: int = 0) -> list[CheckResult]:
         tropical.curve_from_point(p, spec) == c for c, p in zip(curves, points)
     )
     out.append(_result("tropical", "curve -> point -> curve round trip", round_trip))
-    consistent = all(
-        tropical.combinatorial_type(c, spec) == locate_point(fan, p)
-        for c, p in zip(curves, points)
-    )
+    types = [tropical.combinatorial_type(c, spec) for c in curves]
+    consistent = all(t == locate_point(fan, p) for t, p in zip(types, points))
     out.append(
         _result("tropical", "combinatorial type agrees with point location", consistent)
     )
     scaling = all(
-        tropical.combinatorial_type(c, spec)
-        == tropical.combinatorial_type(c.scaled(3), spec)
-        for c in curves[:100]
+        t == tropical.combinatorial_type(c.scaled(3), spec)
+        for c, t in zip(curves[:100], types)
     )
     out.append(_result("tropical", "type is scaling invariant", scaling))
     return out

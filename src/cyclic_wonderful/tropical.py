@@ -16,34 +16,41 @@ equalities; there is no epsilon anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .fan import support_decomposition, support_point
-from .lattice import ArrangementSpec, Chain
+from .lattice import ArrangementSpec, Chain, DecoratedSubset, _Frozen
 from .linalg import parse_rational
 
 CENTER = None  # spoke value for orbits on the central vertex
 
 
-@dataclass(frozen=True)
-class TropicalCurve:
+class TropicalCurve(_Frozen):
     """Reduced coordinates: per orbit, a spoke (or CENTER) and a distance."""
 
-    spokes: tuple[int | None, ...]
-    lengths: tuple[Fraction, ...]
+    _fields = ("spokes", "lengths")
 
-    def __post_init__(self) -> None:
-        if len(self.spokes) != len(self.lengths):
+    def __init__(self, spokes: tuple[int | None, ...], lengths: tuple[Fraction, ...]) -> None:
+        if len(spokes) != len(lengths):
             raise ValueError("spokes and lengths must have equal length")
-        for k, (s, length) in enumerate(zip(self.spokes, self.lengths)):
+        for k, (s, length) in enumerate(zip(spokes, lengths)):
             if length < 0:
                 raise ValueError(f"negative length {length} for orbit {k + 1}")
             if (length == 0) != (s is CENTER):
                 raise ValueError(
                     f"orbit {k + 1}: zero length exactly when on the center"
                 )
+        object.__setattr__(self, "spokes", spokes)
+        object.__setattr__(self, "lengths", lengths)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.spokes, self.lengths) == (other.spokes, other.lengths)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.spokes, self.lengths))
 
     @classmethod
     def of(
@@ -81,27 +88,18 @@ def embed(curve: TropicalCurve, spec: ArrangementSpec) -> tuple[Fraction, ...]:
 def combinatorial_type(curve: TropicalCurve, spec: ArrangementSpec) -> Chain:
     """The chain of the stratum whose cone interior contains the embedding.
 
-    Sort the positive lengths in decreasing order, group exact ties into the
-    successive sets of the flag, and decorate index i by -l_i mod r.
+    Decorate each orbit i off the center (of positive length) by -l_i mod r;
+    for each distinct length v, in decreasing order, the prefix keeps the
+    orbits of length >= v.  These restrictions nest, so they are not checked.
     """
     validate_curve(curve, spec)
-    positive = [
-        (length, i)
-        for i, length in enumerate(curve.lengths, start=1)
-        if length > 0
+    lengths = curve.lengths
+    top = [(i, (-s) % spec.r) for i, s in enumerate(curve.spokes, start=1) if s is not CENTER]
+    prefixes = [
+        DecoratedSubset(tuple([p for p in top if lengths[p[0] - 1] >= v]))
+        for v in sorted({lengths[i - 1] for i, _ in top}, reverse=True)
     ]
-    values = sorted({length for length, _ in positive}, reverse=True)
-    sets = []
-    current: set[int] = set()
-    for v in values:
-        current |= {i for length, i in positive if length == v}
-        sets.append(tuple(sorted(current)))
-    decoration = {
-        i: (-s) % spec.r
-        for i, s in enumerate(curve.spokes, start=1)
-        if s is not CENTER
-    }
-    return Chain.of(sets, decoration)
+    return Chain._trusted(tuple(prefixes))
 
 
 def curve_from_point(

@@ -274,6 +274,21 @@ def test_a_pivot_of_lead_2_scales_the_row_and_divides_out_the_content():
     assert elim.pivots[2] == {2: 1}
 
 
+def test_a_row_of_content_1_and_negative_lead_is_negated_in_place():
+    row = {0: -1, 2: 3}
+    assert linalg._primitive(row, 0) is row
+    assert row == {0: 1, 2: -3}
+    # content 2 still gives a new row, and leaves the argument alone
+    row = {0: -2, 1: 4}
+    assert linalg._primitive(row, 0) == {0: 1, 1: -2}
+    assert row == {0: -2, 1: 4}
+    # a fed row of content 1 becomes the pivot itself
+    elim = SparseEliminator()
+    fed_row = {1: -1, 4: 2}
+    assert elim.add(fed_row)
+    assert elim.pivots[1] is fed_row and fed_row == {1: 1, 4: -2}
+
+
 @pytest.mark.parametrize(
     "text,value",
     [("3", Fraction(3)), (" -3/2 ", Fraction(-3, 2)), ("0.25", Fraction(1, 4)), ("+.5", Fraction(1, 2))],

@@ -1,0 +1,207 @@
+"""The package's record classes keep the behaviour they had as dataclasses:
+the constructor, the ``repr`` text, equality and hashing by field tuple (or
+by identity), and immutability.  The package import stays light.
+
+The pinned reprs were recorded from the dataclass versions of the classes;
+a long one is pinned by its length and the sha256 of its text.
+"""
+
+import hashlib
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from cyclic_wonderful.chow import GradedDims, LinearRelation, presentation
+from cyclic_wonderful.cli import RunConfig, config_from_args
+from cyclic_wonderful.fan import build_fan
+from cyclic_wonderful.lattice import (
+    ArrangementSpec,
+    BuildingSet,
+    Chain,
+    DecoratedSubset,
+    JumpType,
+)
+from cyclic_wonderful.normal_complex import complex_cells
+from cyclic_wonderful.selfcheck import CheckResult
+from cyclic_wonderful.tropical import TropicalCurve
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def instances():
+    """One instance per record class; the fan, complex and presentation at (2,1)."""
+    spec = ArrangementSpec(2, 1)
+    fan = build_fan(spec, BuildingSet.maximal(spec))
+    cx = complex_cells(spec)
+    return {
+        "ArrangementSpec": ArrangementSpec(3, 2),
+        "DecoratedSubset": DecoratedSubset(((1, 0), (2, 1))),
+        "Chain": Chain.of([(1,), (1, 2)], {1: 0, 2: 1}),
+        "JumpType": JumpType((1, 2)),
+        "BuildingSet": BuildingSet.maximal(spec),
+        "GradedDims": GradedDims((1, 2, 1)),
+        "LinearRelation": LinearRelation(1, 0, 1, ((0, 1), (1, -1))),
+        "ChowPresentation": presentation(spec),
+        "Cone": fan.maximal_cones[-1],
+        "Fan": fan,
+        "Polytope": cx.cells[-1],
+        "NormalComplex": cx,
+        "TropicalCurve": TropicalCurve.of([0, None], [2, 0]),
+        "CheckResult": CheckResult("fan", "x", "PASS"),
+        "RunConfig": config_from_args(["fan", "--r", "2", "--n", "1"]),
+    }
+
+
+PINNED_REPRS = {
+    "ArrangementSpec": "ArrangementSpec(r=3, n=2)",
+    "DecoratedSubset": "DecoratedSubset(items=((1, 0), (2, 1)))",
+    "Chain": "Chain(prefixes=(DecoratedSubset(items=((1, 0),)),"
+    " DecoratedSubset(items=((1, 0), (2, 1)))))",
+    "JumpType": "JumpType(parts=(1, 2))",
+    "BuildingSet": (133, "8f37e69aa8f7fe1d105fef31f32abc728ba9657c352385852c627f3a55714d4e"),
+    "GradedDims": "GradedDims(dims=(1, 2, 1))",
+    "LinearRelation": "LinearRelation(i=1, a=0, b=1, coeffs=((0, 1), (1, -1)))",
+    "ChowPresentation": (
+        228,
+        "b1fb31398cada3cfa30690642985edd34634ad115f18e723eabee54460b0c155",
+    ),
+    "Cone": "Cone(rays=((1,),), label=(DecoratedSubset(items=((1, 1),)),))",
+    "Fan": (409, "8cd5f0ee9456baaa712790498f80c5b1ad594f8e3e1f171a1d6bb15630c66e31"),
+    "Polytope": (196, "6085cfc74d681d03ffbef129625e360346bcc6bfe001e9851f291ddbb4987e5e"),
+    "NormalComplex": (
+        450,
+        "09d86a22fc216d665050eebec0a382923e4c3db53147f568e73898728b287bc3",
+    ),
+    "TropicalCurve": "TropicalCurve(spokes=(0, None), lengths=(Fraction(2, 1), Fraction(0, 1)))",
+    "CheckResult": "CheckResult(suite='fan', name='x', status='PASS', detail='')",
+    "RunConfig": (187, "3a35379d52a199066d0685150b22c927cbe67eb0551dae8e5575029cb127f283"),
+}
+
+HASHABLE = [
+    "ArrangementSpec",
+    "DecoratedSubset",
+    "Chain",
+    "JumpType",
+    "BuildingSet",
+    "GradedDims",
+    "LinearRelation",
+    "Cone",
+    "TropicalCurve",
+    "CheckResult",
+]
+BY_IDENTITY = ["ChowPresentation", "Fan", "Polytope", "NormalComplex"]
+FROZEN = HASHABLE + BY_IDENTITY
+
+
+def fields(x):
+    return {f: getattr(x, f) for f in x._fields}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_REPRS))
+def test_repr_is_the_recorded_text(name):
+    text = repr(instances()[name])
+    pinned = PINNED_REPRS[name]
+    if isinstance(pinned, str):
+        assert text == pinned
+    else:
+        assert (len(text), hashlib.sha256(text.encode()).hexdigest()) == pinned
+
+
+@pytest.mark.parametrize("name", HASHABLE)
+def test_value_classes_hash_their_field_tuple_and_compare_by_value(name):
+    x = instances()[name]
+    assert hash(x) == hash(tuple(fields(x).values()))
+    twin = type(x)(**fields(x))  # keyword construction
+    assert twin == x and not twin != x and hash(twin) == hash(x)
+    assert x.__eq__(object()) is NotImplemented
+    assert x != tuple(fields(x).values())
+
+
+@pytest.mark.parametrize("name", BY_IDENTITY)
+def test_identity_classes_compare_by_identity(name):
+    x = instances()[name]
+    twin = type(x)(**fields(x))
+    assert x == x and twin != x
+    assert hash(x) == object.__hash__(x)
+    assert repr(twin) == repr(x)
+
+
+@pytest.mark.parametrize("name", FROZEN)
+def test_frozen_classes_refuse_assignment_and_deletion(name):
+    x = instances()[name]
+    first = x._fields[0]
+    before = repr(x)
+    with pytest.raises(AttributeError):
+        setattr(x, first, None)
+    with pytest.raises(AttributeError):
+        delattr(x, first)
+    with pytest.raises(AttributeError):
+        x.extra = 1
+    assert repr(x) == before
+
+
+def test_cached_properties_still_cache_on_frozen_instances():
+    spec = ArrangementSpec(2, 2)
+    fan = build_fan(spec, BuildingSet.maximal(spec))
+    assert fan.maximal_cones is fan.maximal_cones
+    cone = fan.maximal_cones[0]
+    assert cone._inverse is cone._inverse
+    cx = complex_cells(spec)
+    assert cx.cells[0]._tests is cx.cells[0]._tests
+
+
+def test_run_config_is_mutable_unhashable_and_compares_by_value():
+    args = ["chow", "--r", "3", "--n", "2", "--betti-only"]
+    config = config_from_args(args)
+    assert config == RunConfig(command="chow", r=3, n=2, betti_only=True)
+    assert config.__eq__(object()) is NotImplemented
+    with pytest.raises(TypeError):
+        hash(config)
+    config.emit("x")
+    assert config != config_from_args(args)
+    config.seed = 5
+    assert config.seed == 5
+
+
+def test_run_config_gets_a_fresh_lines_list():
+    a, b = RunConfig("fan", 2, 1), RunConfig("fan", 2, 1)
+    a.emit("only a")
+    assert a.lines == ["only a"] and b.lines == []
+
+
+def test_check_result_detail_defaults_to_empty():
+    assert CheckResult("fan", "x", "PASS").detail == ""
+    assert CheckResult(suite="fan", name="x", status="FAIL", detail="d").detail == "d"
+
+
+def test_validation_runs_in_the_constructor():
+    with pytest.raises(ValueError, match="r must be at least 2"):
+        ArrangementSpec(1, 2)
+    with pytest.raises(ValueError, match="indices must be strictly increasing"):
+        DecoratedSubset(((2, 0), (1, 0)))
+    with pytest.raises(ValueError, match="do not nest"):
+        Chain((DecoratedSubset(((1, 0),)), DecoratedSubset(((2, 0),))))
+    with pytest.raises(ValueError, match="jump-type parts"):
+        JumpType((0,))
+    with pytest.raises(ValueError, match="degree-zero rank"):
+        GradedDims((2,))
+    with pytest.raises(ValueError, match="zero length exactly when on the center"):
+        TropicalCurve((0,), (Fraction(0),))
+
+
+def test_package_import_loads_neither_dataclasses_nor_inspect():
+    # pytest imports both itself, so the import runs in a fresh interpreter;
+    # -S keeps site-packages' start-up hooks out of sys.modules
+    code = (
+        "import sys, cyclic_wonderful, cyclic_wonderful.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.strip() == "[]"

@@ -169,6 +169,47 @@ def test_type_strict_descents():
     assert combinatorial_type(curve, spec) == chain([(1,), (1, 2)], {1: 0, 2: 0})
 
 
+def reference_type(curve, spec):
+    """The type through the validating ``Chain.of``: the positive lengths'
+    orbits grouped by decreasing value into growing sets, index i decorated
+    by -l_i mod r."""
+    positive = [(length, i) for i, length in enumerate(curve.lengths, start=1) if length > 0]
+    sets, current = [], set()
+    for v in sorted({length for length, _ in positive}, reverse=True):
+        current |= {i for length, i in positive if length == v}
+        sets.append(tuple(sorted(current)))
+    decoration = {
+        i: (-s) % spec.r for i, s in enumerate(curve.spokes, start=1) if s is not CENTER
+    }
+    return Chain.of(sets, decoration)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.builds(ArrangementSpec, st.integers(2, 5), st.integers(0, 5)))
+def test_type_is_the_validated_chain_of_grouped_lengths(data, spec):
+    spokes = data.draw(
+        st.lists(st.one_of(st.none(), st.integers(0, spec.r - 1)), min_size=spec.n, max_size=spec.n)
+    )
+    # few distinct lengths, so ties are common
+    lengths = [Fraction(1, 2), Fraction(1), Fraction(2), Fraction(7, 3)]
+    curve = TropicalCurve(
+        tuple(spokes),
+        tuple(Fraction(0) if s is CENTER else data.draw(st.sampled_from(lengths)) for s in spokes),
+    )
+    got = combinatorial_type(curve, spec)
+    assert got == reference_type(curve, spec)
+    assert hash(got) == hash(reference_type(curve, spec))
+    assert Chain(got.prefixes) == got  # the validating constructor accepts it
+
+
+def test_type_of_every_all_center_curve_is_the_empty_chain():
+    for r in range(2, 6):
+        for n in range(6):
+            spec = ArrangementSpec(r, n)
+            curve = TropicalCurve.trivial(spec)
+            assert combinatorial_type(curve, spec) == reference_type(curve, spec) == Chain.empty()
+
+
 def test_type_is_scaling_invariant():
     spec = ArrangementSpec(3, 2)
     rng = Lcg(3)
