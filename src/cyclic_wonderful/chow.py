@@ -65,6 +65,7 @@ from .lattice import (
     DecoratedSubset,
     JumpType,
     _Frozen,
+    _Value,
     enumerate_chains,
     enumerate_decorated_subsets,
     jump_type,
@@ -72,7 +73,7 @@ from .lattice import (
 from .linalg import SparseEliminator, independent_row_indices
 
 
-class GradedDims(_Frozen):
+class GradedDims(_Value):
     """Ranks b_0, ..., b_n of the graded pieces."""
 
     _fields = ("dims",)
@@ -82,20 +83,12 @@ class GradedDims(_Frozen):
             raise ValueError(f"degree-zero rank must be 1, got {dims}")
         object.__setattr__(self, "dims", dims)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.dims == other.dims
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.dims,))
-
     @property
     def total(self) -> int:
         return sum(self.dims)
 
 
-class LinearRelation(_Frozen):
+class LinearRelation(_Value):
     """sum of generators decorating i by a, minus those decorating i by b."""
 
     _fields = ("i", "a", "b", "coeffs")
@@ -105,16 +98,6 @@ class LinearRelation(_Frozen):
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "coeffs", coeffs)  # (generator index, +-1)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.i, self.a, self.b, self.coeffs) == (
-                other.i, other.a, other.b, other.coeffs
-            )
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.i, self.a, self.b, self.coeffs))
 
     def as_dict(self) -> dict[int, int]:
         return dict(self.coeffs)

@@ -17,11 +17,12 @@ import json
 import sys
 from collections import Counter
 from fractions import Fraction
+from typing import Callable
 
 from . import chow, normal_complex, tropical
 from .fan import build_fan, build_fan_stellar, locate_point
 from .guards import FeasibilityError, check_fan_spec
-from .lattice import ArrangementSpec, BuildingSet, _Record
+from .lattice import ArrangementSpec, BuildingSet
 from .linalg import parse_rational
 from .selfcheck import SUITES, run_suites
 from .serialize import fan_to_dict
@@ -29,49 +30,8 @@ from .serialize import fan_to_dict
 USAGE_ERROR = 2
 
 
-class RunConfig(_Record):
-    _fields = ("command", "r", "n", "format", "seed", "out", "via_stellar", "oracle",
-               "betti_only", "curve", "point", "union_extremes", "suite", "lines")
-
-    def __init__(
-        self, command: str, r: int, n: int, format: str = "text", seed: int = 0,
-        out: str | None = None, via_stellar: bool = False, oracle: bool = False,
-        betti_only: bool = False, curve: str | None = None, point: str | None = None,
-        union_extremes: bool = False, suite: str = "all", lines: list[str] | None = None,
-    ) -> None:
-        self.command = command
-        self.r = r
-        self.n = n
-        self.format = format
-        self.seed = seed
-        self.out = out
-        self.via_stellar = via_stellar
-        self.oracle = oracle
-        self.betti_only = betti_only
-        self.curve = curve
-        self.point = point
-        self.union_extremes = union_extremes
-        self.suite = suite
-        self.lines = [] if lines is None else lines
-
-    def __eq__(self, other):  # no __hash__: a mutable config is unhashable
-        if other.__class__ is self.__class__:
-            return vars(self) == vars(other)
-        return NotImplemented
-
-    def emit(self, text: str) -> None:
-        self.lines.append(text)
-
-    def output(self) -> str:
-        return "\n".join(self.lines) + ("\n" if self.lines else "")
-
-
-def _spec(config: RunConfig) -> ArrangementSpec:
-    return ArrangementSpec(config.r, config.n)
-
-
-def _emit_json(config: RunConfig, payload: dict) -> None:
-    config.emit(json.dumps(payload, indent=2))
+def _spec(args: argparse.Namespace) -> ArrangementSpec:
+    return ArrangementSpec(args.r, args.n)
 
 
 def _parse_point(text: str, spec: ArrangementSpec) -> tuple[Fraction, ...]:
@@ -85,25 +45,25 @@ def _parse_point(text: str, spec: ArrangementSpec) -> tuple[Fraction, ...]:
     return coords
 
 
-def _cmd_fan(config: RunConfig) -> int:
-    spec = _spec(config)
+def _cmd_fan(args: argparse.Namespace, emit: Callable[[str], None]) -> int:
+    spec = _spec(args)
     check_fan_spec(spec)
     g = BuildingSet.maximal(spec)
-    fan = build_fan_stellar(spec, g) if config.via_stellar else build_fan(spec, g)
+    fan = build_fan_stellar(spec, g) if args.via_stellar else build_fan(spec, g)
     payload = fan_to_dict(fan)
-    if config.format == "json":
-        _emit_json(config, payload)
+    if args.format == "json":
+        emit(json.dumps(payload, indent=2))
     else:
-        config.emit(f"fan for r={spec.r}, n={spec.n}")
-        config.emit("basis: " + " ".join(payload["basis"]))
-        config.emit(f"rays ({len(payload['rays'])}):")
+        emit(f"fan for r={spec.r}, n={spec.n}")
+        emit("basis: " + " ".join(payload["basis"]))
+        emit(f"rays ({len(payload['rays'])}):")
         for ray in payload["rays"]:
             vec = ",".join(str(x) for x in ray["vector"])
-            config.emit(f"  [{ray['id']}] {ray['subset']} -> ({vec})")
-        config.emit(f"cones ({len(payload['cones'])}):")
+            emit(f"  [{ray['id']}] {ray['subset']} -> ({vec})")
+        emit(f"cones ({len(payload['cones'])}):")
         for cone in payload["cones"]:
             ids = ",".join(str(i) for i in cone["ray_ids"])
-            config.emit(f"  dim {cone['dim']} rays [{ids}] chain {cone['chain']}")
+            emit(f"  dim {cone['dim']} rays [{ids}] chain {cone['chain']}")
     return 0
 
 
@@ -131,14 +91,14 @@ def _betti_rows(pres: chow.ChowPresentation, want_oracle: bool) -> list[dict]:
     return rows
 
 
-def _cmd_chow(config: RunConfig) -> int:
-    spec = _spec(config)
+def _cmd_chow(args: argparse.Namespace, emit: Callable[[str], None]) -> int:
+    spec = _spec(args)
     check_fan_spec(spec)
     pres = chow.presentation(spec)
-    rows = _betti_rows(pres, config.oracle)
-    if config.format == "json":
+    rows = _betti_rows(pres, args.oracle)
+    if args.format == "json":
         payload: dict = {"r": spec.r, "n": spec.n, "betti": rows}
-        if not config.betti_only:
+        if not args.betti_only:
             payload["generators"] = [d.text() for d in pres.generators]
             payload["linear_relations"] = [
                 {
@@ -150,16 +110,14 @@ def _cmd_chow(config: RunConfig) -> int:
                 for rel in pres.linear_relations
             ]
             payload["reduced_relation_indices"] = list(pres.reduced_indices)
-        _emit_json(config, payload)
+        emit(json.dumps(payload, indent=2))
     else:
-        if not config.betti_only:
-            config.emit(f"generators ({len(pres.generators)}):")
+        if not args.betti_only:
+            emit(f"generators ({len(pres.generators)}):")
             for k, d in enumerate(pres.generators):
-                config.emit(f"  [{k}] D{d.text()}")
-            config.emit(
-                "products D_x . D_y vanish exactly when x and y are incomparable"
-            )
-            config.emit(
+                emit(f"  [{k}] D{d.text()}")
+            emit("products D_x . D_y vanish exactly when x and y are incomparable")
+            emit(
                 f"linear relations ({len(pres.linear_relations)} emitted, "
                 f"{len(pres.reduced_indices)} independent):"
             )
@@ -168,56 +126,54 @@ def _cmd_chow(config: RunConfig) -> int:
                     f"{'+' if c > 0 else '-'}D[{k}]" for k, c in rel.coeffs
                 )
                 star = "*" if idx in pres.reduced_indices else " "
-                config.emit(f" {star}(i={rel.i}, {rel.a}~{rel.b}) {terms} = 0")
-        config.emit(f"{'k':<4}{'closed_form':<13}{'oracle':<8}match")
+                emit(f" {star}(i={rel.i}, {rel.a}~{rel.b}) {terms} = 0")
+        emit(f"{'k':<4}{'closed_form':<13}{'oracle':<8}match")
         for row in rows:
             oracle = "-" if row["oracle"] is None else str(row["oracle"])
             match = "-" if row["match"] is None else ("yes" if row["match"] else "NO")
-            config.emit(f"{row['k']:<4}{row['closed_form']:<13}{oracle:<8}{match}")
+            emit(f"{row['k']:<4}{row['closed_form']:<13}{oracle:<8}{match}")
     mismatched = [r for r in rows if r["match"] is False]
     return 1 if mismatched else 0
 
 
-def _cmd_locate(config: RunConfig) -> int:
-    spec = _spec(config)
+def _cmd_locate(args: argparse.Namespace, emit: Callable[[str], None]) -> int:
+    spec = _spec(args)
     check_fan_spec(spec)
     fan = build_fan(spec, BuildingSet.maximal(spec))
-    if config.curve is not None:
-        curve = tropical.parse_curve(config.curve, spec)
+    if args.curve is not None:
+        curve = tropical.parse_curve(args.curve, spec)
         point = tropical.embed(curve, spec)
         chain = tropical.combinatorial_type(curve, spec)
         located = locate_point(fan, point)
         if located != chain:
-            config.emit("error: combinatorial type disagrees with point location")
+            emit("error: combinatorial type disagrees with point location")
             return 1
     else:
-        assert config.point is not None
-        point = _parse_point(config.point, spec)
+        assert args.point is not None
+        point = _parse_point(args.point, spec)
         located = locate_point(fan, point)
         chain = located
     coords = [str(x) for x in point]
-    if config.format == "json":
-        _emit_json(
-            config,
-            {
-                "r": spec.r,
-                "n": spec.n,
-                "chain": chain.text() if chain is not None else None,
-                "point": coords,
-                "in_support": chain is not None,
-            },
-        )
+    if args.format == "json":
+        payload = {
+            "r": spec.r,
+            "n": spec.n,
+            "chain": chain.text() if chain is not None else None,
+            "point": coords,
+            "in_support": chain is not None,
+        }
+        emit(json.dumps(payload, indent=2))
     else:
-        config.emit("point: (" + ",".join(coords) + ")")
+        emit("point: (" + ",".join(coords) + ")")
         if chain is None:
-            config.emit("outside the fan support")
+            emit("outside the fan support")
         else:
-            config.emit(f"chain: {chain.text()}")
+            emit(f"chain: {chain.text()}")
     return 0
 
 
-def _cmd_normal_complex(config: RunConfig) -> int:
-    spec = _spec(config)
+def _cmd_normal_complex(args: argparse.Namespace, emit: Callable[[str], None]) -> int:
+    spec = _spec(args)
     complex_ = normal_complex.complex_cells(spec)
     cells = []
     for cell in complex_.cells:
@@ -237,33 +193,33 @@ def _cmd_normal_complex(config: RunConfig) -> int:
             }
         )
     payload: dict = {"r": spec.r, "n": spec.n, "cells": cells}
-    if config.union_extremes:
+    if args.union_extremes:
         payload["union_extremes"] = [
             [str(x) for x in p] for p in normal_complex.union_extreme_points(spec)
         ]
-    if config.format == "json":
-        _emit_json(config, payload)
+    if args.format == "json":
+        emit(json.dumps(payload, indent=2))
     else:
-        config.emit(f"normal complex for r={spec.r}, n={spec.n}: {len(cells)} cells")
+        emit(f"normal complex for r={spec.r}, n={spec.n}: {len(cells)} cells")
         for cell in cells:
             verts = " ".join("(" + ",".join(v) + ")" for v in cell["vertices"])
-            config.emit(f"  {cell['chain']}: vertices {verts}")
-        if config.union_extremes:
+            emit(f"  {cell['chain']}: vertices {verts}")
+        if args.union_extremes:
             pts = " ".join("(" + ",".join(p) + ")" for p in payload["union_extremes"])
-            config.emit(f"union extreme points: {pts}")
+            emit(f"union extreme points: {pts}")
     return 0
 
 
-def _cmd_check(config: RunConfig) -> int:
-    spec = _spec(config)
-    suites = SUITES if config.suite == "all" else (config.suite,)
-    results = run_suites(spec, suites, config.seed)
+def _cmd_check(args: argparse.Namespace, emit: Callable[[str], None]) -> int:
+    spec = _spec(args)
+    suites = SUITES if args.suite == "all" else (args.suite,)
+    results = run_suites(spec, suites, args.seed)
     for res in results:
         detail = f" ({res.detail})" if res.detail else ""
-        config.emit(f"{res.status} [{res.suite}] {res.name}{detail}")
+        emit(f"{res.status} [{res.suite}] {res.name}{detail}")
     count = Counter(res.status for res in results)
     skipped = f", {count['SKIP']} skipped" if count["SKIP"] else ""
-    config.emit(
+    emit(
         f"{count['PASS']}/{len(results)} checks passed{skipped} for "
         f"r={spec.r}, n={spec.n}"
     )
@@ -279,17 +235,18 @@ _COMMANDS = {
 }
 
 
-def run(config: RunConfig) -> int:
-    """Dispatch a parsed configuration; returns the exit status."""
+def run(args: argparse.Namespace) -> tuple[int, str]:
+    """Run a parsed command line; returns the exit status and the output text."""
+    lines: list[str] = []
     try:
-        status = _COMMANDS[config.command](config)
+        status = _COMMANDS[args.command](args, lines.append)
     except FeasibilityError as exc:
-        config.emit(f"feasibility error: {exc}")
-        return USAGE_ERROR
+        lines.append(f"feasibility error: {exc}")
+        status = USAGE_ERROR
     except ValueError as exc:
-        config.emit(f"error: {exc}")
-        return USAGE_ERROR
-    return status
+        lines.append(f"error: {exc}")
+        status = USAGE_ERROR
+    return status, "\n".join(lines) + ("\n" if lines else "")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -340,24 +297,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(argv: list[str]) -> RunConfig:
-    return RunConfig(**vars(build_parser().parse_args(argv)))
-
-
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
-        config = config_from_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits with 2 on usage errors
         return int(exc.code or 0)
-    status = run(config)
-    text = config.output()
-    if config.out:
+    status, text = run(args)
+    if args.out:
         try:
-            with open(config.out, "w", encoding="utf-8") as fh:
+            with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as exc:
-            sys.stderr.write(f"error: cannot write {config.out!r}: {exc.strerror}\n")
+            sys.stderr.write(f"error: cannot write {args.out!r}: {exc.strerror}\n")
             return USAGE_ERROR
     else:
         sys.stdout.write(text)

@@ -66,6 +66,7 @@ from .lattice import (
     Chain,
     DecoratedSubset,
     _Frozen,
+    _Value,
     enumerate_chains,
     is_nested,
     validate_subset,
@@ -208,7 +209,7 @@ class _Inverse(NamedTuple):
     delta: int
 
 
-class Cone(_Frozen):
+class Cone(_Value):
     """A simplicial cone: primitive ray generators plus its nested-set label,
     the decorated prefixes of its chain, one per ray and innermost first."""
 
@@ -217,14 +218,6 @@ class Cone(_Frozen):
     def __init__(self, rays: tuple[Vector, ...], label: tuple[DecoratedSubset, ...]) -> None:
         object.__setattr__(self, "rays", rays)
         object.__setattr__(self, "label", label)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.rays, self.label) == (other.rays, other.label)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.rays, self.label))
 
     @property
     def dim(self) -> int:

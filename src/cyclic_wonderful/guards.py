@@ -54,13 +54,20 @@ def check_override() -> None:
     _bound(0)
 
 
-def check_fan_size(rays: int, max_cones: int) -> None:
-    bound = _bound(DEFAULT_FAN_CELLS)
-    if rays + max_cones > bound:
+def _refuse_over(default: int, what: str, *counts: int) -> None:
+    """Raise when the counts sum past the bound; ``what`` names the request,
+    with one ``{}`` per count."""
+    bound = _bound(default)
+    if sum(counts) > bound:
+        sizes = (_size(count, bound) for count in counts)
         raise FeasibilityError(
-            f"fan with {_size(rays, bound)} rays and {_size(max_cones, bound)} "
-            f"maximal cones exceeds the guard bound {bound} (override with {ENV_OVERRIDE})"
+            f"{what.format(*sizes)} exceeds the guard bound {bound} "
+            f"(override with {ENV_OVERRIDE})"
         )
+
+
+def check_fan_size(rays: int, max_cones: int) -> None:
+    _refuse_over(DEFAULT_FAN_CELLS, "fan with {} rays and {} maximal cones", rays, max_cones)
 
 
 def check_fan_spec(spec: ArrangementSpec) -> None:
@@ -69,28 +76,15 @@ def check_fan_spec(spec: ArrangementSpec) -> None:
 
 
 def check_oracle_size(generators: int) -> None:
-    bound = _bound(DEFAULT_ORACLE_GENERATORS)
-    if generators > bound:
-        raise FeasibilityError(
-            f"rank oracle with {_size(generators, bound)} generators exceeds "
-            f"the guard bound {bound} (override with {ENV_OVERRIDE})"
-        )
+    _refuse_over(DEFAULT_ORACLE_GENERATORS, "rank oracle with {} generators", generators)
 
 
 def check_oracle_width(monomials: int) -> None:
     """Bound the rank oracle's widest degree, its top-degree chain monomials."""
-    bound = _bound(DEFAULT_ORACLE_MONOMIALS)
-    if monomials > bound:
-        raise FeasibilityError(
-            f"rank oracle with {_size(monomials, bound)} top-degree chain monomials "
-            f"exceeds the guard bound {bound} (override with {ENV_OVERRIDE})"
-        )
+    _refuse_over(
+        DEFAULT_ORACLE_MONOMIALS, "rank oracle with {} top-degree chain monomials", monomials
+    )
 
 
 def check_normal_complex(cells: int) -> None:
-    bound = _bound(DEFAULT_NORMAL_CELLS)
-    if cells > bound:
-        raise FeasibilityError(
-            f"normal complex with {_size(cells, bound)} cells exceeds the guard bound "
-            f"{bound} (override with {ENV_OVERRIDE})"
-        )
+    _refuse_over(DEFAULT_NORMAL_CELLS, "normal complex with {} cells", cells)

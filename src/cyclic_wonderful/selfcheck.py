@@ -32,17 +32,19 @@ from .lattice import (
     ArrangementSpec,
     BuildingSet,
     Chain,
-    _Frozen,
+    _Value,
     chain_intersect,
     enumerate_chains,
 )
 from .linalg import extreme_points
 from .sampling import Lcg, sample_curve, sample_mixed_points
 
+# suite "x" is the function suite_x, looked up by name when it runs, so the
+# module's globals are the one table (perfbench's span wrappers rebind them)
 SUITES = ("fan", "chow", "tropical", "normal")
 
 
-class CheckResult(_Frozen):
+class CheckResult(_Value):
     _fields = ("suite", "name", "status", "detail")
 
     def __init__(self, suite: str, name: str, status: str, detail: str = "") -> None:
@@ -50,16 +52,6 @@ class CheckResult(_Frozen):
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "status", status)  # "PASS", "FAIL" or "SKIP"
         object.__setattr__(self, "detail", detail)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.suite, self.name, self.status, self.detail) == (
-                other.suite, other.name, other.status, other.detail
-            )
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.suite, self.name, self.status, self.detail))
 
 
 def _result(suite: str, name: str, passed: bool, detail: str = "") -> CheckResult:
@@ -118,12 +110,6 @@ def intersection_law_failures(
         return True
 
     return [(a, b) for a, b in pairs if not holds(a, b)]
-
-
-def intersection_law_holds(fan: Fan, a: Chain, b: Chain) -> bool:
-    """Whether the one pair (a, b) obeys the law of
-    ``intersection_law_failures``."""
-    return not intersection_law_failures(fan, [(a, b)])
 
 
 def suite_fan(spec: ArrangementSpec, seed: int = 0) -> list[CheckResult]:
@@ -355,15 +341,9 @@ def suite_normal(spec: ArrangementSpec, seed: int = 0) -> list[CheckResult]:
 def run_suites(
     spec: ArrangementSpec, suites: tuple[str, ...] = SUITES, seed: int = 0
 ) -> list[CheckResult]:
-    table = {
-        "fan": suite_fan,
-        "chow": suite_chow,
-        "tropical": suite_tropical,
-        "normal": suite_normal,
-    }
     # an invalid override is a usage error, not a refusal a suite may skip
     check_override()
     out: list[CheckResult] = []
     for name in suites:
-        out.extend(table[name](spec, seed))
+        out.extend(globals()[f"suite_{name}"](spec, seed))
     return out

@@ -34,7 +34,11 @@ def fan_to_dict(fan: Fan) -> dict:
 
 
 def fan_from_dict(data: dict) -> Fan:
-    """Rebuild a fan from its JSON dictionary (inverse of fan_to_dict)."""
+    """Rebuild a fan from its JSON dictionary (inverse of fan_to_dict).
+
+    No command calls it; it stays as the reference the tests round-trip the
+    ``fan --format json`` output through.
+    """
     spec = ArrangementSpec(int(data["r"]), int(data["n"]))
     subsets_by_id: dict[int, DecoratedSubset] = {}
     rays: dict[DecoratedSubset, tuple[int, ...]] = {}

@@ -20,13 +20,13 @@ from fractions import Fraction
 from typing import Sequence
 
 from .fan import support_decomposition, support_point
-from .lattice import ArrangementSpec, Chain, DecoratedSubset, _Frozen
+from .lattice import ArrangementSpec, Chain, DecoratedSubset, _Value
 from .linalg import parse_rational
 
 CENTER = None  # spoke value for orbits on the central vertex
 
 
-class TropicalCurve(_Frozen):
+class TropicalCurve(_Value):
     """Reduced coordinates: per orbit, a spoke (or CENTER) and a distance."""
 
     _fields = ("spokes", "lengths")
@@ -44,23 +44,11 @@ class TropicalCurve(_Frozen):
         object.__setattr__(self, "spokes", spokes)
         object.__setattr__(self, "lengths", lengths)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.spokes, self.lengths) == (other.spokes, other.lengths)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.spokes, self.lengths))
-
     @classmethod
     def of(
         cls, spokes: Sequence[int | None], lengths: Sequence
     ) -> "TropicalCurve":
         return cls(tuple(spokes), tuple(Fraction(x) for x in lengths))
-
-    @classmethod
-    def trivial(cls, spec: ArrangementSpec) -> "TropicalCurve":
-        return cls((CENTER,) * spec.n, (Fraction(0),) * spec.n)
 
     def scaled(self, factor) -> "TropicalCurve":
         f = Fraction(factor)
@@ -148,20 +136,13 @@ def parse_curve(text: str, spec: ArrangementSpec) -> TropicalCurve:
     return curve
 
 
-def format_curve(curve: TropicalCurve) -> str:
-    parts = []
-    for i, (s, length) in enumerate(zip(curve.spokes, curve.lengths), start=1):
-        spoke = "c" if s is CENTER else str(s)
-        parts.append(f"{i}:{spoke}:{length}")
-    return ",".join(parts)
-
-
 def render_pinwheel(curve: TropicalCurve, spec: ArrangementSpec) -> str:
     """Plain-text sketch of the pinwheel dual graph of the curve's type.
 
     One line per flag level, outermost first, naming the orbits that sit at
     that distance and the spoke carrying each representative; a final line
-    lists the orbits on the central vertex.
+    lists the orbits on the central vertex.  No command prints it; the
+    tropical walkthrough demo does.
     """
     chain = combinatorial_type(curve, spec)
     lines = [f"pinwheel with {spec.r} spokes, flag length {chain.length}"]

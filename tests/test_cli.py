@@ -11,16 +11,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cyclic_wonderful.cli import config_from_args, main, run
+from cyclic_wonderful.cli import build_parser, main, run
 from cyclic_wonderful.fan import build_fan, fans_equal
 from cyclic_wonderful.lattice import ArrangementSpec, BuildingSet
 from cyclic_wonderful.serialize import fan_from_dict
 
 
 def invoke(argv):
-    config = config_from_args(argv)
-    status = run(config)
-    return status, config.output()
+    return run(build_parser().parse_args(argv))
 
 
 # --- fan ---------------------------------------------------------------------
@@ -353,7 +351,7 @@ def test_locate_repeated_orbit_index_is_a_usage_error():
 
 def test_locate_requires_exactly_one_target():
     with pytest.raises(SystemExit) as exc:
-        config_from_args(["locate", "--r", "2", "--n", "2"])
+        build_parser().parse_args(["locate", "--r", "2", "--n", "2"])
     assert exc.value.code == 2
 
 

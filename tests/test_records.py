@@ -1,13 +1,17 @@
 """The package's record classes keep the behaviour they had as dataclasses:
 the constructor, the ``repr`` text, equality and hashing by field tuple (or
-by identity), and immutability.  The package import stays light.
+by identity), and immutability.  The package import stays light.  Every
+record class is pinned here, and the ``_Value`` base builds the value rule
+for any class with one field or several.
 
 The pinned reprs were recorded from the dataclass versions of the classes;
 a long one is pinned by its length and the sha256 of its text.
 """
 
 import hashlib
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 from fractions import Fraction
@@ -15,8 +19,8 @@ from pathlib import Path
 
 import pytest
 
+import cyclic_wonderful
 from cyclic_wonderful.chow import GradedDims, LinearRelation, presentation
-from cyclic_wonderful.cli import RunConfig, config_from_args
 from cyclic_wonderful.fan import build_fan
 from cyclic_wonderful.lattice import (
     ArrangementSpec,
@@ -24,6 +28,8 @@ from cyclic_wonderful.lattice import (
     Chain,
     DecoratedSubset,
     JumpType,
+    _Frozen,
+    _Value,
 )
 from cyclic_wonderful.normal_complex import complex_cells
 from cyclic_wonderful.selfcheck import CheckResult
@@ -52,7 +58,6 @@ def instances():
         "NormalComplex": cx,
         "TropicalCurve": TropicalCurve.of([0, None], [2, 0]),
         "CheckResult": CheckResult("fan", "x", "PASS"),
-        "RunConfig": config_from_args(["fan", "--r", "2", "--n", "1"]),
     }
 
 
@@ -78,7 +83,6 @@ PINNED_REPRS = {
     ),
     "TropicalCurve": "TropicalCurve(spokes=(0, None), lengths=(Fraction(2, 1), Fraction(0, 1)))",
     "CheckResult": "CheckResult(suite='fan', name='x', status='PASS', detail='')",
-    "RunConfig": (187, "3a35379d52a199066d0685150b22c927cbe67eb0551dae8e5575029cb127f283"),
 }
 
 HASHABLE = [
@@ -99,6 +103,62 @@ FROZEN = HASHABLE + BY_IDENTITY
 
 def fields(x):
     return {f: getattr(x, f) for f in x._fields}
+
+
+def package_record_classes():
+    """Every public ``_Frozen`` subclass defined in the package, by name."""
+    for info in pkgutil.iter_modules(cyclic_wonderful.__path__):
+        if info.name != "__main__":
+            importlib.import_module(f"cyclic_wonderful.{info.name}")
+    found, todo = {}, [_Frozen]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            todo.append(sub)
+            if sub.__module__.startswith("cyclic_wonderful.") and not sub.__name__.startswith("_"):
+                found[sub.__name__] = sub
+    return found
+
+
+def test_every_record_class_is_pinned_as_a_value_or_by_identity():
+    classes = package_record_classes()
+    assert sorted(classes) == sorted(FROZEN)
+    assert sorted(name for name, cls in classes.items() if issubclass(cls, _Value)) == sorted(
+        HASHABLE
+    )
+
+
+class _One(_Value):
+    _fields = ("a",)
+
+    def __init__(self, a) -> None:
+        object.__setattr__(self, "a", a)
+
+
+class _Two(_Value):
+    _fields = ("a", "b")
+
+    def __init__(self, a, b) -> None:
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+
+
+class _TwoAgain(_Two):
+    """The same fields in another class."""
+
+
+@pytest.mark.parametrize("make,values", [(_One, (1,)), (_One, ((1, 2),)), (_Two, (1, "x"))])
+def test_a_value_compares_and_hashes_as_its_field_tuple(make, values):
+    x, twin = make(*values), make(*values)
+    assert x == twin and not x != twin
+    assert hash(x) == hash(twin) == hash(values)
+    assert x != make(*values[:-1], None)
+
+
+def test_values_of_different_classes_with_equal_fields_are_unequal():
+    x, y = _Two(1, 2), _TwoAgain(1, 2)
+    assert x != y and y != x and hash(x) == hash(y)
+    assert x.__eq__(y) is NotImplemented and y.__eq__(x) is NotImplemented
+    assert x != (1, 2)
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_REPRS))
@@ -152,25 +212,6 @@ def test_cached_properties_still_cache_on_frozen_instances():
     assert cone._inverse is cone._inverse
     cx = complex_cells(spec)
     assert cx.cells[0]._tests is cx.cells[0]._tests
-
-
-def test_run_config_is_mutable_unhashable_and_compares_by_value():
-    args = ["chow", "--r", "3", "--n", "2", "--betti-only"]
-    config = config_from_args(args)
-    assert config == RunConfig(command="chow", r=3, n=2, betti_only=True)
-    assert config.__eq__(object()) is NotImplemented
-    with pytest.raises(TypeError):
-        hash(config)
-    config.emit("x")
-    assert config != config_from_args(args)
-    config.seed = 5
-    assert config.seed == 5
-
-
-def test_run_config_gets_a_fresh_lines_list():
-    a, b = RunConfig("fan", 2, 1), RunConfig("fan", 2, 1)
-    a.emit("only a")
-    assert a.lines == ["only a"] and b.lines == []
 
 
 def test_check_result_detail_defaults_to_empty():

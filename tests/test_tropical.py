@@ -22,7 +22,6 @@ from cyclic_wonderful.tropical import (
     combinatorial_type,
     curve_from_point,
     embed,
-    format_curve,
     parse_curve,
     render_pinwheel,
     validate_curve,
@@ -31,6 +30,11 @@ from cyclic_wonderful.tropical import (
 
 def chain(sets, deco):
     return Chain.of(sets, deco)
+
+
+def all_center(spec):
+    """The curve with every orbit on the central vertex."""
+    return TropicalCurve.of([CENTER] * spec.n, [0] * spec.n)
 
 
 # --- construction invariants -------------------------------------------------
@@ -56,7 +60,7 @@ def test_center_is_distinct_from_spoke_zero():
 
 def test_embed_trivial_curve_is_origin():
     spec = ArrangementSpec(3, 2)
-    assert embed(TropicalCurve.trivial(spec), spec) == (0, 0, 0, 0)
+    assert embed(all_center(spec), spec) == (0, 0, 0, 0)
 
 
 def test_embed_mixed_directions():
@@ -154,7 +158,7 @@ def test_embed_of_int_lengths_gives_fraction_entries(data, spec):
 
 def test_type_of_trivial_curve():
     spec = ArrangementSpec(3, 3)
-    assert combinatorial_type(TropicalCurve.trivial(spec), spec) == Chain.empty()
+    assert combinatorial_type(all_center(spec), spec) == Chain.empty()
 
 
 def test_type_groups_ties():
@@ -206,7 +210,7 @@ def test_type_of_every_all_center_curve_is_the_empty_chain():
     for r in range(2, 6):
         for n in range(6):
             spec = ArrangementSpec(r, n)
-            curve = TropicalCurve.trivial(spec)
+            curve = all_center(spec)
             assert combinatorial_type(curve, spec) == reference_type(curve, spec) == Chain.empty()
 
 
@@ -226,7 +230,7 @@ def test_type_is_scaling_invariant():
 
 def test_curve_from_origin():
     spec = ArrangementSpec(3, 2)
-    assert curve_from_point((0, 0, 0, 0), spec) == TropicalCurve.trivial(spec)
+    assert curve_from_point((0, 0, 0, 0), spec) == all_center(spec)
 
 
 def test_curve_from_point_inverts_embed_example():
@@ -254,12 +258,10 @@ def test_round_trip_and_fan_consistency(r, n):
 # --- text forms --------------------------------------------------------------
 
 
-def test_parse_and_format_curve():
+def test_parse_curve():
     spec = ArrangementSpec(3, 2)
-    curve = parse_curve("1:0:2,2:2:1", spec)
-    assert curve == TropicalCurve.of([0, 2], [2, 1])
-    assert format_curve(curve) == "1:0:2,2:2:1"
-    assert parse_curve("1:c:0", spec) == TropicalCurve.trivial(spec)
+    assert parse_curve("1:0:2,2:2:1", spec) == TropicalCurve.of([0, 2], [2, 1])
+    assert parse_curve("1:c:0", spec) == all_center(spec)
     assert parse_curve("2:1:5/2", spec) == TropicalCurve.of([CENTER, 1], [0, Fraction(5, 2)])
 
 
