@@ -70,7 +70,7 @@ from .lattice import (
     enumerate_decorated_subsets,
     jump_type,
 )
-from .linalg import SparseEliminator, independent_row_indices
+from .linalg import SparseEliminator
 
 
 class GradedDims(_Value):
@@ -122,11 +122,13 @@ class ChowPresentation(_Frozen):
 def presentation(spec: ArrangementSpec) -> ChowPresentation:
     """Generators in the global order plus the emitted linear relations.
 
-    Emits one relation per (i, a, b) with a < b, n*r*(r-1)/2 in all, and
-    records a maximal independent subset of them (n*(r-1) relations).  One
+    Emits one relation per (i, a, b) with a < b, n*r*(r-1)/2 in all.  The
+    n*(r-1) relations (i, 0, b) are a maximal independent subset: each
+    holds {i:b}, which no relation before it does, and (i, a, b) =
+    (i, 0, b) - (i, 0, a); ``check`` confirms them by elimination.  One
     pass over the generators fills every relation: a generator decorating
-    i by a enters (i, a, b) with +1 for each b > a and (i, b, a) with -1 for
-    each b < a, in increasing generator order.
+    i by a enters (i, a, b) with +1 for each b > a and (i, b, a) with -1
+    for each b < a, in increasing generator order.
     """
     generators = tuple(enumerate_decorated_subsets(spec))
     coeffs: dict[tuple[int, int, int], list[tuple[int, int]]] = {
@@ -142,8 +144,8 @@ def presentation(spec: ArrangementSpec) -> ChowPresentation:
                 elif b < a:
                     coeffs[i, b, a].append((x, -1))
     relations = [LinearRelation(i, a, b, tuple(c)) for (i, a, b), c in coeffs.items()]
-    reduced = independent_row_indices(r.as_dict() for r in relations)
-    return ChowPresentation(spec, generators, tuple(relations), tuple(reduced))
+    reduced = tuple(k for k, rel in enumerate(relations) if rel.a == 0)
+    return ChowPresentation(spec, generators, tuple(relations), reduced)
 
 
 def product_support(ds: Sequence[DecoratedSubset]) -> Chain | None:

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: ``fan`` (emit the fan), ``chow`` (presentation and graded
-ranks), ``locate`` (point or curve to chain), ``normal-complex`` (cells of
+ranks), ``locate`` (point or curve to chain, read off the tropical curve
+and certified on the chain's own cone), ``normal-complex`` (cells of
 the truncated support) and ``check`` (the cross-module verification
 suites).  Exit status is 0 on success or when no check fails (a check a
 feasibility guard refused prints SKIP), 1 when a check fails, 2 on usage or
@@ -20,7 +21,7 @@ from fractions import Fraction
 from typing import Callable
 
 from . import chow, normal_complex, tropical
-from .fan import build_fan, build_fan_stellar, locate_point
+from .fan import build_fan, build_fan_stellar, in_relative_interior
 from .guards import FeasibilityError, check_fan_spec
 from .lattice import ArrangementSpec, BuildingSet
 from .linalg import parse_rational
@@ -139,20 +140,16 @@ def _cmd_chow(args: argparse.Namespace, emit: Callable[[str], None]) -> int:
 def _cmd_locate(args: argparse.Namespace, emit: Callable[[str], None]) -> int:
     spec = _spec(args)
     check_fan_spec(spec)
-    fan = build_fan(spec, BuildingSet.maximal(spec))
     if args.curve is not None:
         curve = tropical.parse_curve(args.curve, spec)
         point = tropical.embed(curve, spec)
-        chain = tropical.combinatorial_type(curve, spec)
-        located = locate_point(fan, point)
-        if located != chain:
-            emit("error: combinatorial type disagrees with point location")
-            return 1
     else:
-        assert args.point is not None
         point = _parse_point(args.point, spec)
-        located = locate_point(fan, point)
-        chain = located
+        curve = tropical.curve_from_point(point, spec)
+    chain = None if curve is None else tropical.combinatorial_type(curve, spec)
+    if chain is not None and not in_relative_interior(chain, point, spec):
+        emit("error: combinatorial type disagrees with point location")
+        return 1
     coords = [str(x) for x in point]
     if args.format == "json":
         payload = {

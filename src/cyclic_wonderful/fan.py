@@ -42,12 +42,11 @@ works.
 
 The maximal cones repeat these rows heavily: at r = 4, n = 3 the 384 of
 them hold 3,456 rows, of which 124 are distinct (32 as span-check rows, 104
-as coefficient rows).  Point location therefore asks the fan's
-``linalg.SharedRowIndex`` for the first maximal cone that holds the point:
-each distinct row of the cones scanned so far is evaluated once per point,
-and a bitmask per row drops every cone whose test on that row fails.  Cones
-never scanned are tested one by one by ``tests_hold``, so a one-shot
-location computes no more inverses than the plain scan.
+as coefficient rows).  The scan ``locate_point`` therefore asks the fan's
+``linalg.SharedRowIndex``, built from every maximal cone, for the first
+cone that holds the point: each distinct row is evaluated once per point.
+The ``locate`` command does not scan: ``in_relative_interior`` certifies
+the chain of the point's tropical curve on that chain's own cone.
 """
 
 from __future__ import annotations
@@ -325,15 +324,9 @@ class Fan(_Frozen):
 
     @cached_property
     def _cone_index(self) -> SharedRowIndex:
-        """The maximal cones' span-check and coefficient tests, registered
-        as ``locate_point`` scans the cones."""
-        return SharedRowIndex(self.maximal_cones, _cone_tests)
-
-
-def _cone_tests(cone: Cone) -> tuple[RowTest, ...]:
-    """The cone's cached tests.  The rayless cone is maximal only at n = 0,
-    where the ambient space is R^0 and it holds the one point there."""
-    return cone._inverse.tests if cone.rays else ()
+        """The maximal cones' tests.  The rayless cone is maximal only at
+        n = 0, where the ambient space is R^0 and it holds the one point."""
+        return SharedRowIndex(self.maximal_cones, lambda c: c._inverse.tests if c.rays else ())
 
 
 def _check_maximal(spec: ArrangementSpec, g: BuildingSet) -> None:
@@ -452,9 +445,8 @@ def locate_point(fan: Fan, point: Sequence) -> Chain | None:
     the point by the exact integer tests of its ``_inverse`` (the point is
     scaled to integers once), which work for any simplicial cone.  The
     search goes through the fan's ``SharedRowIndex``: each distinct
-    span-check or coefficient row of the cones scanned so far is evaluated
-    at most once per point, and a cone not yet scanned is tested on its
-    own, as the plain scan would.  The located chain keeps exactly
+    span-check or coefficient row of the maximal cones is evaluated at most
+    once per point.  The located chain keeps exactly
     the generators with strictly positive coefficients: a subsequence of
     the cone's label, the prefixes of its chain, so it is built without the
     nesting check.  Returns None when the point is outside the fan's
@@ -467,6 +459,16 @@ def locate_point(fan: Fan, point: Sequence) -> Chain | None:
     cone = fan.maximal_cones[k]
     coeffs = cone._scaled_coefficients(p)
     return Chain._trusted(tuple([d for d, c in zip(cone.label, coeffs) if c > 0]))
+
+
+def in_relative_interior(chain: Chain, point: Sequence, spec: ArrangementSpec) -> bool:
+    """Whether the point lies in the relative interior of the chain's cone,
+    built from the chain's own rays with no fan: its exact integer tests
+    hold and every cone coordinate is > 0.  The empty chain's cone is the
+    origin."""
+    cone = Cone(tuple([ray_vector(d, spec) for d in chain.prefixes]), chain.prefixes)
+    coeffs = cone._scaled_coefficients(scaled_point(point, spec.ambient_dim)[0])
+    return coeffs is not None and all(c > 0 for c in coeffs)
 
 
 def is_smooth_cone(cone: Cone) -> bool:

@@ -313,32 +313,38 @@ class SharedRowIndex:
     A member holds at ``p / scale`` (p an integer vector, scale > 0) when
     ``tests_hold(tests(member), p, scale)``.
 
-    The members a query has scanned are always a prefix of the scan.  Each
-    distinct row of a registered member, keyed by value, carries one bitmask
-    of members per pair of bounds it is tested against.  A query evaluates
-    each distinct row at most once, skipping a row that no member still
-    alive uses, and clears the members of every test that fails; the lowest
-    surviving bit is the first registered member that holds.  When none
-    does, the query goes on with the plain scan, testing one unscanned
-    member after the other up to the first that holds, so a query never
-    computes more of the members' rows than the plain scan would.  The
-    members it scanned are registered at the start of the next query, so a
-    one-shot query pays nothing for the index.
+    Every member is registered at construction.  Each distinct row, keyed
+    by value, carries one bitmask of the members using it and one per pair
+    of bounds it is tested against.  A query evaluates each distinct row at
+    most once, skipping a row that no member still alive uses, and clears
+    the members of every test that fails; the lowest surviving bit is the
+    first member that holds.
     """
 
     def __init__(self, members: Sequence, tests: Callable[[Any], Iterable[RowTest]]) -> None:
-        self._members = members
-        self._tests = tests
-        self._count = 0  # members[:_count] are registered
-        self._scanned = 0  # members[:_scanned] have been tested
+        # Each test's bits are set in one byte string, which becomes its
+        # mask, so no mask as wide as the scan is OR-ed once per member.
+        width = (len(members) >> 3) + 1
+        gathered: dict[RowTest, bytearray] = {}
+        for bit, member in enumerate(members):
+            byte, flag = bit >> 3, 1 << (bit & 7)
+            for test in tests(member):
+                buf = gathered.get(test)
+                if buf is None:
+                    buf = gathered[test] = bytearray(width)
+                buf[byte] |= flag
         # row -> [mask of every member using it, {(lo, hi): mask}]
         self._rows: dict[SparseRow, list] = {}
+        for (row, lo, hi), buf in gathered.items():
+            mask = int.from_bytes(buf, "little")
+            entry = self._rows.setdefault(row, [0, {}])
+            entry[0] |= mask
+            entry[1][lo, hi] = mask
+        self._all = (1 << len(members)) - 1
 
     def first(self, p: Sequence[int], scale: int) -> int | None:
         """Position of the first member that holds at ``p / scale``, or None."""
-        if self._count < self._scanned:
-            self._register()
-        alive = (1 << self._count) - 1
+        alive = self._all
         for row, (users, checks) in self._rows.items():
             if not users & alive:
                 continue
@@ -350,38 +356,7 @@ class SharedRowIndex:
                     alive &= ~mask
             if not alive:
                 break
-        if alive:
-            return (alive & -alive).bit_length() - 1
-        for k in range(self._scanned, len(self._members)):
-            if tests_hold(self._tests(self._members[k]), p, scale):
-                self._scanned = k + 1
-                return k
-        self._scanned = len(self._members)
-        return None
-
-    def _register(self) -> None:
-        """Registers the members the last query scanned, in one batch: each
-        test's bits are set in one byte string, which becomes its mask, so
-        no mask as wide as the scan is OR-ed once per member."""
-        start = self._count
-        width = ((self._scanned - start) >> 3) + 1
-        gathered: dict[RowTest, bytearray] = {}
-        for bit, member in enumerate(self._members[start : self._scanned]):
-            byte, flag = bit >> 3, 1 << (bit & 7)
-            for test in self._tests(member):
-                buf = gathered.get(test)
-                if buf is None:
-                    buf = gathered[test] = bytearray(width)
-                buf[byte] |= flag
-        for (row, lo, hi), buf in gathered.items():
-            mask = int.from_bytes(buf, "little") << start
-            entry = self._rows.get(row)
-            if entry is None:
-                entry = self._rows[row] = [0, {}]
-            entry[0] |= mask
-            checks = entry[1]
-            checks[lo, hi] = checks.get((lo, hi), 0) | mask
-        self._count = self._scanned
+        return (alive & -alive).bit_length() - 1 if alive else None
 
 
 # ---------------------------------------------------------------------------

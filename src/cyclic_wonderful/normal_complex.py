@@ -19,13 +19,14 @@ bounded by the corresponding height.  For r = 2, n = 2 this union is the
 octagon whose vertices are the signed permutations of (1, 2).
 
 Cells are realized only for maximal chains; lower-dimensional faces are
-shared boundaries of those.  Both representations of a cell are closed
-forms, for two reasons.  The steps between consecutive generators of a
-chain lie in distinct factor blocks, so they are orthogonal: the dual rows
-that read off the cone coefficients are differences of the steps scaled by
-their squared norms, with no solve.  And in per-level lengths every cell is
-the same polytope, combinatorially a cube, whose 2^n vertices depend on n
-only and are computed once.
+shared boundaries of those.  A cell's vertices and all but its span rows
+are closed forms.  The steps between consecutive generators of a chain lie
+in distinct factor blocks, so they are orthogonal: the dual rows that read
+off the cone coefficients are differences of the steps scaled by their
+squared norms, with no solve.  In per-level lengths every cell is the same
+polytope, combinatorially a cube, whose 2^n vertices depend on n only and
+are computed once.  The span rows come from ``linalg.nullspace``, one
+rational RREF per cell.
 
 Membership is integer arithmetic: each cell caches its H-rows cleared of
 denominators as ``linalg.RowTest`` tests ``(normal, None, bound)``, each
@@ -124,9 +125,8 @@ class NormalComplex(_Frozen):
     """The cells of one arrangement.
 
     Membership scales the point to integers once and asks whether some
-    cell's cached tests all hold, through a ``SharedRowIndex`` over the
-    cells: each distinct row of the cells scanned so far is evaluated at
-    most once per point, and a cell not yet scanned is tested on its own.
+    cell's cached tests all hold, through a ``SharedRowIndex`` over every
+    cell: each distinct row is evaluated at most once per point.
     """
 
     _fields = ("spec", "cells")

@@ -36,7 +36,7 @@ from .lattice import (
     chain_intersect,
     enumerate_chains,
 )
-from .linalg import extreme_points
+from .linalg import extreme_points, independent_row_indices
 from .sampling import Lcg, sample_curve, sample_mixed_points
 
 # suite "x" is the function suite_x, looked up by name when it runs, so the
@@ -225,7 +225,9 @@ def suite_chow(spec: ArrangementSpec, seed: int = 0) -> list[CheckResult]:
         _result(
             "chow",
             "reduced relation count n (r-1)",
-            len(pres.reduced_indices) == spec.n * (spec.r - 1),
+            len(pres.reduced_indices) == spec.n * (spec.r - 1)
+            and list(pres.reduced_indices)
+            == independent_row_indices(r.as_dict() for r in pres.linear_relations),
             f"{len(pres.reduced_indices)} independent of {len(pres.linear_relations)} emitted",
         )
     )

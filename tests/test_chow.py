@@ -7,6 +7,7 @@ import pytest
 from test_linalg import ReferenceEliminator
 
 from cyclic_wonderful.chow import (
+    ChowPresentation,
     DegreeReducer,
     GradedDims,
     _ChainMonomials,
@@ -32,7 +33,7 @@ from cyclic_wonderful.lattice import (
     enumerate_chains,
     jump_type,
 )
-from cyclic_wonderful.linalg import SparseEliminator
+from cyclic_wonderful.linalg import SparseEliminator, independent_row_indices
 from cyclic_wonderful.selfcheck import suite_chow
 
 
@@ -87,6 +88,41 @@ def test_emitted_and_reduced_relation_counts(r, n):
     pres = presentation(ArrangementSpec(r, n))
     assert len(pres.linear_relations) == n * r * (r - 1) // 2
     assert len(pres.reduced_indices) == n * (r - 1)
+
+
+@pytest.mark.parametrize("r", range(2, 8))
+@pytest.mark.parametrize("n", range(4))
+def test_reduced_relations_are_the_rows_a_greedy_elimination_keeps(r, n):
+    # the closed form (i, 0, b) against the elimination in emission order
+    pres = presentation(ArrangementSpec(r, n))
+    greedy = independent_row_indices(rel.as_dict() for rel in pres.linear_relations)
+    assert list(pres.reduced_indices) == greedy
+    assert all(pres.linear_relations[k].a == 0 for k in greedy)
+
+
+def test_presentation_at_n1_runs_no_elimination(monkeypatch):
+    # the greedy choice took about r^3 / 6 reduction steps at n = 1 and did
+    # not finish at r = 1000, which the guards admit
+    def refuse(*args):
+        raise AssertionError("presentation ran an elimination")
+
+    monkeypatch.setattr("cyclic_wonderful.linalg.independent_row_indices", refuse)
+    monkeypatch.setattr(SparseEliminator, "add", refuse)
+    pres = presentation(ArrangementSpec(1000, 1))
+    assert len(pres.linear_relations) == 1000 * 999 // 2
+    assert pres.reduced_indices == tuple(range(999))
+
+
+def test_check_fails_reduced_relations_the_elimination_does_not_keep(monkeypatch):
+    def swapped(spec):
+        pres = presentation(spec)
+        last = len(pres.linear_relations) - 1  # (n, r-2, r-1), a dependent one
+        indices = (*pres.reduced_indices[:-1], last)
+        return ChowPresentation(spec, pres.generators, pres.linear_relations, indices)
+
+    monkeypatch.setattr("cyclic_wonderful.chow.presentation", swapped)
+    results = {c.name: c for c in suite_chow(ArrangementSpec(3, 2))}
+    assert results["reduced relation count n (r-1)"].status == "FAIL"
 
 
 def test_presentation_generator_count():

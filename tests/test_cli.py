@@ -304,12 +304,36 @@ def test_locate_reads_an_empty_point_as_the_point_of_r_0():
 
 
 def test_locate_curve_disagreement_is_a_failed_check(monkeypatch):
-    monkeypatch.setattr("cyclic_wonderful.cli.locate_point", lambda fan, point: None)
+    monkeypatch.setattr("cyclic_wonderful.cli.in_relative_interior", lambda *args: False)
     status, out = invoke(
         ["locate", "--r", "3", "--n", "2", "--curve", "1:0:2,2:2:1"]
     )
     assert status == 1
     assert out == "error: combinatorial type disagrees with point location\n"
+
+
+def test_locate_point_disagreement_is_a_failed_check(monkeypatch):
+    monkeypatch.setattr("cyclic_wonderful.cli.in_relative_interior", lambda *args: False)
+    status, out = invoke(["locate", "--r", "3", "--n", "2", "--point", "0,3,0,1"])
+    assert status == 1
+    assert out == "error: combinatorial type disagrees with point location\n"
+
+
+@pytest.mark.parametrize(
+    "target",
+    [["--point", "0,3,0,1"], ["--point", "1,1,0,0"], ["--curve", "1:0:2,2:2:1"]],
+    ids=["point", "off-support", "curve"],
+)
+def test_locate_builds_no_fan_and_scans_no_cone(monkeypatch, target):
+    def refuse(*args):
+        raise AssertionError("locate built or scanned the fan")
+
+    monkeypatch.setattr("cyclic_wonderful.cli.build_fan", refuse)
+    monkeypatch.setattr("cyclic_wonderful.fan.build_fan", refuse)
+    monkeypatch.setattr("cyclic_wonderful.fan.locate_point", refuse)
+    status, out = invoke(["locate", "--r", "3", "--n", "2", *target])
+    assert status == 0
+    assert out.startswith("point: (")
 
 
 @pytest.mark.parametrize(

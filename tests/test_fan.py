@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cyclic_wonderful import fan as fan_module
+from cyclic_wonderful.cli import build_parser, run
 from cyclic_wonderful.fan import (
     Cone,
     Fan,
@@ -20,6 +21,7 @@ from cyclic_wonderful.fan import (
     build_fan_stellar,
     cone_dim,
     fans_equal,
+    in_relative_interior,
     is_smooth_cone,
     locate_point,
     ray_vector,
@@ -619,16 +621,45 @@ def fan_points(draw, fan):
 @given(data=st.data())
 def test_indexed_location_equals_the_plain_scan(r, n, data):
     built = _built_fan(r, n)
-    # a new Fan over the same cones starts with an empty index, which the
-    # points then find empty, partly registered and (after a miss) full
+    # a new Fan over the same cones builds its own index on the first point
     fan = Fan(built.spec, built.rays, built.cones)
     for point in data.draw(st.lists(fan_points(built), min_size=1, max_size=8)):
         assert locate_point(fan, point) == scan_locate(fan, point)
 
 
+@pytest.mark.parametrize("r,n", [(2, 2), (3, 2), (2, 3), (3, 3)])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_locate_command_prints_the_chain_the_scan_finds(r, n, data):
+    # the command reads the chain off the point's tropical curve; the scan
+    # over a fan built here is the reference
+    built = _built_fan(r, n)
+    point = data.draw(fan_points(built))
+    fan = Fan(built.spec, built.rays, built.cones)
+    argv = ["locate", "--r", str(r), "--n", str(n), "--point=" + ",".join(map(str, point))]
+    status, out = run(build_parser().parse_args(argv))
+    located = locate_point(fan, point)
+    last = "outside the fan support" if located is None else f"chain: {located.text()}"
+    assert status == 0
+    assert out.splitlines()[-1] == last
+
+
+def test_relative_interior_holds_on_the_face_chain_only():
+    spec = ArrangementSpec(3, 2)
+    point = (0, 3, 0, 0)  # 3 e_1^2, on the ray of {1:1}
+    assert in_relative_interior(chain([(1,)], {1: 1}), point, spec)
+    assert not in_relative_interior(chain([(1,), (1, 2)], {1: 1, 2: 0}), point, spec)
+    assert not in_relative_interior(chain([(1,)], {1: 0}), point, spec)
+    assert not in_relative_interior(Chain.empty(), point, spec)
+    assert in_relative_interior(Chain.empty(), (0,) * 4, spec)
+    with pytest.raises(ValueError):
+        in_relative_interior(Chain.empty(), (0, 0), spec)
+
+
 @pytest.mark.parametrize("where", ["origin", "first", "middle", "last", "miss"])
 def test_one_location_computes_the_inverses_of_the_scanned_cones_only(where):
-    # the one-shot `locate` command pays for the cones up to the located one
+    # the index behind the scan registers every maximal cone on first use,
+    # so the first location computes every inverse and a repeat none
     spec = ArrangementSpec(3, 3)
     fan = build_fan(spec, BuildingSet.maximal(spec))
     cones = fan.maximal_cones
@@ -646,14 +677,13 @@ def test_one_location_computes_the_inverses_of_the_scanned_cones_only(where):
         return sum("_inverse" in cone.__dict__ for cone in cones)
 
     located = locate_point(fan, point)
-    count = computed()
+    assert computed() == len(cones)
     position = next((j for j, c in enumerate(cones) if c.contains(point)), None)
-    assert count == (len(cones) if position is None else position + 1)
     assert position == expected
     assert (located is None) == (position is None)
-    # a repeated location is answered from the registered cones alone
+    # a repeated location computes nothing new
     assert locate_point(fan, point) == located
-    assert computed() == count
+    assert computed() == len(cones)
 
 
 # --- smoothness --------------------------------------------------------------

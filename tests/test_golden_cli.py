@@ -33,7 +33,10 @@ and (3,0) before the union extremes switched from the hull LP over every
 cell vertex to the closed-form permutohedral orbit, and the ``check --suite
 tropical`` at (3,3) and (2,4) before sampled points were built by placing
 each factor's length in its block (500 curves embedded, round-tripped and
-located at n >= 3); any later change that alters
+located at n >= 3), and the off-support ``locate --point`` and the
+``locate --curve`` at (4,4) before ``locate`` read the chain off the
+tropical curve, certified on that chain's cone, instead of scanning the
+fan; any later change that alters
 a byte of these outputs fails here.  The whole corpus runs in-process through
 ``cli.main`` in a few seconds.  To re-record after an
 intended output change, print ``hashlib.sha256(stdout).hexdigest()`` for each
@@ -106,6 +109,8 @@ GOLDEN = [
     ("normal-complex --r 3 --n 0 --union-extremes --format json", 0, "e3ab51b747189d51578b18fa23c08567326bdb04ec232795b2dbfa4143d866a9"),
     ("check --r 3 --n 3 --suite tropical --seed 1", 0, "084851fbb6c5ced6c759cef8e376e271999c041ea23cd2d4559e290a29a2cee4"),
     ("check --r 2 --n 4 --suite tropical --seed 2", 0, "4a079faf44c5ad50aac2f76d8ba668e8e24e4bb5ca22e6c973ab9be633ca7b44"),
+    ("locate --r 4 --n 4 --point 1,1,0,0,0,0,-1,-1,-1,0,0,3", 0, "59c8ca186ab702e4c40065e40612ef8e6e0c0b7ff147c7c5c1618cdc436b92be"),
+    ("locate --r 4 --n 4 --curve 1:0:2,2:3:2,3:1:1,4:c:0", 0, "c63752c2e2b34f216ac99518ecc37c6558ceb365c7ffa1059c2982729407d7c3"),
     ("fan --r 1 --n 2", 2, "19a9c3723b7d7f4d89611ed97f66c1f2369ca2ac75bc525df5a199f19f8b3969"),
     ("locate --r 3 --n 2 --point 1,2", 2, "2360e8858d7deb4b2fdfefd665fff621c57c1bcb7cd8a38e1eced897152e29a7"),
 ]

@@ -450,8 +450,8 @@ def _test_holds(test, p, scale):
 
 
 def _rows_one_by_one(members):
-    """The index's row table as the replaced registration built it: one
-    member at a time, its bit OR-ed into each mask it belongs to."""
+    """The index's row table as a plain registration builds it: one member
+    at a time, its bit OR-ed into each mask it belongs to."""
     rows = {}
     for k, member in enumerate(members):
         bit = 1 << k
@@ -472,49 +472,35 @@ def _rows_one_by_one(members):
     ),
 )
 def test_shared_row_index_finds_the_first_member_the_scan_finds(members, points):
-    asked = []
-
-    def tests(member):
-        asked.append(member)
-        return member
-
     def holds(member, p, scale):
         return all(_test_holds(t, p, scale) for t in member)
 
-    index = SharedRowIndex(members, tests)
-    registered = scanned = 0
+    index = SharedRowIndex(members, lambda member: member)
+    # construction registers every member in one batch: the same masks, and
+    # the rows in the same order, as one member at a time
+    rows = _rows_one_by_one(members)
+    assert index._rows == rows and list(index._rows) == list(rows)
     for p, scale in points:
         # (through the module: pytest would collect a bare `tests_hold`)
         assert [linalg.tests_hold(m, p, scale) for m in members] == [
             holds(m, p, scale) for m in members
         ]
         expected = next((k for k, m in enumerate(members) if holds(m, p, scale)), None)
-        asked.clear()
         assert index.first(p, scale) == expected
-        # the members scanned before and not yet registered are registered,
-        # then only members past every one scanned before are tested, in
-        # scan order
-        stop = len(members) if expected is None else expected + 1
-        assert asked == members[registered : max(scanned, stop)]
-        # the batch registered the same masks, and the rows in the same order
-        rows = _rows_one_by_one(members[:scanned])
-        assert index._rows == rows and list(index._rows) == list(rows)
-        registered, scanned = scanned, max(scanned, stop)
 
 
 def test_a_batch_wider_than_a_byte_registers_like_one_member_at_a_time():
-    # each member bounds the sum of two coordinates from below; the first
-    # point holds at none of the 20, so the next query registers them in one
-    # batch that spans three bytes
+    # each member bounds the sum of two coordinates from below; construction
+    # registers the 20 in one batch that spans three bytes
     members = [[(((k % 3, 1), ((k + 1) % 3, 1)), k % 5 - 2, None)] for k in range(20)]
     index = SharedRowIndex(members, lambda member: member)
+    assert index._rows == _rows_one_by_one(members)
     points = [((-3, -3, -3), 1), ((0, 0, 0), 1), ((1, 0, 0), 2), ((-3, -3, -3), 1)]
     scan = [
         next((k for k, m in enumerate(members) if linalg.tests_hold(m, p, scale)), None)
         for p, scale in points
     ]
     assert [index.first(p, scale) for p, scale in points] == scan == [None, 0, 0, None]
-    assert index._count == 20 and index._rows == _rows_one_by_one(members)
 
 
 # --- scaled points -----------------------------------------------------------

@@ -1,13 +1,17 @@
-"""Checks on the files around the package: the benchmark's layer names and
-the demos."""
+"""Checks on the files around the package: the benchmark's layer names, the
+demos and the README's command examples."""
 
 import functools
 import importlib
 import json
+import re
 import runpy
+import shlex
 from pathlib import Path
 
 import pytest
+
+from cyclic_wonderful.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -34,4 +38,26 @@ def test_benchmark_layer_names_resolve(target):
 )
 def test_demo_runs(path, capsys):
     runpy.run_path(str(path), run_name="__main__")
+    assert capsys.readouterr().out.strip()
+
+
+def _readme_commands():
+    """Each line of the README's "Command line" ``sh`` block as argv lists:
+    without its bracketed options, and with them when it has any."""
+    section = (ROOT / "README.md").read_text().split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = []
+    for line in block.splitlines():
+        variants = {re.sub(r"\s*\[[^]]*\]", "", line), re.sub(r"[][]", "", line)}
+        for variant in sorted(variants):
+            prog, *argv = shlex.split(variant)
+            assert prog == "cyclic-wonderful", line
+            commands.append(argv)
+    return commands
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
+def test_readme_command_runs(argv, capsys, monkeypatch):
+    monkeypatch.delenv("CYCLIC_WONDERFUL_MAX_CELLS", raising=False)
+    assert main(argv) == 0
     assert capsys.readouterr().out.strip()
