@@ -125,10 +125,11 @@ def presentation(spec: ArrangementSpec) -> ChowPresentation:
     Emits one relation per (i, a, b) with a < b, n*r*(r-1)/2 in all.  The
     n*(r-1) relations (i, 0, b) are a maximal independent subset: each
     holds {i:b}, which no relation before it does, and (i, a, b) =
-    (i, 0, b) - (i, 0, a); ``check`` confirms them by elimination.  One
-    pass over the generators fills every relation: a generator decorating
-    i by a enters (i, a, b) with +1 for each b > a and (i, b, a) with -1
-    for each b < a, in increasing generator order.
+    (i, 0, b) - (i, 0, a); ``check`` confirms both, coefficient by
+    coefficient, in one pass over the relations.  One pass over the
+    generators fills every relation: a generator decorating i by a enters
+    (i, a, b) with +1 for each b > a and (i, b, a) with -1 for each b < a,
+    in increasing generator order.
     """
     generators = tuple(enumerate_decorated_subsets(spec))
     coeffs: dict[tuple[int, int, int], list[tuple[int, int]]] = {

@@ -42,9 +42,10 @@ works.
 
 The maximal cones repeat these rows heavily: at r = 4, n = 3 the 384 of
 them hold 3,456 rows, of which 124 are distinct (32 as span-check rows, 104
-as coefficient rows).  The scan ``locate_point`` therefore asks the fan's
+as coefficient rows), and many of those are one another's negatives: they
+lie on 66 hyperplanes.  The scan ``locate_point`` therefore asks the fan's
 ``linalg.SharedRowIndex``, built from every maximal cone, for the first
-cone that holds the point: each distinct row is evaluated once per point.
+cone that holds the point: each hyperplane is evaluated once per point.
 The ``locate`` command does not scan: ``in_relative_interior`` certifies
 the chain of the point's tropical curve on that chain's own cone.
 """
@@ -55,7 +56,7 @@ import itertools
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd
-from operator import mul
+from operator import add, sub
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .guards import check_fan_spec
@@ -74,7 +75,6 @@ from .linalg import (
     RowTest,
     SharedRowIndex,
     combine,
-    matrix_rank,
     scaled_point,
     smith_divisors,
     tests_hold,
@@ -136,15 +136,25 @@ def _bareiss_step(state: _Elimination, c: int, a: Vector) -> _Elimination:
     """The Bareiss step of column c, the ray a, on the state of the c rays
     before it.
 
-    The column of ``R [A | I]`` it eliminates is ``R a``.  The pivot is its
-    first nonzero entry at or below row c, swapped into row c; every other
-    row becomes ``(pv * row - f * pivot_row) // delta``, an exact division
-    since each entry stays a minor of the input.  Raises ValueError when the
-    column has no pivot, i.e. the rays are dependent.
+    The column of ``R [A | I]`` it eliminates is ``R a``, read off a's
+    nonzero entries (a ray has few).  The pivot is its first nonzero entry
+    at or below row c, swapped into row c; every other row becomes
+    ``(pv * row - f * pivot_row) // delta``, an exact division since each
+    entry stays a minor of the input.  A unimodular step (``pv == delta ==
+    +-1``) is ``row - (f * pv) * pivot_row``, and a row with ``f == 0`` is
+    kept (``pv == delta``) or negated (``pv == -delta``), with no division.
+    Raises ValueError when the column has no pivot, i.e. the rays are
+    dependent.
     """
     rows, prev = state
     rows = list(rows)
-    col = [sum(map(mul, row, a)) for row in rows]
+    nonzero = [(j, x) for j, x in enumerate(a) if x]
+    col = []
+    for row in rows:
+        s = 0
+        for j, x in nonzero:
+            s += row[j] * x
+        col.append(s)
     p = next((i for i in range(c, len(rows)) if col[i]), None)
     if p is None:
         raise ValueError("columns are linearly dependent")
@@ -152,11 +162,27 @@ def _bareiss_step(state: _Elimination, c: int, a: Vector) -> _Elimination:
     col[c], col[p] = col[p], col[c]
     piv = rows[c]
     pv = col[c]
+    unimodular = pv == prev and (pv == 1 or pv == -1)
     for i, row in enumerate(rows):
         f = col[i]
-        if i == c or (not f and pv == prev):
-            continue  # the update would leave this row as it is
-        rows[i] = tuple([(pv * x - f * y) // prev for x, y in zip(row, piv)])
+        if i == c:
+            continue
+        if not f:
+            if pv == prev:
+                continue  # the update would leave this row as it is
+            if pv == -prev:
+                rows[i] = tuple([-x for x in row])
+                continue
+        if unimodular:  # (pv * x - f * y) // pv is x - (f * pv) * y
+            g = f * pv
+            if g == 1:
+                rows[i] = tuple(map(sub, row, piv))
+            elif g == -1:
+                rows[i] = tuple(map(add, row, piv))
+            else:
+                rows[i] = tuple([x - g * y for x, y in zip(row, piv)])
+        else:
+            rows[i] = tuple([(pv * x - f * y) // prev for x, y in zip(row, piv)])
     return tuple(rows), pv
 
 
@@ -187,7 +213,8 @@ def _row_test(row: tuple[int, ...], sign: int, hi: int | None) -> RowTest:
 
     Cached so that equal tests share one tuple: the cones of a fan repeat few
     rows (124 distinct among the 3,456 of the maximal cones at r = 4,
-    n = 3), and sharing them keeps the cones' caches small.
+    n = 3, on 66 hyperplanes up to sign), and sharing them keeps the cones'
+    caches small.
     """
     return tuple((i, sign * x) for i, x in enumerate(row) if x), 0, hi
 
@@ -264,9 +291,15 @@ class Cone(_Value):
         """
         if not self.rays:
             return None if any(p) else []
-        tests, k, _ = self._inverse
-        if not tests_hold(tests, p, 1):
+        if not tests_hold(self._inverse.tests, p, 1):
             return None
+        return self._coordinates(p)
+
+    def _coordinates(self, p: Vector) -> list[int]:
+        """The k coefficient rows at ``p``, with no test: cone coordinates
+        times ``delta * D`` of ``p / D`` when the cone's tests hold there.
+        The cone has rays."""
+        tests, k, _ = self._inverse
         c = []
         for row, _, _ in tests[-k:]:
             s = 0
@@ -444,20 +477,24 @@ def locate_point(fan: Fan, point: Sequence) -> Chain | None:
     Finds the first maximal cone, in ``maximal_cones`` order, that holds
     the point by the exact integer tests of its ``_inverse`` (the point is
     scaled to integers once), which work for any simplicial cone.  The
-    search goes through the fan's ``SharedRowIndex``: each distinct
-    span-check or coefficient row of the maximal cones is evaluated at most
-    once per point.  The located chain keeps exactly
-    the generators with strictly positive coefficients: a subsequence of
-    the cone's label, the prefixes of its chain, so it is built without the
-    nesting check.  Returns None when the point is outside the fan's
-    support.
+    search goes through the fan's ``SharedRowIndex``: each hyperplane of
+    the maximal cones' span-check and coefficient rows (a row and its
+    negative are one) is evaluated at most once per point.  The index has
+    then checked every test of the cone it found, so only the cone's k
+    coefficient rows are read at the point, and the located chain keeps
+    exactly the generators whose coefficient is strictly positive: a
+    subsequence of the cone's label, the prefixes of its chain, so it is
+    built without the nesting check.  Returns None when the point is
+    outside the fan's support.
     """
     p, scale = scaled_point(point, fan.spec.ambient_dim)
     k = fan._cone_index.first(p, scale)
     if k is None:
         return None
     cone = fan.maximal_cones[k]
-    coeffs = cone._scaled_coefficients(p)
+    if not cone.rays:  # n = 0: the cone is the origin of R^0
+        return Chain._trusted(())
+    coeffs = cone._coordinates(p)  # the index has checked every test of the cone
     return Chain._trusted(tuple([d for d, c in zip(cone.label, coeffs) if c > 0]))
 
 
@@ -484,9 +521,10 @@ def is_smooth_cone(cone: Cone) -> bool:
 
 
 def cone_dim(cone: Cone) -> int:
+    """The rank of the generators: the count of nonzero Smith divisors."""
     if not cone.rays:
         return 0
-    return matrix_rank([list(v) for v in cone.rays])
+    return sum(1 for d in smith_divisors([list(v) for v in cone.rays]) if d)
 
 
 def support_decomposition(

@@ -6,15 +6,16 @@ matrices in this project are small (ambient dimension n*(r-1), relation
 matrices a few hundred rows) but must be exact, so there is no floating
 point anywhere.
 
-Dense rational elimination is written once, in ``_rref``: ``solve_columns``,
-``matrix_rank`` and ``nullspace`` read their answers off it.  ``combine``
-forms the sums sum_j c_j v_j of ray vectors and of the normal complex's
-vertices and facet normals, but not every sum: a point that is one
-multiple of a basis image per factor (a curve's embedding, a sampled
-support point) is built by placement, in ``fan.support_point``, with no
-``Fraction(0) + c * x`` per entry.  ``solve_columns`` shares nothing with
-the integer cone kernel of :mod:`cyclic_wonderful.fan`, whose reference it
-is.
+Dense rational elimination is written once, in ``_rref``: ``solve_columns``
+and ``nullspace`` read their answers off it, and so does the tests' rank
+reference; the rank of a cone's generators (``fan.cone_dim``) is the count
+of nonzero ``smith_divisors``.  ``combine`` forms the sums sum_j c_j v_j of
+ray vectors and of the normal complex's vertices and facet normals, but
+not every sum: a point that is one multiple of a basis image per factor (a
+curve's embedding, a sampled support point) is built by placement, in
+``fan.support_point``, with no ``Fraction(0) + c * x`` per entry.
+``solve_columns`` shares nothing with the integer cone kernel of
+:mod:`cyclic_wonderful.fan`, whose reference it is.
 
 Sparse integer elimination (``SparseEliminator``) updates each row in place:
 against a pivot row of lead 1 it subtracts a multiple over the pivot's
@@ -29,8 +30,8 @@ question: do a few sparse integer row tests ``(row, lo, hi)``, meaning
 ``tests_hold`` answers it for one member, stopping at the first failing
 test.  ``SharedRowIndex`` finds the first member of a scan (the maximal
 cones of a fan, the cells of a normal complex) whose tests all hold; the
-members share most of their rows, so it evaluates each distinct row once
-per point and drops members by bitmask.
+members share most of their rows, so it evaluates each distinct row, up to
+sign, once per point and drops members by bitmask.
 
 Hull extremeness is decided over the integers: ``integer_scaled`` clears a
 point set's denominators once, and the phase-1 simplex behind
@@ -103,11 +104,6 @@ def solve_columns(cols: Sequence[Vector], target: Vector) -> list[Fraction] | No
     if any(row[k] != 0 for row in m[k:]):
         return None
     return [row[k] for row in m[:k]]
-
-
-def matrix_rank(rows: Sequence[Vector]) -> int:
-    """Rank over Q by dense elimination (small matrices only)."""
-    return len(_rref(rows, len(rows[0]) if rows else 0)[1])
 
 
 def nullspace(rows: Sequence[Vector]) -> list[tuple[Fraction, ...]]:
@@ -215,15 +211,6 @@ class SparseEliminator:
         return not self.reduce(row)
 
 
-def independent_row_indices(rows: Iterable[dict[int, int]]) -> list[int]:
-    """Indices of a maximal independent subset, scanned in input order.
-
-    The rows, of nonzero ints, are fed to one ``SparseEliminator`` and are
-    taken over by it."""
-    elim = SparseEliminator()
-    return [i for i, row in enumerate(rows) if elim.add(row)]
-
-
 def smith_divisors(mat: Sequence[Sequence[int]]) -> list[int]:
     """Nonnegative diagonal of the Smith normal form of an integer matrix.
 
@@ -313,12 +300,16 @@ class SharedRowIndex:
     A member holds at ``p / scale`` (p an integer vector, scale > 0) when
     ``tests_hold(tests(member), p, scale)``.
 
-    Every member is registered at construction.  Each distinct row, keyed
-    by value, carries one bitmask of the members using it and one per pair
-    of bounds it is tested against.  A query evaluates each distinct row at
-    most once, skipping a row that no member still alive uses, and clears
-    the members of every test that fails; the lowest surviving bit is the
-    first member that holds.
+    Every member is registered at construction.  A row and its negative
+    are one hyperplane, so each test is keyed by the sign of its row that
+    is lexicographically smaller (the one with a negative first
+    coefficient), a test ``(-row, lo, hi)`` becoming ``(row, -hi, -lo)``.
+    Each distinct row carries one bitmask of the members using it and, per
+    pair of bounds it is tested against, the mask of the members that
+    survive that test failing.  A query evaluates each distinct row at most
+    once, skipping a row that no member still alive uses, and ANDs away the
+    members of every test that fails; the lowest surviving bit is the first
+    member that holds.
     """
 
     def __init__(self, members: Sequence, tests: Callable[[Any], Iterable[RowTest]]) -> None:
@@ -333,29 +324,38 @@ class SharedRowIndex:
                 if buf is None:
                     buf = gathered[test] = bytearray(width)
                 buf[byte] |= flag
-        # row -> [mask of every member using it, {(lo, hi): mask}]
-        self._rows: dict[SparseRow, list] = {}
+        # row -> [mask of every member using it, {(lo, hi): mask}], each
+        # test folded onto its row's sign
+        folded: dict[SparseRow, list] = {}
         for (row, lo, hi), buf in gathered.items():
+            if row and row[0][1] > 0:
+                row = tuple([(i, -a) for i, a in row])
+                lo, hi = None if hi is None else -hi, None if lo is None else -lo
             mask = int.from_bytes(buf, "little")
-            entry = self._rows.setdefault(row, [0, {}])
+            entry = folded.setdefault(row, [0, {}])
             entry[0] |= mask
-            entry[1][lo, hi] = mask
-        self._all = (1 << len(members)) - 1
+            entry[1][lo, hi] = entry[1].get((lo, hi), 0) | mask
+        everyone = self._all = (1 << len(members)) - 1
+        # (row, users, ((lo, hi, the members left when the test fails), ...))
+        self._rows = tuple(
+            (row, users, tuple([(lo, hi, everyone ^ mask) for (lo, hi), mask in checks.items()]))
+            for row, (users, checks) in folded.items()
+        )
 
     def first(self, p: Sequence[int], scale: int) -> int | None:
         """Position of the first member that holds at ``p / scale``, or None."""
         alive = self._all
-        for row, (users, checks) in self._rows.items():
+        for row, users, checks in self._rows:
             if not users & alive:
                 continue
             s = 0
             for i, a in row:
                 s += a * p[i]
-            for (lo, hi), mask in checks.items():
+            for lo, hi, keep in checks:
                 if (lo is not None and s < lo * scale) or (hi is not None and s > hi * scale):
-                    alive &= ~mask
-            if not alive:
-                break
+                    alive &= keep
+                    if not alive:
+                        return None
         return (alive & -alive).bit_length() - 1 if alive else None
 
 

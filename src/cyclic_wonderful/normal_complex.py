@@ -34,11 +34,13 @@ normal kept as its nonzero (index, coeff) pairs, and a rational point p / D
 (p integer, D > 0) satisfies ``normal . v <= bound`` exactly when
 ``normal_int . p <= bound_int * D``.  One cell's membership test is
 ``linalg.tests_hold``, which stops at its first violated row.  The cells
-repeat their rows (253 distinct among the 6,912 H-rows at r = 4, n = 3),
-so membership in the complex goes through a ``linalg.SharedRowIndex`` over
-the cells' tests: each distinct row is evaluated once per point, and a
-bitmask per row drops every cell it violates.  The index reads only the
-cells' own rows, not the point's chain.
+repeat their rows (253 distinct among the 6,912 H-rows at r = 4, n = 3,
+with 244 distinct normals), and a cell holds each equality as a pair of
+opposite rows, so the normals lie on 178 hyperplanes.  Membership in the
+complex goes through a ``linalg.SharedRowIndex`` over the cells' tests:
+each hyperplane is evaluated once per point, and a bitmask per test drops
+every cell it violates.  The index reads only the cells' own rows, not the
+point's chain.
 The tiling check in ``check`` compares this with ``in_delta`` (subset sums
 of the support decomposition), a route that shares none of it.
 """
@@ -126,7 +128,7 @@ class NormalComplex(_Frozen):
 
     Membership scales the point to integers once and asks whether some
     cell's cached tests all hold, through a ``SharedRowIndex`` over every
-    cell: each distinct row is evaluated at most once per point.
+    cell: each hyperplane of their rows is evaluated at most once per point.
     """
 
     _fields = ("spec", "cells")

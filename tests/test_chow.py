@@ -4,12 +4,13 @@ import itertools
 from math import comb, factorial
 
 import pytest
-from test_linalg import ReferenceEliminator
+from test_linalg import ReferenceEliminator, independent_row_indices
 
 from cyclic_wonderful.chow import (
     ChowPresentation,
     DegreeReducer,
     GradedDims,
+    LinearRelation,
     _ChainMonomials,
     _relation_rows,
     _relation_space,
@@ -33,7 +34,7 @@ from cyclic_wonderful.lattice import (
     enumerate_chains,
     jump_type,
 )
-from cyclic_wonderful.linalg import SparseEliminator, independent_row_indices
+from cyclic_wonderful.linalg import SparseEliminator
 from cyclic_wonderful.selfcheck import suite_chow
 
 
@@ -106,7 +107,6 @@ def test_presentation_at_n1_runs_no_elimination(monkeypatch):
     def refuse(*args):
         raise AssertionError("presentation ran an elimination")
 
-    monkeypatch.setattr("cyclic_wonderful.linalg.independent_row_indices", refuse)
     monkeypatch.setattr(SparseEliminator, "add", refuse)
     pres = presentation(ArrangementSpec(1000, 1))
     assert len(pres.linear_relations) == 1000 * 999 // 2
@@ -123,6 +123,37 @@ def test_check_fails_reduced_relations_the_elimination_does_not_keep(monkeypatch
     monkeypatch.setattr("cyclic_wonderful.chow.presentation", swapped)
     results = {c.name: c for c in suite_chow(ArrangementSpec(3, 2))}
     assert results["reduced relation count n (r-1)"].status == "FAIL"
+
+
+def test_check_fails_a_relation_that_is_not_the_difference_of_reduced_ones(monkeypatch):
+    def flipped(spec):
+        pres = presentation(spec)
+        relations = list(pres.linear_relations)
+        k = next(k for k, rel in enumerate(relations) if rel.a > 0)  # (1, 1, 2)
+        rel = relations[k]
+        (x, c), *rest = rel.coeffs
+        relations[k] = LinearRelation(rel.i, rel.a, rel.b, ((x, -c), *rest))
+        return ChowPresentation(spec, pres.generators, tuple(relations), pres.reduced_indices)
+
+    monkeypatch.setattr("cyclic_wonderful.chow.presentation", flipped)
+    results = {c.name: c for c in suite_chow(ArrangementSpec(3, 2))}
+    assert results["reduced relation count n (r-1)"].status == "FAIL"
+
+
+def test_check_certifies_the_reduced_relations_at_n1_without_an_elimination(monkeypatch):
+    # the line's elimination took about r^3 / 6 steps at n = 1; it is now
+    # one pass over the emitted coefficients
+    def refuse(*args):
+        raise AssertionError("the check ran an elimination")
+
+    # the rank oracle has its own line and eliminates; this one must not
+    monkeypatch.setattr(
+        "cyclic_wonderful.chow.betti_oracle", lambda spec, **kwargs: betti_closed_form(spec)
+    )
+    monkeypatch.setattr(SparseEliminator, "add", refuse)
+    results = {c.name: c for c in suite_chow(ArrangementSpec(200, 1))}
+    line = results["reduced relation count n (r-1)"]
+    assert (line.status, line.detail) == ("PASS", "199 independent of 19900 emitted")
 
 
 def test_presentation_generator_count():

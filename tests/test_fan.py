@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from test_linalg import matrix_rank
 
 from cyclic_wonderful import fan as fan_module
 from cyclic_wonderful.cli import build_parser, run
@@ -27,7 +28,7 @@ from cyclic_wonderful.fan import (
     ray_vector,
     support_decomposition,
 )
-from cyclic_wonderful.linalg import combine, matrix_rank, scaled_point, solve_columns
+from cyclic_wonderful.linalg import combine, scaled_point, solve_columns
 from cyclic_wonderful.lattice import (
     ArrangementSpec,
     BuildingSet,
@@ -378,7 +379,7 @@ def test_inverse_equals_the_full_pass_on_non_unimodular_cones_in_any_ray_order(r
     assert Cone(rays, ())._inverse == _reference_inverse(rays)
 
 
-@pytest.mark.parametrize("spec", [(3, 2), (2, 3), (4, 2)])
+@pytest.mark.parametrize("spec", [(3, 2), (2, 3), (4, 2), (4, 3), (2, 4)])
 def test_inverse_equals_the_full_pass_on_every_fan_cone(spec):
     _, cones = _fan_cones(*spec)  # new cones: no inverse computed yet
     for cone in cones:
@@ -616,7 +617,9 @@ def fan_points(draw, fan):
     return tuple(x + y for x, y in zip(face, offset))
 
 
-@pytest.mark.parametrize("r,n", [(2, 1), (2, 2), (3, 2), (4, 2), (2, 3), (3, 3), (3, 0)])
+@pytest.mark.parametrize(
+    "r,n", [(2, 1), (2, 2), (3, 2), (4, 2), (2, 3), (3, 3), (4, 3), (2, 4), (3, 0)]
+)
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_indexed_location_equals_the_plain_scan(r, n, data):
@@ -684,6 +687,34 @@ def test_one_location_computes_the_inverses_of_the_scanned_cones_only(where):
     # a repeated location computes nothing new
     assert locate_point(fan, point) == located
     assert computed() == len(cones)
+
+
+@pytest.mark.parametrize("r,n,hyperplanes", [(3, 3, 32), (4, 3, 66), (2, 4, 16)])
+def test_the_cone_index_keeps_one_entry_per_hyperplane(r, n, hyperplanes):
+    # keyed by row value, the index held 63, 124 and 32 rows: each
+    # hyperplane once per sign it is tested with
+    fan = _built_fan(r, n)
+    rows = {row for cone in fan.maximal_cones for row, _, _ in cone._inverse.tests}
+    signless = {min(row, tuple((i, -a) for i, a in row)) for row in rows}
+    assert len(fan._cone_index._rows) == len(signless) == hyperplanes
+
+
+@pytest.mark.parametrize("r,n", [(3, 2), (2, 3), (3, 0)])
+def test_location_does_not_test_the_cone_the_index_found_again(r, n, monkeypatch):
+    built = _built_fan(r, n)
+    fan = Fan(built.spec, built.rays, built.cones)
+    dim = built.spec.ambient_dim
+    # the origin, and face points of every fifth maximal cone
+    points = [(0,) * dim]
+    points += [combine([1, 0, 2][: cone.dim], cone.rays, dim) for cone in fan.maximal_cones[::5]]
+    expected = [scan_locate(fan, point) for point in points]
+    fan._cone_index  # the index tests every maximal cone; locating must not again
+
+    def refuse(*args):
+        raise AssertionError("a cone's tests ran again")
+
+    monkeypatch.setattr(fan_module, "tests_hold", refuse)
+    assert [locate_point(fan, point) for point in points] == expected
 
 
 # --- smoothness --------------------------------------------------------------

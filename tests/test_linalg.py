@@ -1,15 +1,16 @@
 """Property tests of the exact kernels, each against an independent route.
 
-Dense ranks are compared with the count of nonzero Smith divisors (integer
-Euclidean steps, no rational elimination); kernels and solutions are checked
-by multiplying back exactly.  The sparse integer eliminator is compared with
-the dense rational ``matrix_rank`` and, pivot for pivot, with the
+Dense ranks (``matrix_rank``, one rational RREF, kept here as the tests'
+rank reference) are compared with the count of nonzero Smith divisors
+(integer Euclidean steps, no rational elimination); kernels and solutions
+are checked by multiplying back exactly.  The sparse integer eliminator is
+compared with the dense rank and, pivot for pivot, with the
 cross-multiply-and-normalise eliminator that its in-place updates replaced;
 the integer phase-1 simplex is compared with the ``Fraction`` simplex it
 replaced.  Both replaced kernels are kept here as references.  The shared-row
 index, and its one-member evaluator ``tests_hold``, are compared with the
-member-by-member scan, and its batch registration with the member-by-member
-registration it replaced.
+member-by-member scan, and its batch registration, with each test folded
+onto its row's sign, with a member-by-member registration.
 """
 
 from fractions import Fraction
@@ -27,9 +28,7 @@ from cyclic_wonderful.linalg import (
     combine,
     extreme_points,
     in_convex_hull,
-    independent_row_indices,
     integer_scaled,
-    matrix_rank,
     nullspace,
     parse_rational,
     scaled_point,
@@ -53,6 +52,19 @@ def dot(u, v):
 
 def smith_rank(rows):
     return sum(1 for d in smith_divisors(rows) if d)
+
+
+def matrix_rank(rows):
+    """Rank over Q by dense rational elimination, the rank reference of the
+    tests (``fan.cone_dim`` counts nonzero Smith divisors instead)."""
+    return len(linalg._rref(rows, len(rows[0]) if rows else 0)[1])
+
+
+def independent_row_indices(rows):
+    """Indices of a maximal independent subset of sparse rows, scanned in
+    input order: the greedy elimination, fed one ``SparseEliminator``."""
+    elim = SparseEliminator()
+    return [i for i, row in enumerate(rows) if elim.add(row)]
 
 
 def apply(rows, v):
@@ -449,28 +461,54 @@ def _test_holds(test, p, scale):
     return (lo is None or lo * scale <= s) and (hi is None or s <= hi * scale)
 
 
+def _negated(row):
+    return tuple((i, -a) for i, a in row)
+
+
+def _folded(test):
+    """The test on the lexicographically smaller of its row and the row's
+    negative: ``(-row, lo, hi)`` holds exactly when ``(row, -hi, -lo)`` does."""
+    row, lo, hi = test
+    if _negated(row) < row:
+        return _negated(row), None if hi is None else -hi, None if lo is None else -lo
+    return test
+
+
 def _rows_one_by_one(members):
     """The index's row table as a plain registration builds it: one member
-    at a time, its bit OR-ed into each mask it belongs to."""
+    at a time, each test folded onto its row's sign and the member's bit
+    OR-ed into each mask it belongs to; a test's entry holds the members
+    left alive when it fails."""
     rows = {}
     for k, member in enumerate(members):
         bit = 1 << k
-        for row, lo, hi in member:
+        for test in member:
+            row, lo, hi = _folded(test)
             entry = rows.setdefault(row, [0, {}])
             entry[0] |= bit
             entry[1][lo, hi] = entry[1].get((lo, hi), 0) | bit
-    return rows
+    everyone = (1 << len(members)) - 1
+    return tuple(
+        (row, users, tuple((lo, hi, everyone ^ mask) for (lo, hi), mask in checks.items()))
+        for row, (users, checks) in rows.items()
+    )
+
+
+def _scan(members, p, scale):
+    return next(
+        (k for k, m in enumerate(members) if all(_test_holds(t, p, scale) for t in m)), None
+    )
+
+
+_POINTS = st.lists(
+    st.tuples(st.lists(st.integers(-3, 3), min_size=3, max_size=3), st.integers(1, 3)),
+    min_size=1,
+    max_size=6,
+)
 
 
 @settings(max_examples=150, deadline=None)
-@given(
-    members=st.lists(_MEMBER, max_size=12),
-    points=st.lists(
-        st.tuples(st.lists(st.integers(-3, 3), min_size=3, max_size=3), st.integers(1, 3)),
-        min_size=1,
-        max_size=6,
-    ),
-)
+@given(members=st.lists(_MEMBER, max_size=12), points=_POINTS)
 def test_shared_row_index_finds_the_first_member_the_scan_finds(members, points):
     def holds(member, p, scale):
         return all(_test_holds(t, p, scale) for t in member)
@@ -478,15 +516,36 @@ def test_shared_row_index_finds_the_first_member_the_scan_finds(members, points)
     index = SharedRowIndex(members, lambda member: member)
     # construction registers every member in one batch: the same masks, and
     # the rows in the same order, as one member at a time
-    rows = _rows_one_by_one(members)
-    assert index._rows == rows and list(index._rows) == list(rows)
+    assert index._rows == _rows_one_by_one(members)
     for p, scale in points:
         # (through the module: pytest would collect a bare `tests_hold`)
         assert [linalg.tests_hold(m, p, scale) for m in members] == [
             holds(m, p, scale) for m in members
         ]
-        expected = next((k for k, m in enumerate(members) if holds(m, p, scale)), None)
-        assert index.first(p, scale) == expected
+        assert index.first(p, scale) == _scan(members, p, scale)
+
+
+# rows drawn with either sign, so members test one hyperplane from both sides
+_SIGNED_ROW = st.tuples(
+    st.sampled_from([((0, 1),), ((0, 2), (2, -1)), ((0, -1), (1, 1)), ((1, 2), (2, 3))]),
+    st.booleans(),
+).map(lambda pair: _negated(pair[0]) if pair[1] else pair[0])
+_SIGNED_BOUND = st.one_of(st.none(), st.just(0), st.integers(-3, 3).filter(bool))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    members=st.lists(
+        st.lists(st.tuples(_SIGNED_ROW, _SIGNED_BOUND, _SIGNED_BOUND), max_size=4), max_size=12
+    ),
+    points=_POINTS,
+)
+def test_a_row_and_its_negative_share_one_entry_and_locate_like_the_scan(members, points):
+    index = SharedRowIndex(members, lambda member: member)
+    hyperplanes = {_folded(test)[0] for member in members for test in member}
+    assert sorted(row for row, _, _ in index._rows) == sorted(hyperplanes)
+    for p, scale in points:
+        assert index.first(p, scale) == _scan(members, p, scale)
 
 
 def test_a_batch_wider_than_a_byte_registers_like_one_member_at_a_time():
@@ -495,6 +554,9 @@ def test_a_batch_wider_than_a_byte_registers_like_one_member_at_a_time():
     members = [[(((k % 3, 1), ((k + 1) % 3, 1)), k % 5 - 2, None)] for k in range(20)]
     index = SharedRowIndex(members, lambda member: member)
     assert index._rows == _rows_one_by_one(members)
+    # every row has a positive first coefficient, so each is kept as its
+    # negative with the bound moved to the other side
+    assert all(row[0][1] < 0 and lo is None for row, _, checks in index._rows for lo, _, _ in checks)
     points = [((-3, -3, -3), 1), ((0, 0, 0), 1), ((1, 0, 0), 2), ((-3, -3, -3), 1)]
     scan = [
         next((k for k, m in enumerate(members) if linalg.tests_hold(m, p, scale)), None)

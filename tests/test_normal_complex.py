@@ -456,6 +456,16 @@ def test_complex_membership_equals_the_dense_integer_rows(r, n):
     assert 0 < hits < len(sampled) + len(integral) + len(vertices)
 
 
+@pytest.mark.parametrize("r,n,hyperplanes", [(3, 2, 26), (2, 3, 13)])
+def test_the_cell_index_keeps_one_entry_per_hyperplane(r, n, hyperplanes):
+    # a cell holds each equality as a pair of opposite rows; keyed by row
+    # value, the index held 43 and 26 rows
+    nc = _complex(r, n)
+    rows = {row for cell in nc.cells for row, _, _ in cell._tests}
+    signless = {min(row, tuple((i, -a) for i, a in row)) for row in rows}
+    assert len(nc._cell_index._rows) == len(signless) == hyperplanes
+
+
 def test_membership_rejects_points_of_the_wrong_length():
     nc = _complex(2, 2)
     for point in [(0,), (0, 0, 5)]:
