@@ -19,8 +19,12 @@ the singletons, and subdivides at the non-singleton ray vectors in an
 inclusion-increasing order.  Each subdivision's cone is known without a
 search: the ray of (I, a) is the sum of the singleton rays (i, a(i)), and
 that singleton cone survives until (I, a) is processed, since only smaller
-decorated subsets (processed later) could subdivide it.  The two routes
-must agree cone-for-cone, and the test suite checks that they do.
+decorated subsets (processed later) could subdivide it.  A map from each
+label to the cones holding it gives that cone's star as an intersection of
+sets, so a subdivision visits only the cones it replaces: 135 in all for
+the 54 subdivisions at r = 3, n = 3, where a scan per subdivision read
+12,744.  The two routes must agree cone-for-cone, and the test suite checks
+that they do.
 
 Cone coordinates are exact and integer.  Each cone caches, on first use,
 the result of a fraction-free (Bareiss) Gauss-Jordan elimination through
@@ -391,13 +395,19 @@ def build_fan(spec: ArrangementSpec, g: BuildingSet) -> Fan:
 
 def _star_subdivide(
     cones: set[frozenset[DecoratedSubset]],
+    holding: dict[DecoratedSubset, set[frozenset[DecoratedSubset]]],
     rays: Mapping[DecoratedSubset, Vector],
     new_label: DecoratedSubset,
     v: Vector,
-) -> set[frozenset[DecoratedSubset]]:
-    """Stellar subdivision at v = ray_vector(new_label), replacing every cone
-    that contains tau by the joins of the new ray with its faces not
-    containing tau.
+) -> None:
+    """Stellar subdivision at v = ray_vector(new_label), in place: every
+    cone t that contains tau, the star of tau, gives way to the cones
+    (t minus tau) + B + {new_label} for the proper subsets B of tau, the
+    joins of the new ray with t's faces not containing tau.
+
+    ``holding`` maps each label to the set of current cones that hold it,
+    so the star is the intersection of the sets of tau's rays, and only the
+    star's cones are visited; both ``cones`` and ``holding`` are updated.
 
     tau is known without a search: it is the cone of the singletons
     (i, a(i)) of new_label = (I, a), whose rays sum to v.  A subdivision at
@@ -413,13 +423,25 @@ def _star_subdivide(
     coeffs = tau_cone._scaled_coefficients(v) if tau in cones else None
     if coeffs is None or not all(c > 0 for c in coeffs):
         raise ValueError("subdivision vector lies outside the fan support")
-    out = {s for s in cones if not tau <= s}
-    for s in cones:
-        if tau <= s:
-            continue
-        if (s | tau) in cones:
-            out.add(s | {new_label})
-    return out
+    star = set.intersection(*sorted((holding[d] for d in singletons), key=len))
+    # tau's labels as the cones hold them, so that the new cones share them
+    held = [d for d in next(iter(star)) if d in tau]
+    faces = [
+        frozenset((new_label, *b))
+        for k in range(len(held))
+        for b in itertools.combinations(held, k)
+    ]
+    holding[new_label] = set()
+    for t in star:
+        cones.remove(t)
+        for d in t:
+            holding[d].remove(t)
+        rest = t - tau
+        for face in faces:
+            s = rest | face
+            cones.add(s)
+            for d in s:
+                holding[d].add(s)
 
 
 def build_fan_stellar(spec: ArrangementSpec, g: BuildingSet) -> Fan:
@@ -432,8 +454,10 @@ def build_fan_stellar(spec: ArrangementSpec, g: BuildingSet) -> Fan:
     deepest intersections first, so support size runs downward (ties broken
     by the global deterministic order).  That order
     keeps each element's singleton cone intact until its own step, so every
-    step subdivides that known cone (see ``_star_subdivide``).  A final pass
-    discards any cone whose label set is not a chain (``is_nested``); with
+    step subdivides the star of that known cone (see ``_star_subdivide``),
+    found through a map from each label to the cones holding it that lives
+    only for this build.  A final pass sorts each cone's labels once and
+    discards any cone whose labels are not a chain (``is_nested``); with
     this order the pass is a safety net and removes nothing.
     """
     _check_maximal(spec, g)
@@ -447,15 +471,27 @@ def build_fan_stellar(spec: ArrangementSpec, g: BuildingSet) -> Fan:
         d: ray_vector(d, spec) for factor in per_factor for d in factor[1:]
     }
     cones: set[frozenset[DecoratedSubset]] = set()
+    holding: dict[DecoratedSubset, set[frozenset[DecoratedSubset]]] = {d: set() for d in rays}
     for combo in itertools.product(*per_factor):
-        cones.add(frozenset(d for d in combo if d is not None))
+        s = frozenset(d for d in combo if d is not None)
+        cones.add(s)
+        for d in s:
+            holding[d].add(s)
     # larger supports cut out smaller loci, which must be subdivided first
     non_singletons = (d for d in g.elements if d.size > 1)
     for d in sorted(non_singletons, key=lambda x: (-x.size, x.items)):
         v = ray_vector(d, spec)
-        cones = _star_subdivide(cones, rays, d, v)
+        _star_subdivide(cones, holding, rays, d, v)
         rays[d] = v
-    kept = [Chain.from_prefixes(s) for s in cones if is_nested(s, g)]
+    # the map is done: freed before the records are built, it stays out of
+    # the build's peak memory (15.4 MiB traced at r = 4, n = 4; 20.0 MiB
+    # with the map kept)
+    del holding
+    kept = []
+    for s in cones:
+        labels = tuple(sorted(s, key=DecoratedSubset.sort_key))
+        if is_nested(labels, g):
+            kept.append(Chain._trusted(labels))
     cone_map = {c: Cone(tuple(rays[d] for d in c.prefixes), c.prefixes) for c in kept}
     used = {d for c in kept for d in c.prefixes}
     ray_map = {d: rays[d] for d in sorted(used, key=DecoratedSubset.sort_key)}

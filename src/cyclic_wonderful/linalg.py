@@ -7,14 +7,16 @@ matrices a few hundred rows) but must be exact, so there is no floating
 point anywhere.
 
 Dense rational elimination is written once, in ``_rref``: ``solve_columns``
-and ``nullspace`` read their answers off it, and so does the tests' rank
-reference; the rank of a cone's generators (``fan.cone_dim``) is the count
-of nonzero ``smith_divisors``.  ``combine`` forms the sums sum_j c_j v_j of
-ray vectors and of the normal complex's vertices and facet normals, but
-not every sum: a point that is one multiple of a basis image per factor (a
-curve's embedding, a sampled support point) is built by placement, in
-``fan.support_point``, with no ``Fraction(0) + c * x`` per entry.
-``solve_columns`` shares nothing with the integer cone kernel of
+reads its answer off it, and so do the tests' rank and nullspace
+references.  No command runs it: the rank of a cone's generators
+(``fan.cone_dim``) is the count of nonzero ``smith_divisors``, and a normal
+cell's span rows are a closed form.  ``combine`` forms the sums
+sum_j c_j v_j of ray vectors and of the union's extreme points, but not
+every sum: a vector that is one multiple of a basis image per factor (a
+curve's embedding, a sampled support point, a normal cell's vertices and
+rows) is built by placement, in ``fan.support_point`` and
+``normal_complex.cell_polytope``, with no ``Fraction(0) + c * x`` per
+entry.  ``solve_columns`` shares nothing with the integer cone kernel of
 :mod:`cyclic_wonderful.fan`, whose reference it is.
 
 Sparse integer elimination (``SparseEliminator``) updates each row in place:
@@ -104,22 +106,6 @@ def solve_columns(cols: Sequence[Vector], target: Vector) -> list[Fraction] | No
     if any(row[k] != 0 for row in m[k:]):
         return None
     return [row[k] for row in m[:k]]
-
-
-def nullspace(rows: Sequence[Vector]) -> list[tuple[Fraction, ...]]:
-    """Basis of the right kernel of the given row matrix."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    m, pivots = _rref(rows, ncols)
-    basis = []
-    for fc in sorted(set(range(ncols)) - set(pivots)):
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for row, col in zip(m, pivots):
-            vec[col] = -row[fc]
-        basis.append(tuple(vec))
-    return basis
 
 
 def _primitive(row: dict[int, int], lead: int) -> dict[int, int]:

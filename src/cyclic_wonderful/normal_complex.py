@@ -19,21 +19,24 @@ bounded by the corresponding height.  For r = 2, n = 2 this union is the
 octagon whose vertices are the signed permutations of (1, 2).
 
 Cells are realized only for maximal chains; lower-dimensional faces are
-shared boundaries of those.  A cell's vertices and all but its span rows
-are closed forms.  The steps between consecutive generators of a chain lie
+shared boundaries of those.  A cell's vertices and rows are closed forms,
+with no solve.  The steps between consecutive generators of a chain lie
 in distinct factor blocks, so they are orthogonal: the dual rows that read
 off the cone coefficients are differences of the steps scaled by their
-squared norms, with no solve.  In per-level lengths every cell is the same
-polytope, combinatorially a cube, whose 2^n vertices depend on n only and
-are computed once.  The span rows come from ``linalg.nullspace``, one
-rational RREF per cell.
+squared norms, and the span rows are unit vectors (differences of two in a
+residue-0 block) at the slots the steps leave free.  In per-level lengths
+every cell is the same polytope, combinatorially a cube, whose 2^n
+vertices depend on n only and are computed once.  Each entry of a vertex or
+row is placed into its factor's block, never summed.
 
-Membership is integer arithmetic: each cell caches its H-rows cleared of
+Membership is integer arithmetic: each cell holds its H-rows cleared of
 denominators as ``linalg.RowTest`` tests ``(normal, None, bound)``, each
 normal kept as its nonzero (index, coeff) pairs, and a rational point p / D
 (p integer, D > 0) satisfies ``normal . v <= bound`` exactly when
-``normal_int . p <= bound_int * D``.  One cell's membership test is
-``linalg.tests_hold``, which stops at its first violated row.  The cells
+``normal_int . p <= bound_int * D``.  The tests are placed with the rows: a
+row's scale is the lcm of the squared norms of the steps it holds, r - 1
+or 1.  One cell's membership test is ``linalg.tests_hold``, which stops at
+its first violated row.  The cells
 repeat their rows (253 distinct among the 6,912 H-rows at r = 4, n = 3,
 with 244 distinct normals), and a cell holds each equality as a pair of
 opposite rows, so the normals lie on 178 hyperplanes.  Membership in the
@@ -48,12 +51,12 @@ of the support decomposition), a route that shares none of it.
 from __future__ import annotations
 
 import itertools
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 from .guards import COUNT_CAP, check_normal_complex
-from .fan import basis_image, ray_vector, support_decomposition
+from .fan import basis_image, support_decomposition
 from .lattice import (
     ArrangementSpec,
     Chain,
@@ -67,7 +70,6 @@ from .linalg import (
     SharedRowIndex,
     combine,
     integer_scaled,
-    nullspace,
     scaled_point,
     tests_hold,
 )
@@ -94,23 +96,34 @@ class Polytope(_Frozen):
 
     Constraints read ``normal * v <= bound`` with the coordinate dot
     product; equalities carving out the cone's span appear as paired
-    opposite inequalities.
+    opposite inequalities.  ``placed_tests``, when given, returns the rows
+    cleared of denominators as ``cell_polytope`` places them; it runs on
+    the first membership test, so a command that never tests membership
+    never builds them.
     """
 
     _fields = ("h_rep", "v_rep", "label")
 
     def __init__(
-        self, h_rep: tuple[tuple[FracVec, Fraction], ...], v_rep: tuple[FracVec, ...], label: Chain
+        self,
+        h_rep: tuple[tuple[FracVec, Fraction], ...],
+        v_rep: tuple[FracVec, ...],
+        label: Chain,
+        placed_tests: Callable[[], tuple[RowTest, ...]] | None = None,
     ) -> None:
         object.__setattr__(self, "h_rep", h_rep)
         object.__setattr__(self, "v_rep", v_rep)
         object.__setattr__(self, "label", label)
+        object.__setattr__(self, "_placed_tests", placed_tests)
 
     @cached_property
     def _tests(self) -> tuple[RowTest, ...]:
         """Each H-row times the lcm of its denominators, as the test
         ``(normal, None, bound)`` with the normal kept as its nonzero
-        ``(index, coeff)`` pairs."""
+        ``(index, coeff)`` pairs: placed, or cleared row by row for a
+        polytope given only its rows."""
+        if self._placed_tests is not None:
+            return self._placed_tests()
         tests = []
         for normal, bound in self.h_rep:
             (row,), _ = integer_scaled([(*normal, bound)])
@@ -168,46 +181,140 @@ def _vertex_lengths(n: int) -> tuple[FracVec, ...]:
     return tuple(vertices)
 
 
+# Where a level's step lies: the offset of the added factor's block, and
+# the ambient index of the step's one entry (+1), or None for the all-(-1)
+# step of residue 0.
+_Step = tuple[int, int | None]
+
+
+def _level_steps(chain: Chain, spec: ArrangementSpec) -> list[_Step]:
+    """The step of each level of a maximal chain: the factor i it adds, at
+    residue a, steps along ``basis_image(spec, i, -a)``."""
+    block = spec.r - 1
+    steps, before = [], set()
+    for prefix in chain.prefixes:
+        ((i, a),) = [item for item in prefix.items if item[0] not in before]
+        before.add(i)
+        off = (i - 1) * block
+        steps.append((off, off + spec.r - a - 1 if a else None))
+    return steps
+
+
+def _place(row: list, value: Fraction, step: _Step, block: int) -> None:
+    """Writes value times the step into its block of a dense row: value at
+    its slot, or -value across a residue-0 block."""
+    off, slot = step
+    if slot is None:
+        row[off : off + block] = [-value] * block
+    else:
+        row[slot] = value
+
+
+def _placed_test(units: list[tuple[_Step, int]], bound: int, block: int) -> RowTest:
+    """The integer test of the row ``sum sign * u`` over its units and the
+    given bound, scaled by lcm(|f|^2) over the units: ``block`` (= r - 1)
+    when one is a residue-0 step, else 1.  A residue-0 entry is then
+    ``-sign`` and a slot entry ``sign * scale``; blocks in ambient order."""
+    scale = block if any(slot is None for (_, slot), _ in units) else 1
+    pairs = []
+    for (off, slot), sign in sorted(units):
+        if slot is None:
+            pairs += [(k, -sign) for k in range(off, off + block)]
+        else:
+            pairs.append((slot, sign * scale))
+    return tuple(pairs), None, bound * scale
+
+
+def _span_slots(steps: list[_Step], block: int) -> Iterator[tuple[int | None, int]]:
+    """The span rows' slots, block by block in ambient order: ``(first, f)``
+    for the row ``e_f - e_first`` of a residue-0 block, ``(None, f)`` for
+    the row ``e_f`` at a free slot of any other block."""
+    for off, slot in sorted(steps):
+        if slot is None:
+            yield from ((off, f) for f in range(off + 1, off + block))
+        else:
+            yield from ((None, f) for f in range(off, off + block) if f != slot)
+
+
+def _cell_tests(steps: list[_Step], block: int, n: int) -> tuple[RowTest, ...]:
+    """The integer tests of a cell's H-rows, in ``cell_polytope``'s row
+    order, placed from the level steps: no row is read."""
+    tests: list[RowTest] = []
+    for first, f in _span_slots(steps, block):
+        for sign in (1, -1):
+            pairs = ((f, sign),) if first is None else ((first, -sign), (f, sign))
+            tests.append((pairs, None, 0))
+    for j, step in enumerate(steps):
+        tests.append(_placed_test([(step, -1)] + [(s, 1) for s in steps[j + 1 : j + 2]], 0, block))
+    for j in range(len(steps)):
+        tests.append(_placed_test([(s, 1) for s in steps[: j + 1]], delta(n, j + 1), block))
+    return tuple(tests)
+
+
 def cell_polytope(chain: Chain, spec: ArrangementSpec) -> Polytope:
     """The truncated-cone cell of a maximal chain.
 
     Level j of the chain adds one factor, so the step f_j = g_j - g_{j-1}
     between consecutive generators is that factor's direction, in its own
-    block of coordinates: the steps are pairwise orthogonal.  With per-level
-    lengths y_j >= 0 the cell's points are sum_j y_j f_j, and its vertices
-    are the closed-form cube corners of ``_vertex_lengths``.
+    block of coordinates: ``e_b`` at one slot, or ``-(1, ..., 1)`` across
+    the block for residue 0.  The steps are pairwise orthogonal.  With
+    per-level lengths y_j >= 0 the cell's points are sum_j y_j f_j, and its
+    vertices are the closed-form cube corners of ``_vertex_lengths``.
 
     H-representation groups, all in ambient coordinates:
-      * paired equalities pinning v to the span of the cone (absent for r=2),
+      * paired equalities pinning v to the span of the cone (absent for
+        r=2): ``e_f`` for each other slot f of a block whose step is
+        ``e_b``, and ``e_f - e_first`` for each slot but the first of a
+        residue-0 block, in slot order (the rows an RREF nullspace of the
+        generators gives),
       * one inequality per generator expressing nonnegativity of its cone
         coefficient y_j - y_{j+1}: with u_j = f_j / |f_j|^2, so that
         u_j . f_s = [j = s], the row is -(u_j - u_{j+1}),
       * one truncation  (u_1 + ... + u_j) . v <= delta(n, j)  per flag level.
+
+    Each row holds at most one step per block, so every entry is placed,
+    none summed.  The rows' integer tests are placed the same way, from the
+    steps, on the cell's first membership test (``_cell_tests``).
     """
     if not chain.is_maximal(spec):
         raise ValueError(
             "cells are realized for maximal chains only; shorter chains label "
             "shared faces of the maximal cells"
         )
-    gens = [ray_vector(p, spec) for p in chain.prefixes]
-    n = len(gens)
-    dim, zero = spec.ambient_dim, Fraction(0)
-    steps = [
-        tuple(a - b for a, b in zip(g, prev))
-        for prev, g in zip([(0,) * dim, *gens], gens)
-    ]
-    ambient = [combine(y, steps, dim, zero) for y in _vertex_lengths(n)]
+    dim, block = spec.ambient_dim, spec.r - 1
+    zero, one = Fraction(0), Fraction(1)
+    steps = _level_steps(chain, spec)
+
+    ambient = []
+    for y in _vertex_lengths(len(steps)):
+        v = [zero] * dim
+        for c, step in zip(y, steps):
+            if c:
+                _place(v, c, step, block)
+        ambient.append(tuple(v))
 
     h_rep: list[tuple[FracVec, Fraction]] = []
-    for w in nullspace(gens):
-        h_rep.append((w, zero))
-        h_rep.append((combine([-1], [w], dim, zero), zero))
-    units = [combine([Fraction(1, sum(x * x for x in f))], [f], dim, zero) for f in steps]
-    for j in range(n):
-        h_rep.append((combine([-1, 1], units[j : j + 2], dim, zero), zero))
-    for j in range(n):
-        h_rep.append((combine([1] * (j + 1), units, dim, zero), Fraction(delta(spec.n, j + 1))))
-    return Polytope(tuple(h_rep), tuple(sorted(ambient)), chain)
+    for first, f in _span_slots(steps, block):
+        for sign in (1, -1):
+            w = [zero] * dim
+            w[f] = Fraction(sign)
+            if first is not None:
+                w[first] = Fraction(-sign)
+            h_rep.append((tuple(w), zero))
+    units = [one if slot is not None else Fraction(1, block) for _, slot in steps]
+    for j, step in enumerate(steps):
+        w = [zero] * dim
+        _place(w, -units[j], step, block)
+        if j + 1 < len(steps):
+            _place(w, units[j + 1], steps[j + 1], block)
+        h_rep.append((tuple(w), zero))
+    w = [zero] * dim
+    for j, step in enumerate(steps):
+        _place(w, units[j], step, block)
+        h_rep.append((tuple(w), Fraction(delta(spec.n, j + 1))))
+    return Polytope(
+        tuple(h_rep), tuple(sorted(ambient)), chain, partial(_cell_tests, steps, block, spec.n)
+    )
 
 
 def complex_cells(spec: ArrangementSpec) -> NormalComplex:

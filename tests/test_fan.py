@@ -123,14 +123,17 @@ def test_builders_reject_a_non_maximal_building_set(make, builder):
 
 @pytest.mark.parametrize("r,n", [(3, 2), (2, 3), (4, 3)])
 def test_cone_labels_share_the_ray_tables_subsets(r, n):
+    # in both routes: the stellar route's new cones take tau's labels from
+    # the cones they replace
     spec = ArrangementSpec(r, n)
-    fan = build_fan(spec, BuildingSet.maximal(spec))
-    keys = {d: d for d in fan.rays}
-    for chain, cone in fan.cones.items():
-        assert all(keys[d] is d for d in cone.label)
-        assert cone.label is chain.prefixes
-        assert list(cone.label) == sorted(cone.label, key=DecoratedSubset.sort_key)
-        assert cone.rays == tuple(fan.rays[d] for d in cone.label)
+    for builder in (build_fan, build_fan_stellar):
+        fan = builder(spec, BuildingSet.maximal(spec))
+        keys = {d: d for d in fan.rays}
+        for chain, cone in fan.cones.items():
+            assert all(keys[d] is d for d in cone.label)
+            assert cone.label is chain.prefixes
+            assert list(cone.label) == sorted(cone.label, key=DecoratedSubset.sort_key)
+            assert cone.rays == tuple(fan.rays[d] for d in cone.label)
 
 
 def test_cone_lookup_from_value_equal_subsets():
@@ -455,29 +458,97 @@ def _cones_holding_in_relative_interior(cones, rays, v):
     return hits
 
 
+def scan_star_subdivide(cones, rays, new_label, v):
+    """The stellar subdivision by a full scan, the route the star map
+    replaced: every current cone is tested for tau, and a new cone joins the
+    new ray to each cone s without tau whose union with tau is a cone."""
+    singletons = tuple(ds(p) for p in new_label.items)
+    tau = frozenset(singletons)
+    coeffs = Cone(tuple(rays[d] for d in singletons), singletons).coefficients(v)
+    assert tau in cones and coeffs is not None and all(c > 0 for c in coeffs)
+    out = {s for s in cones if not tau <= s}
+    for s in cones:
+        if not tau <= s and (s | tau) in cones:
+            out.add(s | {new_label})
+    return out
+
+
+def product_fan(spec):
+    """The singleton rays and the cones of the product of the factor fans,
+    with the map from each label to the cones holding it."""
+    singles = [ds((i, a)) for i in range(1, spec.n + 1) for a in range(spec.r)]
+    per_factor = [[None] + [ds((i, a)) for a in range(spec.r)] for i in range(1, spec.n + 1)]
+    cones = {
+        frozenset(d for d in combo if d is not None) for combo in itertools.product(*per_factor)
+    }
+    return {d: ray_vector(d, spec) for d in singles}, cones, holding_map(singles, cones)
+
+
+def holding_map(labels, cones):
+    return {d: {s for s in cones if d in s} for d in labels}
+
+
+def subdivision_order(spec):
+    elements = BuildingSet.maximal(spec).elements
+    return sorted((d for d in elements if d.size > 1), key=lambda x: (-x.size, x.items))
+
+
 @pytest.mark.parametrize("r,n,steps", [(2, 2, 4), (3, 2, 9), (2, 3, 20), (3, 3, 54)])
 def test_stellar_subdivides_the_one_cone_a_full_scan_finds(r, n, steps):
     # replay the stellar subdivisions; at every step the scan over all current
-    # cones must find exactly the singleton cone of the new label
+    # cones must find exactly the singleton cone of the new label, and the
+    # star map's subdivision must leave the cones the full scan leaves
     spec = ArrangementSpec(r, n)
     g = BuildingSet.maximal(spec)
-    singles = {ds((i, a)) for i in range(1, n + 1) for a in range(r)}
-    rays = {d: ray_vector(d, spec) for d in singles}
-    per_factor = [[None] + [ds((i, a)) for a in range(r)] for i in range(1, n + 1)]
-    cones = {
-        frozenset(d for d in combo if d is not None)
-        for combo in itertools.product(*per_factor)
-    }
-    order = sorted(g.elements - singles, key=lambda x: (-x.size, x.items))
+    rays, cones, holding = product_fan(spec)
+    scanned = set(cones)
+    order = subdivision_order(spec)
     for d in order:
         v = ray_vector(d, spec)
         tau = frozenset(ds(p) for p in d.items)
         assert _cones_holding_in_relative_interior(cones, rays, v) == [tau]
-        cones = _star_subdivide(cones, rays, d, v)
+        scanned = scan_star_subdivide(scanned, rays, d, v)
+        _star_subdivide(cones, holding, rays, d, v)
         rays[d] = v
+        assert cones == scanned
+        assert holding == holding_map(rays, cones)
     assert len(order) == steps
     kept = {s for s in cones if is_nested(s, g)}
     assert kept == {frozenset(c.prefixes) for c in build_fan_stellar(spec, g).cones}
+
+
+class _Unscannable(set):
+    """A cone set that refuses to be scanned and counts the cones removed."""
+
+    removed = 0
+
+    def __iter__(self):
+        raise AssertionError("a subdivision must not scan the cones")
+
+    def remove(self, cone):
+        self.removed += 1
+        super().remove(cone)
+
+
+def test_each_subdivision_visits_only_the_star_of_its_cone():
+    # at (3,3) the 54 subdivisions replace 135 cones in all, where a scan
+    # per subdivision read 12,744
+    spec = ArrangementSpec(3, 3)
+    rays, cones, holding = product_fan(spec)
+    cones = _Unscannable(cones)
+    scanned, stars = 0, []
+    for d in subdivision_order(spec):
+        v = ray_vector(d, spec)
+        tau = frozenset(ds(p) for p in d.items)
+        star = {s for s in set.__iter__(cones) if tau <= s}
+        scanned += len(cones)
+        before = cones.removed
+        _star_subdivide(cones, holding, rays, d, v)
+        rays[d] = v
+        assert cones.removed - before == len(star)
+        assert not any(s in cones for s in star)
+        stars.append(len(star))
+    assert (len(stars), sum(stars), scanned) == (54, 135, 12744)
 
 
 def test_star_subdivide_refuses_a_vector_off_its_cone():
@@ -486,10 +557,12 @@ def test_star_subdivide_refuses_a_vector_off_its_cone():
     pair = ds((1, 0), (2, 0))
     tau = frozenset({ds((1, 0)), ds((2, 0))})
     with pytest.raises(ValueError, match="outside the fan support"):
-        _star_subdivide({frozenset()}, rays, pair, ray_vector(pair, spec))
+        _star_subdivide(
+            {frozenset()}, holding_map(rays, {frozenset()}), rays, pair, ray_vector(pair, spec)
+        )
     # tau is present, but v = its first ray is on tau's boundary
     with pytest.raises(ValueError, match="outside the fan support"):
-        _star_subdivide({tau}, rays, pair, rays[ds((1, 0))])
+        _star_subdivide({tau}, holding_map(rays, {tau}), rays, pair, rays[ds((1, 0))])
 
 
 def test_stellar_route_never_enumerates_chains(monkeypatch):

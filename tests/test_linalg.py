@@ -2,8 +2,9 @@
 
 Dense ranks (``matrix_rank``, one rational RREF, kept here as the tests'
 rank reference) are compared with the count of nonzero Smith divisors
-(integer Euclidean steps, no rational elimination); kernels and solutions
-are checked by multiplying back exactly.  The sparse integer eliminator is
+(integer Euclidean steps, no rational elimination); kernels (``nullspace``,
+read off the same RREF and kept here as the reference of the normal cells'
+span rows) and solutions are checked by multiplying back exactly.  The sparse integer eliminator is
 compared with the dense rank and, pivot for pivot, with the
 cross-multiply-and-normalise eliminator that its in-place updates replaced;
 the integer phase-1 simplex is compared with the ``Fraction`` simplex it
@@ -29,7 +30,6 @@ from cyclic_wonderful.linalg import (
     extreme_points,
     in_convex_hull,
     integer_scaled,
-    nullspace,
     parse_rational,
     scaled_point,
     smith_divisors,
@@ -58,6 +58,24 @@ def matrix_rank(rows):
     """Rank over Q by dense rational elimination, the rank reference of the
     tests (``fan.cone_dim`` counts nonzero Smith divisors instead)."""
     return len(linalg._rref(rows, len(rows[0]) if rows else 0)[1])
+
+
+def nullspace(rows):
+    """Basis of the right kernel of the row matrix, one vector per non-pivot
+    column of its RREF, in column order: the reference of the normal cells'
+    closed-form span rows."""
+    if not rows:
+        return []
+    ncols = len(rows[0])
+    m, pivots = linalg._rref(rows, ncols)
+    basis = []
+    for fc in sorted(set(range(ncols)) - set(pivots)):
+        vec = [Fraction(0)] * ncols
+        vec[fc] = Fraction(1)
+        for row, col in zip(m, pivots):
+            vec[col] = -row[fc]
+        basis.append(tuple(vec))
+    return basis
 
 
 def independent_row_indices(rows):

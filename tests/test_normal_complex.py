@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_linalg import nullspace
 
 from cyclic_wonderful import linalg, normal_complex, selfcheck
 from cyclic_wonderful.cli import main
@@ -29,6 +30,7 @@ from cyclic_wonderful.linalg import (
 )
 from cyclic_wonderful.normal_complex import (
     NormalComplex,
+    Polytope,
     cell_polytope,
     complex_cells,
     delta,
@@ -115,6 +117,73 @@ def test_origin_is_a_vertex_of_every_cell():
         origin = tuple(Fraction(0) for _ in range(spec.ambient_dim))
         for c in maximal_chains(spec):
             assert origin in cell_polytope(c, spec).v_rep
+
+
+def reference_cell(c, spec):
+    """``(h_rep, v_rep)`` of the cell by the route the placement replaced:
+    the span rows from the RREF nullspace of the generators, and every
+    vertex and row a ``combine`` of the steps into ``Fraction(0)``."""
+    gens = [ray_vector(p, spec) for p in c.prefixes]
+    n, dim, zero = len(gens), spec.ambient_dim, Fraction(0)
+    steps = [
+        tuple(a - b for a, b in zip(g, prev)) for prev, g in zip([(0,) * dim, *gens], gens)
+    ]
+    vertices = [combine(y, steps, dim, zero) for y in normal_complex._vertex_lengths(n)]
+    h_rep = []
+    for w in nullspace(gens):
+        h_rep += [(w, zero), (combine([-1], [w], dim, zero), zero)]
+    units = [combine([Fraction(1, sum(x * x for x in f))], [f], dim, zero) for f in steps]
+    for j in range(n):
+        h_rep.append((combine([-1, 1], units[j : j + 2], dim, zero), zero))
+    for j in range(n):
+        h_rep.append((combine([1] * (j + 1), units, dim, zero), Fraction(delta(spec.n, j + 1))))
+    return tuple(h_rep), tuple(sorted(vertices))
+
+
+def cleared_tests(h_rep):
+    """Each H-row times the lcm of its denominators by ``integer_scaled``, as
+    the test ``(nonzero (index, coeff) pairs, None, bound)``."""
+    tests = []
+    for normal, bound in h_rep:
+        (row,), _ = integer_scaled([(*normal, bound)])
+        tests.append((tuple((i, a) for i, a in enumerate(row[:-1]) if a), None, row[-1]))
+    return tuple(tests)
+
+
+def assert_placed_cell_is_the_reference(c, spec):
+    cell = cell_polytope(c, spec)
+    h_rep, v_rep = reference_cell(c, spec)
+    # equal values, the same Fraction type in every entry, the same text
+    assert cell.h_rep == h_rep and cell.v_rep == v_rep
+    assert str(cell.h_rep) == str(h_rep) and str(cell.v_rep) == str(v_rep)
+    entries = [x for row, bound in cell.h_rep for x in (*row, bound)]
+    assert all(type(x) is Fraction for x in entries + [x for v in cell.v_rep for x in v])
+    assert cell._tests == cleared_tests(h_rep)
+    # a polytope given only its rows clears them itself, to the same tests
+    assert Polytope(cell.h_rep, cell.v_rep, c)._tests == cell._tests
+
+
+@pytest.mark.parametrize(
+    "r,n",
+    [(2, 1), (3, 1), (2, 2), (3, 2), (4, 2), (5, 2), (2, 3), (3, 3), (4, 3), (2, 4), (7, 1)],
+)
+def test_placed_cells_equal_the_solved_cells(r, n):
+    spec = ArrangementSpec(r, n)
+    for c in maximal_chains(spec):
+        assert_placed_cell_is_the_reference(c, spec)
+
+
+@functools.lru_cache(maxsize=None)
+def _maximal_chains(r, n):
+    return maximal_chains(ArrangementSpec(r, n))
+
+
+@settings(max_examples=100, deadline=None)
+@given(r=st.integers(2, 5), n=st.integers(0, 3), data=st.data())
+def test_a_placed_cell_equals_the_solved_cell(r, n, data):
+    assert_placed_cell_is_the_reference(
+        data.draw(st.sampled_from(_maximal_chains(r, n))), ArrangementSpec(r, n)
+    )
 
 
 def test_cell_rejects_non_maximal_chains():
@@ -266,6 +335,22 @@ def test_check_fails_the_2_2_extremes_line_when_either_route_disagrees(monkeypat
         if res.name == "union extremes are the signed permutations of (1, 2)"
     ]
     assert line.status == "FAIL"
+
+
+def test_no_command_runs_the_dense_rational_elimination(monkeypatch, capsys):
+    # the cells' span rows were the last command-path use of the RREF
+    def refuse(*args):
+        raise AssertionError("no command solves a dense rational system")
+
+    monkeypatch.setattr(linalg, "_rref", refuse)
+    for argv in (
+        ["normal-complex", "--r", "3", "--n", "2", "--union-extremes", "--format", "json"],
+        ["check", "--r", "3", "--n", "2"],
+        ["check", "--r", "2", "--n", "2"],
+        ["fan", "--r", "3", "--n", "2", "--via-stellar"],
+    ):
+        assert main(argv) == 0, argv
+    assert "FAIL" not in capsys.readouterr().out
 
 
 def test_union_extremes_command_builds_the_complex_once(monkeypatch, capsys):
