@@ -92,19 +92,26 @@ def basis_labels(spec: ArrangementSpec) -> list[str]:
     return [f"e_{i}^{j}" for i in range(1, spec.n + 1) for j in range(1, spec.r - 1 + 1)]
 
 
+def block_slot(spec: ArrangementSpec, i: int, a: int) -> tuple[int, int | None]:
+    """Where e_i^a lies: the offset of factor i's block of r - 1 coordinates,
+    and the index of its one entry 1, or None for residue 0, whose image is
+    -1 across the whole block.  ``basis_image``, ``support_point`` and the
+    normal cells all place e_i^a through it."""
+    off = (i - 1) * (spec.r - 1)
+    a %= spec.r
+    return off, off + a - 1 if a else None
+
+
 def basis_image(spec: ArrangementSpec, i: int, a: int) -> Vector:
     """Integer coordinates of the image of e_i^a, for any residue a in Z_r."""
     if not 1 <= i <= spec.n:
         raise ValueError(f"factor index {i} outside [1, {spec.n}]")
-    a %= spec.r
-    block = spec.r - 1
+    off, slot = block_slot(spec, i, a)
     vec = [0] * spec.ambient_dim
-    off = (i - 1) * block
-    if a == 0:
-        for j in range(block):
-            vec[off + j] = -1
+    if slot is None:
+        vec[off : off + spec.r - 1] = [-1] * (spec.r - 1)
     else:
-        vec[off + a - 1] = 1
+        vec[slot] = 1
     return tuple(vec)
 
 
@@ -594,6 +601,9 @@ def support_decomposition(
     return out
 
 
+_ZERO = Fraction(0)
+
+
 def support_point(
     spec: ArrangementSpec, decomposition: Iterable[tuple[Fraction, int | None]]
 ) -> tuple[Fraction, ...]:
@@ -603,20 +613,21 @@ def support_point(
     ``decomposition`` holds one ``(x_i, a_i)`` pair per factor, in factor
     order: a residue a_i in 0..r-1, or None (or x_i = 0) for a factor at
     the origin.  Each x_i goes straight into factor i's block, at slot a_i,
-    or as -x_i across the whole block for a_i = 0; every other entry is one
-    shared ``Fraction(0)``.  A length that is not a ``Fraction`` is made
+    or as -x_i across the whole block for a_i = 0; every other entry is the
+    one module-wide ``Fraction(0)``, so points compare their zeros by
+    identity.  A length that is not a ``Fraction`` is made
     one, so every entry is a ``Fraction``.
     """
     block = spec.r - 1
-    out = [Fraction(0)] * spec.ambient_dim
-    for i, (x, a) in enumerate(decomposition):
+    out = [_ZERO] * spec.ambient_dim
+    for i, (x, a) in enumerate(decomposition, start=1):
         if a is None or not x:
             continue
-        if not isinstance(x, Fraction):
+        if type(x) is not Fraction:
             x = Fraction(x)
-        off = i * block
-        if a:
-            out[off + a - 1] = x
-        else:
+        off, slot = block_slot(spec, i, a)
+        if slot is None:
             out[off : off + block] = [-x] * block
+        else:
+            out[slot] = x
     return tuple(out)

@@ -56,7 +56,7 @@ from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
 from .guards import COUNT_CAP, check_normal_complex
-from .fan import basis_image, support_decomposition
+from .fan import basis_image, block_slot, support_decomposition, support_point
 from .lattice import (
     ArrangementSpec,
     Chain,
@@ -69,7 +69,6 @@ from .linalg import (
     RowTest,
     SharedRowIndex,
     combine,
-    integer_scaled,
     scaled_point,
     tests_hold,
 )
@@ -96,10 +95,10 @@ class Polytope(_Frozen):
 
     Constraints read ``normal * v <= bound`` with the coordinate dot
     product; equalities carving out the cone's span appear as paired
-    opposite inequalities.  ``placed_tests``, when given, returns the rows
-    cleared of denominators as ``cell_polytope`` places them; it runs on
-    the first membership test, so a command that never tests membership
-    never builds them.
+    opposite inequalities.  ``placed_tests`` returns the rows cleared of
+    denominators as ``cell_polytope`` places them; it runs on the first
+    membership test, so a command that never tests membership never builds
+    them.
     """
 
     _fields = ("h_rep", "v_rep", "label")
@@ -109,7 +108,7 @@ class Polytope(_Frozen):
         h_rep: tuple[tuple[FracVec, Fraction], ...],
         v_rep: tuple[FracVec, ...],
         label: Chain,
-        placed_tests: Callable[[], tuple[RowTest, ...]] | None = None,
+        placed_tests: Callable[[], tuple[RowTest, ...]],
     ) -> None:
         object.__setattr__(self, "h_rep", h_rep)
         object.__setattr__(self, "v_rep", v_rep)
@@ -120,15 +119,8 @@ class Polytope(_Frozen):
     def _tests(self) -> tuple[RowTest, ...]:
         """Each H-row times the lcm of its denominators, as the test
         ``(normal, None, bound)`` with the normal kept as its nonzero
-        ``(index, coeff)`` pairs: placed, or cleared row by row for a
-        polytope given only its rows."""
-        if self._placed_tests is not None:
-            return self._placed_tests()
-        tests = []
-        for normal, bound in self.h_rep:
-            (row,), _ = integer_scaled([(*normal, bound)])
-            tests.append((tuple((i, a) for i, a in enumerate(row[:-1]) if a), None, row[-1]))
-        return tuple(tests)
+        ``(index, coeff)`` pairs."""
+        return self._placed_tests()
 
     def contains(self, point: Sequence) -> bool:
         # the origin is a vertex of every cell, so v_rep gives the dimension
@@ -181,36 +173,35 @@ def _vertex_lengths(n: int) -> tuple[FracVec, ...]:
     return tuple(vertices)
 
 
-# Where a level's step lies: the offset of the added factor's block, and
-# the ambient index of the step's one entry (+1), or None for the all-(-1)
-# step of residue 0.
-_Step = tuple[int, int | None]
+# A level's step e_i^b: the factor i the level adds and the residue b.
+_Step = tuple[int, int]
+# Where a step lies, as ``fan.block_slot`` gives it: the offset of its
+# factor's block, and the index of its one entry 1, or None for residue 0.
+_Slot = tuple[int, int | None]
 
 
 def _level_steps(chain: Chain, spec: ArrangementSpec) -> list[_Step]:
     """The step of each level of a maximal chain: the factor i it adds, at
-    residue a, steps along ``basis_image(spec, i, -a)``."""
-    block = spec.r - 1
+    residue a, steps along e_i^(-a)."""
     steps, before = [], set()
     for prefix in chain.prefixes:
         ((i, a),) = [item for item in prefix.items if item[0] not in before]
         before.add(i)
-        off = (i - 1) * block
-        steps.append((off, off + spec.r - a - 1 if a else None))
+        steps.append((i, -a % spec.r))
     return steps
 
 
-def _place(row: list, value: Fraction, step: _Step, block: int) -> None:
-    """Writes value times the step into its block of a dense row: value at
-    its slot, or -value across a residue-0 block."""
-    off, slot = step
-    if slot is None:
-        row[off : off + block] = [-value] * block
-    else:
-        row[slot] = value
+def _on_steps(spec: ArrangementSpec, steps: list[_Step], values: Sequence[Fraction]) -> FracVec:
+    """The vector sum_j values[j] f_j: the steps lie in distinct factor
+    blocks, so it is the support point with length values[j] along step j
+    (``fan.support_point``)."""
+    decomposition: list[tuple[Fraction | int, int | None]] = [(0, None)] * spec.n
+    for (i, b), x in zip(steps, values):
+        decomposition[i - 1] = (x, b)
+    return support_point(spec, decomposition)
 
 
-def _placed_test(units: list[tuple[_Step, int]], bound: int, block: int) -> RowTest:
+def _placed_test(units: list[tuple[_Slot, int]], bound: int, block: int) -> RowTest:
     """The integer test of the row ``sum sign * u`` over its units and the
     given bound, scaled by lcm(|f|^2) over the units: ``block`` (= r - 1)
     when one is a residue-0 step, else 1.  A residue-0 entry is then
@@ -225,29 +216,29 @@ def _placed_test(units: list[tuple[_Step, int]], bound: int, block: int) -> RowT
     return tuple(pairs), None, bound * scale
 
 
-def _span_slots(steps: list[_Step], block: int) -> Iterator[tuple[int | None, int]]:
+def _span_slots(slots: list[_Slot], block: int) -> Iterator[tuple[int | None, int]]:
     """The span rows' slots, block by block in ambient order: ``(first, f)``
     for the row ``e_f - e_first`` of a residue-0 block, ``(None, f)`` for
     the row ``e_f`` at a free slot of any other block."""
-    for off, slot in sorted(steps):
+    for off, slot in sorted(slots):
         if slot is None:
             yield from ((off, f) for f in range(off + 1, off + block))
         else:
             yield from ((None, f) for f in range(off, off + block) if f != slot)
 
 
-def _cell_tests(steps: list[_Step], block: int, n: int) -> tuple[RowTest, ...]:
+def _cell_tests(slots: list[_Slot], block: int, n: int) -> tuple[RowTest, ...]:
     """The integer tests of a cell's H-rows, in ``cell_polytope``'s row
-    order, placed from the level steps: no row is read."""
+    order, placed from where the level steps lie: no row is read."""
     tests: list[RowTest] = []
-    for first, f in _span_slots(steps, block):
+    for first, f in _span_slots(slots, block):
         for sign in (1, -1):
             pairs = ((f, sign),) if first is None else ((first, -sign), (f, sign))
             tests.append((pairs, None, 0))
-    for j, step in enumerate(steps):
-        tests.append(_placed_test([(step, -1)] + [(s, 1) for s in steps[j + 1 : j + 2]], 0, block))
-    for j in range(len(steps)):
-        tests.append(_placed_test([(s, 1) for s in steps[: j + 1]], delta(n, j + 1), block))
+    for j, slot in enumerate(slots):
+        tests.append(_placed_test([(slot, -1)] + [(s, 1) for s in slots[j + 1 : j + 2]], 0, block))
+    for j in range(len(slots)):
+        tests.append(_placed_test([(s, 1) for s in slots[: j + 1]], delta(n, j + 1), block))
     return tuple(tests)
 
 
@@ -272,9 +263,11 @@ def cell_polytope(chain: Chain, spec: ArrangementSpec) -> Polytope:
         u_j . f_s = [j = s], the row is -(u_j - u_{j+1}),
       * one truncation  (u_1 + ... + u_j) . v <= delta(n, j)  per flag level.
 
-    Each row holds at most one step per block, so every entry is placed,
-    none summed.  The rows' integer tests are placed the same way, from the
-    steps, on the cell's first membership test (``_cell_tests``).
+    Each vertex and each nonnegativity or truncation row holds at most one
+    step per block, so it is a support point (``_on_steps``): every entry
+    is placed, none summed.  The rows' integer tests are placed the same
+    way, from the steps, on the cell's first membership test
+    (``_cell_tests``).
     """
     if not chain.is_maximal(spec):
         raise ValueError(
@@ -282,38 +275,27 @@ def cell_polytope(chain: Chain, spec: ArrangementSpec) -> Polytope:
             "shared faces of the maximal cells"
         )
     dim, block = spec.ambient_dim, spec.r - 1
-    zero, one = Fraction(0), Fraction(1)
+    zero = Fraction(0)
     steps = _level_steps(chain, spec)
-
-    ambient = []
-    for y in _vertex_lengths(len(steps)):
-        v = [zero] * dim
-        for c, step in zip(y, steps):
-            if c:
-                _place(v, c, step, block)
-        ambient.append(tuple(v))
+    slots = [block_slot(spec, i, b) for i, b in steps]
+    ambient = [_on_steps(spec, steps, y) for y in _vertex_lengths(len(steps))]
 
     h_rep: list[tuple[FracVec, Fraction]] = []
-    for first, f in _span_slots(steps, block):
+    for first, f in _span_slots(slots, block):
         for sign in (1, -1):
             w = [zero] * dim
             w[f] = Fraction(sign)
             if first is not None:
                 w[first] = Fraction(-sign)
             h_rep.append((tuple(w), zero))
-    units = [one if slot is not None else Fraction(1, block) for _, slot in steps]
-    for j, step in enumerate(steps):
-        w = [zero] * dim
-        _place(w, -units[j], step, block)
-        if j + 1 < len(steps):
-            _place(w, units[j + 1], steps[j + 1], block)
-        h_rep.append((tuple(w), zero))
-    w = [zero] * dim
-    for j, step in enumerate(steps):
-        _place(w, units[j], step, block)
-        h_rep.append((tuple(w), Fraction(delta(spec.n, j + 1))))
+    units = [Fraction(1) if b else Fraction(1, block) for _, b in steps]
+    for j in range(len(steps)):
+        row = _on_steps(spec, steps, [zero] * j + [-units[j], *units[j + 1 : j + 2]])
+        h_rep.append((row, zero))
+    for j in range(len(steps)):
+        h_rep.append((_on_steps(spec, steps, units[: j + 1]), Fraction(delta(spec.n, j + 1))))
     return Polytope(
-        tuple(h_rep), tuple(sorted(ambient)), chain, partial(_cell_tests, steps, block, spec.n)
+        tuple(h_rep), tuple(sorted(ambient)), chain, partial(_cell_tests, slots, block, spec.n)
     )
 
 

@@ -30,7 +30,6 @@ from cyclic_wonderful.linalg import (
 )
 from cyclic_wonderful.normal_complex import (
     NormalComplex,
-    Polytope,
     cell_polytope,
     complex_cells,
     delta,
@@ -159,8 +158,6 @@ def assert_placed_cell_is_the_reference(c, spec):
     entries = [x for row, bound in cell.h_rep for x in (*row, bound)]
     assert all(type(x) is Fraction for x in entries + [x for v in cell.v_rep for x in v])
     assert cell._tests == cleared_tests(h_rep)
-    # a polytope given only its rows clears them itself, to the same tests
-    assert Polytope(cell.h_rep, cell.v_rep, c)._tests == cell._tests
 
 
 @pytest.mark.parametrize(
@@ -517,13 +514,14 @@ def test_indexed_membership_equals_the_plain_scan(r, n, data):
 
 
 def _dense_integer_rows_hold(cell, point):
-    """Every H-row cleared of denominators, as a dense integer row."""
+    """Every H-row cleared of denominators (``cleared_tests``) holds at the
+    point, each integer row summed out rather than through
+    ``linalg.tests_hold``."""
     p, scale = scaled_point(point, len(point))
-    for normal, bound in cell.h_rep:
-        (row,), _ = integer_scaled([(*normal, bound)])
-        if sum(a * x for a, x in zip(row[:-1], p)) > row[-1] * scale:
-            return False
-    return True
+    return all(
+        sum(a * p[i] for i, a in pairs) <= bound * scale
+        for pairs, _, bound in cleared_tests(cell.h_rep)
+    )
 
 
 @pytest.mark.parametrize("r,n", [(3, 2), (2, 3), (4, 2)])

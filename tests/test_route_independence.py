@@ -120,6 +120,7 @@ LABEL = "the record of a decorated subset, which labels rays and cones in both r
 DIRECT_VS_STELLAR = {
     "fan.ray_vector": RAYS,
     "fan.basis_image": RAYS,
+    "fan.block_slot": RAYS,
     "fan._vector_gcd": RAYS,
     "lattice.validate_subset": RAYS,
     "linalg.combine": RAYS,
