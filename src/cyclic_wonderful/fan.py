@@ -570,6 +570,9 @@ def cone_dim(cone: Cone) -> int:
     return sum(1 for d in smith_divisors([list(v) for v in cone.rays]) if d)
 
 
+_ZERO = Fraction(0)
+
+
 def support_decomposition(
     point: Sequence, spec: ArrangementSpec
 ) -> list[tuple[Fraction, int | None]] | None:
@@ -579,8 +582,13 @@ def support_decomposition(
     nonnegative multiple x_i of a single basis image e_i^(a_i).  Returns the
     list of (x_i, a_i) pairs with a_i = None when x_i = 0, or None when some
     block has the wrong shape.
+
+    An entry that is not a ``Fraction`` is made one.  Zero and sign tests
+    read each entry's numerator, and two entries are equal when their
+    numerators and denominators are (a ``Fraction`` is kept in lowest
+    terms); a factor at the origin gets the one module-wide ``Fraction(0)``.
     """
-    point = tuple([x if isinstance(x, Fraction) else Fraction(x) for x in point])
+    point = [x if isinstance(x, Fraction) else Fraction(x) for x in point]
     if len(point) != spec.ambient_dim:
         raise ValueError(
             f"point has length {len(point)}, expected {spec.ambient_dim}"
@@ -589,19 +597,19 @@ def support_decomposition(
     out: list[tuple[Fraction, int | None]] = []
     for i in range(spec.n):
         coords = point[i * block : (i + 1) * block]
-        nonzero = [(j, x) for j, x in enumerate(coords, start=1) if x != 0]
+        nonzero = [(j, x) for j, x in enumerate(coords, start=1) if x.numerator]
         if not nonzero:
-            out.append((Fraction(0), None))
-        elif len(nonzero) == 1 and nonzero[0][1] > 0:
+            out.append((_ZERO, None))
+        elif len(nonzero) == 1 and nonzero[0][1].numerator > 0:
             out.append((nonzero[0][1], nonzero[0][0]))
-        elif len(nonzero) == block and all(x == coords[0] for x in coords) and coords[0] < 0:
+        elif len(nonzero) == block and coords[0].numerator < 0:
+            num, den = coords[0].numerator, coords[0].denominator
+            if any(x.numerator != num or x.denominator != den for x in coords):
+                return None
             out.append((-coords[0], 0))
         else:
             return None
     return out
-
-
-_ZERO = Fraction(0)
 
 
 def support_point(

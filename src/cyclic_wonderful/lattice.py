@@ -512,12 +512,18 @@ def is_nested(s: Iterable[DecoratedSubset], g: BuildingSet) -> bool:
     """Nestedness of s relative to the maximal building set g.
 
     For the maximal building set the nested sets are exactly the chains, so
-    this is the neighbour test of ``_first_unnested_pair``.
+    this is the neighbour test of ``_first_unnested_pair``.  Labels that
+    already pass it in the order given (each strictly below the next, as the
+    stellar build's final pass hands them) form a chain with no sort; any
+    others are sorted by ``sort_key``, with repeats dropped, and tested
+    again.
     """
     if not g.is_maximal:
         raise ValueError("nestedness is decided for the maximal building set only")
-    s_list = sorted(set(s), key=DecoratedSubset.sort_key)
+    s_list = list(s)
     stray = [d for d in s_list if d not in g.elements]
     if stray:
-        raise ValueError(f"{stray[0].text()} is not in the building set")
-    return _first_unnested_pair(s_list) is None
+        raise ValueError(f"{min(stray, key=DecoratedSubset.sort_key).text()} is not in the building set")
+    if _first_unnested_pair(s_list) is None:
+        return True
+    return _first_unnested_pair(sorted(set(s_list), key=DecoratedSubset.sort_key)) is None

@@ -30,8 +30,9 @@ Membership in a cone of a fan or a cell of a normal complex is one kind of
 question: do a few sparse integer row tests ``(row, lo, hi)``, meaning
 ``lo * D <= row . p <= hi * D``, all hold at a point ``p / D``.
 ``tests_hold`` answers it for one member, stopping at the first failing
-test.  ``SharedRowIndex`` finds the first member of a scan (the maximal
-cones of a fan, the cells of a normal complex) whose tests all hold; the
+test.  ``SharedRowIndex`` finds the members of a scan (the maximal cones
+of a fan, the cells of a normal complex, the cones the intersection law
+meets) whose tests all hold, as a bitmask, or the first of them; the
 members share most of their rows, so it evaluates each distinct row, up to
 sign, once per point and drops members by bitmask.
 
@@ -281,7 +282,8 @@ def tests_hold(tests: Iterable[RowTest], p: Sequence[int], scale: int) -> bool:
 
 
 class SharedRowIndex:
-    """The first member, in scan order, whose integer row tests all hold.
+    """The members, in scan order, whose integer row tests all hold: all of
+    them as a bitmask (``holding``), or the first (``first``).
 
     A member holds at ``p / scale`` (p an integer vector, scale > 0) when
     ``tests_hold(tests(member), p, scale)``.
@@ -294,8 +296,8 @@ class SharedRowIndex:
     pair of bounds it is tested against, the mask of the members that
     survive that test failing.  A query evaluates each distinct row at most
     once, skipping a row that no member still alive uses, and ANDs away the
-    members of every test that fails; the lowest surviving bit is the first
-    member that holds.
+    members of every test that fails; the surviving bits are the members
+    that hold, and the lowest of them is the first.
     """
 
     def __init__(self, members: Sequence, tests: Callable[[Any], Iterable[RowTest]]) -> None:
@@ -328,8 +330,9 @@ class SharedRowIndex:
             for row, (users, checks) in folded.items()
         )
 
-    def first(self, p: Sequence[int], scale: int) -> int | None:
-        """Position of the first member that holds at ``p / scale``, or None."""
+    def holding(self, p: Sequence[int], scale: int) -> int:
+        """The bitmask of every member that holds at ``p / scale``: bit k is
+        set exactly when the k-th member's tests all hold there."""
         alive = self._all
         for row, users, checks in self._rows:
             if not users & alive:
@@ -341,7 +344,13 @@ class SharedRowIndex:
                 if (lo is not None and s < lo * scale) or (hi is not None and s > hi * scale):
                     alive &= keep
                     if not alive:
-                        return None
+                        return 0
+        return alive
+
+    def first(self, p: Sequence[int], scale: int) -> int | None:
+        """Position of the first member that holds at ``p / scale``, or None:
+        the lowest bit of ``holding``."""
+        alive = self.holding(p, scale)
         return (alive & -alive).bit_length() - 1 if alive else None
 
 
@@ -375,8 +384,10 @@ def scaled_point(point: Vector, dim: int) -> tuple[tuple[int, ...], int]:
     if kinds <= {int}:
         return tuple(point), 1
     if kinds <= {int, Fraction}:
-        scale = lcm(*[x.denominator for x in point])
-        return tuple([x.numerator * (scale // x.denominator) for x in point]), scale
+        nums = [x.numerator for x in point]
+        dens = [x.denominator for x in point]
+        scale = lcm(*dens)
+        return tuple([a * (scale // d) for a, d in zip(nums, dens)]), scale
     (p,), scale = integer_scaled([point])
     return p, scale
 

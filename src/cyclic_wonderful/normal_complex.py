@@ -53,6 +53,7 @@ from __future__ import annotations
 import itertools
 from functools import cache, cached_property, partial
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Iterator, Sequence
 
 from .guards import COUNT_CAP, check_normal_complex
@@ -173,6 +174,15 @@ def _vertex_lengths(n: int) -> tuple[FracVec, ...]:
     return tuple(vertices)
 
 
+@cache
+def _scaled_vertex_lengths(n: int) -> tuple[tuple[int, ...], ...]:
+    """``_vertex_lengths(n)`` times the common denominator of all of them:
+    integer lengths that, placed like the vertices, sort like them."""
+    vertices = _vertex_lengths(n)
+    common = lcm(*[y.denominator for v in vertices for y in v])
+    return tuple(tuple([y.numerator * (common // y.denominator) for y in v]) for v in vertices)
+
+
 # A level's step e_i^b: the factor i the level adds and the residue b.
 _Step = tuple[int, int]
 # Where a step lies, as ``fan.block_slot`` gives it: the offset of its
@@ -199,6 +209,18 @@ def _on_steps(spec: ArrangementSpec, steps: list[_Step], values: Sequence[Fracti
     for (i, b), x in zip(steps, values):
         decomposition[i - 1] = (x, b)
     return support_point(spec, decomposition)
+
+
+def _vertex_key(slots: list[_Slot], block: int, dim: int, values: Sequence[int]) -> list[int]:
+    """The integer vector of ``_on_steps`` placed from where the steps lie:
+    value j at step j's slot, or its negative across a residue-0 block."""
+    key = [0] * dim
+    for (off, slot), x in zip(slots, values):
+        if slot is None:
+            key[off : off + block] = [-x] * block
+        else:
+            key[slot] = x
+    return key
 
 
 def _placed_test(units: list[tuple[_Slot, int]], bound: int, block: int) -> RowTest:
@@ -279,6 +301,10 @@ def cell_polytope(chain: Chain, spec: ArrangementSpec) -> Polytope:
     steps = _level_steps(chain, spec)
     slots = [block_slot(spec, i, b) for i, b in steps]
     ambient = [_on_steps(spec, steps, y) for y in _vertex_lengths(len(steps))]
+    # sorted by integer keys: the lengths over their common denominator,
+    # placed the same way, so no Fraction is compared
+    keys = [_vertex_key(slots, block, dim, y) for y in _scaled_vertex_lengths(len(steps))]
+    v_rep = tuple([ambient[k] for k in sorted(range(len(ambient)), key=keys.__getitem__)])
 
     h_rep: list[tuple[FracVec, Fraction]] = []
     for first, f in _span_slots(slots, block):
@@ -295,7 +321,7 @@ def cell_polytope(chain: Chain, spec: ArrangementSpec) -> Polytope:
     for j in range(len(steps)):
         h_rep.append((_on_steps(spec, steps, units[: j + 1]), Fraction(delta(spec.n, j + 1))))
     return Polytope(
-        tuple(h_rep), tuple(sorted(ambient)), chain, partial(_cell_tests, slots, block, spec.n)
+        tuple(h_rep), v_rep, chain, partial(_cell_tests, slots, block, spec.n)
     )
 
 

@@ -11,6 +11,13 @@ samples (rationals, ambient points, curves) are defined purely in terms of
 that draw, in the order written below.  A support point takes all its
 draws first, direction then length per factor, and is then placed from
 them (``fan.support_point``), so placing it draws nothing.
+
+Each generator builds every sampled rational once: the ``Fraction`` of a
+drawn ``(numerator, denominator)`` pair is kept on the generator, and a
+later equal draw returns that same object.  The cache holds at most one
+entry per distinct pair drawn (a few hundred for the suites' bounds) and
+lives as long as the generator; the draws, the values and their type are
+those of a fresh ``Fraction(num, den)``.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ _MASK = (1 << 64) - 1
 class Lcg:
     def __init__(self, seed: int = 0):
         self.state = seed & _MASK
+        self._fractions: dict[tuple[int, int], Fraction] = {}
 
     def next_u64(self) -> int:
         self.state = (_MULT * self.state + _INC) & _MASK
@@ -38,24 +46,33 @@ class Lcg:
         """Uniform-ish integer in [0, m)."""
         if m <= 0:
             raise ValueError("m must be positive")
-        return (self.next_u64() >> 16) % m
+        # next_u64, written out: every sampled value draws through here
+        self.state = state = (_MULT * self.state + _INC) & _MASK
+        return (state >> 16) % m
+
+    def _fraction(self, num: int, den: int) -> Fraction:
+        """``Fraction(num, den)``, built once per generator for each pair."""
+        x = self._fractions.get((num, den))
+        if x is None:
+            x = self._fractions[num, den] = Fraction(num, den)
+        return x
 
     def fraction(self, max_abs: int, max_den: int = 4) -> Fraction:
         """Rational in [-max_abs, max_abs]: denominator first, then numerator."""
         den = 1 + self.below(max_den)
         num = self.below(2 * max_abs * den + 1) - max_abs * den
-        return Fraction(num, den)
+        return self._fraction(num, den)
 
 
 def sample_ambient_point(rng: Lcg, spec: ArrangementSpec, max_abs: int = 8) -> tuple[Fraction, ...]:
     """A point of the ambient lattice space with small rational coordinates."""
-    return tuple(rng.fraction(max_abs) for _ in range(spec.ambient_dim))
+    return tuple([rng.fraction(max_abs) for _ in range(spec.ambient_dim)])
 
 
 def sample_support_point(rng: Lcg, spec: ArrangementSpec, max_abs: int = 4) -> tuple[Fraction, ...]:
     """A point of the fan's support: per factor, a direction and a length."""
     # per factor, direction then length; direction r means "length zero"
-    draws = [(rng.below(spec.r + 1), Fraction(rng.below(4 * max_abs), 4)) for _ in range(spec.n)]
+    draws = [(rng.below(spec.r + 1), rng._fraction(rng.below(4 * max_abs), 4)) for _ in range(spec.n)]
     return support_point(spec, [(x, a if a < spec.r else None) for a, x in draws])
 
 
@@ -85,10 +102,10 @@ def sample_curve(rng: Lcg, spec: ArrangementSpec, max_abs: int = 6) -> TropicalC
         direction = rng.below(spec.r + 1)
         if direction == spec.r:
             spokes.append(CENTER)
-            lengths.append(Fraction(0))
+            lengths.append(rng._fraction(0, 1))
         else:
             spokes.append(direction)
             den = 1 + rng.below(4)
             num = 1 + rng.below(max_abs * den)
-            lengths.append(Fraction(num, den))
+            lengths.append(rng._fraction(num, den))
     return TropicalCurve(tuple(spokes), tuple(lengths))

@@ -36,7 +36,7 @@ from .lattice import (
     chain_intersect,
     enumerate_chains,
 )
-from .linalg import extreme_points
+from .linalg import SharedRowIndex, extreme_points
 from .sampling import Lcg, sample_curve, sample_mixed_points
 
 # suite "x" is the function suite_x, looked up by name when it runs, so the
@@ -73,43 +73,51 @@ def intersection_law_failures(
     and the sum of its rays (a point interior enough to catch mismatches),
     lies in the other cone exactly when it lies in the expected one.
 
-    The pairs share their cones and points, so each chain's points are
-    built once, and each (cone, point) test runs ``Cone.contains`` once per
-    call: two bitmasks per point, over the chains met so far, record which
-    cones were tested there and which of them hold it.
+    The pairs share their cones and points.  Only the chains the pairs meet
+    (a, b and a ∧ b) are registered, in first-met order, in one
+    ``SharedRowIndex`` of their cones' tests; the rayless cone's tests pin
+    every coordinate to 0, so it holds only the origin.  Each distinct ray
+    or ray-sum point is then evaluated once, as the mask of the met cones
+    that hold it, and every pair is decided by bit tests on those masks.
     """
-    met: dict[Chain, tuple[int, Cone, tuple[Vector, ...]]] = {}
-    masks: dict[Vector, list[int]] = {}  # point -> [tested, inside]
+    pairs = list(pairs)
+    bits: dict[Chain, int] = {}
+    cones: list[Cone] = []
+    met = []
+    for a, b in pairs:
+        trio = []
+        for chain in (a, b, chain_intersect(a, b)):
+            k = bits.get(chain)
+            if k is None:
+                k = bits[chain] = len(cones)
+                cones.append(fan.cone(chain))
+            trio.append(k)
+        met.append(trio)
+    origin = tuple([(((i, 1),), 0, 0) for i in range(fan.spec.ambient_dim)])
+    index = SharedRowIndex(cones, lambda cone: cone._inverse.tests if cone.rays else origin)
+    masks: dict[Vector, int] = {}
+    # per met cone, the masks at its rays and then at the sum of its rays
+    held: list[tuple[int, ...]] = []
+    for cone in cones:
+        points = (*cone.rays, tuple(map(sum, zip(*cone.rays)))) if cone.rays else ()
+        row = []
+        for p in points:
+            mask = masks.get(p)
+            if mask is None:
+                mask = masks[p] = index.holding(p, 1)
+            row.append(mask)
+        held.append(tuple(row))
 
-    def member(chain: Chain) -> tuple[int, Cone, tuple[Vector, ...]]:
-        entry = met.get(chain)
-        if entry is None:
-            cone = fan.cone(chain)
-            points = (*cone.rays, tuple(map(sum, zip(*cone.rays)))) if cone.rays else ()
-            entry = met[chain] = (1 << len(met), cone, points)
-        return entry
-
-    def contains(entry: tuple[int, Cone, tuple[Vector, ...]], p: Vector) -> bool:
-        bit, cone, _ = entry
-        mask = masks.get(p)
-        if mask is None:
-            mask = masks[p] = [0, 0]
-        if not mask[0] & bit:
-            mask[0] |= bit
-            if cone.contains(p):
-                mask[1] |= bit
-        return bool(mask[1] & bit)
-
-    def holds(a: Chain, b: Chain) -> bool:
-        ea, eb, expected = member(a), member(b), member(chain_intersect(a, b))
-        if not all(contains(ea, g) and contains(eb, g) for g in expected[1].rays):
+    def holds(ka: int, kb: int, kx: int) -> bool:
+        both, expected = 1 << ka | 1 << kb, 1 << kx
+        if any(mask & both != both for mask in held[kx][:-1]):
             return False
-        for this, other in ((ea, eb), (eb, ea)):
-            if any(contains(other, p) != contains(expected, p) for p in this[2]):
+        for this, other in ((ka, 1 << kb), (kb, 1 << ka)):
+            if any(bool(mask & other) != bool(mask & expected) for mask in held[this]):
                 return False
         return True
 
-    return [(a, b) for a, b in pairs if not holds(a, b)]
+    return [pair for pair, trio in zip(pairs, met) if not holds(*trio)]
 
 
 def suite_fan(spec: ArrangementSpec, seed: int = 0) -> list[CheckResult]:

@@ -17,6 +17,7 @@ equalities; there is no epsilon anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .fan import support_decomposition, support_point
@@ -35,9 +36,11 @@ class TropicalCurve(_Value):
         if len(spokes) != len(lengths):
             raise ValueError("spokes and lengths must have equal length")
         for k, (s, length) in enumerate(zip(spokes, lengths)):
-            if length < 0:
+            # a Fraction has the sign of its numerator
+            sign = length.numerator if type(length) is Fraction else length
+            if sign < 0:
                 raise ValueError(f"negative length {length} for orbit {k + 1}")
-            if (length == 0) != (s is CENTER):
+            if (sign == 0) != (s is CENTER):
                 raise ValueError(
                     f"orbit {k + 1}: zero length exactly when on the center"
                 )
@@ -79,15 +82,34 @@ def combinatorial_type(curve: TropicalCurve, spec: ArrangementSpec) -> Chain:
     Decorate each orbit i off the center (of positive length) by -l_i mod r;
     for each distinct length v, in decreasing order, the prefix keeps the
     orbits of length >= v.  These restrictions nest, so they are not checked.
+    The distinct lengths are found by sorting integer keys with the lengths'
+    order (``_length_keys``) and comparing neighbours.
     """
     validate_curve(curve, spec)
     lengths = curve.lengths
     top = [(i, (-s) % spec.r) for i, s in enumerate(curve.spokes, start=1) if s is not CENTER]
+    keys = _length_keys([lengths[i - 1] for i, _ in top])
+    levels = sorted(keys, reverse=True)
     prefixes = [
-        DecoratedSubset(tuple([p for p in top if lengths[p[0] - 1] >= v]))
-        for v in sorted({lengths[i - 1] for i, _ in top}, reverse=True)
+        DecoratedSubset(tuple([p for p, key in zip(top, keys) if key >= v]))
+        for k, v in enumerate(levels)
+        if k + 1 == len(levels) or levels[k + 1] != v
     ]
     return Chain._trusted(tuple(prefixes))
+
+
+def _length_keys(lengths: list) -> list:
+    """Keys in the order of the lengths and equal exactly when they are:
+    ``Fraction`` and ``int`` lengths times their common denominator, each
+    numerator and denominator read once, so no ``Fraction`` is compared or
+    hashed; any other lengths are their own keys.  Written here, not shared
+    with ``linalg.scaled_point``: the scan that ``check`` compares this
+    route with clears its points through that."""
+    if not all(type(x) is Fraction or type(x) is int for x in lengths):
+        return lengths
+    dens = [x.denominator for x in lengths]
+    common = lcm(*dens)
+    return [x.numerator * (common // d) for x, d in zip(lengths, dens)]
 
 
 def curve_from_point(

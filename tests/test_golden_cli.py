@@ -36,7 +36,9 @@ each factor's length in its block (500 curves embedded, round-tripped and
 located at n >= 3), and the off-support ``locate --point`` and the
 ``locate --curve`` at (4,4) before ``locate`` read the chain off the
 tropical curve, certified on that chain's cone, instead of scanning the
-fan; any later change that alters
+fan, and the full ``check`` runs at (3,2) with seed 11 and (2,3) with seed
+12 before the sampled rationals were built once per value and the
+intersection law read one membership mask per point; any later change that alters
 a byte of these outputs fails here.  The whole corpus runs in-process through
 ``cli.main`` in a few seconds.  To re-record after an
 intended output change, print ``hashlib.sha256(stdout).hexdigest()`` for each
@@ -91,6 +93,8 @@ GOLDEN = [
     ("fan --r 2 --n 4 --via-stellar", 0, "b129809afd2184a031f0d0d5d3a9ffca6cb0b4ae4053e7cdbf63f38110f75fb2"),
     ("check --r 3 --n 2 --seed 5", 0, "cd5b0acba8a2c603b9c0a4a3305b680cf2da2b3a78b7abc158f2f0168cc53c8e"),
     ("check --r 2 --n 3 --seed 5", 0, "4fc58a13e9c481f14879e80a1e63648f1a3815c1139bc8ff7a1aadcb03b25882"),
+    ("check --r 3 --n 2 --seed 11", 0, "07585834145dbd9c41b7b2be45a8bd6e48902b1c5664305cc3f9662720df4374"),
+    ("check --r 2 --n 3 --seed 12", 0, "4fc58a13e9c481f14879e80a1e63648f1a3815c1139bc8ff7a1aadcb03b25882"),
     ("fan --r 4 --n 3 --format json", 0, "df1a8a5b875058da880dfa3206a1bb99b2dc868b2604290de0498a4254d149ca"),
     ("locate --r 4 --n 3 --point 1,0,0,0,2,0,-1,-1,-1", 0, "3020828e5452ea6de027f8d5a3f48ec0743f6d2b6c56e8e378df8418e2b714e0"),
     ("check --r 3 --n 3 --suite fan --seed 1", 0, "869ad75cc7075987fc052df1704867491ef20055cde3b34b7404c7914f5a694c"),

@@ -1,11 +1,13 @@
 """Combinatorics tests: posets, chains, nestedness."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cyclic_wonderful import lattice
 from cyclic_wonderful.chow import nonempty_chain_count
 from cyclic_wonderful.fan import build_fan
 from cyclic_wonderful.lattice import (
@@ -396,6 +398,31 @@ def test_is_nested_rejects_elements_outside_the_building_set():
     g = BuildingSet.maximal(ArrangementSpec(2, 1))
     with pytest.raises(ValueError, match="not in the building set"):
         is_nested({ds((1, 0), (2, 0))}, g)
+    # the stray label named is the first in sort order, however they come
+    with pytest.raises(ValueError, match=r"\{1:0,2:0\} is not"):
+        is_nested([ds((1, 0), (2, 0), (3, 0)), ds((1, 0)), ds((1, 0), (2, 0))], g)
+
+
+@pytest.mark.parametrize("r,n", [(2, 3), (3, 2)])
+def test_is_nested_sorts_only_labels_that_are_not_a_chain_as_given(monkeypatch, r, n):
+    spec = ArrangementSpec(r, n)
+    g = BuildingSet.maximal(spec)
+    chains = list(enumerate_chains(spec, n))
+    sorts = []
+    monkeypatch.setattr(
+        lattice, "sorted", lambda *a, **k: sorts.append(a) or sorted(*a, **k), raising=False
+    )
+    assert all(is_nested(chain.prefixes, g) for chain in chains)
+    assert sorts == []
+    # any order and any repeats give the answer of the sorted distinct labels
+    rnd = random.Random(n)
+    elements = enumerate_decorated_subsets(spec)
+    for chain in chains[::3]:
+        labels = list(chain.prefixes) * 2
+        rnd.shuffle(labels)
+        assert is_nested(labels, g)
+        extra = labels + [rnd.choice(elements)]
+        assert is_nested(extra, g) == is_nested(sorted(set(extra), key=DecoratedSubset.sort_key), g)
 
 
 def test_is_nested_rejects_a_non_maximal_building_set():

@@ -13,7 +13,7 @@ import sys
 import pytest
 
 from cyclic_wonderful import fan as fan_module
-from cyclic_wonderful.fan import build_fan, build_fan_stellar, locate_point
+from cyclic_wonderful.fan import build_fan, build_fan_stellar, in_relative_interior, locate_point
 from cyclic_wonderful.lattice import ArrangementSpec, BuildingSet
 from cyclic_wonderful.normal_complex import complex_cells, in_delta
 from cyclic_wonderful.sampling import Lcg, sample_mixed_points
@@ -77,6 +77,37 @@ def test_curve_type_and_cone_scan_share_only_the_allowed_functions():
     assert {"tropical.combinatorial_type", "fan.support_decomposition"} <= curve_calls
     assert {"linalg.SharedRowIndex.first", "fan._bareiss_step"} <= scan_calls
     assert curve_calls & scan_calls <= set(CURVE_TYPE_VS_CONE_SCAN)
+
+
+# ``locate``'s certificate: the curve's type against that one chain's cone,
+# built from the chain's own rays with no fan
+CURVE_TYPE_VS_CERTIFICATE = {
+    "lattice.ArrangementSpec.ambient_dim": "both check the point's length against the spec",
+}
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="names functions by co_qualname")
+def test_curve_type_and_relative_interior_certificate_share_only_the_allowed_functions():
+    spec = ArrangementSpec(3, 2)
+    # on the support, on its faces and at the origin: the points locate certifies
+    points = [p for p in sample_mixed_points(Lcg(7), spec, 60) if curve_from_point(p, spec)]
+    points += [(0, 0, 0, 0), (0, 2, 0, 0), (0, 2, -1, -1)]
+    chains = [combinatorial_type(curve_from_point(p, spec), spec) for p in points]
+
+    def curve_route():
+        for point in points:
+            combinatorial_type(curve_from_point(point, spec), spec)
+
+    def certificate_route():
+        # no cached elimination state or row test: the cone's inverse counts
+        fan_module._prefix_elimination.cache_clear()
+        fan_module._row_test.cache_clear()
+        assert all(in_relative_interior(c, p, spec) for c, p in zip(chains, points))
+
+    curve_calls, certificate_calls = _called(curve_route), _called(certificate_route)
+    assert {"tropical.combinatorial_type", "fan.support_decomposition"} <= curve_calls
+    assert {"fan.in_relative_interior", "fan._bareiss_step", "fan.ray_vector"} <= certificate_calls
+    assert curve_calls & certificate_calls <= set(CURVE_TYPE_VS_CERTIFICATE)
 
 
 # "cells tile the truncated support": membership in the placed cells against

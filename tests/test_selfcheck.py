@@ -5,14 +5,17 @@ import itertools
 
 import pytest
 
-from cyclic_wonderful import tropical
+from cyclic_wonderful import selfcheck, tropical
 from cyclic_wonderful.fan import Cone, Fan, build_fan
 from cyclic_wonderful.lattice import (
     ArrangementSpec,
     BuildingSet,
     chain_intersect,
     enumerate_chains,
+    parse_chain,
+    parse_subset,
 )
+from cyclic_wonderful.linalg import SharedRowIndex
 from cyclic_wonderful.sampling import Lcg
 from cyclic_wonderful.selfcheck import (
     intersection_law_failures,
@@ -85,25 +88,79 @@ def test_a_perturbed_ray_fails_the_same_pairs_in_both_versions(r, n):
     assert failures and all(chain in pair for pair in failures)
 
 
+def test_a_meet_cone_with_a_ray_outside_both_cones_fails_by_its_rays():
+    fan = fan_of(3, 2)
+    spec = fan.spec
+    a, b = parse_chain("{1:0}<{1:0,2:0}", spec), parse_chain("{1:0}<{1:0,2:1}", spec)
+    meet = chain_intersect(a, b)
+    # the meet's cone gains the ray of {2:2}, which lies in neither cone; the
+    # rays and ray sums of a and b still lie in it exactly when in the other
+    # cone, so only the test of the meet's rays sees the break
+    cone = fan.cone(meet)
+    grown = Cone((*cone.rays, fan.rays[parse_subset("{2:2}", spec)]), cone.label)
+    broken = Fan(spec, fan.rays, {**fan.cones, meet: grown})
+    assert intersection_law_failures(broken, [(a, b)]) == reference_failures(broken, [(a, b)]) == [(a, b)]
+
+
+class _RecordingIndex(SharedRowIndex):
+    """A shared-row index that records its members and every ``holding``."""
+
+    def __init__(self, members, tests, log):
+        super().__init__(members, tests)
+        self.members, self.calls = list(members), []
+        log.append(self)
+
+    def holding(self, p, scale):
+        mask = super().holding(p, scale)
+        self.calls.append((p, scale, mask))
+        return mask
+
+
+def _record_indexes(monkeypatch):
+    log = []
+    monkeypatch.setattr(
+        selfcheck, "SharedRowIndex", lambda members, tests: _RecordingIndex(members, tests, log)
+    )
+    return log
+
+
 def test_each_distinct_cone_point_test_runs_once(monkeypatch):
     fan = fan_of(3, 2)
     distinct = set()
     for a, b in law_pairs(fan):
-        per_pair_law(fan, a, b, lambda cone, p: distinct.add((cone.label, p)) or cone.contains(p))
-    calls = []
-    contains = Cone.contains
-
-    def counted(self, point):
-        calls.append((self.label, point))
-        return contains(self, point)
-
-    monkeypatch.setattr(Cone, "contains", counted)
+        per_pair_law(fan, a, b, lambda cone, p: distinct.add(p) or cone.contains(p))
+    log = _record_indexes(monkeypatch)
+    contains_calls = []
+    monkeypatch.setattr(Cone, "contains", lambda self, p: contains_calls.append(p))
     results = suite_fan(ArrangementSpec(3, 2), seed=5)
     law = next(res for res in results if res.name == "cone intersection law")
     assert (law.status, law.detail) == ("PASS", "1156 pairs checked, 0 failures")
-    # every Cone.contains of the suite is the law's, one per distinct test
-    assert len(calls) == len(set(calls)) == len(distinct) == 1122
-    assert set(calls) == distinct
+    monkeypatch.undo()
+    # the law calls no Cone.contains: one index over the 34 chains, one
+    # holding per distinct ray or ray-sum point, each an integer point
+    assert contains_calls == []
+    (index,) = log
+    assert len(index.members) == len(set(map(id, index.members))) == 34
+    points = [p for p, _, _ in index.calls]
+    assert len(points) == len(set(points)) == len(distinct) == 33
+    assert set(points) == distinct
+    assert {scale for _, scale, _ in index.calls} == {1}
+    for p, _, mask in index.calls:
+        assert [bool(mask >> k & 1) for k in range(34)] == [c.contains(p) for c in index.members]
+    # the rayless cone holds none of the law's points, but the origin, which
+    # every cone holds
+    rayless = next(k for k, c in enumerate(index.members) if not c.rays)
+    assert not any(mask >> rayless & 1 for _, _, mask in index.calls)
+    assert index.holding((0, 0, 0, 0), 1) == (1 << 34) - 1
+
+
+def test_a_one_pair_call_registers_only_the_chains_it_meets(monkeypatch):
+    fan = fan_of(2, 3)
+    log = _record_indexes(monkeypatch)
+    for a, b in law_pairs(fan, 5)[::97]:
+        assert intersection_law_failures(fan, iter([(a, b)])) == []
+        met = [fan.cone(c) for c in dict.fromkeys([a, b, chain_intersect(a, b)])]
+        assert log.pop().members == met
 
 
 def test_tropical_suite_embeds_each_curve_once(monkeypatch):
