@@ -59,7 +59,6 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import gcd
 from operator import add, sub
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -78,7 +77,6 @@ from .lattice import (
 from .linalg import (
     RowTest,
     SharedRowIndex,
-    combine,
     scaled_point,
     smith_divisors,
     tests_hold,
@@ -95,44 +93,31 @@ def basis_labels(spec: ArrangementSpec) -> list[str]:
 def block_slot(spec: ArrangementSpec, i: int, a: int) -> tuple[int, int | None]:
     """Where e_i^a lies: the offset of factor i's block of r - 1 coordinates,
     and the index of its one entry 1, or None for residue 0, whose image is
-    -1 across the whole block.  ``basis_image``, ``support_point`` and the
+    -1 across the whole block.  ``ray_vector``, ``support_point`` and the
     normal cells all place e_i^a through it."""
     off = (i - 1) * (spec.r - 1)
     a %= spec.r
     return off, off + a - 1 if a else None
 
 
-def basis_image(spec: ArrangementSpec, i: int, a: int) -> Vector:
-    """Integer coordinates of the image of e_i^a, for any residue a in Z_r."""
-    if not 1 <= i <= spec.n:
-        raise ValueError(f"factor index {i} outside [1, {spec.n}]")
-    off, slot = block_slot(spec, i, a)
-    vec = [0] * spec.ambient_dim
-    if slot is None:
-        vec[off : off + spec.r - 1] = [-1] * (spec.r - 1)
-    else:
-        vec[slot] = 1
-    return tuple(vec)
-
-
 def ray_vector(d: DecoratedSubset, spec: ArrangementSpec) -> Vector:
-    """Primitive generator of the ray labelled by a nonempty decorated subset."""
+    """Primitive generator of the ray labelled by a nonempty decorated subset.
+
+    Each factor (i, a) of the subset places e_i^(-a) into its own block, so
+    the entries are 0 or +-1 with at least one nonzero: the vector is
+    primitive."""
     if d.size == 0:
         raise ValueError("the empty decorated subset has no ray")
     validate_subset(d, spec)
-    vec = combine(
-        [1] * d.size, [basis_image(spec, i, -a) for i, a in d.items], spec.ambient_dim
-    )
-    # entries are 0 or +-1 with at least one nonzero, hence already primitive
-    assert _vector_gcd(vec) == 1
-    return vec
-
-
-def _vector_gcd(vec: Iterable[int]) -> int:
-    g = 0
-    for x in vec:
-        g = gcd(g, x)
-    return g
+    block = spec.r - 1
+    vec = [0] * spec.ambient_dim
+    for i, a in d.items:
+        off, slot = block_slot(spec, i, -a)
+        if slot is None:
+            vec[off : off + block] = [-1] * block
+        else:
+            vec[slot] = 1
+    return tuple(vec)
 
 
 # The state of a fraction-free (Bareiss) Gauss-Jordan elimination of

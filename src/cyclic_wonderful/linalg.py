@@ -10,14 +10,13 @@ Dense rational elimination is written once, in ``_rref``: ``solve_columns``
 reads its answer off it, and so do the tests' rank and nullspace
 references.  No command runs it: the rank of a cone's generators
 (``fan.cone_dim``) is the count of nonzero ``smith_divisors``, and a normal
-cell's span rows are a closed form.  ``combine`` forms the sums
-sum_j c_j v_j of ray vectors and of the union's extreme points, but not
-every sum: a vector that is one multiple of a basis image per factor (a
-curve's embedding, a sampled support point, a normal cell's vertices and
-rows) is built by placement, in ``fan.support_point`` and
-``normal_complex.cell_polytope``, with no ``Fraction(0) + c * x`` per
-entry.  ``solve_columns`` shares nothing with the integer cone kernel of
-:mod:`cyclic_wonderful.fan`, whose reference it is.
+cell's span rows are a closed form.  No vector is summed here either:
+every vector the fan and the normal complex are built from (a ray, a
+curve's embedding, a sampled support point, an extreme point of the union,
+a normal cell's vertices and rows) is one multiple of a basis image per
+factor, placed through ``fan.block_slot``.  ``solve_columns`` shares
+nothing with the integer cone kernel of :mod:`cyclic_wonderful.fan`, whose
+reference it is.
 
 Sparse integer elimination (``SparseEliminator``) updates each row in place:
 against a pivot row of lead 1 it subtracts a multiple over the pivot's
@@ -50,21 +49,6 @@ from math import gcd, lcm
 from typing import Any, Callable, Iterable, Sequence
 
 Vector = Sequence  # any indexable of ints/Fractions
-
-
-def combine(coeffs: Iterable, vectors: Iterable[Vector], dim: int, zero=0) -> tuple:
-    """sum_j coeffs[j] * vectors[j] in dimension dim, skipping zero terms.
-
-    An entry no term touches stays ``zero``; pass ``Fraction(0)`` for a
-    rational result.
-    """
-    out = [zero] * dim
-    for c, vec in zip(coeffs, vectors):
-        if c:
-            for i, x in enumerate(vec):
-                if x:
-                    out[i] += c * x
-    return tuple(out)
 
 
 def _rref(rows: Sequence[Vector], ncols: int) -> tuple[list[list[Fraction]], list[int]]:

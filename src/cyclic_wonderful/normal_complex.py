@@ -26,17 +26,18 @@ off the cone coefficients are differences of the steps scaled by their
 squared norms, and the span rows are unit vectors (differences of two in a
 residue-0 block) at the slots the steps leave free.  In per-level lengths
 every cell is the same polytope, combinatorially a cube, whose 2^n
-vertices depend on n only and are computed once.  Each entry of a vertex or
-row is placed into its factor's block, never summed.
+vertices depend on n only and are computed once.
 
-Membership is integer arithmetic: each cell holds its H-rows cleared of
-denominators as ``linalg.RowTest`` tests ``(normal, None, bound)``, each
-normal kept as its nonzero (index, coeff) pairs, and a rational point p / D
-(p integer, D > 0) satisfies ``normal . v <= bound`` exactly when
-``normal_int . p <= bound_int * D``.  The tests are placed with the rows: a
-row's scale is the lcm of the squared norms of the steps it holds, r - 1
-or 1.  One cell's membership test is ``linalg.tests_hold``, which stops at
-its first violated row.  The cells
+Each cell is placed once, in integers, every entry at its factor's block
+and none summed: a row as its ``linalg.RowTest`` test
+``(normal, None, bound)``, each normal kept as its nonzero (index, coeff)
+pairs, with the scale that clears it (the lcm of the squared norms of the
+steps it holds, r - 1 or 1), and a vertex over the common denominator of
+the cube's corners.  ``h_rep`` and ``v_rep`` are those integers over their
+scales.  Membership is integer arithmetic: a rational point p / D (p
+integer, D > 0) satisfies ``normal . v <= bound`` exactly when
+``normal_int . p <= bound_int * D``.  One cell's membership test is
+``linalg.tests_hold``, which stops at its first violated row.  The cells
 repeat their rows (253 distinct among the 6,912 H-rows at r = 4, n = 3,
 with 244 distinct normals), and a cell holds each equality as a pair of
 opposite rows, so the normals lie on 178 hyperplanes.  Membership in the
@@ -51,13 +52,13 @@ of the support decomposition), a route that shares none of it.
 from __future__ import annotations
 
 import itertools
-from functools import cache, cached_property, partial
+from functools import cache, cached_property
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Iterator, Sequence
+from typing import Sequence
 
 from .guards import COUNT_CAP, check_normal_complex
-from .fan import basis_image, block_slot, support_decomposition, support_point
+from .fan import block_slot, support_decomposition, support_point
 from .lattice import (
     ArrangementSpec,
     Chain,
@@ -69,7 +70,6 @@ from .lattice import (
 from .linalg import (
     RowTest,
     SharedRowIndex,
-    combine,
     scaled_point,
     tests_hold,
 )
@@ -96,9 +96,9 @@ class Polytope(_Frozen):
 
     Constraints read ``normal * v <= bound`` with the coordinate dot
     product; equalities carving out the cone's span appear as paired
-    opposite inequalities.  ``placed_tests`` returns the rows cleared of
-    denominators as ``cell_polytope`` places them; it runs on the first
-    membership test, so a command that never tests membership never builds
+    opposite inequalities.  ``tests`` are the same rows cleared of
+    denominators, as the tests ``(normal, None, bound)`` with each normal
+    kept as its nonzero ``(index, coeff)`` pairs; the record does not show
     them.
     """
 
@@ -109,19 +109,12 @@ class Polytope(_Frozen):
         h_rep: tuple[tuple[FracVec, Fraction], ...],
         v_rep: tuple[FracVec, ...],
         label: Chain,
-        placed_tests: Callable[[], tuple[RowTest, ...]],
+        tests: tuple[RowTest, ...],
     ) -> None:
         object.__setattr__(self, "h_rep", h_rep)
         object.__setattr__(self, "v_rep", v_rep)
         object.__setattr__(self, "label", label)
-        object.__setattr__(self, "_placed_tests", placed_tests)
-
-    @cached_property
-    def _tests(self) -> tuple[RowTest, ...]:
-        """Each H-row times the lcm of its denominators, as the test
-        ``(normal, None, bound)`` with the normal kept as its nonzero
-        ``(index, coeff)`` pairs."""
-        return self._placed_tests()
+        object.__setattr__(self, "_tests", tests)
 
     def contains(self, point: Sequence) -> bool:
         # the origin is a vertex of every cell, so v_rep gives the dimension
@@ -133,7 +126,7 @@ class NormalComplex(_Frozen):
     """The cells of one arrangement.
 
     Membership scales the point to integers once and asks whether some
-    cell's cached tests all hold, through a ``SharedRowIndex`` over every
+    cell's tests all hold, through a ``SharedRowIndex`` over every
     cell: each hyperplane of their rows is evaluated at most once per point.
     """
 
@@ -175,45 +168,37 @@ def _vertex_lengths(n: int) -> tuple[FracVec, ...]:
 
 
 @cache
-def _scaled_vertex_lengths(n: int) -> tuple[tuple[int, ...], ...]:
-    """``_vertex_lengths(n)`` times the common denominator of all of them:
-    integer lengths that, placed like the vertices, sort like them."""
+def _scaled_vertex_lengths(n: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """``_vertex_lengths(n)`` times the common denominator of all of them,
+    and that denominator: placed into a cell's blocks (``_vertex_key``),
+    these integers over it are the cell's vertices, and sort like them."""
     vertices = _vertex_lengths(n)
     common = lcm(*[y.denominator for v in vertices for y in v])
-    return tuple(tuple([y.numerator * (common // y.denominator) for y in v]) for v in vertices)
+    scaled = tuple(tuple([y.numerator * (common // y.denominator) for y in v]) for v in vertices)
+    return scaled, common
 
 
-# A level's step e_i^b: the factor i the level adds and the residue b.
-_Step = tuple[int, int]
-# Where a step lies, as ``fan.block_slot`` gives it: the offset of its
-# factor's block, and the index of its one entry 1, or None for residue 0.
+# Where a level's step e_i^b lies, as ``fan.block_slot`` gives it: the
+# offset of its factor's block, and the index of its one entry 1, or None
+# for residue 0.
 _Slot = tuple[int, int | None]
 
 
-def _level_steps(chain: Chain, spec: ArrangementSpec) -> list[_Step]:
-    """The step of each level of a maximal chain: the factor i it adds, at
-    residue a, steps along e_i^(-a)."""
-    steps, before = [], set()
+def _level_slots(chain: Chain, spec: ArrangementSpec) -> list[_Slot]:
+    """Where the step of each level of a maximal chain lies: the factor i it
+    adds, at residue a, steps along e_i^(-a)."""
+    slots, before = [], set()
     for prefix in chain.prefixes:
         ((i, a),) = [item for item in prefix.items if item[0] not in before]
         before.add(i)
-        steps.append((i, -a % spec.r))
-    return steps
-
-
-def _on_steps(spec: ArrangementSpec, steps: list[_Step], values: Sequence[Fraction]) -> FracVec:
-    """The vector sum_j values[j] f_j: the steps lie in distinct factor
-    blocks, so it is the support point with length values[j] along step j
-    (``fan.support_point``)."""
-    decomposition: list[tuple[Fraction | int, int | None]] = [(0, None)] * spec.n
-    for (i, b), x in zip(steps, values):
-        decomposition[i - 1] = (x, b)
-    return support_point(spec, decomposition)
+        slots.append(block_slot(spec, i, -a))
+    return slots
 
 
 def _vertex_key(slots: list[_Slot], block: int, dim: int, values: Sequence[int]) -> list[int]:
-    """The integer vector of ``_on_steps`` placed from where the steps lie:
-    value j at step j's slot, or its negative across a residue-0 block."""
+    """The integer vector sum_j values[j] f_j, placed from where the steps
+    lie: value j at step j's slot, or its negative across a residue-0
+    block."""
     key = [0] * dim
     for (off, slot), x in zip(slots, values):
         if slot is None:
@@ -223,45 +208,40 @@ def _vertex_key(slots: list[_Slot], block: int, dim: int, values: Sequence[int])
     return key
 
 
-def _placed_test(units: list[tuple[_Slot, int]], bound: int, block: int) -> RowTest:
-    """The integer test of the row ``sum sign * u`` over its units and the
-    given bound, scaled by lcm(|f|^2) over the units: ``block`` (= r - 1)
-    when one is a residue-0 step, else 1.  A residue-0 entry is then
-    ``-sign`` and a slot entry ``sign * scale``; blocks in ambient order."""
-    scale = block if any(slot is None for (_, slot), _ in units) else 1
-    pairs = []
-    for (off, slot), sign in sorted(units):
-        if slot is None:
-            pairs += [(k, -sign) for k in range(off, off + block)]
-        else:
-            pairs.append((slot, sign * scale))
-    return tuple(pairs), None, bound * scale
+def _cell_rows(slots: list[_Slot], block: int, n: int) -> list[tuple[RowTest, int]]:
+    """Each H-row of a cell as its integer test ``(pairs, None, bound)`` and
+    the scale that clears it, in ``cell_polytope``'s row order, placed from
+    where the level steps lie.
 
-
-def _span_slots(slots: list[_Slot], block: int) -> Iterator[tuple[int | None, int]]:
-    """The span rows' slots, block by block in ambient order: ``(first, f)``
-    for the row ``e_f - e_first`` of a residue-0 block, ``(None, f)`` for
-    the row ``e_f`` at a free slot of any other block."""
+    A span row has scale 1.  A coefficient or truncation row is
+    ``sum sign * u`` over its units u_j = f_j / |f_j|^2, scaled by their
+    lcm(|f_j|^2): ``block`` (= r - 1) when one is a residue-0 step, else 1.
+    A residue-0 entry is then ``-sign`` and a slot entry ``sign * scale``.
+    """
+    rows: list[tuple[RowTest, int]] = []
     for off, slot in sorted(slots):
-        if slot is None:
-            yield from ((off, f) for f in range(off + 1, off + block))
-        else:
-            yield from ((None, f) for f in range(off, off + block) if f != slot)
+        if slot is None:  # e_f - e_off for each later slot f of the block
+            spans = [((off, -1), (f, 1)) for f in range(off + 1, off + block)]
+        else:  # e_f for each other slot f
+            spans = [((f, 1),) for f in range(off, off + block) if f != slot]
+        for pairs in spans:
+            rows += [((pairs, None, 0), 1), ((tuple([(f, -a) for f, a in pairs]), None, 0), 1)]
 
+    def unit_row(units: list[tuple[_Slot, int]], bound: int) -> tuple[RowTest, int]:
+        scale = block if any(slot is None for (_, slot), _ in units) else 1
+        pairs = []
+        for (off, slot), sign in sorted(units):
+            if slot is None:
+                pairs += [(f, -sign) for f in range(off, off + block)]
+            else:
+                pairs.append((slot, sign * scale))
+        return (tuple(pairs), None, bound * scale), scale
 
-def _cell_tests(slots: list[_Slot], block: int, n: int) -> tuple[RowTest, ...]:
-    """The integer tests of a cell's H-rows, in ``cell_polytope``'s row
-    order, placed from where the level steps lie: no row is read."""
-    tests: list[RowTest] = []
-    for first, f in _span_slots(slots, block):
-        for sign in (1, -1):
-            pairs = ((f, sign),) if first is None else ((first, -sign), (f, sign))
-            tests.append((pairs, None, 0))
     for j, slot in enumerate(slots):
-        tests.append(_placed_test([(slot, -1)] + [(s, 1) for s in slots[j + 1 : j + 2]], 0, block))
+        rows.append(unit_row([(slot, -1)] + [(s, 1) for s in slots[j + 1 : j + 2]], 0))
     for j in range(len(slots)):
-        tests.append(_placed_test([(s, 1) for s in slots[: j + 1]], delta(n, j + 1), block))
-    return tuple(tests)
+        rows.append(unit_row([(s, 1) for s in slots[: j + 1]], delta(n, j + 1)))
+    return rows
 
 
 def cell_polytope(chain: Chain, spec: ArrangementSpec) -> Polytope:
@@ -285,11 +265,12 @@ def cell_polytope(chain: Chain, spec: ArrangementSpec) -> Polytope:
         u_j . f_s = [j = s], the row is -(u_j - u_{j+1}),
       * one truncation  (u_1 + ... + u_j) . v <= delta(n, j)  per flag level.
 
-    Each vertex and each nonnegativity or truncation row holds at most one
-    step per block, so it is a support point (``_on_steps``): every entry
-    is placed, none summed.  The rows' integer tests are placed the same
-    way, from the steps, on the cell's first membership test
-    (``_cell_tests``).
+    Each vertex and row holds at most one step per block, so it is placed
+    in integers, every entry at its slot with none summed: a vertex over
+    the common denominator of ``_scaled_vertex_lengths``, a row as its
+    integer test over its scale (``_cell_rows``).  The vertices sort by
+    those integers, and each entry of ``h_rep`` and ``v_rep`` is an integer
+    over its scale, one ``Fraction`` per distinct value.
     """
     if not chain.is_maximal(spec):
         raise ValueError(
@@ -297,32 +278,26 @@ def cell_polytope(chain: Chain, spec: ArrangementSpec) -> Polytope:
             "shared faces of the maximal cells"
         )
     dim, block = spec.ambient_dim, spec.r - 1
-    zero = Fraction(0)
-    steps = _level_steps(chain, spec)
-    slots = [block_slot(spec, i, b) for i, b in steps]
-    ambient = [_on_steps(spec, steps, y) for y in _vertex_lengths(len(steps))]
-    # sorted by integer keys: the lengths over their common denominator,
-    # placed the same way, so no Fraction is compared
-    keys = [_vertex_key(slots, block, dim, y) for y in _scaled_vertex_lengths(len(steps))]
-    v_rep = tuple([ambient[k] for k in sorted(range(len(ambient)), key=keys.__getitem__)])
+    slots = _level_slots(chain, spec)
+    fractions: dict[tuple[int, int], Fraction] = {}
 
+    def ratio(x: int, scale: int) -> Fraction:
+        q = fractions.get((x, scale))
+        if q is None:
+            q = fractions[x, scale] = Fraction(x, scale)
+        return q
+
+    scaled, common = _scaled_vertex_lengths(len(slots))
+    keys = sorted(_vertex_key(slots, block, dim, y) for y in scaled)
+    v_rep = tuple([tuple([ratio(x, common) for x in key]) for key in keys])
+    zero, rows = ratio(0, 1), _cell_rows(slots, block, spec.n)
     h_rep: list[tuple[FracVec, Fraction]] = []
-    for first, f in _span_slots(slots, block):
-        for sign in (1, -1):
-            w = [zero] * dim
-            w[f] = Fraction(sign)
-            if first is not None:
-                w[first] = Fraction(-sign)
-            h_rep.append((tuple(w), zero))
-    units = [Fraction(1) if b else Fraction(1, block) for _, b in steps]
-    for j in range(len(steps)):
-        row = _on_steps(spec, steps, [zero] * j + [-units[j], *units[j + 1 : j + 2]])
-        h_rep.append((row, zero))
-    for j in range(len(steps)):
-        h_rep.append((_on_steps(spec, steps, units[: j + 1]), Fraction(delta(spec.n, j + 1))))
-    return Polytope(
-        tuple(h_rep), v_rep, chain, partial(_cell_tests, slots, block, spec.n)
-    )
+    for (pairs, _, bound), scale in rows:
+        row = [zero] * dim
+        for f, a in pairs:
+            row[f] = ratio(a, scale)
+        h_rep.append((tuple(row), ratio(bound, scale)))
+    return Polytope(tuple(h_rep), v_rep, chain, tuple([test for test, _ in rows]))
 
 
 def complex_cells(spec: ArrangementSpec) -> NormalComplex:
@@ -359,10 +334,9 @@ def union_extreme_points(spec: ArrangementSpec) -> list[FracVec]:
     the orbit with ``linalg.extreme_points`` over the cells' vertices.
     """
     check_normal_complex(spec.num_maximal_chains_upto(COUNT_CAP))
-    n, dim = spec.n, spec.ambient_dim
-    images = [[basis_image(spec, i, a) for a in range(spec.r)] for i in range(1, n + 1)]
+    lengths = [Fraction(k) for k in range(1, spec.n + 1)]
     return sorted(
-        combine(sigma, [block[a] for block, a in zip(images, residues)], dim, Fraction(0))
-        for sigma in itertools.permutations(range(1, n + 1))
-        for residues in itertools.product(range(spec.r), repeat=n)
+        support_point(spec, zip(sigma, residues))
+        for sigma in itertools.permutations(lengths)
+        for residues in itertools.product(range(spec.r), repeat=spec.n)
     )

@@ -38,15 +38,11 @@ class Lcg:
         self.state = seed & _MASK
         self._fractions: dict[tuple[int, int], Fraction] = {}
 
-    def next_u64(self) -> int:
-        self.state = (_MULT * self.state + _INC) & _MASK
-        return self.state
-
     def below(self, m: int) -> int:
         """Uniform-ish integer in [0, m)."""
         if m <= 0:
             raise ValueError("m must be positive")
-        # next_u64, written out: every sampled value draws through here
+        # every sampled value draws through here: advance, then read the high bits
         self.state = state = (_MULT * self.state + _INC) & _MASK
         return (state >> 16) % m
 

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from test_linalg import matrix_rank
+from test_linalg import combine, matrix_rank
 
 from cyclic_wonderful import fan as fan_module
 from cyclic_wonderful.cli import build_parser, run
@@ -17,7 +17,6 @@ from cyclic_wonderful.fan import (
     Fan,
     _Inverse,
     _star_subdivide,
-    basis_image,
     build_fan,
     build_fan_stellar,
     cone_dim,
@@ -28,7 +27,7 @@ from cyclic_wonderful.fan import (
     ray_vector,
     support_decomposition,
 )
-from cyclic_wonderful.linalg import combine, scaled_point, solve_columns
+from cyclic_wonderful.linalg import scaled_point, solve_columns
 from cyclic_wonderful.lattice import (
     ArrangementSpec,
     BuildingSet,
@@ -36,6 +35,7 @@ from cyclic_wonderful.lattice import (
     DecoratedSubset,
     chain_intersect,
     enumerate_chains,
+    enumerate_decorated_subsets,
     is_nested,
     parse_chain,
 )
@@ -51,6 +51,20 @@ def chain(sets, deco):
     return Chain.of(sets, deco)
 
 
+def basis_image(spec, i, a):
+    """Integer coordinates of e_i^a read off the layout in the ``fan``
+    docstring, with no ``fan.block_slot``: the unit vector at slot (i, a)
+    for a in 1..r-1, and -1 across factor i's block for a = 0.  The
+    reference that ``combine`` sums where the package places."""
+    off, a = (i - 1) * (spec.r - 1), a % spec.r
+    vec = [0] * spec.ambient_dim
+    if a:
+        vec[off + a - 1] = 1
+    else:
+        vec[off : off + spec.r - 1] = [-1] * (spec.r - 1)
+    return tuple(vec)
+
+
 # --- ray vectors -------------------------------------------------------------
 
 
@@ -63,6 +77,15 @@ def test_ray_vector_basis_cases():
 def test_ray_vector_sum_case():
     spec = ArrangementSpec(2, 2)
     assert ray_vector(ds((1, 0), (2, 1)), spec) == (-1, 1)
+
+
+@pytest.mark.parametrize("r,n", [(2, 3), (3, 2), (4, 2), (3, 3)])
+def test_ray_vector_is_the_sum_of_its_basis_images(r, n):
+    spec = ArrangementSpec(r, n)
+    for d in enumerate_decorated_subsets(spec):
+        if d.size:
+            images = [basis_image(spec, i, -a) for i, a in d.items]
+            assert ray_vector(d, spec) == combine([1] * d.size, images, spec.ambient_dim)
 
 
 def test_ray_vector_rejects_empty_and_out_of_range():

@@ -4,7 +4,8 @@ Dense ranks (``matrix_rank``, one rational RREF, kept here as the tests'
 rank reference) are compared with the count of nonzero Smith divisors
 (integer Euclidean steps, no rational elimination); kernels (``nullspace``,
 read off the same RREF and kept here as the reference of the normal cells'
-span rows) and solutions are checked by multiplying back exactly.  The sparse integer eliminator is
+span rows) and solutions are checked by multiplying back exactly; ``combine``, the
+sum of vectors that the package now places instead, is kept here too.  The sparse integer eliminator is
 compared with the dense rank and, pivot for pivot, with the
 cross-multiply-and-normalise eliminator that its in-place updates replaced;
 the integer phase-1 simplex is compared with the ``Fraction`` simplex it
@@ -26,7 +27,6 @@ from cyclic_wonderful.linalg import (
     SharedRowIndex,
     SparseEliminator,
     _lp_feasible_eq,
-    combine,
     extreme_points,
     in_convex_hull,
     integer_scaled,
@@ -48,6 +48,20 @@ def matrices(draw, max_rows=5, max_cols=5):
 
 def dot(u, v):
     return sum((Fraction(a) * Fraction(b) for a, b in zip(u, v)), Fraction(0))
+
+
+def combine(coeffs, vectors, dim, zero=0):
+    """sum_j coeffs[j] * vectors[j] in dimension dim, skipping zero terms,
+    with each entry no term touches left ``zero`` (``Fraction(0)`` for a
+    rational result): the summing reference of every vector the package
+    places through ``fan.block_slot`` instead."""
+    out = [zero] * dim
+    for c, vec in zip(coeffs, vectors):
+        if c:
+            for i, x in enumerate(vec):
+                if x:
+                    out[i] += c * x
+    return tuple(out)
 
 
 def smith_rank(rows):

@@ -8,11 +8,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_linalg import nullspace
+from test_fan import basis_image
+from test_linalg import combine, nullspace
 
 from cyclic_wonderful import linalg, normal_complex, selfcheck
 from cyclic_wonderful.cli import main
-from cyclic_wonderful.fan import basis_image, ray_vector, support_decomposition
+from cyclic_wonderful.fan import ray_vector, support_decomposition
 from cyclic_wonderful.guards import FeasibilityError
 from cyclic_wonderful.lattice import (
     ArrangementSpec,
@@ -22,7 +23,6 @@ from cyclic_wonderful.lattice import (
     maximal_chains,
 )
 from cyclic_wonderful.linalg import (
-    combine,
     extreme_points,
     integer_scaled,
     scaled_point,
@@ -286,6 +286,23 @@ def test_union_extremes_are_the_hull_extremes_of_the_cell_vertices(r, n):
     # the fraction-free simplex over every distinct cell vertex is the oracle
     spec = ArrangementSpec(r, n)
     assert union_extreme_points(spec) == extreme_points(_cell_vertices(spec))
+
+
+@pytest.mark.parametrize("r,n", [(2, 0), (3, 1), (2, 2), (4, 2), (3, 3)])
+def test_placed_union_extremes_equal_the_summed_orbit(r, n):
+    # the orbit as it was built before placement: each point a combine of
+    # basis images into Fraction(0); equal values, types and text, same order
+    spec = ArrangementSpec(r, n)
+    dim = spec.ambient_dim
+    images = [[basis_image(spec, i, a) for a in range(r)] for i in range(1, n + 1)]
+    expect = sorted(
+        combine(sigma, [block[a] for block, a in zip(images, residues)], dim, Fraction(0))
+        for sigma in itertools.permutations(range(1, n + 1))
+        for residues in itertools.product(range(r), repeat=n)
+    )
+    extremes = union_extreme_points(spec)
+    assert extremes == expect and str(extremes) == str(expect)
+    assert all(type(x) is Fraction for point in extremes for x in point)
 
 
 def test_union_extremes_build_no_complex_and_run_no_lp(monkeypatch):

@@ -106,9 +106,9 @@ def fields(x):
 
 
 def constructor_args(x):
-    """The fields, plus a cell's callable that places its integer tests,
-    which the constructor takes but the record does not show."""
-    extra = {"placed_tests": x._placed_tests} if type(x).__name__ == "Polytope" else {}
+    """The fields, plus a cell's integer tests, which the constructor takes
+    but the record does not show."""
+    extra = {"tests": x._tests} if type(x).__name__ == "Polytope" else {}
     return {**fields(x), **extra}
 
 
@@ -218,7 +218,7 @@ def test_cached_properties_still_cache_on_frozen_instances():
     cone = fan.maximal_cones[0]
     assert cone._inverse is cone._inverse
     cx = complex_cells(spec)
-    assert cx.cells[0]._tests is cx.cells[0]._tests
+    assert cx._cell_index is cx._cell_index
 
 
 def test_check_result_detail_defaults_to_empty():

@@ -1,6 +1,8 @@
 """Checks on the files around the package: the benchmark's layer names, the
-demos and the README's command examples."""
+demos, the README's command examples, and that the package defines nothing
+that no code names."""
 
+import ast
 import functools
 import importlib
 import json
@@ -61,3 +63,41 @@ def test_readme_command_runs(argv, capsys, monkeypatch):
     monkeypatch.delenv("CYCLIC_WONDERFUL_MAX_CELLS", raising=False)
     assert main(argv) == 0
     assert capsys.readouterr().out.strip()
+
+
+def _definitions(tree, prefix=""):
+    """``(qualified name, name)`` of every function, class and method under
+    ``tree``, nested ones too."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield f"{prefix}{node.name}", node.name
+            yield from _definitions(node, f"{prefix}{node.name}.")
+        else:
+            yield from _definitions(node, prefix)
+
+
+def _names_used(tree):
+    """Every name that code under ``tree`` reads, calls or imports: a bare
+    name, an attribute or an imported name, but no comment or string."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name.rpartition(".")[2]
+
+
+def test_every_package_definition_is_named_by_code():
+    # a dunder runs through the language's protocols, so no code has to name it
+    used = set()
+    for folder in ("src", "tests", "demos", "perfbench"):
+        for path in (ROOT / folder).rglob("*.py"):
+            used.update(_names_used(ast.parse(path.read_text())))
+    unnamed = [
+        f"{path.stem}.{qualname}"
+        for path in sorted((ROOT / "src" / "cyclic_wonderful").glob("*.py"))
+        for qualname, name in _definitions(ast.parse(path.read_text()))
+        if name not in used and not (name.startswith("__") and name.endswith("__"))
+    ]
+    assert unnamed == []

@@ -5,7 +5,8 @@ Each route runs under ``sys.setprofile``, which records every function of
 the package it calls (comprehensions and lambdas count as part of the
 function that holds them).  A function both routes call that is not on the
 allow-list fails the test until someone reviews it and gives its reason
-here.
+here, and so does an allow-listed function the routes no longer share, so
+no entry outlives its reason.
 """
 
 import sys
@@ -13,9 +14,11 @@ import sys
 import pytest
 
 from cyclic_wonderful import fan as fan_module
+from cyclic_wonderful.chow import betti_closed_form, betti_oracle
 from cyclic_wonderful.fan import build_fan, build_fan_stellar, in_relative_interior, locate_point
 from cyclic_wonderful.lattice import ArrangementSpec, BuildingSet
-from cyclic_wonderful.normal_complex import complex_cells, in_delta
+from cyclic_wonderful.linalg import extreme_points
+from cyclic_wonderful.normal_complex import complex_cells, in_delta, union_extreme_points
 from cyclic_wonderful.sampling import Lcg, sample_mixed_points
 from cyclic_wonderful.tropical import combinatorial_type, curve_from_point
 
@@ -37,6 +40,13 @@ def _called(route):
     finally:
         sys.setprofile(None)
     return seen
+
+
+def assert_shared_exactly(calls, other_calls, allowed):
+    """The routes share every allow-listed function and no other."""
+    shared = calls & other_calls
+    assert not shared - set(allowed), "shared but not reviewed"
+    assert not set(allowed) - shared, "allow-listed but no longer shared"
 
 
 # "combinatorial type agrees with point location": the curve's type against
@@ -76,7 +86,7 @@ def test_curve_type_and_cone_scan_share_only_the_allowed_functions():
     # each route ran its own core
     assert {"tropical.combinatorial_type", "fan.support_decomposition"} <= curve_calls
     assert {"linalg.SharedRowIndex.first", "fan._bareiss_step"} <= scan_calls
-    assert curve_calls & scan_calls <= set(CURVE_TYPE_VS_CONE_SCAN)
+    assert_shared_exactly(curve_calls, scan_calls, CURVE_TYPE_VS_CONE_SCAN)
 
 
 # ``locate``'s certificate: the curve's type against that one chain's cone,
@@ -107,7 +117,7 @@ def test_curve_type_and_relative_interior_certificate_share_only_the_allowed_fun
     curve_calls, certificate_calls = _called(curve_route), _called(certificate_route)
     assert {"tropical.combinatorial_type", "fan.support_decomposition"} <= curve_calls
     assert {"fan.in_relative_interior", "fan._bareiss_step", "fan.ray_vector"} <= certificate_calls
-    assert curve_calls & certificate_calls <= set(CURVE_TYPE_VS_CERTIFICATE)
+    assert_shared_exactly(curve_calls, certificate_calls, CURVE_TYPE_VS_CERTIFICATE)
 
 
 # "cells tile the truncated support": membership in the placed cells against
@@ -139,7 +149,7 @@ def test_normal_cells_and_in_delta_share_only_the_allowed_functions():
     cell_calls, delta_calls = _called(cells_route), _called(in_delta_route)
     assert {"normal_complex.cell_polytope", "linalg.SharedRowIndex.first"} <= cell_calls
     assert {"fan.support_decomposition"} <= delta_calls
-    assert cell_calls & delta_calls <= set(CELLS_VS_IN_DELTA)
+    assert_shared_exactly(cell_calls, delta_calls, CELLS_VS_IN_DELTA)
 
 
 # "stellar route equals direct route": one cone per decorated chain against
@@ -150,11 +160,8 @@ RECORD = "the record both routes return, compared by fans_equal"
 LABEL = "the record of a decorated subset, which labels rays and cones in both routes"
 DIRECT_VS_STELLAR = {
     "fan.ray_vector": RAYS,
-    "fan.basis_image": RAYS,
     "fan.block_slot": RAYS,
-    "fan._vector_gcd": RAYS,
     "lattice.validate_subset": RAYS,
-    "linalg.combine": RAYS,
     "lattice.ArrangementSpec.ambient_dim": RAYS,
     "fan._check_maximal": "both refuse any building set but the maximal one",
     "lattice.BuildingSet.is_maximal": "both refuse any building set but the maximal one",
@@ -197,4 +204,53 @@ def test_direct_and_stellar_fans_share_only_the_allowed_functions():
     stellar_calls = _called(stellar_route)
     assert {"lattice.enumerate_chains", "lattice._flag_chains"} <= direct_calls
     assert {"fan._star_subdivide", "fan._bareiss_step", "lattice.is_nested"} <= stellar_calls
-    assert direct_calls & stellar_calls <= set(DIRECT_VS_STELLAR)
+    assert_shared_exactly(direct_calls, stellar_calls, DIRECT_VS_STELLAR)
+
+
+# "union extremes are the signed permutations of (1, 2)": the permutohedral
+# orbit against the hull extremes of the cells' vertices
+CELLS_GUARD = "both admit the spec through the same normal-complex guard, by maximal chain count"
+ORBIT_VS_HULL = {
+    "fan.block_slot": (
+        "where e_i^a lies: the orbit places its points and the cells their "
+        "steps through the one layout of the coordinates"
+    ),
+    "lattice.ArrangementSpec.ambient_dim": "both size their vectors by the spec",
+    "guards.check_normal_complex": CELLS_GUARD,
+    "guards._refuse_over": CELLS_GUARD,
+    "guards._bound": CELLS_GUARD,
+    "lattice.ArrangementSpec.num_maximal_chains_upto": CELLS_GUARD,
+    "lattice._product_upto": CELLS_GUARD,
+}
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="names functions by co_qualname")
+def test_union_orbit_and_hull_extremes_share_only_the_allowed_functions():
+    spec = ArrangementSpec(2, 2)
+
+    def hull_route():
+        # the cells and the fraction-free simplex over their vertices count
+        extreme_points({v for cell in complex_cells(spec).cells for v in cell.v_rep})
+
+    orbit_calls = _called(lambda: union_extreme_points(spec))
+    hull_calls = _called(hull_route)
+    assert {"normal_complex.union_extreme_points", "fan.support_point"} <= orbit_calls
+    assert {"normal_complex.cell_polytope", "linalg.in_convex_hull"} <= hull_calls
+    assert_shared_exactly(orbit_calls, hull_calls, ORBIT_VS_HULL)
+
+
+# "closed form matches rank oracle": the jump-type recurrence against the
+# presentation's exact elimination
+CLOSED_FORM_VS_ORACLE = {
+    "chow.GradedDims.__init__": "the record both routes return, compared by its ranks",
+}
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="names functions by co_qualname")
+def test_closed_form_and_rank_oracle_share_only_the_allowed_functions():
+    spec = ArrangementSpec(3, 2)
+    closed_calls = _called(lambda: betti_closed_form(spec))
+    oracle_calls = _called(lambda: betti_oracle(spec))
+    assert {"chow.betti_closed_form"} <= closed_calls
+    assert {"chow.presentation", "linalg.SparseEliminator.add"} <= oracle_calls
+    assert_shared_exactly(closed_calls, oracle_calls, CLOSED_FORM_VS_ORACLE)

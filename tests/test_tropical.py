@@ -5,16 +5,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_fan import basis_image
+from test_linalg import combine
 
 from cyclic_wonderful.fan import (
-    basis_image,
     build_fan,
     locate_point,
     support_decomposition,
     support_point,
 )
 from cyclic_wonderful.lattice import ArrangementSpec, BuildingSet, Chain
-from cyclic_wonderful.linalg import combine
 from cyclic_wonderful.sampling import Lcg, sample_curve, sample_support_point
 from cyclic_wonderful.tropical import (
     CENTER,
