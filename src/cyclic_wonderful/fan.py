@@ -7,6 +7,11 @@ lattice is Z^(n*(r-1)) with basis images
     e_i^j  ->  unit vector at slot (i, j)          for j in 1..r-1,
     e_i^0  ->  (-1, ..., -1) in factor i's block.
 
+``block_slot`` maps (i, a) to where e_i^a lies, and ``place`` writes a
+vector of one multiple of e_i^a per factor there: the rays, the support
+points (curves' embeddings, sampled points, the union's extreme points)
+and the normal cells' vertices.
+
 Rays.  The decorated subset (I, a) gives the primitive integer vector
 u = sum_{i in I} e_i^(-a(i) mod r); a chain contributes one ray per decorated
 prefix and those rays span a simplicial cone whose dimension is the chain
@@ -93,11 +98,27 @@ def basis_labels(spec: ArrangementSpec) -> list[str]:
 def block_slot(spec: ArrangementSpec, i: int, a: int) -> tuple[int, int | None]:
     """Where e_i^a lies: the offset of factor i's block of r - 1 coordinates,
     and the index of its one entry 1, or None for residue 0, whose image is
-    -1 across the whole block.  ``ray_vector``, ``support_point`` and the
-    normal cells all place e_i^a through it."""
+    -1 across the whole block.  The one map from (i, a) to the layout;
+    ``place`` writes what it gives."""
     off = (i - 1) * (spec.r - 1)
     a %= spec.r
     return off, off + a - 1 if a else None
+
+
+def place(
+    block: int, dim: int, zero: object, placed: Iterable[tuple[tuple[int, int | None], object]]
+) -> list:
+    """The vector sum x e_i^a of one multiple per factor, from where each
+    e_i^a lies (``block_slot``): x at its slot, or -x across a residue-0
+    block of ``block`` coordinates, and ``zero`` elsewhere.  Rays, support
+    points and normal-cell vertices are all written here."""
+    out = [zero] * dim
+    for (off, slot), x in placed:
+        if slot is None:
+            out[off : off + block] = [-x] * block
+        else:
+            out[slot] = x
+    return out
 
 
 def ray_vector(d: DecoratedSubset, spec: ArrangementSpec) -> Vector:
@@ -109,15 +130,8 @@ def ray_vector(d: DecoratedSubset, spec: ArrangementSpec) -> Vector:
     if d.size == 0:
         raise ValueError("the empty decorated subset has no ray")
     validate_subset(d, spec)
-    block = spec.r - 1
-    vec = [0] * spec.ambient_dim
-    for i, a in d.items:
-        off, slot = block_slot(spec, i, -a)
-        if slot is None:
-            vec[off : off + block] = [-1] * block
-        else:
-            vec[slot] = 1
-    return tuple(vec)
+    placed = [(block_slot(spec, i, -a), 1) for i, a in d.items]
+    return tuple(place(spec.r - 1, spec.ambient_dim, 0, placed))
 
 
 # The state of a fraction-free (Bareiss) Gauss-Jordan elimination of
@@ -605,22 +619,15 @@ def support_point(
 
     ``decomposition`` holds one ``(x_i, a_i)`` pair per factor, in factor
     order: a residue a_i in 0..r-1, or None (or x_i = 0) for a factor at
-    the origin.  Each x_i goes straight into factor i's block, at slot a_i,
-    or as -x_i across the whole block for a_i = 0; every other entry is the
-    one module-wide ``Fraction(0)``, so points compare their zeros by
+    the origin.  ``place`` writes each x_i into factor i's block, at slot
+    a_i, or as -x_i across the whole block for a_i = 0; every other entry
+    is the one module-wide ``Fraction(0)``, so points compare their zeros by
     identity.  A length that is not a ``Fraction`` is made
     one, so every entry is a ``Fraction``.
     """
-    block = spec.r - 1
-    out = [_ZERO] * spec.ambient_dim
-    for i, (x, a) in enumerate(decomposition, start=1):
-        if a is None or not x:
-            continue
-        if type(x) is not Fraction:
-            x = Fraction(x)
-        off, slot = block_slot(spec, i, a)
-        if slot is None:
-            out[off : off + block] = [-x] * block
-        else:
-            out[slot] = x
-    return tuple(out)
+    placed = [
+        (block_slot(spec, i, a), x if type(x) is Fraction else Fraction(x))
+        for i, (x, a) in enumerate(decomposition, start=1)
+        if a is not None and x
+    ]
+    return tuple(place(spec.r - 1, spec.ambient_dim, _ZERO, placed))

@@ -14,7 +14,8 @@ cell's span rows are a closed form.  No vector is summed here either:
 every vector the fan and the normal complex are built from (a ray, a
 curve's embedding, a sampled support point, an extreme point of the union,
 a normal cell's vertices and rows) is one multiple of a basis image per
-factor, placed through ``fan.block_slot``.  ``solve_columns`` shares
+factor, at the slots ``fan.block_slot`` gives, and every vector but a
+cell's sparse rows is written by ``fan.place``.  ``solve_columns`` shares
 nothing with the integer cone kernel of :mod:`cyclic_wonderful.fan`, whose
 reference it is.
 
@@ -26,7 +27,8 @@ once, when it becomes a pivot, at the lead column the reduction found.  A
 fed row is reduced as it is, with no copy: ``add`` takes it over.
 
 Membership in a cone of a fan or a cell of a normal complex is one kind of
-question: do a few sparse integer row tests ``(row, lo, hi)``, meaning
+question, asked of a point cleared to integers by ``scaled_point``: do a
+few sparse integer row tests ``(row, lo, hi)``, meaning
 ``lo * D <= row . p <= hi * D``, all hold at a point ``p / D``.
 ``tests_hold`` answers it for one member, stopping at the first failing
 test.  ``SharedRowIndex`` finds the members of a scan (the maximal cones
@@ -36,10 +38,11 @@ members share most of their rows, so it evaluates each distinct row, up to
 sign, once per point and drops members by bitmask.
 
 Hull extremeness is decided over the integers: ``integer_scaled`` clears a
-point set's denominators once, and the phase-1 simplex behind
-``in_convex_hull`` pivots fraction-free (each tableau entry is the basis
-determinant times its rational value; every division is exact).  Only
-``check`` runs it, as the second route to the union extremes.
+point set's denominators to one common D, each point through
+``scaled_point``, and the phase-1 simplex behind ``in_convex_hull`` pivots
+fraction-free (each tableau entry is the basis determinant times its
+rational value; every division is exact).  Only ``check`` runs it, as the
+second route to the union extremes.
 """
 
 from __future__ import annotations
@@ -343,37 +346,35 @@ class SharedRowIndex:
 # ---------------------------------------------------------------------------
 
 
-def integer_scaled(vectors: Iterable[Vector]) -> tuple[list[tuple[int, ...]], int]:
+def integer_scaled(vectors: Iterable[Vector]) -> tuple[tuple[tuple[int, ...], ...], int]:
     """The rational vectors times the lcm D of all their denominators, and D.
 
-    One common D, so ``q . (p / D) <= b`` becomes ``q . p <= b * D`` and
-    hull membership of ``p / D`` among ``P / D`` is that of ``p`` among ``P``.
+    Each vector is cleared by ``scaled_point`` and then brought to the one
+    common D, so ``q . (p / D) <= b`` becomes ``q . p <= b * D`` and hull
+    membership of ``p / D`` among ``P / D`` is that of ``p`` among ``P``.
     """
-    rows = [[x if isinstance(x, (int, Fraction)) else Fraction(x) for x in v] for v in vectors]
-    scale = lcm(*(x.denominator for v in rows for x in v))
-    return [tuple(x.numerator * (scale // x.denominator) for x in v) for v in rows], scale
+    cleared = [scaled_point(v, len(v)) for v in vectors]
+    scale = lcm(*[d for _, d in cleared])
+    return tuple([tuple([x * (scale // d) for x in p]) for p, d in cleared]), scale
 
 
 def scaled_point(point: Vector, dim: int) -> tuple[tuple[int, ...], int]:
-    """``(D * point, D)`` for the lcm ``D`` of the coordinates' denominators.
+    """``(D * point, D)`` for the lcm ``D`` of the coordinates' denominators:
+    the one place a rational point is cleared to integers.
 
-    A point of plain ``int`` entries is returned as it is, with ``D = 1``;
-    one of ``int`` and ``Fraction`` entries is cleared by one ``lcm``, and
-    any other entry (``bool``, ``float``) goes through ``integer_scaled``.
-    Raises ValueError when the point's length is not ``dim``.
+    An entry that is neither ``int`` nor ``Fraction`` (``bool``, ``float``)
+    is made a ``Fraction`` first; each entry's numerator and denominator are
+    read once, as its ``as_integer_ratio``.  Raises ValueError when the
+    point's length is not ``dim``.
     """
     if len(point) != dim:
         raise ValueError(f"point has length {len(point)}, expected {dim}")
-    kinds = set(map(type, point))
-    if kinds <= {int}:
-        return tuple(point), 1
-    if kinds <= {int, Fraction}:
-        nums = [x.numerator for x in point]
-        dens = [x.denominator for x in point]
-        scale = lcm(*dens)
-        return tuple([a * (scale // d) for a, d in zip(nums, dens)]), scale
-    (p,), scale = integer_scaled([point])
-    return p, scale
+    ratios = [
+        (x if type(x) is Fraction or type(x) is int else Fraction(x)).as_integer_ratio()
+        for x in point
+    ]
+    scale = lcm(*[d for _, d in ratios])
+    return tuple([a * (scale // d) for a, d in ratios]), scale
 
 
 def parse_rational(text: str) -> Fraction:

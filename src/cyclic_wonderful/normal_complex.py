@@ -33,8 +33,8 @@ and none summed: a row as its ``linalg.RowTest`` test
 ``(normal, None, bound)``, each normal kept as its nonzero (index, coeff)
 pairs, with the scale that clears it (the lcm of the squared norms of the
 steps it holds, r - 1 or 1), and a vertex over the common denominator of
-the cube's corners.  ``h_rep`` and ``v_rep`` are those integers over their
-scales.  Membership is integer arithmetic: a rational point p / D (p
+the cube's corners, written by ``fan.place``.  ``h_rep`` and ``v_rep``
+are those integers over their scales.  Membership is integer arithmetic: a rational point p / D (p
 integer, D > 0) satisfies ``normal . v <= bound`` exactly when
 ``normal_int . p <= bound_int * D``.  One cell's membership test is
 ``linalg.tests_hold``, which stops at its first violated row.  The cells
@@ -54,11 +54,10 @@ from __future__ import annotations
 import itertools
 from functools import cache, cached_property
 from fractions import Fraction
-from math import lcm
 from typing import Sequence
 
 from .guards import COUNT_CAP, check_normal_complex
-from .fan import block_slot, support_decomposition, support_point
+from .fan import block_slot, place, support_decomposition, support_point
 from .lattice import (
     ArrangementSpec,
     Chain,
@@ -70,6 +69,7 @@ from .lattice import (
 from .linalg import (
     RowTest,
     SharedRowIndex,
+    integer_scaled,
     scaled_point,
     tests_hold,
 )
@@ -170,12 +170,9 @@ def _vertex_lengths(n: int) -> tuple[FracVec, ...]:
 @cache
 def _scaled_vertex_lengths(n: int) -> tuple[tuple[tuple[int, ...], ...], int]:
     """``_vertex_lengths(n)`` times the common denominator of all of them,
-    and that denominator: placed into a cell's blocks (``_vertex_key``),
+    and that denominator: placed into a cell's blocks (``fan.place``),
     these integers over it are the cell's vertices, and sort like them."""
-    vertices = _vertex_lengths(n)
-    common = lcm(*[y.denominator for v in vertices for y in v])
-    scaled = tuple(tuple([y.numerator * (common // y.denominator) for y in v]) for v in vertices)
-    return scaled, common
+    return integer_scaled(_vertex_lengths(n))
 
 
 # Where a level's step e_i^b lies, as ``fan.block_slot`` gives it: the
@@ -193,19 +190,6 @@ def _level_slots(chain: Chain, spec: ArrangementSpec) -> list[_Slot]:
         before.add(i)
         slots.append(block_slot(spec, i, -a))
     return slots
-
-
-def _vertex_key(slots: list[_Slot], block: int, dim: int, values: Sequence[int]) -> list[int]:
-    """The integer vector sum_j values[j] f_j, placed from where the steps
-    lie: value j at step j's slot, or its negative across a residue-0
-    block."""
-    key = [0] * dim
-    for (off, slot), x in zip(slots, values):
-        if slot is None:
-            key[off : off + block] = [-x] * block
-        else:
-            key[slot] = x
-    return key
 
 
 def _cell_rows(slots: list[_Slot], block: int, n: int) -> list[tuple[RowTest, int]]:
@@ -267,10 +251,11 @@ def cell_polytope(chain: Chain, spec: ArrangementSpec) -> Polytope:
 
     Each vertex and row holds at most one step per block, so it is placed
     in integers, every entry at its slot with none summed: a vertex over
-    the common denominator of ``_scaled_vertex_lengths``, a row as its
-    integer test over its scale (``_cell_rows``).  The vertices sort by
-    those integers, and each entry of ``h_rep`` and ``v_rep`` is an integer
-    over its scale, one ``Fraction`` per distinct value.
+    the common denominator of ``_scaled_vertex_lengths`` by ``fan.place``,
+    a row as its integer test over its scale (``_cell_rows``).  The
+    vertices sort by those integers, and each entry of ``h_rep`` and
+    ``v_rep`` is an integer over its scale, one ``Fraction`` per distinct
+    value.
     """
     if not chain.is_maximal(spec):
         raise ValueError(
@@ -288,7 +273,7 @@ def cell_polytope(chain: Chain, spec: ArrangementSpec) -> Polytope:
         return q
 
     scaled, common = _scaled_vertex_lengths(len(slots))
-    keys = sorted(_vertex_key(slots, block, dim, y) for y in scaled)
+    keys = sorted(place(block, dim, 0, zip(slots, y)) for y in scaled)
     v_rep = tuple([tuple([ratio(x, common) for x in key]) for key in keys])
     zero, rows = ratio(0, 1), _cell_rows(slots, block, spec.n)
     h_rep: list[tuple[FracVec, Fraction]] = []

@@ -34,7 +34,6 @@ from .lattice import (
     Chain,
     _Value,
     chain_intersect,
-    enumerate_chains,
 )
 from .linalg import SharedRowIndex, extreme_points
 from .sampling import Lcg, sample_curve, sample_mixed_points
@@ -148,7 +147,7 @@ def suite_fan(spec: ArrangementSpec, seed: int = 0) -> list[CheckResult]:
     # the stellar builder runs the same fan guard, which passed above
     stellar = build_fan_stellar(spec, g)
     out.append(_result("fan", "stellar route equals direct route", fans_equal(fan, stellar)))
-    chains = list(enumerate_chains(spec, spec.n))
+    chains = list(fan.cones)
     pairs: list[tuple[Chain, Chain]]
     if len(chains) ** 2 <= 2500:
         pairs = list(itertools.product(chains, chains))

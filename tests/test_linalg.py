@@ -613,14 +613,24 @@ small_fractions = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 12))
 exact_entries = st.one_of(st.integers(-12, 12), small_fractions)
 
 
+def cleared(point):
+    """Reference clearing: each entry as a ``Fraction``, times the lcm D of
+    their denominators, and D."""
+    fractions = [Fraction(x) for x in point]
+    scale = lcm(*(x.denominator for x in fractions))
+    return tuple(int(x * scale) for x in fractions), scale
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.lists(exact_entries, max_size=8))
 def test_scaled_point_equals_integer_scaled(point):
-    """Int, Fraction and mixed points are cleared by one lcm, and that gives
-    ``integer_scaled``'s integer point and scale."""
-    (expect,), scale = integer_scaled([point])
+    """Int, Fraction and mixed points are cleared by one lcm: ``scaled_point``
+    and ``integer_scaled`` of the point alone both give the reference's
+    integer point and scale."""
+    expect, scale = cleared(point)
     p, d = scaled_point(point, len(point))
     assert (p, d) == (expect, scale)
+    assert integer_scaled([point]) == ((expect,), scale)
     assert all(type(x) is int for x in p)
 
 
@@ -633,24 +643,9 @@ def test_scaled_point_equals_integer_scaled(point):
 def test_scaled_point_of_bool_and_float_entries_equals_integer_scaled(point, odd, rnd):
     mixed = point + odd
     rnd.shuffle(mixed)
-    (expect,), scale = integer_scaled([mixed])
+    expect, scale = cleared(mixed)
     assert scaled_point(mixed, len(mixed)) == (expect, scale)
-
-
-def test_only_bool_and_float_entries_go_through_integer_scaled(monkeypatch):
-    calls = []
-
-    def spy(vectors):
-        calls.append(vectors)
-        return integer_scaled(vectors)
-
-    monkeypatch.setattr(linalg, "integer_scaled", spy)
-    for point in [(1, -2), (Fraction(1, 2), 3), (Fraction(2, 3), Fraction(1, 6))]:
-        scaled_point(point, 2)
-    assert calls == []
-    for point in [(True, 1), (Fraction(1, 2), 0.5), (False, Fraction(1, 3))]:
-        scaled_point(point, 2)
-    assert len(calls) == 3
+    assert integer_scaled([mixed]) == ((expect,), scale)
 
 
 def test_scaled_point_examples_and_length_check():

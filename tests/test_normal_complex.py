@@ -1,7 +1,9 @@
 """Cells of the truncated support: heights, vertices, tiling, symmetry."""
 
 import functools
+import importlib
 import itertools
+import pkgutil
 import time
 from fractions import Fraction
 
@@ -11,12 +13,14 @@ from hypothesis import strategies as st
 from test_fan import basis_image
 from test_linalg import combine, nullspace
 
-from cyclic_wonderful import linalg, normal_complex, selfcheck
+import cyclic_wonderful
+from cyclic_wonderful import fan, linalg, normal_complex, selfcheck, tropical
 from cyclic_wonderful.cli import main
 from cyclic_wonderful.fan import ray_vector, support_decomposition
 from cyclic_wonderful.guards import FeasibilityError
 from cyclic_wonderful.lattice import (
     ArrangementSpec,
+    BuildingSet,
     Chain,
     DecoratedSubset,
     chain_intersect,
@@ -37,7 +41,7 @@ from cyclic_wonderful.normal_complex import (
     union_extreme_points,
     z_vector,
 )
-from cyclic_wonderful.sampling import Lcg, sample_mixed_points
+from cyclic_wonderful.sampling import Lcg, sample_curve, sample_mixed_points, sample_support_point
 
 
 def dot(u, v):
@@ -365,6 +369,60 @@ def test_no_command_runs_the_dense_rational_elimination(monkeypatch, capsys):
     ):
         assert main(argv) == 0, argv
     assert "FAIL" not in capsys.readouterr().out
+
+
+class Refused(Exception):
+    pass
+
+
+def refuse_everywhere(monkeypatch, module, name):
+    """Make ``module.name`` raise ``Refused`` in every package module that
+    holds it, the defining one and each that imports it."""
+    original = getattr(module, name)
+
+    def refuse(*args):
+        raise Refused(name)
+
+    names = [m.name for m in pkgutil.iter_modules(cyclic_wonderful.__path__)]
+    modules = [importlib.import_module(f"cyclic_wonderful.{m}") for m in names if m != "__main__"]
+    for held in [cyclic_wonderful, *modules]:
+        if getattr(held, name, None) is original:
+            monkeypatch.setattr(held, name, refuse)
+
+
+def test_every_per_factor_vector_is_written_by_fan_place(monkeypatch):
+    spec = ArrangementSpec(3, 2)
+    chain = next(iter(maximal_chains(spec)))
+    curve = sample_curve(Lcg(3), spec)
+    refuse_everywhere(monkeypatch, fan, "place")
+    for write in (
+        lambda: fan.ray_vector(ds((1, 1), (2, 0)), spec),
+        lambda: fan.support_point(spec, [(Fraction(2), 0), (Fraction(1), 1)]),
+        lambda: tropical.embed(curve, spec),
+        lambda: sample_support_point(Lcg(3), spec),
+        lambda: cell_polytope(chain, spec),
+        lambda: union_extreme_points(spec),
+    ):
+        with pytest.raises(Refused):
+            write()
+
+
+def test_every_point_is_cleared_by_scaled_point(monkeypatch):
+    spec = ArrangementSpec(3, 2)
+    the_fan = fan.build_fan(spec, BuildingSet.maximal(spec))
+    the_complex = complex_cells(spec)
+    point = (Fraction(1, 2), 0, 0, 0)
+    refuse_everywhere(monkeypatch, linalg, "scaled_point")
+    normal_complex._scaled_vertex_lengths.cache_clear()  # a cold one clears too
+    for clear in (
+        lambda: fan.locate_point(the_fan, point),
+        lambda: the_fan.maximal_cones[0].contains(point),
+        lambda: the_complex.contains(point),
+        lambda: integer_scaled([point]),
+        lambda: normal_complex._scaled_vertex_lengths(spec.n),
+    ):
+        with pytest.raises(Refused):
+            clear()
 
 
 def test_union_extremes_command_builds_the_complex_once(monkeypatch, capsys):

@@ -101,3 +101,36 @@ def test_every_package_definition_is_named_by_code():
         if name not in used and not (name.startswith("__") and name.endswith("__"))
     ]
     assert unnamed == []
+
+
+def _dotted_references(text):
+    """Each backquoted ``module.name`` in ``text`` whose first part is a
+    package module (or the package), file names such as ``lattice.py``
+    left out."""
+    heads = {path.stem for path in (ROOT / "src" / "cyclic_wonderful").glob("*.py")}
+    heads.add("cyclic_wonderful")
+    refs = re.findall(r"`+([A-Za-z_]\w*(?:\.\w+)+)`+", text)
+    return {ref for ref in refs if ref.split(".")[0] in heads and not ref.endswith(".py")}
+
+
+def _resolves(ref):
+    parts = ref.split(".")
+    if parts[0] != "cyclic_wonderful":
+        parts.insert(0, "cyclic_wonderful")
+    try:
+        obj = importlib.import_module(".".join(parts[:2]))
+        for attr in parts[2:]:
+            obj = getattr(obj, attr)
+    except (ImportError, AttributeError):
+        return False
+    return True
+
+
+def test_every_dotted_reference_in_the_docs_resolves():
+    # a deleted or renamed function must not live on in a docstring or the README
+    src = set()
+    for path in (ROOT / "src" / "cyclic_wonderful").glob("*.py"):
+        src |= _dotted_references(path.read_text())
+    readme = _dotted_references((ROOT / "README.md").read_text())
+    assert src and readme
+    assert sorted(ref for ref in src | readme if not _resolves(ref)) == []

@@ -9,18 +9,25 @@ here, and so does an allow-listed function the routes no longer share, so
 no entry outlives its reason.
 """
 
+import itertools
 import sys
 
 import pytest
 
 from cyclic_wonderful import fan as fan_module
-from cyclic_wonderful.chow import betti_closed_form, betti_oracle
+from cyclic_wonderful.chow import (
+    DegreeReducer,
+    betti_closed_form,
+    betti_oracle,
+    presentation,
+    product_support,
+)
 from cyclic_wonderful.fan import build_fan, build_fan_stellar, in_relative_interior, locate_point
 from cyclic_wonderful.lattice import ArrangementSpec, BuildingSet
 from cyclic_wonderful.linalg import extreme_points
 from cyclic_wonderful.normal_complex import complex_cells, in_delta, union_extreme_points
-from cyclic_wonderful.sampling import Lcg, sample_mixed_points
-from cyclic_wonderful.tropical import combinatorial_type, curve_from_point
+from cyclic_wonderful.sampling import Lcg, sample_curve, sample_mixed_points
+from cyclic_wonderful.tropical import combinatorial_type, curve_from_point, embed
 
 
 def _called(route):
@@ -120,6 +127,27 @@ def test_curve_type_and_relative_interior_certificate_share_only_the_allowed_fun
     assert_shared_exactly(curve_calls, certificate_calls, CURVE_TYPE_VS_CERTIFICATE)
 
 
+# "curve -> point -> curve round trip": the embedding writes the curve's
+# point and the support decomposition reads it back
+EMBED_VS_CURVE_FROM_POINT = {
+    "lattice.ArrangementSpec.ambient_dim": "both size the point by the spec",
+}
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="names functions by co_qualname")
+def test_embedding_and_curve_from_point_share_only_the_allowed_functions():
+    spec = ArrangementSpec(3, 2)
+    rng = Lcg(3)
+    curves = [sample_curve(rng, spec) for _ in range(200)]
+    points = [embed(c, spec) for c in curves]
+    embed_calls = _called(lambda: [embed(c, spec) for c in curves])
+    read_calls = _called(lambda: [curve_from_point(p, spec) for p in points])
+    # the writer places, the reader decomposes
+    assert {"tropical.embed", "fan.support_point", "fan.place"} <= embed_calls
+    assert {"fan.support_decomposition"} <= read_calls
+    assert_shared_exactly(embed_calls, read_calls, EMBED_VS_CURVE_FROM_POINT)
+
+
 # "cells tile the truncated support": membership in the placed cells against
 # the subset sums of the support decomposition
 CELLS_VS_IN_DELTA = {
@@ -161,6 +189,7 @@ LABEL = "the record of a decorated subset, which labels rays and cones in both r
 DIRECT_VS_STELLAR = {
     "fan.ray_vector": RAYS,
     "fan.block_slot": RAYS,
+    "fan.place": RAYS,
     "lattice.validate_subset": RAYS,
     "lattice.ArrangementSpec.ambient_dim": RAYS,
     "fan._check_maximal": "both refuse any building set but the maximal one",
@@ -210,11 +239,13 @@ def test_direct_and_stellar_fans_share_only_the_allowed_functions():
 # "union extremes are the signed permutations of (1, 2)": the permutohedral
 # orbit against the hull extremes of the cells' vertices
 CELLS_GUARD = "both admit the spec through the same normal-complex guard, by maximal chain count"
+LAYOUT = (
+    "where e_i^a lies: the orbit places its points and the cells their "
+    "vertices through the one layout of the coordinates"
+)
 ORBIT_VS_HULL = {
-    "fan.block_slot": (
-        "where e_i^a lies: the orbit places its points and the cells their "
-        "steps through the one layout of the coordinates"
-    ),
+    "fan.block_slot": LAYOUT,
+    "fan.place": LAYOUT,
     "lattice.ArrangementSpec.ambient_dim": "both size their vectors by the spec",
     "guards.check_normal_complex": CELLS_GUARD,
     "guards._refuse_over": CELLS_GUARD,
@@ -254,3 +285,28 @@ def test_closed_form_and_rank_oracle_share_only_the_allowed_functions():
     assert {"chow.betti_closed_form"} <= closed_calls
     assert {"chow.presentation", "linalg.SparseEliminator.add"} <= oracle_calls
     assert_shared_exactly(closed_calls, oracle_calls, CLOSED_FORM_VS_ORACLE)
+
+
+# "degree-2 products vanish exactly when incomparable": the nested-set rule
+# against the oracle's reduction of each degree-2 monomial
+PRODUCT_SUPPORT_VS_REDUCER = {
+    "lattice.DecoratedSubset.__hash__": "both key the generators by their decorated subset",
+    "lattice.DecoratedSubset.sort_key": "both order labels by the global deterministic order",
+}
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="names functions by co_qualname")
+def test_product_support_and_degree_reducer_share_only_the_allowed_functions():
+    spec = ArrangementSpec(3, 2)
+    pairs = list(itertools.combinations_with_replacement(presentation(spec).generators, 2))
+
+    def reducer_route():
+        reducer = DegreeReducer(spec, 2)
+        for x, y in pairs:
+            reducer.monomial_is_zero([x, y])
+
+    rule_calls = _called(lambda: [product_support([x, y]) for x, y in pairs])
+    reducer_calls = _called(reducer_route)
+    assert {"chow.product_support"} <= rule_calls
+    assert {"chow.DegreeReducer.monomial_is_zero"} <= reducer_calls
+    assert_shared_exactly(rule_calls, reducer_calls, PRODUCT_SUPPORT_VS_REDUCER)
