@@ -44,7 +44,7 @@ assert closed == oracle
 print("\nrank oracle per degree (graded rank = monomials - rank):")
 print("  k  monomials  rows  skipped  rank  lead-1 pivots")
 monomials = _ChainMonomials(pres.generators)
-relations = pres.reduced_linear_relations()
+relations = [pres.linear_relations[k] for k in pres.reduced_indices]
 pivots = {}
 for k in range(1, spec.n + 1):
     rows = sum(len(block) for block in _relation_rows(monomials, relations, k, pivots))

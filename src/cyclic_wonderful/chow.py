@@ -20,10 +20,11 @@ gives the recurrence.  The oracle knows nothing of that formula: it spans
 degree k by the monomials whose support is a chain, expands (linear
 relation) x (chain monomial of degree k-1) against that spanning set, and
 subtracts the exact rank of the resulting integer matrix.
-Only the n(r-1) reduced relations are expanded; they span the same degree-1
-space as all emitted relations, so their products span the same degree-k
-space.  Columns run in reverse lexicographic order, so each pivot sits on a
-row's lexicographically last chain monomial.
+It builds and expands only the n(r-1) reduced relations (i, 0, b), by the
+presentation's writer; they span the same degree-1 space as all emitted
+relations, so their products span the same degree-k space.  Columns run in
+reverse lexicographic order, so each pivot sits on a row's lexicographically
+last chain monomial.
 
 Rows are fed relation-major (every row of reduced relation 0, then of
 relation 1, ...), shortest first within a relation, and the row L_j * mu is
@@ -115,8 +116,29 @@ class ChowPresentation(_Frozen):
         object.__setattr__(self, "linear_relations", linear_relations)
         object.__setattr__(self, "reduced_indices", reduced_indices)
 
-    def reduced_linear_relations(self) -> tuple[LinearRelation, ...]:
-        return tuple(self.linear_relations[k] for k in self.reduced_indices)
+
+def _linear_relations(
+    spec: ArrangementSpec, generators: Sequence[DecoratedSubset], residues: Sequence[int]
+) -> list[LinearRelation]:
+    """The relations (i, a, b) with a < b and a in ``residues`` (increasing),
+    ordered by i, then a, then b.
+
+    One pass over the generators fills them all, in increasing generator
+    order: a generator decorating i by c enters (i, c, b) with +1 for each
+    b > c and (i, a, c) with -1 for each a < c.
+    """
+    every = tuple(range(spec.r))  # one int object per residue, shared by the keys
+    coeffs: dict[tuple[int, int, int], list[tuple[int, int]]] = {
+        (i, a, b): [] for i in range(1, spec.n + 1) for a in residues for b in every[a + 1:]
+    }
+    for x, d in enumerate(generators):
+        for i, c in d.items:
+            if c in residues:
+                for b in range(c + 1, spec.r):
+                    coeffs[i, c, b].append((x, 1))
+            for a in residues[: bisect_left(residues, c)]:
+                coeffs[i, a, c].append((x, -1))
+    return [LinearRelation(i, a, b, tuple(c)) for (i, a, b), c in coeffs.items()]
 
 
 def presentation(spec: ArrangementSpec) -> ChowPresentation:
@@ -126,27 +148,13 @@ def presentation(spec: ArrangementSpec) -> ChowPresentation:
     n*(r-1) relations (i, 0, b) are a maximal independent subset: each
     holds {i:b}, which no relation before it does, and (i, a, b) =
     (i, 0, b) - (i, 0, a); ``check`` confirms both, coefficient by
-    coefficient, in one pass over the relations.  One pass over the
-    generators fills every relation: a generator decorating i by a enters
-    (i, a, b) with +1 for each b > a and (i, b, a) with -1 for each b < a,
-    in increasing generator order.
+    coefficient, in one pass over the relations.  The rank oracle builds
+    only those reduced relations, with the same writer.
     """
     generators = tuple(enumerate_decorated_subsets(spec))
-    coeffs: dict[tuple[int, int, int], list[tuple[int, int]]] = {
-        (i, a, b): []
-        for i in range(1, spec.n + 1)
-        for a, b in itertools.combinations(range(spec.r), 2)
-    }
-    for x, d in enumerate(generators):
-        for i, a in d.items:
-            for b in range(spec.r):
-                if a < b:
-                    coeffs[i, a, b].append((x, 1))
-                elif b < a:
-                    coeffs[i, b, a].append((x, -1))
-    relations = [LinearRelation(i, a, b, tuple(c)) for (i, a, b), c in coeffs.items()]
+    relations = tuple(_linear_relations(spec, generators, range(spec.r)))
     reduced = tuple(k for k, rel in enumerate(relations) if rel.a == 0)
-    return ChowPresentation(spec, generators, tuple(relations), reduced)
+    return ChowPresentation(spec, generators, relations, reduced)
 
 
 def product_support(ds: Sequence[DecoratedSubset]) -> Chain | None:
@@ -261,8 +269,8 @@ def top_monomial_count(spec: ArrangementSpec) -> int:
 
 def _check_oracle(spec: ArrangementSpec) -> None:
     """Refuse the rank oracle before any work: first by its generator count,
-    the only bound on the presentation the oracle builds, then by the width
-    of its top degree.
+    which bounds the generators and the n(r-1) <= count relations it
+    builds, then by the width of its top degree.
 
     The generator count reaches the guard capped, so a huge spec costs a
     few products; one that passes has (1+r)^n <= 10^18, so n <= 37, and its
@@ -447,19 +455,18 @@ def _relation_space(
 
 
 def _relation_spaces(
-    spec: ArrangementSpec, top: int, pres: ChowPresentation | None = None
+    spec: ArrangementSpec, top: int
 ) -> tuple[_ChainMonomials, list[int], SparseEliminator]:
     """The chain monomials, the ranks of degrees 1..top and the degree-top space.
 
-    One loop over the degrees carries the pivot -> relation map from each
-    degree to the next; only one eliminator is alive at a time.  ``pres``
-    is ``presentation(spec)`` when the caller has it.
+    The relations are the n(r-1) reduced ones, from the presentation's
+    writer.  One loop over the degrees carries the pivot -> relation map from
+    each degree to the next; only one eliminator is alive at a time.
     """
     _check_oracle(spec)  # before any enumeration
-    if pres is None:
-        pres = presentation(spec)
-    monomials = _ChainMonomials(pres.generators)
-    relations = pres.reduced_linear_relations()
+    generators = tuple(enumerate_decorated_subsets(spec))
+    monomials = _ChainMonomials(generators)
+    relations = _linear_relations(spec, generators, (0,))
     ranks: list[int] = []
     elim, pivots = SparseEliminator(), {}
     for k in range(1, top + 1):
@@ -469,15 +476,9 @@ def _relation_spaces(
     return monomials, ranks, elim
 
 
-def betti_oracle(
-    spec: ArrangementSpec, *, _presentation: ChowPresentation | None = None
-) -> GradedDims:
-    """Graded ranks by exact elimination, independent of the closed form.
-
-    ``_presentation`` lets a caller that already built ``presentation(spec)``
-    (the ``chow`` command) hand it over instead of building it again.
-    """
-    monomials, ranks, _ = _relation_spaces(spec, spec.n, _presentation)
+def betti_oracle(spec: ArrangementSpec) -> GradedDims:
+    """Graded ranks by exact elimination, independent of the closed form."""
+    monomials, ranks, _ = _relation_spaces(spec, spec.n)
     dims = [1] + [len(monomials.degree(k)) - rank for k, rank in enumerate(ranks, 1)]
     return GradedDims(tuple(dims))
 

@@ -68,12 +68,10 @@ def _cmd_fan(args: argparse.Namespace, emit: Callable[[str], None]) -> int:
     return 0
 
 
-def _betti_rows(pres: chow.ChowPresentation, want_oracle: bool) -> list[dict]:
-    closed = chow.betti_closed_form(pres.spec)
+def _betti_rows(spec: ArrangementSpec, want_oracle: bool) -> list[dict]:
+    closed = chow.betti_closed_form(spec)
     try:
-        oracle_dims: tuple[int, ...] | None = chow.betti_oracle(
-            pres.spec, _presentation=pres
-        ).dims
+        oracle_dims: tuple[int, ...] | None = chow.betti_oracle(spec).dims
     except FeasibilityError:
         if want_oracle:
             raise
@@ -95,11 +93,11 @@ def _betti_rows(pres: chow.ChowPresentation, want_oracle: bool) -> list[dict]:
 def _cmd_chow(args: argparse.Namespace, emit: Callable[[str], None]) -> int:
     spec = _spec(args)
     check_fan_spec(spec)
-    pres = chow.presentation(spec)
-    rows = _betti_rows(pres, args.oracle)
+    rows = _betti_rows(spec, args.oracle)
+    pres = None if args.betti_only else chow.presentation(spec)
     if args.format == "json":
         payload: dict = {"r": spec.r, "n": spec.n, "betti": rows}
-        if not args.betti_only:
+        if pres is not None:
             payload["generators"] = [d.text() for d in pres.generators]
             payload["linear_relations"] = [
                 {
@@ -113,7 +111,7 @@ def _cmd_chow(args: argparse.Namespace, emit: Callable[[str], None]) -> int:
             payload["reduced_relation_indices"] = list(pres.reduced_indices)
         emit(json.dumps(payload, indent=2))
     else:
-        if not args.betti_only:
+        if pres is not None:
             emit(f"generators ({len(pres.generators)}):")
             for k, d in enumerate(pres.generators):
                 emit(f"  [{k}] D{d.text()}")
@@ -122,11 +120,12 @@ def _cmd_chow(args: argparse.Namespace, emit: Callable[[str], None]) -> int:
                 f"linear relations ({len(pres.linear_relations)} emitted, "
                 f"{len(pres.reduced_indices)} independent):"
             )
+            reduced = set(pres.reduced_indices)
             for idx, rel in enumerate(pres.linear_relations):
                 terms = " ".join(
                     f"{'+' if c > 0 else '-'}D[{k}]" for k, c in rel.coeffs
                 )
-                star = "*" if idx in pres.reduced_indices else " "
+                star = "*" if idx in reduced else " "
                 emit(f" {star}(i={rel.i}, {rel.a}~{rel.b}) {terms} = 0")
         emit(f"{'k':<4}{'closed_form':<13}{'oracle':<8}match")
         for row in rows:

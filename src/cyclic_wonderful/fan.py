@@ -556,16 +556,12 @@ def is_smooth_cone(cone: Cone) -> bool:
     Computed as all Smith-form elementary divisors of the generator matrix
     being 1 (rank deficiency shows up as a zero divisor).
     """
-    if not cone.rays:
-        return True
     divisors = smith_divisors([list(v) for v in cone.rays])
     return len(divisors) == len(cone.rays) and all(d == 1 for d in divisors)
 
 
 def cone_dim(cone: Cone) -> int:
     """The rank of the generators: the count of nonzero Smith divisors."""
-    if not cone.rays:
-        return 0
     return sum(1 for d in smith_divisors([list(v) for v in cone.rays]) if d)
 
 

@@ -247,7 +247,7 @@ def suite_chow(spec: ArrangementSpec, seed: int = 0) -> list[CheckResult]:
     closed = chow.betti_closed_form(spec)
     pres = chow.presentation(spec)
     try:
-        oracle = chow.betti_oracle(spec, _presentation=pres)
+        oracle = chow.betti_oracle(spec)
         out.append(
             _result(
                 "chow",

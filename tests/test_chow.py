@@ -42,6 +42,11 @@ def ds(*pairs):
     return DecoratedSubset.of(pairs)
 
 
+def reduced_relations(pres):
+    """The presentation's reduced relations, in emission order."""
+    return tuple(pres.linear_relations[k] for k in pres.reduced_indices)
+
+
 # --- presentation ------------------------------------------------------------
 
 
@@ -147,13 +152,29 @@ def test_check_certifies_the_reduced_relations_at_n1_without_an_elimination(monk
         raise AssertionError("the check ran an elimination")
 
     # the rank oracle has its own line and eliminates; this one must not
-    monkeypatch.setattr(
-        "cyclic_wonderful.chow.betti_oracle", lambda spec, **kwargs: betti_closed_form(spec)
-    )
+    monkeypatch.setattr("cyclic_wonderful.chow.betti_oracle", betti_closed_form)
     monkeypatch.setattr(SparseEliminator, "add", refuse)
     results = {c.name: c for c in suite_chow(ArrangementSpec(200, 1))}
     line = results["reduced relation count n (r-1)"]
     assert (line.status, line.detail) == ("PASS", "199 independent of 19900 emitted")
+
+
+@pytest.mark.parametrize("r,n", [(2, 1), (3, 2), (4, 3), (2, 4), (7, 1), (1000, 1)])
+def test_oracle_relations_are_the_presentations_reduced_relations(monkeypatch, r, n):
+    # the oracle writes its own relations; they are the presentation's
+    # reduced ones in order, coefficient for coefficient, so its rows,
+    # pivots and ranks are those of the presentation's reduced relations
+    seen = []
+    relation_space = _relation_space
+
+    def recording(monomials, relations, *args):
+        seen.append(list(relations))
+        return relation_space(monomials, relations, *args)
+
+    monkeypatch.setattr("cyclic_wonderful.chow._relation_space", recording)
+    spec = ArrangementSpec(r, n)
+    _relation_spaces(spec, 1)
+    assert seen == [list(reduced_relations(presentation(spec)))]
 
 
 def test_presentation_generator_count():
@@ -343,7 +364,6 @@ def test_every_oracle_row_is_fed_through_add(monkeypatch, r, n, rows):
     # add is the oracle's only feed path: the benchmark's add counters and
     # the r = 2 test above see every row through it
     spec = ArrangementSpec(r, n)
-    pres = presentation(spec)
     calls = []
     add = SparseEliminator.add
 
@@ -352,7 +372,7 @@ def test_every_oracle_row_is_fed_through_add(monkeypatch, r, n, rows):
         return add(self, row)
 
     monkeypatch.setattr(SparseEliminator, "add", counting_add)
-    assert betti_oracle(spec, _presentation=pres) == betti_closed_form(spec)
+    assert betti_oracle(spec) == betti_closed_form(spec)
     assert len(calls) == rows
 
 
@@ -396,7 +416,7 @@ def test_relation_rows_equal_the_sorted_product_rows(r, n):
     spec = ArrangementSpec(r, n)
     pres = presentation(spec)
     monomials = _ChainMonomials(pres.generators)
-    relations = pres.reduced_linear_relations()
+    relations = reduced_relations(pres)
     pivots = {}
     for k in range(1, n + 1):
         for mono, mults in zip(monomials.degree(k - 1), monomials.multipliers(k - 1)):
@@ -411,7 +431,7 @@ def test_oracle_rows_give_the_cross_multiplied_pivots(r, n):
     spec = ArrangementSpec(r, n)
     pres = presentation(spec)
     monomials = _ChainMonomials(pres.generators)
-    relations = pres.reduced_linear_relations()
+    relations = reduced_relations(pres)
     pivots = {}
     for k in range(1, n + 1):
         elim, reference = SparseEliminator(), ReferenceEliminator()
@@ -524,7 +544,7 @@ def test_degree_two_reducer_matches_the_unpruned_rows(r, n):
     reducer = DegreeReducer(spec, 2)
     monomials = reducer.monomials
     unpruned = SparseEliminator()
-    for row in expanded_rows(monomials, presentation(spec).reduced_linear_relations(), 2):
+    for row in expanded_rows(monomials, reduced_relations(presentation(spec)), 2):
         unpruned.add(row)
     columns = monomials.columns(2)
     for mono in monomials.degree(2):

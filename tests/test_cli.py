@@ -11,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from cyclic_wonderful.chow import LinearRelation
 from cyclic_wonderful.cli import build_parser, main, run
 from cyclic_wonderful.fan import build_fan, fans_equal
 from cyclic_wonderful.lattice import ArrangementSpec, BuildingSet
@@ -75,6 +76,30 @@ def test_chow_full_output_lists_generators_and_relations():
     assert payload["generators"] == ["{1:0}", "{1:1}"]
     assert len(payload["linear_relations"]) == 1
     assert payload["betti"][0]["match"] is True
+
+
+def test_chow_betti_only_builds_only_the_reduced_relations(monkeypatch):
+    # the presentation emits 499,500 relations at (1000, 1); --betti-only
+    # prints none of them and the oracle reads the 999 reduced ones
+    def refuse(spec):
+        raise AssertionError("--betti-only built the presentation")
+
+    built = []
+    init = LinearRelation.__init__
+
+    def counting_init(self, *args):
+        built.append(args[:3])
+        init(self, *args)
+
+    monkeypatch.setattr("cyclic_wonderful.chow.presentation", refuse)
+    monkeypatch.setattr(LinearRelation, "__init__", counting_init)
+    status, out = invoke(["chow", "--r", "1000", "--n", "1", "--betti-only"])
+    assert status == 0
+    assert [line.split() for line in out.splitlines()[1:]] == [
+        ["0", "1", "1", "yes"],
+        ["1", "1", "1", "yes"],
+    ]
+    assert built == [(1, 0, b) for b in range(1, 1000)]
 
 
 def main_stdout(argv):

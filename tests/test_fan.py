@@ -185,6 +185,7 @@ def test_cone_dim_equals_chain_length():
         fan = build_fan(spec, BuildingSet.maximal(spec))
         for cone in fan.cones.values():
             assert cone_dim(cone) == len(cone.label)
+    assert cone_dim(Cone((), ())) == 0  # no Smith divisors at all
 
 
 def _maximal_by_inclusion(fan):
@@ -814,6 +815,11 @@ def test_location_does_not_test_the_cone_the_index_found_again(r, n, monkeypatch
 
 
 # --- smoothness --------------------------------------------------------------
+
+
+def test_rayless_cone_is_smooth():
+    # no Smith divisors, so none differs from 1
+    assert is_smooth_cone(Cone((), ()))
 
 
 def test_single_primitive_ray_is_smooth():

@@ -38,7 +38,10 @@ located at n >= 3), and the off-support ``locate --point`` and the
 tropical curve, certified on that chain's cone, instead of scanning the
 fan, and the full ``check`` runs at (3,2) with seed 11 and (2,3) with seed
 12 before the sampled rationals were built once per value and the
-intersection law read one membership mask per point; any later change that alters
+intersection law read one membership mask per point, and the ``chow
+--betti-only`` at (1000,1) and the ``chow`` at (40,1) before the rank oracle
+wrote its own reduced relations instead of reading them off the presentation
+(the second marks its 39 reduced relations among 780); any later change that alters
 a byte of these outputs fails here.  The whole corpus runs in-process through
 ``cli.main`` in a few seconds.  To re-record after an
 intended output change, print ``hashlib.sha256(stdout).hexdigest()`` for each
@@ -115,6 +118,8 @@ GOLDEN = [
     ("check --r 2 --n 4 --suite tropical --seed 2", 0, "4a079faf44c5ad50aac2f76d8ba668e8e24e4bb5ca22e6c973ab9be633ca7b44"),
     ("locate --r 4 --n 4 --point 1,1,0,0,0,0,-1,-1,-1,0,0,3", 0, "59c8ca186ab702e4c40065e40612ef8e6e0c0b7ff147c7c5c1618cdc436b92be"),
     ("locate --r 4 --n 4 --curve 1:0:2,2:3:2,3:1:1,4:c:0", 0, "c63752c2e2b34f216ac99518ecc37c6558ceb365c7ffa1059c2982729407d7c3"),
+    ("chow --r 1000 --n 1 --betti-only", 0, "0b146279cad3fb1b65adbc5e6d8728a57b613ee19e6f964d11f8eb49fc2bc50e"),
+    ("chow --r 40 --n 1", 0, "d3e7ecc455e172c776d8f4a24c07b35f67e3a9938b4cab341aa0bc615f2206f9"),
     ("fan --r 1 --n 2", 2, "19a9c3723b7d7f4d89611ed97f66c1f2369ca2ac75bc525df5a199f19f8b3969"),
     ("locate --r 3 --n 2 --point 1,2", 2, "2360e8858d7deb4b2fdfefd665fff621c57c1bcb7cd8a38e1eced897152e29a7"),
 ]
