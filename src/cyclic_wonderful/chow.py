@@ -228,17 +228,27 @@ def expected_jump_count(spec: ArrangementSpec, jt: JumpType) -> int:
     return _multinomial(spec.n, jt.parts) * spec.r ** jt.total
 
 
-def nonempty_chain_count(spec: ArrangementSpec) -> int:
-    """sum_{s=1..n} C(n, s) * r^s * Fub(s): a nonempty chain is a decorated
-    top set of size s with an ordered set partition of it (the jumps).
+def _chain_counts(spec: ArrangementSpec) -> list[int]:
+    """Nonempty chains by length: entry l is chains_l, and entry 0 is 0.
 
-    Fub(s) counts the ordered set partitions of an s-set, by the recursion
-    on the first block: Fub(s) = sum_{k=1..s} C(s, k) * Fub(s - k).
+    A chain of length l is a decorated top set of size s with an ordered
+    partition of it into l jumps, so chains_l = sum_s C(n, s) * r^s *
+    Surj(s, l), where Surj(s, l) = l * (Surj(s-1, l-1) + Surj(s-1, l))
+    counts the surjections of an s-set onto an l-set.
     """
-    fub = [1]
-    for s in range(1, spec.n + 1):
-        fub.append(sum(comb(s, k) * fub[s - k] for k in range(1, s + 1)))
-    return sum(comb(spec.n, s) * spec.r**s * fub[s] for s in range(1, spec.n + 1))
+    n, r = spec.n, spec.r
+    surj = [1] + [0] * n  # surj[l] = Surj(s, l), from s = 0
+    chains = [0] * (n + 1)
+    for s in range(1, n + 1):
+        surj = [0] + [l * (surj[l - 1] + surj[l]) for l in range(1, n + 1)]
+        for l in range(1, s + 1):
+            chains[l] += comb(n, s) * r**s * surj[l]
+    return chains
+
+
+def nonempty_chain_count(spec: ArrangementSpec) -> int:
+    """The chains of ``_chain_counts`` over every length."""
+    return sum(_chain_counts(spec))
 
 
 # ---------------------------------------------------------------------------
@@ -249,22 +259,12 @@ def nonempty_chain_count(spec: ArrangementSpec) -> int:
 def top_monomial_count(spec: ArrangementSpec) -> int:
     """The number of degree-n chain monomials, the oracle's widest degree.
 
-    sum_l chains_l * C(n-1, l-1): a degree-n monomial on a chain of l
-    distinct generators takes each of them at least once.  A chain of
-    length l is a decorated top set of size s with an ordered partition of
-    it into l jumps, so chains_l = sum_s C(n, s) * r^s * Surj(s, l), where
-    Surj(s, l) = l * (Surj(s-1, l-1) + Surj(s-1, l)) counts the surjections
-    of an s-set onto an l-set.  At n = 0 the oracle builds no degree and the
-    count is 0.
+    sum_l chains_l * C(n-1, l-1) over the chains of ``_chain_counts``: a
+    degree-n monomial on a chain of l distinct generators takes each of
+    them at least once.  At n = 0 the oracle builds no degree and the count
+    is 0.
     """
-    n, r = spec.n, spec.r
-    surj = [1] + [0] * n  # surj[l] = Surj(s, l), from s = 0
-    chains = [0] * (n + 1)
-    for s in range(1, n + 1):
-        surj = [0] + [l * (surj[l - 1] + surj[l]) for l in range(1, n + 1)]
-        for l in range(1, s + 1):
-            chains[l] += comb(n, s) * r**s * surj[l]
-    return sum(chains[l] * comb(n - 1, l - 1) for l in range(1, n + 1))
+    return sum(c * comb(spec.n - 1, l - 1) for l, c in enumerate(_chain_counts(spec)) if l)
 
 
 def _check_oracle(spec: ArrangementSpec) -> None:

@@ -18,7 +18,7 @@ import json
 import sys
 from collections import Counter
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterable, Sequence
 
 from . import chow, normal_complex, tropical
 from .fan import build_fan, build_fan_stellar, in_relative_interior
@@ -168,41 +168,39 @@ def _cmd_locate(args: argparse.Namespace, emit: Callable[[str], None]) -> int:
     return 0
 
 
+def _points_text(points: Iterable[Sequence[Fraction]]) -> str:
+    return " ".join("(" + ",".join(str(x) for x in p) + ")" for p in points)
+
+
 def _cmd_normal_complex(args: argparse.Namespace, emit: Callable[[str], None]) -> int:
     spec = _spec(args)
-    complex_ = normal_complex.complex_cells(spec)
-    cells = []
-    for cell in complex_.cells:
-        cells.append(
-            {
-                "chain": cell.label.text(),
-                "h_rep": [
-                    {
-                        "normal": [str(x) for x in normal],
-                        "bound": str(bound),
-                    }
-                    for normal, bound in cell.h_rep
-                ],
-                "vertices": [
-                    [str(x) for x in v] for v in cell.v_rep
-                ],
-            }
-        )
-    payload: dict = {"r": spec.r, "n": spec.n, "cells": cells}
-    if args.union_extremes:
-        payload["union_extremes"] = [
-            [str(x) for x in p] for p in normal_complex.union_extreme_points(spec)
-        ]
-    if args.format == "json":
+    cells = normal_complex.complex_cells(spec).cells
+    extremes = normal_complex.union_extreme_points(spec) if args.union_extremes else None
+    if args.format == "json":  # the one output that prints each cell's rows
+        payload: dict = {
+            "r": spec.r,
+            "n": spec.n,
+            "cells": [
+                {
+                    "chain": cell.label.text(),
+                    "h_rep": [
+                        {"normal": [str(x) for x in normal], "bound": str(bound)}
+                        for normal, bound in cell.h_rep
+                    ],
+                    "vertices": [[str(x) for x in v] for v in cell.v_rep],
+                }
+                for cell in cells
+            ],
+        }
+        if extremes is not None:
+            payload["union_extremes"] = [[str(x) for x in p] for p in extremes]
         emit(json.dumps(payload, indent=2))
     else:
         emit(f"normal complex for r={spec.r}, n={spec.n}: {len(cells)} cells")
         for cell in cells:
-            verts = " ".join("(" + ",".join(v) + ")" for v in cell["vertices"])
-            emit(f"  {cell['chain']}: vertices {verts}")
-        if args.union_extremes:
-            pts = " ".join("(" + ",".join(p) + ")" for p in payload["union_extremes"])
-            emit(f"union extreme points: {pts}")
+            emit(f"  {cell.label.text()}: vertices {_points_text(cell.v_rep)}")
+        if extremes is not None:
+            emit(f"union extreme points: {_points_text(extremes)}")
     return 0
 
 

@@ -40,8 +40,8 @@ class _Frozen:
     """An immutable record: ``__init__`` sets each field through
     ``object.__setattr__``, and assignment and deletion raise AttributeError
     (a ``cached_property`` writes to the instance ``__dict__`` directly).
-    The ``repr`` lists ``_fields``, the constructor's parameters in order, as
-    ``name=value`` pairs."""
+    The ``repr`` lists ``_fields`` as ``name=value`` pairs: the constructor's
+    parameters in order, or what a class's docstring says it shows."""
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)

@@ -33,11 +33,14 @@ and none summed: a row as its ``linalg.RowTest`` test
 ``(normal, None, bound)``, each normal kept as its nonzero (index, coeff)
 pairs, with the scale that clears it (the lcm of the squared norms of the
 steps it holds, r - 1 or 1), and a vertex over the common denominator of
-the cube's corners, written by ``fan.place``.  ``h_rep`` and ``v_rep``
-are those integers over their scales.  Membership is integer arithmetic: a rational point p / D (p
-integer, D > 0) satisfies ``normal . v <= bound`` exactly when
-``normal_int . p <= bound_int * D``.  One cell's membership test is
-``linalg.tests_hold``, which stops at its first violated row.  The cells
+the cube's corners, written by ``fan.place``.  A cell stores each row
+once, as that test and scale; ``h_rep``, the dense rational rows, is built
+from them on first read, and only the JSON output reads it (at n = 1 the
+r cells' tests hold O(r^2) integers, their dense rows r^3 entries).
+Membership is integer arithmetic: a rational point p / D (p integer,
+D > 0) satisfies ``normal . v <= bound`` exactly when ``normal_int . p <=
+bound_int * D``.  One cell's membership test is ``linalg.tests_hold``,
+which stops at its first violated row.  The cells
 repeat their rows (253 distinct among the 6,912 H-rows at r = 4, n = 3,
 with 244 distinct normals), and a cell holds each equality as a pair of
 opposite rows, so the normals lie on 178 hyperplanes.  Membership in the
@@ -96,25 +99,35 @@ class Polytope(_Frozen):
 
     Constraints read ``normal * v <= bound`` with the coordinate dot
     product; equalities carving out the cone's span appear as paired
-    opposite inequalities.  ``tests`` are the same rows cleared of
-    denominators, as the tests ``(normal, None, bound)`` with each normal
-    kept as its nonzero ``(index, coeff)`` pairs; the record does not show
-    them.
+    opposite inequalities.  Each row is stored once, as ``_cell_rows``
+    yields it: the test ``(normal, None, bound)`` cleared of denominators,
+    the normal kept as its nonzero ``(index, coeff)`` pairs, and the scale
+    that clears it.  ``h_rep``, which the record shows, is built on first
+    read.
     """
 
     _fields = ("h_rep", "v_rep", "label")
 
     def __init__(
         self,
-        h_rep: tuple[tuple[FracVec, Fraction], ...],
         v_rep: tuple[FracVec, ...],
         label: Chain,
-        tests: tuple[RowTest, ...],
+        rows: Sequence[tuple[RowTest, int]],
     ) -> None:
-        object.__setattr__(self, "h_rep", h_rep)
         object.__setattr__(self, "v_rep", v_rep)
         object.__setattr__(self, "label", label)
-        object.__setattr__(self, "_tests", tests)
+        object.__setattr__(self, "_tests", tuple([test for test, _ in rows]))
+        object.__setattr__(self, "_scales", tuple([scale for _, scale in rows]))
+
+    @cached_property
+    def h_rep(self) -> tuple[tuple[FracVec, Fraction], ...]:
+        dim, zero, rows = len(self.v_rep[0]), Fraction(0), []
+        for (pairs, _, bound), scale in zip(self._tests, self._scales):
+            row = [zero] * dim
+            for f, a in pairs:
+                row[f] = Fraction(a, scale)
+            rows.append((tuple(row), Fraction(bound, scale)))
+        return tuple(rows)
 
     def contains(self, point: Sequence) -> bool:
         # the origin is a vertex of every cell, so v_rep gives the dimension
@@ -252,44 +265,30 @@ def cell_polytope(chain: Chain, spec: ArrangementSpec) -> Polytope:
     Each vertex and row holds at most one step per block, so it is placed
     in integers, every entry at its slot with none summed: a vertex over
     the common denominator of ``_scaled_vertex_lengths`` by ``fan.place``,
-    a row as its integer test over its scale (``_cell_rows``).  The
-    vertices sort by those integers, and each entry of ``h_rep`` and
-    ``v_rep`` is an integer over its scale, one ``Fraction`` per distinct
-    value.
+    a row as its integer test and the scale that clears it
+    (``_cell_rows``), stored once; ``Polytope.h_rep`` builds the dense rows
+    from them when read.  The vertices sort by those integers, and each
+    entry of ``v_rep`` is an integer over their denominator, one
+    ``Fraction`` per distinct value.
     """
     if not chain.is_maximal(spec):
         raise ValueError(
             "cells are realized for maximal chains only; shorter chains label "
             "shared faces of the maximal cells"
         )
-    dim, block = spec.ambient_dim, spec.r - 1
+    block = spec.r - 1
     slots = _level_slots(chain, spec)
-    fractions: dict[tuple[int, int], Fraction] = {}
-
-    def ratio(x: int, scale: int) -> Fraction:
-        q = fractions.get((x, scale))
-        if q is None:
-            q = fractions[x, scale] = Fraction(x, scale)
-        return q
-
     scaled, common = _scaled_vertex_lengths(len(slots))
-    keys = sorted(place(block, dim, 0, zip(slots, y)) for y in scaled)
-    v_rep = tuple([tuple([ratio(x, common) for x in key]) for key in keys])
-    zero, rows = ratio(0, 1), _cell_rows(slots, block, spec.n)
-    h_rep: list[tuple[FracVec, Fraction]] = []
-    for (pairs, _, bound), scale in rows:
-        row = [zero] * dim
-        for f, a in pairs:
-            row[f] = ratio(a, scale)
-        h_rep.append((tuple(row), ratio(bound, scale)))
-    return Polytope(tuple(h_rep), v_rep, chain, tuple([test for test, _ in rows]))
+    keys = sorted(place(block, spec.ambient_dim, 0, zip(slots, y)) for y in scaled)
+    ratios = {x: Fraction(x, common) for key in keys for x in key}
+    v_rep = tuple([tuple([ratios[x] for x in key]) for key in keys])
+    return Polytope(v_rep, chain, _cell_rows(slots, block, spec.n))
 
 
 def complex_cells(spec: ArrangementSpec) -> NormalComplex:
     """One cell per maximal chain, in the deterministic chain order."""
     check_normal_complex(spec.num_maximal_chains_upto(COUNT_CAP))
-    chains = sorted(maximal_chains(spec), key=Chain.sort_key)
-    return NormalComplex(spec, tuple(cell_polytope(c, spec) for c in chains))
+    return NormalComplex(spec, tuple(cell_polytope(c, spec) for c in maximal_chains(spec)))
 
 
 def in_delta(point: Sequence, spec: ArrangementSpec) -> bool:

@@ -514,6 +514,23 @@ def test_nonempty_chain_count_matches_the_enumeration(r, n):
     assert nonempty_chain_count(spec) == count
 
 
+def fubini_chain_count(r, n):
+    """sum_{s=1..n} C(n, s) * r^s * Fub(s): a nonempty chain is a decorated
+    top set of size s with an ordered set partition of it (the jumps), and
+    Fub(s) = sum_{k=1..s} C(s, k) * Fub(s - k) counts those partitions by
+    their first block."""
+    fub = [1]
+    for s in range(1, n + 1):
+        fub.append(sum(comb(s, k) * fub[s - k] for k in range(1, s + 1)))
+    return sum(comb(n, s) * r**s * fub[s] for s in range(1, n + 1))
+
+
+@pytest.mark.parametrize("r", range(2, 9))
+def test_nonempty_chain_count_is_the_fubini_sum(r):
+    for n in range(13):
+        assert nonempty_chain_count(ArrangementSpec(r, n)) == fubini_chain_count(r, n)
+
+
 def test_check_fails_an_enumerator_that_drops_a_jump_type(monkeypatch):
     def without_single_steps(spec, max_length):
         for c in enumerate_chains(spec, max_length):

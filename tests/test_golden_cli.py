@@ -41,7 +41,11 @@ fan, and the full ``check`` runs at (3,2) with seed 11 and (2,3) with seed
 intersection law read one membership mask per point, and the ``chow
 --betti-only`` at (1000,1) and the ``chow`` at (40,1) before the rank oracle
 wrote its own reduced relations instead of reading them off the presentation
-(the second marks its 39 reduced relations among 780); any later change that alters
+(the second marks its 39 reduced relations among 780), and the text
+``normal-complex`` at (120,1), the ``check --suite normal`` at (200,1) and
+the ``normal-complex --format json`` at (40,1) before a cell stored each row
+once and built ``h_rep`` only when read (the text output and the check
+never read it; the JSON prints every row); any later change that alters
 a byte of these outputs fails here.  The whole corpus runs in-process through
 ``cli.main`` in a few seconds.  To re-record after an
 intended output change, print ``hashlib.sha256(stdout).hexdigest()`` for each
@@ -120,6 +124,9 @@ GOLDEN = [
     ("locate --r 4 --n 4 --curve 1:0:2,2:3:2,3:1:1,4:c:0", 0, "c63752c2e2b34f216ac99518ecc37c6558ceb365c7ffa1059c2982729407d7c3"),
     ("chow --r 1000 --n 1 --betti-only", 0, "0b146279cad3fb1b65adbc5e6d8728a57b613ee19e6f964d11f8eb49fc2bc50e"),
     ("chow --r 40 --n 1", 0, "d3e7ecc455e172c776d8f4a24c07b35f67e3a9938b4cab341aa0bc615f2206f9"),
+    ("normal-complex --r 120 --n 1", 0, "a201113ad41c17e60881d0015b337de9a572b44e2c5a2d1a991e955e555aadc5"),
+    ("check --r 200 --n 1 --suite normal --seed 3", 0, "510fc29b840b46bf7754a437200464cb8d8cf98529035b08ea829e9aab9a1deb"),
+    ("normal-complex --r 40 --n 1 --format json", 0, "63fbab7ab8e5e0b907414b83f1da9e51681384f41e19833ac1c3e7994620b565"),
     ("fan --r 1 --n 2", 2, "19a9c3723b7d7f4d89611ed97f66c1f2369ca2ac75bc525df5a199f19f8b3969"),
     ("locate --r 3 --n 2 --point 1,2", 2, "2360e8858d7deb4b2fdfefd665fff621c57c1bcb7cd8a38e1eced897152e29a7"),
 ]

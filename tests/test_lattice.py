@@ -335,6 +335,13 @@ def test_enumerated_chains_nest_and_come_in_the_reference_order(r, n):
     assert len({id(d) for c in chains for d in c.prefixes}) == spec.num_subsets
 
 
+@pytest.mark.parametrize("r,n", [*itertools.product(range(2, 6), range(5)), (2, 5)])
+def test_maximal_chains_come_in_the_chain_sort_order(r, n):
+    # the normal complex lists its cells in this order without sorting
+    keys = [c.sort_key() for c in maximal_chains(ArrangementSpec(r, n))]
+    assert keys == sorted(keys) and len(set(keys)) == len(keys)
+
+
 @pytest.mark.parametrize(
     "flag",
     [

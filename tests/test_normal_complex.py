@@ -1,10 +1,13 @@
 """Cells of the truncated support: heights, vertices, tiling, symmetry."""
 
+import contextlib
 import functools
 import importlib
+import io
 import itertools
 import pkgutil
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -436,6 +439,52 @@ def test_union_extremes_command_builds_the_complex_once(monkeypatch, capsys):
     assert main(["normal-complex", "--r", "2", "--n", "2", "--union-extremes"]) == 0
     assert len(builds) == 1
     assert "union extreme points:" in capsys.readouterr().out
+
+
+def test_only_the_json_output_reads_the_dense_rows(monkeypatch):
+    text_runs = [
+        "check --r 3 --n 2 --suite normal",
+        "normal-complex --r 3 --n 2",
+        "normal-complex --r 3 --n 2 --union-extremes",
+    ]
+
+    def run(command):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = main(command.split())
+        return code, buf.getvalue()
+
+    before = [run(command) for command in text_runs]
+
+    def refuse(cell):
+        raise Refused("h_rep")
+
+    monkeypatch.setattr(normal_complex.Polytope, "h_rep", property(refuse))
+    assert [run(command) for command in text_runs] == before
+    assert all(code == 0 for code, _ in before)
+    with pytest.raises(Refused):
+        run("normal-complex --r 3 --n 2 --format json")
+
+
+def _peak_bytes(build):
+    """The tracemalloc peak of a second call of ``build``: the first fills
+    the caches and the interpreter's free lists that a warm process has."""
+    build()
+    tracemalloc.start()
+    try:
+        kept = build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    del kept
+    return peak
+
+
+def test_cells_at_n_1_grow_like_r_squared():
+    # r cells of about 2r rows each; dense rows would hold r^3 entries.  Below
+    # r = 100 the free lists hold down the smaller peak (r = 25 to 50 reads 14x)
+    small, large = (_peak_bytes(lambda: complex_cells(ArrangementSpec(r, 1))) for r in (100, 200))
+    assert large < 5 * small
 
 
 # --- membership --------------------------------------------------------------

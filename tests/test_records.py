@@ -106,10 +106,11 @@ def fields(x):
 
 
 def constructor_args(x):
-    """The fields, plus a cell's integer tests, which the constructor takes
-    but the record does not show."""
-    extra = {"tests": x._tests} if type(x).__name__ == "Polytope" else {}
-    return {**fields(x), **extra}
+    """The fields; a cell's constructor takes its rows as integer tests and
+    scales in place of ``h_rep``, which it builds from them when read."""
+    if type(x).__name__ == "Polytope":
+        return {"v_rep": x.v_rep, "label": x.label, "rows": list(zip(x._tests, x._scales))}
+    return fields(x)
 
 
 def package_record_classes():
