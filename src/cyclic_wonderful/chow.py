@@ -41,6 +41,15 @@ arithmetic throughout.  With this order nearly every pivot row has lead 1,
 so a row is updated in place against it with no gcd; only a step against
 another lead scales the row and divides it by its content.
 
+The top set T of mu's chain repeats rows too.  Every multiplier of mu is
+comparable to T, so one that holds a factor i of T decorates it by T(i):
+with S = sum x_d * mu over the multipliers d that hold i, the row
+(i, 0, b) * mu is +S when T(i) = 0, -S when T(i) = b, and empty otherwise.
+When T(i) = 0 the rows of (i, 0, b) for b >= 2 repeat the row of
+(i, 0, 1), fed before them, and are dropped.  They would reduce to zero,
+so the F5 induction, the pivots and the relation that creates each pivot
+are as before.  At r = 2 there is no such row.
+
 A monomial's multipliers (the generators comparable to all its factors)
 are found once, filtered from those of the monomial one degree below.  They
 give the next degree's monomials, mu + (g,) for g >= mu[-1] in
@@ -360,7 +369,10 @@ def _relation_rows(
     while a relation before j was fed: that row is redundant (F5 criterion).
     Each monomial's rows are built from its multipliers through a generator
     -> (relation index, coefficient) index, so no relation is scanned for
-    generators the monomial cannot take.
+    generators the monomial cannot take.  The rows of (i, 0, b), b >= 2,
+    are dropped when mu's top set decorates i by 0: they repeat the row of
+    (i, 0, 1) (see the module docstring).  ``relations`` are the reduced
+    ones, (i, 0, 1) before (i, 0, b).
 
     The product mu * g with g >= mu[-1] is the next degree-k monomial in
     lexicographic order, so its column is a running count; one with
@@ -369,9 +381,17 @@ def _relation_rows(
     """
     columns = monomials.columns(k)
     by_generator: list[list[tuple[int, int]]] = [[] for _ in monomials.generators]
+    by_factor: dict[int, list[int]] = {}  # factor i -> the relations (i, 0, b >= 2)
     for index, rel in enumerate(relations):
         for g, c in rel.coeffs:
             by_generator[g].append((index, c))
+        if rel.b >= 2:
+            by_factor.setdefault(rel.i, []).append(index)
+    # per top generator, the relations whose rows repeat that of (i, 0, 1)
+    repeats = [
+        [index for i, c in d.items if c == 0 for index in by_factor.get(i, ())]
+        for d in monomials.generators
+    ]
     blocks: list[list[dict[int, int]]] = [[] for _ in relations]
     lower = monomials.degree(k - 1)
     last = len(lower) - 1
@@ -396,6 +416,8 @@ def _relation_rows(
                     mono_rows[index] = {col: c}
                 else:
                     row[col] = c
+        for index in repeats[mono[-1]] if mono else ():
+            mono_rows.pop(index, None)
         for index, row in mono_rows.items():
             blocks[index].append(row)
     for block in blocks:

@@ -31,6 +31,14 @@ the 54 subdivisions at r = 3, n = 3, where a scan per subdivision read
 12,744.  The two routes must agree cone-for-cone, and the test suite checks
 that they do.
 
+A ``Fan`` holds its maximal cones, one per length-n chain (the n! r^n
+decorated complete flags), and builds the others, their faces, when
+``Fan.cones`` is first read.  The direct route builds the ray table and the
+maximal cones up front and leaves the faces to that read, so a scan, which
+reads only ``maximal_cones``, never enumerates a face: they are 2,198 of
+the 3,128 cones at (3,3), (4,3) and (2,4) together.  The stellar route
+builds every cone as it goes and hands its faces over as they are.
+
 Cone coordinates are exact and integer.  Each cone caches, on first use,
 the result of a fraction-free (Bareiss) Gauss-Jordan elimination through
 the ray columns of [A | I], A the rays as columns: dim - k span-check rows,
@@ -65,7 +73,7 @@ import itertools
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import add, sub
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .guards import check_fan_spec
 from .lattice import (
@@ -75,7 +83,8 @@ from .lattice import (
     DecoratedSubset,
     _Frozen,
     _Value,
-    enumerate_chains,
+    _chains_of_length,
+    _subset_table,
     is_nested,
     validate_subset,
 )
@@ -343,17 +352,49 @@ class Fan(_Frozen):
     """An immutable fan: a ray per decorated subset, one cone per chain.
 
     Cones are keyed by their chain, and a cone's label is that chain's own
-    tuple of decorated prefixes.
+    tuple of decorated prefixes.  A fan holds its maximal cones, those of
+    the length-n chains, and a zero-argument callable that returns its other
+    cones, the faces, in a dict of its own; ``cones`` calls it on first read
+    and takes that dict over.  The record shows ``spec``, ``rays`` and
+    ``cones``.
     """
 
     _fields = ("spec", "rays", "cones")
 
     def __init__(
-        self, spec: ArrangementSpec, rays: dict[DecoratedSubset, Vector], cones: dict[Chain, Cone]
+        self,
+        spec: ArrangementSpec,
+        rays: dict[DecoratedSubset, Vector],
+        maximal: dict[Chain, Cone],
+        faces: Callable[[], dict[Chain, Cone]],
     ) -> None:
         object.__setattr__(self, "spec", spec)
         object.__setattr__(self, "rays", rays)
-        object.__setattr__(self, "cones", cones)
+        object.__setattr__(self, "_maximal", maximal)
+        object.__setattr__(self, "_faces", faces)
+
+    @classmethod
+    def from_cones(
+        cls,
+        spec: ArrangementSpec,
+        rays: dict[DecoratedSubset, Vector],
+        cones: Iterable[tuple[Chain, Cone]],
+    ) -> "Fan":
+        """The fan of (chain, cone) pairs already built, split by chain
+        length: the length-n chains' cones are its maximal cones, the others
+        its faces."""
+        maximal, faces = {}, {}
+        for chain, cone in cones:
+            (maximal if len(chain.prefixes) == spec.n else faces)[chain] = cone
+        return cls(spec, rays, maximal, lambda: faces)
+
+    @cached_property
+    def cones(self) -> dict[Chain, Cone]:
+        """Every cone, keyed by its chain: the faces first, then the maximal
+        cones, each the very object that ``maximal_cones`` holds."""
+        cones = self._faces()
+        cones.update(self._maximal)
+        return cones
 
     def cone(self, chain: Chain) -> Cone:
         return self.cones[chain]
@@ -361,7 +402,7 @@ class Fan(_Frozen):
     @cached_property
     def maximal_cones(self) -> tuple[Cone, ...]:
         """The cones with n-element labels: these fans are pure of dimension n."""
-        maximal = [c for c in self.cones.values() if c.dim == self.spec.n]
+        maximal = list(self._maximal.values())
         maximal.sort(key=lambda c: [d.sort_key() for d in c.label])
         return tuple(maximal)
 
@@ -382,21 +423,30 @@ def _check_maximal(spec: ArrangementSpec, g: BuildingSet) -> None:
 def build_fan(spec: ArrangementSpec, g: BuildingSet) -> Fan:
     """One cone per decorated chain, the nested sets of the maximal g.
 
-    The chains share their subsets and come shortest first, so each subset
-    keys the ray table, as its length-1 chain, before a longer chain's cone
-    looks its ray up; labels and ray table hold the very same subsets.
+    Built up front: the ray table, from the length-1 chains, and the cones
+    of the length-n chains, the maximal cones.  The faces, the cones of the
+    chains of length 0..n-1, are built when ``Fan.cones`` is first read, so
+    a caller that only scans (``locate_point``) never enumerates a face.
+    Every chain comes from one subset table, so the labels and the ray
+    table hold the very same subsets, and ``Fan.cones`` keeps the order of
+    ``enumerate_chains``.
     """
     _check_maximal(spec, g)
     check_fan_spec(spec)
+    table = _subset_table(spec)
     rays: dict[DecoratedSubset, Vector] = {}
-    cones = {}
-    for chain in enumerate_chains(spec, spec.n):
-        prefixes = chain.prefixes
-        if len(prefixes) == 1:
-            (d,) = prefixes
-            rays[d] = ray_vector(d, spec)
-        cones[chain] = Cone(tuple([rays[d] for d in prefixes]), prefixes)
-    return Fan(spec, rays, cones)
+    for chain in _chains_of_length(spec, table, 1):
+        (d,) = chain.prefixes
+        rays[d] = ray_vector(d, spec)
+
+    def cones(lengths: range) -> dict[Chain, Cone]:
+        return {
+            chain: Cone(tuple([rays[d] for d in chain.prefixes]), chain.prefixes)
+            for length in lengths
+            for chain in _chains_of_length(spec, table, length)
+        }
+
+    return Fan(spec, rays, cones(range(spec.n, spec.n + 1)), lambda: cones(range(spec.n)))
 
 
 def _star_subdivide(
@@ -498,10 +548,11 @@ def build_fan_stellar(spec: ArrangementSpec, g: BuildingSet) -> Fan:
         labels = tuple(sorted(s, key=DecoratedSubset.sort_key))
         if is_nested(labels, g):
             kept.append(Chain._trusted(labels))
-    cone_map = {c: Cone(tuple(rays[d] for d in c.prefixes), c.prefixes) for c in kept}
     used = {d for c in kept for d in c.prefixes}
     ray_map = {d: rays[d] for d in sorted(used, key=DecoratedSubset.sort_key)}
-    return Fan(spec, ray_map, cone_map)
+    return Fan.from_cones(
+        spec, ray_map, ((c, Cone(tuple(rays[d] for d in c.prefixes), c.prefixes)) for c in kept)
+    )
 
 
 def fans_equal(f1: Fan, f2: Fan) -> bool:

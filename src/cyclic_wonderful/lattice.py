@@ -430,25 +430,42 @@ def _flag_chains(table: dict, flag: tuple[tuple[int, ...], ...], r: int) -> list
     ]
 
 
+def _subset_table(spec: ArrangementSpec) -> dict[tuple[tuple[int, int], ...], DecoratedSubset]:
+    """Every nonempty decorated subset, keyed by its ``items``: the one
+    object per subset that the chains built over this table share."""
+    return {d.items: d for d in enumerate_decorated_subsets(spec)}
+
+
+def _chains_of_length(spec: ArrangementSpec, table: dict, length: int) -> Iterator[Chain]:
+    """The chains of exactly ``length`` prefixes, in ``enumerate_chains``
+    order, their prefixes the table's objects.  ``length`` is within
+    [0, n]; the empty chain is the one chain of length 0."""
+    if length == 0:
+        yield Chain.empty()
+        return
+    for size in range(length, spec.n + 1):
+        for top in itertools.combinations(range(1, spec.n + 1), size):
+            for flag in _subflags(top, length - 1):
+                yield from _flag_chains(table, flag + (top,), spec.r)
+
+
 def enumerate_chains(spec: ArrangementSpec, max_length: int) -> Iterator[Chain]:
-    """All chains of length <= max_length, in a fixed deterministic order.
+    """All chains of length <= max_length, in a fixed deterministic order:
+    shortest first, each length one ``_chains_of_length`` pass.
 
     The stream is re-created from scratch on every call; there is no shared
     cursor, so concurrent consumers are safe.  The chains of one call share
-    their decorated subsets: equal prefixes are the same object.  Nesting is
-    checked once per flag of index sets, in ``_flag_chains``, not once per
-    chain: the prefixes of a chain are one decoration of its top set
-    restricted to the flag's sets, and restrictions to nested sets nest.
+    their decorated subsets: every pass reads one ``_subset_table``, so
+    equal prefixes are the same object.  Nesting is checked once per flag
+    of index sets, in ``_flag_chains``, not once per chain: the prefixes of
+    a chain are one decoration of its top set restricted to the flag's
+    sets, and restrictions to nested sets nest.
     """
     if not 0 <= max_length <= spec.n:
         raise ValueError(f"max_length must be within [0, {spec.n}], got {max_length}")
-    table = {d.items: d for d in enumerate_decorated_subsets(spec)}
-    yield Chain.empty()
-    for length in range(1, max_length + 1):
-        for size in range(length, spec.n + 1):
-            for top in itertools.combinations(range(1, spec.n + 1), size):
-                for flag in _subflags(top, length - 1):
-                    yield from _flag_chains(table, flag + (top,), spec.r)
+    table = _subset_table(spec)
+    for length in range(max_length + 1):
+        yield from _chains_of_length(spec, table, length)
 
 
 def maximal_chains(spec: ArrangementSpec) -> list[Chain]:
@@ -457,7 +474,7 @@ def maximal_chains(spec: ArrangementSpec) -> list[Chain]:
     As in ``enumerate_chains``, nesting is checked once per full flag, in
     ``_flag_chains``, and that check covers all r^n decorations of the flag.
     """
-    table = {d.items: d for d in enumerate_decorated_subsets(spec)}
+    table = _subset_table(spec)
     out = []
     for perm in itertools.permutations(range(1, spec.n + 1)):
         flag = tuple(tuple(sorted(perm[: j + 1])) for j in range(spec.n))

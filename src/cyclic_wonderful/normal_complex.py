@@ -34,9 +34,11 @@ and none summed: a row as its ``linalg.RowTest`` test
 pairs, with the scale that clears it (the lcm of the squared norms of the
 steps it holds, r - 1 or 1), and a vertex over the common denominator of
 the cube's corners, written by ``fan.place``.  A cell stores each row
-once, as that test and scale; ``h_rep``, the dense rational rows, is built
+once, as that test and scale, and cells that repeat a test share one
+tuple (``_cell_test``); ``h_rep``, the dense rational rows, is built
 from them on first read, and only the JSON output reads it (at n = 1 the
-r cells' tests hold O(r^2) integers, their dense rows r^3 entries).
+r cells hold O(r^2) references to about 5r distinct tests, their dense
+rows r^3 entries).
 Membership is integer arithmetic: a rational point p / D (p integer,
 D > 0) satisfies ``normal . v <= bound`` exactly when ``normal_int . p <=
 bound_int * D``.  One cell's membership test is ``linalg.tests_hold``,
@@ -55,7 +57,7 @@ of the support decomposition), a route that shares none of it.
 from __future__ import annotations
 
 import itertools
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 from fractions import Fraction
 from typing import Sequence
 
@@ -205,6 +207,18 @@ def _level_slots(chain: Chain, spec: ArrangementSpec) -> list[_Slot]:
     return slots
 
 
+@lru_cache(maxsize=8192)
+def _cell_test(pairs: tuple[tuple[int, int], ...], bound: int) -> RowTest:
+    """The test ``(pairs, None, bound)``.
+
+    Cached so that equal tests share one tuple, as ``fan._row_test`` does
+    for the cones: the cells repeat few rows (995 distinct among the 79,600
+    of the 200 cells at r = 200, n = 1, about 5r at n = 1, so (1000, 1)
+    fits).
+    """
+    return pairs, None, bound
+
+
 def _cell_rows(slots: list[_Slot], block: int, n: int) -> list[tuple[RowTest, int]]:
     """Each H-row of a cell as its integer test ``(pairs, None, bound)`` and
     the scale that clears it, in ``cell_polytope``'s row order, placed from
@@ -222,7 +236,7 @@ def _cell_rows(slots: list[_Slot], block: int, n: int) -> list[tuple[RowTest, in
         else:  # e_f for each other slot f
             spans = [((f, 1),) for f in range(off, off + block) if f != slot]
         for pairs in spans:
-            rows += [((pairs, None, 0), 1), ((tuple([(f, -a) for f, a in pairs]), None, 0), 1)]
+            rows += [(_cell_test(pairs, 0), 1), (_cell_test(tuple([(f, -a) for f, a in pairs]), 0), 1)]
 
     def unit_row(units: list[tuple[_Slot, int]], bound: int) -> tuple[RowTest, int]:
         scale = block if any(slot is None for (_, slot), _ in units) else 1
@@ -232,7 +246,7 @@ def _cell_rows(slots: list[_Slot], block: int, n: int) -> list[tuple[RowTest, in
                 pairs += [(f, -sign) for f in range(off, off + block)]
             else:
                 pairs.append((slot, sign * scale))
-        return (tuple(pairs), None, bound * scale), scale
+        return _cell_test(tuple(pairs), bound * scale), scale
 
     for j, slot in enumerate(slots):
         rows.append(unit_row([(slot, -1)] + [(s, 1) for s in slots[j + 1 : j + 2]], 0))

@@ -55,4 +55,4 @@ def fan_from_dict(data: dict) -> Fan:
         if parse_chain(entry["chain"], spec) != chain:
             raise ValueError(f"cone chain {entry['chain']!r} does not match ray ids")
         cones[chain] = Cone(tuple(rays[d] for d in chain.prefixes), chain.prefixes)
-    return Fan(spec, rays, cones)
+    return Fan.from_cones(spec, rays, cones.items())

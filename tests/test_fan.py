@@ -37,6 +37,7 @@ from cyclic_wonderful.lattice import (
     enumerate_chains,
     enumerate_decorated_subsets,
     is_nested,
+    maximal_chains,
     parse_chain,
 )
 from cyclic_wonderful.sampling import Lcg, sample_mixed_points
@@ -157,6 +158,50 @@ def test_cone_labels_share_the_ray_tables_subsets(r, n):
             assert cone.label is chain.prefixes
             assert list(cone.label) == sorted(cone.label, key=DecoratedSubset.sort_key)
             assert cone.rays == tuple(fan.rays[d] for d in cone.label)
+
+
+@pytest.mark.parametrize("r,n", [(3, 3), (4, 3), (2, 4)])
+def test_a_scan_builds_no_face_and_reading_the_cones_does(monkeypatch, r, n):
+    spec = ArrangementSpec(r, n)
+    built = []
+    init = Cone.__init__
+
+    def recording(self, rays, label):
+        built.append(len(label))
+        init(self, rays, label)
+
+    monkeypatch.setattr(Cone, "__init__", recording)
+    fan = build_fan(spec, BuildingSet.maximal(spec))
+    fan.maximal_cones
+    for point in sample_mixed_points(Lcg(r + n), spec, 50):
+        locate_point(fan, point)
+    assert built and set(built) == {n}
+    fan.cones
+    assert set(built) == set(range(n + 1))
+
+
+@pytest.mark.parametrize(
+    "r,n", [*itertools.product(range(2, 5), range(4)), (2, 4)]
+)
+def test_cones_are_one_per_enumerated_chain_in_its_order(r, n):
+    # the reference builds every cone from its chain's own ray vectors
+    spec = ArrangementSpec(r, n)
+    fan = build_fan(spec, BuildingSet.maximal(spec))
+    reference = [
+        (c, Cone(tuple(ray_vector(d, spec) for d in c.prefixes), c.prefixes))
+        for c in enumerate_chains(spec, n)
+    ]
+    assert list(fan.cones.items()) == reference
+
+
+@pytest.mark.parametrize("r,n", [(2, 0), (3, 1), (3, 2), (2, 3), (3, 3)])
+@pytest.mark.parametrize("builder", [build_fan, build_fan_stellar])
+def test_a_maximal_chains_cone_is_the_object_maximal_cones_holds(builder, r, n):
+    spec = ArrangementSpec(r, n)
+    fan = builder(spec, BuildingSet.maximal(spec))
+    maximal = {id(cone) for cone in fan.maximal_cones}
+    held = {id(fan.cones[c]) for c in maximal_chains(spec)}
+    assert held == maximal and len(maximal) == spec.num_maximal_chains
 
 
 def test_cone_lookup_from_value_equal_subsets():
@@ -593,11 +638,12 @@ def test_stellar_route_never_enumerates_chains(monkeypatch):
     spec = ArrangementSpec(3, 2)
     g = BuildingSet.maximal(spec)
     direct = build_fan(spec, g)
+    direct.cones  # the direct route builds its faces here, before the patch
 
     def refuse(*args, **kwargs):
-        raise AssertionError("the stellar route must not read enumerate_chains")
+        raise AssertionError("the stellar route must not enumerate chains")
 
-    monkeypatch.setattr("cyclic_wonderful.fan.enumerate_chains", refuse)
+    monkeypatch.setattr("cyclic_wonderful.fan._chains_of_length", refuse)
     assert fans_equal(direct, build_fan_stellar(spec, g))
 
 
@@ -618,7 +664,7 @@ def test_fans_equal_basics():
     fan = build_fan(spec, g)
     assert fans_equal(fan, fan)
     no_2_cones = {k: c for k, c in fan.cones.items() if c.dim < 2}
-    assert not fans_equal(fan, Fan(spec, fan.rays, no_2_cones))
+    assert not fans_equal(fan, Fan.from_cones(spec, fan.rays, no_2_cones.items()))
 
 
 # --- point location ----------------------------------------------------------
@@ -722,7 +768,7 @@ def fan_points(draw, fan):
 def test_indexed_location_equals_the_plain_scan(r, n, data):
     built = _built_fan(r, n)
     # a new Fan over the same cones builds its own index on the first point
-    fan = Fan(built.spec, built.rays, built.cones)
+    fan = Fan.from_cones(built.spec, built.rays, built.cones.items())
     for point in data.draw(st.lists(fan_points(built), min_size=1, max_size=8)):
         assert locate_point(fan, point) == scan_locate(fan, point)
 
@@ -735,7 +781,7 @@ def test_locate_command_prints_the_chain_the_scan_finds(r, n, data):
     # over a fan built here is the reference
     built = _built_fan(r, n)
     point = data.draw(fan_points(built))
-    fan = Fan(built.spec, built.rays, built.cones)
+    fan = Fan.from_cones(built.spec, built.rays, built.cones.items())
     argv = ["locate", "--r", str(r), "--n", str(n), "--point=" + ",".join(map(str, point))]
     status, out = run(build_parser().parse_args(argv))
     located = locate_point(fan, point)
@@ -799,7 +845,7 @@ def test_the_cone_index_keeps_one_entry_per_hyperplane(r, n, hyperplanes):
 @pytest.mark.parametrize("r,n", [(3, 2), (2, 3), (3, 0)])
 def test_location_does_not_test_the_cone_the_index_found_again(r, n, monkeypatch):
     built = _built_fan(r, n)
-    fan = Fan(built.spec, built.rays, built.cones)
+    fan = Fan.from_cones(built.spec, built.rays, built.cones.items())
     dim = built.spec.ambient_dim
     # the origin, and face points of every fifth maximal cone
     points = [(0,) * dim]

@@ -487,6 +487,13 @@ def test_cells_at_n_1_grow_like_r_squared():
     assert large < 5 * small
 
 
+@pytest.mark.parametrize("r,n", [(50, 1), (3, 3)])
+def test_cells_share_one_object_per_distinct_test(r, n):
+    # 4,900 tests hold 245 distinct at (50, 1), 1,944 hold 138 at (3, 3)
+    tests = [test for cell in complex_cells(ArrangementSpec(r, n)).cells for test in cell._tests]
+    assert len({id(test) for test in tests}) == len(set(tests)) < len(tests)
+
+
 # --- membership --------------------------------------------------------------
 
 

@@ -107,9 +107,13 @@ def fields(x):
 
 def constructor_args(x):
     """The fields; a cell's constructor takes its rows as integer tests and
-    scales in place of ``h_rep``, which it builds from them when read."""
+    scales in place of ``h_rep``, which it builds from them when read, and a
+    fan's takes its maximal cones and a callable that returns its faces in
+    place of ``cones``, which it builds from them when read."""
     if type(x).__name__ == "Polytope":
         return {"v_rep": x.v_rep, "label": x.label, "rows": list(zip(x._tests, x._scales))}
+    if type(x).__name__ == "Fan":
+        return {"spec": x.spec, "rays": x.rays, "maximal": x._maximal, "faces": x._faces}
     return fields(x)
 
 

@@ -82,7 +82,9 @@ def test_a_perturbed_ray_fails_the_same_pairs_in_both_versions(r, n):
     *head, last = cone.rays
     bent = tuple(x + y for x, y in zip(last, fan.maximal_cones[-1].rays[0]))
     chain = next(c for c, k in fan.cones.items() if k is cone)
-    broken = Fan(fan.spec, fan.rays, {**fan.cones, chain: Cone((*head, bent), cone.label)})
+    broken = Fan.from_cones(
+        fan.spec, fan.rays, {**fan.cones, chain: Cone((*head, bent), cone.label)}.items()
+    )
     failures = intersection_law_failures(broken, pairs)
     assert failures == reference_failures(broken, pairs)
     assert failures and all(chain in pair for pair in failures)
@@ -98,7 +100,7 @@ def test_a_meet_cone_with_a_ray_outside_both_cones_fails_by_its_rays():
     # cone, so only the test of the meet's rays sees the break
     cone = fan.cone(meet)
     grown = Cone((*cone.rays, fan.rays[parse_subset("{2:2}", spec)]), cone.label)
-    broken = Fan(spec, fan.rays, {**fan.cones, meet: grown})
+    broken = Fan.from_cones(spec, fan.rays, {**fan.cones, meet: grown}.items())
     assert intersection_law_failures(broken, [(a, b)]) == reference_failures(broken, [(a, b)]) == [(a, b)]
 
 
