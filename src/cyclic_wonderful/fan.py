@@ -355,8 +355,8 @@ class Fan(_Frozen):
     tuple of decorated prefixes.  A fan holds its maximal cones, those of
     the length-n chains, and a zero-argument callable that returns its other
     cones, the faces, in a dict of its own; ``cones`` calls it on first read
-    and takes that dict over.  The record shows ``spec``, ``rays`` and
-    ``cones``.
+    and takes that dict over.  Both keep the order the cones were built in
+    (see ``maximal_cones``).  The record shows ``spec``, ``rays`` and ``cones``.
     """
 
     _fields = ("spec", "rays", "cones")
@@ -401,10 +401,10 @@ class Fan(_Frozen):
 
     @cached_property
     def maximal_cones(self) -> tuple[Cone, ...]:
-        """The cones with n-element labels: these fans are pure of dimension n."""
-        maximal = list(self._maximal.values())
-        maximal.sort(key=lambda c: [d.sort_key() for d in c.label])
-        return tuple(maximal)
+        """The cones with n-element labels (these fans are pure of dimension
+        n), in the order they were built in: ``Chain.sort_key`` order for
+        ``build_fan``, insertion order for ``Fan.from_cones``."""
+        return tuple(self._maximal.values())
 
     @cached_property
     def _cone_index(self) -> SharedRowIndex:
@@ -423,21 +423,19 @@ def _check_maximal(spec: ArrangementSpec, g: BuildingSet) -> None:
 def build_fan(spec: ArrangementSpec, g: BuildingSet) -> Fan:
     """One cone per decorated chain, the nested sets of the maximal g.
 
-    Built up front: the ray table, from the length-1 chains, and the cones
-    of the length-n chains, the maximal cones.  The faces, the cones of the
-    chains of length 0..n-1, are built when ``Fan.cones`` is first read, so
-    a caller that only scans (``locate_point``) never enumerates a face.
-    Every chain comes from one subset table, so the labels and the ray
-    table hold the very same subsets, and ``Fan.cones`` keeps the order of
-    ``enumerate_chains``.
+    Built up front: the ray table, one ray per subset of the subset table,
+    and the cones of the length-n chains, the maximal cones.  The faces, the
+    cones of the chains of length 0..n-1, are built when ``Fan.cones`` is
+    first read, so a caller that only scans (``locate_point``) never
+    enumerates a face.  Every chain comes from that one table, so the labels
+    and the ray table hold the very same subsets.  The chains come in
+    ``Chain.sort_key`` order, and so do ``maximal_cones`` and the keys of
+    ``Fan.cones``.
     """
     _check_maximal(spec, g)
     check_fan_spec(spec)
     table = _subset_table(spec)
-    rays: dict[DecoratedSubset, Vector] = {}
-    for chain in _chains_of_length(spec, table, 1):
-        (d,) = chain.prefixes
-        rays[d] = ray_vector(d, spec)
+    rays = {d: ray_vector(d, spec) for d in table.values()}
 
     def cones(lengths: range) -> dict[Chain, Cone]:
         return {

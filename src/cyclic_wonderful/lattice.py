@@ -16,6 +16,8 @@ cones of the associated fan, the boundary strata of the compactified moduli
 space, and the nested sets of the maximal building set, the only building set
 used here.  A set of decorated subsets is a chain exactly when, sorted by
 size, each is below the next, so one neighbour test decides nestedness.
+Chains come in one order, ``Chain.sort_key`` (by length, index sets, then
+decoration): the enumerators yield them in it, with no sort.
 
 Everything here is pure combinatorics over exact integers; all values are
 immutable and all functions are side-effect free.
@@ -301,6 +303,7 @@ class Chain(_Value):
         return self.length == spec.n and (not self.prefixes or self.prefixes[-1].size == spec.n)
 
     def sort_key(self):
+        """The one chain order: by length, index sets, then decoration."""
         return (self.length, self.sets, self.decoration)
 
     def text(self) -> str:
@@ -390,24 +393,6 @@ def enumerate_decorated_subsets(spec: ArrangementSpec) -> list[DecoratedSubset]:
     return out
 
 
-def _proper_subsets(s: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """Nonempty proper subsets of s, by size then lexicographically."""
-    for size in range(1, len(s)):
-        yield from itertools.combinations(s, size)
-
-
-def _subflags(top: tuple[int, ...], k: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Ascending flags of k nonempty sets strictly below ``top``."""
-    if k == 0:
-        yield ()
-        return
-    for s in _proper_subsets(top):
-        if len(s) < k:
-            continue
-        for flag in _subflags(s, k - 1):
-            yield flag + (s,)
-
-
 def _flag_chains(table: dict, flag: tuple[tuple[int, ...], ...], r: int) -> list[Chain]:
     """The r^|top| chains of a flag of index sets, one per decoration of its
     top set, decorations in ``itertools.product`` order.
@@ -437,20 +422,33 @@ def _subset_table(spec: ArrangementSpec) -> dict[tuple[tuple[int, int], ...], De
 
 
 def _chains_of_length(spec: ArrangementSpec, table: dict, length: int) -> Iterator[Chain]:
-    """The chains of exactly ``length`` prefixes, in ``enumerate_chains``
-    order, their prefixes the table's objects.  ``length`` is within
-    [0, n]; the empty chain is the one chain of length 0."""
-    if length == 0:
-        yield Chain.empty()
-        return
-    for size in range(length, spec.n + 1):
-        for top in itertools.combinations(range(1, spec.n + 1), size):
-            for flag in _subflags(top, length - 1):
-                yield from _flag_chains(table, flag + (top,), spec.r)
+    """The chains of exactly ``length`` prefixes, in ``Chain.sort_key``
+    order, their prefixes the table's objects.
+
+    Each flag of index sets grows outward, every next set taken in
+    lexicographic order from the subsets of [n] that strictly contain the
+    last one and leave room for the sets still to come, so the flags come
+    out in lexicographic order and ``_flag_chains`` orders each flag's
+    chains by decoration.  The empty flag gives the empty chain.
+    """
+    n = spec.n
+    subsets = sorted(s for k in range(1, n + 1) for s in itertools.combinations(range(1, n + 1), k))
+
+    def flags(flag: tuple[tuple[int, ...], ...], k: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+        if not k:
+            yield flag
+            return
+        below = set(flag[-1]) if flag else set()
+        for s in subsets:
+            if len(below) < len(s) <= n - k + 1 and below.issubset(s):
+                yield from flags(flag + (s,), k - 1)
+
+    for flag in flags((), length):
+        yield from _flag_chains(table, flag, spec.r)
 
 
 def enumerate_chains(spec: ArrangementSpec, max_length: int) -> Iterator[Chain]:
-    """All chains of length <= max_length, in a fixed deterministic order:
+    """All chains of length <= max_length, in ``Chain.sort_key`` order:
     shortest first, each length one ``_chains_of_length`` pass.
 
     The stream is re-created from scratch on every call; there is no shared
@@ -469,17 +467,9 @@ def enumerate_chains(spec: ArrangementSpec, max_length: int) -> Iterator[Chain]:
 
 
 def maximal_chains(spec: ArrangementSpec) -> list[Chain]:
-    """Full flags on [n] with a decoration: n! * r^n of them.
-
-    As in ``enumerate_chains``, nesting is checked once per full flag, in
-    ``_flag_chains``, and that check covers all r^n decorations of the flag.
-    """
-    table = _subset_table(spec)
-    out = []
-    for perm in itertools.permutations(range(1, spec.n + 1)):
-        flag = tuple(tuple(sorted(perm[: j + 1])) for j in range(spec.n))
-        out.extend(_flag_chains(table, flag, spec.r))
-    return out
+    """Full flags on [n] with a decoration, n! * r^n of them, in
+    ``Chain.sort_key`` order: the length-n pass of ``enumerate_chains``."""
+    return list(_chains_of_length(spec, _subset_table(spec), spec.n))
 
 
 def chain_intersect(a: Chain, b: Chain) -> Chain:

@@ -457,12 +457,15 @@ def in_convex_hull(point: Vector, points: Sequence[Vector]) -> bool:
     Raises ValueError when a point of the set differs in length from
     ``point``.
     """
-    if not points:
-        return False
-    d = len(point)
-    _check_lengths(points, d, "a point of the set")
+    _check_lengths(points, len(point), "a point of the set")
     (p, *qs), _ = integer_scaled([point, *points])
-    a = [[q[i] for q in qs] for i in range(d)]
+    return _in_hull_integer(p, qs)
+
+
+def _in_hull_integer(p: tuple[int, ...], qs: Sequence[tuple[int, ...]]) -> bool:
+    """Whether the integer point ``p`` is a convex combination of the integer
+    points ``qs`` on its scale, by the LP; no ``qs`` gives False."""
+    a = [[q[i] for q in qs] for i in range(len(p))]
     a.append([1] * len(qs))
     return _lp_feasible_eq(a, [*p, 1])
 
@@ -472,7 +475,7 @@ def extreme_points(points: Iterable[Vector]) -> list[tuple[Fraction, ...]]:
 
     The set is scaled to integers once.  A point ``p`` that is the unique
     maximiser of ``<p, .>`` over the set is a vertex of the hull, so it is
-    accepted without an LP.  Every other point is tested by ``in_convex_hull``
+    accepted without an LP.  Every other point is tested by ``_in_hull_integer``
     against the rest of the set, less the points already found inside: those
     are not vertices, so dropping them leaves the hull as it is.
     """
@@ -488,6 +491,6 @@ def extreme_points(points: Iterable[Vector]) -> list[tuple[Fraction, ...]]:
     inside: set[int] = set()
     for i in undecided:
         rest = [q for j, q in enumerate(ints) if j != i and j not in inside]
-        if in_convex_hull(ints[i], rest):
+        if _in_hull_integer(ints[i], rest):
             inside.add(i)
     return [p for i, p in enumerate(unique) if i not in inside]

@@ -59,6 +59,7 @@ from __future__ import annotations
 import itertools
 from functools import cache, cached_property, lru_cache
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .guards import COUNT_CAP, check_normal_complex
@@ -310,14 +311,16 @@ def in_delta(point: Sequence, spec: ArrangementSpec) -> bool:
 
     The point must decompose as nonnegative lengths along one direction per
     factor, and every subset of factors must have total length at most the
-    height for its size.
+    height for its size.  Lengths compare as integers over one denominator.
     """
     decomp = support_decomposition(point, spec)
     if decomp is None:
         return False
+    ratios = [x.as_integer_ratio() for x, _ in decomp]
+    common = lcm(*[d for _, d in ratios])
     # the s largest lengths bound the total of every s-subset
-    totals = itertools.accumulate(sorted((x for x, _ in decomp), reverse=True))
-    return all(total <= delta(spec.n, size) for size, total in enumerate(totals, start=1))
+    totals = itertools.accumulate(sorted([a * (common // d) for a, d in ratios], reverse=True))
+    return all(total <= delta(spec.n, s) * common for s, total in enumerate(totals, start=1))
 
 
 def union_extreme_points(spec: ArrangementSpec) -> list[FracVec]:

@@ -237,8 +237,8 @@ def _maximal_by_inclusion(fan):
     """The pairwise-subset rule maximal_cones used before filtering by size."""
     keys = [frozenset(c.prefixes) for c in fan.cones]
     maximal = [k for k in keys if not any(k < other for other in keys)]
-    maximal.sort(key=lambda k: sorted(d.sort_key() for d in k))
-    return tuple(fan.cone(Chain.from_prefixes(k)) for k in maximal)
+    chains = sorted((Chain.from_prefixes(k) for k in maximal), key=Chain.sort_key)
+    return tuple(fan.cone(c) for c in chains)
 
 
 @pytest.mark.parametrize("r,n", [(2, 2), (3, 2), (2, 3), (3, 3)])

@@ -12,7 +12,6 @@ from cyclic_wonderful.chow import nonempty_chain_count
 from cyclic_wonderful.fan import build_fan
 from cyclic_wonderful.lattice import (
     _flag_chains,
-    _subflags,
     ArrangementSpec,
     BuildingSet,
     Chain,
@@ -294,15 +293,22 @@ def _reference_chain(table, flag, deco):
 
 
 def _reference_chains_of_length(spec, table, length):
-    """``_chains_of_length`` as one validated chain per (flag, decoration)."""
+    """``_chains_of_length`` as every chain of ``length`` prefixes over the
+    table's subsets, each through the validating constructor, sorted by
+    ``Chain.sort_key``.  A chain is its top subset with ``length - 1``
+    proper subsets of the top's indices below it; the picks that do not
+    nest are refused by the constructor and skipped."""
     if length == 0:
-        yield Chain.empty()
-        return
-    for size in range(length, spec.n + 1):
-        for top in itertools.combinations(range(1, spec.n + 1), size):
-            for flag in _subflags(top, length - 1):
-                for deco in itertools.product(range(spec.r), repeat=size):
-                    yield _reference_chain(table, flag + (top,), dict(zip(top, deco)))
+        return [Chain(())]
+    chains = []
+    for top in table.values():
+        proper = [s for k in range(1, top.size) for s in itertools.combinations(top.indices, k)]
+        for inner in itertools.combinations(proper, length - 1):
+            try:
+                chains.append(_reference_chain(table, (*inner, top.indices), dict(top.items)))
+            except ValueError:
+                continue
+    return sorted(chains, key=Chain.sort_key)
 
 
 def _reference_enumerate_chains(spec, max_length):
@@ -342,11 +348,34 @@ def test_enumerated_chains_nest_and_come_in_the_reference_order(r, n):
     assert len({id(d) for c in chains for d in c.prefixes}) == spec.num_subsets
 
 
-@pytest.mark.parametrize("r,n", [*itertools.product(range(2, 6), range(5)), (2, 5)])
+def _strictly_increasing(keys):
+    return all(a < b for a, b in zip(keys, keys[1:]))
+
+
+_ORDER_SPECS = [*itertools.product(range(2, 6), range(5)), (2, 5)]
+
+
+@pytest.mark.parametrize("r,n", _ORDER_SPECS)
 def test_maximal_chains_come_in_the_chain_sort_order(r, n):
     # the normal complex lists its cells in this order without sorting
     keys = [c.sort_key() for c in maximal_chains(ArrangementSpec(r, n))]
     assert keys == sorted(keys) and len(set(keys)) == len(keys)
+
+
+@pytest.mark.parametrize("r,n", _ORDER_SPECS)
+def test_every_chain_producer_yields_the_chain_sort_order(r, n):
+    spec = ArrangementSpec(r, n)
+    by_length = {}
+    for c in enumerate_chains(spec, n):
+        by_length.setdefault(c.length, []).append(c)
+    assert sorted(by_length) == list(range(n + 1))
+    for chains in by_length.values():
+        assert _strictly_increasing([c.sort_key() for c in chains])
+    # maximal_chains is the length-n pass of the same enumeration
+    assert maximal_chains(spec) == by_length[n]
+    fan = build_fan(spec, BuildingSet.maximal(spec))
+    assert _strictly_increasing([Chain(cone.label).sort_key() for cone in fan.maximal_cones])
+    assert _strictly_increasing([c.sort_key() for c in fan.cones])
 
 
 @pytest.mark.parametrize(

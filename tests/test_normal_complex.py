@@ -320,7 +320,24 @@ def test_union_extremes_build_no_complex_and_run_no_lp(monkeypatch):
     monkeypatch.setattr(normal_complex, "extreme_points", refuse, raising=False)
     monkeypatch.setattr(linalg, "extreme_points", refuse)
     monkeypatch.setattr(linalg, "in_convex_hull", refuse)
+    monkeypatch.setattr(linalg, "_in_hull_integer", refuse)
     assert len(union_extreme_points(ArrangementSpec(3, 2))) == 18
+
+
+def test_hull_extremes_clear_the_cell_vertices_once(monkeypatch):
+    spec = ArrangementSpec(2, 2)
+    vertices = {v for cell in complex_cells(spec).cells for v in cell.v_rep}
+    cleared = []
+
+    def counting(point, dim):
+        cleared.append(point)
+        return scaled_point(point, dim)
+
+    monkeypatch.setattr(linalg, "scaled_point", counting)
+    extremes = extreme_points(vertices)
+    # one clearing per vertex; the LPs read the integers already cleared
+    assert len(cleared) == len(vertices) == 17
+    assert extremes == union_extreme_points(spec) and len(extremes) == 8
 
 
 @pytest.mark.parametrize("r,n", [(3, 3), (4, 3), (2, 4)])
@@ -536,6 +553,34 @@ def test_in_delta_agrees_with_every_subset_sum(data):
     images = [basis_image(spec, i, a) for i, a in enumerate(residues, start=1)]
     point = combine(lengths, images, spec.ambient_dim, Fraction(0))
     assert in_delta(point, spec) == reference_in_delta(point, spec)
+
+
+def fraction_in_delta(point, spec):
+    """The s largest lengths against the height of size s, sorted and summed
+    as ``Fraction``s."""
+    decomp = support_decomposition(point, spec)
+    if decomp is None:
+        return False
+    totals = itertools.accumulate(sorted((x for x, _ in decomp), reverse=True))
+    return all(total <= delta(spec.n, size) for size, total in enumerate(totals, start=1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_in_delta_agrees_with_the_fraction_comparison(data):
+    r = data.draw(st.integers(2, 4))
+    n = data.draw(st.integers(0, 6))
+    spec = ArrangementSpec(r, n)
+    # mixed denominators, and lengths that put partial sums on a height
+    length = st.one_of(
+        st.fractions(0, n + 1, max_denominator=12),
+        st.sampled_from([Fraction(delta(n, k), j) for k in range(n + 1) for j in (1, 2, 3)]),
+    )
+    lengths = data.draw(st.lists(length, min_size=n, max_size=n))
+    residues = data.draw(st.lists(st.integers(0, r - 1), min_size=n, max_size=n))
+    images = [basis_image(spec, i, a) for i, a in enumerate(residues, start=1)]
+    point = combine(lengths, images, spec.ambient_dim, Fraction(0))
+    assert in_delta(point, spec) == fraction_in_delta(point, spec)
 
 
 def test_in_delta_at_n_40_sorts_instead_of_summing_every_subset():
