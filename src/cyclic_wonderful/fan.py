@@ -33,11 +33,12 @@ that they do.
 
 A ``Fan`` holds its maximal cones, one per length-n chain (the n! r^n
 decorated complete flags), and builds the others, their faces, when
-``Fan.cones`` is first read.  The direct route builds the ray table and the
-maximal cones up front and leaves the faces to that read, so a scan, which
-reads only ``maximal_cones``, never enumerates a face: they are 2,198 of
-the 3,128 cones at (3,3), (4,3) and (2,4) together.  The stellar route
-builds every cone as it goes and hands its faces over as they are.
+``Fan.cones`` is first read, a table that then holds each cone once.  The
+direct route builds the ray table and the maximal cones up front and leaves
+the faces to that read, so a scan, which reads only ``maximal_cones``, never
+enumerates a face: they are 2,198 of the 3,128 cones at (3,3), (4,3) and
+(2,4) together.  The stellar route builds every cone as it goes and hands
+its faces over as they are.
 
 Cone coordinates are exact and integer.  Each cone caches, on first use,
 the result of a fraction-free (Bareiss) Gauss-Jordan elimination through
@@ -46,16 +47,16 @@ a basis of A's left kernel, and k coefficient rows, delta times a left
 inverse of A, each kept as its nonzero (index, coeff) pairs.  The
 elimination takes the columns in ray order, so its state after the first j
 rays is shared by every cone whose chain starts with the same j prefixes;
-those states are cached (``_prefix_elimination``), and a cone runs only the
-step of its last ray.  A full cold scan of the 162 maximal cones at r = 3,
-n = 3 takes 225 steps (one per cone plus one per distinct proper prefix)
-against 486 for a full pass per cone.  The rows are kept as the cone's
-``linalg.RowTest`` tests, span-check rows ``(row, 0, 0)`` (the row vanishes
-on the point) first and coefficient rows ``(row, 0, None)`` (a nonnegative
-coordinate) after, so one cone's membership test of a rational point scaled
-to integers is ``linalg.tests_hold``, which stops at the first test the
-point fails.  Nothing assumes the cone is unimodular: any simplicial cone
-works.
+those states, the empty prefix's identity too, are cached
+(``_prefix_elimination``), and a cone runs only the step of its last ray.
+A full cold scan of the 162 maximal cones at r = 3, n = 3 takes 225 steps
+(one per cone plus one per distinct proper prefix) against 486 for a full
+pass per cone.  The rows are kept as the cone's ``linalg.RowTest`` tests,
+span-check rows ``(row, 0, 0)`` (the row vanishes on the point) first and
+coefficient rows ``(row, 0, None)`` (a nonnegative coordinate) after, so one
+cone's membership test of a rational point scaled to integers is
+``linalg.tests_hold``, which stops at the first test the point fails.
+Nothing assumes the cone is unimodular: any simplicial cone works.
 
 The maximal cones repeat these rows heavily: at r = 4, n = 3 the 384 of
 them hold 3,456 rows, of which 124 are distinct (32 as span-check rows, 104
@@ -205,23 +206,20 @@ def _bareiss_step(state: _Elimination, c: int, a: Vector) -> _Elimination:
     return tuple(rows), pv
 
 
-def _elimination(rays: tuple[Vector, ...]) -> _Elimination:
-    """The Bareiss state after the columns of all the (nonempty) rays.
+def _elimination(dim: int, rays: tuple[Vector, ...]) -> _Elimination:
+    """The Bareiss state after the columns of the rays, in R^dim.
 
-    One step on the state of the rays minus the last, which comes from the
-    prefix cache; the empty prefix is the identity.
+    The empty prefix is the identity; any other is one step on the state
+    of the rays minus the last, which comes from the prefix cache.
     """
-    *head, a = rays
-    if head:
-        state = _prefix_elimination(tuple(head))
-    else:
-        dim = len(a)
-        state = tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim)), 1
-    return _bareiss_step(state, len(head), a)
+    if not rays:
+        return tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim)), 1
+    return _bareiss_step(_prefix_elimination(dim, rays[:-1]), len(rays) - 1, rays[-1])
 
 
-# The states of proper prefixes, keyed by their rays.  The maximal cones at
-# r = 4, n = 4 have 1,744 distinct proper prefixes, so all of them fit.
+# The states of proper prefixes, keyed by (dim, rays), the empty prefix one
+# entry per dimension.  The maximal cones at r = 4, n = 4 have 1,744
+# distinct proper prefixes, so all of them fit.
 _prefix_elimination = lru_cache(maxsize=4096)(_elimination)
 
 
@@ -269,11 +267,8 @@ class Cone(_Value):
         return len(self.rays)
 
     def contains(self, point: Sequence) -> bool:
-        """Whether the point lies in the cone, by the scaled integer test."""
-        p, scale = scaled_point(point, len(self.rays[0]) if self.rays else len(point))
-        if not self.rays:
-            return not any(p)
-        return tests_hold(self._inverse.tests, p, scale)
+        """Whether the point has cone coordinates (``coefficients``)."""
+        return self.coefficients(point) is not None
 
     @cached_property
     def _inverse(self) -> _Inverse:
@@ -284,11 +279,11 @@ class Cone(_Value):
         are the coefficient rows, the other dim - k rows span the left
         kernel of A.  Only the last ray's step runs here; the state of the
         other rays is shared with every cone that starts with them (see
-        ``_elimination``).  Computed on first use, so cones a scan never
-        tries cost nothing.
+        ``_elimination``).  Computed on first use: a scan's index registers
+        every maximal cone, so only faces and one-off cones stay lazy.
         """
         k = len(self.rays)
-        rows, delta = _elimination(self.rays)
+        rows, delta = _elimination(len(self.rays[0]), self.rays)
         sign = 1 if delta > 0 else -1
         return _Inverse(
             (
@@ -355,8 +350,9 @@ class Fan(_Frozen):
     tuple of decorated prefixes.  A fan holds its maximal cones, those of
     the length-n chains, and a zero-argument callable that returns its other
     cones, the faces, in a dict of its own; ``cones`` calls it on first read
-    and takes that dict over.  Both keep the order the cones were built in
-    (see ``maximal_cones``).  The record shows ``spec``, ``rays`` and ``cones``.
+    and takes that dict over, then the maximal cones' own.  Both keep the
+    order the cones were built in (see ``maximal_cones``).  The record shows
+    ``spec``, ``rays`` and ``cones``.
     """
 
     _fields = ("spec", "rays", "cones")
@@ -392,8 +388,9 @@ class Fan(_Frozen):
     def cones(self) -> dict[Chain, Cone]:
         """Every cone, keyed by its chain: the faces first, then the maximal
         cones, each the very object that ``maximal_cones`` holds."""
+        self.maximal_cones  # read before the table takes the dict it reads
         cones = self._faces()
-        cones.update(self._maximal)
+        cones.update(vars(self).pop("_maximal"))
         return cones
 
     def cone(self, chain: Chain) -> Cone:

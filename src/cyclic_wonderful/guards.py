@@ -22,7 +22,7 @@ ENV_OVERRIDE = "CYCLIC_WONDERFUL_MAX_CELLS"
 DEFAULT_FAN_CELLS = 50_000        # rays + maximal cones of a fan build
 DEFAULT_ORACLE_GENERATORS = 1_000  # generator count for the Chow rank oracle
 DEFAULT_ORACLE_MONOMIALS = 200_000  # the rank oracle's top-degree chain monomials
-DEFAULT_NORMAL_CELLS = 1_000       # cells of the normal complex (~1 ms each at n = 3)
+DEFAULT_NORMAL_CELLS = 1_000       # cells of the normal complex (~0.1-0.2 ms each at n = 3)
 COUNT_CAP = 10**18                 # sizes above this are never computed in full
 
 

@@ -125,9 +125,9 @@ class ArrangementSpec(_Value):
         """``num_subsets`` when it is at most cap, else cap + 1.
 
         Stops multiplying once the partial product passes cap, so a huge
-        spec costs a few products, not the full count.
+        spec (any n: ``range`` takes it) costs a few products, not the full count.
         """
-        return _product_upto(itertools.repeat(1 + self.r, self.n), cap + 1) - 1
+        return _product_upto((1 + self.r for _ in range(self.n)), cap + 1) - 1
 
     def num_maximal_chains_upto(self, cap: int) -> int:
         """``num_maximal_chains`` when it is at most cap, else cap + 1."""

@@ -204,6 +204,26 @@ def test_a_maximal_chains_cone_is_the_object_maximal_cones_holds(builder, r, n):
     assert held == maximal and len(maximal) == spec.num_maximal_chains
 
 
+def _read_from_dict(spec, g):
+    return fan_from_dict(fan_to_dict(build_fan(spec, g)))
+
+
+@pytest.mark.parametrize("r,n", [(2, 0), (3, 1), (3, 2), (2, 3)])
+@pytest.mark.parametrize("builder", [build_fan, build_fan_stellar, _read_from_dict])
+@pytest.mark.parametrize("maximal_first", [False, True])
+def test_a_read_fan_holds_its_maximal_cones_in_its_table_alone(builder, r, n, maximal_first):
+    # the table takes the maximal cones' dict over, whichever is read first
+    spec = ArrangementSpec(r, n)
+    fan = builder(spec, BuildingSet.maximal(spec))
+    if maximal_first:
+        fan.maximal_cones
+    cones = fan.cones
+    assert "_maximal" not in vars(fan)
+    in_table = [cone for chain, cone in cones.items() if len(chain.prefixes) == n]
+    assert len(fan.maximal_cones) == len(in_table) == spec.num_maximal_chains
+    assert all(a is b for a, b in zip(fan.maximal_cones, in_table))
+
+
 def test_cone_lookup_from_value_equal_subsets():
     spec = ArrangementSpec(3, 2)
     fan = build_fan(spec, BuildingSet.maximal(spec))
@@ -498,6 +518,22 @@ def test_a_cold_full_scan_takes_one_step_per_cone_and_per_shared_prefix(monkeypa
     assert (len(cones), len(prefixes)) == (162, 63)
     assert len(steps) == 225
     assert steps.count(spec.n - 1) == len(cones)
+
+
+def test_the_identity_is_the_cached_empty_prefix():
+    # at n = 1 every maximal cone has one ray: each starts from the identity,
+    # built on the first cone's miss and read from the cache by the other 39
+    fan_module._prefix_elimination.cache_clear()
+    spec = ArrangementSpec(40, 1)
+    fan = build_fan(spec, BuildingSet.maximal(spec))
+    assert locate_point(fan, (1, 1) + (0,) * (spec.ambient_dim - 2)) is None
+    info = fan_module._prefix_elimination.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (1, 1, 39)
+    dim = spec.ambient_dim
+    assert fan_module._prefix_elimination(dim, ()) == (
+        tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim)),
+        1,
+    )
 
 
 # --- stellar construction ----------------------------------------------------

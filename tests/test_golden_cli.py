@@ -45,7 +45,10 @@ wrote its own reduced relations instead of reading them off the presentation
 ``normal-complex`` at (120,1), the ``check --suite normal`` at (200,1) and
 the ``normal-complex --format json`` at (40,1) before a cell stored each row
 once and built ``h_rep`` only when read (the text output and the check
-never read it; the JSON prints every row); any later change that alters
+never read it; the JSON prints every row), and the full ``check`` at
+(120,1) and the ``locate --curve`` at (300,1) before the identity became
+the cached empty prefix of the cones' elimination (at n = 1 every maximal
+cone has one ray, so every cone's state starts from it); any later change that alters
 a byte of these outputs fails here.  The whole corpus runs in-process through
 ``cli.main`` in a few seconds.  To re-record after an
 intended output change, print ``hashlib.sha256(stdout).hexdigest()`` for each
@@ -127,6 +130,8 @@ GOLDEN = [
     ("normal-complex --r 120 --n 1", 0, "a201113ad41c17e60881d0015b337de9a572b44e2c5a2d1a991e955e555aadc5"),
     ("check --r 200 --n 1 --suite normal --seed 3", 0, "510fc29b840b46bf7754a437200464cb8d8cf98529035b08ea829e9aab9a1deb"),
     ("normal-complex --r 40 --n 1 --format json", 0, "63fbab7ab8e5e0b907414b83f1da9e51681384f41e19833ac1c3e7994620b565"),
+    ("check --r 120 --n 1 --seed 3", 0, "d796c34eef4faa2bb1fc3923cbe07e59d6263bccd6d1d7c0fab124ad64d9be43"),
+    ("locate --r 300 --n 1 --curve 1:0:5/2", 0, "26f38fdaa9bba24d05bfcd8add25e3b176b9ff344b3ecfc6c503fd0cead1ac6e"),
     ("fan --r 1 --n 2", 2, "19a9c3723b7d7f4d89611ed97f66c1f2369ca2ac75bc525df5a199f19f8b3969"),
     ("locate --r 3 --n 2 --point 1,2", 2, "2360e8858d7deb4b2fdfefd665fff621c57c1bcb7cd8a38e1eced897152e29a7"),
 ]

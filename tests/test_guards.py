@@ -123,6 +123,41 @@ def test_cli_refuses_a_huge_spec_at_once(no_override, capsys, argv):
     )
 
 
+HUGE_N = "99999999999999999999"  # past 2**63, so no C ssize_t holds it
+FAN_REFUSAL = (
+    f"fan with more than {DEFAULT_FAN_CELLS} rays and more than {DEFAULT_FAN_CELLS} "
+    f"maximal cones exceeds the guard bound {DEFAULT_FAN_CELLS} (override with {ENV_OVERRIDE})"
+)
+
+
+@pytest.mark.parametrize(
+    "argv,status,lines",
+    [
+        (f"fan --r 3 --n {HUGE_N}", 2, [f"feasibility error: {FAN_REFUSAL}"]),
+        (f"chow --r 2 --n {HUGE_N} --betti-only", 2, [f"feasibility error: {FAN_REFUSAL}"]),
+        (f"locate --r 3 --n {HUGE_N} --curve 1:0:1", 2, [f"feasibility error: {FAN_REFUSAL}"]),
+        (
+            f"check --r 2 --n {HUGE_N}",
+            0,
+            [
+                f"SKIP [fan] fan construction ({FAN_REFUSAL})",
+                f"SKIP [chow] presentation and chain census ({FAN_REFUSAL})",
+                f"SKIP [tropical] fan construction ({FAN_REFUSAL})",
+                "SKIP [normal] cell construction (normal complex with more than "
+                f"{DEFAULT_NORMAL_CELLS} cells exceeds the guard bound "
+                f"{DEFAULT_NORMAL_CELLS} (override with {ENV_OVERRIDE}))",
+                f"0/4 checks passed, 4 skipped for r=2, n={HUGE_N}",
+            ],
+        ),
+    ],
+)
+def test_an_n_past_a_machine_integer_is_refused_not_raised(
+    no_override, capsys, argv, status, lines
+):
+    assert main(argv.split()) == status
+    assert capsys.readouterr().out.splitlines() == lines
+
+
 def test_oracle_guard_prints_a_capped_size_as_more_than_the_bound(no_override):
     with pytest.raises(FeasibilityError) as info:
         check_oracle_size(ArrangementSpec(3, 3000).num_subsets_upto(COUNT_CAP))

@@ -205,6 +205,9 @@ DIRECT_VS_STELLAR = {
     "fan.Cone.__init__": RECORD,
     "fan.Fan.__init__": RECORD,
     "fan.Fan.cones": "fans_equal reads each route's cones through the record's one reader",
+    "fan.Fan.maximal_cones": (
+        "the record's one reader keeps the maximal cones before its table takes them over"
+    ),
     "lattice.Chain.__hash__": "both key their cones by chain",
     "lattice.Chain._trusted": "both wrap the chains they built in the record, unchecked",
     "lattice.DecoratedSubset.__init__": LABEL,
