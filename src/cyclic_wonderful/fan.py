@@ -86,14 +86,13 @@ from .lattice import (
     _Value,
     _chains_of_length,
     _subset_table,
-    is_nested,
     validate_subset,
 )
 from .linalg import (
     RowTest,
     SharedRowIndex,
+    lattice_pivots,
     scaled_point,
-    smith_divisors,
     tests_hold,
 )
 
@@ -508,8 +507,9 @@ def build_fan_stellar(spec: ArrangementSpec, g: BuildingSet) -> Fan:
     step subdivides the star of that known cone (see ``_star_subdivide``),
     found through a map from each label to the cones holding it that lives
     only for this build.  A final pass sorts each cone's labels once and
-    discards any cone whose labels are not a chain (``is_nested``); with
-    this order the pass is a safety net and removes nothing.
+    keeps every cone and every ray the subdivisions made: a cone whose
+    labels are not a chain would be their fault, so it is left for
+    ``fans_equal`` to find, not filtered out.
     """
     _check_maximal(spec, g)
     check_fan_spec(spec)
@@ -538,15 +538,10 @@ def build_fan_stellar(spec: ArrangementSpec, g: BuildingSet) -> Fan:
     # the build's peak memory (15.4 MiB traced at r = 4, n = 4; 20.0 MiB
     # with the map kept)
     del holding
-    kept = []
-    for s in cones:
-        labels = tuple(sorted(s, key=DecoratedSubset.sort_key))
-        if is_nested(labels, g):
-            kept.append(Chain._trusted(labels))
-    used = {d for c in kept for d in c.prefixes}
-    ray_map = {d: rays[d] for d in sorted(used, key=DecoratedSubset.sort_key)}
+    chains = (Chain._trusted(tuple(sorted(s, key=DecoratedSubset.sort_key))) for s in cones)
+    ray_map = {d: rays[d] for d in sorted(rays, key=DecoratedSubset.sort_key)}
     return Fan.from_cones(
-        spec, ray_map, ((c, Cone(tuple(rays[d] for d in c.prefixes), c.prefixes)) for c in kept)
+        spec, ray_map, ((c, Cone(tuple(rays[d] for d in c.prefixes), c.prefixes)) for c in chains)
     )
 
 
@@ -597,18 +592,9 @@ def in_relative_interior(chain: Chain, point: Sequence, spec: ArrangementSpec) -
 
 
 def is_smooth_cone(cone: Cone) -> bool:
-    """Whether the generators extend to a basis of the ambient lattice.
-
-    Computed as all Smith-form elementary divisors of the generator matrix
-    being 1 (rank deficiency shows up as a zero divisor).
-    """
-    divisors = smith_divisors([list(v) for v in cone.rays])
-    return len(divisors) == len(cone.rays) and all(d == 1 for d in divisors)
-
-
-def cone_dim(cone: Cone) -> int:
-    """The rank of the generators: the count of nonzero Smith divisors."""
-    return sum(1 for d in smith_divisors([list(v) for v in cone.rays]) if d)
+    """Whether the generators extend to a basis of the ambient lattice: each
+    gets a ``lattice_pivots`` pivot, and every pivot is 1."""
+    return lattice_pivots(cone.rays) == [1] * len(cone.rays)
 
 
 _ZERO = Fraction(0)

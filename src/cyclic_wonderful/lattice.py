@@ -520,8 +520,8 @@ def is_nested(s: Iterable[DecoratedSubset], g: BuildingSet) -> bool:
 
     For the maximal building set the nested sets are exactly the chains, so
     this is the neighbour test of ``_first_unnested_pair``.  Labels that
-    already pass it in the order given (each strictly below the next, as the
-    stellar build's final pass hands them) form a chain with no sort; any
+    already pass it in the order given (each strictly below the next, as a
+    chain's prefixes are) form a chain with no sort; any
     others are sorted by ``sort_key``, with repeats dropped, and tested
     again.
     """

@@ -1,5 +1,5 @@
-"""Exact linear algebra: rational RREF, sparse elimination, Smith form, a
-shared-row membership index, LP.
+"""Exact linear algebra: rational RREF, sparse elimination, integer column
+echelon pivots, a shared-row membership index, LP.
 
 Everything runs over ``fractions.Fraction`` or plain Python integers.  The
 matrices in this project are small (ambient dimension n*(r-1), relation
@@ -8,16 +8,16 @@ point anywhere.
 
 Dense rational elimination is written once, in ``_rref``: ``solve_columns``
 reads its answer off it, and so do the tests' rank and nullspace
-references.  No command runs it: the rank of a cone's generators
-(``fan.cone_dim``) is the count of nonzero ``smith_divisors``, and a normal
-cell's span rows are a closed form.  No vector is summed here either:
-every vector the fan and the normal complex are built from (a ray, a
-curve's embedding, a sampled support point, an extreme point of the union,
-a normal cell's vertices and rows) is one multiple of a basis image per
-factor, at the slots ``fan.block_slot`` gives, and every vector but a
-cell's sparse rows is written by ``fan.place``.  ``solve_columns`` shares
-nothing with the integer cone kernel of :mod:`cyclic_wonderful.fan`, whose
-reference it is.
+references.  No command runs it: a cone's rank is the number of its
+generators' ``lattice_pivots``, which also say whether the generators extend
+to a lattice basis, and a normal cell's span rows are a closed form.  No
+vector is summed here either: every vector the fan and the normal complex
+are built from (a ray, a curve's embedding, a sampled support point, an
+extreme point of the union, a normal cell's vertices and rows) is one
+multiple of a basis image per factor, at the slots ``fan.block_slot``
+gives, and every vector but a cell's sparse rows is written by
+``fan.place``.  ``solve_columns`` shares nothing with the integer cone
+kernel of :mod:`cyclic_wonderful.fan`, whose reference it is.
 
 Sparse integer elimination (``SparseEliminator``) updates each row in place:
 against a pivot row of lead 1 it subtracts a multiple over the pivot's
@@ -185,65 +185,34 @@ class SparseEliminator:
         return not self.reduce(row)
 
 
-def smith_divisors(mat: Sequence[Sequence[int]]) -> list[int]:
-    """Nonnegative diagonal of the Smith normal form of an integer matrix.
+def lattice_pivots(rows: Sequence[Sequence[int]]) -> list[int]:
+    """The absolute pivots of an integer column echelon form of the rows.
 
-    Returns min(m, n) entries with the divisibility chain d_1 | d_2 | ...;
-    trailing zeros indicate rank deficiency.
+    Each row in turn is cleared by Euclidean column steps over the columns
+    that hold no pivot yet, until one of them is nonzero in the row: that
+    entry's absolute value is the row's pivot, and its column holds it from
+    then on.  A row with no such column gets no pivot.  Column steps are
+    unimodular, so the number of pivots is the rank, and when the rows are
+    independent the product of the pivots is the gcd of their maximal
+    minors: the rows extend to a basis of the lattice exactly when every row
+    gets the pivot 1.
     """
-    a = [[int(x) for x in row] for row in mat]
-    m = len(a)
-    n = len(a[0]) if m else 0
-    size = min(m, n)
-    divisors: list[int] = []
-    t = 0
-    while t < size:
-        # locate a nonzero entry of smallest magnitude in the working block
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if a[i][j] != 0 and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            divisors.extend([0] * (size - t))
-            break
-        bi, bj = best
-        a[t], a[bi] = a[bi], a[t]
-        for row in a:
-            row[t], row[bj] = row[bj], row[t]
-        # clear row and column t by Euclidean steps
-        dirty = True
-        while dirty:
-            dirty = False
-            for i in range(t + 1, m):
-                if a[i][t] != 0:
-                    q = a[i][t] // a[t][t]
-                    for j in range(t, n):
-                        a[i][j] -= q * a[t][j]
-                    if a[i][t] != 0:
-                        a[t], a[i] = a[i], a[t]
-                        dirty = True
-            for j in range(t + 1, n):
-                if a[t][j] != 0:
-                    q = a[t][j] // a[t][t]
-                    for i in range(t, m):
-                        a[i][j] -= q * a[i][t]
-                    if a[t][j] != 0:
-                        for i in range(t, m):
-                            a[i][t], a[i][j] = a[i][j], a[i][t]
-                        dirty = True
-        divisors.append(abs(a[t][t]))
-        t += 1
-    # enforce the divisibility chain
-    for i in range(len(divisors)):
-        for j in range(i + 1, len(divisors)):
-            di, dj = divisors[i], divisors[j]
-            if di and dj % di != 0:
-                g = gcd(di, dj)
-                divisors[i], divisors[j] = g, di * dj // g
-            elif di == 0 and dj != 0:
-                divisors[i], divisors[j] = dj, 0
-    return divisors
+    free = [list(col) for col in zip(*rows)]
+    pivots: list[int] = []
+    for i in range(len(rows)):
+        live = [col for col in free if col[i]]
+        if not live:
+            continue
+        while len(live) > 1:
+            best = min(live, key=lambda col: abs(col[i]))
+            for col in live:
+                if col is not best:
+                    q = col[i] // best[i]
+                    col[:] = [x - q * y for x, y in zip(col, best)]
+            live = [best, *[col for col in live if col is not best and col[i]]]
+        pivots.append(abs(live[0][i]))
+        free = [col for col in free if col is not live[0]]
+    return pivots
 
 
 # ---------------------------------------------------------------------------

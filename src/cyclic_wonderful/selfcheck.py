@@ -22,9 +22,7 @@ from .fan import (
     Vector,
     build_fan,
     build_fan_stellar,
-    cone_dim,
     fans_equal,
-    is_smooth_cone,
     locate_point,
 )
 from .guards import FeasibilityError, check_fan_spec, check_override
@@ -35,7 +33,7 @@ from .lattice import (
     _Value,
     chain_intersect,
 )
-from .linalg import SharedRowIndex, extreme_points
+from .linalg import SharedRowIndex, extreme_points, lattice_pivots
 from .sampling import Lcg, sample_curve, sample_mixed_points
 
 # suite "x" is the function suite_x, looked up by name when it runs, so the
@@ -166,15 +164,32 @@ def suite_fan(spec: ArrangementSpec, seed: int = 0) -> list[CheckResult]:
             f"{len(pairs)} pairs checked, {bad} failures",
         )
     )
-    rough = [c for c in maximal if not is_smooth_cone(c)]
+    # one pivot list per cone answers both lattice lines: its length is the
+    # cone's rank, and a maximal cone is unimodular when every pivot is 1
+    rough, flat = [], []
+    for chain, cone in fan.cones.items():
+        pivots = lattice_pivots(cone.rays)
+        if len(pivots) != len(cone.label):
+            flat.append(chain)
+        if len(chain.prefixes) == spec.n and pivots != [1] * len(cone.rays):
+            rough.append(chain)
     out.append(
-        _result("fan", "maximal cones unimodular", not rough, f"{len(maximal)} cones")
+        _result(
+            "fan",
+            "maximal cones unimodular",
+            not rough,
+            f"{len(maximal)} cones"
+            + (f", {len(rough)} not unimodular, first {rough[0].text()}" if rough else ""),
+        )
     )
     out.append(
         _result(
             "fan",
             "cone dimension equals chain length",
-            all(cone_dim(c) == len(c.label) for c in fan.cones.values()),
+            not flat,
+            f"{len(fan.cones)} cones, {len(flat)} of another rank, first {flat[0].text()}"
+            if flat
+            else "",
         )
     )
     rng = Lcg(seed)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from test_linalg import combine, matrix_rank
 
 from cyclic_wonderful import fan as fan_module
+from cyclic_wonderful import selfcheck
 from cyclic_wonderful.cli import build_parser, run
 from cyclic_wonderful.fan import (
     Cone,
@@ -19,7 +20,6 @@ from cyclic_wonderful.fan import (
     _star_subdivide,
     build_fan,
     build_fan_stellar,
-    cone_dim,
     fans_equal,
     in_relative_interior,
     is_smooth_cone,
@@ -27,7 +27,7 @@ from cyclic_wonderful.fan import (
     ray_vector,
     support_decomposition,
 )
-from cyclic_wonderful.linalg import scaled_point, solve_columns
+from cyclic_wonderful.linalg import lattice_pivots, scaled_point, solve_columns
 from cyclic_wonderful.lattice import (
     ArrangementSpec,
     BuildingSet,
@@ -249,8 +249,8 @@ def test_cone_dim_equals_chain_length():
         spec = ArrangementSpec(r, n)
         fan = build_fan(spec, BuildingSet.maximal(spec))
         for cone in fan.cones.values():
-            assert cone_dim(cone) == len(cone.label)
-    assert cone_dim(Cone((), ())) == 0  # no Smith divisors at all
+            assert len(lattice_pivots(cone.rays)) == len(cone.label)
+    assert lattice_pivots(Cone((), ()).rays) == []  # no rows, so no pivot
 
 
 def _maximal_by_inclusion(fan):
@@ -618,8 +618,8 @@ def test_stellar_subdivides_the_one_cone_a_full_scan_finds(r, n, steps):
         assert cones == scanned
         assert holding == holding_map(rays, cones)
     assert len(order) == steps
-    kept = {s for s in cones if is_nested(s, g)}
-    assert kept == {frozenset(c.prefixes) for c in build_fan_stellar(spec, g).cones}
+    assert all(is_nested(s, g) for s in cones)
+    assert cones == {frozenset(c.prefixes) for c in build_fan_stellar(spec, g).cones}
 
 
 class _Unscannable(set):
@@ -681,6 +681,28 @@ def test_stellar_route_never_enumerates_chains(monkeypatch):
 
     monkeypatch.setattr("cyclic_wonderful.fan._chains_of_length", refuse)
     assert fans_equal(direct, build_fan_stellar(spec, g))
+
+
+def test_a_stray_cone_left_by_the_subdivisions_reaches_the_stellar_fan(monkeypatch):
+    # a cone whose labels clash at factor 1, so they are not a chain, appears
+    # after every subdivision; the second route must see it, not drop it
+    spec = ArrangementSpec(3, 2)
+    g = BuildingSet.maximal(spec)
+    stray = (ds((1, 0)), ds((1, 1)))
+    subdivide = fan_module._star_subdivide
+
+    def subdivide_and_stray(cones, *args):
+        subdivide(cones, *args)
+        cones.add(frozenset(stray))  # held by no label, so in no later star
+
+    monkeypatch.setattr(fan_module, "_star_subdivide", subdivide_and_stray)
+    stellar = build_fan_stellar(spec, g)
+    assert not is_nested(stray, g)
+    assert Chain._trusted(stray) in stellar.cones
+    assert not fans_equal(build_fan(spec, g), stellar)
+    monkeypatch.setattr(selfcheck, "build_fan_stellar", lambda spec, g: stellar)
+    lines = {res.name: res.status for res in selfcheck.suite_fan(spec)}
+    assert lines["stellar route equals direct route"] == "FAIL"
 
 
 def test_stellar_of_2_2_subdivides_the_four_product_cones():
@@ -900,7 +922,7 @@ def test_location_does_not_test_the_cone_the_index_found_again(r, n, monkeypatch
 
 
 def test_rayless_cone_is_smooth():
-    # no Smith divisors, so none differs from 1
+    # no pivots, so none differs from 1
     assert is_smooth_cone(Cone((), ()))
 
 

@@ -1,8 +1,10 @@
 """Property tests of the exact kernels, each against an independent route.
 
 Dense ranks (``matrix_rank``, one rational RREF, kept here as the tests'
-rank reference) are compared with the count of nonzero Smith divisors
-(integer Euclidean steps, no rational elimination); kernels (``nullspace``,
+rank reference) are compared with the count of ``lattice_pivots``
+(integer Euclidean column steps, no rational elimination), whose product
+at full row rank is compared with the gcd of the maximal minors, each
+minor a determinant expanded by hand; kernels (``nullspace``,
 read off the same RREF and kept here as the reference of the normal cells'
 span rows) and solutions are checked by multiplying back exactly; ``combine``, the
 sum of vectors that the package now places instead, is kept here too.  The sparse integer eliminator is
@@ -15,8 +17,9 @@ member-by-member scan, and its batch registration, with each test folded
 onto its row's sign, with a member-by-member registration.
 """
 
+import itertools
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 import pytest
 from hypothesis import given, settings
@@ -30,9 +33,9 @@ from cyclic_wonderful.linalg import (
     extreme_points,
     in_convex_hull,
     integer_scaled,
+    lattice_pivots,
     parse_rational,
     scaled_point,
-    smith_divisors,
     solve_columns,
 )
 
@@ -64,13 +67,13 @@ def combine(coeffs, vectors, dim, zero=0):
     return tuple(out)
 
 
-def smith_rank(rows):
-    return sum(1 for d in smith_divisors(rows) if d)
+def pivot_rank(rows):
+    return len(lattice_pivots(rows))
 
 
 def matrix_rank(rows):
     """Rank over Q by dense rational elimination, the rank reference of the
-    tests (``fan.cone_dim`` counts nonzero Smith divisors instead)."""
+    tests (``check`` counts ``lattice_pivots`` instead)."""
     return len(linalg._rref(rows, len(rows[0]) if rows else 0)[1])
 
 
@@ -103,10 +106,35 @@ def apply(rows, v):
     return tuple(dot(row, v) for row in rows)
 
 
-@settings(max_examples=200, deadline=None)
+def determinant(rows):
+    """Laplace expansion along the first row: the minors' reference."""
+    if not rows:
+        return 1
+    return sum(
+        (-1) ** j * a * determinant([row[:j] + row[j + 1 :] for row in rows[1:]])
+        for j, a in enumerate(rows[0])
+        if a
+    )
+
+
+def maximal_minors_gcd(rows):
+    """The gcd of every k x k minor of k rows, over all column subsets."""
+    return gcd(
+        *(
+            determinant([[row[j] for j in cols] for row in rows])
+            for cols in itertools.combinations(range(len(rows[0])), len(rows))
+        )
+    )
+
+
+@settings(max_examples=300, deadline=None)
 @given(matrices())
-def test_rank_is_the_number_of_nonzero_smith_divisors(rows):
-    assert matrix_rank(rows) == smith_rank(rows)
+def test_lattice_pivots_count_the_rank_and_multiply_to_the_minors_gcd(rows):
+    pivots = lattice_pivots(rows)
+    assert len(pivots) == matrix_rank(rows)
+    assert all(p > 0 for p in pivots)
+    if len(pivots) == len(rows):
+        assert prod(pivots) == maximal_minors_gcd(rows)
 
 
 @settings(max_examples=200, deadline=None)
@@ -114,13 +142,13 @@ def test_rank_is_the_number_of_nonzero_smith_divisors(rows):
 def test_nullspace_is_a_kernel_basis_of_the_right_size(rows):
     ncols = len(rows[0])
     basis = nullspace(rows)
-    assert len(basis) == ncols - smith_rank(rows)
+    assert len(basis) == ncols - pivot_rank(rows)
     for v in basis:
         assert len(v) == ncols
         assert all(x == 0 for x in apply(rows, v))
     # independent: the basis vectors, scaled to integers, have full rank
     scaled = [[x * lcm(*(y.denominator for y in v)) for x in v] for v in basis]
-    assert smith_rank([[int(x) for x in v] for v in scaled]) == len(basis)
+    assert pivot_rank([[int(x) for x in v] for v in scaled]) == len(basis)
 
 
 @settings(max_examples=300, deadline=None)
@@ -132,16 +160,16 @@ def test_solve_columns_reproduces_the_target_or_reports_a_rank_jump(cols, data):
         target = list(combine(x, cols, dim))
     else:
         target = data.draw(st.lists(entries, min_size=dim, max_size=dim))
-    rank = smith_rank(cols)
+    rank = pivot_rank(cols)
     if rank < len(cols):
         with pytest.raises(ValueError, match="linearly dependent"):
             solve_columns(cols, target)
         return
     sol = solve_columns(cols, target)
     if sol is None:
-        assert smith_rank(cols + [target]) == rank + 1
+        assert pivot_rank(cols + [target]) == rank + 1
     else:
-        assert smith_rank(cols + [target]) == rank
+        assert pivot_rank(cols + [target]) == rank
         assert combine(sol, cols, dim, Fraction(0)) == tuple(Fraction(t) for t in target)
 
 

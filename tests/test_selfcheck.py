@@ -72,22 +72,54 @@ def test_memoised_law_agrees_with_the_per_pair_law(r, n, seed):
         assert intersection_law_failures(fan, [(a, b)]) == []
 
 
+def bent(fan):
+    """The fan with the last ray of one maximal cone moved off its place,
+    the rays kept independent, and that cone's chain: the cone now
+    disagrees with its faces and neighbours."""
+    cone = fan.maximal_cones[1]
+    *head, last = cone.rays
+    moved = tuple(x + y for x, y in zip(last, fan.maximal_cones[-1].rays[0]))
+    chain = next(c for c, k in fan.cones.items() if k is cone)
+    cones = {**fan.cones, chain: Cone((*head, moved), cone.label)}
+    return chain, Fan.from_cones(fan.spec, fan.rays, cones.items())
+
+
 @pytest.mark.parametrize("r,n", [(2, 2), (3, 2)])
 def test_a_perturbed_ray_fails_the_same_pairs_in_both_versions(r, n):
     fan = fan_of(r, n)
     pairs = law_pairs(fan)
-    # move the last ray of one maximal cone off its place, keeping the rays
-    # independent: the cone now disagrees with its faces and neighbours
-    cone = fan.maximal_cones[1]
-    *head, last = cone.rays
-    bent = tuple(x + y for x, y in zip(last, fan.maximal_cones[-1].rays[0]))
-    chain = next(c for c, k in fan.cones.items() if k is cone)
-    broken = Fan.from_cones(
-        fan.spec, fan.rays, {**fan.cones, chain: Cone((*head, bent), cone.label)}.items()
-    )
+    chain, broken = bent(fan)
     failures = intersection_law_failures(broken, pairs)
     assert failures == reference_failures(broken, pairs)
     assert failures and all(chain in pair for pair in failures)
+
+
+def test_a_failing_lattice_line_counts_its_cones_and_names_the_first(monkeypatch):
+    spec = ArrangementSpec(2, 2)
+    passing = {res.name: res.detail for res in suite_fan(spec)}
+    assert passing["maximal cones unimodular"] == "8 cones"
+    assert passing["cone dimension equals chain length"] == ""
+    # at (2, 2) the bent cone's rays span a sublattice of index 2
+    chain, broken = bent(fan_of(2, 2))
+    monkeypatch.setattr(selfcheck, "build_fan", lambda spec, g: broken)
+    lines = {res.name: res for res in suite_fan(spec)}
+    unimodular = lines["maximal cones unimodular"]
+    assert (unimodular.status, unimodular.detail) == (
+        "FAIL",
+        f"8 cones, 1 not unimodular, first {chain.text()}",
+    )
+    assert lines["cone dimension equals chain length"].status == "PASS"
+    # a face whose ray is zero has rank 0; the intersection law, which would
+    # refuse that cone's elimination, is not the line under test
+    fan = fan_of(2, 2)
+    face = next(c for c in fan.cones if c.length == 1)
+    cones = {**fan.cones, face: Cone(((0, 0),), face.prefixes)}
+    flat = Fan.from_cones(spec, fan.rays, cones.items())
+    monkeypatch.setattr(selfcheck, "build_fan", lambda spec, g: flat)
+    monkeypatch.setattr(selfcheck, "intersection_law_failures", lambda fan, pairs: [])
+    lines = {res.name: res for res in suite_fan(spec)}
+    rank = lines["cone dimension equals chain length"]
+    assert (rank.status, rank.detail) == ("FAIL", f"17 cones, 1 of another rank, first {face.text()}")
 
 
 def test_a_meet_cone_with_a_ray_outside_both_cones_fails_by_its_rays():
