@@ -44,7 +44,8 @@ Cone coordinates are exact and integer.  Each cone caches, on first use,
 the result of a fraction-free (Bareiss) Gauss-Jordan elimination through
 the ray columns of [A | I], A the rays as columns: dim - k span-check rows,
 a basis of A's left kernel, and k coefficient rows, delta times a left
-inverse of A, each kept as its nonzero (index, coeff) pairs.  The
+inverse of A, every row, the identity's too, kept as its nonzero (index,
+coeff) pairs, so a one-ray cone at n = 1 costs order r, not r^2.  The
 elimination takes the columns in ray order, so its state after the first j
 rays is shared by every cone whose chain starts with the same j prefixes;
 those states, the empty prefix's identity too, are cached
@@ -73,7 +74,6 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from operator import add, sub
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .guards import check_fan_spec
@@ -91,6 +91,7 @@ from .lattice import (
 from .linalg import (
     RowTest,
     SharedRowIndex,
+    SparseRow,
     lattice_pivots,
     scaled_point,
     tests_hold,
@@ -145,34 +146,32 @@ def ray_vector(d: DecoratedSubset, spec: ArrangementSpec) -> Vector:
 
 # The state of a fraction-free (Bareiss) Gauss-Jordan elimination of
 # [A | I] after the columns of the first j rays: the left multiplier R as a
-# tuple of rows, so that R A is delta times the identity in the first j
-# columns of its first j rows and zero there in the rows below, and the last
-# pivot delta.  It depends only on those j rays, in order.
-_Elimination = tuple[tuple[tuple[int, ...], ...], int]
+# tuple of rows, each its nonzero (index, coeff) pairs in index order, so
+# that R A is delta times the identity in the first j columns of its first j
+# rows and zero there in the rows below, and the last pivot delta.  It
+# depends only on those j rays, in order.
+_Elimination = tuple[tuple[SparseRow, ...], int]
 
 
 def _bareiss_step(state: _Elimination, c: int, a: Vector) -> _Elimination:
     """The Bareiss step of column c, the ray a, on the state of the c rays
     before it.
 
-    The column of ``R [A | I]`` it eliminates is ``R a``, read off a's
-    nonzero entries (a ray has few).  The pivot is its first nonzero entry
-    at or below row c, swapped into row c; every other row becomes
+    The column of ``R [A | I]`` it eliminates is ``R a``, each entry read
+    off its row's own pairs.  The pivot is its first nonzero entry at or
+    below row c, swapped into row c; every other row becomes
     ``(pv * row - f * pivot_row) // delta``, an exact division since each
-    entry stays a minor of the input.  A unimodular step (``pv == delta ==
-    +-1``) is ``row - (f * pv) * pivot_row``, and a row with ``f == 0`` is
-    kept (``pv == delta``) or negated (``pv == -delta``), with no division.
-    Raises ValueError when the column has no pivot, i.e. the rays are
-    dependent.
+    entry stays a minor of the input, written as sorted pairs, and a row
+    with ``f == 0`` and ``pv == delta`` is kept as it is.  Raises ValueError
+    when the column has no pivot, i.e. the rays are dependent.
     """
     rows, prev = state
     rows = list(rows)
-    nonzero = [(j, x) for j, x in enumerate(a) if x]
     col = []
     for row in rows:
         s = 0
-        for j, x in nonzero:
-            s += row[j] * x
+        for j, x in row:
+            s += x * a[j]
         col.append(s)
     p = next((i for i in range(c, len(rows)) if col[i]), None)
     if p is None:
@@ -181,58 +180,48 @@ def _bareiss_step(state: _Elimination, c: int, a: Vector) -> _Elimination:
     col[c], col[p] = col[p], col[c]
     piv = rows[c]
     pv = col[c]
-    unimodular = pv == prev and (pv == 1 or pv == -1)
     for i, row in enumerate(rows):
         f = col[i]
-        if i == c:
+        if i == c or (not f and pv == prev):
             continue
-        if not f:
-            if pv == prev:
-                continue  # the update would leave this row as it is
-            if pv == -prev:
-                rows[i] = tuple([-x for x in row])
-                continue
-        if unimodular:  # (pv * x - f * y) // pv is x - (f * pv) * y
-            g = f * pv
-            if g == 1:
-                rows[i] = tuple(map(sub, row, piv))
-            elif g == -1:
-                rows[i] = tuple(map(add, row, piv))
-            else:
-                rows[i] = tuple([x - g * y for x, y in zip(row, piv)])
-        else:
-            rows[i] = tuple([(pv * x - f * y) // prev for x, y in zip(row, piv)])
+        merged = {j: pv * x for j, x in row}
+        for j, y in piv:
+            merged[j] = merged.get(j, 0) - f * y
+        rows[i] = tuple([(j, x // prev) for j, x in sorted(merged.items()) if x])
     return tuple(rows), pv
 
 
 def _elimination(dim: int, rays: tuple[Vector, ...]) -> _Elimination:
     """The Bareiss state after the columns of the rays, in R^dim.
 
-    The empty prefix is the identity; any other is one step on the state
-    of the rays minus the last, which comes from the prefix cache.
+    The empty prefix is the identity, dim one-entry rows; any other is one
+    step on the state of the rays minus the last, which comes from the
+    prefix cache.
     """
     if not rays:
-        return tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim)), 1
+        return tuple([((i, 1),) for i in range(dim)]), 1
     return _bareiss_step(_prefix_elimination(dim, rays[:-1]), len(rays) - 1, rays[-1])
 
 
 # The states of proper prefixes, keyed by (dim, rays), the empty prefix one
-# entry per dimension.  The maximal cones at r = 4, n = 4 have 1,744
-# distinct proper prefixes, so all of them fit.
+# entry per dimension.  The maximal cones have 1,745 distinct proper
+# prefixes at r = 4, n = 4, which all fit, and 29,893 at r = 2, n = 6, which
+# do not; but a scan in chain order reads each prefix while it is recent, so
+# it misses only 5 more times, each rebuilding the identity with no step.
 _prefix_elimination = lru_cache(maxsize=4096)(_elimination)
 
 
 @lru_cache(maxsize=4096)
-def _row_test(row: tuple[int, ...], sign: int, hi: int | None) -> RowTest:
-    """The test ``(pairs, 0, hi)`` of a dense row, ``pairs`` its nonzero
-    ``(index, sign * coeff)`` pairs.
+def _row_test(row: SparseRow, sign: int, hi: int | None) -> RowTest:
+    """The test ``(row, 0, hi)`` of a state row, its coefficients times
+    ``sign``.
 
     Cached so that equal tests share one tuple: the cones of a fan repeat few
     rows (124 distinct among the 3,456 of the maximal cones at r = 4,
     n = 3, on 66 hyperplanes up to sign), and sharing them keeps the cones'
     caches small.
     """
-    return tuple((i, sign * x) for i, x in enumerate(row) if x), 0, hi
+    return (row if sign > 0 else tuple([(i, -x) for i, x in row])), 0, hi
 
 
 class _Inverse(NamedTuple):

@@ -447,21 +447,41 @@ def _gauss_jordan(m, k):
     return prev
 
 
+def _reference_state(dim, rays):
+    """The multiplier rows R of ``[A | I]`` and the last pivot after one full
+    pass through the columns of the rays, A the rays as columns in R^dim."""
+    k = len(rays)
+    m = [[*(ray[i] for ray in rays), *(int(i == j) for j in range(dim))] for i in range(dim)]
+    delta = _gauss_jordan(m, k)
+    return [row[k:] for row in m], delta
+
+
 def _reference_inverse(rays):
     """The cone's ``_Inverse`` from one full pass over ``[A | I]``."""
-    k, dim = len(rays), len(rays[0])
-    m = [[*a_row, *(int(i == j) for j in range(dim))] for i, a_row in enumerate(zip(*rays))]
-    delta = _gauss_jordan(m, k)
+    k = len(rays)
+    rows, delta = _reference_state(len(rays[0]), rays)
     sign = 1 if delta > 0 else -1
 
     def test(row, s, hi):
-        return tuple((i, s * x) for i, x in enumerate(row[k:]) if x), 0, hi
+        return tuple((i, s * x) for i, x in enumerate(row) if x), 0, hi
 
     return _Inverse(
-        (*(test(row, 1, 0) for row in m[k:]), *(test(row, sign, None) for row in m[:k])),
+        (*(test(row, 1, 0) for row in rows[k:]), *(test(row, sign, None) for row in rows[:k])),
         k,
         sign * delta,
     )
+
+
+def _dense_state(dim, rays):
+    """``_elimination``'s sparse rows read as dense rows, and its pivot."""
+    rows, delta = fan_module._elimination(dim, rays)
+    dense = []
+    for row in rows:
+        assert [i for i, _ in row] == sorted({i for i, _ in row})
+        assert all(x for _, x in row)
+        entries = dict(row)
+        dense.append([entries.get(j, 0) for j in range(dim)])
+    return dense, delta
 
 
 @settings(max_examples=150, deadline=None)
@@ -469,14 +489,19 @@ def _reference_inverse(rays):
 def test_inverse_equals_the_full_pass_on_non_unimodular_cones_in_any_ray_order(rays, data):
     rays = tuple(data.draw(st.permutations(rays)))
     assert Cone(rays, ())._inverse == _reference_inverse(rays)
+    for j in range(len(rays) + 1):
+        assert _dense_state(len(rays[0]), rays[:j]) == _reference_state(len(rays[0]), rays[:j])
 
 
-@pytest.mark.parametrize("spec", [(3, 2), (2, 3), (4, 2), (4, 3), (2, 4)])
+@pytest.mark.parametrize("spec", [(3, 2), (2, 3), (4, 2), (4, 3), (2, 4), (2, 1), (3, 1), (50, 1)])
 def test_inverse_equals_the_full_pass_on_every_fan_cone(spec):
-    _, cones = _fan_cones(*spec)  # new cones: no inverse computed yet
+    dim, cones = _fan_cones(*spec)  # new cones: no inverse computed yet
     for cone in cones:
         if cone.rays:
             assert cone._inverse == _reference_inverse(cone.rays)
+    # the sparse state of every prefix, the empty one too, read densely
+    for rays in {cone.rays[:j] for cone in cones for j in range(len(cone.rays) + 1)}:
+        assert _dense_state(dim, rays) == _reference_state(dim, rays)
 
 
 @settings(max_examples=100, deadline=None)
@@ -530,10 +555,18 @@ def test_the_identity_is_the_cached_empty_prefix():
     info = fan_module._prefix_elimination.cache_info()
     assert (info.currsize, info.misses, info.hits) == (1, 1, 39)
     dim = spec.ambient_dim
-    assert fan_module._prefix_elimination(dim, ()) == (
-        tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim)),
-        1,
-    )
+    assert fan_module._prefix_elimination(dim, ()) == (tuple(((i, 1),) for i in range(dim)), 1)
+
+
+def test_a_one_ray_state_stores_at_most_two_entries_per_row():
+    # at n = 1 a step on the identity leaves every row with at most two
+    # entries, 2 (r - 1) in all where a dense state holds (r - 1)^2
+    spec = ArrangementSpec(2000, 1)
+    dim = spec.ambient_dim
+    for d in enumerate_decorated_subsets(spec):
+        rows, _ = fan_module._elimination(dim, (ray_vector(d, spec),))
+        assert len(rows) == dim
+        assert sum(map(len, rows)) <= 2 * dim
 
 
 # --- stellar construction ----------------------------------------------------

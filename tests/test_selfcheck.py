@@ -6,6 +6,7 @@ import itertools
 import pytest
 
 from cyclic_wonderful import selfcheck, tropical
+from cyclic_wonderful.cli import build_parser, run
 from cyclic_wonderful.fan import Cone, Fan, build_fan
 from cyclic_wonderful.lattice import (
     ArrangementSpec,
@@ -109,17 +110,40 @@ def test_a_failing_lattice_line_counts_its_cones_and_names_the_first(monkeypatch
         f"8 cones, 1 not unimodular, first {chain.text()}",
     )
     assert lines["cone dimension equals chain length"].status == "PASS"
-    # a face whose ray is zero has rank 0; the intersection law, which would
-    # refuse that cone's elimination, is not the line under test
+    # a face whose ray is zero has rank 0: every line still prints, and the
+    # intersection law, which would eliminate that cone, fails its pairs
     fan = fan_of(2, 2)
     face = next(c for c in fan.cones if c.length == 1)
     cones = {**fan.cones, face: Cone(((0, 0),), face.prefixes)}
     flat = Fan.from_cones(spec, fan.rays, cones.items())
     monkeypatch.setattr(selfcheck, "build_fan", lambda spec, g: flat)
-    monkeypatch.setattr(selfcheck, "intersection_law_failures", lambda fan, pairs: [])
     lines = {res.name: res for res in suite_fan(spec)}
+    assert list(lines) == list(passing)
     rank = lines["cone dimension equals chain length"]
     assert (rank.status, rank.detail) == ("FAIL", f"17 cones, 1 of another rank, first {face.text()}")
+    law = lines["cone intersection law"]
+    failing = sum(face in (a, b, chain_intersect(a, b)) for a, b in law_pairs(flat))
+    assert (law.status, law.detail) == ("FAIL", f"289 pairs checked, {failing} failures")
+    assert lines["complete for r = 2: all sampled points locate"].status == "PASS"
+    # a maximal cone that repeats a ray is flat too: the scan, which would
+    # eliminate it, is not run, and its line fails
+    top = next(c for c in fan.cones if c.length == 2)
+    ray = fan.cones[top].rays[0]
+    cones = {**fan.cones, top: Cone((ray, ray), top.prefixes)}
+    repeated = Fan.from_cones(spec, fan.rays, cones.items())
+    monkeypatch.setattr(selfcheck, "build_fan", lambda spec, g: repeated)
+    lines = {res.name: res for res in suite_fan(spec)}
+    assert list(lines) == list(passing)
+    assert lines["cone dimension equals chain length"].detail == (
+        f"17 cones, 1 of another rank, first {top.text()}"
+    )
+    assert lines["complete for r = 2: all sampled points locate"].detail == (
+        f"not run, first flat maximal cone {top.text()}"
+    )
+    assert [res.status for res in lines.values()] == ["PASS", "PASS", "FAIL", "FAIL", "FAIL", "FAIL", "FAIL"]
+    status, out = run(build_parser().parse_args(["check", "--r", "2", "--n", "2", "--suite", "fan"]))
+    assert status == 1
+    assert out.count("FAIL [fan]") == 5 and out.endswith("2/7 checks passed for r=2, n=2\n")
 
 
 def test_a_meet_cone_with_a_ray_outside_both_cones_fails_by_its_rays():
