@@ -29,17 +29,20 @@ last chain monomial.
 Rows are fed relation-major (every row of reduced relation 0, then of
 relation 1, ...), shortest first within a relation, and the row L_j * mu is
 skipped when mu became a degree-(k-1) pivot while a relation before j was
-fed (Faugere's F5 criterion).  Such a mu is the lead of some
-g = sum_{i<j} h_i L_i, and L_j g = sum_{i<j} L_i (h_i L_j), so L_j mu is a
-combination of rows of earlier relations and rows L_j mu' with mu' past mu;
-induction on (relation, monomial) shows the skipped rows add nothing to the
-span.  The argument needs the relation-major feed and holds for any column
-order, with "lead" meaning the eliminator's pivot.  At r = 2 no fed row
-reduces to zero.  Row order, column order and the skipped rows change the
-fill of the pivot rows, never the rank: the elimination is exact integer
-arithmetic throughout.  With this order nearly every pivot row has lead 1,
-so a row is updated in place against it with no gcd; only a step against
-another lead scales the row and divides it by its content.
+fed (Faugere's F5 criterion).  Such a mu is the lead (the eliminator's
+pivot) of some g = sum_{i<j} h_i L_i, and L_j g = sum_{i<j} L_i (h_i L_j),
+so L_j mu is a combination of rows of earlier relations and rows L_j mu'
+with mu' past mu among g's other monomials; induction on (relation,
+monomial) shows the skipped rows add nothing to the span.  The argument
+holds in the quotient by the incomparable products and for any column
+order, but it needs the relation-major feed: a pivot created while
+relation i is fed is a combination of rows of relations <= i only.  At
+r = 2 no fed row reduces to zero.  Row order, column order and the
+skipped rows change the fill of the pivot rows, never the rank: the
+elimination is exact integer arithmetic throughout.  With this order
+nearly every pivot row has lead 1, so a row is updated in place against
+it with no gcd; only a step against another lead scales the row and
+divides it by its content.
 
 The top set T of mu's chain repeats rows too.  Every multiplier of mu is
 comparable to T, so one that holds a factor i of T decorates it by T(i):
@@ -51,13 +54,16 @@ so the F5 induction, the pivots and the relation that creates each pivot
 are as before.  At r = 2 there is no such row.
 
 A monomial's multipliers (the generators comparable to all its factors)
-are found once, filtered from those of the monomial one degree below.  They
-give the next degree's monomials, mu + (g,) for g >= mu[-1] in
-lexicographic order, and the columns of mu's rows: mu * g is the next new
-monomial, or for g < mu[-1] one made earlier, found with g inserted at
-``bisect_right(mu, g)``.  Each degree's lists go once the next degree's rows
-are fed; the top degree gets none.  The oracle is refused before any work
-by its generator count and by the width of its top degree
+are filtered from those of the monomial one degree below.  They give the
+next degree's monomials, mu + (g,) for g >= mu[-1] in lexicographic order,
+and the columns of mu's rows: mu * g is the next new monomial, or for
+g < mu[-1] one made earlier, found with g inserted at
+``bisect_right(mu, g)``.  One loop runs over the degrees, and pass k
+holds the lists of degrees k-1 and k only: it frees the eliminator of
+degree k-1, builds degree k's monomials and rows, then (below the top)
+degree k's multipliers, drops degree k-1's lists and only then
+eliminates.  The oracle is refused before any work by its
+generator count and by the width of its top degree
 (:func:`top_monomial_count`).
 """
 
@@ -79,6 +85,7 @@ from .lattice import (
     enumerate_chains,
     enumerate_decorated_subsets,
     jump_type,
+    validate_subset,
 )
 from .linalg import SparseEliminator
 
@@ -290,113 +297,68 @@ def _check_oracle(spec: ArrangementSpec) -> None:
     check_oracle_width(top_monomial_count(spec))
 
 
-class _ChainMonomials:
-    """Degree-graded monomials in the generators whose support is a chain.
+def _comparable_sets(generators: Sequence[DecoratedSubset]) -> list[frozenset[int]]:
+    """The indices of the generators comparable to each generator, itself included.
 
-    A monomial is a sorted tuple of generator indices.  Its multipliers are
-    the generators comparable to every factor; those of mu + (g,) are the
-    multipliers of mu that are comparable to g, so each degree's lists are
-    filtered from the degree below, once per monomial.
+    a <= b exactly when a is a restriction of b: walk each generator's
+    nonempty restrictions instead of testing every pair.
     """
+    index = {d.items: x for x, d in enumerate(generators)}
+    sets: list[set[int]] = [set() for _ in generators]
+    for y, b in enumerate(generators):
+        for size in range(1, len(b.items) + 1):
+            for items in itertools.combinations(b.items, size):
+                x = index[items]
+                sets[x].add(y)
+                sets[y].add(x)
+    return [frozenset(s) for s in sets]
 
-    def __init__(self, generators: Sequence[DecoratedSubset]):
-        self.generators = tuple(generators)
-        # a <= b exactly when a is a restriction of b: walk each generator's
-        # nonempty restrictions instead of testing every pair
-        index = {d.items: x for x, d in enumerate(self.generators)}
-        sets: list[set[int]] = [set() for _ in self.generators]
-        for y, b in enumerate(self.generators):
-            for size in range(1, len(b.items) + 1):
-                for items in itertools.combinations(b.items, size):
-                    x = index[items]
-                    sets[x].add(y)
-                    sets[y].add(x)
-        self.comparable = [frozenset(s) for s in sets]
-        self._by_degree: dict[int, list[tuple[int, ...]]] = {0: [()]}
-        self._multipliers: dict[int, list[Sequence[int]]] = {0: [range(len(self.generators))]}
 
-    def _extensions(self, k: int) -> Iterator[tuple[tuple[int, ...], Sequence[int], int]]:
-        """(mu, multipliers of mu, g) for each degree-(k+1) monomial mu + (g,),
-        in lexicographic order: g runs over mu's multipliers from mu[-1] on."""
-        for mono, mults in zip(self.degree(k), self.multipliers(k)):
-            start = bisect_left(mults, mono[-1]) if mono else 0
-            for g in mults[start:]:
-                yield mono, mults, g
-
-    def degree(self, k: int) -> list[tuple[int, ...]]:
-        """The degree-k chain monomials as sorted index tuples, lexicographically."""
-        if k not in self._by_degree:
-            self._by_degree[k] = [mono + (g,) for mono, _, g in self._extensions(k - 1)]
-        return self._by_degree[k]
-
-    def multipliers(self, k: int) -> list[Sequence[int]]:
-        """The multipliers of each degree-k monomial, in increasing order,
-        aligned with ``degree(k)``; kept until ``forget_multipliers(k)``."""
-        if k not in self._multipliers:
-            comparable = self.comparable
-            self._multipliers[k] = [
-                list(filter(comparable[g].__contains__, mults))
-                for _, mults, g in self._extensions(k - 1)
-            ]
-        return self._multipliers[k]
-
-    def forget_multipliers(self, k: int) -> None:
-        self._multipliers.pop(k, None)
-
-    def columns(self, k: int) -> dict[tuple[int, ...], int]:
-        """Column of each degree-k chain monomial, in reverse lexicographic order.
-
-        The eliminator pivots on a row's lowest column, which is then the
-        lexicographically last monomial of the row.
-        """
-        last = len(self.degree(k)) - 1
-        return {mono: last - pos for pos, mono in enumerate(self.degree(k))}
+def _extensions(
+    lower: Sequence[tuple[int, ...]], multipliers: Sequence[Sequence[int]]
+) -> Iterator[tuple[tuple[int, ...], Sequence[int], int]]:
+    """(mu, multipliers of mu, g) for each monomial mu + (g,) one degree
+    above ``lower``, in lexicographic order: g runs over mu's multipliers
+    from mu[-1] on."""
+    for mono, mults in zip(lower, multipliers):
+        for g in mults[bisect_left(mults, mono[-1]) if mono else 0:]:
+            yield mono, mults, g
 
 
 def _relation_rows(
-    monomials: _ChainMonomials,
     relations: Sequence[LinearRelation],
-    k: int,
+    by_generator: Sequence[Sequence[tuple[int, int]]],
+    repeats: Sequence[Sequence[int]],
+    lower: Sequence[tuple[int, ...]],
+    multipliers: Sequence[Sequence[int]],
+    upper: Sequence[tuple[int, ...]],
     lower_pivots: dict[int, int],
 ) -> list[list[dict[int, int]]]:
     """The rows (relation) x (degree k-1 chain monomial), one block per relation.
 
-    Block j holds the rows of relation j, shortest first (stable over the
-    degree-(k-1) monomials in order).  Products whose support is not a chain
-    are dropped: they die under the quadratic relations.  The row (j, mu) is
-    skipped when ``lower_pivots`` (degree-(k-1) pivot column -> relation
-    index, from :func:`_relation_space`) says mu's column became a pivot
-    while a relation before j was fed: that row is redundant (F5 criterion).
-    Each monomial's rows are built from its multipliers through a generator
-    -> (relation index, coefficient) index, so no relation is scanned for
-    generators the monomial cannot take.  The rows of (i, 0, b), b >= 2,
-    are dropped when mu's top set decorates i by 0: they repeat the row of
-    (i, 0, 1) (see the module docstring).  ``relations`` are the reduced
-    ones, (i, 0, 1) before (i, 0, b).
+    ``lower`` and ``upper`` are the chain monomials of degrees k-1 and k in
+    lexicographic order, and ``multipliers`` holds the multipliers of each
+    monomial of ``lower``.  ``by_generator`` maps each generator to its
+    (relation index, coefficient) pairs in relation order, and ``repeats``
+    maps each generator to the relations whose rows repeat that of
+    (i, 0, 1) on a monomial it tops.  Columns number ``upper`` in reverse
+    lexicographic order.
 
-    The product mu * g with g >= mu[-1] is the next degree-k monomial in
-    lexicographic order, so its column is a running count; one with
-    g < mu[-1] sorts before mu * mu[-1] and is looked up, with g inserted
-    at ``bisect_right(mu, g)``.
+    Block j holds the rows of relation j, shortest first (stable over
+    ``lower``).  Products whose support is not a chain are dropped: they
+    die under the quadratic relations.  The row (j, mu) is skipped when
+    ``lower_pivots`` (degree-(k-1) pivot column -> creating relation) says
+    mu's column became a pivot while a relation before j was fed, and the
+    rows of ``repeats[mu[-1]]`` are dropped (see the module docstring for
+    both).  The product mu * g with g >= mu[-1] is the next monomial of
+    ``upper``, so its column is a running count; one with g < mu[-1] is
+    looked up, with g inserted at ``bisect_right(mu, g)``.
     """
-    columns = monomials.columns(k)
-    by_generator: list[list[tuple[int, int]]] = [[] for _ in monomials.generators]
-    by_factor: dict[int, list[int]] = {}  # factor i -> the relations (i, 0, b >= 2)
-    for index, rel in enumerate(relations):
-        for g, c in rel.coeffs:
-            by_generator[g].append((index, c))
-        if rel.b >= 2:
-            by_factor.setdefault(rel.i, []).append(index)
-    # per top generator, the relations whose rows repeat that of (i, 0, 1)
-    repeats = [
-        [index for i, c in d.items if c == 0 for index in by_factor.get(i, ())]
-        for d in monomials.generators
-    ]
+    fresh = len(upper)  # one past the column of the last new product
+    columns = {mono: fresh - 1 - pos for pos, mono in enumerate(upper)}
     blocks: list[list[dict[int, int]]] = [[] for _ in relations]
-    lower = monomials.degree(k - 1)
     last = len(lower) - 1
-    fresh = len(columns)  # one past the column of the last new product
-    for pos, (mono, mults) in enumerate(zip(lower, monomials.multipliers(k - 1))):
+    for pos, (mono, mults) in enumerate(zip(lower, multipliers)):
         # rows of relations past the pivot's creator are redundant
         keep = lower_pivots.get(last - pos, len(relations))
         split = bisect_left(mults, mono[-1]) if mono else 0
@@ -425,50 +387,16 @@ def _relation_rows(
     return blocks
 
 
-def _relation_space(
-    monomials: _ChainMonomials,
-    relations: Sequence[LinearRelation],
-    k: int,
-    lower_pivots: dict[int, int],
-    top: int,
-) -> tuple[SparseEliminator, dict[int, int]]:
-    """The degree-k relation space over the chain-monomial basis.
+def _eliminate(blocks: list[list[dict[int, int]]]) -> tuple[SparseEliminator, dict[int, int]]:
+    """Feed the blocks in order, each row through ``SparseEliminator.add``,
+    which takes it over; the eliminator and the map from each pivot column
+    to the index of the block that created it.
 
-    Returns the eliminator and the map from each of its pivot columns to
-    the relation whose block created it, which the next degree passes back
-    as ``lower_pivots``.  Callers pass the n(r-1) reduced relations: every
-    emitted relation is a linear combination of them, and multiplying by a
-    monomial is linear, so the products span the same space as those of all
-    emitted relations.
-
-    The rows are fed relation-major, block by block from
-    :func:`_relation_rows`, which skips (j, mu) when mu is the lead (the
-    eliminator's pivot, its lowest column) of some g = sum_{i<j} h_i L_i
-    in degree k-1.  The span is unchanged: L_j g = sum_{i<j} L_i (h_i L_j),
-    so L_j mu is a combination of rows of earlier relations and of rows
-    (j, mu') with mu' past mu among g's other monomials; induction on
-    (relation, monomial) finishes.  The argument holds in the quotient by
-    the incomparable products and for any column order, but it needs the
-    relation-major feed: a pivot created in block i is a combination of
-    rows of relations <= i only.
-
-    Columns are numbered by :meth:`_ChainMonomials.columns` and each block
-    is fed shortest first; both choices keep the pivot rows sparse and
-    neither changes the span, so the rank and the membership tests stay
-    exact.  Nearly every pivot row then has lead 1, which the eliminator
-    subtracts in place with no gcd.  Every row goes through
-    ``SparseEliminator.add``, which takes it over: the blocks are spent.
-
-    Once the rows exist, degree k's multiplier lists are made from degree
-    k-1's, unless k is ``top``, and degree k-1's are dropped, all before the
-    elimination.
+    A function of its own, so that no loop name keeps the last block's rows
+    alive into the next degree.
     """
-    blocks = _relation_rows(monomials, relations, k, lower_pivots)
-    if k < top:
-        monomials.multipliers(k)
-    monomials.forget_multipliers(k - 1)
     elim = SparseEliminator()
-    creators: list[int] = []  # relation index of each pivot, in insertion order
+    creators: list[int] = []  # block index of each pivot, in insertion order
     for index, block in enumerate(blocks):
         for row in block:
             elim.add(row)
@@ -478,31 +406,66 @@ def _relation_space(
 
 def _relation_spaces(
     spec: ArrangementSpec, top: int
-) -> tuple[_ChainMonomials, list[int], SparseEliminator]:
-    """The chain monomials, the ranks of degrees 1..top and the degree-top space.
+) -> tuple[list[frozenset[int]], list[tuple[int, ...]], list[int], list[int], SparseEliminator]:
+    """The relation spaces of degrees 1..top, one degree at a time.
 
-    The relations are the n(r-1) reduced ones, from the presentation's
-    writer.  One loop over the degrees carries the pivot -> relation map from
-    each degree to the next; only one eliminator is alive at a time.
+    Returns the comparable sets of :func:`_comparable_sets`, the degree-top
+    chain monomials in lexicographic order, the width (monomial count) and
+    the rank of each degree 1..top, and the degree-top eliminator.  The
+    relations are the n(r-1) reduced ones, from the presentation's writer.
+
+    Pass k builds degree k's monomials, rows and (below ``top``)
+    multipliers from degree k-1's, in the order the module docstring gives,
+    and feeds the rows of :func:`_relation_rows` block by block,
+    relation-major, through :func:`_eliminate`.  The map from each pivot
+    column to the relation whose block created it goes to the next pass as
+    ``lower_pivots``.
     """
     _check_oracle(spec)  # before any enumeration
     generators = tuple(enumerate_decorated_subsets(spec))
-    monomials = _ChainMonomials(generators)
+    comparable = _comparable_sets(generators)
     relations = _linear_relations(spec, generators, (0,))
+    by_generator: list[list[tuple[int, int]]] = [[] for _ in generators]
+    by_factor: dict[int, list[int]] = {}  # factor i -> the relations (i, 0, b >= 2)
+    for index, rel in enumerate(relations):
+        for g, c in rel.coeffs:
+            by_generator[g].append((index, c))
+        if rel.b >= 2:
+            by_factor.setdefault(rel.i, []).append(index)
+    repeats = [
+        [index for i, c in d.items if c == 0 for index in by_factor.get(i, ())]
+        for d in generators
+    ]
+    lower: list[tuple[int, ...]] = [()]
+    multipliers: list[Sequence[int]] = [range(len(generators))]
+    widths: list[int] = []
     ranks: list[int] = []
     elim, pivots = SparseEliminator(), {}
     for k in range(1, top + 1):
-        del elim  # free degree k-1 before degree k is built
-        elim, pivots = _relation_space(monomials, relations, k, pivots, top)
+        del elim  # free degree k-1 before degree k's rows are built
+        upper = [mono + (g,) for mono, _, g in _extensions(lower, multipliers)]
+        blocks = _relation_rows(relations, by_generator, repeats, lower, multipliers, upper, pivots)
+        # degree k's multipliers are made once its rows exist, and degree
+        # k-1's lists go before the elimination
+        if k < top:
+            multipliers = [
+                list(filter(comparable[g].__contains__, mults))
+                for _, mults, g in _extensions(lower, multipliers)
+            ]
+        else:
+            multipliers = []
+        lower = upper
+        elim, pivots = _eliminate(blocks)
+        del blocks  # spent: the eliminator holds the rows it kept
+        widths.append(len(upper))
         ranks.append(elim.rank)
-    return monomials, ranks, elim
+    return comparable, lower, widths, ranks, elim
 
 
 def betti_oracle(spec: ArrangementSpec) -> GradedDims:
     """Graded ranks by exact elimination, independent of the closed form."""
-    monomials, ranks, _ = _relation_spaces(spec, spec.n)
-    dims = [1] + [len(monomials.degree(k)) - rank for k, rank in enumerate(ranks, 1)]
-    return GradedDims(tuple(dims))
+    _, _, widths, ranks, _ = _relation_spaces(spec, spec.n)
+    return GradedDims((1, *(width - rank for width, rank in zip(widths, ranks))))
 
 
 class DegreeReducer:
@@ -516,15 +479,21 @@ class DegreeReducer:
     def __init__(self, spec: ArrangementSpec, k: int):
         self.spec = spec
         self.k = k
-        self.monomials, _, self._elim = _relation_spaces(spec, k)
-        self._columns = self.monomials.columns(k)
-        self._generator_index = {d: i for i, d in enumerate(self.monomials.generators)}
+        self._comparable, top, _, _, self._elim = _relation_spaces(spec, k)
+        last = len(top) - 1
+        self._columns = {mono: last - pos for pos, mono in enumerate(top)}
+        self._generator_index = {d: i for i, d in enumerate(enumerate_decorated_subsets(spec))}
 
     def monomial_is_zero(self, gens: Sequence[DecoratedSubset]) -> bool:
         if len(gens) != self.k:
             raise ValueError(f"expected a degree-{self.k} monomial")
-        mono = tuple(sorted(self._generator_index[d] for d in gens))
+        index = self._generator_index
+        for d in gens:
+            if d not in index:
+                validate_subset(d, self.spec)
+                raise ValueError(f"{d.text()} is not a generator")
+        mono = tuple(sorted(index[d] for d in gens))
         for x, y in itertools.combinations(mono, 2):
-            if y not in self.monomials.comparable[x]:
+            if y not in self._comparable[x]:
                 return True
         return self._elim.is_in_span({self._columns[mono]: 1})

@@ -518,12 +518,9 @@ class BuildingSet(_Value):
 def is_nested(s: Iterable[DecoratedSubset], g: BuildingSet) -> bool:
     """Nestedness of s relative to the maximal building set g.
 
-    For the maximal building set the nested sets are exactly the chains, so
-    this is the neighbour test of ``_first_unnested_pair``.  Labels that
-    already pass it in the order given (each strictly below the next, as a
-    chain's prefixes are) form a chain with no sort; any
-    others are sorted by ``sort_key``, with repeats dropped, and tested
-    again.
+    For the maximal building set the nested sets are exactly the chains:
+    the labels, sorted by ``sort_key`` with repeats dropped, pass the
+    neighbour test of ``_first_unnested_pair``.
     """
     if not g.is_maximal:
         raise ValueError("nestedness is decided for the maximal building set only")
@@ -531,6 +528,4 @@ def is_nested(s: Iterable[DecoratedSubset], g: BuildingSet) -> bool:
     stray = [d for d in s_list if d not in g.elements]
     if stray:
         raise ValueError(f"{min(stray, key=DecoratedSubset.sort_key).text()} is not in the building set")
-    if _first_unnested_pair(s_list) is None:
-        return True
     return _first_unnested_pair(sorted(set(s_list), key=DecoratedSubset.sort_key)) is None

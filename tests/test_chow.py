@@ -1,7 +1,9 @@
 """Presentation, graded ranks (both routes), strata products, jump census."""
 
+import functools
 import itertools
 from math import comb, factorial
+from types import SimpleNamespace
 
 import pytest
 from test_linalg import ReferenceEliminator, independent_row_indices
@@ -11,9 +13,7 @@ from cyclic_wonderful.chow import (
     DegreeReducer,
     GradedDims,
     LinearRelation,
-    _ChainMonomials,
     _relation_rows,
-    _relation_space,
     _relation_spaces,
     betti_closed_form,
     betti_oracle,
@@ -45,6 +45,64 @@ def ds(*pairs):
 def reduced_relations(pres):
     """The presentation's reduced relations, in emission order."""
     return tuple(pres.linear_relations[k] for k in pres.reduced_indices)
+
+
+@functools.cache
+def reference_comparable(r, n):
+    """The generators comparable to each generator, by a test of every pair."""
+    gens = presentation(ArrangementSpec(r, n)).generators
+    return tuple(frozenset(y for y, b in enumerate(gens) if comparable(a, b)) for a in gens)
+
+
+@functools.cache
+def reference_monomials(r, n, k):
+    """The degree-k chain monomials by brute force: every sorted tuple of k
+    generator indices whose factors are pairwise comparable, in
+    lexicographic order."""
+    comp = reference_comparable(r, n)
+    return tuple(
+        mono
+        for mono in itertools.combinations_with_replacement(range(len(comp)), k)
+        if all(y in comp[x] for x, y in itertools.combinations(mono, 2))
+    )
+
+
+def record_degrees(monkeypatch, spec, top):
+    """Run the oracle's degree loop up to ``top`` and record each call of
+    the row builder: its arguments and a copy of its blocks (the
+    eliminator takes the rows over).  Returns the loop's result and the
+    calls, one per degree."""
+    calls = []
+
+    def recording(relations, by_generator, repeats, lower, multipliers, upper, lower_pivots):
+        blocks = _relation_rows(
+            relations, by_generator, repeats, lower, multipliers, upper, lower_pivots
+        )
+        calls.append(
+            SimpleNamespace(
+                relations=list(relations),
+                lower=tuple(lower),
+                multipliers=[list(m) for m in multipliers],
+                upper=tuple(upper),
+                lower_pivots=lower_pivots,
+                blocks=[[dict(row) for row in block] for block in blocks],
+            )
+        )
+        return blocks
+
+    monkeypatch.setattr("cyclic_wonderful.chow._relation_rows", recording)
+    return _relation_spaces(spec, top), calls
+
+
+def relation_major_creators(blocks):
+    """Feed the blocks in order, as the oracle does: the map from each pivot
+    to the block that created it."""
+    elim, creators = SparseEliminator(), []
+    for index, block in enumerate(blocks):
+        for row in block:
+            elim.add(row)
+        creators.extend([index] * (elim.rank - len(creators)))
+    return dict(zip(elim.pivots, creators))
 
 
 # --- presentation ------------------------------------------------------------
@@ -164,17 +222,9 @@ def test_oracle_relations_are_the_presentations_reduced_relations(monkeypatch, r
     # the oracle writes its own relations; they are the presentation's
     # reduced ones in order, coefficient for coefficient, so its rows,
     # pivots and ranks are those of the presentation's reduced relations
-    seen = []
-    relation_space = _relation_space
-
-    def recording(monomials, relations, *args):
-        seen.append(list(relations))
-        return relation_space(monomials, relations, *args)
-
-    monkeypatch.setattr("cyclic_wonderful.chow._relation_space", recording)
     spec = ArrangementSpec(r, n)
-    _relation_spaces(spec, 1)
-    assert seen == [list(reduced_relations(presentation(spec)))]
+    _, calls = record_degrees(monkeypatch, spec, 1)
+    assert [call.relations for call in calls] == [list(reduced_relations(presentation(spec)))]
 
 
 def test_presentation_generator_count():
@@ -303,12 +353,19 @@ def test_oracle_ranks_are_palindromic(r, n):
     assert dims == dims[::-1]
 
 
-def expanded_rows(monomials, relations, k):
-    """Every (relation) x (degree k-1 chain monomial) row over the degree-k
-    chain monomials, with no row skipped: the reference for the oracle."""
-    columns = monomials.columns(k)
+def reverse_columns(upper):
+    """The oracle's column of each monomial: reverse lexicographic order."""
+    last = len(upper) - 1
+    return {mono: last - pos for pos, mono in enumerate(upper)}
+
+
+def expanded_rows(relations, lower, upper):
+    """Every (relation) x (monomial of ``lower``) row over the monomials of
+    ``upper``, the chain monomials one degree up, with no row skipped: the
+    reference for the oracle."""
+    columns = reverse_columns(upper)
     for rel in relations:
-        for mono in monomials.degree(k - 1):
+        for mono in lower:
             row = {}
             for g, coeff in rel.coeffs:
                 col = columns.get(tuple(sorted(mono + (g,))))
@@ -325,19 +382,15 @@ def test_relation_space_rank_matches_dense_rank_of_all_emitted_relations(r, n):
     # the span of (every emitted relation) x (chain monomial), built densely
     spec = ArrangementSpec(r, n)
     pres = presentation(spec)
-    gens = pres.generators
     for k in range(1, n + 1):
-        monomials, _, elim = _relation_spaces(spec, k)
-        basis = [
-            mono
-            for mono in itertools.combinations_with_replacement(range(len(gens)), k)
-            if all(comparable(gens[x], gens[y]) for x, y in itertools.combinations(mono, 2))
-        ]
-        assert monomials.degree(k) == basis
+        _, top, _, _, elim = _relation_spaces(spec, k)
+        basis = reference_monomials(r, n, k)
+        assert tuple(top) == basis
         # every row of every emitted relation, ranked by the cross-multiplied
         # reference (a Fraction RREF takes 10 s at (3, 3), degree 3)
         reference = ReferenceEliminator()
-        for row in expanded_rows(monomials, pres.linear_relations, k):
+        lower = reference_monomials(r, n, k - 1)
+        for row in expanded_rows(pres.linear_relations, lower, basis):
             assert elim.is_in_span(row)
             reference.add(row)
         assert elim.rank == reference.rank
@@ -376,36 +429,39 @@ def test_every_oracle_row_is_fed_through_add(monkeypatch, r, n, rows):
     assert len(calls) == rows
 
 
-def reference_multipliers(monomials, mono):
+def reference_multipliers(comp, mono):
     """The generators comparable to every factor of mono, by set intersection."""
     if not mono:
-        return range(len(monomials.generators))
-    return sorted(frozenset.intersection(*(monomials.comparable[x] for x in mono)))
+        return list(range(len(comp)))
+    return sorted(frozenset.intersection(*(comp[x] for x in mono)))
 
 
-def reference_relation_rows(monomials, relations, k, lower_pivots):
-    """The oracle's blocks as they were built before each monomial's
-    multipliers were filtered from the degree below: every product's column
-    is looked up by its sorted tuple.  The row of (i, 0, b), b >= 2, is
-    left out when the monomial's top set decorates i by 0."""
-    columns = monomials.columns(k)
-    by_generator = [[] for _ in monomials.generators]
+def reference_relation_rows(r, n, relations, k, lower_pivots):
+    """The oracle's degree-k blocks as they were built before each
+    monomial's multipliers were filtered from the degree below: every
+    product's column is looked up by its sorted tuple.  The row of
+    (i, 0, b), b >= 2, is left out when the monomial's top set decorates i
+    by 0."""
+    gens = presentation(ArrangementSpec(r, n)).generators
+    comp = reference_comparable(r, n)
+    columns = reverse_columns(reference_monomials(r, n, k))
+    by_generator = [[] for _ in gens]
     for index, rel in enumerate(relations):
         for g, c in rel.coeffs:
             by_generator[g].append((index, c))
     blocks = [[] for _ in relations]
-    lower = monomials.degree(k - 1)
+    lower = reference_monomials(r, n, k - 1)
     last = len(lower) - 1
     for pos, mono in enumerate(lower):
         keep = lower_pivots.get(last - pos, len(relations))
         mono_rows = {}
-        for g in reference_multipliers(monomials, mono):
+        for g in reference_multipliers(comp, mono):
             col = columns[tuple(sorted(mono + (g,)))]
             for index, c in by_generator[g]:
                 if index > keep:
                     break
                 mono_rows.setdefault(index, {})[col] = c
-        top = dict(monomials.generators[mono[-1]].items) if mono else {}
+        top = dict(gens[mono[-1]].items) if mono else {}
         for index, row in mono_rows.items():
             rel = relations[index]
             if rel.b < 2 or top.get(rel.i) != 0:
@@ -415,75 +471,67 @@ def reference_relation_rows(monomials, relations, k, lower_pivots):
     return blocks
 
 
-def full_feed_creators(monomials, relations, k):
+def full_feed_creators(r, n, relations, k):
     """Each pivot of the degree-k space and the relation whose rows create
     it, with every (relation) x (degree k-1 chain monomial) row fed,
     relation-major, none skipped."""
-    elim, creators = SparseEliminator(), []
-    for index, rel in enumerate(relations):
-        for row in expanded_rows(monomials, [rel], k):
-            elim.add(row)
-        creators.extend([index] * (elim.rank - len(creators)))
-    return dict(zip(elim.pivots, creators))
+    lower, upper = reference_monomials(r, n, k - 1), reference_monomials(r, n, k)
+    return relation_major_creators([list(expanded_rows([rel], lower, upper)) for rel in relations])
 
 
 @pytest.mark.parametrize("r,n", [(2, 2), (3, 2), (4, 2), (2, 3), (3, 3), (4, 3), (2, 4)])
-def test_skipped_rows_keep_the_pivots_their_creators_and_the_ranks(r, n):
+def test_skipped_rows_keep_the_pivots_their_creators_and_the_ranks(monkeypatch, r, n):
     # neither the F5 criterion nor the rows the top set repeats may move a
-    # pivot, its creating relation or a rank
+    # pivot, its creating relation or a rank; each degree's creators are
+    # what the loop hands the next degree, and the top degree's are those
+    # of its fed rows
     spec = ArrangementSpec(r, n)
-    pres = presentation(spec)
-    monomials = _ChainMonomials(pres.generators)
-    relations = reduced_relations(pres)
-    pivots = {}
-    for k in range(1, n + 1):
-        reference = full_feed_creators(monomials, relations, k)
-        elim, pivots = _relation_space(monomials, relations, k, pivots, n)
-        assert pivots == reference
-        assert elim.rank == len(reference)
+    relations = reduced_relations(presentation(spec))
+    (_, _, widths, ranks, elim), calls = record_degrees(monkeypatch, spec, n)
+    reference = {}
+    for k, call in enumerate(calls, 1):
+        assert call.lower_pivots == reference
+        reference = full_feed_creators(r, n, relations, k)
+        assert ranks[k - 1] == len(reference)
+    assert relation_major_creators(calls[-1].blocks) == reference
+    assert set(elim.pivots) == set(reference)
 
 
 @pytest.mark.parametrize("r,n", [(2, 2), (3, 2), (2, 3), (3, 3), (4, 3), (2, 4)])
-def test_relation_rows_equal_the_sorted_product_rows(r, n):
+def test_relation_rows_equal_the_sorted_product_rows(monkeypatch, r, n):
     spec = ArrangementSpec(r, n)
-    pres = presentation(spec)
-    monomials = _ChainMonomials(pres.generators)
-    relations = reduced_relations(pres)
-    pivots = {}
-    for k in range(1, n + 1):
-        for mono, mults in zip(monomials.degree(k - 1), monomials.multipliers(k - 1)):
-            assert list(mults) == list(reference_multipliers(monomials, mono))
-        blocks = _relation_rows(monomials, relations, k, pivots)
-        assert blocks == reference_relation_rows(monomials, relations, k, pivots)
-        _, pivots = _relation_space(monomials, relations, k, pivots, n)
+    relations = reduced_relations(presentation(spec))
+    _, calls = record_degrees(monkeypatch, spec, n)
+    assert len(calls) == n
+    comp = reference_comparable(r, n)
+    for k, call in enumerate(calls, 1):
+        assert call.lower == reference_monomials(r, n, k - 1)
+        assert call.upper == reference_monomials(r, n, k)
+        assert call.multipliers == [reference_multipliers(comp, mono) for mono in call.lower]
+        assert call.blocks == reference_relation_rows(r, n, relations, k, call.lower_pivots)
 
 
 @pytest.mark.parametrize("r,n", [(3, 3), (4, 3), (2, 4)])
-def test_oracle_rows_give_the_cross_multiplied_pivots(r, n):
+def test_oracle_rows_give_the_cross_multiplied_pivots(monkeypatch, r, n):
     spec = ArrangementSpec(r, n)
-    pres = presentation(spec)
-    monomials = _ChainMonomials(pres.generators)
-    relations = reduced_relations(pres)
-    pivots = {}
-    for k in range(1, n + 1):
+    (_, _, _, ranks, oracle), calls = record_degrees(monkeypatch, spec, n)
+    for k, call in enumerate(calls, 1):
         elim, reference = SparseEliminator(), ReferenceEliminator()
-        for block in _relation_rows(monomials, relations, k, pivots):
+        for block in call.blocks:
             for row in block:
                 # add takes its row over: the reference gets its own copy
                 assert elim.add(dict(row)) == reference.add(row)
         assert elim.pivots == reference.pivots
-        oracle, pivots = _relation_space(monomials, relations, k, pivots, n)
-        assert oracle.pivots == elim.pivots
-        assert set(pivots) == set(elim.pivots)
+        assert elim.rank == ranks[k - 1]
+        if k < n:
+            assert set(calls[k].lower_pivots) == set(elim.pivots)
+    assert oracle.pivots == elim.pivots
 
 
 @pytest.mark.parametrize("r,n", [(2, 2), (3, 2), (2, 3), (3, 3), (4, 2), (2, 4)])
 def test_comparable_sets_list_every_comparable_generator(r, n):
-    monomials = _ChainMonomials(presentation(ArrangementSpec(r, n)).generators)
-    gens = monomials.generators
-    assert monomials.comparable == [
-        frozenset(y for y, b in enumerate(gens) if comparable(a, b)) for a in gens
-    ]
+    comp, *_ = _relation_spaces(ArrangementSpec(r, n), 1)
+    assert comp == list(reference_comparable(r, n))
 
 
 @pytest.mark.parametrize(
@@ -491,8 +539,17 @@ def test_comparable_sets_list_every_comparable_generator(r, n):
 )
 def test_top_monomial_count_matches_the_enumeration(r, n, width):
     spec = ArrangementSpec(r, n)
-    monomials = _ChainMonomials(presentation(spec).generators)
-    assert len(monomials.degree(n)) == top_monomial_count(spec) == width
+    _, top, widths, _, _ = _relation_spaces(spec, n)
+    assert len(top) == widths[-1] == top_monomial_count(spec) == width
+
+
+# (3, 4) is left out: its brute force walks C(258, 4) = 183M tuples
+@pytest.mark.parametrize(
+    "r,n", [(2, 1), (2, 2), (3, 2), (4, 2), (2, 3), (3, 3), (4, 3), (2, 4)]
+)
+def test_oracle_widths_equal_the_brute_force_counts(r, n):
+    _, _, widths, _, _ = _relation_spaces(ArrangementSpec(r, n), n)
+    assert widths == [len(reference_monomials(r, n, k)) for k in range(1, n + 1)]
 
 
 def test_top_monomial_count_at_the_guard():
@@ -591,11 +648,22 @@ def test_degree_two_vanishing_matches_rank_reduction(r, n):
 def test_degree_two_reducer_matches_the_unpruned_rows(r, n):
     spec = ArrangementSpec(r, n)
     reducer = DegreeReducer(spec, 2)
-    monomials = reducer.monomials
+    pres = presentation(spec)
+    lower, upper = reference_monomials(r, n, 1), reference_monomials(r, n, 2)
     unpruned = SparseEliminator()
-    for row in expanded_rows(monomials, reduced_relations(presentation(spec)), 2):
+    for row in expanded_rows(reduced_relations(pres), lower, upper):
         unpruned.add(row)
-    columns = monomials.columns(2)
-    for mono in monomials.degree(2):
-        gens = [monomials.generators[x] for x in mono]
+    columns = reverse_columns(upper)
+    for mono in upper:
+        gens = [pres.generators[x] for x in mono]
         assert reducer.monomial_is_zero(gens) == unpruned.is_in_span({columns[mono]: 1})
+
+
+def test_degree_reducer_rejects_a_generator_outside_the_spec():
+    reducer = DegreeReducer(ArrangementSpec(2, 2), 2)
+    with pytest.raises(ValueError, match=r"index 3 outside \[1, 2\] in \{3:0\}"):
+        reducer.monomial_is_zero([ds((1, 0)), ds((3, 0))])
+    with pytest.raises(ValueError, match=r"residue 5 outside Z_2 in \{1:5\}"):
+        reducer.monomial_is_zero([ds((1, 5)), ds((1, 0))])
+    with pytest.raises(ValueError, match=r"\{\} is not a generator"):
+        reducer.monomial_is_zero([ds(), ds((1, 0))])
