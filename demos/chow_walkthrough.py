@@ -11,13 +11,14 @@ from cyclic_wonderful import ArrangementSpec, betti_closed_form, betti_oracle
 from cyclic_wonderful.chow import _relation_spaces, jump_census, presentation
 
 spec = ArrangementSpec(r=2, n=3)
-pres = presentation(spec)
-print(f"r={spec.r}, n={spec.n}: {len(pres.generators)} divisor generators")
-print(f"{len(pres.linear_relations)} linear relations emitted, "
-      f"{len(pres.reduced_indices)} independent after reduction")
+generators, relations = presentation(spec)
+print(f"r={spec.r}, n={spec.n}: {len(generators)} divisor generators")
+# a relation (i, a, b) is reduced exactly when a = 0
+print(f"{len(relations)} linear relations emitted, "
+      f"{sum(1 for _, a, _ in relations if a == 0)} independent after reduction")
 
 print("\nfirst few generators:")
-for d in pres.generators[:6]:
+for d in generators[:6]:
     print("  D" + d.text())
 
 print("\njump census (composition of flag jumps -> number of chains):")

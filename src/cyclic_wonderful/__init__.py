@@ -44,7 +44,6 @@ from .fan import (
     support_decomposition,
 )
 from .chow import (
-    ChowPresentation,
     GradedDims,
     betti_closed_form,
     betti_oracle,
@@ -76,7 +75,6 @@ __all__ = [
     "BuildingSet",
     "CENTER",
     "Chain",
-    "ChowPresentation",
     "Cone",
     "DecoratedSubset",
     "Fan",

@@ -80,7 +80,6 @@ from .lattice import (
     Chain,
     DecoratedSubset,
     JumpType,
-    _Frozen,
     _Value,
     enumerate_chains,
     enumerate_decorated_subsets,
@@ -105,39 +104,16 @@ class GradedDims(_Value):
         return sum(self.dims)
 
 
-class LinearRelation(_Value):
-    """sum of generators decorating i by a, minus those decorating i by b."""
-
-    _fields = ("i", "a", "b", "coeffs")
-
-    def __init__(self, i: int, a: int, b: int, coeffs: tuple[tuple[int, int], ...]) -> None:
-        object.__setattr__(self, "i", i)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "coeffs", coeffs)  # (generator index, +-1)
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.coeffs)
-
-
-class ChowPresentation(_Frozen):
-    _fields = ("spec", "generators", "linear_relations", "reduced_indices")
-
-    def __init__(
-        self, spec: ArrangementSpec, generators: tuple[DecoratedSubset, ...],
-        linear_relations: tuple[LinearRelation, ...], reduced_indices: tuple[int, ...],
-    ) -> None:
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "generators", generators)
-        object.__setattr__(self, "linear_relations", linear_relations)
-        object.__setattr__(self, "reduced_indices", reduced_indices)
+Relations = dict[tuple[int, int, int], tuple[tuple[int, int], ...]]
 
 
 def _linear_relations(
     spec: ArrangementSpec, generators: Sequence[DecoratedSubset], residues: Sequence[int]
-) -> list[LinearRelation]:
+) -> Relations:
     """The relations (i, a, b) with a < b and a in ``residues`` (increasing),
-    ordered by i, then a, then b.
+    keyed and ordered by i, then a, then b: the relation is the sum of the
+    generators decorating i by a minus those decorating i by b, each value
+    its (generator index, +-1) pairs in increasing generator order.
 
     One pass over the generators fills them all, in increasing generator
     order: a generator decorating i by c enters (i, c, b) with +1 for each
@@ -154,23 +130,22 @@ def _linear_relations(
                     coeffs[i, c, b].append((x, 1))
             for a in residues[: bisect_left(residues, c)]:
                 coeffs[i, a, c].append((x, -1))
-    return [LinearRelation(i, a, b, tuple(c)) for (i, a, b), c in coeffs.items()]
+    return {key: tuple(c) for key, c in coeffs.items()}
 
 
-def presentation(spec: ArrangementSpec) -> ChowPresentation:
-    """Generators in the global order plus the emitted linear relations.
+def presentation(spec: ArrangementSpec) -> tuple[tuple[DecoratedSubset, ...], Relations]:
+    """Generators in the global order and the emitted linear relations, the
+    map of :func:`_linear_relations` over every residue.
 
     Emits one relation per (i, a, b) with a < b, n*r*(r-1)/2 in all.  The
-    n*(r-1) relations (i, 0, b) are a maximal independent subset: each
-    holds {i:b}, which no relation before it does, and (i, a, b) =
-    (i, 0, b) - (i, 0, a); ``check`` confirms both, coefficient by
-    coefficient, in one pass over the relations.  The rank oracle builds
-    only those reduced relations, with the same writer.
+    n*(r-1) reduced relations, those with a = 0, are a maximal independent
+    subset: each (i, 0, b) holds {i:b}, which no relation before it does,
+    and (i, a, b) = (i, 0, b) - (i, 0, a); ``check`` confirms both,
+    coefficient by coefficient, in one pass over the map.  The rank oracle
+    builds only the reduced relations, with the same writer.
     """
     generators = tuple(enumerate_decorated_subsets(spec))
-    relations = tuple(_linear_relations(spec, generators, range(spec.r)))
-    reduced = tuple(k for k, rel in enumerate(relations) if rel.a == 0)
-    return ChowPresentation(spec, generators, relations, reduced)
+    return generators, _linear_relations(spec, generators, range(spec.r))
 
 
 def product_support(ds: Sequence[DecoratedSubset]) -> Chain | None:
@@ -326,7 +301,7 @@ def _extensions(
 
 
 def _relation_rows(
-    relations: Sequence[LinearRelation],
+    relations: Relations,
     by_generator: Sequence[Sequence[tuple[int, int]]],
     repeats: Sequence[Sequence[int]],
     lower: Sequence[tuple[int, ...]],
@@ -427,11 +402,11 @@ def _relation_spaces(
     relations = _linear_relations(spec, generators, (0,))
     by_generator: list[list[tuple[int, int]]] = [[] for _ in generators]
     by_factor: dict[int, list[int]] = {}  # factor i -> the relations (i, 0, b >= 2)
-    for index, rel in enumerate(relations):
-        for g, c in rel.coeffs:
+    for index, ((i, _, b), coeffs) in enumerate(relations.items()):
+        for g, c in coeffs:
             by_generator[g].append((index, c))
-        if rel.b >= 2:
-            by_factor.setdefault(rel.i, []).append(index)
+        if b >= 2:
+            by_factor.setdefault(i, []).append(index)
     repeats = [
         [index for i, c in d.items if c == 0 for index in by_factor.get(i, ())]
         for d in generators

@@ -98,35 +98,29 @@ def _cmd_chow(args: argparse.Namespace, emit: Callable[[str], None]) -> int:
     if args.format == "json":
         payload: dict = {"r": spec.r, "n": spec.n, "betti": rows}
         if pres is not None:
-            payload["generators"] = [d.text() for d in pres.generators]
+            generators, relations = pres
+            payload["generators"] = [d.text() for d in generators]
             payload["linear_relations"] = [
-                {
-                    "i": rel.i,
-                    "a": rel.a,
-                    "b": rel.b,
-                    "coefficients": {str(k): v for k, v in rel.coeffs},
-                }
-                for rel in pres.linear_relations
+                {"i": i, "a": a, "b": b, "coefficients": {str(k): v for k, v in coeffs}}
+                for (i, a, b), coeffs in relations.items()
             ]
-            payload["reduced_relation_indices"] = list(pres.reduced_indices)
+            payload["reduced_relation_indices"] = [
+                k for k, (_, a, _) in enumerate(relations) if a == 0
+            ]
         emit(json.dumps(payload, indent=2))
     else:
         if pres is not None:
-            emit(f"generators ({len(pres.generators)}):")
-            for k, d in enumerate(pres.generators):
+            generators, relations = pres
+            emit(f"generators ({len(generators)}):")
+            for k, d in enumerate(generators):
                 emit(f"  [{k}] D{d.text()}")
             emit("products D_x . D_y vanish exactly when x and y are incomparable")
-            emit(
-                f"linear relations ({len(pres.linear_relations)} emitted, "
-                f"{len(pres.reduced_indices)} independent):"
-            )
-            reduced = set(pres.reduced_indices)
-            for idx, rel in enumerate(pres.linear_relations):
-                terms = " ".join(
-                    f"{'+' if c > 0 else '-'}D[{k}]" for k, c in rel.coeffs
-                )
-                star = "*" if idx in reduced else " "
-                emit(f" {star}(i={rel.i}, {rel.a}~{rel.b}) {terms} = 0")
+            reduced = sum(1 for _, a, _ in relations if a == 0)
+            emit(f"linear relations ({len(relations)} emitted, {reduced} independent):")
+            for (i, a, b), coeffs in relations.items():
+                terms = " ".join(f"{'+' if c > 0 else '-'}D[{k}]" for k, c in coeffs)
+                star = "*" if a == 0 else " "
+                emit(f" {star}(i={i}, {a}~{b}) {terms} = 0")
         emit(f"{'k':<4}{'closed_form':<13}{'oracle':<8}match")
         for row in rows:
             oracle = "-" if row["oracle"] is None else str(row["oracle"])

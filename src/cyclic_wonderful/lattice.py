@@ -393,28 +393,6 @@ def enumerate_decorated_subsets(spec: ArrangementSpec) -> list[DecoratedSubset]:
     return out
 
 
-def _flag_chains(table: dict, flag: tuple[tuple[int, ...], ...], r: int) -> list[Chain]:
-    """The r^|top| chains of a flag of index sets, one per decoration of its
-    top set, decorations in ``itertools.product`` order.
-
-    Nesting is checked here, once for the flag: the sets must strictly grow
-    by inclusion, starting from a nonempty one.  Restricting one decoration
-    of the top set to nested index sets gives nested decorated prefixes, so
-    every chain of the flag nests and is built without the per-chain check.
-    The prefixes are the table's objects, keyed by their ``items``.
-    """
-    for a, b in zip(((),) + flag, flag):
-        if not (len(a) < len(b) and set(a) <= set(b)):
-            raise ValueError(f"index sets {a} and {b} do not nest")
-    top = flag[-1] if flag else ()
-    # each set's indices, paired with their positions in top
-    positions = [[(i, top.index(i)) for i in s] for s in flag]
-    return [
-        Chain._trusted(tuple([table[tuple([(i, deco[k]) for i, k in pos])] for pos in positions]))
-        for deco in itertools.product(range(r), repeat=len(top))
-    ]
-
-
 def _subset_table(spec: ArrangementSpec) -> dict[tuple[tuple[int, int], ...], DecoratedSubset]:
     """Every nonempty decorated subset, keyed by its ``items``: the one
     object per subset that the chains built over this table share."""
@@ -428,8 +406,12 @@ def _chains_of_length(spec: ArrangementSpec, table: dict, length: int) -> Iterat
     Each flag of index sets grows outward, every next set taken in
     lexicographic order from the subsets of [n] that strictly contain the
     last one and leave room for the sets still to come, so the flags come
-    out in lexicographic order and ``_flag_chains`` orders each flag's
-    chains by decoration.  The empty flag gives the empty chain.
+    out in lexicographic order.  A flag's r^|top| chains follow, one per
+    decoration of its top set in ``itertools.product`` order, each built
+    without the per-chain check: restricting one decoration of the top set
+    to nested index sets gives nested decorated prefixes.  The prefixes are
+    the table's objects, keyed by their ``items``.  The empty flag gives
+    the empty chain.
     """
     n = spec.n
     subsets = sorted(s for k in range(1, n + 1) for s in itertools.combinations(range(1, n + 1), k))
@@ -444,7 +426,15 @@ def _chains_of_length(spec: ArrangementSpec, table: dict, length: int) -> Iterat
                 yield from flags(flag + (s,), k - 1)
 
     for flag in flags((), length):
-        yield from _flag_chains(table, flag, spec.r)
+        top = flag[-1] if flag else ()
+        # each set's indices, paired with their positions in top
+        positions = [[(i, top.index(i)) for i in s] for s in flag]
+        yield from [
+            Chain._trusted(
+                tuple([table[tuple([(i, deco[k]) for i, k in pos])] for pos in positions])
+            )
+            for deco in itertools.product(range(spec.r), repeat=len(top))
+        ]
 
 
 def enumerate_chains(spec: ArrangementSpec, max_length: int) -> Iterator[Chain]:
@@ -454,10 +444,10 @@ def enumerate_chains(spec: ArrangementSpec, max_length: int) -> Iterator[Chain]:
     The stream is re-created from scratch on every call; there is no shared
     cursor, so concurrent consumers are safe.  The chains of one call share
     their decorated subsets: every pass reads one ``_subset_table``, so
-    equal prefixes are the same object.  Nesting is checked once per flag
-    of index sets, in ``_flag_chains``, not once per chain: the prefixes of
-    a chain are one decoration of its top set restricted to the flag's
-    sets, and restrictions to nested sets nest.
+    equal prefixes are the same object.  No chain is checked for nesting:
+    each flag of index sets nests as it is grown, the prefixes of a chain
+    are one decoration of its top set restricted to the flag's sets, and
+    restrictions to nested sets nest.
     """
     if not 0 <= max_length <= spec.n:
         raise ValueError(f"max_length must be within [0, {spec.n}], got {max_length}")

@@ -222,10 +222,10 @@ def suite_fan(spec: ArrangementSpec, seed: int = 0) -> list[CheckResult]:
     return out
 
 
-def _greedy_elimination_keeps_the_reduced(pres: chow.ChowPresentation) -> bool:
+def _greedy_elimination_keeps_the_reduced(relations: chow.Relations) -> bool:
     """Whether an elimination fed the emitted relations in order keeps
-    exactly ``pres.reduced_indices``, certified in one pass linear in the
-    relations' coefficients, with no elimination.
+    exactly the reduced ones, those with a = 0, certified in one pass linear
+    in the relations' coefficients, with no elimination.
 
     Walking the relations in emission order: each reduced relation holds a
     generator that no earlier reduced relation holds, so it is independent
@@ -234,21 +234,17 @@ def _greedy_elimination_keeps_the_reduced(pres: chow.ChowPresentation) -> bool:
     it lies in their span.  Together these say that the greedy elimination
     keeps a relation exactly when it is reduced.
     """
-    reduced = set(pres.reduced_indices)
-    if list(pres.reduced_indices) != sorted(reduced):
-        return False
     held: set[int] = set()
     earlier: dict[tuple[int, int], dict[int, int]] = {}  # (i, b) -> (i, 0, b)
-    for k, rel in enumerate(pres.linear_relations):
-        coeffs = rel.as_dict()
-        if k in reduced:
+    for (i, a, b), pairs in relations.items():
+        coeffs = dict(pairs)
+        if a == 0:
             if held.issuperset(coeffs):
                 return False
             held.update(coeffs)
-            if rel.a == 0:
-                earlier[rel.i, rel.b] = coeffs
+            earlier[i, b] = coeffs
             continue
-        plus, minus = earlier.get((rel.i, rel.b)), earlier.get((rel.i, rel.a))
+        plus, minus = earlier.get((i, b)), earlier.get((i, a))
         if plus is None or minus is None:
             return False
         difference = dict(plus)
@@ -268,7 +264,7 @@ def suite_chow(spec: ArrangementSpec, seed: int = 0) -> list[CheckResult]:
         return [_skipped("chow", "presentation and chain census", exc)]
     out: list[CheckResult] = []
     closed = chow.betti_closed_form(spec)
-    pres = chow.presentation(spec)
+    generators, relations = chow.presentation(spec)
     try:
         oracle = chow.betti_oracle(spec)
         out.append(
@@ -290,13 +286,13 @@ def suite_chow(spec: ArrangementSpec, seed: int = 0) -> list[CheckResult]:
             else True,
         )
     )
+    reduced = sum(1 for _, a, _ in relations if a == 0)
     out.append(
         _result(
             "chow",
             "reduced relation count n (r-1)",
-            len(pres.reduced_indices) == spec.n * (spec.r - 1)
-            and _greedy_elimination_keeps_the_reduced(pres),
-            f"{len(pres.reduced_indices)} independent of {len(pres.linear_relations)} emitted",
+            reduced == spec.n * (spec.r - 1) and _greedy_elimination_keeps_the_reduced(relations),
+            f"{reduced} independent of {len(relations)} emitted",
         )
     )
     census = chow.jump_census(spec)
@@ -321,7 +317,7 @@ def suite_chow(spec: ArrangementSpec, seed: int = 0) -> list[CheckResult]:
         else:
             bad = sum(
                 1
-                for x, y in itertools.combinations_with_replacement(pres.generators, 2)
+                for x, y in itertools.combinations_with_replacement(generators, 2)
                 if (chow.product_support([x, y]) is None) != reducer.monomial_is_zero([x, y])
             )
             out.append(_result("chow", name, bad == 0, f"{bad} mismatches"))

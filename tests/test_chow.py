@@ -9,10 +9,8 @@ import pytest
 from test_linalg import ReferenceEliminator, independent_row_indices
 
 from cyclic_wonderful.chow import (
-    ChowPresentation,
     DegreeReducer,
     GradedDims,
-    LinearRelation,
     _relation_rows,
     _relation_spaces,
     betti_closed_form,
@@ -43,14 +41,15 @@ def ds(*pairs):
 
 
 def reduced_relations(pres):
-    """The presentation's reduced relations, in emission order."""
-    return tuple(pres.linear_relations[k] for k in pres.reduced_indices)
+    """The presentation's reduced relations, those with a = 0, in emission order."""
+    _, relations = pres
+    return {key: coeffs for key, coeffs in relations.items() if key[1] == 0}
 
 
 @functools.cache
 def reference_comparable(r, n):
     """The generators comparable to each generator, by a test of every pair."""
-    gens = presentation(ArrangementSpec(r, n)).generators
+    gens, _ = presentation(ArrangementSpec(r, n))
     return tuple(frozenset(y for y, b in enumerate(gens) if comparable(a, b)) for a in gens)
 
 
@@ -80,7 +79,7 @@ def record_degrees(monkeypatch, spec, top):
         )
         calls.append(
             SimpleNamespace(
-                relations=list(relations),
+                relations=list(relations.items()),
                 lower=tuple(lower),
                 multipliers=[list(m) for m in multipliers],
                 upper=tuple(upper),
@@ -109,11 +108,9 @@ def relation_major_creators(blocks):
 
 
 def test_presentation_r2_n1():
-    pres = presentation(ArrangementSpec(2, 1))
-    assert pres.generators == (ds((1, 0)), ds((1, 1)))
-    assert len(pres.linear_relations) == 1
-    rel = pres.linear_relations[0]
-    assert dict(rel.coeffs) == {0: 1, 1: -1}  # identifies the two generators
+    generators, relations = presentation(ArrangementSpec(2, 1))
+    assert generators == (ds((1, 0)), ds((1, 1)))
+    assert relations == {(1, 0, 1): ((0, 1), (1, -1))}  # identifies the two generators
     assert not comparable(ds((1, 0)), ds((1, 1)))
     assert betti_oracle(ArrangementSpec(2, 1)) == GradedDims((1, 1))
 
@@ -121,11 +118,12 @@ def test_presentation_r2_n1():
 def test_presentation_r3_n1():
     spec = ArrangementSpec(3, 1)
     pres = presentation(spec)
-    assert len(pres.generators) == 3
+    generators, relations = pres
+    assert len(generators) == 3
     # the relations identify all three generators pairwise
-    assert len(pres.linear_relations) == 3
-    assert len(pres.reduced_indices) == 2
-    for a, b in itertools.combinations(pres.generators, 2):
+    assert len(relations) == 3
+    assert len(reduced_relations(pres)) == 2
+    for a, b in itertools.combinations(generators, 2):
         assert not comparable(a, b)
     assert betti_oracle(spec) == GradedDims((1, 1))
 
@@ -133,13 +131,14 @@ def test_presentation_r3_n1():
 def test_presentation_r2_n2_counts():
     spec = ArrangementSpec(2, 2)
     pres = presentation(spec)
-    assert len(pres.generators) == 8
+    generators, relations = pres
+    assert len(generators) == 8
     # n r (r-1) / 2 emitted, n (r-1) after reduction
-    assert len(pres.linear_relations) == 2
-    assert len(pres.reduced_indices) == 2
+    assert len(relations) == 2
+    assert len(reduced_relations(pres)) == 2
     incomparable = [
         (a, b)
-        for a, b in itertools.combinations(pres.generators, 2)
+        for a, b in itertools.combinations(generators, 2)
         if not comparable(a, b)
     ]
     assert len(incomparable) == 20  # 28 pairs, 8 of them comparable
@@ -150,18 +149,18 @@ def test_presentation_r2_n2_counts():
 )
 def test_emitted_and_reduced_relation_counts(r, n):
     pres = presentation(ArrangementSpec(r, n))
-    assert len(pres.linear_relations) == n * r * (r - 1) // 2
-    assert len(pres.reduced_indices) == n * (r - 1)
+    _, relations = pres
+    assert len(relations) == n * r * (r - 1) // 2
+    assert len(reduced_relations(pres)) == n * (r - 1)
 
 
 @pytest.mark.parametrize("r", range(2, 8))
 @pytest.mark.parametrize("n", range(4))
 def test_reduced_relations_are_the_rows_a_greedy_elimination_keeps(r, n):
     # the closed form (i, 0, b) against the elimination in emission order
-    pres = presentation(ArrangementSpec(r, n))
-    greedy = independent_row_indices(rel.as_dict() for rel in pres.linear_relations)
-    assert list(pres.reduced_indices) == greedy
-    assert all(pres.linear_relations[k].a == 0 for k in greedy)
+    _, relations = presentation(ArrangementSpec(r, n))
+    greedy = independent_row_indices(dict(coeffs) for coeffs in relations.values())
+    assert greedy == [k for k, (_, a, _) in enumerate(relations) if a == 0]
 
 
 def test_presentation_at_n1_runs_no_elimination(monkeypatch):
@@ -171,17 +170,21 @@ def test_presentation_at_n1_runs_no_elimination(monkeypatch):
         raise AssertionError("presentation ran an elimination")
 
     monkeypatch.setattr(SparseEliminator, "add", refuse)
-    pres = presentation(ArrangementSpec(1000, 1))
-    assert len(pres.linear_relations) == 1000 * 999 // 2
-    assert pres.reduced_indices == tuple(range(999))
+    _, relations = presentation(ArrangementSpec(1000, 1))
+    assert len(relations) == 1000 * 999 // 2
+    assert [k for k, (_, a, _) in enumerate(relations) if a == 0] == list(range(999))
 
 
 def test_check_fails_reduced_relations_the_elimination_does_not_keep(monkeypatch):
+    # an elimination fed (1, 1, 2) before (1, 0, 2) keeps (1, 1, 2) and
+    # drops the reduced (1, 0, 2)
     def swapped(spec):
-        pres = presentation(spec)
-        last = len(pres.linear_relations) - 1  # (n, r-2, r-1), a dependent one
-        indices = (*pres.reduced_indices[:-1], last)
-        return ChowPresentation(spec, pres.generators, pres.linear_relations, indices)
+        generators, relations = presentation(spec)
+        keys = list(relations)
+        k = keys.index((1, 1, 2))
+        assert keys[k - 1] == (1, 0, 2)
+        keys[k - 1], keys[k] = keys[k], keys[k - 1]
+        return generators, {key: relations[key] for key in keys}
 
     monkeypatch.setattr("cyclic_wonderful.chow.presentation", swapped)
     results = {c.name: c for c in suite_chow(ArrangementSpec(3, 2))}
@@ -190,13 +193,9 @@ def test_check_fails_reduced_relations_the_elimination_does_not_keep(monkeypatch
 
 def test_check_fails_a_relation_that_is_not_the_difference_of_reduced_ones(monkeypatch):
     def flipped(spec):
-        pres = presentation(spec)
-        relations = list(pres.linear_relations)
-        k = next(k for k, rel in enumerate(relations) if rel.a > 0)  # (1, 1, 2)
-        rel = relations[k]
-        (x, c), *rest = rel.coeffs
-        relations[k] = LinearRelation(rel.i, rel.a, rel.b, ((x, -c), *rest))
-        return ChowPresentation(spec, pres.generators, tuple(relations), pres.reduced_indices)
+        generators, relations = presentation(spec)
+        (x, c), *rest = relations[1, 1, 2]
+        return generators, {**relations, (1, 1, 2): ((x, -c), *rest)}
 
     monkeypatch.setattr("cyclic_wonderful.chow.presentation", flipped)
     results = {c.name: c for c in suite_chow(ArrangementSpec(3, 2))}
@@ -224,30 +223,33 @@ def test_oracle_relations_are_the_presentations_reduced_relations(monkeypatch, r
     # pivots and ranks are those of the presentation's reduced relations
     spec = ArrangementSpec(r, n)
     _, calls = record_degrees(monkeypatch, spec, 1)
-    assert [call.relations for call in calls] == [list(reduced_relations(presentation(spec)))]
+    assert [call.relations for call in calls] == [
+        list(reduced_relations(presentation(spec)).items())
+    ]
 
 
 def test_presentation_generator_count():
     spec = ArrangementSpec(3, 2)
-    assert len(presentation(spec).generators) == spec.num_subsets
+    generators, _ = presentation(spec)
+    assert len(generators) == spec.num_subsets
 
 
 @pytest.mark.parametrize("r,n", [(2, 1), (5, 1), (2, 3), (4, 2), (3, 3), (5, 2), (2, 4)])
 def test_presentation_relations_equal_a_scan_per_relation(r, n):
     # the reference scans every generator once per relation (i, a, b)
-    pres = presentation(ArrangementSpec(r, n))
+    generators, relations = presentation(ArrangementSpec(r, n))
     expected = []
     for i in range(1, n + 1):
         for a, b in itertools.combinations(range(r), 2):
             coeffs = []
-            for x, d in enumerate(pres.generators):
+            for x, d in enumerate(generators):
                 deco = dict(d.items)
                 if deco.get(i) == a:
                     coeffs.append((x, 1))
                 elif deco.get(i) == b:
                     coeffs.append((x, -1))
-            expected.append((i, a, b, tuple(coeffs)))
-    assert [(rel.i, rel.a, rel.b, rel.coeffs) for rel in pres.linear_relations] == expected
+            expected.append(((i, a, b), tuple(coeffs)))
+    assert list(relations.items()) == expected
 
 
 # --- product support ---------------------------------------------------------
@@ -362,12 +364,13 @@ def reverse_columns(upper):
 def expanded_rows(relations, lower, upper):
     """Every (relation) x (monomial of ``lower``) row over the monomials of
     ``upper``, the chain monomials one degree up, with no row skipped: the
-    reference for the oracle."""
+    reference for the oracle.  ``relations`` holds each relation's
+    (generator, coefficient) pairs."""
     columns = reverse_columns(upper)
-    for rel in relations:
+    for pairs in relations:
         for mono in lower:
             row = {}
-            for g, coeff in rel.coeffs:
+            for g, coeff in pairs:
                 col = columns.get(tuple(sorted(mono + (g,))))
                 if col is not None:
                     row[col] = row.get(col, 0) + coeff
@@ -381,7 +384,7 @@ def test_relation_space_rank_matches_dense_rank_of_all_emitted_relations(r, n):
     # the rows the F5 criterion proves redundant; none of that may change
     # the span of (every emitted relation) x (chain monomial), built densely
     spec = ArrangementSpec(r, n)
-    pres = presentation(spec)
+    _, relations = presentation(spec)
     for k in range(1, n + 1):
         _, top, _, _, elim = _relation_spaces(spec, k)
         basis = reference_monomials(r, n, k)
@@ -390,7 +393,7 @@ def test_relation_space_rank_matches_dense_rank_of_all_emitted_relations(r, n):
         # reference (a Fraction RREF takes 10 s at (3, 3), degree 3)
         reference = ReferenceEliminator()
         lower = reference_monomials(r, n, k - 1)
-        for row in expanded_rows(pres.linear_relations, lower, basis):
+        for row in expanded_rows(relations.values(), lower, basis):
             assert elim.is_in_span(row)
             reference.add(row)
         assert elim.rank == reference.rank
@@ -442,12 +445,13 @@ def reference_relation_rows(r, n, relations, k, lower_pivots):
     product's column is looked up by its sorted tuple.  The row of
     (i, 0, b), b >= 2, is left out when the monomial's top set decorates i
     by 0."""
-    gens = presentation(ArrangementSpec(r, n)).generators
+    gens, _ = presentation(ArrangementSpec(r, n))
     comp = reference_comparable(r, n)
     columns = reverse_columns(reference_monomials(r, n, k))
+    keys = list(relations)
     by_generator = [[] for _ in gens]
-    for index, rel in enumerate(relations):
-        for g, c in rel.coeffs:
+    for index, pairs in enumerate(relations.values()):
+        for g, c in pairs:
             by_generator[g].append((index, c))
     blocks = [[] for _ in relations]
     lower = reference_monomials(r, n, k - 1)
@@ -463,8 +467,8 @@ def reference_relation_rows(r, n, relations, k, lower_pivots):
                 mono_rows.setdefault(index, {})[col] = c
         top = dict(gens[mono[-1]].items) if mono else {}
         for index, row in mono_rows.items():
-            rel = relations[index]
-            if rel.b < 2 or top.get(rel.i) != 0:
+            i, _, b = keys[index]
+            if b < 2 or top.get(i) != 0:
                 blocks[index].append(row)
     for block in blocks:
         block.sort(key=len)
@@ -476,7 +480,9 @@ def full_feed_creators(r, n, relations, k):
     it, with every (relation) x (degree k-1 chain monomial) row fed,
     relation-major, none skipped."""
     lower, upper = reference_monomials(r, n, k - 1), reference_monomials(r, n, k)
-    return relation_major_creators([list(expanded_rows([rel], lower, upper)) for rel in relations])
+    return relation_major_creators(
+        [list(expanded_rows([pairs], lower, upper)) for pairs in relations.values()]
+    )
 
 
 @pytest.mark.parametrize("r,n", [(2, 2), (3, 2), (4, 2), (2, 3), (3, 3), (4, 3), (2, 4)])
@@ -639,7 +645,7 @@ def test_check_fails_an_enumerator_that_drops_a_jump_type(monkeypatch):
 def test_degree_two_vanishing_matches_rank_reduction(r, n):
     spec = ArrangementSpec(r, n)
     reducer = DegreeReducer(spec, 2)
-    gens = presentation(spec).generators
+    gens, _ = presentation(spec)
     for a, b in itertools.combinations_with_replacement(gens, 2):
         assert (product_support([a, b]) is None) == reducer.monomial_is_zero([a, b])
 
@@ -649,13 +655,14 @@ def test_degree_two_reducer_matches_the_unpruned_rows(r, n):
     spec = ArrangementSpec(r, n)
     reducer = DegreeReducer(spec, 2)
     pres = presentation(spec)
+    generators, _ = pres
     lower, upper = reference_monomials(r, n, 1), reference_monomials(r, n, 2)
     unpruned = SparseEliminator()
-    for row in expanded_rows(reduced_relations(pres), lower, upper):
+    for row in expanded_rows(reduced_relations(pres).values(), lower, upper):
         unpruned.add(row)
     columns = reverse_columns(upper)
     for mono in upper:
-        gens = [pres.generators[x] for x in mono]
+        gens = [generators[x] for x in mono]
         assert reducer.monomial_is_zero(gens) == unpruned.is_in_span({columns[mono]: 1})
 
 

@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import itertools
 import json
 import subprocess
 import sys
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cyclic_wonderful.chow import LinearRelation
+from cyclic_wonderful import chow
 from cyclic_wonderful.cli import build_parser, main, run
 from cyclic_wonderful.fan import build_fan, fans_equal
 from cyclic_wonderful.lattice import ArrangementSpec, BuildingSet
@@ -78,6 +79,36 @@ def test_chow_full_output_lists_generators_and_relations():
     assert payload["betti"][0]["match"] is True
 
 
+@pytest.mark.parametrize("r,n", [(2, 1), (3, 2), (4, 2), (2, 3), (40, 1), (1000, 1)])
+def test_chow_marks_exactly_the_relations_whose_a_is_zero(monkeypatch, r, n):
+    # the presentation is its writer's map, keyed in (i, a, b) order with
+    # a < b, and a relation is reduced exactly when its a is 0
+    built = []
+    present = chow.presentation
+
+    def recording(spec):
+        built.append(present(spec))
+        return built[-1]
+
+    monkeypatch.setattr("cyclic_wonderful.chow.presentation", recording)
+    status, out = invoke(["chow", "--r", str(r), "--n", str(n)])
+    assert status == 0
+    keys = list(built[0][1])
+    factors = range(1, n + 1)
+    assert keys == [(i, a, b) for i in factors for a, b in itertools.combinations(range(r), 2)]
+    reduced = [k for k, (_, a, _) in enumerate(keys) if a == 0]
+    assert [keys[k] for k in reduced] == [(i, 0, b) for i in factors for b in range(1, r)]
+    assert f"linear relations ({len(keys)} emitted, {len(reduced)} independent):" in out
+    marks = [line[1] for line in out.splitlines() if line[2:5] == "(i="]
+    assert len(marks) == len(keys)
+    assert [k for k, mark in enumerate(marks) if mark == "*"] == reduced
+    if r < 1000:  # the JSON payload at (1000, 1) peaks above 1 GiB
+        status, out = invoke(["chow", "--r", str(r), "--n", str(n), "--format", "json"])
+        payload = json.loads(out)
+        assert [(rel["i"], rel["a"], rel["b"]) for rel in payload["linear_relations"]] == keys
+        assert payload["reduced_relation_indices"] == reduced
+
+
 def test_chow_betti_only_builds_only_the_reduced_relations(monkeypatch):
     # the presentation emits 499,500 relations at (1000, 1); --betti-only
     # prints none of them and the oracle reads the 999 reduced ones
@@ -85,14 +116,15 @@ def test_chow_betti_only_builds_only_the_reduced_relations(monkeypatch):
         raise AssertionError("--betti-only built the presentation")
 
     built = []
-    init = LinearRelation.__init__
+    write = chow._linear_relations
 
-    def counting_init(self, *args):
-        built.append(args[:3])
-        init(self, *args)
+    def recording_write(*args):
+        relations = write(*args)
+        built.extend(relations)
+        return relations
 
     monkeypatch.setattr("cyclic_wonderful.chow.presentation", refuse)
-    monkeypatch.setattr(LinearRelation, "__init__", counting_init)
+    monkeypatch.setattr("cyclic_wonderful.chow._linear_relations", recording_write)
     status, out = invoke(["chow", "--r", "1000", "--n", "1", "--betti-only"])
     assert status == 0
     assert [line.split() for line in out.splitlines()[1:]] == [
@@ -381,6 +413,17 @@ def test_locate_refuses_exponent_notation_at_once(target):
     assert time.perf_counter() - start < 1
     assert status == 2
     assert out == "error: '1e10000000' is not an integer, p/q or plain decimal\n"
+
+
+@pytest.mark.parametrize(
+    "target,text",
+    [(["--point", "1_000,0"], "1_000"), (["--curve", "1:0:1_0"], "1_0")],
+    ids=["point", "curve"],
+)
+def test_locate_refuses_underscores_on_every_python(target, text):
+    status, out = invoke(["locate", "--r", "3", "--n", "1", *target])
+    assert status == 2
+    assert out == f"error: {text!r} is not an integer, p/q or plain decimal\n"
 
 
 @pytest.mark.parametrize(

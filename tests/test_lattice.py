@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from cyclic_wonderful.chow import nonempty_chain_count
 from cyclic_wonderful.fan import build_fan
 from cyclic_wonderful.lattice import (
-    _flag_chains,
     ArrangementSpec,
     BuildingSet,
     Chain,
@@ -375,21 +374,6 @@ def test_every_chain_producer_yields_the_chain_sort_order(r, n):
     fan = build_fan(spec, BuildingSet.maximal(spec))
     assert _strictly_increasing([Chain(cone.label).sort_key() for cone in fan.maximal_cones])
     assert _strictly_increasing([c.sort_key() for c in fan.cones])
-
-
-@pytest.mark.parametrize(
-    "flag",
-    [
-        ((1,), (2, 3)),  # not an inclusion
-        ((1,), (1,)),  # sizes must grow strictly
-        ((1, 2), (1,)),  # innermost first
-        ((), (1,)),  # the bottom element is no prefix
-    ],
-)
-def test_flag_chains_refuse_a_flag_that_does_not_nest(flag):
-    table = {d.items: d for d in enumerate_decorated_subsets(ArrangementSpec(2, 3))}
-    with pytest.raises(ValueError, match="do not nest"):
-        _flag_chains(table, flag, 2)
 
 
 @pytest.mark.parametrize("r,n", [(3, 3), (4, 3), (2, 4)])

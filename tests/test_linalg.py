@@ -375,6 +375,14 @@ def test_parse_rational_refuses_exponents_zero_denominators_and_junk(text):
         parse_rational(text)
 
 
+@pytest.mark.parametrize("text", ["1_000", "1_0/2", "0.5_0"])
+def test_parse_rational_refuses_underscores_on_every_python(text):
+    # Fraction reads digit-group underscores from Python 3.11 on and refuses
+    # them before, so the grammar refuses them on every version
+    with pytest.raises(ValueError, match="is not an integer, p/q or plain decimal"):
+        parse_rational(text)
+
+
 # --- the integer phase-1 simplex and hull extremes ----------------------------
 
 

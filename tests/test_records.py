@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 
 import cyclic_wonderful
-from cyclic_wonderful.chow import GradedDims, LinearRelation, presentation
+from cyclic_wonderful.chow import GradedDims
 from cyclic_wonderful.fan import build_fan
 from cyclic_wonderful.lattice import (
     ArrangementSpec,
@@ -39,7 +39,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def instances():
-    """One instance per record class; the fan, complex and presentation at (2,1)."""
+    """One instance per record class; the fan and complex at (2,1)."""
     spec = ArrangementSpec(2, 1)
     fan = build_fan(spec, BuildingSet.maximal(spec))
     cx = complex_cells(spec)
@@ -50,8 +50,6 @@ def instances():
         "JumpType": JumpType((1, 2)),
         "BuildingSet": BuildingSet.maximal(spec),
         "GradedDims": GradedDims((1, 2, 1)),
-        "LinearRelation": LinearRelation(1, 0, 1, ((0, 1), (1, -1))),
-        "ChowPresentation": presentation(spec),
         "Cone": fan.maximal_cones[-1],
         "Fan": fan,
         "Polytope": cx.cells[-1],
@@ -69,11 +67,6 @@ PINNED_REPRS = {
     "JumpType": "JumpType(parts=(1, 2))",
     "BuildingSet": (133, "8f37e69aa8f7fe1d105fef31f32abc728ba9657c352385852c627f3a55714d4e"),
     "GradedDims": "GradedDims(dims=(1, 2, 1))",
-    "LinearRelation": "LinearRelation(i=1, a=0, b=1, coeffs=((0, 1), (1, -1)))",
-    "ChowPresentation": (
-        228,
-        "b1fb31398cada3cfa30690642985edd34634ad115f18e723eabee54460b0c155",
-    ),
     "Cone": "Cone(rays=((1,),), label=(DecoratedSubset(items=((1, 1),)),))",
     "Fan": (409, "8cd5f0ee9456baaa712790498f80c5b1ad594f8e3e1f171a1d6bb15630c66e31"),
     "Polytope": (196, "6085cfc74d681d03ffbef129625e360346bcc6bfe001e9851f291ddbb4987e5e"),
@@ -92,12 +85,11 @@ HASHABLE = [
     "JumpType",
     "BuildingSet",
     "GradedDims",
-    "LinearRelation",
     "Cone",
     "TropicalCurve",
     "CheckResult",
 ]
-BY_IDENTITY = ["ChowPresentation", "Fan", "Polytope", "NormalComplex"]
+BY_IDENTITY = ["Fan", "Polytope", "NormalComplex"]
 FROZEN = HASHABLE + BY_IDENTITY
 
 

@@ -232,7 +232,7 @@ def test_direct_and_stellar_fans_share_only_the_allowed_functions():
     # each route's output is every cone, so the direct route builds its faces
     direct_calls = _called(lambda: build_fan(spec, g).cones)
     stellar_calls = _called(stellar_route)
-    assert {"lattice._chains_of_length", "lattice._flag_chains"} <= direct_calls
+    assert "lattice._chains_of_length" in direct_calls
     assert {"fan._star_subdivide", "fan._bareiss_step", "fan.Fan.from_cones"} <= stellar_calls
     assert_shared_exactly(direct_calls, stellar_calls, DIRECT_VS_STELLAR)
 
@@ -301,7 +301,7 @@ PRODUCT_SUPPORT_VS_REDUCER = {
 @pytest.mark.skipif(sys.version_info < (3, 11), reason="names functions by co_qualname")
 def test_product_support_and_degree_reducer_share_only_the_allowed_functions():
     spec = ArrangementSpec(3, 2)
-    pairs = list(itertools.combinations_with_replacement(presentation(spec).generators, 2))
+    pairs = list(itertools.combinations_with_replacement(presentation(spec)[0], 2))
 
     def reducer_route():
         reducer = DegreeReducer(spec, 2)
