@@ -52,21 +52,23 @@ those states, the empty prefix's identity too, are cached
 (``_prefix_elimination``), and a cone runs only the step of its last ray.
 A full cold scan of the 162 maximal cones at r = 3, n = 3 takes 225 steps
 (one per cone plus one per distinct proper prefix) against 486 for a full
-pass per cone.  The rows are kept as the cone's ``linalg.RowTest`` tests,
-span-check rows ``(row, 0, 0)`` (the row vanishes on the point) first and
-coefficient rows ``(row, 0, None)`` (a nonnegative coordinate) after, so one
-cone's membership test of a rational point scaled to integers is
-``linalg.tests_hold``, which stops at the first test the point fails.
-Nothing assumes the cone is unimodular: any simplicial cone works.
+pass per cone.  A step negates a pivot row whose pivot is negative, so on
+these unimodular fans every pivot is 1 and a step keeps each row its ray
+does not meet: the 225 steps build 366 row tuples, not 519.  The rows are
+the cone's ``linalg.RowTest`` tests, span-check rows ``(row, 0, 0)`` (the
+row vanishes on the point) first and coefficient rows ``(row, 0, None)``
+(a nonnegative coordinate) after, so one cone's membership test of a
+rational point scaled to integers is ``linalg.tests_hold``, which stops at
+the first test the point fails.  Nothing assumes the cone is unimodular.
 
 The maximal cones repeat these rows heavily: at r = 4, n = 3 the 384 of
-them hold 3,456 rows, of which 124 are distinct (32 as span-check rows, 104
-as coefficient rows), and many of those are one another's negatives: they
-lie on 66 hyperplanes.  The scan ``locate_point`` therefore asks the fan's
-``linalg.SharedRowIndex``, built from every maximal cone, for the first
-cone that holds the point: each hyperplane is evaluated once per point.
-The ``locate`` command does not scan: ``in_relative_interior`` certifies
-the chain of the point's tropical curve on that chain's own cone.
+them hold 3,456 rows, of which 114 are distinct (19 as span-check rows, 104
+as coefficient rows, 9 as both), and many of those are one another's
+negatives: they lie on 66 hyperplanes.  The scan ``locate_point`` asks the
+fan's ``linalg.SharedRowIndex``, built from every maximal cone, for the
+first cone that holds the point: each hyperplane is evaluated once per
+point.  The ``locate`` command does not scan: ``in_relative_interior``
+certifies the chain of the point's tropical curve on that chain's own cone.
 """
 
 from __future__ import annotations
@@ -148,7 +150,7 @@ def ray_vector(d: DecoratedSubset, spec: ArrangementSpec) -> Vector:
 # [A | I] after the columns of the first j rays: the left multiplier R as a
 # tuple of rows, each its nonzero (index, coeff) pairs in index order, so
 # that R A is delta times the identity in the first j columns of its first j
-# rows and zero there in the rows below, and the last pivot delta.  It
+# rows and zero there in the rows below, and the last pivot delta > 0.  It
 # depends only on those j rays, in order.
 _Elimination = tuple[tuple[SparseRow, ...], int]
 
@@ -159,11 +161,12 @@ def _bareiss_step(state: _Elimination, c: int, a: Vector) -> _Elimination:
 
     The column of ``R [A | I]`` it eliminates is ``R a``, each entry read
     off its row's own pairs.  The pivot is its first nonzero entry at or
-    below row c, swapped into row c; every other row becomes
-    ``(pv * row - f * pivot_row) // delta``, an exact division since each
-    entry stays a minor of the input, written as sorted pairs, and a row
-    with ``f == 0`` and ``pv == delta`` is kept as it is.  Raises ValueError
-    when the column has no pivot, i.e. the rays are dependent.
+    below row c, swapped into row c and negated if negative (a row of the
+    input negated, so each entry stays a signed minor of it); every other
+    row becomes ``(pv * row - f * pivot_row) // delta``, an exact division,
+    written as sorted pairs, and a row with ``f == 0`` and ``pv == delta``
+    is kept as it is.  Raises ValueError when the column has no pivot, i.e.
+    the rays are dependent.
     """
     rows, prev = state
     rows = list(rows)
@@ -178,8 +181,9 @@ def _bareiss_step(state: _Elimination, c: int, a: Vector) -> _Elimination:
         raise ValueError("columns are linearly dependent")
     rows[c], rows[p] = rows[p], rows[c]
     col[c], col[p] = col[p], col[c]
-    piv = rows[c]
-    pv = col[c]
+    if col[c] < 0:
+        rows[c], col[c] = tuple([(j, -x) for j, x in rows[c]]), -col[c]
+    piv, pv = rows[c], col[c]
     for i, row in enumerate(rows):
         f = col[i]
         if i == c or (not f and pv == prev):
@@ -212,16 +216,15 @@ _prefix_elimination = lru_cache(maxsize=4096)(_elimination)
 
 
 @lru_cache(maxsize=4096)
-def _row_test(row: SparseRow, sign: int, hi: int | None) -> RowTest:
-    """The test ``(row, 0, hi)`` of a state row, its coefficients times
-    ``sign``.
+def _row_test(row: SparseRow, hi: int | None) -> RowTest:
+    """The test ``(row, 0, hi)`` of a state row.
 
     Cached so that equal tests share one tuple: the cones of a fan repeat few
-    rows (124 distinct among the 3,456 of the maximal cones at r = 4,
-    n = 3, on 66 hyperplanes up to sign), and sharing them keeps the cones'
-    caches small.
+    rows (123 distinct tests of 114 rows among the 3,456 of the maximal
+    cones at r = 4, n = 3, on 66 hyperplanes up to sign), and sharing them
+    keeps the cones' caches small.
     """
-    return (row if sign > 0 else tuple([(i, -x) for i, x in row])), 0, hi
+    return row, 0, hi
 
 
 class _Inverse(NamedTuple):
@@ -232,7 +235,8 @@ class _Inverse(NamedTuple):
     ``y A = 0``, so a point lies in the span of the rays exactly when every
     one of them pairs to zero with it.  The last k are ``(row, 0, None)``
     for the rows of ``delta * L``, L a left inverse of A (``L A = I``) and
-    ``delta > 0``: the point's cone coordinates, times delta, are >= 0.
+    ``delta > 0`` the last pivot: the point's cone coordinates, times
+    delta, are >= 0.
     """
 
     tests: tuple[RowTest, ...]
@@ -272,14 +276,10 @@ class Cone(_Value):
         """
         k = len(self.rays)
         rows, delta = _elimination(len(self.rays[0]), self.rays)
-        sign = 1 if delta > 0 else -1
         return _Inverse(
-            (
-                *(_row_test(row, 1, 0) for row in rows[k:]),
-                *(_row_test(row, sign, None) for row in rows[:k]),
-            ),
+            (*(_row_test(row, 0) for row in rows[k:]), *(_row_test(row, None) for row in rows[:k])),
             k,
-            sign * delta,
+            delta,
         )
 
     def _scaled_coefficients(self, p: Vector) -> list[int] | None:

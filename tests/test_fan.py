@@ -427,8 +427,9 @@ def test_cone_rejects_a_point_of_the_wrong_length():
 
 def _gauss_jordan(m, k):
     """Fraction-free Gauss-Jordan elimination (Bareiss) through the first k
-    columns of the integer matrix m, in place, with row swaps; returns the
-    last pivot.  The one full pass per cone that ``Cone._inverse`` ran before
+    columns of the integer matrix m, in place, with row swaps and a pivot
+    row negated when its pivot is negative; returns the last pivot, which is
+    positive.  The one full pass per cone that ``Cone._inverse`` ran before
     it resumed each cone from the cached state of its leading rays."""
     prev = 1
     for c in range(k):
@@ -436,6 +437,8 @@ def _gauss_jordan(m, k):
         if p is None:
             raise ValueError("columns are linearly dependent")
         m[c], m[p] = m[p], m[c]
+        if m[c][c] < 0:
+            m[c] = [-x for x in m[c]]
         piv = m[c]
         pv = piv[c]
         for i, row in enumerate(m):
@@ -460,15 +463,12 @@ def _reference_inverse(rays):
     """The cone's ``_Inverse`` from one full pass over ``[A | I]``."""
     k = len(rays)
     rows, delta = _reference_state(len(rays[0]), rays)
-    sign = 1 if delta > 0 else -1
 
-    def test(row, s, hi):
-        return tuple((i, s * x) for i, x in enumerate(row) if x), 0, hi
+    def test(row, hi):
+        return tuple((i, x) for i, x in enumerate(row) if x), 0, hi
 
     return _Inverse(
-        (*(test(row, 1, 0) for row in rows[k:]), *(test(row, sign, None) for row in rows[:k])),
-        k,
-        sign * delta,
+        (*(test(row, 0) for row in rows[k:]), *(test(row, None) for row in rows[:k])), k, delta
     )
 
 
@@ -504,6 +504,37 @@ def test_inverse_equals_the_full_pass_on_every_fan_cone(spec):
         assert _dense_state(dim, rays) == _reference_state(dim, rays)
 
 
+def _assert_state_inverts(dim, rays):
+    """The state after the rays, read densely, is an invertible R with
+    ``R A = delta [I_j; 0]`` and ``delta > 0``: whatever sign convention
+    the steps keep, its first j rows are delta times a left inverse of A
+    and the others span A's left kernel."""
+    rows, delta = _dense_state(dim, rays)
+    j = len(rays)
+    assert delta > 0
+    assert [[sum(x * ray[i] for i, x in enumerate(row)) for ray in rays] for row in rows] == [
+        [delta * (i == c) for c in range(j)] for i in range(dim)
+    ]
+    assert matrix_rank(rows) == dim
+
+
+@settings(max_examples=150, deadline=None)
+@given(rays=_rough_cones(), data=st.data())
+def test_every_prefix_state_inverts_its_rays_with_a_positive_pivot_on_non_unimodular_cones(
+    rays, data
+):
+    rays = tuple(data.draw(st.permutations(rays)))
+    for j in range(len(rays) + 1):
+        _assert_state_inverts(len(rays[0]), rays[:j])
+
+
+@pytest.mark.parametrize("spec", [(3, 2), (2, 3), (50, 1)])
+def test_every_prefix_state_inverts_its_rays_with_a_positive_pivot_on_every_fan_cone(spec):
+    dim, cones = _fan_cones(*spec)
+    for rays in {cone.rays[:j] for cone in cones for j in range(len(cone.rays) + 1)}:
+        _assert_state_inverts(dim, rays)
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     rays=st.lists(
@@ -524,25 +555,52 @@ def test_dependent_rays_raise_the_full_pass_error(rays, weights, data):
     assert str(raised.value) == str(expected.value)
 
 
-def test_a_cold_full_scan_takes_one_step_per_cone_and_per_shared_prefix(monkeypatch):
+def _cold_scan_steps(r, n, monkeypatch):
+    """Each Bareiss step of a cold scan at (r, n) as its column, its pivot
+    and the number of row tuples it builds (rows of its state that are not
+    rows of the state it starts from); the scanned fan; and the scan's
+    answer at (1, 1, 0, ..., 0)."""
     steps = []
     step = fan_module._bareiss_step
 
     def counted(state, c, a):
-        steps.append(c)
-        return step(state, c, a)
+        out = step(state, c, a)
+        kept = {id(row) for row in state[0]}
+        steps.append((c, out[1], sum(id(row) not in kept for row in out[0])))
+        return out
 
     monkeypatch.setattr(fan_module, "_bareiss_step", counted)
     fan_module._prefix_elimination.cache_clear()
-    spec = ArrangementSpec(3, 3)
+    fan_module._row_test.cache_clear()
+    spec = ArrangementSpec(r, n)
     fan = build_fan(spec, BuildingSet.maximal(spec))
+    located = locate_point(fan, (1, 1) + (0,) * (spec.ambient_dim - 2))
+    monkeypatch.setattr(fan_module, "_bareiss_step", step)
+    return steps, fan, located
+
+
+def test_a_cold_full_scan_takes_one_step_per_cone_and_per_shared_prefix(monkeypatch):
+    steps, fan, located = _cold_scan_steps(3, 3, monkeypatch)
+    assert located is None
     cones = fan.maximal_cones
-    assert locate_point(fan, (1, 1) + (0,) * (spec.ambient_dim - 2)) is None
-    prefixes = {cone.rays[:j] for cone in cones for j in range(1, spec.n)}
+    prefixes = {cone.rays[:j] for cone in cones for j in range(1, 3)}
     # 162 last steps and 9 + 54 shared ones, where one pass per cone took 486
     assert (len(cones), len(prefixes)) == (162, 63)
     assert len(steps) == 225
-    assert steps.count(spec.n - 1) == len(cones)
+    assert [c for c, _, _ in steps].count(2) == len(cones)
+    # a step builds only the rows its ray meets, and the negated pivot row:
+    # 366 row tuples and 65 distinct row tests, where flipping every row's
+    # sign at each pivot of -1 built 519 and 128
+    assert sum(built for _, _, built in steps) == 366
+    assert fan_module._row_test.cache_info().currsize == 65
+
+
+@pytest.mark.parametrize("r,n,count", [(3, 3, 225), (4, 3, 492), (2, 4, 632)])
+def test_every_pivot_of_a_cold_scan_is_one(r, n, count, monkeypatch):
+    # the fans are unimodular and a negative pivot's row is negated, so
+    # every pivot is 1 and a row the ray does not meet is kept as it is
+    steps, _, _ = _cold_scan_steps(r, n, monkeypatch)
+    assert [pv for _, pv, _ in steps] == [1] * count
 
 
 def test_the_identity_is_the_cached_empty_prefix():
@@ -925,7 +983,7 @@ def test_one_location_computes_the_inverses_of_the_scanned_cones_only(where):
 
 @pytest.mark.parametrize("r,n,hyperplanes", [(3, 3, 32), (4, 3, 66), (2, 4, 16)])
 def test_the_cone_index_keeps_one_entry_per_hyperplane(r, n, hyperplanes):
-    # keyed by row value, the index held 63, 124 and 32 rows: each
+    # keyed by row value, the index would hold 59, 114 and 32 rows: each
     # hyperplane once per sign it is tested with
     fan = _built_fan(r, n)
     rows = {row for cone in fan.maximal_cones for row, _, _ in cone._inverse.tests}
