@@ -22,14 +22,14 @@ for d in generators[:6]:
     print("  D" + d.text())
 
 print("\njump census (composition of flag jumps -> number of chains):")
-for jt, count in sorted(jump_census(spec).items(), key=lambda kv: kv[0].parts):
-    print(f"  {jt.parts}: {count}")
+for parts, count in sorted(jump_census(spec).items()):
+    print(f"  {parts}: {count}")
 
 print("\ngraded ranks:")
 closed = betti_closed_form(spec)
 oracle = betti_oracle(spec)
 print("  k      closed  oracle")
-for k, (b, o) in enumerate(zip(closed.dims, oracle.dims)):
+for k, (b, o) in enumerate(zip(closed, oracle)):
     print(f"  {k}      {b:6d}  {o:6d}")
 assert closed == oracle
 
@@ -41,8 +41,8 @@ print("  k  monomials  rank")
 _, _, widths, ranks, _ = _relation_spaces(spec, spec.n)
 for k, (width, rank) in enumerate(zip(widths, ranks), 1):
     print(f"  {k}  {width:9d}  {rank:4d}")
-    assert width - rank == closed.dims[k]
+    assert width - rank == closed[k]
 
 # for r = 2 the fan is complete and smooth, so the total rank counts the
 # maximal cones and the rank vector is palindromic
-print("\ntotal rank:", closed.total, "= n! 2^n =", spec.num_maximal_chains)
+print("\ntotal rank:", sum(closed), "= n! 2^n =", spec.num_maximal_chains)

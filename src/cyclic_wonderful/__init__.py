@@ -21,7 +21,6 @@ from .lattice import (
     BuildingSet,
     Chain,
     DecoratedSubset,
-    JumpType,
     chain_intersect,
     enumerate_chains,
     enumerate_decorated_subsets,
@@ -44,7 +43,6 @@ from .fan import (
     support_decomposition,
 )
 from .chow import (
-    GradedDims,
     betti_closed_form,
     betti_oracle,
     jump_census,
@@ -79,8 +77,6 @@ __all__ = [
     "DecoratedSubset",
     "Fan",
     "FeasibilityError",
-    "GradedDims",
-    "JumpType",
     "NormalComplex",
     "Polytope",
     "TropicalCurve",

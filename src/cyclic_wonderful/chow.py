@@ -79,29 +79,12 @@ from .lattice import (
     ArrangementSpec,
     Chain,
     DecoratedSubset,
-    JumpType,
-    _Value,
     enumerate_chains,
     enumerate_decorated_subsets,
     jump_type,
     validate_subset,
 )
 from .linalg import SparseEliminator
-
-
-class GradedDims(_Value):
-    """Ranks b_0, ..., b_n of the graded pieces."""
-
-    _fields = ("dims",)
-
-    def __init__(self, dims: tuple[int, ...]) -> None:
-        if not dims or dims[0] != 1:
-            raise ValueError(f"degree-zero rank must be 1, got {dims}")
-        object.__setattr__(self, "dims", dims)
-
-    @property
-    def total(self) -> int:
-        return sum(self.dims)
 
 
 Relations = dict[tuple[int, int, int], tuple[tuple[int, int], ...]]
@@ -177,8 +160,9 @@ def _multinomial(n: int, parts: Sequence[int]) -> int:
     return out
 
 
-def betti_closed_form(spec: ArrangementSpec) -> GradedDims:
-    """Graded ranks via the first-jump recurrence of the jump-type sum.
+def betti_closed_form(spec: ArrangementSpec) -> tuple[int, ...]:
+    """Graded ranks b_0, ..., b_n via the first-jump recurrence of the
+    jump-type sum.
 
     A composition of m is a first part j >= 2 and a composition of m - j, and
     multinomial(m; j, rest) = C(m, j) * multinomial(m - j; rest), which gives
@@ -200,23 +184,23 @@ def betti_closed_form(spec: ArrangementSpec) -> GradedDims:
         for d, c in enumerate(fm):
             for e in range(n - m + 1):
                 dims[d + e] += comb(n, m) * c * comb(n - m, e)
-    return GradedDims(tuple(dims))
+    return tuple(dims)
 
 
-def jump_census(spec: ArrangementSpec) -> dict[JumpType, int]:
-    """Chain counts by jump type, over every nonempty chain."""
-    census: dict[JumpType, int] = {}
+def jump_census(spec: ArrangementSpec) -> dict[tuple[int, ...], int]:
+    """Chain counts by jump type (its parts), over every nonempty chain."""
+    census: dict[tuple[int, ...], int] = {}
     for chain in enumerate_chains(spec, spec.n):
         if chain.length == 0:
             continue
-        jt = jump_type(chain)
-        census[jt] = census.get(jt, 0) + 1
+        parts = jump_type(chain)
+        census[parts] = census.get(parts, 0) + 1
     return census
 
 
-def expected_jump_count(spec: ArrangementSpec, jt: JumpType) -> int:
+def expected_jump_count(spec: ArrangementSpec, parts: tuple[int, ...]) -> int:
     """multinomial(n; j_1, ..., j_l) * r^|j| ordered tuples of disjoint sets."""
-    return _multinomial(spec.n, jt.parts) * spec.r ** jt.total
+    return _multinomial(spec.n, parts) * spec.r ** sum(parts)
 
 
 def _chain_counts(spec: ArrangementSpec) -> list[int]:
@@ -437,10 +421,11 @@ def _relation_spaces(
     return comparable, lower, widths, ranks, elim
 
 
-def betti_oracle(spec: ArrangementSpec) -> GradedDims:
-    """Graded ranks by exact elimination, independent of the closed form."""
+def betti_oracle(spec: ArrangementSpec) -> tuple[int, ...]:
+    """Graded ranks b_0, ..., b_n by exact elimination, independent of the
+    closed form."""
     _, _, widths, ranks, _ = _relation_spaces(spec, spec.n)
-    return GradedDims((1, *(width - rank for width, rank in zip(widths, ranks))))
+    return (1, *(width - rank for width, rank in zip(widths, ranks)))
 
 
 class DegreeReducer:

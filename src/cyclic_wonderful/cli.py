@@ -71,14 +71,14 @@ def _cmd_fan(args: argparse.Namespace, emit: Callable[[str], None]) -> int:
 def _betti_rows(spec: ArrangementSpec, want_oracle: bool) -> list[dict]:
     closed = chow.betti_closed_form(spec)
     try:
-        oracle_dims: tuple[int, ...] | None = chow.betti_oracle(spec).dims
+        oracle: tuple[int, ...] | None = chow.betti_oracle(spec)
     except FeasibilityError:
         if want_oracle:
             raise
-        oracle_dims = None
+        oracle = None
     rows = []
-    for k, b in enumerate(closed.dims):
-        o = oracle_dims[k] if oracle_dims is not None else None
+    for k, b in enumerate(closed):
+        o = oracle[k] if oracle is not None else None
         rows.append(
             {
                 "k": k,

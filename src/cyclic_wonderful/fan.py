@@ -231,16 +231,15 @@ class _Inverse(NamedTuple):
     """An exact integer left inverse of a cone's generator matrix A (rays as
     columns), kept as the cone's row tests over the ambient indices.
 
-    The first dim - k tests are ``(y, 0, 0)`` for independent rows y with
-    ``y A = 0``, so a point lies in the span of the rays exactly when every
-    one of them pairs to zero with it.  The last k are ``(row, 0, None)``
-    for the rows of ``delta * L``, L a left inverse of A (``L A = I``) and
-    ``delta > 0`` the last pivot: the point's cone coordinates, times
-    delta, are >= 0.
+    With k the number of rays, the first dim - k tests are ``(y, 0, 0)``
+    for independent rows y with ``y A = 0``, so a point lies in the span of
+    the rays exactly when every one of them pairs to zero with it.  The last
+    k are ``(row, 0, None)`` for the rows of ``delta * L``, L a left inverse
+    of A (``L A = I``) and ``delta > 0`` the last pivot: the point's cone
+    coordinates, times delta, are >= 0.
     """
 
     tests: tuple[RowTest, ...]
-    k: int
     delta: int
 
 
@@ -278,7 +277,6 @@ class Cone(_Value):
         rows, delta = _elimination(len(self.rays[0]), self.rays)
         return _Inverse(
             (*(_row_test(row, 0) for row in rows[k:]), *(_row_test(row, None) for row in rows[:k])),
-            k,
             delta,
         )
 
@@ -301,9 +299,8 @@ class Cone(_Value):
         """The k coefficient rows at ``p``, with no test: cone coordinates
         times ``delta * D`` of ``p / D`` when the cone's tests hold there.
         The cone has rays."""
-        tests, k, _ = self._inverse
         c = []
-        for row, _, _ in tests[-k:]:
+        for row, _, _ in self._inverse.tests[-len(self.rays):]:
             s = 0
             for i, a in row:
                 s += a * p[i]

@@ -324,24 +324,11 @@ def parse_chain(text: str, spec: ArrangementSpec | None = None) -> Chain:
     return Chain.from_prefixes(prefixes)
 
 
-class JumpType(_Value):
-    """Composition of successive set-size increments along a chain."""
-
-    _fields = ("parts",)
-
-    def __init__(self, parts: tuple[int, ...]) -> None:
-        if any(p < 1 for p in parts):
-            raise ValueError(f"jump-type parts must be >= 1, got {parts}")
-        object.__setattr__(self, "parts", parts)
-
-    @property
-    def total(self) -> int:
-        return sum(self.parts)
-
-
-def jump_type(chain: Chain) -> JumpType:
+def jump_type(chain: Chain) -> tuple[int, ...]:
+    """The chain's jump type: the composition of its successive set-size
+    increments, each part >= 1 because the prefixes strictly nest."""
     sizes = [d.size for d in chain.prefixes]
-    return JumpType(tuple(b - a for a, b in zip([0] + sizes, sizes)))
+    return tuple(b - a for a, b in zip([0] + sizes, sizes))
 
 
 # ---------------------------------------------------------------------------

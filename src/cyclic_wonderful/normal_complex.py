@@ -75,7 +75,6 @@ from .lattice import (
 from .linalg import (
     RowTest,
     SharedRowIndex,
-    integer_scaled,
     scaled_point,
     tests_hold,
 )
@@ -162,33 +161,31 @@ class NormalComplex(_Frozen):
 
 
 @cache
-def _vertex_lengths(n: int) -> tuple[FracVec, ...]:
-    """Per-level lengths y of every cell vertex, one per set of tight levels.
+def _vertex_lengths(n: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Per-level lengths y of every cell vertex, one per set of tight levels,
+    as integers over their common denominator lcm(1, ..., n), and that
+    denominator.
 
     A cell is {y_1 >= ... >= y_n >= 0 : y_1 + ... + y_j <= delta(n, j)}, and
     the increments delta(n, j) - delta(n, j-1) = n - j + 1 strictly decrease,
     so the cell is combinatorially a cube: each set T = {t_1 < ... < t_m} of
     tight truncation levels gives one vertex, constant on every block
-    (t_{k-1}, t_k] at that block's mean increment and 0 after t_m.
+    (t_{k-1}, t_k] at that block's mean increment and 0 after t_m.  A block
+    has at most n levels, so its mean is an integer over the denominator.
+    Placed into a cell's blocks (``fan.place``), these integers over it are
+    the cell's vertices, and sort like them.
     """
+    common = lcm(*range(1, n + 1))
     vertices = []
     for m in range(n + 1):
         for tight in itertools.combinations(range(1, n + 1), m):
-            y: list[Fraction] = []
+            y: list[int] = []
             prev = 0
             for t in tight:
-                y += [Fraction(delta(n, t) - delta(n, prev), t - prev)] * (t - prev)
+                y += [(delta(n, t) - delta(n, prev)) * (common // (t - prev))] * (t - prev)
                 prev = t
-            vertices.append(tuple(y + [Fraction(0)] * (n - prev)))
-    return tuple(vertices)
-
-
-@cache
-def _scaled_vertex_lengths(n: int) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """``_vertex_lengths(n)`` times the common denominator of all of them,
-    and that denominator: placed into a cell's blocks (``fan.place``),
-    these integers over it are the cell's vertices, and sort like them."""
-    return integer_scaled(_vertex_lengths(n))
+            vertices.append(tuple(y + [0] * (n - prev)))
+    return tuple(vertices), common
 
 
 # Where a level's step e_i^b lies, as ``fan.block_slot`` gives it: the
@@ -279,7 +276,7 @@ def cell_polytope(chain: Chain, spec: ArrangementSpec) -> Polytope:
 
     Each vertex and row holds at most one step per block, so it is placed
     in integers, every entry at its slot with none summed: a vertex over
-    the common denominator of ``_scaled_vertex_lengths`` by ``fan.place``,
+    the common denominator of ``_vertex_lengths`` by ``fan.place``,
     a row as its integer test and the scale that clears it
     (``_cell_rows``), stored once; ``Polytope.h_rep`` builds the dense rows
     from them when read.  The vertices sort by those integers, and each
@@ -293,8 +290,8 @@ def cell_polytope(chain: Chain, spec: ArrangementSpec) -> Polytope:
         )
     block = spec.r - 1
     slots = _level_slots(chain, spec)
-    scaled, common = _scaled_vertex_lengths(len(slots))
-    keys = sorted(place(block, spec.ambient_dim, 0, zip(slots, y)) for y in scaled)
+    lengths, common = _vertex_lengths(len(slots))
+    keys = sorted(place(block, spec.ambient_dim, 0, zip(slots, y)) for y in lengths)
     ratios = {x: Fraction(x, common) for key in keys for x in key}
     v_rep = tuple([tuple([ratios[x] for x in key]) for key in keys])
     return Polytope(v_rep, chain, _cell_rows(slots, block, spec.n))

@@ -272,7 +272,7 @@ def suite_chow(spec: ArrangementSpec, seed: int = 0) -> list[CheckResult]:
                 "chow",
                 "closed form equals rank oracle",
                 closed == oracle,
-                f"closed {closed.dims}, oracle {oracle.dims}",
+                f"closed {closed}, oracle {oracle}",
             )
         )
     except FeasibilityError as exc:
@@ -281,7 +281,7 @@ def suite_chow(spec: ArrangementSpec, seed: int = 0) -> list[CheckResult]:
         _result(
             "chow",
             "rank-1 piece matches ray count minus reduced relations",
-            closed.dims[1] == spec.num_subsets - spec.n * (spec.r - 1)
+            closed[1] == spec.num_subsets - spec.n * (spec.r - 1)
             if spec.n >= 1
             else True,
         )
@@ -297,7 +297,7 @@ def suite_chow(spec: ArrangementSpec, seed: int = 0) -> list[CheckResult]:
     )
     census = chow.jump_census(spec)
     expected_ok = all(
-        count == chow.expected_jump_count(spec, jt) for jt, count in census.items()
+        count == chow.expected_jump_count(spec, parts) for parts, count in census.items()
     )
     total = sum(census.values())
     out.append(

@@ -61,9 +61,9 @@ def test_criterion_1_betti_agreement():
     for r, n in BETTI_GRID:
         spec = ArrangementSpec(r, n)
         assert betti_closed_form(spec) == betti_oracle(spec), (r, n)
-    assert betti_closed_form(ArrangementSpec(2, 2)).dims == (1, 6, 1)
-    assert betti_closed_form(ArrangementSpec(3, 2)).dims == (1, 11, 1)
-    assert betti_closed_form(ArrangementSpec(2, 3)).dims == (1, 23, 23, 1)
+    assert betti_closed_form(ArrangementSpec(2, 2)) == (1, 6, 1)
+    assert betti_closed_form(ArrangementSpec(3, 2)) == (1, 11, 1)
+    assert betti_closed_form(ArrangementSpec(2, 3)) == (1, 23, 23, 1)
     elapsed = time.monotonic() - start
     assert elapsed < 60
     _report(1, f"betti closed form = oracle on {len(BETTI_GRID)} specs in {elapsed:.2f}s")
@@ -128,7 +128,7 @@ def test_criterion_6_completeness_dichotomy():
         rng = Lcg(0)
         points = sample_mixed_points(rng, spec, 1000)
         assert all(locate_point(fan, p) is not None for p in points), n
-        assert sum(betti_closed_form(spec).dims) == spec.num_maximal_chains, n
+        assert sum(betti_closed_form(spec)) == spec.num_maximal_chains, n
     fan32 = _fan(3, 2)
     rng = Lcg(0)
     points32 = sample_mixed_points(rng, ArrangementSpec(3, 2), 1000)

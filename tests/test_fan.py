@@ -468,7 +468,7 @@ def _reference_inverse(rays):
         return tuple((i, x) for i, x in enumerate(row) if x), 0, hi
 
     return _Inverse(
-        (*(test(row, 0) for row in rows[k:]), *(test(row, None) for row in rows[:k])), k, delta
+        (*(test(row, 0) for row in rows[k:]), *(test(row, None) for row in rows[:k])), delta
     )
 
 

@@ -14,7 +14,6 @@ from cyclic_wonderful.lattice import (
     BuildingSet,
     Chain,
     DecoratedSubset,
-    JumpType,
     chain_intersect,
     enumerate_chains,
     enumerate_decorated_subsets,
@@ -392,9 +391,9 @@ def test_build_fan_keeps_the_reference_insertion_order(monkeypatch, r, n):
 
 def test_jump_type_examples():
     c = chain([(3,), (2, 3, 4)], {2: 1, 3: 0, 4: 2})
-    assert jump_type(c) == JumpType((1, 2))
-    assert jump_type(Chain.empty()) == JumpType(())
-    assert jump_type(chain([(1, 2)], {1: 0, 2: 0})) == JumpType((2,))
+    assert jump_type(c) == (1, 2)
+    assert jump_type(Chain.empty()) == ()
+    assert jump_type(chain([(1, 2)], {1: 0, 2: 0})) == (2,)
 
 
 # --- nested sets -------------------------------------------------------------

@@ -134,7 +134,8 @@ def reference_cell(c, spec):
     steps = [
         tuple(a - b for a, b in zip(g, prev)) for prev, g in zip([(0,) * dim, *gens], gens)
     ]
-    vertices = [combine(y, steps, dim, zero) for y in normal_complex._vertex_lengths(n)]
+    lengths, common = normal_complex._vertex_lengths(n)
+    vertices = [combine([Fraction(x, common) for x in y], steps, dim, zero) for y in lengths]
     h_rep = []
     for w in nullspace(gens):
         h_rep += [(w, zero), (combine([-1], [w], dim, zero), zero)]
@@ -433,13 +434,11 @@ def test_every_point_is_cleared_by_scaled_point(monkeypatch):
     the_complex = complex_cells(spec)
     point = (Fraction(1, 2), 0, 0, 0)
     refuse_everywhere(monkeypatch, linalg, "scaled_point")
-    normal_complex._scaled_vertex_lengths.cache_clear()  # a cold one clears too
     for clear in (
         lambda: fan.locate_point(the_fan, point),
         lambda: the_fan.maximal_cones[0].contains(point),
         lambda: the_complex.contains(point),
         lambda: integer_scaled([point]),
-        lambda: normal_complex._scaled_vertex_lengths(spec.n),
     ):
         with pytest.raises(Refused):
             clear()
@@ -890,7 +889,8 @@ def test_vertex_lengths_match_the_exhaustive_orthant_search(n):
     # (levels counted from 1), and c_s = y_s - y_{s+1} for the lengths y
     gram = [[Fraction(min(j, s) + 1) for s in range(n)] for j in range(n)]
     bounds = [Fraction(delta(n, j + 1)) for j in range(n)]
-    lengths = normal_complex._vertex_lengths(n)
+    scaled, common = normal_complex._vertex_lengths(n)
+    lengths = [[Fraction(x, common) for x in y] for y in scaled]
     cone = sorted(tuple(a - b for a, b in zip(y, (*y[1:], 0))) for y in lengths)
     assert len(lengths) == 2**n
     assert cone == _orthant_vertices(gram, bounds)

@@ -20,14 +20,12 @@ from pathlib import Path
 import pytest
 
 import cyclic_wonderful
-from cyclic_wonderful.chow import GradedDims
 from cyclic_wonderful.fan import build_fan
 from cyclic_wonderful.lattice import (
     ArrangementSpec,
     BuildingSet,
     Chain,
     DecoratedSubset,
-    JumpType,
     _Frozen,
     _Value,
 )
@@ -47,9 +45,7 @@ def instances():
         "ArrangementSpec": ArrangementSpec(3, 2),
         "DecoratedSubset": DecoratedSubset(((1, 0), (2, 1))),
         "Chain": Chain.of([(1,), (1, 2)], {1: 0, 2: 1}),
-        "JumpType": JumpType((1, 2)),
         "BuildingSet": BuildingSet.maximal(spec),
-        "GradedDims": GradedDims((1, 2, 1)),
         "Cone": fan.maximal_cones[-1],
         "Fan": fan,
         "Polytope": cx.cells[-1],
@@ -64,9 +60,7 @@ PINNED_REPRS = {
     "DecoratedSubset": "DecoratedSubset(items=((1, 0), (2, 1)))",
     "Chain": "Chain(prefixes=(DecoratedSubset(items=((1, 0),)),"
     " DecoratedSubset(items=((1, 0), (2, 1)))))",
-    "JumpType": "JumpType(parts=(1, 2))",
     "BuildingSet": (133, "8f37e69aa8f7fe1d105fef31f32abc728ba9657c352385852c627f3a55714d4e"),
-    "GradedDims": "GradedDims(dims=(1, 2, 1))",
     "Cone": "Cone(rays=((1,),), label=(DecoratedSubset(items=((1, 1),)),))",
     "Fan": (409, "8cd5f0ee9456baaa712790498f80c5b1ad594f8e3e1f171a1d6bb15630c66e31"),
     "Polytope": (196, "6085cfc74d681d03ffbef129625e360346bcc6bfe001e9851f291ddbb4987e5e"),
@@ -82,9 +76,7 @@ HASHABLE = [
     "ArrangementSpec",
     "DecoratedSubset",
     "Chain",
-    "JumpType",
     "BuildingSet",
-    "GradedDims",
     "Cone",
     "TropicalCurve",
     "CheckResult",
@@ -230,10 +222,6 @@ def test_validation_runs_in_the_constructor():
         DecoratedSubset(((2, 0), (1, 0)))
     with pytest.raises(ValueError, match="do not nest"):
         Chain((DecoratedSubset(((1, 0),)), DecoratedSubset(((2, 0),))))
-    with pytest.raises(ValueError, match="jump-type parts"):
-        JumpType((0,))
-    with pytest.raises(ValueError, match="degree-zero rank"):
-        GradedDims((2,))
     with pytest.raises(ValueError, match="zero length exactly when on the center"):
         TropicalCurve((0,), (Fraction(0),))
 
