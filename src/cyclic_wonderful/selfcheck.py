@@ -7,6 +7,24 @@ mirror the library's invariants: the two fan constructions agree, cone
 intersections obey the chain rule, graded ranks computed by formula and by
 elimination coincide, tropical round trips are exact, and the normal
 complex tiles the truncated support.
+
+The fan suite's completeness line draws no sample.  At r = 2 it certifies
+that the maximal cones cover R^n exactly once by their walls, the
+codimension-1 cones: a pure simplicial fan does so when every wall lies in
+exactly two maximal cones, on opposite sides of it, and one point is
+covered exactly once (the pseudomanifold argument of De Loera, Rambau and
+Santos, *Triangulations*, run on the sphere).  Count, at a point that lies
+in no wall, the maximal cones that hold it.  A path that crosses a wall
+away from the codimension-2 cones leaves one coface of that wall as it
+enters the other, so the count does not change there; when n >= 2 the
+codimension-2 cones do not disconnect R^n, so the count is the same at
+every such point, and it is 1 beside the one point covered once.  At n = 1
+there are no codimension-2 cones: the one wall is the origin and its two
+cofaces are the two opposite rays, which cover the line.  The argument
+needs every maximal cone to be simplicial of rank n, which the rank line
+checks; a flat maximal cone fails the completeness line unrun.  At r > 2
+the maximal cones have rank n < n (r - 1), so their union is not the whole
+space; the line names a point outside it.
 """
 
 from __future__ import annotations
@@ -30,6 +48,7 @@ from .lattice import (
     ArrangementSpec,
     BuildingSet,
     Chain,
+    DecoratedSubset,
     _Value,
     chain_intersect,
 )
@@ -127,7 +146,62 @@ def intersection_law_failures(
     return [pair for pair, trio in zip(pairs, met) if trio is None or not holds(*trio)]
 
 
+def wall_failures(fan: Fan) -> tuple[int, list[tuple[DecoratedSubset, ...]]]:
+    """The number of walls of the fan's maximal cones, and the walls that
+    fail: those not lying in exactly two maximal cones on opposite sides.
+
+    A wall is a maximal cone's label with one prefix removed, its facet.
+    For a wall with two cofaces, the first coface's coefficient row of its
+    extra ray (``Cone._inverse``) vanishes on the wall's rays and is
+    positive at that ray, so the second coface's extra ray lies on the
+    other side exactly when the row is negative there: one integer dot
+    product per wall.  Every maximal cone has n >= 1 independent rays.
+
+    Each prefix gets a code, a wall is its prefixes' codes packed into one
+    integer, b bits each, and a coface is the integer k n + j (maximal cone
+    k less its j-th prefix), so grouping builds no tuple per facet: at
+    (2,6), 276,480 facets, the pass takes about 0.55 s in process on a
+    2-vCPU VM, against 0.9-1.1 s with tuple keys.
+    """
+    n, maximal = fan.spec.n, fan.maximal_cones
+    b = (n * len(maximal)).bit_length()
+    codes: dict[DecoratedSubset, int] = {}
+    first: dict[int, int] = {}  # wall -> its first coface
+    second: dict[int, int] = {}
+    crowded = set()  # walls of three or more cofaces
+    for k, cone in enumerate(maximal):
+        packed = 0
+        for d in reversed(cone.label):
+            packed = packed << b | codes.setdefault(d, len(codes))
+        for j in range(n):
+            # the codes above prefix j, moved down one place, over those below
+            wall, c = packed >> b * (j + 1) << b * j | packed & ((1 << b * j) - 1), k * n + j
+            if first.setdefault(wall, c) != c:
+                if wall in second:
+                    crowded.add(wall)
+                else:
+                    second[wall] = c
+    failed = []
+    for wall, c in first.items():
+        one, j = c // n, c % n
+        other = second.get(wall)
+        if other is not None and wall not in crowded:
+            other, k = other // n, other % n
+            row, ray = maximal[one]._inverse.tests[j - n][0], maximal[other].rays[k]
+            s = 0
+            for i, a in row:
+                s += a * ray[i]
+            if s < 0:
+                continue
+        label = maximal[one].label
+        failed.append(label[:j] + label[j + 1 :])
+    return len(first), failed
+
+
 def suite_fan(spec: ArrangementSpec, seed: int = 0) -> list[CheckResult]:
+    """The fan's counts, its two routes, the intersection law, the lattice
+    lines and completeness (see the module docstring for the wall argument).
+    """
     try:
         check_fan_spec(spec)  # before the building set is enumerated
     except FeasibilityError as exc:
@@ -202,23 +276,40 @@ def suite_fan(spec: ArrangementSpec, seed: int = 0) -> list[CheckResult]:
             else "",
         )
     )
-    if spec.r == 2:
-        name = "complete for r = 2: all sampled points locate"
-    elif spec.n == 0:
+    if spec.n == 0:
         name = "complete for n = 0: the fan is the origin of R^0"
+    elif spec.r == 2:
+        name = "complete for r = 2: every wall has two maximal cones on opposite sides"
     else:
-        name = "not complete for r > 2: some sampled point fails to locate"
+        name = "not complete for r > 2: e_1^1 + e_1^2 lies in no cone"
     flat_maximal = [chain for chain in flat if len(chain.prefixes) == spec.n]
     if flat_maximal:
-        # the scan eliminates every maximal cone, which a flat one refuses
+        # the walls and the scan eliminate every maximal cone, which a flat
+        # one refuses
         detail = f"not run, first flat maximal cone {flat_maximal[0].text()}"
         out.append(_result("fan", name, False, detail))
         return out
-    points = sample_mixed_points(Lcg(seed), spec, 1000)
-    located = sum(1 for p in points if locate_point(fan, p) is not None)
-    complete = located == len(points)
-    passed = complete if spec.r == 2 or spec.n == 0 else not complete
-    out.append(_result("fan", name, passed, f"{located}/{len(points)}"))
+    if spec.n == 0:
+        out.append(_result("fan", name, [cone.rays for cone in maximal] == [()]))
+    elif spec.r == 2:
+        walls, failed = wall_failures(fan)
+        detail = f"{walls} walls, {len(failed)} failures"
+        if failed:
+            detail += f", first {Chain._trusted(failed[0]).text()}"
+        # the ray sum of the first maximal cone lies inside it, and must
+        # lie in no other maximal cone
+        first = maximal[0]
+        covers = fan._cone_index.holding(tuple(map(sum, zip(*first.rays))), 1).bit_count()
+        if covers != 1:
+            label = Chain._trusted(first.label).text()
+            detail += f", the ray sum of {label} lies in {covers} maximal cones"
+        out.append(_result("fan", name, not failed and covers == 1, detail))
+    else:
+        # factor 1's block of a point of a cone is a nonnegative multiple of
+        # one e_1^a, and e_1^1 + e_1^2 is none
+        chain = locate_point(fan, (1, 1, *[0] * (spec.ambient_dim - 2)))
+        detail = "" if chain is None else f"it lies in the cone of {chain.text()}"
+        out.append(_result("fan", name, chain is None, detail))
     return out
 
 

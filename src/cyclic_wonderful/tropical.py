@@ -124,13 +124,21 @@ def curve_from_point(
     return TropicalCurve(spokes, lengths)
 
 
+def _integer_field(text: str, field: str) -> int:
+    if "_" in text:
+        raise ValueError(f"{field} {text!r} is not an integer")
+    return int(text)
+
+
 def parse_curve(text: str, spec: ArrangementSpec) -> TropicalCurve:
     """Parse ``i:spoke:length`` triples, e.g. ``1:0:2,2:2:1`` or ``1:c:0``.
 
     Every orbit index not mentioned sits on the center; spoke ``c`` means
     the center and requires length zero.  Lengths are integers, ``p/q``
     fractions or plain decimals (``linalg.parse_rational``).
-    An orbit index may appear at most once.
+    An orbit index may appear at most once.  The orbit index and the spoke
+    refuse digit-group underscores, which ``int`` would read (``0_1`` as 1),
+    as ``parse_rational`` refuses them in a length.
     """
     spokes: list[int | None] = [CENTER] * spec.n
     lengths: list[Fraction] = [Fraction(0)] * spec.n
@@ -141,7 +149,7 @@ def parse_curve(text: str, spec: ArrangementSpec) -> TropicalCurve:
             fields = part.strip().split(":")
             if len(fields) != 3:
                 raise ValueError(f"malformed curve component {part!r}")
-            i = int(fields[0])
+            i = _integer_field(fields[0], "orbit index")
             if not 1 <= i <= spec.n:
                 raise ValueError(f"orbit index {i} outside [1, {spec.n}]")
             if i in seen:
@@ -150,7 +158,7 @@ def parse_curve(text: str, spec: ArrangementSpec) -> TropicalCurve:
             if fields[1] == "c":
                 spoke: int | None = CENTER
             else:
-                spoke = int(fields[1])
+                spoke = _integer_field(fields[1], "spoke")
             spokes[i - 1] = spoke
             lengths[i - 1] = parse_rational(fields[2])
     curve = TropicalCurve(tuple(spokes), tuple(lengths))

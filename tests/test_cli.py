@@ -265,6 +265,12 @@ def test_normal_complex_argv_fuzz_exits_0_or_2_with_repeatable_output(monkeypatc
     assert main_stdout(argv) == (status, out)
 
 
+def test_check_names_the_origin_at_n_0_for_r_2_too():
+    status, out = main_stdout(["check", "--r", "2", "--n", "0", "--suite", "fan"])
+    assert status == 0
+    assert out.splitlines()[-2] == "PASS [fan] complete for n = 0: the fan is the origin of R^0"
+
+
 @pytest.mark.parametrize("r", ["3", "5"])
 def test_check_passes_at_n_0_for_r_above_2(r):
     # the fan at n = 0 is the origin of R^0, so it is complete for every r
@@ -424,6 +430,17 @@ def test_locate_refuses_underscores_on_every_python(target, text):
     status, out = invoke(["locate", "--r", "3", "--n", "1", *target])
     assert status == 2
     assert out == f"error: {text!r} is not an integer, p/q or plain decimal\n"
+
+
+@pytest.mark.parametrize(
+    "curve,message",
+    [("1:0_1:1", "spoke '0_1'"), ("1_0:0:1", "orbit index '1_0'")],
+    ids=["spoke", "orbit-index"],
+)
+def test_locate_refuses_underscores_in_a_curve_s_integer_fields(curve, message):
+    # int() alone reads digit-group underscores: "0_1" as the spoke 1
+    status, out = invoke(["locate", "--r", "3", "--n", "2", "--curve", curve])
+    assert (status, out) == (2, f"error: {message} is not an integer\n")
 
 
 @pytest.mark.parametrize(

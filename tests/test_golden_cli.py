@@ -48,8 +48,15 @@ once and built ``h_rep`` only when read (the text output and the check
 never read it; the JSON prints every row), and the full ``check`` at
 (120,1) and the ``locate --curve`` at (300,1) before the identity became
 the cached empty prefix of the cones' elimination (at n = 1 every maximal
-cone has one ray, so every cone's state starts from it); any later change that alters
-a byte of these outputs fails here.  The whole corpus runs in-process through
+cone has one ray, so every cone's state starts from it), and the nine
+``check`` runs that include the fan suite, the full ones at (2,2) with
+seed 7, (3,2) with seeds 5 and 11, (2,3) with seeds 5 and 12, (4,2) with
+seed 3 and (120,1) with seed 3 and the ``--suite fan`` ones at (3,3) and
+(2,4) with seed 1, when the completeness line stopped locating 1,000
+sampled points and read the fan's walls (r = 2) or one witness point
+(r > 2) instead; ``test_only_the_completeness_line_changed`` puts back
+the line they printed before and finds those earlier bytes.  Any later
+change that alters a byte of these outputs fails here.  The whole corpus runs in-process through
 ``cli.main`` in a few seconds.  To re-record after an
 intended output change, print ``hashlib.sha256(stdout).hexdigest()`` for each
 command and say why in CHANGES.md.
@@ -96,27 +103,27 @@ GOLDEN = [
     ("normal-complex --r 3 --n 2 --format json", 0, "f6e42f34b48723d95bb92c9b055be68c6f1b5ff3306d3df5de5e80baeaa86598"),
     ("normal-complex --r 3 --n 3 --format json", 0, "d58bc653b3155aa9d94350c70ed60aedeeb05d92f91218df62dfebf7e704e585"),
     ("normal-complex --r 5 --n 1 --format json", 0, "39b221b27906bd59726c3b3a13f27a63a371766be53a1379dd16720ca6417108"),
-    ("check --r 2 --n 2 --seed 7", 0, "310f24ff1feae9a9b3f27a08cf253a3b3cb13cd1ef6511c921dc7565ef24cd3c"),
+    ("check --r 2 --n 2 --seed 7", 0, "938f278634c227d6d7d2ac285ead4aa8465aebab4e49b5f93014f0ba871b4683"),
     ("locate --r 3 --n 2 --curve 1:0:2,2:2:1", 0, "7a9124b53b8c59d4cdc7e34b105f4b180d21aaaa898e95374ada44354dd12d70"),
     ("locate --r 3 --n 2 --point 0,3,0,1", 0, "84026aa11330bb167bdfd30d9aabfc7005f18416caf00c1094aab95085e644e3"),
     ("fan --r 3 --n 3 --via-stellar --format json", 0, "0b62ae802b1c323b2f76f37a3f6aed6e53133351e81ce2ca8b27bed0dc2201e6"),
     ("fan --r 2 --n 4 --via-stellar", 0, "b129809afd2184a031f0d0d5d3a9ffca6cb0b4ae4053e7cdbf63f38110f75fb2"),
-    ("check --r 3 --n 2 --seed 5", 0, "cd5b0acba8a2c603b9c0a4a3305b680cf2da2b3a78b7abc158f2f0168cc53c8e"),
-    ("check --r 2 --n 3 --seed 5", 0, "4fc58a13e9c481f14879e80a1e63648f1a3815c1139bc8ff7a1aadcb03b25882"),
-    ("check --r 3 --n 2 --seed 11", 0, "07585834145dbd9c41b7b2be45a8bd6e48902b1c5664305cc3f9662720df4374"),
-    ("check --r 2 --n 3 --seed 12", 0, "4fc58a13e9c481f14879e80a1e63648f1a3815c1139bc8ff7a1aadcb03b25882"),
+    ("check --r 3 --n 2 --seed 5", 0, "4453cc4638dd709ddf9e6a4a94a4135cdfc30acdcc44b62d59d23d93b1d8c384"),
+    ("check --r 2 --n 3 --seed 5", 0, "b8b9eb79bc9fe2d6706c207ac545d45c384f6f689dbc76e5efc60e3159985444"),
+    ("check --r 3 --n 2 --seed 11", 0, "4453cc4638dd709ddf9e6a4a94a4135cdfc30acdcc44b62d59d23d93b1d8c384"),
+    ("check --r 2 --n 3 --seed 12", 0, "b8b9eb79bc9fe2d6706c207ac545d45c384f6f689dbc76e5efc60e3159985444"),
     ("fan --r 4 --n 3 --format json", 0, "df1a8a5b875058da880dfa3206a1bb99b2dc868b2604290de0498a4254d149ca"),
     ("locate --r 4 --n 3 --point 1,0,0,0,2,0,-1,-1,-1", 0, "3020828e5452ea6de027f8d5a3f48ec0743f6d2b6c56e8e378df8418e2b714e0"),
-    ("check --r 3 --n 3 --suite fan --seed 1", 0, "869ad75cc7075987fc052df1704867491ef20055cde3b34b7404c7914f5a694c"),
+    ("check --r 3 --n 3 --suite fan --seed 1", 0, "33bb787569e3d23145aa476d0781658c8d606e3c5d31f5e1300e116a874d13cb"),
     ("check --r 4 --n 2 --suite tropical --seed 2", 0, "4dbd16917363db8bb9d9fd373910f864d508e7df653cff799d6ec2f8f6440980"),
     ("locate --r 4 --n 3 --curve 1:0:2,2:3:2,3:c:0", 0, "ba52bb937324716b1309d80ca5ec6fe7562a696cec1c049700ef174a56455c6e"),
     ("locate --r 2 --n 4 --point 2,2,0,-1", 0, "b3ad60ace39dc72e3c60f22d169ec6558cbd73b4692cfd9d8ff91418f1f3d6da"),
     ("check --r 3 --n 3 --suite normal --seed 2", 0, "09192c542613eb66059eb03a041c687937a0f0b2fba338dc09697e0195dce7f1"),
     ("locate --r 4 --n 4 --point 1,0,0,0,2,0,-1,-1,-1,0,0,3", 0, "20dd79839446bab032a40d33844d0cffd75e8972f4dc87b74b1b47cd8a483248"),
     ("check --r 4 --n 3 --suite normal --seed 4", 0, "1f8ecd644e31c5d9c3afc1e652703e7ee0fc8e6ae4c322cc55d8e216b991a473"),
-    ("check --r 4 --n 2 --seed 3", 0, "af0dcbbfd0ecb7e3d7de6be6eae3841ef622d1cec046b585dbd5f53e6412d6a2"),
+    ("check --r 4 --n 2 --seed 3", 0, "2cbe7414767463fa574f8f1e6467bfc6075417f6a12f4ca576f3e72291c738c8"),
     ("fan --r 2 --n 4 --format json", 0, "c2e0dafc385ef1bae3abc030349fbd5cd0c2f67759e817797e508d3be861db89"),
-    ("check --r 2 --n 4 --suite fan --seed 1", 0, "78fe6b9d54b965b64b38c3d10f925760025a0790ac14a7a6cf3666fdebd37f79"),
+    ("check --r 2 --n 4 --suite fan --seed 1", 0, "f7e46470ce99d4a8576561ab4e1bd79fdf715a7290c8e4b14cd3fa75318bddf8"),
     ("normal-complex --r 3 --n 2 --union-extremes --format json", 0, "27fc40fd27c8aaca384d7ce0764e6ce3636e233789966ef18430315e5da24ee9"),
     ("normal-complex --r 5 --n 2 --union-extremes --format json", 0, "7a14575aa3d8e04b8f28e68f7a074276b4dda1d24fc1ee76d4cdc2cd0d50613d"),
     ("normal-complex --r 2 --n 1 --union-extremes", 0, "34ed19b42e519541801dfff893ad7499d044feb72012df63a5397423a819e6ef"),
@@ -130,7 +137,7 @@ GOLDEN = [
     ("normal-complex --r 120 --n 1", 0, "a201113ad41c17e60881d0015b337de9a572b44e2c5a2d1a991e955e555aadc5"),
     ("check --r 200 --n 1 --suite normal --seed 3", 0, "510fc29b840b46bf7754a437200464cb8d8cf98529035b08ea829e9aab9a1deb"),
     ("normal-complex --r 40 --n 1 --format json", 0, "63fbab7ab8e5e0b907414b83f1da9e51681384f41e19833ac1c3e7994620b565"),
-    ("check --r 120 --n 1 --seed 3", 0, "d796c34eef4faa2bb1fc3923cbe07e59d6263bccd6d1d7c0fab124ad64d9be43"),
+    ("check --r 120 --n 1 --seed 3", 0, "2b5361cb2fa39dabdca952678fe4d8fc697305bfe1f323aae49c38303ca2fa07"),
     ("locate --r 300 --n 1 --curve 1:0:5/2", 0, "26f38fdaa9bba24d05bfcd8add25e3b176b9ff344b3ecfc6c503fd0cead1ac6e"),
     ("fan --r 1 --n 2", 2, "19a9c3723b7d7f4d89611ed97f66c1f2369ca2ac75bc525df5a199f19f8b3969"),
     ("locate --r 3 --n 2 --point 1,2", 2, "2360e8858d7deb4b2fdfefd665fff621c57c1bcb7cd8a38e1eced897152e29a7"),
@@ -145,3 +152,38 @@ def test_golden_cli_output(monkeypatch, command, status, digest):
         code = main(command.split())
     assert code == status
     assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
+
+
+# The nine digests above that run the fan suite, each with the count its
+# sampled completeness line printed and the digest recorded then.
+SAMPLED_COMPLETENESS = [
+    ("check --r 2 --n 2 --seed 7", "1000/1000", "310f24ff1feae9a9b3f27a08cf253a3b3cb13cd1ef6511c921dc7565ef24cd3c"),
+    ("check --r 3 --n 2 --seed 5", "501/1000", "cd5b0acba8a2c603b9c0a4a3305b680cf2da2b3a78b7abc158f2f0168cc53c8e"),
+    ("check --r 2 --n 3 --seed 5", "1000/1000", "4fc58a13e9c481f14879e80a1e63648f1a3815c1139bc8ff7a1aadcb03b25882"),
+    ("check --r 3 --n 2 --seed 11", "504/1000", "07585834145dbd9c41b7b2be45a8bd6e48902b1c5664305cc3f9662720df4374"),
+    ("check --r 2 --n 3 --seed 12", "1000/1000", "4fc58a13e9c481f14879e80a1e63648f1a3815c1139bc8ff7a1aadcb03b25882"),
+    ("check --r 3 --n 3 --suite fan --seed 1", "500/1000", "869ad75cc7075987fc052df1704867491ef20055cde3b34b7404c7914f5a694c"),
+    ("check --r 4 --n 2 --seed 3", "500/1000", "af0dcbbfd0ecb7e3d7de6be6eae3841ef622d1cec046b585dbd5f53e6412d6a2"),
+    ("check --r 2 --n 4 --suite fan --seed 1", "1000/1000", "78fe6b9d54b965b64b38c3d10f925760025a0790ac14a7a6cf3666fdebd37f79"),
+    ("check --r 120 --n 1 --seed 3", "500/1000", "d796c34eef4faa2bb1fc3923cbe07e59d6263bccd6d1d7c0fab124ad64d9be43"),
+]
+# the exact line's name -> the sampled line's name
+SAMPLED_NAME = {
+    "complete for r = 2: every wall has two maximal cones on opposite sides": "complete for r = 2: all sampled points locate",
+    "not complete for r > 2: e_1^1 + e_1^2 lies in no cone": "not complete for r > 2: some sampled point fails to locate",
+}
+
+
+@pytest.mark.parametrize(
+    "command,located,digest", SAMPLED_COMPLETENESS, ids=[c for c, _, _ in SAMPLED_COMPLETENESS]
+)
+def test_only_the_completeness_line_changed(monkeypatch, command, located, digest):
+    monkeypatch.delenv("CYCLIC_WONDERFUL_MAX_CELLS", raising=False)
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(command.split()) == 0
+    out = buf.getvalue()
+    (line,) = [x for x in out.splitlines() if x.startswith(tuple(f"PASS [fan] {n}" for n in SAMPLED_NAME))]
+    name = line[len("PASS [fan] ") :].split(" (")[0]
+    out = out.replace(line, f"PASS [fan] {SAMPLED_NAME[name]} ({located})")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

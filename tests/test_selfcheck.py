@@ -1,7 +1,8 @@
-"""The intersection law behind ``check``'s fan suite, and the work the fan
-and tropical suites do."""
+"""The intersection law and the wall certificate behind ``check``'s fan
+suite, and the work the fan and tropical suites do."""
 
 import itertools
+import math
 
 import pytest
 
@@ -11,6 +12,7 @@ from cyclic_wonderful.fan import Cone, Fan, build_fan
 from cyclic_wonderful.lattice import (
     ArrangementSpec,
     BuildingSet,
+    Chain,
     chain_intersect,
     enumerate_chains,
     parse_chain,
@@ -22,7 +24,11 @@ from cyclic_wonderful.selfcheck import (
     intersection_law_failures,
     suite_fan,
     suite_tropical,
+    wall_failures,
 )
+
+COMPLETE = "complete for r = 2: every wall has two maximal cones on opposite sides"
+NOT_COMPLETE = "not complete for r > 2: e_1^1 + e_1^2 lies in no cone"
 
 
 def per_pair_law(fan, a, b, contains=None):
@@ -124,7 +130,7 @@ def test_a_failing_lattice_line_counts_its_cones_and_names_the_first(monkeypatch
     law = lines["cone intersection law"]
     failing = sum(face in (a, b, chain_intersect(a, b)) for a, b in law_pairs(flat))
     assert (law.status, law.detail) == ("FAIL", f"289 pairs checked, {failing} failures")
-    assert lines["complete for r = 2: all sampled points locate"].status == "PASS"
+    assert lines[COMPLETE].status == "PASS"
     # a maximal cone that repeats a ray is flat too: the scan, which would
     # eliminate it, is not run, and its line fails
     top = next(c for c in fan.cones if c.length == 2)
@@ -137,7 +143,7 @@ def test_a_failing_lattice_line_counts_its_cones_and_names_the_first(monkeypatch
     assert lines["cone dimension equals chain length"].detail == (
         f"17 cones, 1 of another rank, first {top.text()}"
     )
-    assert lines["complete for r = 2: all sampled points locate"].detail == (
+    assert lines[COMPLETE].detail == (
         f"not run, first flat maximal cone {top.text()}"
     )
     assert [res.status for res in lines.values()] == ["PASS", "PASS", "FAIL", "FAIL", "FAIL", "FAIL", "FAIL"]
@@ -233,3 +239,94 @@ def test_tropical_suite_embeds_each_curve_once(monkeypatch):
     results = suite_tropical(ArrangementSpec(3, 2), seed=5)
     assert [res.status for res in results] == ["PASS"] * 3
     assert len(calls) == 500
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_every_wall_of_the_r_2_fan_passes_and_there_are_n_n_factorial_2_to_the_n_minus_1(n):
+    # each of the n! 2^n maximal cones has n walls, each shared by two
+    assert wall_failures(fan_of(2, n)) == (n * math.factorial(n) * 2 ** (n - 1), [])
+
+
+def fan_suite_line(monkeypatch, fan, name):
+    """The fan suite's line of that name on the given fan, and the exit
+    status of ``check --suite fan`` on it, which prints that line."""
+    monkeypatch.setattr(selfcheck, "build_fan", lambda spec, g: fan)
+    line = {res.name: res for res in suite_fan(fan.spec)}[name]
+    argv = ["check", "--r", str(fan.spec.r), "--n", str(fan.spec.n), "--suite", "fan"]
+    status, out = run(build_parser().parse_args(argv))
+    assert f"{line.status} [fan] {name}" in out
+    return line, status
+
+
+def facets(chain):
+    return {chain.prefixes[:j] + chain.prefixes[j + 1 :] for j in range(len(chain.prefixes))}
+
+
+def with_cone(fan, old, rays):
+    """The fan with the maximal cone ``old`` given these rays, its label kept."""
+    cones = {c: Cone(rays, k.label) if k is old else k for c, k in fan.cones.items()}
+    return Fan.from_cones(fan.spec, fan.rays, cones.items())
+
+
+def test_a_missing_maximal_cone_leaves_its_walls_one_coface(monkeypatch):
+    fan = fan_of(2, 3)
+    gone = [c for c in fan.cones if c.length == 3][20]
+    holed = Fan.from_cones(fan.spec, fan.rays, [(c, k) for c, k in fan.cones.items() if c != gone])
+    walls, failed = wall_failures(holed)
+    assert walls == 72 and set(failed) == facets(gone) and len(failed) == 3
+    line, status = fan_suite_line(monkeypatch, holed, COMPLETE)
+    first = Chain._trusted(failed[0]).text()
+    assert (line.status, line.detail, status) == ("FAIL", f"72 walls, 3 failures, first {first}", 1)
+
+
+def test_a_wall_whose_two_cofaces_lie_on_one_side_fails(monkeypatch):
+    fan = fan_of(2, 2)
+    one = fan.maximal_cones[0]
+    wall = one.label[:1]
+    other = next(c for c in fan.maximal_cones if c is not one and c.label[:1] == wall)
+    # the other coface's extra ray moved to the first coface's side of the
+    # wall, the rays kept a lattice basis; every label is kept, so every
+    # wall still has two cofaces
+    inside = tuple(x + y for x, y in zip(one.rays[0], one.rays[1]))
+    folded = with_cone(fan, other, (other.rays[0], inside))
+    assert wall_failures(fan) == (8, [])
+    walls, failed = wall_failures(folded)
+    assert walls == 8 and wall in failed
+    line, status = fan_suite_line(monkeypatch, folded, COMPLETE)
+    assert (line.status, status) == ("FAIL", 1)
+    assert line.detail.startswith(f"8 walls, {len(failed)} failures, first ")
+
+
+def test_a_second_maximal_cone_over_the_first_one_s_ray_sum_fails(monkeypatch):
+    fan = fan_of(2, 2)
+    one, twin = fan.maximal_cones[0], fan.maximal_cones[5]
+    line, status = fan_suite_line(monkeypatch, with_cone(fan, twin, one.rays), COMPLETE)
+    assert (line.status, status) == ("FAIL", 1)
+    first = Chain._trusted(one.label).text()
+    assert line.detail.endswith(f", the ray sum of {first} lies in 2 maximal cones")
+
+
+def test_a_maximal_cone_through_the_witness_fails_the_r_above_2_line(monkeypatch):
+    fan = fan_of(3, 2)
+    line, status = fan_suite_line(monkeypatch, fan, NOT_COMPLETE)
+    assert (line.status, line.detail, status) == ("PASS", "", 0)
+    cone = fan.maximal_cones[7]
+    # its first ray becomes e_1^1 + e_1^2; the second, with a nonzero
+    # entry in factor 2's block, stays independent of it
+    moved = with_cone(fan, cone, ((1, 1, 0, 0), cone.rays[1]))
+    line, status = fan_suite_line(monkeypatch, moved, NOT_COMPLETE)
+    ray = Chain._trusted(cone.label[:1]).text()
+    assert (line.status, line.detail, status) == ("FAIL", f"it lies in the cone of {ray}", 1)
+
+
+def test_a_wall_of_three_cofaces_fails_though_its_first_two_lie_on_opposite_sides():
+    fan = fan_of(2, 2)
+    one = fan.maximal_cones[0]
+    wall = one.label[:1]
+    other = next(c for c in fan.maximal_cones if c is not one and c.label[:1] == wall)
+    last = fan.maximal_cones[-1]
+    assert last is not other and last.label[:1] != wall
+    # the last maximal chain's cone becomes a third coface of the wall
+    cones = {c: Cone(other.rays, other.label) if k is last else k for c, k in fan.cones.items()}
+    walls, failed = wall_failures(Fan.from_cones(fan.spec, fan.rays, cones.items()))
+    assert walls == 8 and wall in failed
