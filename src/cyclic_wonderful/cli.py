@@ -35,6 +35,16 @@ def _spec(args: argparse.Namespace) -> ArrangementSpec:
     return ArrangementSpec(args.r, args.n)
 
 
+def _ascii_int(text: str) -> int:
+    """``int`` for argparse, refusing the non-ASCII digits ``int`` reads."""
+    if not text.isascii():
+        raise ValueError(text)
+    return int(text)
+
+
+_ascii_int.__name__ = "int"  # argparse names it in "invalid int value"
+
+
 def _parse_point(text: str, spec: ArrangementSpec) -> tuple[Fraction, ...]:
     # an empty text is the one point of R^0, the ambient space at n = 0
     parts = text.split(",") if text.strip() else []
@@ -246,8 +256,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--r", type=int, required=True, help="points per factor, r >= 2")
-        p.add_argument("--n", type=int, required=True, help="number of factors, n >= 0")
+        p.add_argument("--r", type=_ascii_int, required=True, help="points per factor, r >= 2")
+        p.add_argument("--n", type=_ascii_int, required=True, help="number of factors, n >= 0")
         p.add_argument("--out", default=None, help="write output to this file")
 
     p_fan = sub.add_parser("fan", help="emit the nested-set fan")
@@ -279,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="run the verification suites")
     common(p_check)
-    p_check.add_argument("--seed", type=int, default=0, help="sampling seed")
+    p_check.add_argument("--seed", type=_ascii_int, default=0, help="sampling seed")
     p_check.add_argument("--suite", choices=["all", *SUITES], default="all")
 
     return parser

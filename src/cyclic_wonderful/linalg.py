@@ -349,9 +349,10 @@ def scaled_point(point: Vector, dim: int) -> tuple[tuple[int, ...], int]:
 def parse_rational(text: str) -> Fraction:
     """An integer, ``p/q`` or plain decimal; exponent notation (``1e10000000``
     is ten million digits), digit-group underscores (``Fraction`` reads
-    ``1_000`` from Python 3.11 on, not before) and a zero denominator raise
-    ValueError."""
-    if "e" in text.lower() or "_" in text:
+    ``1_000`` from Python 3.11 on, not before), non-ASCII text (``Fraction``
+    reads any Unicode decimal digit, ``١`` as 1) and a zero denominator
+    raise ValueError."""
+    if "e" in text.lower() or "_" in text or not text.isascii():
         raise ValueError(f"{text!r} is not an integer, p/q or plain decimal")
     try:
         return Fraction(text)

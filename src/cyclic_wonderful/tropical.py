@@ -125,7 +125,7 @@ def curve_from_point(
 
 
 def _integer_field(text: str, field: str) -> int:
-    if "_" in text:
+    if "_" in text or not text.isascii():
         raise ValueError(f"{field} {text!r} is not an integer")
     return int(text)
 
@@ -137,8 +137,9 @@ def parse_curve(text: str, spec: ArrangementSpec) -> TropicalCurve:
     the center and requires length zero.  Lengths are integers, ``p/q``
     fractions or plain decimals (``linalg.parse_rational``).
     An orbit index may appear at most once.  The orbit index and the spoke
-    refuse digit-group underscores, which ``int`` would read (``0_1`` as 1),
-    as ``parse_rational`` refuses them in a length.
+    refuse digit-group underscores and non-ASCII digits, which ``int`` would
+    read (``0_1`` and ``١`` as 1), as ``parse_rational`` refuses them in a
+    length.
     """
     spokes: list[int | None] = [CENTER] * spec.n
     lengths: list[Fraction] = [Fraction(0)] * spec.n

@@ -103,15 +103,10 @@ def test_criterion_4_cone_intersection_law():
         chains = list(enumerate_chains(spec, n))
         for a, b in itertools.product(chains, repeat=2):
             assert intersection_law_failures(fan, [(a, b)]) == [], (r, n, a.text(), b.text())
-    spec23 = ArrangementSpec(2, 3)
-    fan23 = _fan(2, 3)
-    chains23 = list(enumerate_chains(spec23, 3))
-    rng = Lcg(0)
-    for _ in range(1000):
-        a = chains23[rng.below(len(chains23))]
-        b = chains23[rng.below(len(chains23))]
-        assert intersection_law_failures(fan23, [(a, b)]) == [], (a.text(), b.text())
-    _report(4, "intersection law exhaustive at (2,2), (3,2); 1000 random pairs at (2,3)")
+    # all 21,609 pairs at (2,3) in one call, which shares the cones' tests
+    chains23 = list(enumerate_chains(ArrangementSpec(2, 3), 3))
+    assert intersection_law_failures(_fan(2, 3), itertools.product(chains23, repeat=2)) == []
+    _report(4, "intersection law exhaustive at (2,2), (3,2), (2,3)")
 
 
 def test_criterion_5_smoothness():

@@ -444,6 +444,37 @@ def test_locate_refuses_underscores_in_a_curve_s_integer_fields(curve, message):
 
 
 @pytest.mark.parametrize(
+    "option,text", [("--r", "٢"), ("--n", "٢"), ("--seed", "٣"), ("--n", "２")], ids=["r", "n", "seed", "fullwidth-n"]
+)
+def test_number_options_refuse_non_ascii_digits(capsys, option, text):
+    # int() reads every Unicode decimal digit: '٢' (Arabic-Indic) as 2
+    argv = {"--r": "2", "--n": "2", "--seed": "0", option: text}
+    assert main(["check", *itertools.chain(*argv.items())]) == 2
+    assert capsys.readouterr().err.endswith(f"error: argument {option}: invalid int value: {text!r}\n")
+
+
+@pytest.mark.parametrize(
+    "curve,message",
+    [("١:0:1", "orbit index '١'"), ("1:١:1", "spoke '١'")],
+    ids=["orbit-index", "spoke"],
+)
+def test_locate_refuses_non_ascii_digits_in_a_curve_s_integer_fields(curve, message):
+    status, out = invoke(["locate", "--r", "3", "--n", "2", "--curve", curve])
+    assert (status, out) == (2, f"error: {message} is not an integer\n")
+
+
+@pytest.mark.parametrize(
+    "target,text",
+    [(["--point", "١,0,0,0"], "١"), (["--curve", "1:0:١"], "١"), (["--point", "1/٢,0,0,0"], "1/٢")],
+    ids=["point", "curve", "denominator"],
+)
+def test_locate_refuses_non_ascii_digits_in_a_rational(target, text):
+    # Fraction reads them too: the point printed as (1,0,0,0) and exited 0
+    status, out = invoke(["locate", "--r", "3", "--n", "2", *target])
+    assert (status, out) == (2, f"error: {text!r} is not an integer, p/q or plain decimal\n")
+
+
+@pytest.mark.parametrize(
     "target", [["--point", "1.5, -1/2"], ["--curve", "1:1:1.5,2:0:1/2"]], ids=["point", "curve"]
 )
 def test_locate_reads_decimals_and_fractions(target):

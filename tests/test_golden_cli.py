@@ -55,7 +55,13 @@ seed 3 and (120,1) with seed 3 and the ``--suite fan`` ones at (3,3) and
 (2,4) with seed 1, when the completeness line stopped locating 1,000
 sampled points and read the fan's walls (r = 2) or one witness point
 (r > 2) instead; ``test_only_the_completeness_line_changed`` puts back
-the line they printed before and finds those earlier bytes.  Any later
+the line they printed before and finds those earlier bytes, and four of
+them again, the full ``check`` at (2,2) with seed 7 and at (2,3) with
+seeds 5 and 12 and the ``--suite fan`` at (2,4) with seed 1, when the
+fan suite stopped checking the intersection law at r = 2, n >= 1, where
+the wall certificate decides it; ``test_only_the_law_line_left_at_r_2``
+puts back the law line, the old completeness name and the old summary
+counts and finds the bytes printed before.  Any later
 change that alters a byte of these outputs fails here.  The whole corpus runs in-process through
 ``cli.main`` in a few seconds.  To re-record after an
 intended output change, print ``hashlib.sha256(stdout).hexdigest()`` for each
@@ -103,15 +109,15 @@ GOLDEN = [
     ("normal-complex --r 3 --n 2 --format json", 0, "f6e42f34b48723d95bb92c9b055be68c6f1b5ff3306d3df5de5e80baeaa86598"),
     ("normal-complex --r 3 --n 3 --format json", 0, "d58bc653b3155aa9d94350c70ed60aedeeb05d92f91218df62dfebf7e704e585"),
     ("normal-complex --r 5 --n 1 --format json", 0, "39b221b27906bd59726c3b3a13f27a63a371766be53a1379dd16720ca6417108"),
-    ("check --r 2 --n 2 --seed 7", 0, "938f278634c227d6d7d2ac285ead4aa8465aebab4e49b5f93014f0ba871b4683"),
+    ("check --r 2 --n 2 --seed 7", 0, "08e152294473da134a9adac4efede35388fe4e6af5f3f5d74fdaaacbe94cab68"),
     ("locate --r 3 --n 2 --curve 1:0:2,2:2:1", 0, "7a9124b53b8c59d4cdc7e34b105f4b180d21aaaa898e95374ada44354dd12d70"),
     ("locate --r 3 --n 2 --point 0,3,0,1", 0, "84026aa11330bb167bdfd30d9aabfc7005f18416caf00c1094aab95085e644e3"),
     ("fan --r 3 --n 3 --via-stellar --format json", 0, "0b62ae802b1c323b2f76f37a3f6aed6e53133351e81ce2ca8b27bed0dc2201e6"),
     ("fan --r 2 --n 4 --via-stellar", 0, "b129809afd2184a031f0d0d5d3a9ffca6cb0b4ae4053e7cdbf63f38110f75fb2"),
     ("check --r 3 --n 2 --seed 5", 0, "4453cc4638dd709ddf9e6a4a94a4135cdfc30acdcc44b62d59d23d93b1d8c384"),
-    ("check --r 2 --n 3 --seed 5", 0, "b8b9eb79bc9fe2d6706c207ac545d45c384f6f689dbc76e5efc60e3159985444"),
+    ("check --r 2 --n 3 --seed 5", 0, "c6c1d0a12d39ada32e7c2b317559eb8cbfe7443a6d21025429eded23bf4f40b7"),
     ("check --r 3 --n 2 --seed 11", 0, "4453cc4638dd709ddf9e6a4a94a4135cdfc30acdcc44b62d59d23d93b1d8c384"),
-    ("check --r 2 --n 3 --seed 12", 0, "b8b9eb79bc9fe2d6706c207ac545d45c384f6f689dbc76e5efc60e3159985444"),
+    ("check --r 2 --n 3 --seed 12", 0, "c6c1d0a12d39ada32e7c2b317559eb8cbfe7443a6d21025429eded23bf4f40b7"),
     ("fan --r 4 --n 3 --format json", 0, "df1a8a5b875058da880dfa3206a1bb99b2dc868b2604290de0498a4254d149ca"),
     ("locate --r 4 --n 3 --point 1,0,0,0,2,0,-1,-1,-1", 0, "3020828e5452ea6de027f8d5a3f48ec0743f6d2b6c56e8e378df8418e2b714e0"),
     ("check --r 3 --n 3 --suite fan --seed 1", 0, "33bb787569e3d23145aa476d0781658c8d606e3c5d31f5e1300e116a874d13cb"),
@@ -123,7 +129,7 @@ GOLDEN = [
     ("check --r 4 --n 3 --suite normal --seed 4", 0, "1f8ecd644e31c5d9c3afc1e652703e7ee0fc8e6ae4c322cc55d8e216b991a473"),
     ("check --r 4 --n 2 --seed 3", 0, "2cbe7414767463fa574f8f1e6467bfc6075417f6a12f4ca576f3e72291c738c8"),
     ("fan --r 2 --n 4 --format json", 0, "c2e0dafc385ef1bae3abc030349fbd5cd0c2f67759e817797e508d3be861db89"),
-    ("check --r 2 --n 4 --suite fan --seed 1", 0, "f7e46470ce99d4a8576561ab4e1bd79fdf715a7290c8e4b14cd3fa75318bddf8"),
+    ("check --r 2 --n 4 --suite fan --seed 1", 0, "cd382831b4712c7ada41e02c42220bd3af6ba7b1252d9f2d7f25c1bbdc0398ed"),
     ("normal-complex --r 3 --n 2 --union-extremes --format json", 0, "27fc40fd27c8aaca384d7ce0764e6ce3636e233789966ef18430315e5da24ee9"),
     ("normal-complex --r 5 --n 2 --union-extremes --format json", 0, "7a14575aa3d8e04b8f28e68f7a074276b4dda1d24fc1ee76d4cdc2cd0d50613d"),
     ("normal-complex --r 2 --n 1 --union-extremes", 0, "34ed19b42e519541801dfff893ad7499d044feb72012df63a5397423a819e6ef"),
@@ -154,6 +160,48 @@ def test_golden_cli_output(monkeypatch, command, status, digest):
     assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
 
 
+# The four digests above whose fan suite runs at r = 2 with n >= 1, each
+# with the pair count its intersection-law line printed and the digest
+# recorded then.
+LAW_AT_R_2 = {
+    "check --r 2 --n 2 --seed 7": (289, "938f278634c227d6d7d2ac285ead4aa8465aebab4e49b5f93014f0ba871b4683"),
+    "check --r 2 --n 3 --seed 5": (1000, "b8b9eb79bc9fe2d6706c207ac545d45c384f6f689dbc76e5efc60e3159985444"),
+    "check --r 2 --n 3 --seed 12": (1000, "b8b9eb79bc9fe2d6706c207ac545d45c384f6f689dbc76e5efc60e3159985444"),
+    "check --r 2 --n 4 --suite fan --seed 1": (1000, "f7e46470ce99d4a8576561ab4e1bd79fdf715a7290c8e4b14cd3fa75318bddf8"),
+}
+
+
+def with_the_law_line(out, pairs):
+    """The output as printed while the law still ran at r = 2: its line
+    after the stellar line, the completeness line's old name and one more
+    check in the summary."""
+    stellar = "PASS [fan] stellar route equals direct route\n"
+    assert out.count(stellar) == 1
+    law = f"PASS [fan] cone intersection law ({pairs} pairs checked, 0 failures)\n"
+    out = out.replace(stellar, stellar + law)
+    out = out.replace("complete for r = 2, cones meeting in common faces:", "complete for r = 2:")
+    head, summary = out[:-1].rsplit("\n", 1)
+    passed, total, rest = summary.replace("/", " ", 1).split(" ", 2)
+    assert passed == total
+    return f"{head}\n{int(passed) + 1}/{int(total) + 1} {rest}\n"
+
+
+def run_golden(monkeypatch, command):
+    monkeypatch.delenv("CYCLIC_WONDERFUL_MAX_CELLS", raising=False)
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(command.split()) == 0
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("command", LAW_AT_R_2)
+def test_only_the_law_line_left_at_r_2(monkeypatch, command):
+    out = run_golden(monkeypatch, command)
+    assert "intersection law" not in out
+    pairs, digest = LAW_AT_R_2[command]
+    assert hashlib.sha256(with_the_law_line(out, pairs).encode()).hexdigest() == digest
+
+
 # The nine digests above that run the fan suite, each with the count its
 # sampled completeness line printed and the digest recorded then.
 SAMPLED_COMPLETENESS = [
@@ -178,11 +226,9 @@ SAMPLED_NAME = {
     "command,located,digest", SAMPLED_COMPLETENESS, ids=[c for c, _, _ in SAMPLED_COMPLETENESS]
 )
 def test_only_the_completeness_line_changed(monkeypatch, command, located, digest):
-    monkeypatch.delenv("CYCLIC_WONDERFUL_MAX_CELLS", raising=False)
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        assert main(command.split()) == 0
-    out = buf.getvalue()
+    out = run_golden(monkeypatch, command)
+    if command in LAW_AT_R_2:
+        out = with_the_law_line(out, LAW_AT_R_2[command][0])
     (line,) = [x for x in out.splitlines() if x.startswith(tuple(f"PASS [fan] {n}" for n in SAMPLED_NAME))]
     name = line[len("PASS [fan] ") :].split(" (")[0]
     out = out.replace(line, f"PASS [fan] {SAMPLED_NAME[name]} ({located})")

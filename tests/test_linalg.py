@@ -383,6 +383,13 @@ def test_parse_rational_refuses_underscores_on_every_python(text):
         parse_rational(text)
 
 
+@pytest.mark.parametrize("text", ["١", "1/٢", "٠.5", "1\u2003"])
+def test_parse_rational_refuses_non_ascii_text(text):
+    # Fraction reads any Unicode decimal digit and strips Unicode spaces
+    with pytest.raises(ValueError, match="is not an integer, p/q or plain decimal"):
+        parse_rational(text)
+
+
 # --- the integer phase-1 simplex and hull extremes ----------------------------
 
 

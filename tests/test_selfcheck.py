@@ -27,7 +27,7 @@ from cyclic_wonderful.selfcheck import (
     wall_failures,
 )
 
-COMPLETE = "complete for r = 2: every wall has two maximal cones on opposite sides"
+COMPLETE = "complete for r = 2, cones meeting in common faces: every wall has two maximal cones on opposite sides"
 NOT_COMPLETE = "not complete for r > 2: e_1^1 + e_1^2 lies in no cone"
 
 
@@ -116,23 +116,30 @@ def test_a_failing_lattice_line_counts_its_cones_and_names_the_first(monkeypatch
         f"8 cones, 1 not unimodular, first {chain.text()}",
     )
     assert lines["cone dimension equals chain length"].status == "PASS"
-    # a face whose ray is zero has rank 0: every line still prints, and the
-    # intersection law, which would eliminate that cone, fails its pairs
+    assert fan_suite_line(monkeypatch, broken, "maximal cones unimodular")[1] == 1
+    # a face whose ray is zero has rank 0: every line still prints
     fan = fan_of(2, 2)
+    flat = flat_face(fan)
     face = next(c for c in fan.cones if c.length == 1)
-    cones = {**fan.cones, face: Cone(((0, 0),), face.prefixes)}
-    flat = Fan.from_cones(spec, fan.rays, cones.items())
-    monkeypatch.setattr(selfcheck, "build_fan", lambda spec, g: flat)
+    line, status = fan_suite_line(monkeypatch, flat, "cone dimension equals chain length")
+    assert (line.status, line.detail, status) == ("FAIL", f"17 cones, 1 of another rank, first {face.text()}", 1)
     lines = {res.name: res for res in suite_fan(spec)}
     assert list(lines) == list(passing)
-    rank = lines["cone dimension equals chain length"]
-    assert (rank.status, rank.detail) == ("FAIL", f"17 cones, 1 of another rank, first {face.text()}")
+    assert lines[COMPLETE].status == "PASS"
+    # at (3, 2), where the law still runs, the law, which would eliminate
+    # that cone, fails its pairs
+    flat = flat_face(fan_of(3, 2))
+    monkeypatch.setattr(selfcheck, "build_fan", lambda spec, g: flat)
+    lines = {res.name: res for res in suite_fan(flat.spec)}
+    face = next(c for c in flat.cones if c.length == 1)
+    assert lines["cone dimension equals chain length"].status == "FAIL"
     law = lines["cone intersection law"]
     failing = sum(face in (a, b, chain_intersect(a, b)) for a, b in law_pairs(flat))
-    assert (law.status, law.detail) == ("FAIL", f"289 pairs checked, {failing} failures")
-    assert lines[COMPLETE].status == "PASS"
+    assert (law.status, law.detail) == ("FAIL", f"1156 pairs checked, {failing} failures")
+    assert lines[NOT_COMPLETE].status == "PASS"
     # a maximal cone that repeats a ray is flat too: the scan, which would
     # eliminate it, is not run, and its line fails
+    fan = fan_of(2, 2)
     top = next(c for c in fan.cones if c.length == 2)
     ray = fan.cones[top].rays[0]
     cones = {**fan.cones, top: Cone((ray, ray), top.prefixes)}
@@ -146,10 +153,62 @@ def test_a_failing_lattice_line_counts_its_cones_and_names_the_first(monkeypatch
     assert lines[COMPLETE].detail == (
         f"not run, first flat maximal cone {top.text()}"
     )
-    assert [res.status for res in lines.values()] == ["PASS", "PASS", "FAIL", "FAIL", "FAIL", "FAIL", "FAIL"]
+    assert [res.status for res in lines.values()] == ["PASS", "PASS", "FAIL", "FAIL", "FAIL", "FAIL"]
     status, out = run(build_parser().parse_args(["check", "--r", "2", "--n", "2", "--suite", "fan"]))
     assert status == 1
-    assert out.count("FAIL [fan]") == 5 and out.endswith("2/7 checks passed for r=2, n=2\n")
+    assert out.count("FAIL [fan]") == 4 and out.endswith("2/6 checks passed for r=2, n=2\n")
+
+
+def flat_face(fan):
+    """The fan with its first one-ray face given the zero ray."""
+    face = next(c for c in fan.cones if c.length == 1)
+    zero = (0,) * fan.spec.ambient_dim
+    return Fan.from_cones(fan.spec, fan.rays, {**fan.cones, face: Cone((zero,), face.prefixes)}.items())
+
+
+@pytest.mark.parametrize("n,pairs", [(1, 9), (2, 289), (3, 21609)])
+def test_the_law_holds_on_every_pair_of_cones_at_r_2(n, pairs):
+    # the cross-check of the wall certificate, which decides the law in
+    # ``check`` at r = 2
+    fan = fan_of(2, n)
+    chains = list(enumerate_chains(fan.spec, n))
+    assert len(chains) ** 2 == pairs
+    assert intersection_law_failures(fan, itertools.product(chains, chains)) == []
+
+
+def test_the_law_line_runs_only_where_no_wall_certificate_runs(monkeypatch):
+    for r, n in [(2, 0), (3, 0), (3, 1), (3, 2), (4, 2)]:
+        assert "cone intersection law" in [res.name for res in suite_fan(ArrangementSpec(r, n))]
+    # at r = 2, n >= 1 the fan suite draws no random number
+    monkeypatch.setattr(selfcheck, "Lcg", None)
+    for n in (1, 2, 3, 4):
+        names = [res.name for res in suite_fan(ArrangementSpec(2, n), seed=n)]
+        assert names == [
+            "ray count (1+r)^n - 1",
+            "maximal cone count n! r^n",
+            "stellar route equals direct route",
+            "maximal cones unimodular",
+            "cone dimension equals chain length",
+            COMPLETE,
+        ]
+    outputs = {run(build_parser().parse_args(f"check --r 2 --n 3 --suite fan --seed {seed}".split())) for seed in (0, 12)}
+    assert len(outputs) == 1 and next(iter(outputs))[0] == 0
+
+
+def test_a_face_given_a_wrong_independent_ray_fails_the_stellar_line_alone(monkeypatch):
+    fan = fan_of(2, 2)
+    face = parse_chain("{1:0}", fan.spec)
+    assert fan.cones[face].rays == ((-1, 0),)
+    # (0, 1) is the ray of {2:1}: rank and lattice lines still pass, and
+    # only the comparison of ray sets with the stellar route sees the face
+    moved = Fan.from_cones(fan.spec, fan.rays, {**fan.cones, face: Cone(((0, 1),), face.prefixes)}.items())
+    monkeypatch.setattr(selfcheck, "build_fan", lambda spec, g: moved)
+    status, out = run(build_parser().parse_args(["check", "--r", "2", "--n", "2", "--suite", "fan"]))
+    assert status == 1
+    assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
+        "FAIL [fan] stellar route equals direct route"
+    ]
+    assert out.endswith("5/6 checks passed for r=2, n=2\n")
 
 
 def test_a_meet_cone_with_a_ray_outside_both_cones_fails_by_its_rays():
@@ -319,7 +378,7 @@ def test_a_maximal_cone_through_the_witness_fails_the_r_above_2_line(monkeypatch
     assert (line.status, line.detail, status) == ("FAIL", f"it lies in the cone of {ray}", 1)
 
 
-def test_a_wall_of_three_cofaces_fails_though_its_first_two_lie_on_opposite_sides():
+def test_a_wall_of_three_cofaces_fails_though_its_first_two_lie_on_opposite_sides(monkeypatch):
     fan = fan_of(2, 2)
     one = fan.maximal_cones[0]
     wall = one.label[:1]
@@ -328,5 +387,8 @@ def test_a_wall_of_three_cofaces_fails_though_its_first_two_lie_on_opposite_side
     assert last is not other and last.label[:1] != wall
     # the last maximal chain's cone becomes a third coface of the wall
     cones = {c: Cone(other.rays, other.label) if k is last else k for c, k in fan.cones.items()}
-    walls, failed = wall_failures(Fan.from_cones(fan.spec, fan.rays, cones.items()))
+    crowded = Fan.from_cones(fan.spec, fan.rays, cones.items())
+    walls, failed = wall_failures(crowded)
     assert walls == 8 and wall in failed
+    line, status = fan_suite_line(monkeypatch, crowded, COMPLETE)
+    assert (line.status, status) == ("FAIL", 1)
