@@ -36,10 +36,9 @@ def _spec(args: argparse.Namespace) -> ArrangementSpec:
 
 
 def _ascii_int(text: str) -> int:
-    """``int`` for argparse, refusing the non-ASCII digits ``int`` reads."""
-    if not text.isascii():
-        raise ValueError(text)
-    return int(text)
+    """``int`` for argparse by the rule of a curve's integer fields: digit-group
+    underscores and non-ASCII digits, which ``int`` reads, are refused."""
+    return tropical._integer_field(text, "number")
 
 
 _ascii_int.__name__ = "int"  # argparse names it in "invalid int value"

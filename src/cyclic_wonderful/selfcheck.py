@@ -38,13 +38,17 @@ therefore triangulate R^n: two of them meet in the cone of their common
 rays, the rays of their chains' common prefixes, which is what the law
 asks of cone(a) ∩ cone(b) = cone(a ∧ b).  A face is the cone of some of
 its maximal cone's rays, so pairs of faces meet in common faces too, once
-each face has the rays its label names.  The argument has two conditions
-besides the wall line.  The rank line must pass, so that every cone is
-simplicial of its chain's length.  And ``fans_equal`` must stay a
-comparison of every cone's set of rays with the stellar route's: at
-r = 2 it is the only line that checks a face's rays (a face given a wrong
-but independent ray fails that line alone), so a comparison of labels
-alone would leave the faces unchecked.
+each face has the rays its label names.  The argument has three
+conditions besides the wall line, and the fan suite checks each.  Every
+cone is the cone of its chain: its label is the chain's prefixes and its
+rays are those prefixes' rays in the fan's ray table, in order.  The
+stellar line checks this for every cone, faces included; without it two
+faces that swapped cones would keep every set of rays and pass every
+other line.  The rank line must pass, so that every cone is simplicial of
+its chain's length.  And ``fans_equal`` must stay a comparison of every
+cone's set of rays with the stellar route's, which subdivides the product
+fan and never enumerates chains: at r = 2 it is the only line that checks
+the ray sets themselves against an independent route.
 """
 
 from __future__ import annotations
@@ -219,9 +223,10 @@ def wall_failures(fan: Fan) -> tuple[int, list[tuple[DecoratedSubset, ...]]]:
 
 
 def suite_fan(spec: ArrangementSpec, seed: int = 0) -> list[CheckResult]:
-    """The fan's counts, its two routes, the intersection law (at r > 2 and
-    n = 0 only), the lattice lines and completeness (see the module
-    docstring for the wall argument, which at r = 2 also gives the law).
+    """The fan's counts, its two routes (every cone tied to its chain), the
+    intersection law (at r > 2 and n = 0 only), the lattice lines and
+    completeness (see the module docstring for the wall argument, which at
+    r = 2 also gives the law).
     """
     try:
         check_fan_spec(spec)  # before the building set is enumerated
@@ -249,7 +254,24 @@ def suite_fan(spec: ArrangementSpec, seed: int = 0) -> list[CheckResult]:
     )
     # the stellar builder runs the same fan guard, which passed above
     stellar = build_fan_stellar(spec, g)
-    out.append(_result("fan", "stellar route equals direct route", fans_equal(fan, stellar)))
+    # fans_equal compares sets of ray sets; the line also ties every cone to
+    # its chain: the label is the chain's prefixes, the rays are theirs
+    ray = fan.rays.__getitem__
+    astray = [
+        chain
+        for chain, cone in fan.cones.items()
+        if cone.label != chain.prefixes or cone.rays != tuple(map(ray, chain.prefixes))
+    ]
+    out.append(
+        _result(
+            "fan",
+            "stellar route equals direct route",
+            fans_equal(fan, stellar) and not astray,
+            f"{len(fan.cones)} cones, {len(astray)} not on their chain's rays, first {astray[0].text()}"
+            if astray
+            else "",
+        )
+    )
     # at r = 2, n >= 1 the completeness line's wall certificate decides the
     # law (see the module docstring)
     if spec.r != 2 or spec.n == 0:

@@ -444,10 +444,13 @@ def test_locate_refuses_underscores_in_a_curve_s_integer_fields(curve, message):
 
 
 @pytest.mark.parametrize(
-    "option,text", [("--r", "٢"), ("--n", "٢"), ("--seed", "٣"), ("--n", "２")], ids=["r", "n", "seed", "fullwidth-n"]
+    "option,text",
+    [("--r", "٢"), ("--n", "٢"), ("--seed", "٣"), ("--n", "２"), ("--r", "1_0"), ("--seed", "1_2")],
+    ids=["r", "n", "seed", "fullwidth-n", "r-underscore", "seed-underscore"],
 )
-def test_number_options_refuse_non_ascii_digits(capsys, option, text):
-    # int() reads every Unicode decimal digit: '٢' (Arabic-Indic) as 2
+def test_number_options_refuse_underscores_and_non_ascii_digits(capsys, option, text):
+    # int() reads every Unicode decimal digit, '٢' (Arabic-Indic) as 2, and
+    # digit-group underscores, '1_0' as 10, as a curve's integer fields do not
     argv = {"--r": "2", "--n": "2", "--seed": "0", option: text}
     assert main(["check", *itertools.chain(*argv.items())]) == 2
     assert capsys.readouterr().err.endswith(f"error: argument {option}: invalid int value: {text!r}\n")

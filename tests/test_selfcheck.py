@@ -8,7 +8,7 @@ import pytest
 
 from cyclic_wonderful import selfcheck, tropical
 from cyclic_wonderful.cli import build_parser, run
-from cyclic_wonderful.fan import Cone, Fan, build_fan
+from cyclic_wonderful.fan import Cone, Fan, build_fan, fans_equal
 from cyclic_wonderful.lattice import (
     ArrangementSpec,
     BuildingSet,
@@ -200,15 +200,41 @@ def test_a_face_given_a_wrong_independent_ray_fails_the_stellar_line_alone(monke
     face = parse_chain("{1:0}", fan.spec)
     assert fan.cones[face].rays == ((-1, 0),)
     # (0, 1) is the ray of {2:1}: rank and lattice lines still pass, and
-    # only the comparison of ray sets with the stellar route sees the face
+    # only the stellar line sees the face, by its ray sets and its chain
     moved = Fan.from_cones(fan.spec, fan.rays, {**fan.cones, face: Cone(((0, 1),), face.prefixes)}.items())
+    assert not fans_equal(moved, fan)
     monkeypatch.setattr(selfcheck, "build_fan", lambda spec, g: moved)
     status, out = run(build_parser().parse_args(["check", "--r", "2", "--n", "2", "--suite", "fan"]))
     assert status == 1
     assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
-        "FAIL [fan] stellar route equals direct route"
+        "FAIL [fan] stellar route equals direct route (17 cones, 1 not on their chain's rays, first {1:0})"
     ]
     assert out.endswith("5/6 checks passed for r=2, n=2\n")
+
+
+def test_two_faces_that_swap_cones_fail_the_stellar_line(monkeypatch):
+    fan = fan_of(2, 2)
+    one, two = parse_chain("{1:0}", fan.spec), parse_chain("{2:1}", fan.spec)
+    assert (fan.cones[one].rays, fan.cones[two].rays) == (((-1, 0),), ((0, 1),))
+    # every set of rays is kept, so fans_equal, the rank, lattice and wall
+    # lines pass; only the tie of each cone to its chain sees the swap
+    swapped = Fan.from_cones(fan.spec, fan.rays, {**fan.cones, one: fan.cones[two], two: fan.cones[one]}.items())
+    assert fans_equal(swapped, fan)
+    monkeypatch.setattr(selfcheck, "build_fan", lambda spec, g: swapped)
+    status, out = run(build_parser().parse_args(["check", "--r", "2", "--n", "2", "--suite", "fan"]))
+    assert status == 1
+    assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
+        "FAIL [fan] stellar route equals direct route (17 cones, 2 not on their chain's rays, first {1:0})"
+    ]
+    assert out.endswith("5/6 checks passed for r=2, n=2\n")
+    # the same faces given each other's rays under their own labels
+    relabelled = Fan.from_cones(
+        fan.spec,
+        fan.rays,
+        {**fan.cones, one: Cone(fan.cones[two].rays, one.prefixes), two: Cone(fan.cones[one].rays, two.prefixes)}.items(),
+    )
+    line, status = fan_suite_line(monkeypatch, relabelled, "stellar route equals direct route")
+    assert (line.status, line.detail, status) == ("FAIL", "17 cones, 2 not on their chain's rays, first {1:0}", 1)
 
 
 def test_a_meet_cone_with_a_ray_outside_both_cones_fails_by_its_rays():
