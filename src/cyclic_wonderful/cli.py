@@ -24,7 +24,7 @@ from . import chow, normal_complex, tropical
 from .fan import build_fan, build_fan_stellar, in_relative_interior
 from .guards import FeasibilityError, check_fan_spec
 from .lattice import ArrangementSpec, BuildingSet
-from .linalg import parse_rational
+from .linalg import _integer_field, parse_rational
 from .selfcheck import SUITES, run_suites
 from .serialize import fan_to_dict
 
@@ -36,9 +36,8 @@ def _spec(args: argparse.Namespace) -> ArrangementSpec:
 
 
 def _ascii_int(text: str) -> int:
-    """``int`` for argparse by the rule of a curve's integer fields: digit-group
-    underscores and non-ASCII digits, which ``int`` reads, are refused."""
-    return tropical._integer_field(text, "number")
+    """``int`` for argparse by the one integer rule, ``_integer_field``'s."""
+    return _integer_field(text, "number")
 
 
 _ascii_int.__name__ = "int"  # argparse names it in "invalid int value"

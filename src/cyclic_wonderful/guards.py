@@ -2,8 +2,8 @@
 
 The guards keep desk-scale commands from accidentally requesting exponential
 work.  Setting the environment variable ``CYCLIC_WONDERFUL_MAX_CELLS`` to an
-integer >= 0 replaces every default bound with that value, ``0`` included
-(expert use); any other value is refused with a ``FeasibilityError``.
+integer >= 0 in ASCII digits replaces every default bound with that value,
+``0`` included (expert use); any other value (``1_000``) is a ``FeasibilityError``.
 
 A spec's sizes reach the guards capped at ``COUNT_CAP + 1`` (see
 ``ArrangementSpec.num_subsets_upto``): a refusal never computes ``(1+r)^n``
@@ -16,6 +16,7 @@ from __future__ import annotations
 import os
 
 from .lattice import ArrangementSpec
+from .linalg import _integer_field
 
 ENV_OVERRIDE = "CYCLIC_WONDERFUL_MAX_CELLS"
 
@@ -36,7 +37,7 @@ def _bound(default: int) -> int:
     if raw is None:
         return default
     try:
-        value = int(raw)
+        value = _integer_field(raw, ENV_OVERRIDE)
     except ValueError:
         value = None
     if value is None or value < 0:

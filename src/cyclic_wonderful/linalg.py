@@ -346,6 +346,15 @@ def scaled_point(point: Vector, dim: int) -> tuple[tuple[int, ...], int]:
     return tuple([a * (scale // d) for a, d in ratios]), scale
 
 
+def _integer_field(text: str, field: str) -> int:
+    """``int`` of text from outside the program, refusing digit-group
+    underscores and non-ASCII digits, which ``int`` reads (``0_1`` and
+    ``١`` as 1); ``field`` names the text in the ValueError."""
+    if "_" in text or not text.isascii():
+        raise ValueError(f"{field} {text!r} is not an integer")
+    return int(text)
+
+
 def parse_rational(text: str) -> Fraction:
     """An integer, ``p/q`` or plain decimal; exponent notation (``1e10000000``
     is ten million digits), digit-group underscores (``Fraction`` reads

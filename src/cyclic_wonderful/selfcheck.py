@@ -45,10 +45,12 @@ rays are those prefixes' rays in the fan's ray table, in order.  The
 stellar line checks this for every cone, faces included; without it two
 faces that swapped cones would keep every set of rays and pass every
 other line.  The rank line must pass, so that every cone is simplicial of
-its chain's length.  And ``fans_equal`` must stay a comparison of every
-cone's set of rays with the stellar route's, which subdivides the product
-fan and never enumerates chains: at r = 2 it is the only line that checks
-the ray sets themselves against an independent route.
+its chain's length.  And the stellar route's label sets and ray table
+must equal the direct route's.  That route subdivides the product fan and
+never enumerates chains; both take each label's ray from ``ray_vector``,
+which gives distinct labels distinct rays, so with the tie the comparison
+is one of every cone's set of rays: at r = 2 it is the only line that
+checks the ray sets themselves against an independent route.
 """
 
 from __future__ import annotations
@@ -58,15 +60,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from . import chow, normal_complex, tropical
-from .fan import (
-    Cone,
-    Fan,
-    Vector,
-    build_fan,
-    build_fan_stellar,
-    fans_equal,
-    locate_point,
-)
+from .fan import Cone, Fan, Vector, _stellar_labels, build_fan, locate_point
 from .guards import FeasibilityError, check_fan_spec, check_override
 from .lattice import (
     ArrangementSpec,
@@ -252,22 +246,31 @@ def suite_fan(spec: ArrangementSpec, seed: int = 0) -> list[CheckResult]:
             f"{len(maximal)} maximal cones",
         )
     )
-    # the stellar builder runs the same fan guard, which passed above
-    stellar = build_fan_stellar(spec, g)
-    # fans_equal compares sets of ray sets; the line also ties every cone to
-    # its chain: the label is the chain's prefixes, the rays are theirs
+    # the stellar core runs the same fan guard, which passed above
+    stellar, stellar_rays = _stellar_labels(spec, g)
+    stellar_count = len(stellar)
+    # one pass over the cones: each chain's label set leaves the stellar
+    # route's, which, the counts being equal, empties exactly when the sets
+    # are; each cone is tied to its chain (the label is the chain's prefixes,
+    # the rays theirs); a pivot list's length is the rank, all 1 if unimodular
     ray = fan.rays.__getitem__
-    astray = [
-        chain
-        for chain, cone in fan.cones.items()
-        if cone.label != chain.prefixes or cone.rays != tuple(map(ray, chain.prefixes))
-    ]
+    chains, astray, rough, flat = [], [], [], []
+    for chain, cone in fan.cones.items():
+        chains.append(chain)
+        stellar.discard(frozenset(chain.prefixes))
+        if cone.label != chain.prefixes or cone.rays != tuple(map(ray, chain.prefixes)):
+            astray.append(chain)
+        pivots = lattice_pivots(cone.rays)
+        if len(pivots) != len(cone.label):
+            flat.append(chain)
+        if len(chain.prefixes) == spec.n and pivots != [1] * len(cone.rays):
+            rough.append(chain)
     out.append(
         _result(
             "fan",
             "stellar route equals direct route",
-            fans_equal(fan, stellar) and not astray,
-            f"{len(fan.cones)} cones, {len(astray)} not on their chain's rays, first {astray[0].text()}"
+            not stellar and len(chains) == stellar_count and stellar_rays == fan.rays and not astray,
+            f"{len(chains)} cones, {len(astray)} not on their chain's rays, first {astray[0].text()}"
             if astray
             else "",
         )
@@ -275,7 +278,6 @@ def suite_fan(spec: ArrangementSpec, seed: int = 0) -> list[CheckResult]:
     # at r = 2, n >= 1 the completeness line's wall certificate decides the
     # law (see the module docstring)
     if spec.r != 2 or spec.n == 0:
-        chains = list(fan.cones)
         pairs: list[tuple[Chain, Chain]]
         if len(chains) ** 2 <= 2500:
             pairs = list(itertools.product(chains, chains))
@@ -294,15 +296,6 @@ def suite_fan(spec: ArrangementSpec, seed: int = 0) -> list[CheckResult]:
                 f"{len(pairs)} pairs checked, {bad} failures",
             )
         )
-    # one pivot list per cone answers both lattice lines: its length is the
-    # cone's rank, and a maximal cone is unimodular when every pivot is 1
-    rough, flat = [], []
-    for chain, cone in fan.cones.items():
-        pivots = lattice_pivots(cone.rays)
-        if len(pivots) != len(cone.label):
-            flat.append(chain)
-        if len(chain.prefixes) == spec.n and pivots != [1] * len(cone.rays):
-            rough.append(chain)
     out.append(
         _result(
             "fan",
@@ -317,7 +310,7 @@ def suite_fan(spec: ArrangementSpec, seed: int = 0) -> list[CheckResult]:
             "fan",
             "cone dimension equals chain length",
             not flat,
-            f"{len(fan.cones)} cones, {len(flat)} of another rank, first {flat[0].text()}"
+            f"{len(chains)} cones, {len(flat)} of another rank, first {flat[0].text()}"
             if flat
             else "",
         )

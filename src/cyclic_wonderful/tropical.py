@@ -22,7 +22,7 @@ from typing import Sequence
 
 from .fan import support_decomposition, support_point
 from .lattice import ArrangementSpec, Chain, DecoratedSubset, _Value
-from .linalg import parse_rational
+from .linalg import _integer_field, parse_rational
 
 CENTER = None  # spoke value for orbits on the central vertex
 
@@ -124,12 +124,6 @@ def curve_from_point(
     return TropicalCurve(spokes, lengths)
 
 
-def _integer_field(text: str, field: str) -> int:
-    if "_" in text or not text.isascii():
-        raise ValueError(f"{field} {text!r} is not an integer")
-    return int(text)
-
-
 def parse_curve(text: str, spec: ArrangementSpec) -> TropicalCurve:
     """Parse ``i:spoke:length`` triples, e.g. ``1:0:2,2:2:1`` or ``1:c:0``.
 
@@ -137,9 +131,7 @@ def parse_curve(text: str, spec: ArrangementSpec) -> TropicalCurve:
     the center and requires length zero.  Lengths are integers, ``p/q``
     fractions or plain decimals (``linalg.parse_rational``).
     An orbit index may appear at most once.  The orbit index and the spoke
-    refuse digit-group underscores and non-ASCII digits, which ``int`` would
-    read (``0_1`` and ``١`` as 1), as ``parse_rational`` refuses them in a
-    length.
+    are read by ``linalg._integer_field``, which refuses ``0_1`` and ``١``.
     """
     spokes: list[int | None] = [CENTER] * spec.n
     lengths: list[Fraction] = [Fraction(0)] * spec.n

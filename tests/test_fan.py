@@ -791,7 +791,26 @@ def test_a_stray_cone_left_by_the_subdivisions_reaches_the_stellar_fan(monkeypat
     assert not is_nested(stray, g)
     assert Chain._trusted(stray) in stellar.cones
     assert not fans_equal(build_fan(spec, g), stellar)
-    monkeypatch.setattr(selfcheck, "build_fan_stellar", lambda spec, g: stellar)
+    # the check reaches the subdivisions through the stellar route's labels
+    lines = {res.name: res.status for res in selfcheck.suite_fan(spec)}
+    assert lines["stellar route equals direct route"] == "FAIL"
+
+
+def test_a_cone_the_subdivisions_lose_fails_the_stellar_line(monkeypatch):
+    # every label the subdivisions keep is the direct route's, and one of
+    # the direct route's is missing: the counts of label sets differ
+    spec = ArrangementSpec(3, 2)
+    g = BuildingSet.maximal(spec)
+    lost = Chain._trusted((ds((1, 0)), ds((1, 0), (2, 0))))
+    subdivide = fan_module._star_subdivide
+
+    def subdivide_and_lose(cones, *args):
+        subdivide(cones, *args)
+        cones.discard(frozenset(lost.prefixes))  # a final cone: in no later star
+
+    monkeypatch.setattr(fan_module, "_star_subdivide", subdivide_and_lose)
+    assert lost in build_fan(spec, g).cones
+    assert lost not in build_fan_stellar(spec, g).cones
     lines = {res.name: res.status for res in selfcheck.suite_fan(spec)}
     assert lines["stellar route equals direct route"] == "FAIL"
 

@@ -49,7 +49,7 @@ def test_zero_override_means_zero_for_every_guard(monkeypatch, guard):
 
 
 @pytest.mark.parametrize("guard", GUARDS.values(), ids=GUARDS.keys())
-@pytest.mark.parametrize("raw", ["-1", "many", "1.5", ""])
+@pytest.mark.parametrize("raw", ["-1", "many", "1.5", "", "1_000", "١٠"])
 def test_negative_or_non_integer_override_is_refused(monkeypatch, guard, raw):
     monkeypatch.setenv(ENV_OVERRIDE, raw)
     with pytest.raises(FeasibilityError, match="must be an integer >= 0"):

@@ -4,6 +4,7 @@ that no code names."""
 
 import ast
 import functools
+import hashlib
 import importlib
 import json
 import re
@@ -35,12 +36,24 @@ def test_benchmark_layer_names_resolve(target):
     assert callable(obj) or isinstance(obj, functools.cached_property), target
 
 
+# every demo is deterministic: its stdout is pinned byte for byte, so a
+# change that moves any line the demos print fails here
+DEMO_STDOUT_SHA256 = {
+    "chow_walkthrough.py": "3c7932e725cac6fdd6fb6dd0483222f9fc44a2fdf048db8e23e8400dc596c1b3",
+    "fan_walkthrough.py": "e3c805d7d413063611c01d102dd23083cd1a199e4f30db73b820c6c419ce57dc",
+    "normal_complex_walkthrough.py": "4dc9f887f5ff65cc1b64869f331aa8ae9b34748d66bd56f25f980abe4ad7be0f",
+    "tropical_walkthrough.py": "20823f19b79f39ede64e0bd50900e6b6235090cffa88921032b913cd7d68bebf",
+}
+
+
 @pytest.mark.parametrize(
     "path", sorted((ROOT / "demos").glob("*.py")), ids=lambda p: p.name
 )
 def test_demo_runs(path, capsys):
     runpy.run_path(str(path), run_name="__main__")
-    assert capsys.readouterr().out.strip()
+    out = capsys.readouterr().out
+    assert out.strip()
+    assert hashlib.sha256(out.encode()).hexdigest() == DEMO_STDOUT_SHA256[path.name]
 
 
 def _readme_commands():

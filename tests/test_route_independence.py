@@ -180,8 +180,8 @@ def test_normal_cells_and_in_delta_share_only_the_allowed_functions():
     assert_shared_exactly(cell_calls, delta_calls, CELLS_VS_IN_DELTA)
 
 
-# "stellar route equals direct route": one cone per decorated chain against
-# stellar subdivisions of the product fan
+# ``fan --via-stellar`` against ``fan``: one cone per decorated chain against
+# the records of stellar subdivisions of the product fan
 RAYS = "the ray of each label, the data fans_equal compares"
 ADMISSION = "both admit the spec through the same fan guard"
 RECORD = "the record both routes return, compared by fans_equal"
@@ -235,6 +235,55 @@ def test_direct_and_stellar_fans_share_only_the_allowed_functions():
     assert "lattice._chains_of_length" in direct_calls
     assert {"fan._star_subdivide", "fan._bareiss_step", "fan.Fan.from_cones"} <= stellar_calls
     assert_shared_exactly(direct_calls, stellar_calls, DIRECT_VS_STELLAR)
+
+
+# "stellar route equals direct route" as ``check`` runs it: the direct fan's
+# cones against the stellar core's label sets and ray table, the stellar
+# route building no record of its cones or its fan
+STELLAR_RAYS = "the ray of each label: the check compares the two ray tables"
+DIRECT_VS_STELLAR_LABELS = {
+    "fan.ray_vector": STELLAR_RAYS,
+    "fan.block_slot": STELLAR_RAYS,
+    "fan.place": STELLAR_RAYS,
+    "lattice.validate_subset": STELLAR_RAYS,
+    "lattice.ArrangementSpec.ambient_dim": STELLAR_RAYS,
+    "fan._check_maximal": "both refuse any building set but the maximal one",
+    "lattice.BuildingSet.is_maximal": "both refuse any building set but the maximal one",
+    "guards.check_fan_spec": ADMISSION,
+    "guards.check_fan_size": ADMISSION,
+    "guards._bound": ADMISSION,
+    "guards._refuse_over": ADMISSION,
+    "lattice.ArrangementSpec.num_subsets": ADMISSION,
+    "lattice.ArrangementSpec.num_subsets_upto": ADMISSION,
+    "lattice.ArrangementSpec.num_maximal_chains_upto": ADMISSION,
+    "lattice._product_upto": ADMISSION,
+    "fan.Cone.__init__": (
+        "the record of a cone: the direct route's cones, and the singleton "
+        "cone each subdivision tests its new ray in"
+    ),
+    "lattice.DecoratedSubset.__init__": "the record of a label, compared by the check in both routes",
+    "lattice.DecoratedSubset.__hash__": "both key labels in sets and in the ray table",
+    "lattice.DecoratedSubset.size": "both read a label's support size",
+}
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="names functions by co_qualname")
+def test_direct_fan_and_stellar_labels_share_only_the_allowed_functions():
+    spec = ArrangementSpec(3, 2)
+    g = BuildingSet.maximal(spec)
+
+    def stellar_route():
+        fan_module._prefix_elimination.cache_clear()
+        fan_module._row_test.cache_clear()
+        fan_module._stellar_labels(spec, g)
+
+    direct_calls = _called(lambda: build_fan(spec, g).cones)
+    stellar_calls = _called(stellar_route)
+    assert "lattice._chains_of_length" in direct_calls
+    assert {"fan._star_subdivide", "fan._bareiss_step"} <= stellar_calls
+    records = {"fan.Fan.__init__", "fan.Fan.cones", "fan.Fan.from_cones", "lattice.Chain._trusted"}
+    assert not records & stellar_calls
+    assert_shared_exactly(direct_calls, stellar_calls, DIRECT_VS_STELLAR_LABELS)
 
 
 # "union extremes are the signed permutations of (1, 2)": the permutohedral

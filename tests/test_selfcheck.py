@@ -237,6 +237,60 @@ def test_two_faces_that_swap_cones_fail_the_stellar_line(monkeypatch):
     assert (line.status, line.detail, status) == ("FAIL", "17 cones, 2 not on their chain's rays, first {1:0}", 1)
 
 
+class _PassCounter(dict):
+    """A cone table that counts the passes made over it."""
+
+    passes = 0
+
+    def __iter__(self):
+        self.passes += 1
+        return super().__iter__()
+
+    def items(self):
+        self.passes += 1
+        return super().items()
+
+    def keys(self):
+        self.passes += 1
+        return super().keys()
+
+    def values(self):
+        self.passes += 1
+        return super().values()
+
+
+@pytest.mark.parametrize("r,n", [(2, 3), (3, 2)])
+def test_the_stellar_line_builds_no_record_and_reads_the_cones_once(monkeypatch, r, n):
+    # the stellar route is compared by its label sets and ray table, so
+    # neither its Fan nor its cones' records are built; one pass over the
+    # direct fan's cones serves the stellar and lattice lines, and the law
+    fan = fan_of(r, n)
+    table = vars(fan)["cones"] = _PassCounter(fan.cones)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the check built the stellar route's records")
+
+    monkeypatch.setattr(Fan, "from_cones", refuse)
+    monkeypatch.setattr("cyclic_wonderful.fan.build_fan_stellar", refuse)
+    monkeypatch.setattr(selfcheck, "build_fan", lambda spec, g: fan)
+    lines = suite_fan(fan.spec)
+    assert [res.status for res in lines] == ["PASS"] * len(lines)
+    assert ("cone intersection law" in [res.name for res in lines]) == (r != 2)
+    assert table.passes == 1
+
+
+def test_a_label_given_another_ray_in_every_cone_fails_the_stellar_line(monkeypatch):
+    fan = fan_of(2, 2)
+    label = parse_subset("{1:0}", fan.spec)
+    # every cone keeps the ray table's rays of its chain, so the tie holds
+    # and the label sets are equal: only the stellar route's ray table sees it
+    rays = {**fan.rays, label: (-2, 1)}
+    cones = {chain: Cone(tuple(map(rays.get, chain.prefixes)), chain.prefixes) for chain in fan.cones}
+    moved = Fan.from_cones(fan.spec, rays, cones.items())
+    line, status = fan_suite_line(monkeypatch, moved, "stellar route equals direct route")
+    assert (line.status, line.detail, status) == ("FAIL", "", 1)
+
+
 def test_a_meet_cone_with_a_ray_outside_both_cones_fails_by_its_rays():
     fan = fan_of(3, 2)
     spec = fan.spec
