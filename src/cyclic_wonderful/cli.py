@@ -8,12 +8,16 @@ suites).  Exit status is 0 on success or when no check fails (a check a
 feasibility guard refused prints SKIP), 1 when a check fails, 2 on usage or
 feasibility errors.
 
-Identical arguments and seed produce byte-identical output.
+Identical arguments and seed produce byte-identical output.  A process
+parses with one parser, built by ``build_parser`` on its first ``main``
+call (not at import) and reused by every later call; ``build_parser``
+itself returns a new parser each time.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from collections import Counter
@@ -293,10 +297,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser: parsing keeps no state in it between calls."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits with 2 on usage errors
         return int(exc.code or 0)
     status, text = run(args)

@@ -171,6 +171,15 @@ class DecoratedSubset(_Value):
         return self._hash
 
     @classmethod
+    def _trusted(cls, items: tuple[tuple[int, int], ...]) -> "DecoratedSubset":
+        """The subset of pairs already known to have strictly increasing
+        indices >= 1, without the check (as ``Chain._trusted``)."""
+        d = object.__new__(cls)
+        object.__setattr__(d, "items", items)
+        object.__setattr__(d, "_hash", hash((items,)))
+        return d
+
+    @classmethod
     def of(cls, pairs: Iterable[tuple[int, int]] | dict[int, int]) -> "DecoratedSubset":
         if isinstance(pairs, dict):
             pairs = pairs.items()

@@ -51,6 +51,15 @@ never enumerates chains; both take each label's ray from ``ray_vector``,
 which gives distinct labels distinct rays, so with the tie the comparison
 is one of every cone's set of rays: at r = 2 it is the only line that
 checks the ray sets themselves against an independent route.
+
+One ``run_suites`` call builds the direct fan once.  The fan suite builds
+it, with its maximal cones' inverses and their ``_cone_index``, and the
+tropical suite, which runs right after it, scans on that same fan; the fan
+is let go when the tropical suite returns, before the chow and normal
+suites run, and their results still come in the order asked for.  Called
+alone, each of the two suites builds its own fan, and each keeps its own
+guard: a refused fan suite shares nothing, and the tropical suite then
+prints its own SKIP.
 """
 
 from __future__ import annotations
@@ -116,26 +125,50 @@ def intersection_law_failures(
     lies in the other cone exactly when it lies in the expected one.  A pair
     that meets a cone of dependent rays, which has no row tests, fails.
 
-    The pairs share their cones and points.  Only the chains the pairs meet
-    (a, b and a ∧ b) are registered, in first-met order, in one
-    ``SharedRowIndex`` of their cones' tests; the rayless cone's tests pin
-    every coordinate to 0, so it holds only the origin.  Each distinct ray
-    or ray-sum point is then evaluated once, as the mask of the met cones
-    that hold it, and every pair is decided by bit tests on those masks.
+    The pairs share their cones and points.  Each distinct prefix gets a
+    bit and each chain, once, the mask of its prefixes' bits, so a pair's
+    meet a ∧ b, the prefixes common to both, has the mask ``ma & mb``, and
+    ``chain_intersect`` builds a meet's chain only for a mask not met before.
+    Only the chains the pairs meet (a, b and a ∧ b) are registered, keyed by
+    their masks, in first-met order, in one ``SharedRowIndex`` of their
+    cones' tests; the rayless cone's tests pin every coordinate to 0, so it
+    holds only the origin.  Each distinct ray or ray-sum point is then
+    evaluated once, as the mask of the met cones that hold it, and every
+    pair is decided by bit tests on those masks.
     """
     pairs = list(pairs)
-    bits: dict[Chain, int | None] = {}
+    prefix_bits: dict[DecoratedSubset, int] = {}
+    # the list holds every pair's chains, so an id names one chain throughout
+    chain_masks: dict[int, int] = {}
+    bits: dict[int, int | None] = {}  # a met chain's mask -> its cone's bit
     cones: list[Cone] = []
+
+    def mask_of(chain: Chain) -> int:
+        m = chain_masks.get(id(chain))
+        if m is None:
+            m = 0
+            for d in chain.prefixes:
+                m |= 1 << prefix_bits.setdefault(d, len(prefix_bits))
+            chain_masks[id(chain)] = m
+        return m
+
+    def register(m: int, chain: Chain) -> None:
+        cone = fan.cone(chain)
+        bits[m] = len(cones) if _eliminates(cone) else None
+        if bits[m] is not None:
+            cones.append(cone)
+
     met = []
     for a, b in pairs:
-        trio = []
-        for chain in (a, b, chain_intersect(a, b)):
-            if chain not in bits:
-                cone = fan.cone(chain)
-                bits[chain] = len(cones) if _eliminates(cone) else None
-                if bits[chain] is not None:
-                    cones.append(cone)
-            trio.append(bits[chain])
+        ma, mb = mask_of(a), mask_of(b)
+        if ma not in bits:
+            register(ma, a)
+        if mb not in bits:
+            register(mb, b)
+        mx = ma & mb
+        if mx not in bits:
+            register(mx, chain_intersect(a, b))
+        trio = (bits[ma], bits[mb], bits[mx])
         met.append(None if None in trio else trio)
     origin = tuple([(((i, 1),), 0, 0) for i in range(fan.spec.ambient_dim)])
     index = SharedRowIndex(cones, lambda cone: cone._inverse.tests if cone.rays else origin)
@@ -216,11 +249,14 @@ def wall_failures(fan: Fan) -> tuple[int, list[tuple[DecoratedSubset, ...]]]:
     return len(first), failed
 
 
-def suite_fan(spec: ArrangementSpec, seed: int = 0) -> list[CheckResult]:
+def suite_fan(
+    spec: ArrangementSpec, seed: int = 0, *, _fans: list[Fan] | None = None
+) -> list[CheckResult]:
     """The fan's counts, its two routes (every cone tied to its chain), the
     intersection law (at r > 2 and n = 0 only), the lattice lines and
     completeness (see the module docstring for the wall argument, which at
-    r = 2 also gives the law).
+    r = 2 also gives the law).  The direct fan it builds is appended to
+    ``_fans`` when that is given (see ``run_suites``).
     """
     try:
         check_fan_spec(spec)  # before the building set is enumerated
@@ -229,6 +265,8 @@ def suite_fan(spec: ArrangementSpec, seed: int = 0) -> list[CheckResult]:
     out: list[CheckResult] = []
     g = BuildingSet.maximal(spec)
     fan = build_fan(spec, g)
+    if _fans is not None:
+        _fans.append(fan)
     out.append(
         _result(
             "fan",
@@ -454,13 +492,18 @@ def suite_chow(spec: ArrangementSpec, seed: int = 0) -> list[CheckResult]:
     return out
 
 
-def suite_tropical(spec: ArrangementSpec, seed: int = 0) -> list[CheckResult]:
+def suite_tropical(
+    spec: ArrangementSpec, seed: int = 0, *, _fans: list[Fan] | None = None
+) -> list[CheckResult]:
+    """Round trips of sampled curves, and their types against the cone
+    scan, on the direct fan it takes from ``_fans`` if one is there (the
+    fan suite's, see ``run_suites``), else on one it builds."""
     try:
         check_fan_spec(spec)  # before the building set is enumerated
     except FeasibilityError as exc:
         return [_skipped("tropical", "fan construction", exc)]
     out: list[CheckResult] = []
-    fan = build_fan(spec, BuildingSet.maximal(spec))
+    fan = _fans.pop() if _fans else build_fan(spec, BuildingSet.maximal(spec))
     rng = Lcg(seed)
     curves = [sample_curve(rng, spec) for _ in range(500)]
     points = [tropical.embed(c, spec) for c in curves]
@@ -534,12 +577,22 @@ def suite_normal(spec: ArrangementSpec, seed: int = 0) -> list[CheckResult]:
     return out
 
 
+# the suites that share the direct fan; they run before the others
+_SHARING = ("fan", "tropical")
+
+
 def run_suites(
     spec: ArrangementSpec, suites: tuple[str, ...] = SUITES, seed: int = 0
 ) -> list[CheckResult]:
     # an invalid override is a usage error, not a refusal a suite may skip
     check_override()
-    out: list[CheckResult] = []
-    for name in suites:
-        out.extend(globals()[f"suite_{name}"](spec, seed))
-    return out
+    # the fan suite leaves its direct fan here, with its maximal cones'
+    # inverses and index, and the tropical suite, run right after it, takes
+    # it: the fan is gone before any other suite runs, and the results keep
+    # the order asked for
+    fans: list[Fan] = []
+    parts: list[list[CheckResult]] = [[] for _ in suites]
+    for k in sorted(range(len(suites)), key=lambda k: suites[k] not in _SHARING):
+        suite = globals()[f"suite_{suites[k]}"]
+        parts[k] = suite(spec, seed, _fans=fans) if suites[k] in _SHARING else suite(spec, seed)
+    return [res for part in parts for res in part]

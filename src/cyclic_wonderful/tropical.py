@@ -48,6 +48,35 @@ class TropicalCurve(_Value):
         object.__setattr__(self, "lengths", lengths)
 
     @classmethod
+    def _trusted(
+        cls, spokes: tuple[int | None, ...], lengths: tuple[Fraction, ...]
+    ) -> "TropicalCurve":
+        """The curve of fields already known to be valid, without the check."""
+        curve = object.__new__(cls)
+        object.__setattr__(curve, "spokes", spokes)
+        object.__setattr__(curve, "lengths", lengths)
+        return curve
+
+    # hand-written, as in DecoratedSubset and Chain: a length recovered from
+    # a point is a new object, so the generated tuple comparison would run
+    # ``Fraction.__eq__`` on it; equal spokes give equally many lengths
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        if self.spokes != other.spokes:
+            return False
+        for x, y in zip(self.lengths, other.lengths):
+            if type(x) is Fraction and type(y) is Fraction:
+                if x.numerator != y.numerator or x.denominator != y.denominator:
+                    return False
+            elif x != y:
+                return False
+        return True
+
+    def __hash__(self) -> int:
+        return hash((self.spokes, self.lengths))
+
+    @classmethod
     def of(
         cls, spokes: Sequence[int | None], lengths: Sequence
     ) -> "TropicalCurve":
@@ -81,7 +110,8 @@ def combinatorial_type(curve: TropicalCurve, spec: ArrangementSpec) -> Chain:
 
     Decorate each orbit i off the center (of positive length) by -l_i mod r;
     for each distinct length v, in decreasing order, the prefix keeps the
-    orbits of length >= v.  These restrictions nest, so they are not checked.
+    orbits of length >= v.  These restrictions nest, and each keeps the
+    curve's orbits in increasing order, so neither is checked.
     The distinct lengths are found by sorting integer keys with the lengths'
     order (``_length_keys``) and comparing neighbours.
     """
@@ -91,7 +121,7 @@ def combinatorial_type(curve: TropicalCurve, spec: ArrangementSpec) -> Chain:
     keys = _length_keys([lengths[i - 1] for i, _ in top])
     levels = sorted(keys, reverse=True)
     prefixes = [
-        DecoratedSubset(tuple([p for p, key in zip(top, keys) if key >= v]))
+        DecoratedSubset._trusted(tuple([p for p, key in zip(top, keys) if key >= v]))
         for k, v in enumerate(levels)
         if k + 1 == len(levels) or levels[k + 1] != v
     ]
@@ -115,13 +145,17 @@ def _length_keys(lengths: list) -> list:
 def curve_from_point(
     point: Sequence, spec: ArrangementSpec
 ) -> TropicalCurve | None:
-    """Inverse of the embedding, or None outside the fan's support."""
+    """Inverse of the embedding, or None outside the fan's support.
+
+    The support decomposition gives one spoke and one length per orbit, the
+    length positive on a spoke and 0 on the center, so the curve is built
+    without the check."""
     decomp = support_decomposition(point, spec)
     if decomp is None:
         return None
     spokes = tuple(a for _, a in decomp)
     lengths = tuple(x for x, _ in decomp)
-    return TropicalCurve(spokes, lengths)
+    return TropicalCurve._trusted(spokes, lengths)
 
 
 def parse_curve(text: str, spec: ArrangementSpec) -> TropicalCurve:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cyclic_wonderful import chow
+from cyclic_wonderful import chow, cli
 from cyclic_wonderful.cli import build_parser, main, run
 from cyclic_wonderful.fan import build_fan, fans_equal
 from cyclic_wonderful.lattice import ArrangementSpec, BuildingSet
@@ -638,3 +638,46 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[1].split() == ["0", "1", "1", "yes"]
+
+
+# --- one parser per process ---------------------------------------------------
+
+
+def test_main_calls_share_one_parser_built_on_the_first_call(monkeypatch, capsys):
+    built = []
+
+    def counted():
+        built.append(build_parser())
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    try:
+        assert main(["chow", "--r", "2", "--n", "2", "--betti-only"]) == 0
+        assert main(["check", "--r", "2", "--n", "1", "--suite", "chow"]) == 0
+        assert len(built) == 1
+        # a usage error on the reused parser leaves it whole for the next call
+        assert main(["fan", "--r", "2"]) == 2
+        assert "--n" in capsys.readouterr().err
+        assert main(["fan", "--r", "2", "--n", "1"]) == 0
+        assert capsys.readouterr().out.startswith("fan for r=2, n=1\n")
+        assert len(built) == 1
+    finally:
+        cli._parser.cache_clear()
+
+
+def test_build_parser_returns_a_new_parser_on_each_call():
+    assert build_parser() is not build_parser()
+
+
+def test_importing_the_cli_builds_no_parser():
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "from cyclic_wonderful import cli; print(cli._parser.cache_info().currsize)",
+        ],
+        capture_output=True,
+        text=True,
+    )
+    assert (proc.returncode, proc.stdout) == (0, "0\n")

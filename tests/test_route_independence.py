@@ -61,10 +61,6 @@ def assert_shared_exactly(calls, other_calls, allowed):
 CURVE_TYPE_VS_CONE_SCAN = {
     "lattice.ArrangementSpec.ambient_dim": "both check the point's length against the spec",
     "lattice.Chain._trusted": "both wrap the chain they found in the record, unchecked",
-    "lattice.DecoratedSubset.__init__": (
-        "the record of a decorated subset: the curve route builds its prefixes, "
-        "the scan route the fan's ray labels"
-    ),
 }
 
 

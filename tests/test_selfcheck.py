@@ -1,8 +1,10 @@
 """The intersection law and the wall certificate behind ``check``'s fan
 suite, and the work the fan and tropical suites do."""
 
+import gc
 import itertools
 import math
+import weakref
 
 import pytest
 
@@ -472,3 +474,146 @@ def test_a_wall_of_three_cofaces_fails_though_its_first_two_lie_on_opposite_side
     assert walls == 8 and wall in failed
     line, status = fan_suite_line(monkeypatch, crowded, COMPLETE)
     assert (line.status, status) == ("FAIL", 1)
+
+
+# --- the work one ``check`` run shares ------------------------------------------
+
+
+def chain_keyed_failures(fan, pairs):
+    """The law as decided before chains became bitmasks, kept as the
+    reference: per pair one ``chain_intersect``, and the met cones keyed by
+    their chains."""
+    pairs = list(pairs)
+    bits, cones, met = {}, [], []
+    for a, b in pairs:
+        trio = []
+        for chain in (a, b, chain_intersect(a, b)):
+            if chain not in bits:
+                cone = fan.cone(chain)
+                bits[chain] = len(cones) if selfcheck._eliminates(cone) else None
+                if bits[chain] is not None:
+                    cones.append(cone)
+            trio.append(bits[chain])
+        met.append(None if None in trio else trio)
+    origin = tuple([(((i, 1),), 0, 0) for i in range(fan.spec.ambient_dim)])
+    index = SharedRowIndex(cones, lambda cone: cone._inverse.tests if cone.rays else origin)
+    masks, held = {}, []
+    for cone in cones:
+        points = (*cone.rays, tuple(map(sum, zip(*cone.rays)))) if cone.rays else ()
+        row = []
+        for p in points:
+            if p not in masks:
+                masks[p] = index.holding(p, 1)
+            row.append(masks[p])
+        held.append(tuple(row))
+
+    def holds(ka, kb, kx):
+        both, expected = 1 << ka | 1 << kb, 1 << kx
+        if any(mask & both != both for mask in held[kx][:-1]):
+            return False
+        for this, other in ((ka, 1 << kb), (kb, 1 << ka)):
+            if any(bool(mask & other) != bool(mask & expected) for mask in held[this]):
+                return False
+        return True
+
+    return [pair for pair, trio in zip(pairs, met) if trio is None or not holds(*trio)]
+
+
+def test_the_masked_law_fails_the_pairs_the_chain_keyed_law_fails_in_order():
+    for r, n in [(2, 2), (3, 2), (4, 2)]:
+        fan = fan_of(r, n)
+        chains = list(enumerate_chains(fan.spec, n))
+        pairs = list(itertools.product(chains, chains))
+        assert intersection_law_failures(fan, pairs) == chain_keyed_failures(fan, pairs) == []
+    for r, n in [(2, 2), (3, 2)]:
+        for planted in (bent(fan_of(r, n))[1], flat_face(fan_of(r, n))):
+            chains = list(enumerate_chains(planted.spec, n))
+            pairs = list(itertools.product(chains, chains))
+            # reversed, so the meets come before the chains that hold them
+            for order in (pairs, pairs[::-1]):
+                failures = intersection_law_failures(planted, order)
+                assert failures and failures == chain_keyed_failures(planted, order)
+
+
+def test_chain_intersect_runs_once_per_distinct_meet_not_met_as_a_pair_s_chain(monkeypatch):
+    fan = fan_of(3, 2)
+    calls = []
+
+    def counted(a, b):
+        calls.append(chain_intersect(a, b))
+        return calls[-1]
+
+    monkeypatch.setattr(selfcheck, "chain_intersect", counted)
+    # two distinct maximal chains meet in a shorter chain, none of them a pair's
+    maximal = [c for c in fan.cones if c.length == 2]
+    pairs = [(a, b) for a, b in itertools.product(maximal, maximal) if a != b]
+    assert intersection_law_failures(fan, pairs) == []
+    meets = {chain_intersect(a, b) for a, b in pairs}
+    # the empty chain and the 15 one-prefix chains
+    assert len(calls) == len(set(calls)) == len(meets) == 16 and set(calls) == meets
+    # every meet of all pairs is some pair's chain, met first as one
+    calls.clear()
+    assert intersection_law_failures(fan, law_pairs(fan)) == []
+    assert calls == []
+
+
+def test_one_check_run_builds_one_direct_fan_and_shares_it(monkeypatch):
+    built, scanned = [], []
+    monkeypatch.setattr(selfcheck, "build_fan", lambda spec, g: built.append(build_fan(spec, g)) or built[-1])
+    locate = selfcheck.locate_point
+    monkeypatch.setattr(selfcheck, "locate_point", lambda fan, p: scanned.append(fan) or locate(fan, p))
+    status, out = run(build_parser().parse_args(["check", "--r", "3", "--n", "2", "--seed", "5"]))
+    assert status == 0 and out.endswith("18/18 checks passed for r=3, n=2\n")
+    (fan,) = built
+    # the fan suite's witness scan and the tropical suite's 500 scans
+    assert len(scanned) == 501 and all(f is fan for f in scanned)
+    # each suite called alone builds its own
+    for suite in (suite_fan, suite_tropical):
+        built.clear()
+        assert all(res.status == "PASS" for res in suite(ArrangementSpec(3, 2), 5))
+        assert len(built) == 1
+
+
+def test_the_shared_fan_is_gone_before_the_other_suites_run(monkeypatch):
+    refs, ran = [], []
+
+    def build(spec, g):
+        fan = build_fan(spec, g)
+        refs.append(weakref.ref(fan))
+        return fan
+
+    monkeypatch.setattr(selfcheck, "build_fan", build)
+    for name in ("chow", "normal"):
+        suite = getattr(selfcheck, f"suite_{name}")
+
+        def after_the_fan(spec, seed=0, suite=suite, name=name):
+            gc.collect()
+            assert [ref() for ref in refs] == [None]
+            ran.append(name)
+            return suite(spec, seed)
+
+        monkeypatch.setattr(selfcheck, f"suite_{name}", after_the_fan)
+    spec = ArrangementSpec(2, 2)
+    results = selfcheck.run_suites(spec, seed=3)
+    assert ran == ["chow", "normal"] and len(refs) == 1
+    # the results come in the order asked for
+    monkeypatch.undo()
+    assert results == [res for name in selfcheck.SUITES for res in getattr(selfcheck, f"suite_{name}")(spec, 3)]
+    assert [res.suite for res in results] == sorted((res.suite for res in results), key=selfcheck.SUITES.index)
+
+
+def test_a_refused_fan_suite_leaves_the_tropical_suite_its_own_skip(monkeypatch):
+    monkeypatch.setenv("CYCLIC_WONDERFUL_MAX_CELLS", "10")
+    status, out = run(build_parser().parse_args(["check", "--r", "2", "--n", "2"]))
+    refusal = "fan with 8 rays and 8 maximal cones exceeds the guard bound 10 (override with CYCLIC_WONDERFUL_MAX_CELLS)"
+    assert (status, out) == (
+        0,
+        f"SKIP [fan] fan construction ({refusal})\n"
+        f"SKIP [chow] presentation and chain census ({refusal})\n"
+        f"SKIP [tropical] fan construction ({refusal})\n"
+        "PASS [normal] one cell per maximal chain (8 cells)\n"
+        "PASS [normal] origin is a vertex of every cell\n"
+        "PASS [normal] cells tile the truncated support (500 points, 0 mismatches)\n"
+        "PASS [normal] union extremes are the signed permutations of (1, 2) (8 extreme points)\n"
+        "4/7 checks passed, 3 skipped for r=2, n=2\n",
+    )

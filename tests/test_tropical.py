@@ -14,7 +14,7 @@ from cyclic_wonderful.fan import (
     support_decomposition,
     support_point,
 )
-from cyclic_wonderful.lattice import ArrangementSpec, BuildingSet, Chain
+from cyclic_wonderful.lattice import ArrangementSpec, BuildingSet, Chain, DecoratedSubset
 from cyclic_wonderful.sampling import Lcg, sample_curve, sample_support_point
 from cyclic_wonderful.tropical import (
     CENTER,
@@ -241,6 +241,43 @@ def test_curve_from_point_inverts_embed_example():
 def test_curve_from_point_outside_support():
     spec = ArrangementSpec(3, 2)
     assert curve_from_point((1, 1, 0, 0), spec) is None
+
+
+@pytest.mark.parametrize("r,n", [(2, 3), (3, 2), (4, 3)])
+def test_the_built_curve_and_prefixes_equal_the_validated_records(r, n):
+    # curve_from_point and combinatorial_type build their records unchecked
+    spec = ArrangementSpec(r, n)
+    rng = Lcg(4)
+    for _ in range(100):
+        curve = curve_from_point(embed(sample_curve(rng, spec), spec), spec)
+        checked = TropicalCurve(curve.spokes, curve.lengths)
+        assert (curve, hash(curve)) == (checked, hash(checked))
+        for d in combinatorial_type(curve, spec).prefixes:
+            assert vars(d) == vars(DecoratedSubset(d.items))
+
+
+def test_curves_compare_fraction_lengths_by_their_fields(monkeypatch):
+    spec = ArrangementSpec(3, 3)
+    rng = Lcg(8)
+    curves = [sample_curve(rng, spec) for _ in range(200)]
+    points = [embed(c, spec) for c in curves]
+
+    def refuse(self, other):
+        raise AssertionError("Fraction.__eq__ ran")
+
+    monkeypatch.setattr(Fraction, "__eq__", refuse)
+    assert all(curve_from_point(p, spec) == c for c, p in zip(curves, points))
+    monkeypatch.undo()
+    one = TropicalCurve.of([0, 1], [1, Fraction(1, 2)])
+    assert one == TropicalCurve((0, 1), (Fraction(1), Fraction(2, 4)))
+    assert one != TropicalCurve.of([0, 1], [1, Fraction(1, 3)])
+    assert one != TropicalCurve.of([0, 2], [1, Fraction(1, 2)])
+    assert one != TropicalCurve.of([0], [1])
+    # other length types compare by ``==``, as before
+    mixed = TropicalCurve((0, 1), (1, 0.5))
+    assert mixed == one and hash(mixed) == hash(one)
+    assert TropicalCurve((0, 1), (1, 0.25)) != one
+    assert one != (one.spokes, one.lengths)
 
 
 @pytest.mark.parametrize("r,n", [(2, 2), (3, 2), (3, 3)])
