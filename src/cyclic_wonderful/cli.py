@@ -291,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="run the verification suites")
     common(p_check)
-    p_check.add_argument("--seed", type=_ascii_int, default=0, help="sampling seed")
+    p_check.add_argument("--seed", type=_ascii_int, default=0, help="sampling seed of the tropical and normal suites (the fan suite samples nothing)")
     p_check.add_argument("--suite", choices=["all", *SUITES], default="all")
 
     return parser

@@ -104,4 +104,5 @@ def sample_curve(rng: Lcg, spec: ArrangementSpec, max_abs: int = 6) -> TropicalC
             den = 1 + rng.below(4)
             num = 1 + rng.below(max_abs * den)
             lengths.append(rng._fraction(num, den))
-    return TropicalCurve(tuple(spokes), tuple(lengths))
+    # valid as drawn: a zero length exactly on the center, else a positive one
+    return TropicalCurve._trusted(tuple(spokes), tuple(lengths))

@@ -8,49 +8,95 @@ intersections obey the chain rule, graded ranks computed by formula and by
 elimination coincide, tropical round trips are exact, and the normal
 complex tiles the truncated support.
 
-The fan suite's completeness line draws no sample.  At r = 2 it certifies
-that the maximal cones cover R^n exactly once by their walls, the
-codimension-1 cones: a pure simplicial fan does so when every wall lies in
-exactly two maximal cones, on opposite sides of it, and one point is
-covered exactly once (the pseudomanifold argument of De Loera, Rambau and
-Santos, *Triangulations*, run on the sphere).  Count, at a point that lies
-in no wall, the maximal cones that hold it.  A path that crosses a wall
-away from the codimension-2 cones leaves one coface of that wall as it
-enters the other, so the count does not change there; when n >= 2 the
-codimension-2 cones do not disconnect R^n, so the count is the same at
-every such point, and it is 1 beside the one point covered once.  At n = 1
-there are no codimension-2 cones: the one wall is the origin and its two
-cofaces are the two opposite rays, which cover the line.  The argument
-needs every maximal cone to be simplicial of rank n, which the rank line
-checks; a flat maximal cone fails the completeness line unrun.  At r > 2
-the maximal cones have rank n < n (r - 1), so their union is not the whole
-space; the line names a point outside it.
+The fan suite draws no sample.  Its completeness line certifies, from the
+fan's walls, the codimension-1 cones, that the maximal cones cover the
+fan's support exactly once and meet in common faces, at every r.  The
+support is T = L^n, L the tropical line: the r rays e^0, ..., e^(r-1) of
+R^(r-1), which sum to 0 (at r = 2 the whole line, and T = R^n).  T is the
+union of the r^n charts O_c = cone(e_1^(c_1), ..., e_n^(c_n)), each a
+unimodular copy of the orthant R^n_{>=0} in coordinates t_1, ..., t_n;
+two charts meet in the coordinate face where their residues agree, and a
+chart's facet t_m = 0 lies in exactly the r charts that differ from it at
+m alone.
 
-At r = 2, n >= 1 the same certificate decides the cone intersection law,
-so the law's line runs only at r > 2 and at n = 0, where no wall
-certificate runs (on every pair of cones up to 50 cones, else on 1,000
-pairs drawn from the seed), and the fan suite draws no random number at
-r = 2.  Around each face the maximal cones that hold it pass from one to
-the next across their shared walls, each on its own side, so they cover a
-neighbourhood of the face's relative interior a whole number of times, at
-least once; the count 1 makes it exactly once.  The maximal cones
-therefore triangulate R^n: two of them meet in the cone of their common
-rays, the rays of their chains' common prefixes, which is what the law
-asks of cone(a) ∩ cone(b) = cone(a ∧ b).  A face is the cone of some of
-its maximal cone's rays, so pairs of faces meet in common faces too, once
-each face has the rays its label names.  The argument has three
-conditions besides the wall line, and the fan suite checks each.  Every
-cone is the cone of its chain: its label is the chain's prefixes and its
-rays are those prefixes' rays in the fan's ray table, in order.  The
-stellar line checks this for every cone, faces included; without it two
-faces that swapped cones would keep every set of rays and pass every
-other line.  The rank line must pass, so that every cone is simplicial of
-its chain's length.  And the stellar route's label sets and ray table
-must equal the direct route's.  That route subdivides the product fan and
-never enumerates chains; both take each label's ray from ``ray_vector``,
-which gives distinct labels distinct rays, so with the tie the comparison
-is one of every cone's set of rays: at r = 2 it is the only line that
-checks the ray sets themselves against an independent route.
+A maximal cone's label is a chain (I_1, a_1) < ... < (I_n, a_n) of
+decorated prefixes, |I_j| = j, each decoration the top one's restriction,
+and its rays are those prefixes' rays, each the sum of e_i^(-a(i)) over
+its label's factors.  So the cone lies in the chart c = -a_n of its top
+prefix and, of rank n, spans that chart's span.  A wall is the label less
+one prefix.  An *inner* wall drops a prefix below the top: it keeps the
+top ray, inside the chart, and both its cofaces lie in that one chart.  A
+*boundary* wall drops the top prefix: its rays miss the one factor m the
+top prefix adds, so it lies on the chart's facet t_m = 0.  The line asks:
+
+- of every inner wall, exactly two cofaces on opposite sides: the first
+  coface's coefficient row of its extra ray vanishes on the wall and is
+  positive at that ray, and must be negative at the second coface's extra
+  ray, which lies in the same span (one integer dot product);
+- of every boundary wall, exactly r cofaces, whose top prefixes each add
+  one factor to the wall's top prefix, at r distinct residues (a test of
+  labels): one coface in each of the r charts around the facet;
+- of every entry of the ray table, that it is the sum of e_i^(-a(i)) over
+  its label's factors, read as integers over its nonzero entries (the
+  chart condition);
+- of one point, the ray sum of the first maximal cone, that it lies in
+  that cone alone.
+
+Why that suffices.  In one chart, count the maximal cones that hold a
+point of the chart's interior on no wall.  A path that crosses an inner
+wall away from the codimension-2 cones leaves one coface as it enters the
+other, so the count does not change there; when n >= 2 the codimension-2
+cones do not disconnect the chart's interior, which no boundary wall
+meets, so the count is one number per chart.  Beside a point x of a facet
+t_m = 0 that lies on no cone of dimension n - 2, a chart's maximal cones
+that hold the points near x are the cofaces in that chart of the boundary
+walls through x, one each, and those walls are the same for the r charts
+around the facet: the count is the same on both sides of every facet, and
+the charts connect through their facets, so it is one number for all of
+T.  The first maximal cone's ray sum has every chart coordinate at least
+1 and lies in no other maximal cone, so it is on no wall, and that number
+is 1.  (At n = 1 the one wall is the origin, a boundary wall, and its r
+cofaces are the r rays of L.)  Within a chart the maximal cones pass from
+one to the next across their shared walls, each on its own side, so
+around each face they cover a neighbourhood of the face's relative
+interior (within T) a whole number of times, at least once; the count 1
+makes it exactly once, and the maximal cones of one chart triangulate it
+(the pseudomanifold argument of De Loera, Rambau and Santos,
+*Triangulations*): two of them meet in the cone of their common rays, the
+rays of their chains' common prefixes.  Two maximal cones s, t of charts
+c and c' meet inside the face G of both charts where c and c' agree.  The
+face of s in G is the cone of s's prefixes inside G, which is a face of
+some maximal cone s' of chart c' as well, every maximal chain having its
+cone; so s and t meet where s' and t meet within G, in the cone of the
+prefixes common to s and t (a common prefix lies inside G).  That is the
+law cone(a) ∩ cone(b) = cone(a ∧ b) for every pair of maximal cones, and
+a face is the cone of some of its maximal cone's rays, so pairs of faces
+meet in common faces too, once each face has the rays its label names.
+``intersection_law_failures`` decides the law pair by pair; no command
+calls it, and tier-1 runs it on every pair of chains at several specs as
+the certificate's cross-check.
+
+The argument takes three conditions from the other lines of the suite.
+Every cone is the cone of its chain: its label is the chain's prefixes
+and its rays are those prefixes' rays in the fan's ray table, in order.
+The stellar line checks this for every cone, faces included; without it
+two faces that swapped cones would keep every set of rays and pass every
+other line.  The labels are chains: the direct route builds each by
+restricting its top decoration, and the stellar route, which subdivides
+the product fan and never enumerates chains, must find the same label
+sets and ray table.  The rank line must pass, so that every cone is
+simplicial of its chain's length; a flat maximal cone fails the
+completeness line unrun.  And the count line finds the n! r^n maximal
+cones, one per maximal chain.  Both routes take each label's ray from
+``ray_vector``, so the comparison of ray tables is no second route for
+the rays themselves; the chart reading is.
+
+At r = 2 each facet lies in two charts, a boundary wall's two cofaces lie
+on either side of its coordinate hyperplane, and the line's name says
+that every wall has two maximal cones on opposite sides.  At r > 2 the
+line also names a point outside T: e_1^1 + e_1^2, which it locates in no
+cone.  At n = 0 the fan is the one rayless cone, the origin of R^0, which
+the line checks alone.
 
 One ``run_suites`` call builds the direct fan once.  The fan suite builds
 it, with its maximal cones' inverses and their ``_cone_index``, and the
@@ -117,7 +163,9 @@ def _eliminates(cone: Cone) -> bool:
 def intersection_law_failures(
     fan: Fan, pairs: Iterable[tuple[Chain, Chain]]
 ) -> list[tuple[Chain, Chain]]:
-    """The pairs (a, b) whose cones break cone(a) ∩ cone(b) = cone(a ∧ b).
+    """The pairs (a, b) whose cones break cone(a) ∩ cone(b) = cone(a ∧ b):
+    the reference that the fan suite's wall certificate is tested against,
+    called by no command.
 
     The law is checked exactly at finitely many points.  Every ray of the
     expected cone lies in both cones.  Conversely, each ray of either cone,
@@ -199,64 +247,123 @@ def intersection_law_failures(
 
 def wall_failures(fan: Fan) -> tuple[int, list[tuple[DecoratedSubset, ...]]]:
     """The number of walls of the fan's maximal cones, and the walls that
-    fail: those not lying in exactly two maximal cones on opposite sides.
+    fail the certificate of the module docstring: an inner wall not lying
+    in exactly two maximal cones on opposite sides, or a boundary wall not
+    lying in exactly r maximal cones whose top prefixes add one factor to
+    its top prefix at r distinct residues.
 
     A wall is a maximal cone's label with one prefix removed, its facet.
-    For a wall with two cofaces, the first coface's coefficient row of its
-    extra ray (``Cone._inverse``) vanishes on the wall's rays and is
-    positive at that ray, so the second coface's extra ray lies on the
-    other side exactly when the row is negative there: one integer dot
-    product per wall.  Every maximal cone has n >= 1 independent rays.
+    For an inner wall, the first coface's coefficient row of its extra ray
+    (``Cone._inverse``) vanishes on the wall's rays and is positive at that
+    ray, so the second coface's extra ray lies on the other side exactly
+    when the row is negative there: one integer dot product per wall.  A
+    boundary wall reads only labels: the residue its cofaces' top prefixes
+    add is one bit, found once per distinct pair of top prefixes, and the r
+    cofaces must set all r bits, none twice.  Every maximal cone has n >= 1
+    independent rays.
 
     Each prefix gets a code, a wall is its prefixes' codes packed into one
-    integer, b bits each, and a coface is the integer k n + j (maximal cone
-    k less its j-th prefix), so grouping builds no tuple per facet: at
-    (2,6), 276,480 facets, the pass takes about 0.55 s in process on a
-    2-vCPU VM, against 0.9-1.1 s with tuple keys.
+    integer, b bits each (a boundary wall w keyed -1 - w, apart from the
+    inner ones), and a coface is the integer k n + j (maximal cone k less
+    its j-th prefix), so grouping builds no tuple per facet: at (2,6),
+    276,480 facets, the pass takes about 0.35 s in process on a 2-vCPU VM,
+    and 0.17 s at (3,5), 68,040 walls.
     """
     n, maximal = fan.spec.n, fan.maximal_cones
     b = (n * len(maximal)).bit_length()
+    # per inner prefix j: the codes above it move down one place, over those below
+    splits = [(b * (j + 1), b * j, (1 << b * j) - 1) for j in range(n - 1)]
+    below_top = (1 << b * (n - 1)) - 1  # the codes of the prefixes below the top
+    top_two = b * max(n - 2, 0)  # the codes below the top two prefixes'
     codes: dict[DecoratedSubset, int] = {}
+    added: dict[int, int] = {}  # the top two codes -> the residue bit the top adds, or 0
     first: dict[int, int] = {}  # wall -> its first coface
-    second: dict[int, int] = {}
-    crowded = set()  # walls of three or more cofaces
+    second: dict[int, int] = {}  # inner wall -> its second coface
+    residues: dict[int, int] = {}  # boundary wall -> the residue bits its cofaces add
+    crowded = set()  # inner walls of three or more cofaces, boundary walls that fail a label
     for k, cone in enumerate(maximal):
         packed = 0
         for d in reversed(cone.label):
             packed = packed << b | codes.setdefault(d, len(codes))
-        for j in range(n):
-            # the codes above prefix j, moved down one place, over those below
-            wall, c = packed >> b * (j + 1) << b * j | packed & ((1 << b * j) - 1), k * n + j
+        c = k * n
+        for hi, lo, low in splits:
+            wall = packed >> hi << lo | packed & low
             if first.setdefault(wall, c) != c:
                 if wall in second:
                     crowded.add(wall)
                 else:
                     second[wall] = c
+            c += 1
+        bit = added.get(packed >> top_two)
+        if bit is None:
+            top, below = cone.label[-1].items, cone.label[-2].items if n > 1 else ()
+            extra = set(top).difference(below)
+            bit = 1 << extra.pop()[1] if len(extra) == 1 == len(top) - len(below) else 0
+            added[packed >> top_two] = bit
+        wall = -1 - (packed & below_top)
+        held = residues.get(wall)
+        if held is None:
+            first[wall], held = c, 0
+        if held & bit or not bit:
+            crowded.add(wall)
+        residues[wall] = held | bit
+    every = (1 << fan.spec.r) - 1
     failed = []
     for wall, c in first.items():
         one, j = c // n, c % n
-        other = second.get(wall)
-        if other is not None and wall not in crowded:
-            other, k = other // n, other % n
-            row, ray = maximal[one]._inverse.tests[j - n][0], maximal[other].rays[k]
-            s = 0
-            for i, a in row:
-                s += a * ray[i]
-            if s < 0:
+        if wall < 0:
+            if residues[wall] == every and wall not in crowded:
                 continue
+        else:
+            other = second.get(wall)
+            if other is not None and wall not in crowded:
+                other, k = other // n, other % n
+                row, ray = maximal[one]._inverse.tests[j - n][0], maximal[other].rays[k]
+                s = 0
+                for i, a in row:
+                    s += a * ray[i]
+                if s < 0:
+                    continue
         label = maximal[one].label
         failed.append(label[:j] + label[j + 1 :])
     return len(first), failed
+
+
+def _rays_off_their_charts(fan: Fan) -> list[DecoratedSubset]:
+    """The labels whose ray in the fan's ray table is not the sum of
+    e_i^(-a(i)) over the label's factors (i, a(i)).
+
+    Read as integers, with no vector built: factor i's block of r - 1
+    entries must hold a 1 at slot -a(i) mod r, or -1 across the whole
+    block for residue 0, and the ray no other nonzero entry, which one
+    count of its zeros checks.
+    """
+    r, dim = fan.spec.r, fan.spec.ambient_dim
+    block, minus = r - 1, (-1,) * (r - 1)
+    off = []
+    for d, ray in fan.rays.items():
+        held, nonzero = len(ray) == dim, 0
+        for i, a in d.items:
+            start, slot = (i - 1) * block, -a % r
+            if slot:
+                held = held and ray[start + slot - 1] == 1
+                nonzero += 1
+            else:
+                held = held and ray[start : start + block] == minus
+                nonzero += block
+        if not held or len(ray) - ray.count(0) != nonzero:
+            off.append(d)
+    return off
 
 
 def suite_fan(
     spec: ArrangementSpec, seed: int = 0, *, _fans: list[Fan] | None = None
 ) -> list[CheckResult]:
     """The fan's counts, its two routes (every cone tied to its chain), the
-    intersection law (at r > 2 and n = 0 only), the lattice lines and
-    completeness (see the module docstring for the wall argument, which at
-    r = 2 also gives the law).  The direct fan it builds is appended to
-    ``_fans`` when that is given (see ``run_suites``).
+    lattice lines and completeness, whose wall certificate also gives the
+    cone intersection law (see the module docstring).  It draws no sample,
+    so ``seed`` moves none of its lines.  The direct fan it builds is
+    appended to ``_fans`` when that is given (see ``run_suites``).
     """
     try:
         check_fan_spec(spec)  # before the building set is enumerated
@@ -292,9 +399,8 @@ def suite_fan(
     # are; each cone is tied to its chain (the label is the chain's prefixes,
     # the rays theirs); a pivot list's length is the rank, all 1 if unimodular
     ray = fan.rays.__getitem__
-    chains, astray, rough, flat = [], [], [], []
+    astray, rough, flat = [], [], []
     for chain, cone in fan.cones.items():
-        chains.append(chain)
         stellar.discard(frozenset(chain.prefixes))
         if cone.label != chain.prefixes or cone.rays != tuple(map(ray, chain.prefixes)):
             astray.append(chain)
@@ -307,33 +413,12 @@ def suite_fan(
         _result(
             "fan",
             "stellar route equals direct route",
-            not stellar and len(chains) == stellar_count and stellar_rays == fan.rays and not astray,
-            f"{len(chains)} cones, {len(astray)} not on their chain's rays, first {astray[0].text()}"
+            not stellar and len(fan.cones) == stellar_count and stellar_rays == fan.rays and not astray,
+            f"{len(fan.cones)} cones, {len(astray)} not on their chain's rays, first {astray[0].text()}"
             if astray
             else "",
         )
     )
-    # at r = 2, n >= 1 the completeness line's wall certificate decides the
-    # law (see the module docstring)
-    if spec.r != 2 or spec.n == 0:
-        pairs: list[tuple[Chain, Chain]]
-        if len(chains) ** 2 <= 2500:
-            pairs = list(itertools.product(chains, chains))
-        else:
-            rng = Lcg(seed)
-            pairs = [
-                (chains[rng.below(len(chains))], chains[rng.below(len(chains))])
-                for _ in range(1000)
-            ]
-        bad = len(intersection_law_failures(fan, pairs))
-        out.append(
-            _result(
-                "fan",
-                "cone intersection law",
-                bad == 0,
-                f"{len(pairs)} pairs checked, {bad} failures",
-            )
-        )
     out.append(
         _result(
             "fan",
@@ -348,7 +433,7 @@ def suite_fan(
             "fan",
             "cone dimension equals chain length",
             not flat,
-            f"{len(chains)} cones, {len(flat)} of another rank, first {flat[0].text()}"
+            f"{len(fan.cones)} cones, {len(flat)} of another rank, first {flat[0].text()}"
             if flat
             else "",
         )
@@ -358,7 +443,11 @@ def suite_fan(
     elif spec.r == 2:
         name = "complete for r = 2, cones meeting in common faces: every wall has two maximal cones on opposite sides"
     else:
-        name = "not complete for r > 2: e_1^1 + e_1^2 lies in no cone"
+        name = (
+            "not complete for r > 2: e_1^1 + e_1^2 lies in no cone, and the cones cover T = L^n once,"
+            " meeting in common faces: every inner wall has two maximal cones on opposite sides,"
+            " every boundary wall r at distinct residues"
+        )
     flat_maximal = [chain for chain in flat if len(chain.prefixes) == spec.n]
     if flat_maximal:
         # the walls and the scan eliminate every maximal cone, which a flat
@@ -368,25 +457,29 @@ def suite_fan(
         return out
     if spec.n == 0:
         out.append(_result("fan", name, [cone.rays for cone in maximal] == [()]))
-    elif spec.r == 2:
-        walls, failed = wall_failures(fan)
-        detail = f"{walls} walls, {len(failed)} failures"
-        if failed:
-            detail += f", first {Chain._trusted(failed[0]).text()}"
-        # the ray sum of the first maximal cone lies inside it, and must
-        # lie in no other maximal cone
-        first = maximal[0]
-        covers = fan._cone_index.holding(tuple(map(sum, zip(*first.rays))), 1).bit_count()
-        if covers != 1:
-            label = Chain._trusted(first.label).text()
-            detail += f", the ray sum of {label} lies in {covers} maximal cones"
-        out.append(_result("fan", name, not failed and covers == 1, detail))
-    else:
+        return out
+    walls, failed = wall_failures(fan)
+    detail = f"{walls} walls, {len(failed)} failures"
+    if failed:
+        detail += f", first {Chain._trusted(failed[0]).text()}"
+    off = _rays_off_their_charts(fan)
+    if off:
+        detail += f", {len(off)} rays off their label's chart, first {off[0].text()}"
+    # the ray sum of the first maximal cone lies inside it, and must lie in
+    # no other maximal cone
+    first = maximal[0]
+    covers = fan._cone_index.holding(tuple(map(sum, zip(*first.rays))), 1).bit_count()
+    if covers != 1:
+        label = Chain._trusted(first.label).text()
+        detail += f", the ray sum of {label} lies in {covers} maximal cones"
+    outside = None
+    if spec.r > 2:
         # factor 1's block of a point of a cone is a nonnegative multiple of
         # one e_1^a, and e_1^1 + e_1^2 is none
-        chain = locate_point(fan, (1, 1, *[0] * (spec.ambient_dim - 2)))
-        detail = "" if chain is None else f"it lies in the cone of {chain.text()}"
-        out.append(_result("fan", name, chain is None, detail))
+        outside = locate_point(fan, (1, 1, *[0] * (spec.ambient_dim - 2)))
+        if outside is not None:
+            detail += f", e_1^1 + e_1^2 lies in the cone of {outside.text()}"
+    out.append(_result("fan", name, not failed and not off and covers == 1 and outside is None, detail))
     return out
 
 
@@ -538,12 +631,13 @@ def suite_normal(spec: ArrangementSpec, seed: int = 0) -> list[CheckResult]:
             f"{len(complex_.cells)} cells",
         )
     )
-    origin = tuple(Fraction(0) for _ in range(spec.ambient_dim))
+    # a Fraction is 0 exactly when its numerator is, so no vertex is compared
+    # as a tuple of Fractions
     out.append(
         _result(
             "normal",
             "origin is a vertex of every cell",
-            all(origin in cell.v_rep for cell in complex_.cells),
+            all(any(not any(x.numerator for x in v) for v in cell.v_rep) for cell in complex_.cells),
         )
     )
     rng = Lcg(seed)

@@ -83,10 +83,12 @@ class TropicalCurve(_Value):
         return cls(tuple(spokes), tuple(Fraction(x) for x in lengths))
 
     def scaled(self, factor) -> "TropicalCurve":
+        """The curve with every length times a positive factor: a length
+        keeps its sign, so the curve stays valid and is not checked again."""
         f = Fraction(factor)
         if f <= 0:
             raise ValueError("scaling factor must be positive")
-        return TropicalCurve(self.spokes, tuple(f * x for x in self.lengths))
+        return TropicalCurve._trusted(self.spokes, tuple(f * x for x in self.lengths))
 
 
 def validate_curve(curve: TropicalCurve, spec: ArrangementSpec) -> None:

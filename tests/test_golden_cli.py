@@ -61,7 +61,14 @@ seeds 5 and 12 and the ``--suite fan`` at (2,4) with seed 1, when the
 fan suite stopped checking the intersection law at r = 2, n >= 1, where
 the wall certificate decides it; ``test_only_the_law_line_left_at_r_2``
 puts back the law line, the old completeness name and the old summary
-counts and finds the bytes printed before.  Any later
+counts and finds the bytes printed before, and five of them again, the
+full ``check`` at (3,2) with seeds 5 and 11, at (4,2) with seed 3 and at
+(120,1) with seed 3 and the ``--suite fan`` at (3,3) with seed 1, when the
+wall certificate took over the law at every r, so that the fan suite
+samples nothing; ``test_only_the_law_and_completeness_lines_left_at_r_above_2``
+puts back the law line, the old completeness line and the old summary
+counts and finds the bytes printed before, as it does for the full
+``check`` at (3,0), recorded then.  Any later
 change that alters a byte of these outputs fails here.  The whole corpus runs in-process through
 ``cli.main`` in a few seconds.  To re-record after an
 intended output change, print ``hashlib.sha256(stdout).hexdigest()`` for each
@@ -114,20 +121,20 @@ GOLDEN = [
     ("locate --r 3 --n 2 --point 0,3,0,1", 0, "84026aa11330bb167bdfd30d9aabfc7005f18416caf00c1094aab95085e644e3"),
     ("fan --r 3 --n 3 --via-stellar --format json", 0, "0b62ae802b1c323b2f76f37a3f6aed6e53133351e81ce2ca8b27bed0dc2201e6"),
     ("fan --r 2 --n 4 --via-stellar", 0, "b129809afd2184a031f0d0d5d3a9ffca6cb0b4ae4053e7cdbf63f38110f75fb2"),
-    ("check --r 3 --n 2 --seed 5", 0, "4453cc4638dd709ddf9e6a4a94a4135cdfc30acdcc44b62d59d23d93b1d8c384"),
+    ("check --r 3 --n 2 --seed 5", 0, "3910611c647e6157264f3024b5aa71c4d1a5448d2a29a369194020dbbc613923"),
     ("check --r 2 --n 3 --seed 5", 0, "c6c1d0a12d39ada32e7c2b317559eb8cbfe7443a6d21025429eded23bf4f40b7"),
-    ("check --r 3 --n 2 --seed 11", 0, "4453cc4638dd709ddf9e6a4a94a4135cdfc30acdcc44b62d59d23d93b1d8c384"),
+    ("check --r 3 --n 2 --seed 11", 0, "3910611c647e6157264f3024b5aa71c4d1a5448d2a29a369194020dbbc613923"),
     ("check --r 2 --n 3 --seed 12", 0, "c6c1d0a12d39ada32e7c2b317559eb8cbfe7443a6d21025429eded23bf4f40b7"),
     ("fan --r 4 --n 3 --format json", 0, "df1a8a5b875058da880dfa3206a1bb99b2dc868b2604290de0498a4254d149ca"),
     ("locate --r 4 --n 3 --point 1,0,0,0,2,0,-1,-1,-1", 0, "3020828e5452ea6de027f8d5a3f48ec0743f6d2b6c56e8e378df8418e2b714e0"),
-    ("check --r 3 --n 3 --suite fan --seed 1", 0, "33bb787569e3d23145aa476d0781658c8d606e3c5d31f5e1300e116a874d13cb"),
+    ("check --r 3 --n 3 --suite fan --seed 1", 0, "beb5139059a20dfa023b7e79f5839a43a95af7cbc9a5105e54adf1d2e531bac0"),
     ("check --r 4 --n 2 --suite tropical --seed 2", 0, "4dbd16917363db8bb9d9fd373910f864d508e7df653cff799d6ec2f8f6440980"),
     ("locate --r 4 --n 3 --curve 1:0:2,2:3:2,3:c:0", 0, "ba52bb937324716b1309d80ca5ec6fe7562a696cec1c049700ef174a56455c6e"),
     ("locate --r 2 --n 4 --point 2,2,0,-1", 0, "b3ad60ace39dc72e3c60f22d169ec6558cbd73b4692cfd9d8ff91418f1f3d6da"),
     ("check --r 3 --n 3 --suite normal --seed 2", 0, "09192c542613eb66059eb03a041c687937a0f0b2fba338dc09697e0195dce7f1"),
     ("locate --r 4 --n 4 --point 1,0,0,0,2,0,-1,-1,-1,0,0,3", 0, "20dd79839446bab032a40d33844d0cffd75e8972f4dc87b74b1b47cd8a483248"),
     ("check --r 4 --n 3 --suite normal --seed 4", 0, "1f8ecd644e31c5d9c3afc1e652703e7ee0fc8e6ae4c322cc55d8e216b991a473"),
-    ("check --r 4 --n 2 --seed 3", 0, "2cbe7414767463fa574f8f1e6467bfc6075417f6a12f4ca576f3e72291c738c8"),
+    ("check --r 4 --n 2 --seed 3", 0, "c5fb59d4c11d75a7b15205fb2f9d0ece4975a6f9d45428202a07e927569769b1"),
     ("fan --r 2 --n 4 --format json", 0, "c2e0dafc385ef1bae3abc030349fbd5cd0c2f67759e817797e508d3be861db89"),
     ("check --r 2 --n 4 --suite fan --seed 1", 0, "cd382831b4712c7ada41e02c42220bd3af6ba7b1252d9f2d7f25c1bbdc0398ed"),
     ("normal-complex --r 3 --n 2 --union-extremes --format json", 0, "27fc40fd27c8aaca384d7ce0764e6ce3636e233789966ef18430315e5da24ee9"),
@@ -143,8 +150,9 @@ GOLDEN = [
     ("normal-complex --r 120 --n 1", 0, "a201113ad41c17e60881d0015b337de9a572b44e2c5a2d1a991e955e555aadc5"),
     ("check --r 200 --n 1 --suite normal --seed 3", 0, "510fc29b840b46bf7754a437200464cb8d8cf98529035b08ea829e9aab9a1deb"),
     ("normal-complex --r 40 --n 1 --format json", 0, "63fbab7ab8e5e0b907414b83f1da9e51681384f41e19833ac1c3e7994620b565"),
-    ("check --r 120 --n 1 --seed 3", 0, "2b5361cb2fa39dabdca952678fe4d8fc697305bfe1f323aae49c38303ca2fa07"),
+    ("check --r 120 --n 1 --seed 3", 0, "e64bf89c2cf96eb22cb9aae8a189553282d087f23e3ef7e4561ea69730f94e06"),
     ("locate --r 300 --n 1 --curve 1:0:5/2", 0, "26f38fdaa9bba24d05bfcd8add25e3b176b9ff344b3ecfc6c503fd0cead1ac6e"),
+    ("check --r 3 --n 0", 0, "0f81812601217e09e5311f482b53bc88e60f84505e96e75c272824123b940ca8"),
     ("fan --r 1 --n 2", 2, "19a9c3723b7d7f4d89611ed97f66c1f2369ca2ac75bc525df5a199f19f8b3969"),
     ("locate --r 3 --n 2 --point 1,2", 2, "2360e8858d7deb4b2fdfefd665fff621c57c1bcb7cd8a38e1eced897152e29a7"),
 ]
@@ -202,6 +210,41 @@ def test_only_the_law_line_left_at_r_2(monkeypatch, command):
     assert hashlib.sha256(with_the_law_line(out, pairs).encode()).hexdigest() == digest
 
 
+# The six digests above whose fan suite ran the law at r > 2 or n = 0,
+# each with the pair count its law line printed, the completeness line it
+# printed (None for the n = 0 line, which is unchanged), and the digest
+# recorded then.
+NOT_COMPLETE_THEN = "not complete for r > 2: e_1^1 + e_1^2 lies in no cone"
+LAW_BEFORE_THE_WALLS = {
+    "check --r 3 --n 2 --seed 5": (1156, NOT_COMPLETE_THEN, "4453cc4638dd709ddf9e6a4a94a4135cdfc30acdcc44b62d59d23d93b1d8c384"),
+    "check --r 3 --n 2 --seed 11": (1156, NOT_COMPLETE_THEN, "4453cc4638dd709ddf9e6a4a94a4135cdfc30acdcc44b62d59d23d93b1d8c384"),
+    "check --r 4 --n 2 --seed 3": (1000, NOT_COMPLETE_THEN, "2cbe7414767463fa574f8f1e6467bfc6075417f6a12f4ca576f3e72291c738c8"),
+    "check --r 120 --n 1 --seed 3": (1000, NOT_COMPLETE_THEN, "2b5361cb2fa39dabdca952678fe4d8fc697305bfe1f323aae49c38303ca2fa07"),
+    "check --r 3 --n 3 --suite fan --seed 1": (1000, NOT_COMPLETE_THEN, "33bb787569e3d23145aa476d0781658c8d606e3c5d31f5e1300e116a874d13cb"),
+    "check --r 3 --n 0": (1, None, "a071cdc15c52c2a2be75f06bf7b75e09d113c84cdff4effb52c4aee49f71e584"),
+}
+
+
+def with_the_sampled_law(out, pairs, completeness):
+    """The output as printed while the law still ran at r > 2 and n = 0:
+    at r > 2 the completeness line as it printed then, with no detail, and
+    the law's line after the stellar line and one more check in the
+    summary."""
+    if completeness is not None:
+        new = "PASS [fan] not complete for r > 2: e_1^1 + e_1^2 lies in no cone, and"
+        (line,) = [x for x in out.splitlines() if x.startswith(new)]
+        out = out.replace(line, f"PASS [fan] {completeness}")
+    return with_the_law_line(out, pairs)
+
+
+@pytest.mark.parametrize("command", LAW_BEFORE_THE_WALLS)
+def test_only_the_law_and_completeness_lines_left_at_r_above_2(monkeypatch, command):
+    out = run_golden(monkeypatch, command)
+    assert "intersection law" not in out
+    pairs, completeness, digest = LAW_BEFORE_THE_WALLS[command]
+    assert hashlib.sha256(with_the_sampled_law(out, pairs, completeness).encode()).hexdigest() == digest
+
+
 # The nine digests above that run the fan suite, each with the count its
 # sampled completeness line printed and the digest recorded then.
 SAMPLED_COMPLETENESS = [
@@ -229,6 +272,8 @@ def test_only_the_completeness_line_changed(monkeypatch, command, located, diges
     out = run_golden(monkeypatch, command)
     if command in LAW_AT_R_2:
         out = with_the_law_line(out, LAW_AT_R_2[command][0])
+    if command in LAW_BEFORE_THE_WALLS:
+        out = with_the_sampled_law(out, *LAW_BEFORE_THE_WALLS[command][:2])
     (line,) = [x for x in out.splitlines() if x.startswith(tuple(f"PASS [fan] {n}" for n in SAMPLED_NAME))]
     name = line[len("PASS [fan] ") :].split(" (")[0]
     out = out.replace(line, f"PASS [fan] {SAMPLED_NAME[name]} ({located})")

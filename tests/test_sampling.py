@@ -12,6 +12,7 @@ import pytest
 
 from cyclic_wonderful.lattice import ArrangementSpec
 from cyclic_wonderful.sampling import Lcg, sample_curve, sample_mixed_points
+from cyclic_wonderful.tropical import TropicalCurve, validate_curve
 
 STREAMS = {
     (3, 2, 5): "15a76c9502b88473e96bfe13595ef5d7f8a681963dbdc02996fa1146765f1bee",
@@ -52,3 +53,29 @@ def test_a_generator_builds_each_drawn_rational_once():
     assert zeros and len({id(x) for x in zeros}) == 1
     # the cache is the generator's own: a fresh generator builds its own
     assert Lcg(4).fraction(3) is not Lcg(4).fraction(3)
+
+
+@pytest.mark.parametrize("r,n,seed", [(3, 2, 5), (2, 3, 11), (4, 3, 5), (7, 1, 0)])
+def test_sampled_and_scaled_curves_skip_the_check_and_pass_it(monkeypatch, r, n, seed):
+    spec = ArrangementSpec(r, n)
+    rng = Lcg(seed)
+
+    def refuse(self, spokes, lengths):
+        raise AssertionError("a curve built by the program was checked")
+
+    # a sampled curve and its multiples are valid by construction, so
+    # neither is built through the validating constructor
+    with monkeypatch.context() as m:
+        m.setattr(TropicalCurve, "__init__", refuse)
+        curves = [sample_curve(rng, spec) for _ in range(300)]
+        built = [(c, c.scaled(3), c.scaled(Fraction(2, 7))) for c in curves]
+    # and each equals the curve the validating constructor builds
+    for trio in built:
+        for curve in trio:
+            validate_curve(curve, spec)
+            assert TropicalCurve(curve.spokes, curve.lengths) == curve
+            assert all(type(x) is Fraction for x in curve.lengths)
+    # the factor is still checked
+    for factor in (0, -1, Fraction(-1, 2)):
+        with pytest.raises(ValueError, match="positive"):
+            curves[0].scaled(factor)

@@ -8,6 +8,7 @@ import weakref
 
 import pytest
 
+from cyclic_wonderful import fan as fan_module
 from cyclic_wonderful import selfcheck, tropical
 from cyclic_wonderful.cli import build_parser, run
 from cyclic_wonderful.fan import Cone, Fan, build_fan, fans_equal
@@ -30,7 +31,11 @@ from cyclic_wonderful.selfcheck import (
 )
 
 COMPLETE = "complete for r = 2, cones meeting in common faces: every wall has two maximal cones on opposite sides"
-NOT_COMPLETE = "not complete for r > 2: e_1^1 + e_1^2 lies in no cone"
+NOT_COMPLETE = (
+    "not complete for r > 2: e_1^1 + e_1^2 lies in no cone, and the cones cover T = L^n once,"
+    " meeting in common faces: every inner wall has two maximal cones on opposite sides,"
+    " every boundary wall r at distinct residues"
+)
 
 
 def per_pair_law(fan, a, b, contains=None):
@@ -56,8 +61,8 @@ def fan_of(r, n):
 
 
 def law_pairs(fan, seed=0):
-    """The pairs ``suite_fan`` checks: all of them up to 2,500, else 1,000
-    drawn by the suite's generator."""
+    """A sample of pairs of chains for the law: all of them up to 2,500,
+    else 1,000 drawn from the seed."""
     chains = list(enumerate_chains(fan.spec, fan.spec.n))
     if len(chains) ** 2 <= 2500:
         return list(itertools.product(chains, chains))
@@ -128,16 +133,18 @@ def test_a_failing_lattice_line_counts_its_cones_and_names_the_first(monkeypatch
     lines = {res.name: res for res in suite_fan(spec)}
     assert list(lines) == list(passing)
     assert lines[COMPLETE].status == "PASS"
-    # at (3, 2), where the law still runs, the law, which would eliminate
-    # that cone, fails its pairs
+    # at (3, 2) the flat face fails the dimension line, and the law, which
+    # would eliminate that cone, fails exactly the pairs that meet it
     flat = flat_face(fan_of(3, 2))
     monkeypatch.setattr(selfcheck, "build_fan", lambda spec, g: flat)
     lines = {res.name: res for res in suite_fan(flat.spec)}
     face = next(c for c in flat.cones if c.length == 1)
     assert lines["cone dimension equals chain length"].status == "FAIL"
-    law = lines["cone intersection law"]
-    failing = sum(face in (a, b, chain_intersect(a, b)) for a, b in law_pairs(flat))
-    assert (law.status, law.detail) == ("FAIL", f"1156 pairs checked, {failing} failures")
+    pairs = law_pairs(flat)
+    assert len(pairs) == 1156
+    failing = [(a, b) for a, b in pairs if face in (a, b, chain_intersect(a, b))]
+    assert failing and intersection_law_failures(flat, pairs) == failing
+    # the completeness line reads the maximal cones alone
     assert lines[NOT_COMPLETE].status == "PASS"
     # a maximal cone that repeats a ray is flat too: the scan, which would
     # eliminate it, is not run, and its line fails
@@ -178,23 +185,33 @@ def test_the_law_holds_on_every_pair_of_cones_at_r_2(n, pairs):
     assert intersection_law_failures(fan, itertools.product(chains, chains)) == []
 
 
-def test_the_law_line_runs_only_where_no_wall_certificate_runs(monkeypatch):
+def test_the_law_holds_where_no_line_checks_it_and_the_fan_suite_draws_nothing(monkeypatch):
+    # the specs where the law line ran last, the reference called directly
     for r, n in [(2, 0), (3, 0), (3, 1), (3, 2), (4, 2)]:
-        assert "cone intersection law" in [res.name for res in suite_fan(ArrangementSpec(r, n))]
-    # at r = 2, n >= 1 the fan suite draws no random number
+        fan = fan_of(r, n)
+        chains = list(enumerate_chains(fan.spec, n))
+        assert intersection_law_failures(fan, itertools.product(chains, chains)) == []
+    # at every spec the fan suite draws no random number and prints no law line
     monkeypatch.setattr(selfcheck, "Lcg", None)
-    for n in (1, 2, 3, 4):
-        names = [res.name for res in suite_fan(ArrangementSpec(2, n), seed=n)]
-        assert names == [
-            "ray count (1+r)^n - 1",
-            "maximal cone count n! r^n",
-            "stellar route equals direct route",
-            "maximal cones unimodular",
-            "cone dimension equals chain length",
-            COMPLETE,
-        ]
-    outputs = {run(build_parser().parse_args(f"check --r 2 --n 3 --suite fan --seed {seed}".split())) for seed in (0, 12)}
-    assert len(outputs) == 1 and next(iter(outputs))[0] == 0
+    names = [
+        "ray count (1+r)^n - 1",
+        "maximal cone count n! r^n",
+        "stellar route equals direct route",
+        "maximal cones unimodular",
+        "cone dimension equals chain length",
+    ]
+    for r, n in [(2, 0), (3, 0), (2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (4, 2), (3, 3)]:
+        results = suite_fan(ArrangementSpec(r, n), seed=n + 1)
+        assert [res.status for res in results] == ["PASS"] * 6
+        last = COMPLETE if r == 2 else NOT_COMPLETE
+        if n == 0:
+            last = "complete for n = 0: the fan is the origin of R^0"
+        assert [res.name for res in results] == [*names, last]
+    monkeypatch.undo()
+    for r, n in [(2, 3), (3, 2), (4, 2), (3, 3)]:
+        argv = f"check --r {r} --n {n} --suite fan --seed".split()
+        outputs = {run(build_parser().parse_args([*argv, str(seed)])) for seed in (0, 12)}
+        assert len(outputs) == 1 and next(iter(outputs))[0] == 0
 
 
 def test_a_face_given_a_wrong_independent_ray_fails_the_stellar_line_alone(monkeypatch):
@@ -265,7 +282,7 @@ class _PassCounter(dict):
 def test_the_stellar_line_builds_no_record_and_reads_the_cones_once(monkeypatch, r, n):
     # the stellar route is compared by its label sets and ray table, so
     # neither its Fan nor its cones' records are built; one pass over the
-    # direct fan's cones serves the stellar and lattice lines, and the law
+    # direct fan's cones serves the stellar and lattice lines
     fan = fan_of(r, n)
     table = vars(fan)["cones"] = _PassCounter(fan.cones)
 
@@ -277,7 +294,7 @@ def test_the_stellar_line_builds_no_record_and_reads_the_cones_once(monkeypatch,
     monkeypatch.setattr(selfcheck, "build_fan", lambda spec, g: fan)
     lines = suite_fan(fan.spec)
     assert [res.status for res in lines] == ["PASS"] * len(lines)
-    assert ("cone intersection law" in [res.name for res in lines]) == (r != 2)
+    assert "cone intersection law" not in [res.name for res in lines]
     assert table.passes == 1
 
 
@@ -337,9 +354,7 @@ def test_each_distinct_cone_point_test_runs_once(monkeypatch):
     log = _record_indexes(monkeypatch)
     contains_calls = []
     monkeypatch.setattr(Cone, "contains", lambda self, p: contains_calls.append(p))
-    results = suite_fan(ArrangementSpec(3, 2), seed=5)
-    law = next(res for res in results if res.name == "cone intersection law")
-    assert (law.status, law.detail) == ("PASS", "1156 pairs checked, 0 failures")
+    assert intersection_law_failures(fan_of(3, 2), law_pairs(fan)) == []
     monkeypatch.undo()
     # the law calls no Cone.contains: one index over the 34 chains, one
     # holding per distinct ray or ray-sum point, each an integer point
@@ -423,13 +438,14 @@ def test_a_missing_maximal_cone_leaves_its_walls_one_coface(monkeypatch):
 def test_a_wall_whose_two_cofaces_lie_on_one_side_fails(monkeypatch):
     fan = fan_of(2, 2)
     one = fan.maximal_cones[0]
-    wall = one.label[:1]
-    other = next(c for c in fan.maximal_cones if c is not one and c.label[:1] == wall)
+    # an inner wall, the top prefix alone: a boundary wall is decided on labels
+    wall = one.label[1:]
+    other = next(c for c in fan.maximal_cones if c is not one and c.label[1:] == wall)
     # the other coface's extra ray moved to the first coface's side of the
     # wall, the rays kept a lattice basis; every label is kept, so every
     # wall still has two cofaces
     inside = tuple(x + y for x, y in zip(one.rays[0], one.rays[1]))
-    folded = with_cone(fan, other, (other.rays[0], inside))
+    folded = with_cone(fan, other, (inside, other.rays[1]))
     assert wall_failures(fan) == (8, [])
     walls, failed = wall_failures(folded)
     assert walls == 8 and wall in failed
@@ -450,14 +466,15 @@ def test_a_second_maximal_cone_over_the_first_one_s_ray_sum_fails(monkeypatch):
 def test_a_maximal_cone_through_the_witness_fails_the_r_above_2_line(monkeypatch):
     fan = fan_of(3, 2)
     line, status = fan_suite_line(monkeypatch, fan, NOT_COMPLETE)
-    assert (line.status, line.detail, status) == ("PASS", "", 0)
+    assert (line.status, line.detail, status) == ("PASS", "15 walls, 0 failures", 0)
     cone = fan.maximal_cones[7]
     # its first ray becomes e_1^1 + e_1^2; the second, with a nonzero
     # entry in factor 2's block, stays independent of it
     moved = with_cone(fan, cone, ((1, 1, 0, 0), cone.rays[1]))
     line, status = fan_suite_line(monkeypatch, moved, NOT_COMPLETE)
     ray = Chain._trusted(cone.label[:1]).text()
-    assert (line.status, line.detail, status) == ("FAIL", f"it lies in the cone of {ray}", 1)
+    assert (line.status, status) == ("FAIL", 1)
+    assert line.detail.endswith(f", e_1^1 + e_1^2 lies in the cone of {ray}")
 
 
 def test_a_wall_of_three_cofaces_fails_though_its_first_two_lie_on_opposite_sides(monkeypatch):
@@ -474,6 +491,125 @@ def test_a_wall_of_three_cofaces_fails_though_its_first_two_lie_on_opposite_side
     assert walls == 8 and wall in failed
     line, status = fan_suite_line(monkeypatch, crowded, COMPLETE)
     assert (line.status, status) == ("FAIL", 1)
+
+
+# --- the wall certificate at r >= 3 ----------------------------------------------
+
+
+@pytest.mark.parametrize("r,n,pairs", [(3, 1, 16), (4, 2, 3249), (3, 3, 195364)])
+def test_the_law_holds_on_every_pair_of_chains_at_r_above_2(r, n, pairs):
+    # the cross-check of the wall certificate, which decides the law in
+    # ``check`` at every r
+    fan = fan_of(r, n)
+    chains = list(enumerate_chains(fan.spec, n))
+    assert len(chains) ** 2 == pairs
+    assert intersection_law_failures(fan, itertools.product(chains, chains)) == []
+
+
+@pytest.mark.parametrize("r,n,walls", [(3, 1, 1), (3, 2, 15), (4, 2, 24), (3, 3, 216), (4, 3, 480), (4, 4, 10752)])
+def test_every_wall_passes_at_r_above_2(r, n, walls):
+    # n! r^n maximal cones, each with n - 1 inner walls shared by two and
+    # one boundary wall shared by r
+    fan = fan_of(r, n)
+    assert walls * 2 * r == math.factorial(n) * r**n * ((n - 1) * r + 2)
+    assert wall_failures(fan) == (walls, [])
+    assert selfcheck._rays_off_their_charts(fan) == []
+
+
+def with_cones(fan, new):
+    """The fan with the cones of some chains replaced, or dropped for None."""
+    cones = {c: new.get(c, k) for c, k in fan.cones.items()}
+    return Fan.from_cones(fan.spec, fan.rays, [(c, k) for c, k in cones.items() if k is not None])
+
+
+def failing_lines(monkeypatch, fan):
+    """The names of the lines ``check --suite fan`` fails on the fan, and its
+    exit status."""
+    monkeypatch.setattr(selfcheck, "build_fan", lambda spec, g: fan)
+    argv = ["check", "--r", str(fan.spec.r), "--n", str(fan.spec.n), "--suite", "fan"]
+    status, out = run(build_parser().parse_args(argv))
+    fails = [line[len("FAIL [fan] ") :].split(" (")[0] for line in out.splitlines() if line.startswith("FAIL")]
+    return fails, status
+
+
+STELLAR, COUNT = "stellar route equals direct route", "maximal cone count n! r^n"
+
+
+def test_a_top_ray_swapped_for_the_new_factor_s_singleton_ray_fails_one_wall(monkeypatch):
+    fan = fan_of(3, 3)
+    chain = [c for c in fan.cones if c.length == 3][4]
+    below, top = chain.prefixes[-2:]
+    ((m, a),) = set(top.items) - set(below.items)
+    cone = fan.cones[chain]
+    # the cone of the chart's coordinate face: in the chart, of rank 3 and
+    # unimodular, but not its chain's cone
+    moved = with_cones(fan, {chain: Cone((*cone.rays[:-1], fan.rays[parse_subset(f"{{{m}:{a}}}", fan.spec)]), cone.label)})
+    walls, failed = wall_failures(moved)
+    assert walls == 216 and failed == [chain.prefixes[:1] + chain.prefixes[2:]]
+    assert failing_lines(monkeypatch, moved) == ([STELLAR, NOT_COMPLETE], 1)
+
+
+def test_a_lost_maximal_cone_fails_its_inner_and_boundary_walls(monkeypatch):
+    fan = fan_of(3, 3)
+    gone = [c for c in fan.cones if c.length == 3][7]
+    holed = with_cones(fan, {gone: None})
+    walls, failed = wall_failures(holed)
+    # two inner walls left one coface, the boundary wall r - 1
+    assert walls == 216 and set(failed) == facets(gone) and len(failed) == 3
+    assert failing_lines(monkeypatch, holed) == ([COUNT, STELLAR, NOT_COMPLETE], 1)
+
+
+@pytest.mark.parametrize("r,n,fails", [(3, 2, [STELLAR]), (3, 3, [STELLAR, NOT_COMPLETE])])
+def test_two_maximal_cones_that_swap_rays_fail_the_tie(monkeypatch, r, n, fails):
+    fan = fan_of(r, n)
+    maximal = [c for c in fan.cones if c.length == n]
+    a, b = maximal[0], maximal[-1]
+    swapped = with_cones(fan, {a: Cone(fan.cones[b].rays, a.prefixes), b: Cone(fan.cones[a].rays, b.prefixes)})
+    # the walls assume the tie, which the stellar line checks; at (3, 2)
+    # the swapped cones' walls happen to pass
+    assert failing_lines(monkeypatch, swapped) == (fails, 1)
+
+
+def test_a_boundary_wall_whose_cofaces_repeat_a_residue_fails(monkeypatch):
+    fan = fan_of(3, 3)
+    maximal = [c for c in fan.cones if c.length == 3]
+    one = maximal[0]
+    other = next(c for c in maximal if c != one and c.prefixes[:-1] == one.prefixes[:-1])
+    # the other coface of the boundary wall becomes a copy of the first, so
+    # its top prefix adds the same residue
+    repeated = with_cones(fan, {other: fan.cones[one]})
+    walls, failed = wall_failures(repeated)
+    assert walls == 216 and one.prefixes[:-1] in failed
+    assert failing_lines(monkeypatch, repeated) == ([STELLAR, NOT_COMPLETE], 1)
+    # a top prefix that adds the missing factor 1 at the residue it had but
+    # changes factor 2's: the residues stay distinct, but it adds no one
+    # factor to the wall's top prefix
+    spec = fan.spec
+    chain = parse_chain("{2:0}<{2:0,3:0}<{1:0,2:0,3:0}", spec)
+    stray = (*chain.prefixes[:-1], parse_subset("{1:0,2:1,3:0}", spec))
+    relabelled = with_cones(fan, {chain: Cone(fan.cones[chain].rays, stray)})
+    assert chain.prefixes[:-1] in wall_failures(relabelled)[1]
+
+
+def test_a_ray_off_its_label_s_chart_fails_the_completeness_line_alone(monkeypatch):
+    # at (3, 1) the ray of {1:1} is e^2 = (0, 1); (1, -1) is primitive, lies
+    # in no chart, and e_1^1 + e_1^2 is not on it.  Both routes take it from
+    # ``ray_vector``, so they agree, and the law holds on every pair; only
+    # the chart reading sees it
+    spec = ArrangementSpec(3, 1)
+    label = parse_subset("{1:1}", spec)
+    ray_vector = fan_module.ray_vector
+    monkeypatch.setattr(fan_module, "ray_vector", lambda d, spec: (1, -1) if d == label else ray_vector(d, spec))
+    fan = fan_of(3, 1)
+    assert fan.rays[label] == (1, -1)
+    chains = list(enumerate_chains(spec, 1))
+    assert intersection_law_failures(fan, itertools.product(chains, chains)) == []
+    assert wall_failures(fan) == (1, [])
+    assert selfcheck._rays_off_their_charts(fan) == [label]
+    status, out = run(build_parser().parse_args(["check", "--r", "3", "--n", "1", "--suite", "fan"]))
+    assert status == 1
+    (line,) = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert line == f"FAIL [fan] {NOT_COMPLETE} (1 walls, 0 failures, 1 rays off their label's chart, first {{1:1}})"
 
 
 # --- the work one ``check`` run shares ------------------------------------------
@@ -563,7 +699,7 @@ def test_one_check_run_builds_one_direct_fan_and_shares_it(monkeypatch):
     locate = selfcheck.locate_point
     monkeypatch.setattr(selfcheck, "locate_point", lambda fan, p: scanned.append(fan) or locate(fan, p))
     status, out = run(build_parser().parse_args(["check", "--r", "3", "--n", "2", "--seed", "5"]))
-    assert status == 0 and out.endswith("18/18 checks passed for r=3, n=2\n")
+    assert status == 0 and out.endswith("17/17 checks passed for r=3, n=2\n")
     (fan,) = built
     # the fan suite's witness scan and the tropical suite's 500 scans
     assert len(scanned) == 501 and all(f is fan for f in scanned)
