@@ -50,20 +50,53 @@ complex goes through a ``linalg.SharedRowIndex`` over the cells' tests:
 each hyperplane is evaluated once per point, and a bitmask per test drops
 every cell it violates.  The index reads only the cells' own rows, not the
 point's chain.
-The tiling check in ``check`` compares this with ``in_delta`` (subset sums
-of the support decomposition), a route that shares none of it.
+
+The tiling line of ``check`` samples nothing: ``cell_failures`` certifies
+cell(σ) = Δ ∩ σ for every maximal cone σ, where Δ is the region
+``in_delta`` cuts out (the support points whose per-factor lengths x
+have every s-subset sum at most delta(n, s)).  It reads each cell's own
+tests at the n rays g_1, ..., g_n of its chain, from ``fan.ray_vector``,
+and the lengths ``fan.support_decomposition`` gives each ray; a ray g_k
+has length 1 on the factors of its prefix I_k and 0 elsewhere, all at
+the top prefix's directions, so on σ the lengths are linear in the cone
+coordinates: x_i(sum_k t_k g_k) = sum over k with i in I_k of t_k.
+
+- The span rows come in opposite pairs of bound 0, so they are
+  equalities; each vanishes on every ray, so they hold on span σ; and
+  their distinct leads (last nonzero slots) number ambient_dim - n.
+  That bounds their rank from below, and the n independent rays they
+  vanish on bound it from above, so they cut out exactly span σ.
+- Coefficient row j reads -scale_j [k = j] on ray k, scale_j > 0: the
+  rays are independent, and on span σ the row is -scale_j t_j, so the
+  coefficient rows hold exactly on σ.
+- Truncation row j reads scale_j times the sum over I_j of the lengths
+  on every ray, and its bound is delta(n, j) scale_j: on σ it says the
+  lengths over I_j sum to at most delta(n, j).
+
+So cell(σ) = {v in σ : the lengths over each prefix I_j sum to at most
+delta(n, j)}.  That contains Δ ∩ σ, and is contained in it: for t >= 0
+and any set S of s factors, the lengths over S sum to
+sum_k |S ∩ I_k| t_k <= sum_k min(s, k) t_k, the sum over I_s, which is at
+most delta(n, s).  The fan suite's wall certificate shows that the
+maximal cones cover the support T exactly once, meeting in common faces
+(``selfcheck``'s docstring), and Δ lies in T, so the cells cover Δ and
+meet only on their boundaries: they tile it.  Membership
+(``NormalComplex.contains``) and ``in_delta`` stay as tier-1's sampled
+cross-check of that statement; no command compares them.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from functools import cache, cached_property, lru_cache
 from fractions import Fraction
 from math import lcm
+from operator import itemgetter
 from typing import Sequence
 
 from .guards import COUNT_CAP, check_normal_complex
-from .fan import block_slot, place, support_decomposition, support_point
+from .fan import Vector, block_slot, place, ray_vector, support_decomposition, support_point
 from .lattice import (
     ArrangementSpec,
     Chain,
@@ -75,6 +108,7 @@ from .lattice import (
 from .linalg import (
     RowTest,
     SharedRowIndex,
+    SparseRow,
     scaled_point,
     tests_hold,
 )
@@ -156,6 +190,9 @@ class NormalComplex(_Frozen):
         return SharedRowIndex(self.cells, lambda cell: cell._tests)
 
     def contains(self, point: Sequence) -> bool:
+        """Whether some cell holds the point.  No command calls it; it stays
+        as tier-1's sampled cross-check of ``cell_failures``, against
+        ``in_delta``."""
         p, scale = scaled_point(point, self.spec.ambient_dim)
         return self._cell_index.first(p, scale) is not None
 
@@ -303,12 +340,180 @@ def complex_cells(spec: ArrangementSpec) -> NormalComplex:
     return NormalComplex(spec, tuple(cell_polytope(c, spec) for c in maximal_chains(spec)))
 
 
+_LENGTH_ENTRIES = {x: Fraction(x) for x in (-1, 0, 1)}
+# a ray reading's fields, and a span row's (_span_row)
+_RAY, _NONZERO, _PLACED = itemgetter(0), itemgetter(1), itemgetter(2)
+_NEGATIVE, _SLOTS, _LEAD = itemgetter(0), itemgetter(1), itemgetter(2)
+
+
+def _ray_reading(
+    d: DecoratedSubset, spec: ArrangementSpec
+) -> tuple[Vector, frozenset[int], frozenset[tuple[int, int | None]], tuple[int, ...], tuple[int, ...]] | None:
+    """The ray of a label from ``fan.ray_vector`` and its nonzero slots; the
+    (factor, direction) pairs of positive length and each factor's length
+    that ``fan.support_decomposition`` reads off it; and the label's
+    factors, as indices into those lengths.  None when the ray is off the
+    support.
+
+    A ray's entries are 0 or +-1, handed over as three shared ``Fraction``s,
+    so a ray of r - 1 entries at n = 1 builds none; an integer vector's
+    lengths are integers, kept as their numerators."""
+    g = ray_vector(d, spec)
+    if _LENGTH_ENTRIES.keys() >= set(g):
+        decomp = support_decomposition(list(map(_LENGTH_ENTRIES.__getitem__, g)), spec)
+    else:
+        decomp = support_decomposition(g, spec)
+    if decomp is None:
+        return None
+    nonzero = frozenset(itertools.compress(range(len(g)), g))
+    placed = frozenset([(i, a) for i, (x, a) in enumerate(decomp) if x])
+    return g, nonzero, placed, tuple([x.numerator for x, _ in decomp]), tuple([i - 1 for i, _ in d.items])
+
+
+def _span_row(row: RowTest, dim: int) -> tuple[RowTest, frozenset[int], int, SparseRow] | None:
+    """A span row's negative, its slots, its lead (its last slot) and its
+    pairs, or None unless it reads ``row . v <= 0`` with nonzero entries at
+    slots of the space."""
+    pairs, lo, bound = row
+    if lo is not None or bound != 0 or not pairs or not all(a and 0 <= f < dim for f, a in pairs):
+        return None
+    slots = [f for f, _ in pairs]
+    return (tuple([(f, -a) for f, a in pairs]), None, 0), frozenset(slots), max(slots), pairs
+
+
+def _reads(pairs: SparseRow, g: Vector) -> int:
+    s = 0
+    for f, a in pairs:
+        s += a * g[f]
+    return s
+
+
+def cell_failures(complex_: NormalComplex) -> list[Chain]:
+    """The chains whose cells are not their maximal cone's part of the
+    truncated support, read exactly from each cell's own tests (``_tests``
+    and ``_scales``, in ``cell_polytope``'s row order) at the n rays of its
+    chain (``fan.ray_vector``).  A cell passes when
+
+    * its span rows come in pairs ``row, -row`` of bound 0 (equalities),
+      every one vanishes on every ray, and their distinct leads number
+      ``ambient_dim - n``;
+    * coefficient row j reads ``-scale * [k = j]`` on ray k, with scale > 0;
+    * truncation row j reads, on each ray, ``scale`` times the sum over the
+      factors I_j of level j of the lengths ``fan.support_decomposition``
+      gives that ray, and its bound is ``delta(n, j) * scale``;
+    * each ray's factors lie at the top ray's directions (one chart).
+
+    Why that suffices is in the module docstring.  A span row is read by
+    its slots: it vanishes unread on a ray with no nonzero entry there, and
+    its lead is one integer.  Each distinct span row is read once (the
+    cells share their tests, ``_cell_test``), and each ray once, kept until
+    the last cell on it: the r cells at n = 1, about r^2 span rows, cost
+    O(r^2) lookups, no product, and one ray of r - 1 entries at a time.
+    """
+    spec = complex_.spec
+    n, dim = spec.n, spec.ambient_dim
+    heights = [delta(n, j) for j in range(1, n + 1)]
+    # id of a label -> its _ray_reading, dropped after the last cell on it
+    readings: dict[int, tuple | None] = {}
+    uses = Counter(map(id, itertools.chain.from_iterable([cell.label.prefixes for cell in complex_.cells])))
+    # id of a span row -> _span_row, with its negative; the cells keep it alive
+    spans: dict[int, tuple] = {}
+    in_range: set[int] = set()  # ids of the rows checked to lie in the space
+
+    def rows_hold(rays: list, rows: Sequence[RowTest], scales: Sequence[int]) -> bool:
+        """The one-chart, coefficient and truncation conditions: ``rows``
+        and ``scales`` are the cell's last 2n, ``rays`` its chain's readings."""
+        if not all(map(rays[-1][2].issuperset, map(_PLACED, rays))):
+            return False
+        for pairs, _, _ in rows:
+            if id(pairs) not in in_range:
+                if not all(0 <= f < dim for f, _ in pairs):
+                    return False
+                in_range.add(id(pairs))
+        # the products are written out: this is the line's inner loop
+        for j in range(n):
+            (pairs, lo, bound), scale = rows[j], scales[j]
+            if lo is not None or bound != 0 or scale <= 0:
+                return False
+            for k, g in enumerate(map(_RAY, rays)):
+                s = 0
+                for f, a in pairs:
+                    s += a * g[f]
+                if s != (-scale if k == j else 0):
+                    return False
+        for j in range(n):
+            (pairs, lo, bound), scale = rows[n + j], scales[n + j]
+            if lo is not None or bound != heights[j] * scale:
+                return False
+            factors = rays[j][4]
+            for g, _, _, lengths, _ in rays:
+                s = 0
+                for f, a in pairs:
+                    s += a * g[f]
+                if s != scale * sum(map(lengths.__getitem__, factors)):
+                    return False
+        return True
+
+    def holds(cell: Polytope, keys: list[int]) -> bool:
+        tests, scales = cell._tests, cell._scales
+        m = len(tests) - 2 * n
+        rays = []
+        for key, d in zip(keys, cell.label.prefixes):
+            reading = readings.get(key, False)
+            if reading is False:
+                reading = readings[key] = _ray_reading(d, spec)
+            rays.append(reading)
+        if m < 0 or m % 2 or len(scales) != len(tests) or len(rays) != n or None in rays:
+            return False
+        if n and not rows_hold(rays, tests[m:], scales[m:]):
+            return False
+        # each span row and its partner, which must be its negative: one equality
+        span, partners = tests[0:m:2], tests[1:m:2]
+        read = list(map(spans.get, map(id, span)))
+        if None in read:
+            for k, row in enumerate(span):
+                if read[k] is None and (found := _span_row(row, dim)) is not None:
+                    # kept as the partner itself when equal, so later cells compare by identity
+                    negative = partners[k] if partners[k] == found[0] else found[0]
+                    read[k] = spans[id(row)] = (negative, *found[1:])
+            if None in read:
+                return False
+        # columns read by itemgetter: a zip(*read) would make one iterator per row
+        if tuple(map(_NEGATIVE, read)) != partners or len(set(map(_LEAD, read))) != dim - n:
+            return False
+        held = frozenset().union(*map(_NONZERO, rays))
+        if all(map(held.isdisjoint, map(_SLOTS, read))):
+            return True
+        # a row is read only on the rays nonzero at one of its slots
+        for _, at, _, pairs in read:
+            if not held.isdisjoint(at):
+                for g, nonzero, _, _, _ in rays:
+                    if not nonzero.isdisjoint(at) and _reads(pairs, g):
+                        return False
+        return True
+
+    failed = []
+    for cell in complex_.cells:
+        keys = list(map(id, cell.label.prefixes))
+        if not holds(cell, keys):
+            failed.append(cell.label)
+        for key in keys:
+            uses[key] -= 1
+            if not uses[key]:
+                del readings[key]
+    return failed
+
+
 def in_delta(point: Sequence, spec: ArrangementSpec) -> bool:
     """Membership in the truncated support region.
 
     The point must decompose as nonnegative lengths along one direction per
     factor, and every subset of factors must have total length at most the
     height for its size.  Lengths compare as integers over one denominator.
+
+    It stays as the region the tiling line certifies: tier-1 compares it
+    with ``NormalComplex.contains``, and the benchmark's extremes check
+    reads the union extremes against it.
     """
     decomp = support_decomposition(point, spec)
     if decomp is None:

@@ -78,7 +78,9 @@ def sample_mixed_points(
     """Alternating ambient-box and on-support samples.
 
     Box samples exercise the generic rejection paths; support samples land on
-    the fan so membership predicates see true cases as well.
+    the fan so membership predicates see true cases as well.  No command
+    draws them: they stay for tier-1's sampled cross-checks, cell membership
+    against ``in_delta`` and the curve route against the cone scan.
     """
     out = []
     for k in range(count):

@@ -8,9 +8,13 @@ intersections obey the chain rule, graded ranks computed by formula and by
 elimination coincide, tropical round trips are exact, and the normal
 complex tiles the truncated support.
 
-The fan suite draws no sample.  Its completeness line certifies, from the
-fan's walls, the codimension-1 cones, that the maximal cones cover the
-fan's support exactly once and meet in common faces, at every r.  The
+Only the tropical suite samples.  The normal suite's tiling line reads
+each cell's rows exactly on its chain's rays (``normal_complex``'s
+docstring gives the argument, which takes the disjoint cones from the fan
+suite's walls), and the fan suite draws no sample either.  Its
+completeness line certifies, from the fan's walls, the codimension-1
+cones, that the maximal cones cover the fan's support exactly once and
+meet in common faces, at every r.  The
 support is T = L^n, L the tropical line: the r rays e^0, ..., e^(r-1) of
 R^(r-1), which sum to 0 (at r = 2 the whole line, and T = R^n).  T is the
 union of the r^n charts O_c = cone(e_1^(c_1), ..., e_n^(c_n)), each a
@@ -126,7 +130,7 @@ from .lattice import (
     chain_intersect,
 )
 from .linalg import SharedRowIndex, extreme_points, lattice_pivots
-from .sampling import Lcg, sample_curve, sample_mixed_points
+from .sampling import Lcg, sample_curve
 
 # suite "x" is the function suite_x, looked up by name when it runs, so the
 # module's globals are the one table (perfbench's span wrappers rebind them)
@@ -391,8 +395,16 @@ def suite_fan(
             f"{len(maximal)} maximal cones",
         )
     )
-    # the stellar core runs the same fan guard, which passed above
-    stellar, stellar_rays = _stellar_labels(spec, g)
+    # the stellar core runs the same fan guard, which passed above; a
+    # subdivision vector off the support (a bent ray) fails the route
+    try:
+        stellar, stellar_rays = _stellar_labels(spec, g)
+    except FeasibilityError:
+        raise
+    except ValueError as exc:
+        stellar, stellar_rays, broken = set(), None, str(exc)
+    else:
+        broken = ""
     stellar_count = len(stellar)
     # one pass over the cones: each chain's label set leaves the stellar
     # route's, which, the counts being equal, empties exactly when the sets
@@ -409,14 +421,15 @@ def suite_fan(
             flat.append(chain)
         if len(chain.prefixes) == spec.n and pivots != [1] * len(cone.rays):
             rough.append(chain)
+    details = [broken] if broken else []
+    if astray:
+        details.append(f"{len(fan.cones)} cones, {len(astray)} not on their chain's rays, first {astray[0].text()}")
     out.append(
         _result(
             "fan",
             "stellar route equals direct route",
-            not stellar and len(fan.cones) == stellar_count and stellar_rays == fan.rays and not astray,
-            f"{len(fan.cones)} cones, {len(astray)} not on their chain's rays, first {astray[0].text()}"
-            if astray
-            else "",
+            not broken and not stellar and len(fan.cones) == stellar_count and stellar_rays == fan.rays and not astray,
+            ", ".join(details),
         )
     )
     out.append(
@@ -618,6 +631,9 @@ def suite_tropical(
 
 
 def suite_normal(spec: ArrangementSpec, seed: int = 0) -> list[CheckResult]:
+    """The cell count, the origin in every cell, the exact tiling line
+    (``normal_complex.cell_failures``) and, at (2, 2), the union extremes.
+    It draws no sample, so ``seed`` moves none of its lines."""
     out: list[CheckResult] = []
     try:
         complex_ = normal_complex.complex_cells(spec)
@@ -640,21 +656,12 @@ def suite_normal(spec: ArrangementSpec, seed: int = 0) -> list[CheckResult]:
             all(any(not any(x.numerator for x in v) for v in cell.v_rep) for cell in complex_.cells),
         )
     )
-    rng = Lcg(seed)
-    points = sample_mixed_points(rng, spec, 500, max_abs=spec.n + 2)
-    bad = sum(
-        1
-        for p in points
-        if complex_.contains(p) != normal_complex.in_delta(p, spec)
-    )
-    out.append(
-        _result(
-            "normal",
-            "cells tile the truncated support",
-            bad == 0,
-            f"{len(points)} points, {bad} mismatches",
-        )
-    )
+    failed = normal_complex.cell_failures(complex_)
+    name = "cells tile the truncated support: each cell is its maximal cone's part of it, read on the chain's rays"
+    detail = f"{len(complex_.cells)} cells, {len(failed)} failures"
+    if failed:
+        detail += f", first {failed[0].text()}"
+    out.append(_result("normal", name, not failed, detail))
     if (spec.r, spec.n) == (2, 2):
         # the fraction-free simplex over every cell vertex is the second route
         extremes = normal_complex.union_extreme_points(spec)

@@ -68,7 +68,12 @@ wall certificate took over the law at every r, so that the fan suite
 samples nothing; ``test_only_the_law_and_completeness_lines_left_at_r_above_2``
 puts back the law line, the old completeness line and the old summary
 counts and finds the bytes printed before, as it does for the full
-``check`` at (3,0), recorded then.  Any later
+``check`` at (3,0), recorded then, and the twelve ``check`` runs that
+include the normal suite when its tiling line stopped testing 500 sampled
+points against ``in_delta`` and certified each cell exactly on its chain's
+rays; ``test_only_the_tiling_line_changed`` puts back the sampled line and
+finds the bytes printed before, and the tests of the earlier changes put
+it back first.  Any later
 change that alters a byte of these outputs fails here.  The whole corpus runs in-process through
 ``cli.main`` in a few seconds.  To re-record after an
 intended output change, print ``hashlib.sha256(stdout).hexdigest()`` for each
@@ -112,29 +117,29 @@ GOLDEN = [
     ("normal-complex --r 2 --n 2 --union-extremes", 0, "aa366a8d541be6f227778403285919fb2cda0198610b27492a0e09cd344e2c03"),
     ("normal-complex --r 4 --n 2 --union-extremes --format json", 0, "acf9c7a48c7d6f875b42d58c183c53da5f0b673a538f4b19c49fc583be020c70"),
     ("normal-complex --r 2 --n 3 --union-extremes --format json", 0, "c283c4a0f6da649a5103fc409f46613382eef62b10cfc6d1940c2d798f8978b5"),
-    ("check --r 2 --n 3 --suite normal --seed 3", 0, "3a373a08b33112e88a2af9b3e5dcef1f61493c708d89921a2df0ad05ed7ebae2"),
+    ("check --r 2 --n 3 --suite normal --seed 3", 0, "33d3ffff596a3a9f04d111a1ef9ed3180a369d60452d5074c775d21aef50e562"),
     ("normal-complex --r 3 --n 2 --format json", 0, "f6e42f34b48723d95bb92c9b055be68c6f1b5ff3306d3df5de5e80baeaa86598"),
     ("normal-complex --r 3 --n 3 --format json", 0, "d58bc653b3155aa9d94350c70ed60aedeeb05d92f91218df62dfebf7e704e585"),
     ("normal-complex --r 5 --n 1 --format json", 0, "39b221b27906bd59726c3b3a13f27a63a371766be53a1379dd16720ca6417108"),
-    ("check --r 2 --n 2 --seed 7", 0, "08e152294473da134a9adac4efede35388fe4e6af5f3f5d74fdaaacbe94cab68"),
+    ("check --r 2 --n 2 --seed 7", 0, "dcbe574184ed19a0f053d607f1cb5f1a3124414655a93fdd5909073daf623f8e"),
     ("locate --r 3 --n 2 --curve 1:0:2,2:2:1", 0, "7a9124b53b8c59d4cdc7e34b105f4b180d21aaaa898e95374ada44354dd12d70"),
     ("locate --r 3 --n 2 --point 0,3,0,1", 0, "84026aa11330bb167bdfd30d9aabfc7005f18416caf00c1094aab95085e644e3"),
     ("fan --r 3 --n 3 --via-stellar --format json", 0, "0b62ae802b1c323b2f76f37a3f6aed6e53133351e81ce2ca8b27bed0dc2201e6"),
     ("fan --r 2 --n 4 --via-stellar", 0, "b129809afd2184a031f0d0d5d3a9ffca6cb0b4ae4053e7cdbf63f38110f75fb2"),
-    ("check --r 3 --n 2 --seed 5", 0, "3910611c647e6157264f3024b5aa71c4d1a5448d2a29a369194020dbbc613923"),
-    ("check --r 2 --n 3 --seed 5", 0, "c6c1d0a12d39ada32e7c2b317559eb8cbfe7443a6d21025429eded23bf4f40b7"),
-    ("check --r 3 --n 2 --seed 11", 0, "3910611c647e6157264f3024b5aa71c4d1a5448d2a29a369194020dbbc613923"),
-    ("check --r 2 --n 3 --seed 12", 0, "c6c1d0a12d39ada32e7c2b317559eb8cbfe7443a6d21025429eded23bf4f40b7"),
+    ("check --r 3 --n 2 --seed 5", 0, "9ffdfded998997c13ef8b442f747b7d86a9403ffd36faddbff507b7d8d85e3b1"),
+    ("check --r 2 --n 3 --seed 5", 0, "aae9cce75c979e6396a938b7e4bd37a9281f560a9133474fa93bba733d5788a9"),
+    ("check --r 3 --n 2 --seed 11", 0, "9ffdfded998997c13ef8b442f747b7d86a9403ffd36faddbff507b7d8d85e3b1"),
+    ("check --r 2 --n 3 --seed 12", 0, "aae9cce75c979e6396a938b7e4bd37a9281f560a9133474fa93bba733d5788a9"),
     ("fan --r 4 --n 3 --format json", 0, "df1a8a5b875058da880dfa3206a1bb99b2dc868b2604290de0498a4254d149ca"),
     ("locate --r 4 --n 3 --point 1,0,0,0,2,0,-1,-1,-1", 0, "3020828e5452ea6de027f8d5a3f48ec0743f6d2b6c56e8e378df8418e2b714e0"),
     ("check --r 3 --n 3 --suite fan --seed 1", 0, "beb5139059a20dfa023b7e79f5839a43a95af7cbc9a5105e54adf1d2e531bac0"),
     ("check --r 4 --n 2 --suite tropical --seed 2", 0, "4dbd16917363db8bb9d9fd373910f864d508e7df653cff799d6ec2f8f6440980"),
     ("locate --r 4 --n 3 --curve 1:0:2,2:3:2,3:c:0", 0, "ba52bb937324716b1309d80ca5ec6fe7562a696cec1c049700ef174a56455c6e"),
     ("locate --r 2 --n 4 --point 2,2,0,-1", 0, "b3ad60ace39dc72e3c60f22d169ec6558cbd73b4692cfd9d8ff91418f1f3d6da"),
-    ("check --r 3 --n 3 --suite normal --seed 2", 0, "09192c542613eb66059eb03a041c687937a0f0b2fba338dc09697e0195dce7f1"),
+    ("check --r 3 --n 3 --suite normal --seed 2", 0, "6a983ad78177581d9cddbaf0c6e5781d67d71a5f1aeccb0b6fc781f1a167add0"),
     ("locate --r 4 --n 4 --point 1,0,0,0,2,0,-1,-1,-1,0,0,3", 0, "20dd79839446bab032a40d33844d0cffd75e8972f4dc87b74b1b47cd8a483248"),
-    ("check --r 4 --n 3 --suite normal --seed 4", 0, "1f8ecd644e31c5d9c3afc1e652703e7ee0fc8e6ae4c322cc55d8e216b991a473"),
-    ("check --r 4 --n 2 --seed 3", 0, "c5fb59d4c11d75a7b15205fb2f9d0ece4975a6f9d45428202a07e927569769b1"),
+    ("check --r 4 --n 3 --suite normal --seed 4", 0, "2ba56a7eb3a75aa1935897c777a3da2ccb81d110aed5fbe8cc64b40c07958347"),
+    ("check --r 4 --n 2 --seed 3", 0, "c39601fd98d8e2d739b4df3179bba15fb61e5f5e6fcb83536e2c59ec0cf304ea"),
     ("fan --r 2 --n 4 --format json", 0, "c2e0dafc385ef1bae3abc030349fbd5cd0c2f67759e817797e508d3be861db89"),
     ("check --r 2 --n 4 --suite fan --seed 1", 0, "cd382831b4712c7ada41e02c42220bd3af6ba7b1252d9f2d7f25c1bbdc0398ed"),
     ("normal-complex --r 3 --n 2 --union-extremes --format json", 0, "27fc40fd27c8aaca384d7ce0764e6ce3636e233789966ef18430315e5da24ee9"),
@@ -148,11 +153,11 @@ GOLDEN = [
     ("chow --r 1000 --n 1 --betti-only", 0, "0b146279cad3fb1b65adbc5e6d8728a57b613ee19e6f964d11f8eb49fc2bc50e"),
     ("chow --r 40 --n 1", 0, "d3e7ecc455e172c776d8f4a24c07b35f67e3a9938b4cab341aa0bc615f2206f9"),
     ("normal-complex --r 120 --n 1", 0, "a201113ad41c17e60881d0015b337de9a572b44e2c5a2d1a991e955e555aadc5"),
-    ("check --r 200 --n 1 --suite normal --seed 3", 0, "510fc29b840b46bf7754a437200464cb8d8cf98529035b08ea829e9aab9a1deb"),
+    ("check --r 200 --n 1 --suite normal --seed 3", 0, "f3837d69e647698f480f5a205b4d6ec69dce5f7686a51de50321e13aaaafaf83"),
     ("normal-complex --r 40 --n 1 --format json", 0, "63fbab7ab8e5e0b907414b83f1da9e51681384f41e19833ac1c3e7994620b565"),
-    ("check --r 120 --n 1 --seed 3", 0, "e64bf89c2cf96eb22cb9aae8a189553282d087f23e3ef7e4561ea69730f94e06"),
+    ("check --r 120 --n 1 --seed 3", 0, "23aad1d2ff5da75e2af95ae83cf17e8d85b326df6e5d5bdbc8440bfb2554fdfd"),
     ("locate --r 300 --n 1 --curve 1:0:5/2", 0, "26f38fdaa9bba24d05bfcd8add25e3b176b9ff344b3ecfc6c503fd0cead1ac6e"),
-    ("check --r 3 --n 0", 0, "0f81812601217e09e5311f482b53bc88e60f84505e96e75c272824123b940ca8"),
+    ("check --r 3 --n 0", 0, "b46d7b7a427e45065b3880e7908b88f155d9698327673c23ba6314e8cab1fa19"),
     ("fan --r 1 --n 2", 2, "19a9c3723b7d7f4d89611ed97f66c1f2369ca2ac75bc525df5a199f19f8b3969"),
     ("locate --r 3 --n 2 --point 1,2", 2, "2360e8858d7deb4b2fdfefd665fff621c57c1bcb7cd8a38e1eced897152e29a7"),
 ]
@@ -202,9 +207,47 @@ def run_golden(monkeypatch, command):
     return buf.getvalue()
 
 
+# The twelve digests above whose run includes the normal suite, each with
+# the digest recorded while its tiling line still tested 500 sampled points.
+SAMPLED_TILING = {
+    "check --r 2 --n 3 --suite normal --seed 3": "3a373a08b33112e88a2af9b3e5dcef1f61493c708d89921a2df0ad05ed7ebae2",
+    "check --r 2 --n 2 --seed 7": "08e152294473da134a9adac4efede35388fe4e6af5f3f5d74fdaaacbe94cab68",
+    "check --r 3 --n 2 --seed 5": "3910611c647e6157264f3024b5aa71c4d1a5448d2a29a369194020dbbc613923",
+    "check --r 2 --n 3 --seed 5": "c6c1d0a12d39ada32e7c2b317559eb8cbfe7443a6d21025429eded23bf4f40b7",
+    "check --r 3 --n 2 --seed 11": "3910611c647e6157264f3024b5aa71c4d1a5448d2a29a369194020dbbc613923",
+    "check --r 2 --n 3 --seed 12": "c6c1d0a12d39ada32e7c2b317559eb8cbfe7443a6d21025429eded23bf4f40b7",
+    "check --r 3 --n 3 --suite normal --seed 2": "09192c542613eb66059eb03a041c687937a0f0b2fba338dc09697e0195dce7f1",
+    "check --r 4 --n 3 --suite normal --seed 4": "1f8ecd644e31c5d9c3afc1e652703e7ee0fc8e6ae4c322cc55d8e216b991a473",
+    "check --r 4 --n 2 --seed 3": "c5fb59d4c11d75a7b15205fb2f9d0ece4975a6f9d45428202a07e927569769b1",
+    "check --r 200 --n 1 --suite normal --seed 3": "510fc29b840b46bf7754a437200464cb8d8cf98529035b08ea829e9aab9a1deb",
+    "check --r 120 --n 1 --seed 3": "e64bf89c2cf96eb22cb9aae8a189553282d087f23e3ef7e4561ea69730f94e06",
+    "check --r 3 --n 0": "0f81812601217e09e5311f482b53bc88e60f84505e96e75c272824123b940ca8",
+}
+EXACT_TILING = "PASS [normal] cells tile the truncated support: each cell is its maximal cone's part of it"
+
+
+def with_the_sampled_tiling(out):
+    """The output as printed while the tiling line tested 500 sampled
+    points: the same place in the output, the same count of checks."""
+    (line,) = [x for x in out.splitlines() if x.startswith(EXACT_TILING)]
+    return out.replace(line, "PASS [normal] cells tile the truncated support (500 points, 0 mismatches)")
+
+
+@pytest.mark.parametrize("command", SAMPLED_TILING)
+def test_only_the_tiling_line_changed(monkeypatch, command):
+    out = run_golden(monkeypatch, command)
+    assert "500 points" not in out
+    assert hashlib.sha256(with_the_sampled_tiling(out).encode()).hexdigest() == SAMPLED_TILING[command]
+
+
+def printed_before_the_exact_tiling(monkeypatch, command):
+    out = run_golden(monkeypatch, command)
+    return with_the_sampled_tiling(out) if command in SAMPLED_TILING else out
+
+
 @pytest.mark.parametrize("command", LAW_AT_R_2)
 def test_only_the_law_line_left_at_r_2(monkeypatch, command):
-    out = run_golden(monkeypatch, command)
+    out = printed_before_the_exact_tiling(monkeypatch, command)
     assert "intersection law" not in out
     pairs, digest = LAW_AT_R_2[command]
     assert hashlib.sha256(with_the_law_line(out, pairs).encode()).hexdigest() == digest
@@ -239,7 +282,7 @@ def with_the_sampled_law(out, pairs, completeness):
 
 @pytest.mark.parametrize("command", LAW_BEFORE_THE_WALLS)
 def test_only_the_law_and_completeness_lines_left_at_r_above_2(monkeypatch, command):
-    out = run_golden(monkeypatch, command)
+    out = printed_before_the_exact_tiling(monkeypatch, command)
     assert "intersection law" not in out
     pairs, completeness, digest = LAW_BEFORE_THE_WALLS[command]
     assert hashlib.sha256(with_the_sampled_law(out, pairs, completeness).encode()).hexdigest() == digest
@@ -269,7 +312,7 @@ SAMPLED_NAME = {
     "command,located,digest", SAMPLED_COMPLETENESS, ids=[c for c, _, _ in SAMPLED_COMPLETENESS]
 )
 def test_only_the_completeness_line_changed(monkeypatch, command, located, digest):
-    out = run_golden(monkeypatch, command)
+    out = printed_before_the_exact_tiling(monkeypatch, command)
     if command in LAW_AT_R_2:
         out = with_the_law_line(out, LAW_AT_R_2[command][0])
     if command in LAW_BEFORE_THE_WALLS:

@@ -604,6 +604,114 @@ def test_cells_tile_the_truncated_support(r, n):
     assert hits > 0  # the sample must exercise true cases
 
 
+# --- the exact tiling line ----------------------------------------------------
+
+
+TILING = "cells tile the truncated support: each cell is its maximal cone's part of it, read on the chain's rays"
+
+
+@pytest.mark.parametrize(
+    "r,n", [(2, 1), (3, 1), (2, 2), (3, 2), (4, 2), (2, 3), (3, 3), (4, 3), (2, 4), (3, 0), (2, 0), (22, 2), (100, 1)]
+)
+def test_every_cell_is_its_cone_s_part_of_the_truncated_support(r, n):
+    assert normal_complex.cell_failures(complex_cells(ArrangementSpec(r, n))) == []
+
+
+def with_row(cell, k, test):
+    """The cell with its k-th test replaced."""
+    rows = list(zip(cell._tests, cell._scales))
+    rows[k] = (test, rows[k][1])
+    return normal_complex.Polytope(cell.v_rep, cell.label, rows)
+
+
+def bound_off_by_one(cell, n):
+    # truncation row of level 1, its bound delta(n, 1) + 1 in the row's scale
+    k = len(cell._tests) - n
+    pairs, lo, bound = cell._tests[k]
+    return with_row(cell, k, (pairs, lo, bound + cell._scales[k]))
+
+
+def span_row_moved(cell, n):
+    # the first span row e_f, with its partner -e_f, moved to e_(f + 1)
+    k = next(k for k, (pairs, _, _) in enumerate(cell._tests) if len(pairs) == 1)
+    ((f, a),) = cell._tests[k][0]
+    assert cell._tests[k + 1] == (((f, -a),), None, 0)
+    moved = with_row(cell, k, (((f + 1, a),), None, 0))
+    return with_row(moved, k + 1, (((f + 1, -a),), None, 0))
+
+
+def coefficient_sign_flipped(cell, n):
+    # coefficient row of level 1 negated: the cell faces away from its cone
+    k = len(cell._tests) - 2 * n
+    pairs, lo, bound = cell._tests[k]
+    return with_row(cell, k, (tuple((f, -a) for f, a in pairs), lo, bound))
+
+
+def partner_not_negated(cell, n):
+    # the first span row's partner repeats it: an inequality, not an equality
+    return with_row(cell, 1, cell._tests[0])
+
+
+PLANTED = [bound_off_by_one, span_row_moved, coefficient_sign_flipped, partner_not_negated]
+
+
+@pytest.mark.parametrize("fault", PLANTED, ids=[f.__name__ for f in PLANTED])
+@pytest.mark.parametrize("r,n,k", [(3, 2, 1), (4, 2, 1), (3, 3, 1)])
+def test_a_planted_fault_in_one_cell_fails_the_tiling_line(monkeypatch, fault, r, n, k):
+    spec = ArrangementSpec(r, n)
+    good = complex_cells(spec)
+    cells = list(good.cells)
+    cells[k] = fault(cells[k], n)
+    bad = NormalComplex(spec, tuple(cells))
+    assert normal_complex.cell_failures(bad) == [cells[k].label]
+    monkeypatch.setattr(normal_complex, "complex_cells", lambda spec: bad)
+    (line,) = [res for res in selfcheck.suite_normal(spec) if res.name == TILING]
+    assert (line.status, line.detail) == ("FAIL", f"{len(cells)} cells, 1 failures, first {cells[k].label.text()}")
+
+
+def test_the_tiling_line_samples_locates_and_indexes_nothing(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the normal suite sampled or located a point")
+
+    for target, name in [
+        (selfcheck, "Lcg"),
+        (normal_complex, "in_delta"),
+        (normal_complex, "SharedRowIndex"),
+        (NormalComplex, "contains"),
+        (normal_complex.Polytope, "contains"),
+    ]:
+        monkeypatch.setattr(target, name, refuse, raising=False)
+    for r, n in [(3, 2), (2, 3)]:
+        lines = selfcheck.suite_normal(ArrangementSpec(r, n), 5)
+        assert [res.status for res in lines] == ["PASS"] * len(lines)
+        assert TILING in [res.name for res in lines]
+
+
+def test_the_seed_moves_no_line_of_the_normal_suite():
+    for r, n in [(2, 2), (3, 2)]:
+        spec = ArrangementSpec(r, n)
+        assert selfcheck.suite_normal(spec, 0) == selfcheck.suite_normal(spec, 12)
+
+
+def test_at_n_1_each_ray_and_each_distinct_span_row_is_read_once(monkeypatch):
+    # the r cells hold about r^2 span rows, each with its negative, but only
+    # the r - 1 rows e_f and the r - 2 rows e_f - e_0 are distinct; a cache
+    # per (row, ray) pair would read r^2 of them
+    r = 200
+    complex_ = complex_cells(ArrangementSpec(r, 1))
+    counts = {"_ray_reading": 0, "_span_row": 0}
+    for name in counts:
+        real = getattr(normal_complex, name)
+
+        def counted(*args, real=real, name=name):
+            counts[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(normal_complex, name, counted)
+    assert normal_complex.cell_failures(complex_) == []
+    assert counts == {"_ray_reading": r, "_span_row": (r - 1) + (r - 2)}
+
+
 @functools.lru_cache(maxsize=None)
 def _complex(r, n):
     return complex_cells(ArrangementSpec(r, n))

@@ -15,6 +15,7 @@ import sys
 import pytest
 
 from cyclic_wonderful import fan as fan_module
+from cyclic_wonderful import normal_complex
 from cyclic_wonderful.chow import (
     DegreeReducer,
     betti_closed_form,
@@ -23,7 +24,7 @@ from cyclic_wonderful.chow import (
     product_support,
 )
 from cyclic_wonderful.fan import build_fan, build_fan_stellar, in_relative_interior, locate_point
-from cyclic_wonderful.lattice import ArrangementSpec, BuildingSet
+from cyclic_wonderful.lattice import ArrangementSpec, BuildingSet, maximal_chains
 from cyclic_wonderful.linalg import extreme_points
 from cyclic_wonderful.normal_complex import complex_cells, in_delta, union_extreme_points
 from cyclic_wonderful.sampling import Lcg, sample_curve, sample_mixed_points
@@ -144,8 +145,9 @@ def test_embedding_and_curve_from_point_share_only_the_allowed_functions():
     assert_shared_exactly(embed_calls, read_calls, EMBED_VS_CURVE_FROM_POINT)
 
 
-# "cells tile the truncated support": membership in the placed cells against
-# the subset sums of the support decomposition
+# membership in the placed cells against the subset sums of the support
+# decomposition: no command compares them since the tiling line became
+# exact, and tier-1 still does (test_cells_tile_the_truncated_support)
 CELLS_VS_IN_DELTA = {
     "lattice.ArrangementSpec.ambient_dim": "both check the point's length against the spec",
     "normal_complex.delta": (
@@ -174,6 +176,47 @@ def test_normal_cells_and_in_delta_share_only_the_allowed_functions():
     assert {"normal_complex.cell_polytope", "linalg.SharedRowIndex.first"} <= cell_calls
     assert {"fan.support_decomposition"} <= delta_calls
     assert_shared_exactly(cell_calls, delta_calls, CELLS_VS_IN_DELTA)
+
+
+# "cells tile the truncated support" (``normal_complex.cell_failures``): each
+# cell's placed rows against its chain's rays from ``ray_vector`` and their
+# lengths from ``support_decomposition``
+CELL_ROWS_VS_RAY_READINGS = {
+    "fan.block_slot": (
+        "the one map from e_i^a to its slot, by which the cells place their steps and ray_vector "
+        "its rays; the fan suite reads the ray table against the layout without it"
+    ),
+    "fan.place": "the cells write their vertices with it, which the tiling line does not read; ray_vector its rays",
+    "lattice.ArrangementSpec.ambient_dim": "both size their vectors by the spec",
+    "lattice.DecoratedSubset.size": (
+        "cell_polytope refuses a chain that is not maximal by it, ray_vector the empty subset"
+    ),
+    "normal_complex.delta": CELLS_VS_IN_DELTA["normal_complex.delta"],
+}
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="names functions by co_qualname")
+def test_cell_rows_and_ray_readings_share_only_the_allowed_functions():
+    spec = ArrangementSpec(3, 2)
+    chains = list(maximal_chains(spec))
+
+    def cells_route():
+        # every row test and every vertex table built afresh
+        normal_complex._cell_test.cache_clear()
+        normal_complex._vertex_lengths.cache_clear()
+        complex_cells(spec)
+
+    def ray_route():
+        # what cell_failures reads of each chain besides the cells' own rows
+        for chain in chains:
+            for j, prefix in enumerate(chain.prefixes, start=1):
+                normal_complex._ray_reading(prefix, spec)
+                normal_complex.delta(spec.n, j)
+
+    cell_calls, ray_calls = _called(cells_route), _called(ray_route)
+    assert {"normal_complex.cell_polytope", "normal_complex._cell_rows"} <= cell_calls
+    assert {"fan.ray_vector", "fan.support_decomposition"} <= ray_calls
+    assert_shared_exactly(cell_calls, ray_calls, CELL_ROWS_VS_RAY_READINGS)
 
 
 # ``fan --via-stellar`` against ``fan``: one cone per decorated chain against

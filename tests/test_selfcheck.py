@@ -612,6 +612,23 @@ def test_a_ray_off_its_label_s_chart_fails_the_completeness_line_alone(monkeypat
     assert line == f"FAIL [fan] {NOT_COMPLETE} (1 walls, 0 failures, 1 rays off their label's chart, first {{1:1}})"
 
 
+def test_a_bent_ray_fails_the_stellar_line_and_the_check_exits_1(monkeypatch):
+    # at (3, 2) the ray of {1:1,2:1} is (0, 1, 0, 1); bent to (1, 1, 0, 1) it
+    # leaves the span of its singletons' cone, so the stellar route cannot
+    # subdivide there: a failed check, not a usage or feasibility error
+    spec = ArrangementSpec(3, 2)
+    label = parse_subset("{1:1,2:1}", spec)
+    ray_vector = fan_module.ray_vector
+    assert ray_vector(label, spec) == (0, 1, 0, 1)
+    monkeypatch.setattr(fan_module, "ray_vector", lambda d, spec: (1, 1, 0, 1) if d == label else ray_vector(d, spec))
+    status, out = run(build_parser().parse_args(["check", "--r", "3", "--n", "2", "--suite", "fan"]))
+    assert status == 1
+    fails = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert fails[0] == "FAIL [fan] stellar route equals direct route (subdivision vector lies outside the fan support)"
+    assert fails[1].startswith(f"FAIL [fan] {NOT_COMPLETE} (15 walls, 1 failures, first {{1:1,2:1}}")
+    assert out.endswith("4/6 checks passed for r=3, n=2\n")
+
+
 # --- the work one ``check`` run shares ------------------------------------------
 
 
@@ -749,7 +766,7 @@ def test_a_refused_fan_suite_leaves_the_tropical_suite_its_own_skip(monkeypatch)
         f"SKIP [tropical] fan construction ({refusal})\n"
         "PASS [normal] one cell per maximal chain (8 cells)\n"
         "PASS [normal] origin is a vertex of every cell\n"
-        "PASS [normal] cells tile the truncated support (500 points, 0 mismatches)\n"
+        "PASS [normal] cells tile the truncated support: each cell is its maximal cone's part of it, read on the chain's rays (8 cells, 0 failures)\n"
         "PASS [normal] union extremes are the signed permutations of (1, 2) (8 extreme points)\n"
         "4/7 checks passed, 3 skipped for r=2, n=2\n",
     )
