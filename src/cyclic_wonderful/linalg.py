@@ -32,10 +32,10 @@ few sparse integer row tests ``(row, lo, hi)``, meaning
 ``lo * D <= row . p <= hi * D``, all hold at a point ``p / D``.
 ``tests_hold`` answers it for one member, stopping at the first failing
 test.  ``SharedRowIndex`` finds the members of a scan (the maximal cones
-of a fan, the cells of a normal complex, the cones the intersection law
-meets) whose tests all hold, as a bitmask, or the first of them; the
-members share most of their rows, so it evaluates each distinct row, up to
-sign, once per point and drops members by bitmask.
+of a fan, the cells of a normal complex) whose tests all hold, as a
+bitmask, or the first of them; the members share most of their rows, so it
+evaluates each distinct row, up to sign, once per point and drops members
+by bitmask.
 
 Hull extremeness is decided over the integers: ``integer_scaled`` clears a
 point set's denominators to one common D, each point through
@@ -359,14 +359,17 @@ def parse_rational(text: str) -> Fraction:
     """An integer, ``p/q`` or plain decimal; exponent notation (``1e10000000``
     is ten million digits), digit-group underscores (``Fraction`` reads
     ``1_000`` from Python 3.11 on, not before), non-ASCII text (``Fraction``
-    reads any Unicode decimal digit, ``١`` as 1) and a zero denominator
-    raise ValueError."""
-    if "e" in text.lower() or "_" in text or not text.isascii():
-        raise ValueError(f"{text!r} is not an integer, p/q or plain decimal")
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text!r}") from None
+    reads any Unicode decimal digit, ``١`` as 1), any other text
+    ``Fraction`` refuses and a zero denominator raise ValueError, each in
+    this module's words."""
+    if "e" not in text.lower() and "_" not in text and text.isascii():
+        try:
+            return Fraction(text)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {text!r}") from None
+        except ValueError:
+            pass
+    raise ValueError(f"{text!r} is not an integer, p/q or plain decimal")
 
 
 def _lp_feasible_eq(a: list[list[int]], b: list[int]) -> bool:

@@ -76,9 +76,8 @@ prefixes common to s and t (a common prefix lies inside G).  That is the
 law cone(a) ∩ cone(b) = cone(a ∧ b) for every pair of maximal cones, and
 a face is the cone of some of its maximal cone's rays, so pairs of faces
 meet in common faces too, once each face has the rays its label names.
-``intersection_law_failures`` decides the law pair by pair; no command
-calls it, and tier-1 runs it on every pair of chains at several specs as
-the certificate's cross-check.
+No command decides the law pair by pair; the tests do, on every pair of
+chains at several specs, as the certificate's cross-check.
 
 The argument takes three conditions from the other lines of the suite.
 Every cone is the cone of its chain: its label is the chain's prefixes
@@ -116,10 +115,9 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Iterable
 
 from . import chow, normal_complex, tropical
-from .fan import Cone, Fan, Vector, _stellar_labels, build_fan, locate_point
+from .fan import Fan, _stellar_labels, build_fan, locate_point
 from .guards import FeasibilityError, check_fan_spec, check_override
 from .lattice import (
     ArrangementSpec,
@@ -127,9 +125,8 @@ from .lattice import (
     Chain,
     DecoratedSubset,
     _Value,
-    chain_intersect,
 )
-from .linalg import SharedRowIndex, extreme_points, lattice_pivots
+from .linalg import extreme_points, lattice_pivots
 from .sampling import Lcg, sample_curve
 
 # suite "x" is the function suite_x, looked up by name when it runs, so the
@@ -154,99 +151,6 @@ def _result(suite: str, name: str, passed: bool, detail: str = "") -> CheckResul
 def _skipped(suite: str, name: str, refusal: FeasibilityError) -> CheckResult:
     """A check that did not run; the detail gives the size and the bound."""
     return CheckResult(suite, name, "SKIP", str(refusal))
-
-
-def _eliminates(cone: Cone) -> bool:
-    """Whether the cone has row tests: no rays, or independent ones."""
-    try:
-        return not cone.rays or bool(cone._inverse)
-    except ValueError:
-        return False
-
-
-def intersection_law_failures(
-    fan: Fan, pairs: Iterable[tuple[Chain, Chain]]
-) -> list[tuple[Chain, Chain]]:
-    """The pairs (a, b) whose cones break cone(a) ∩ cone(b) = cone(a ∧ b):
-    the reference that the fan suite's wall certificate is tested against,
-    called by no command.
-
-    The law is checked exactly at finitely many points.  Every ray of the
-    expected cone lies in both cones.  Conversely, each ray of either cone,
-    and the sum of its rays (a point interior enough to catch mismatches),
-    lies in the other cone exactly when it lies in the expected one.  A pair
-    that meets a cone of dependent rays, which has no row tests, fails.
-
-    The pairs share their cones and points.  Each distinct prefix gets a
-    bit and each chain, once, the mask of its prefixes' bits, so a pair's
-    meet a ∧ b, the prefixes common to both, has the mask ``ma & mb``, and
-    ``chain_intersect`` builds a meet's chain only for a mask not met before.
-    Only the chains the pairs meet (a, b and a ∧ b) are registered, keyed by
-    their masks, in first-met order, in one ``SharedRowIndex`` of their
-    cones' tests; the rayless cone's tests pin every coordinate to 0, so it
-    holds only the origin.  Each distinct ray or ray-sum point is then
-    evaluated once, as the mask of the met cones that hold it, and every
-    pair is decided by bit tests on those masks.
-    """
-    pairs = list(pairs)
-    prefix_bits: dict[DecoratedSubset, int] = {}
-    # the list holds every pair's chains, so an id names one chain throughout
-    chain_masks: dict[int, int] = {}
-    bits: dict[int, int | None] = {}  # a met chain's mask -> its cone's bit
-    cones: list[Cone] = []
-
-    def mask_of(chain: Chain) -> int:
-        m = chain_masks.get(id(chain))
-        if m is None:
-            m = 0
-            for d in chain.prefixes:
-                m |= 1 << prefix_bits.setdefault(d, len(prefix_bits))
-            chain_masks[id(chain)] = m
-        return m
-
-    def register(m: int, chain: Chain) -> None:
-        cone = fan.cone(chain)
-        bits[m] = len(cones) if _eliminates(cone) else None
-        if bits[m] is not None:
-            cones.append(cone)
-
-    met = []
-    for a, b in pairs:
-        ma, mb = mask_of(a), mask_of(b)
-        if ma not in bits:
-            register(ma, a)
-        if mb not in bits:
-            register(mb, b)
-        mx = ma & mb
-        if mx not in bits:
-            register(mx, chain_intersect(a, b))
-        trio = (bits[ma], bits[mb], bits[mx])
-        met.append(None if None in trio else trio)
-    origin = tuple([(((i, 1),), 0, 0) for i in range(fan.spec.ambient_dim)])
-    index = SharedRowIndex(cones, lambda cone: cone._inverse.tests if cone.rays else origin)
-    masks: dict[Vector, int] = {}
-    # per met cone, the masks at its rays and then at the sum of its rays
-    held: list[tuple[int, ...]] = []
-    for cone in cones:
-        points = (*cone.rays, tuple(map(sum, zip(*cone.rays)))) if cone.rays else ()
-        row = []
-        for p in points:
-            mask = masks.get(p)
-            if mask is None:
-                mask = masks[p] = index.holding(p, 1)
-            row.append(mask)
-        held.append(tuple(row))
-
-    def holds(ka: int, kb: int, kx: int) -> bool:
-        both, expected = 1 << ka | 1 << kb, 1 << kx
-        if any(mask & both != both for mask in held[kx][:-1]):
-            return False
-        for this, other in ((ka, 1 << kb), (kb, 1 << ka)):
-            if any(bool(mask & other) != bool(mask & expected) for mask in held[this]):
-                return False
-        return True
-
-    return [pair for pair, trio in zip(pairs, met) if trio is None or not holds(*trio)]
 
 
 def wall_failures(fan: Fan) -> tuple[int, list[tuple[DecoratedSubset, ...]]]:

@@ -409,6 +409,19 @@ def test_locate_zero_denominator_is_a_usage_error(target):
 
 
 @pytest.mark.parametrize(
+    "point,text",
+    [("abc", "abc"), ("1/2/3", "1/2/3"), ("1/-2", "1/-2"), ("inf", "inf"), ("1,,1", ""), ("1e3", "1e3")],
+    ids=["word", "two-slashes", "signed-denominator", "inf", "empty-field", "exponent"],
+)
+def test_locate_words_every_malformed_coordinate_in_one_message(point, text):
+    # Fraction's own refusals printed "Invalid literal for Fraction: 'abc'"
+    status, out = invoke(["locate", "--r", "2", "--n", "1", "--point", point])
+    assert (status, out) == (2, f"error: {text!r} is not an integer, p/q or plain decimal\n")
+    status, out = invoke(["locate", "--r", "2", "--n", "1", "--curve", f"1:0:{text}"])
+    assert (status, out) == (2, f"error: {text!r} is not an integer, p/q or plain decimal\n")
+
+
+@pytest.mark.parametrize(
     "target",
     [["--point", "1e10000000"], ["--curve", "1:0:1e10000000"]],
     ids=["point", "curve"],

@@ -1,6 +1,6 @@
 """Checks on the files around the package: the benchmark's layer names, the
-demos, the README's command examples, and that the package defines nothing
-that no code names."""
+demos, the README's command examples, that the package defines nothing
+that no code names, and which of its functions no command enters."""
 
 import ast
 import functools
@@ -10,9 +10,11 @@ import json
 import re
 import runpy
 import shlex
+import sys
 from pathlib import Path
 
 import pytest
+from test_route_independence import _called
 
 from cyclic_wonderful.cli import main
 
@@ -147,3 +149,98 @@ def test_every_dotted_reference_in_the_docs_resolves():
     readme = _dotted_references((ROOT / "README.md").read_text())
     assert src and readme
     assert sorted(ref for ref in src | readme if not _resolves(ref)) == []
+
+
+def _commands():
+    """The ``cli.main`` calls that stand for every command path: each command
+    and option in text and JSON, and ``check``, at five specs; ``locate`` by
+    point and by curve; and a refused ``check``."""
+    commands = []
+    for r, n in [(2, 0), (2, 1), (2, 2), (3, 2), (2, 3)]:
+        spec = ["--r", str(r), "--n", str(n)]
+        for command in (
+            ["fan"],
+            ["fan", "--via-stellar"],
+            ["chow"],
+            ["chow", "--betti-only"],
+            ["normal-complex"],
+            ["normal-complex", "--union-extremes"],
+        ):
+            commands += [[*command, *spec, "--format", f] for f in ("text", "json")]
+        commands.append(["check", *spec])
+    for target in (["--point", "0,3,0,1"], ["--curve", "1:0:2,2:2:1"]):
+        commands += [["locate", "--r", "3", "--n", "2", *target, "--format", f] for f in ("text", "json")]
+    return [*commands, ["check", "--r", "60", "--n", "3"]]
+
+
+# every package function that no command enters, and why it stays: the
+# benchmark names it, a demo prints it, the tests use it as a reference, or
+# an open ROADMAP item decides it
+UNREACHED = {
+    "fan.Cone.coefficients": "benchmark: a per-layer metric (ROADMAP item 7)",
+    "fan.Cone.contains": "tests: the intersection law's membership test",
+    "fan.Fan.cone": "tests: the intersection law reads each chain's cone with it",
+    "fan.fans_equal": "demo: fan_walkthrough compares the two routes with it",
+    "fan.is_smooth_cone": "ROADMAP item 7: reached only by tests",
+    "lattice.Chain.decoration": "tests: part of Chain.sort_key",
+    "lattice.Chain.empty": "ROADMAP item 7: parse_chain's empty chain, in fan_from_dict's round trip",
+    "lattice.Chain.of": "tests: the tests write their chains with it",
+    "lattice.Chain.sets": "demo: render_pinwheel reads each level's orbits from it",
+    "lattice.Chain.sort_key": "tests: the one chain order, which the enumerators yield with no sort",
+    "lattice.DecoratedSubset.indices": "demo: Chain.sets, which render_pinwheel reads",
+    "lattice.DecoratedSubset.of": "ROADMAP item 7: parse_subset builds its subset with it",
+    "lattice.chain_intersect": "tests: the meet a ∧ b of the intersection law",
+    "lattice.comparable": "ROADMAP item 7: reached only by tests",
+    "lattice.is_nested": "benchmark: a per-layer metric (ROADMAP item 7)",
+    "lattice.parse_chain": "ROADMAP item 7: fan_from_dict's JSON round trip",
+    "lattice.parse_subset": "ROADMAP item 7: fan_from_dict's JSON round trip",
+    "linalg._rref": "tests: the rank and nullspace references, and solve_columns",
+    "linalg.in_convex_hull": "benchmark: a per-layer metric (ROADMAP item 7)",
+    "linalg.solve_columns": "benchmark: a per-layer metric (ROADMAP item 7)",
+    "normal_complex.NormalComplex._cell_index": "demo: NormalComplex.contains scans it",
+    "normal_complex.NormalComplex.contains": "demo: normal_complex_walkthrough locates points with it",
+    "normal_complex.Polytope.contains": "ROADMAP item 7: reached only by tests",
+    "normal_complex.in_delta": "benchmark: a per-layer metric, and the normal complex demo prints it",
+    "normal_complex.z_vector": "ROADMAP item 3: the degree of D(z)^n reads it",
+    "sampling.Lcg.fraction": "tests: sample_ambient_point draws with it",
+    "sampling.sample_ambient_point": "tests: sample_mixed_points draws off the support with it",
+    "sampling.sample_mixed_points": "tests: the sampled cross-checks of the exact check lines",
+    "sampling.sample_support_point": "tests: sample_mixed_points draws on the support with it",
+    "serialize.fan_from_dict": "ROADMAP item 7: a documented JSON round trip",
+    "tropical.TropicalCurve.of": "benchmark: the query workload builds its curves with it",
+    "tropical.render_pinwheel": "demo: tropical_walkthrough prints it",
+}
+
+
+def _functions(tree, prefix=""):
+    """The qualified name of every function and method under ``tree``, but
+    not a function nested in a function, which counts as part of it."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield f"{prefix}{node.name}"
+        elif isinstance(node, ast.ClassDef):
+            yield from _functions(node, f"{prefix}{node.name}.")
+        else:
+            yield from _functions(node, prefix)
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="names functions by co_qualname")
+def test_the_functions_no_command_enters_are_the_allow_listed_ones(capsys, monkeypatch):
+    monkeypatch.delenv("CYCLIC_WONDERFUL_MAX_CELLS", raising=False)
+    paths = sorted((ROOT / "src" / "cyclic_wonderful").glob("*.py"))
+    # no cached result may stand in for a call
+    for path in paths:
+        if path.stem != "__main__":
+            for obj in vars(importlib.import_module(f"cyclic_wonderful.{path.stem}")).values():
+                if hasattr(obj, "cache_clear") and obj.__module__.startswith("cyclic_wonderful"):
+                    obj.cache_clear()
+    entered = _called(lambda: [main(argv) for argv in _commands()])
+    assert capsys.readouterr().out
+    defined = {f"{path.stem}.{name}" for path in paths for name in _functions(ast.parse(path.read_text()))}
+    # a dunder runs through the language's protocols
+    unreached = {name for name in defined - entered if not name.rpartition(".")[2].startswith("__")}
+    assert sorted(unreached) == sorted(UNREACHED)
+    kinds = {reason.split(":")[0] for reason in UNREACHED.values()}
+    assert kinds <= {"benchmark", "demo", "tests", "ROADMAP item 3", "ROADMAP item 7"}
+    layers = set(_layer_targets())
+    assert all(name in layers for name, reason in UNREACHED.items() if reason.startswith("benchmark: a per-layer"))

@@ -7,6 +7,7 @@ import math
 import weakref
 
 import pytest
+from test_linalg import matrix_rank
 
 from cyclic_wonderful import fan as fan_module
 from cyclic_wonderful import selfcheck, tropical
@@ -21,14 +22,8 @@ from cyclic_wonderful.lattice import (
     parse_chain,
     parse_subset,
 )
-from cyclic_wonderful.linalg import SharedRowIndex
 from cyclic_wonderful.sampling import Lcg
-from cyclic_wonderful.selfcheck import (
-    intersection_law_failures,
-    suite_fan,
-    suite_tropical,
-    wall_failures,
-)
+from cyclic_wonderful.selfcheck import suite_fan, suite_tropical, wall_failures
 
 COMPLETE = "complete for r = 2, cones meeting in common faces: every wall has two maximal cones on opposite sides"
 NOT_COMPLETE = (
@@ -38,21 +33,57 @@ NOT_COMPLETE = (
 )
 
 
-def per_pair_law(fan, a, b, contains=None):
-    """The law decided for one pair, testing every (cone, point) it needs:
-    the reference for the memoised ``intersection_law_failures``."""
-    contains = contains or (lambda cone, p: cone.contains(p))
-    expected = fan.cone(chain_intersect(a, b))
-    cone_a, cone_b = fan.cone(a), fan.cone(b)
-    if not all(contains(cone_a, g) and contains(cone_b, g) for g in expected.rays):
+class _Held(dict):
+    """A cone's memo for the law: point -> whether the cone holds it, each
+    point tested once, and the points the law tests the other cones at, the
+    cone's rays and the sum of its rays (None when the rays are dependent)."""
+
+    def __init__(self, cone):
+        super().__init__()
+        self.cone, self.points = cone, None
+        if matrix_rank(cone.rays) == len(cone.rays):
+            self.points = (*cone.rays, tuple(map(sum, zip(*cone.rays)))) if cone.rays else ()
+
+    def __missing__(self, p):
+        held = self[p] = self.cone.contains(p)
+        return held
+
+
+def per_pair_law(fan, a, b, memo=None):
+    """Whether the cones of chains a and b meet as the law says,
+    cone(a) ∩ cone(b) = cone(a ∧ b): the tests' one law, the cross-check of
+    the wall certificate from which ``check`` takes it.
+
+    The law is checked exactly at finitely many points.  Every ray of the
+    expected cone lies in both cones.  Conversely, each ray of either cone,
+    and the sum of its rays (a point interior enough to catch mismatches),
+    lies in the other cone exactly when it lies in the expected one.  A pair
+    that meets a cone of dependent rays fails, and no point is tested in
+    such a cone.  ``memo`` maps a cone's id to its ``_Held``; the fan holds
+    every cone, so the pairs of one fan may share it.
+    """
+    memo = {} if memo is None else memo
+    held = []
+    for chain in (a, b, chain_intersect(a, b)):
+        cone = fan.cone(chain)
+        if id(cone) not in memo:
+            memo[id(cone)] = _Held(cone)
+        held.append(memo[id(cone)])
+    in_a, in_b, in_x = held
+    if in_a.points is None or in_b.points is None or in_x.points is None:
         return False
-    for this, other in ((cone_a, cone_b), (cone_b, cone_a)):
-        points = list(this.rays)
-        if this.rays:
-            points.append(tuple(map(sum, zip(*this.rays))))
-        if any(contains(other, p) != contains(expected, p) for p in points):
+    if not all(in_a[g] and in_b[g] for g in in_x.cone.rays):
+        return False
+    for this, other in ((in_a, in_b), (in_b, in_a)):
+        if any(other[p] != in_x[p] for p in this.points):
             return False
     return True
+
+
+def law_failures(fan, pairs):
+    """The pairs that break the law, in order, with one memo for them all."""
+    memo = {}
+    return [(a, b) for a, b in pairs if not per_pair_law(fan, a, b, memo)]
 
 
 def fan_of(r, n):
@@ -73,19 +104,6 @@ def law_pairs(fan, seed=0):
     ]
 
 
-def reference_failures(fan, pairs):
-    return [(a, b) for a, b in pairs if not per_pair_law(fan, a, b)]
-
-
-@pytest.mark.parametrize("r,n,seed", [(2, 2, 0), (3, 2, 0), (2, 3, 5), (3, 3, 1)])
-def test_memoised_law_agrees_with_the_per_pair_law(r, n, seed):
-    fan = fan_of(r, n)
-    pairs = law_pairs(fan, seed)
-    assert intersection_law_failures(fan, pairs) == reference_failures(fan, pairs) == []
-    for a, b in pairs[:50]:
-        assert intersection_law_failures(fan, [(a, b)]) == []
-
-
 def bent(fan):
     """The fan with the last ray of one maximal cone moved off its place,
     the rays kept independent, and that cone's chain: the cone now
@@ -103,8 +121,9 @@ def test_a_perturbed_ray_fails_the_same_pairs_in_both_versions(r, n):
     fan = fan_of(r, n)
     pairs = law_pairs(fan)
     chain, broken = bent(fan)
-    failures = intersection_law_failures(broken, pairs)
-    assert failures == reference_failures(broken, pairs)
+    failures = law_failures(broken, pairs)
+    # one memo for all the pairs, or a fresh one per pair: the same failures
+    assert failures == [(a, b) for a, b in pairs if not per_pair_law(broken, a, b)]
     assert failures and all(chain in pair for pair in failures)
 
 
@@ -134,7 +153,8 @@ def test_a_failing_lattice_line_counts_its_cones_and_names_the_first(monkeypatch
     assert list(lines) == list(passing)
     assert lines[COMPLETE].status == "PASS"
     # at (3, 2) the flat face fails the dimension line, and the law, which
-    # would eliminate that cone, fails exactly the pairs that meet it
+    # tests membership in no cone of dependent rays, fails exactly the
+    # pairs that meet it
     flat = flat_face(fan_of(3, 2))
     monkeypatch.setattr(selfcheck, "build_fan", lambda spec, g: flat)
     lines = {res.name: res for res in suite_fan(flat.spec)}
@@ -143,7 +163,7 @@ def test_a_failing_lattice_line_counts_its_cones_and_names_the_first(monkeypatch
     pairs = law_pairs(flat)
     assert len(pairs) == 1156
     failing = [(a, b) for a, b in pairs if face in (a, b, chain_intersect(a, b))]
-    assert failing and intersection_law_failures(flat, pairs) == failing
+    assert failing and law_failures(flat, pairs) == failing
     # the completeness line reads the maximal cones alone
     assert lines[NOT_COMPLETE].status == "PASS"
     # a maximal cone that repeats a ray is flat too: the scan, which would
@@ -182,7 +202,7 @@ def test_the_law_holds_on_every_pair_of_cones_at_r_2(n, pairs):
     fan = fan_of(2, n)
     chains = list(enumerate_chains(fan.spec, n))
     assert len(chains) ** 2 == pairs
-    assert intersection_law_failures(fan, itertools.product(chains, chains)) == []
+    assert law_failures(fan, itertools.product(chains, chains)) == []
 
 
 def test_the_law_holds_where_no_line_checks_it_and_the_fan_suite_draws_nothing(monkeypatch):
@@ -190,7 +210,7 @@ def test_the_law_holds_where_no_line_checks_it_and_the_fan_suite_draws_nothing(m
     for r, n in [(2, 0), (3, 0), (3, 1), (3, 2), (4, 2)]:
         fan = fan_of(r, n)
         chains = list(enumerate_chains(fan.spec, n))
-        assert intersection_law_failures(fan, itertools.product(chains, chains)) == []
+        assert law_failures(fan, itertools.product(chains, chains)) == []
     # at every spec the fan suite draws no random number and prints no law line
     monkeypatch.setattr(selfcheck, "Lcg", None)
     names = [
@@ -321,66 +341,8 @@ def test_a_meet_cone_with_a_ray_outside_both_cones_fails_by_its_rays():
     cone = fan.cone(meet)
     grown = Cone((*cone.rays, fan.rays[parse_subset("{2:2}", spec)]), cone.label)
     broken = Fan.from_cones(spec, fan.rays, {**fan.cones, meet: grown}.items())
-    assert intersection_law_failures(broken, [(a, b)]) == reference_failures(broken, [(a, b)]) == [(a, b)]
-
-
-class _RecordingIndex(SharedRowIndex):
-    """A shared-row index that records its members and every ``holding``."""
-
-    def __init__(self, members, tests, log):
-        super().__init__(members, tests)
-        self.members, self.calls = list(members), []
-        log.append(self)
-
-    def holding(self, p, scale):
-        mask = super().holding(p, scale)
-        self.calls.append((p, scale, mask))
-        return mask
-
-
-def _record_indexes(monkeypatch):
-    log = []
-    monkeypatch.setattr(
-        selfcheck, "SharedRowIndex", lambda members, tests: _RecordingIndex(members, tests, log)
-    )
-    return log
-
-
-def test_each_distinct_cone_point_test_runs_once(monkeypatch):
-    fan = fan_of(3, 2)
-    distinct = set()
-    for a, b in law_pairs(fan):
-        per_pair_law(fan, a, b, lambda cone, p: distinct.add(p) or cone.contains(p))
-    log = _record_indexes(monkeypatch)
-    contains_calls = []
-    monkeypatch.setattr(Cone, "contains", lambda self, p: contains_calls.append(p))
-    assert intersection_law_failures(fan_of(3, 2), law_pairs(fan)) == []
-    monkeypatch.undo()
-    # the law calls no Cone.contains: one index over the 34 chains, one
-    # holding per distinct ray or ray-sum point, each an integer point
-    assert contains_calls == []
-    (index,) = log
-    assert len(index.members) == len(set(map(id, index.members))) == 34
-    points = [p for p, _, _ in index.calls]
-    assert len(points) == len(set(points)) == len(distinct) == 33
-    assert set(points) == distinct
-    assert {scale for _, scale, _ in index.calls} == {1}
-    for p, _, mask in index.calls:
-        assert [bool(mask >> k & 1) for k in range(34)] == [c.contains(p) for c in index.members]
-    # the rayless cone holds none of the law's points, but the origin, which
-    # every cone holds
-    rayless = next(k for k, c in enumerate(index.members) if not c.rays)
-    assert not any(mask >> rayless & 1 for _, _, mask in index.calls)
-    assert index.holding((0, 0, 0, 0), 1) == (1 << 34) - 1
-
-
-def test_a_one_pair_call_registers_only_the_chains_it_meets(monkeypatch):
-    fan = fan_of(2, 3)
-    log = _record_indexes(monkeypatch)
-    for a, b in law_pairs(fan, 5)[::97]:
-        assert intersection_law_failures(fan, iter([(a, b)])) == []
-        met = [fan.cone(c) for c in dict.fromkeys([a, b, chain_intersect(a, b)])]
-        assert log.pop().members == met
+    assert not per_pair_law(broken, a, b)
+    assert per_pair_law(fan, a, b)
 
 
 def test_tropical_suite_embeds_each_curve_once(monkeypatch):
@@ -503,7 +465,7 @@ def test_the_law_holds_on_every_pair_of_chains_at_r_above_2(r, n, pairs):
     fan = fan_of(r, n)
     chains = list(enumerate_chains(fan.spec, n))
     assert len(chains) ** 2 == pairs
-    assert intersection_law_failures(fan, itertools.product(chains, chains)) == []
+    assert law_failures(fan, itertools.product(chains, chains)) == []
 
 
 @pytest.mark.parametrize("r,n,walls", [(3, 1, 1), (3, 2, 15), (4, 2, 24), (3, 3, 216), (4, 3, 480), (4, 4, 10752)])
@@ -603,7 +565,7 @@ def test_a_ray_off_its_label_s_chart_fails_the_completeness_line_alone(monkeypat
     fan = fan_of(3, 1)
     assert fan.rays[label] == (1, -1)
     chains = list(enumerate_chains(spec, 1))
-    assert intersection_law_failures(fan, itertools.product(chains, chains)) == []
+    assert law_failures(fan, itertools.product(chains, chains)) == []
     assert wall_failures(fan) == (1, [])
     assert selfcheck._rays_off_their_charts(fan) == [label]
     status, out = run(build_parser().parse_args(["check", "--r", "3", "--n", "1", "--suite", "fan"]))
@@ -630,84 +592,6 @@ def test_a_bent_ray_fails_the_stellar_line_and_the_check_exits_1(monkeypatch):
 
 
 # --- the work one ``check`` run shares ------------------------------------------
-
-
-def chain_keyed_failures(fan, pairs):
-    """The law as decided before chains became bitmasks, kept as the
-    reference: per pair one ``chain_intersect``, and the met cones keyed by
-    their chains."""
-    pairs = list(pairs)
-    bits, cones, met = {}, [], []
-    for a, b in pairs:
-        trio = []
-        for chain in (a, b, chain_intersect(a, b)):
-            if chain not in bits:
-                cone = fan.cone(chain)
-                bits[chain] = len(cones) if selfcheck._eliminates(cone) else None
-                if bits[chain] is not None:
-                    cones.append(cone)
-            trio.append(bits[chain])
-        met.append(None if None in trio else trio)
-    origin = tuple([(((i, 1),), 0, 0) for i in range(fan.spec.ambient_dim)])
-    index = SharedRowIndex(cones, lambda cone: cone._inverse.tests if cone.rays else origin)
-    masks, held = {}, []
-    for cone in cones:
-        points = (*cone.rays, tuple(map(sum, zip(*cone.rays)))) if cone.rays else ()
-        row = []
-        for p in points:
-            if p not in masks:
-                masks[p] = index.holding(p, 1)
-            row.append(masks[p])
-        held.append(tuple(row))
-
-    def holds(ka, kb, kx):
-        both, expected = 1 << ka | 1 << kb, 1 << kx
-        if any(mask & both != both for mask in held[kx][:-1]):
-            return False
-        for this, other in ((ka, 1 << kb), (kb, 1 << ka)):
-            if any(bool(mask & other) != bool(mask & expected) for mask in held[this]):
-                return False
-        return True
-
-    return [pair for pair, trio in zip(pairs, met) if trio is None or not holds(*trio)]
-
-
-def test_the_masked_law_fails_the_pairs_the_chain_keyed_law_fails_in_order():
-    for r, n in [(2, 2), (3, 2), (4, 2)]:
-        fan = fan_of(r, n)
-        chains = list(enumerate_chains(fan.spec, n))
-        pairs = list(itertools.product(chains, chains))
-        assert intersection_law_failures(fan, pairs) == chain_keyed_failures(fan, pairs) == []
-    for r, n in [(2, 2), (3, 2)]:
-        for planted in (bent(fan_of(r, n))[1], flat_face(fan_of(r, n))):
-            chains = list(enumerate_chains(planted.spec, n))
-            pairs = list(itertools.product(chains, chains))
-            # reversed, so the meets come before the chains that hold them
-            for order in (pairs, pairs[::-1]):
-                failures = intersection_law_failures(planted, order)
-                assert failures and failures == chain_keyed_failures(planted, order)
-
-
-def test_chain_intersect_runs_once_per_distinct_meet_not_met_as_a_pair_s_chain(monkeypatch):
-    fan = fan_of(3, 2)
-    calls = []
-
-    def counted(a, b):
-        calls.append(chain_intersect(a, b))
-        return calls[-1]
-
-    monkeypatch.setattr(selfcheck, "chain_intersect", counted)
-    # two distinct maximal chains meet in a shorter chain, none of them a pair's
-    maximal = [c for c in fan.cones if c.length == 2]
-    pairs = [(a, b) for a, b in itertools.product(maximal, maximal) if a != b]
-    assert intersection_law_failures(fan, pairs) == []
-    meets = {chain_intersect(a, b) for a, b in pairs}
-    # the empty chain and the 15 one-prefix chains
-    assert len(calls) == len(set(calls)) == len(meets) == 16 and set(calls) == meets
-    # every meet of all pairs is some pair's chain, met first as one
-    calls.clear()
-    assert intersection_law_failures(fan, law_pairs(fan)) == []
-    assert calls == []
 
 
 def test_one_check_run_builds_one_direct_fan_and_shares_it(monkeypatch):
