@@ -6,7 +6,14 @@ and certified on the chain's own cone), ``normal-complex`` (cells of
 the truncated support) and ``check`` (the cross-module verification
 suites).  Exit status is 0 on success or when no check fails (a check a
 feasibility guard refused prints SKIP), 1 when a check fails, 2 on usage or
-feasibility errors.
+feasibility errors and when the output cannot be written (an ``--out``
+path, or a reader that closed early), with one line on stderr.
+
+Every command writes its output as it goes, through one ``write``
+callable: ``main`` passes stdout's, or with ``--out`` a new file's beside
+the target, which replaces the target at the end; ``run`` passes an
+``io.StringIO``'s and returns the text.  Every guard and validation runs
+before the first byte, and a refusal's line follows what was written.
 
 Identical arguments and seed produce byte-identical output.  A process
 parses with one parser, built by ``build_parser`` on its first ``main``
@@ -18,19 +25,20 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
+import io
+import os
+import stat
 import sys
 from collections import Counter
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence, TextIO
 
-from . import chow, normal_complex, tropical
-from .fan import build_fan, build_fan_stellar, in_relative_interior
+from . import chow, normal_complex, serialize, tropical
+from .fan import basis_labels, build_fan, build_fan_stellar, in_relative_interior
 from .guards import FeasibilityError, check_fan_spec
 from .lattice import ArrangementSpec, BuildingSet
 from .linalg import _integer_field, parse_rational
 from .selfcheck import SUITES, run_suites
-from .serialize import fan_to_dict
 
 USAGE_ERROR = 2
 
@@ -58,29 +66,29 @@ def _parse_point(text: str, spec: ArrangementSpec) -> tuple[Fraction, ...]:
     return coords
 
 
-def _cmd_fan(args: argparse.Namespace, emit: Callable[[str], None]) -> int:
+def _cmd_fan(args: argparse.Namespace, write: Callable[[str], object]) -> int:
     spec = _spec(args)
     check_fan_spec(spec)
     g = BuildingSet.maximal(spec)
     fan = build_fan_stellar(spec, g) if args.via_stellar else build_fan(spec, g)
-    payload = fan_to_dict(fan)
     if args.format == "json":
-        emit(json.dumps(payload, indent=2))
-    else:
-        emit(f"fan for r={spec.r}, n={spec.n}")
-        emit("basis: " + " ".join(payload["basis"]))
-        emit(f"rays ({len(payload['rays'])}):")
-        for ray in payload["rays"]:
-            vec = ",".join(str(x) for x in ray["vector"])
-            emit(f"  [{ray['id']}] {ray['subset']} -> ({vec})")
-        emit(f"cones ({len(payload['cones'])}):")
-        for cone in payload["cones"]:
-            ids = ",".join(str(i) for i in cone["ray_ids"])
-            emit(f"  dim {cone['dim']} rays [{ids}] chain {cone['chain']}")
+        serialize.write_fan(fan, write)
+        return 0
+    subsets, texts, cones = serialize.fan_listing(fan)
+    write(f"fan for r={spec.r}, n={spec.n}\n")
+    write("basis: " + " ".join(basis_labels(spec)) + "\n")
+    write(f"rays ({len(subsets)}):\n")
+    for k, d in enumerate(subsets):
+        vec = ",".join(map(str, fan.rays[d]))
+        write(f"  [{k}] {texts[k]} -> ({vec})\n")
+    write(f"cones ({len(cones)}):\n")
+    for ids in cones:
+        chain = serialize.chain_text(ids, texts)
+        write(f"  dim {len(ids)} rays [{','.join(map(str, ids))}] chain {chain}\n")
     return 0
 
 
-def _betti_rows(spec: ArrangementSpec, want_oracle: bool) -> list[dict]:
+def _betti_rows(spec: ArrangementSpec, want_oracle: bool) -> list[serialize.BettiRow]:
     closed = chow.betti_closed_form(spec)
     try:
         oracle: tuple[int, ...] | None = chow.betti_oracle(spec)
@@ -88,61 +96,40 @@ def _betti_rows(spec: ArrangementSpec, want_oracle: bool) -> list[dict]:
         if want_oracle:
             raise
         oracle = None
-    rows = []
-    for k, b in enumerate(closed):
-        o = oracle[k] if oracle is not None else None
-        rows.append(
-            {
-                "k": k,
-                "closed_form": b,
-                "oracle": o,
-                "match": (o == b) if o is not None else None,
-            }
-        )
-    return rows
+    if oracle is None:
+        return [(k, b, None, None) for k, b in enumerate(closed)]
+    return [(k, b, o, o == b) for k, (b, o) in enumerate(zip(closed, oracle))]
 
 
-def _cmd_chow(args: argparse.Namespace, emit: Callable[[str], None]) -> int:
+def _cmd_chow(args: argparse.Namespace, write: Callable[[str], object]) -> int:
     spec = _spec(args)
     check_fan_spec(spec)
     rows = _betti_rows(spec, args.oracle)
     pres = None if args.betti_only else chow.presentation(spec)
     if args.format == "json":
-        payload: dict = {"r": spec.r, "n": spec.n, "betti": rows}
-        if pres is not None:
-            generators, relations = pres
-            payload["generators"] = [d.text() for d in generators]
-            payload["linear_relations"] = [
-                {"i": i, "a": a, "b": b, "coefficients": {str(k): v for k, v in coeffs}}
-                for (i, a, b), coeffs in relations.items()
-            ]
-            payload["reduced_relation_indices"] = [
-                k for k, (_, a, _) in enumerate(relations) if a == 0
-            ]
-        emit(json.dumps(payload, indent=2))
+        serialize.write_chow(spec, rows, pres, write)
     else:
         if pres is not None:
             generators, relations = pres
-            emit(f"generators ({len(generators)}):")
+            write(f"generators ({len(generators)}):\n")
             for k, d in enumerate(generators):
-                emit(f"  [{k}] D{d.text()}")
-            emit("products D_x . D_y vanish exactly when x and y are incomparable")
+                write(f"  [{k}] D{d.text()}\n")
+            write("products D_x . D_y vanish exactly when x and y are incomparable\n")
             reduced = sum(1 for _, a, _ in relations if a == 0)
-            emit(f"linear relations ({len(relations)} emitted, {reduced} independent):")
+            write(f"linear relations ({len(relations)} emitted, {reduced} independent):\n")
             for (i, a, b), coeffs in relations.items():
                 terms = " ".join(f"{'+' if c > 0 else '-'}D[{k}]" for k, c in coeffs)
                 star = "*" if a == 0 else " "
-                emit(f" {star}(i={i}, {a}~{b}) {terms} = 0")
-        emit(f"{'k':<4}{'closed_form':<13}{'oracle':<8}match")
-        for row in rows:
-            oracle = "-" if row["oracle"] is None else str(row["oracle"])
-            match = "-" if row["match"] is None else ("yes" if row["match"] else "NO")
-            emit(f"{row['k']:<4}{row['closed_form']:<13}{oracle:<8}{match}")
-    mismatched = [r for r in rows if r["match"] is False]
-    return 1 if mismatched else 0
+                write(f" {star}(i={i}, {a}~{b}) {terms} = 0\n")
+        write(f"{'k':<4}{'closed_form':<13}{'oracle':<8}match\n")
+        for k, closed, oracle, match in rows:
+            oracle_text = "-" if oracle is None else str(oracle)
+            match_text = "-" if match is None else ("yes" if match else "NO")
+            write(f"{k:<4}{closed:<13}{oracle_text:<8}{match_text}\n")
+    return 1 if any(match is False for *_, match in rows) else 0
 
 
-def _cmd_locate(args: argparse.Namespace, emit: Callable[[str], None]) -> int:
+def _cmd_locate(args: argparse.Namespace, write: Callable[[str], object]) -> int:
     spec = _spec(args)
     check_fan_spec(spec)
     if args.curve is not None:
@@ -153,24 +140,13 @@ def _cmd_locate(args: argparse.Namespace, emit: Callable[[str], None]) -> int:
         curve = tropical.curve_from_point(point, spec)
     chain = None if curve is None else tropical.combinatorial_type(curve, spec)
     if chain is not None and not in_relative_interior(chain, point, spec):
-        emit("error: combinatorial type disagrees with point location")
+        write("error: combinatorial type disagrees with point location\n")
         return 1
-    coords = [str(x) for x in point]
     if args.format == "json":
-        payload = {
-            "r": spec.r,
-            "n": spec.n,
-            "chain": chain.text() if chain is not None else None,
-            "point": coords,
-            "in_support": chain is not None,
-        }
-        emit(json.dumps(payload, indent=2))
+        serialize.write_point(spec, chain, point, write)
     else:
-        emit("point: (" + ",".join(coords) + ")")
-        if chain is None:
-            emit("outside the fan support")
-        else:
-            emit(f"chain: {chain.text()}")
+        write("point: (" + ",".join(map(str, point)) + ")\n")
+        write("outside the fan support\n" if chain is None else f"chain: {chain.text()}\n")
     return 0
 
 
@@ -178,50 +154,33 @@ def _points_text(points: Iterable[Sequence[Fraction]]) -> str:
     return " ".join("(" + ",".join(str(x) for x in p) + ")" for p in points)
 
 
-def _cmd_normal_complex(args: argparse.Namespace, emit: Callable[[str], None]) -> int:
+def _cmd_normal_complex(args: argparse.Namespace, write: Callable[[str], object]) -> int:
     spec = _spec(args)
     cells = normal_complex.complex_cells(spec).cells
     extremes = normal_complex.union_extreme_points(spec) if args.union_extremes else None
     if args.format == "json":  # the one output that prints each cell's rows
-        payload: dict = {
-            "r": spec.r,
-            "n": spec.n,
-            "cells": [
-                {
-                    "chain": cell.label.text(),
-                    "h_rep": [
-                        {"normal": [str(x) for x in normal], "bound": str(bound)}
-                        for normal, bound in cell.h_rep
-                    ],
-                    "vertices": [[str(x) for x in v] for v in cell.v_rep],
-                }
-                for cell in cells
-            ],
-        }
-        if extremes is not None:
-            payload["union_extremes"] = [[str(x) for x in p] for p in extremes]
-        emit(json.dumps(payload, indent=2))
-    else:
-        emit(f"normal complex for r={spec.r}, n={spec.n}: {len(cells)} cells")
-        for cell in cells:
-            emit(f"  {cell.label.text()}: vertices {_points_text(cell.v_rep)}")
-        if extremes is not None:
-            emit(f"union extreme points: {_points_text(extremes)}")
+        serialize.write_cells(spec, cells, extremes, write)
+        return 0
+    write(f"normal complex for r={spec.r}, n={spec.n}: {len(cells)} cells\n")
+    for cell in cells:
+        write(f"  {cell.label.text()}: vertices {_points_text(cell.v_rep)}\n")
+    if extremes is not None:
+        write(f"union extreme points: {_points_text(extremes)}\n")
     return 0
 
 
-def _cmd_check(args: argparse.Namespace, emit: Callable[[str], None]) -> int:
+def _cmd_check(args: argparse.Namespace, write: Callable[[str], object]) -> int:
     spec = _spec(args)
     suites = SUITES if args.suite == "all" else (args.suite,)
     results = run_suites(spec, suites, args.seed)
     for res in results:
         detail = f" ({res.detail})" if res.detail else ""
-        emit(f"{res.status} [{res.suite}] {res.name}{detail}")
+        write(f"{res.status} [{res.suite}] {res.name}{detail}\n")
     count = Counter(res.status for res in results)
     skipped = f", {count['SKIP']} skipped" if count["SKIP"] else ""
-    emit(
+    write(
         f"{count['PASS']}/{len(results)} checks passed{skipped} for "
-        f"r={spec.r}, n={spec.n}"
+        f"r={spec.r}, n={spec.n}\n"
     )
     return 1 if count["FAIL"] else 0
 
@@ -235,18 +194,23 @@ _COMMANDS = {
 }
 
 
+def _execute(args: argparse.Namespace, write: Callable[[str], object]) -> int:
+    """Run a parsed command line, writing its output through ``write``;
+    returns the exit status.  A refusal's line follows what was written."""
+    try:
+        return _COMMANDS[args.command](args, write)
+    except FeasibilityError as exc:
+        write(f"feasibility error: {exc}\n")
+    except ValueError as exc:
+        write(f"error: {exc}\n")
+    return USAGE_ERROR
+
+
 def run(args: argparse.Namespace) -> tuple[int, str]:
     """Run a parsed command line; returns the exit status and the output text."""
-    lines: list[str] = []
-    try:
-        status = _COMMANDS[args.command](args, lines.append)
-    except FeasibilityError as exc:
-        lines.append(f"feasibility error: {exc}")
-        status = USAGE_ERROR
-    except ValueError as exc:
-        lines.append(f"error: {exc}")
-        status = USAGE_ERROR
-    return status, "\n".join(lines) + ("\n" if lines else "")
+    buf = io.StringIO()
+    status = _execute(args, buf.write)
+    return status, buf.getvalue()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -303,22 +267,71 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _scratch_beside(path: str) -> tuple[str, TextIO]:
+    """A new file in ``path``'s directory, made as ``open(path, "w")``
+    would make it (its mode follows the umask), under a name no file has."""
+    head, tail = os.path.split(path)
+    k = 0
+    while True:
+        name = os.path.join(head, f".{tail}.{os.getpid()}-{k}.tmp")
+        try:
+            return name, open(name, "x", encoding="utf-8")
+        except FileExistsError:
+            k += 1
+
+
+def _execute_to_file(args: argparse.Namespace) -> int:
+    """``--out``: the output goes to a new file beside the target, which
+    then replaces the target whatever the status, so the target holds all
+    that stdout would or, when a write fails, is left as it was.  Only a
+    regular file or a new path is replaced: a device, a pipe or a symlink
+    is written in place, as ``open`` writes it."""
+    path = args.out
+    try:
+        mode: int | None = os.lstat(path).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not (stat.S_ISREG(mode) or stat.S_ISDIR(mode)):
+        with open(path, "w", encoding="utf-8") as fh:
+            return _execute(args, fh.write)
+    scratch, fh = _scratch_beside(path)
+    try:
+        with fh:
+            status = _execute(args, fh.write)
+        os.replace(scratch, path)
+    except BaseException:
+        try:
+            os.unlink(scratch)
+        except OSError:
+            pass
+        raise
+    return status
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
         args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits with 2 on usage errors
         return int(exc.code or 0)
-    status, text = run(args)
     if args.out:
         try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
+            return _execute_to_file(args)
         except OSError as exc:
             sys.stderr.write(f"error: cannot write {args.out!r}: {exc.strerror}\n")
             return USAGE_ERROR
-    else:
-        sys.stdout.write(text)
+    try:
+        status = _execute(args, sys.stdout.write)
+        sys.stdout.flush()
+    except OSError as exc:  # a reader that closed early, a full disk
+        null = os.open(os.devnull, os.O_WRONLY)
+        try:  # what is left in the buffer is flushed at exit, to the null device
+            os.dup2(null, sys.stdout.fileno())
+        except (AttributeError, OSError, ValueError):  # stdout is not a file
+            pass
+        os.close(null)
+        sys.stderr.write(f"error: cannot write to stdout: {exc.strerror}\n")
+        return USAGE_ERROR
     return status
 
 

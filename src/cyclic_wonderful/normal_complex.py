@@ -36,9 +36,10 @@ steps it holds, r - 1 or 1), and a vertex over the common denominator of
 the cube's corners, written by ``fan.place``.  A cell stores each row
 once, as that test and scale, and cells that repeat a test share one
 tuple (``_cell_test``); ``h_rep``, the dense rational rows, is built
-from them on first read, and only the JSON output reads it (at n = 1 the
-r cells hold O(r^2) references to about 5r distinct tests, their dense
-rows r^3 entries).
+from them on first read, and no command reads it: the JSON output writes
+each distinct stored row's text once, from ``Polytope.integer_rows`` (at
+n = 1 the r cells hold O(r^2) references to about 5r distinct tests,
+their dense rows r^3 entries).
 Membership is integer arithmetic: a rational point p / D (p integer,
 D > 0) satisfies ``normal . v <= bound`` exactly when ``normal_int . p <=
 bound_int * D``.  One cell's membership test is ``linalg.tests_hold``,
@@ -93,7 +94,7 @@ from functools import cache, cached_property, lru_cache
 from fractions import Fraction
 from math import lcm
 from operator import itemgetter
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .guards import COUNT_CAP, check_normal_complex
 from .fan import Vector, block_slot, place, ray_vector, support_decomposition, support_point
@@ -155,10 +156,18 @@ class Polytope(_Frozen):
         object.__setattr__(self, "_tests", tuple([test for test, _ in rows]))
         object.__setattr__(self, "_scales", tuple([scale for _, scale in rows]))
 
+    @property
+    def integer_rows(self) -> Iterator[tuple[RowTest, int]]:
+        """Each row as stored, its test ``(pairs, None, bound)`` and the
+        scale that clears it: ``h_rep``'s row is ``pairs / scale`` against
+        ``bound / scale``.  Cells that repeat a row share its test
+        tuple (``_cell_test``)."""
+        return zip(self._tests, self._scales)
+
     @cached_property
     def h_rep(self) -> tuple[tuple[FracVec, Fraction], ...]:
         dim, zero, rows = len(self.v_rep[0]), Fraction(0), []
-        for (pairs, _, bound), scale in zip(self._tests, self._scales):
+        for (pairs, _, bound), scale in self.integer_rows:
             row = [zero] * dim
             for f, a in pairs:
                 row[f] = Fraction(a, scale)

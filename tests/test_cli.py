@@ -4,6 +4,8 @@ import contextlib
 import io
 import itertools
 import json
+import os
+import stat
 import subprocess
 import sys
 import time
@@ -621,6 +623,96 @@ def test_unwritable_out_is_a_usage_error(tmp_path, capsys, where):
     assert captured.out == ""
     assert captured.err.startswith("error: cannot write")
     assert len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv,status",
+    [
+        (["fan", "--r", "2", "--n", "1", "--format", "json"], 0),
+        (["locate", "--r", "3", "--n", "2", "--point", "0,3,0,1"], 1),
+        (["fan", "--r", "9", "--n", "5"], 2),
+    ],
+    ids=["exit-0", "exit-1", "exit-2"],
+)
+def test_out_replaces_the_target_with_what_stdout_prints(monkeypatch, tmp_path, capsys, argv, status):
+    monkeypatch.setattr("cyclic_wonderful.cli.in_relative_interior", lambda *args: False)
+    assert main(argv) == status
+    printed = capsys.readouterr().out
+    target = tmp_path / "out.txt"
+    target.write_text("an earlier run\n")
+    assert main([*argv, "--out", str(target)]) == status
+    assert capsys.readouterr() == ("", "")
+    assert target.read_text() == printed
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+
+class FailsAfterOneChunk:
+    """A file whose second write fails, as on a full disk."""
+
+    def __init__(self, fh):
+        self.fh, self.chunks = fh, 0
+
+    def write(self, text):
+        if self.chunks:
+            raise OSError(28, "No space left on device")
+        self.chunks += 1
+        return self.fh.write(text)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+@pytest.mark.parametrize("existing", [False, True])
+def test_a_failed_write_leaves_no_file_and_the_target_as_it_was(monkeypatch, tmp_path, capsys, existing):
+    opened = []
+
+    def failing_open(*args, **kwargs):
+        opened.append(args[0])
+        return FailsAfterOneChunk(open(*args, **kwargs))
+
+    monkeypatch.setattr(cli, "open", failing_open, raising=False)
+    target = tmp_path / "fan.json"
+    if existing:
+        target.write_text("an earlier run\n")
+    assert main(["fan", "--r", "2", "--n", "2", "--format", "json", "--out", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write {str(target)!r}: No space left on device\n"
+    # the writer wrote to a file of its own beside the target, now gone
+    assert len(opened) == 1 and opened[0] != str(target)
+    assert [p.name for p in tmp_path.iterdir()] == (["fan.json"] if existing else [])
+    if existing:
+        assert target.read_text() == "an earlier run\n"
+
+
+def test_out_writes_a_device_or_a_symlink_in_place(tmp_path, capsys):
+    # a device cannot be replaced by a file: the null device stays one
+    assert main(["fan", "--r", "2", "--n", "1", "--out", os.devnull]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+    # a symlink stays one, and the file it names gets the output
+    (tmp_path / "fan.txt").write_text("an earlier run\n")
+    (tmp_path / "link").symlink_to("fan.txt")
+    assert main(["fan", "--r", "2", "--n", "1", "--out", str(tmp_path / "link")]) == 0
+    assert (tmp_path / "link").is_symlink()
+    assert (tmp_path / "fan.txt").read_text().startswith("fan for r=2, n=1\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fan.txt", "link"]
+
+
+def test_a_reader_that_closes_early_gets_one_line_and_exit_2():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cyclic_wonderful", "normal-complex", "--r", "60", "--n", "1", "--format", "json"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert os.read(proc.stdout.fileno(), 10) == b'{\n  "r": 6'
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 2
+    assert err == "error: cannot write to stdout: Broken pipe\n"
 
 
 def test_usage_error_exit_code_via_subprocess():

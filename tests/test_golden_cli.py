@@ -73,7 +73,10 @@ include the normal suite when its tiling line stopped testing 500 sampled
 points against ``in_delta`` and certified each cell exactly on its chain's
 rays; ``test_only_the_tiling_line_changed`` puts back the sampled line and
 finds the bytes printed before, and the tests of the earlier changes put
-it back first.  Any later
+it back first, and the five JSON outputs of ``fan`` and ``chow`` at n = 0,
+of ``chow --betti-only`` past the oracle's guard (``null``) and of
+``locate`` by point and by curve, before the commands wrote their JSON
+record by record instead of through one ``json.dumps``.  Any later
 change that alters a byte of these outputs fails here.  The whole corpus runs in-process through
 ``cli.main`` in a few seconds.  To re-record after an
 intended output change, print ``hashlib.sha256(stdout).hexdigest()`` for each
@@ -158,6 +161,11 @@ GOLDEN = [
     ("check --r 120 --n 1 --seed 3", 0, "23aad1d2ff5da75e2af95ae83cf17e8d85b326df6e5d5bdbc8440bfb2554fdfd"),
     ("locate --r 300 --n 1 --curve 1:0:5/2", 0, "26f38fdaa9bba24d05bfcd8add25e3b176b9ff344b3ecfc6c503fd0cead1ac6e"),
     ("check --r 3 --n 0", 0, "b46d7b7a427e45065b3880e7908b88f155d9698327673c23ba6314e8cab1fa19"),
+    ("fan --r 2 --n 0 --format json", 0, "efad255bc8a235a4cb986300bbb68dbea6b86eadca39b1f104a48bf9af74b442"),
+    ("chow --r 3 --n 0 --format json", 0, "c177d6a25ef6c8d3795f15357669c0489afe6241c37dd2b2b02d3202dba6a32a"),
+    ("chow --r 10 --n 3 --betti-only --format json", 0, "320c7b66b04d2630835ed9c0ecb14c96057ad5fcceb918ca3b7928fc99cef01e"),
+    ("locate --r 3 --n 2 --point 1,2,3,4 --format json", 0, "97ba28eaf81fbfa1b00f694772417da923a71e68fb04e07cabd9c6041baace0e"),
+    ("locate --r 3 --n 2 --curve 1:0:2,2:2:1 --format json", 0, "0ea2ee1afb0f776b2755098c3713341dbabbcd24b2bc8f789b344b2897473dd2"),
     ("fan --r 1 --n 2", 2, "19a9c3723b7d7f4d89611ed97f66c1f2369ca2ac75bc525df5a199f19f8b3969"),
     ("locate --r 3 --n 2 --point 1,2", 2, "2360e8858d7deb4b2fdfefd665fff621c57c1bcb7cd8a38e1eced897152e29a7"),
 ]

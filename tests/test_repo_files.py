@@ -151,10 +151,11 @@ def test_every_dotted_reference_in_the_docs_resolves():
     assert sorted(ref for ref in src | readme if not _resolves(ref)) == []
 
 
-def _commands():
+def _commands(out_dir):
     """The ``cli.main`` calls that stand for every command path: each command
     and option in text and JSON, and ``check``, at five specs; ``locate`` by
-    point and by curve; and a refused ``check``."""
+    point and by curve; a refused ``check``; and one ``--out`` file in
+    ``out_dir``."""
     commands = []
     for r, n in [(2, 0), (2, 1), (2, 2), (3, 2), (2, 3)]:
         spec = ["--r", str(r), "--n", str(n)]
@@ -170,15 +171,18 @@ def _commands():
         commands.append(["check", *spec])
     for target in (["--point", "0,3,0,1"], ["--curve", "1:0:2,2:2:1"]):
         commands += [["locate", "--r", "3", "--n", "2", *target, "--format", f] for f in ("text", "json")]
-    return [*commands, ["check", "--r", "60", "--n", "3"]]
+    out = ["fan", "--r", "2", "--n", "1", "--out", str(out_dir / "fan.txt")]
+    return [*commands, ["check", "--r", "60", "--n", "3"], out]
 
 
 # every package function that no command enters, and why it stays: the
 # benchmark names it, a demo prints it, the tests use it as a reference, or
 # an open ROADMAP item decides it
 UNREACHED = {
+    "cli.run": "tests: a command's status and text, written on main's one path",
     "fan.Cone.coefficients": "benchmark: a per-layer metric (ROADMAP item 7)",
     "fan.Cone.contains": "tests: the intersection law's membership test",
+    "fan.Cone.dim": "tests: fan_to_dict's cone dimension, the fan JSON reference",
     "fan.Fan.cone": "tests: the intersection law reads each chain's cone with it",
     "fan.fans_equal": "demo: fan_walkthrough compares the two routes with it",
     "fan.is_smooth_cone": "ROADMAP item 7: reached only by tests",
@@ -200,6 +204,7 @@ UNREACHED = {
     "normal_complex.NormalComplex._cell_index": "demo: NormalComplex.contains scans it",
     "normal_complex.NormalComplex.contains": "demo: normal_complex_walkthrough locates points with it",
     "normal_complex.Polytope.contains": "ROADMAP item 7: reached only by tests",
+    "normal_complex.Polytope.h_rep": "tests: the dense rows of the cell and JSON references",
     "normal_complex.in_delta": "benchmark: a per-layer metric, and the normal complex demo prints it",
     "normal_complex.z_vector": "ROADMAP item 3: the degree of D(z)^n reads it",
     "sampling.Lcg.fraction": "tests: sample_ambient_point draws with it",
@@ -207,6 +212,7 @@ UNREACHED = {
     "sampling.sample_mixed_points": "tests: the sampled cross-checks of the exact check lines",
     "sampling.sample_support_point": "tests: sample_mixed_points draws on the support with it",
     "serialize.fan_from_dict": "ROADMAP item 7: a documented JSON round trip",
+    "serialize.fan_to_dict": "benchmark: a per-layer metric, and the tests' reference for fan JSON",
     "tropical.TropicalCurve.of": "benchmark: the query workload builds its curves with it",
     "tropical.render_pinwheel": "demo: tropical_walkthrough prints it",
 }
@@ -225,7 +231,7 @@ def _functions(tree, prefix=""):
 
 
 @pytest.mark.skipif(sys.version_info < (3, 11), reason="names functions by co_qualname")
-def test_the_functions_no_command_enters_are_the_allow_listed_ones(capsys, monkeypatch):
+def test_the_functions_no_command_enters_are_the_allow_listed_ones(capsys, monkeypatch, tmp_path):
     monkeypatch.delenv("CYCLIC_WONDERFUL_MAX_CELLS", raising=False)
     paths = sorted((ROOT / "src" / "cyclic_wonderful").glob("*.py"))
     # no cached result may stand in for a call
@@ -234,7 +240,7 @@ def test_the_functions_no_command_enters_are_the_allow_listed_ones(capsys, monke
             for obj in vars(importlib.import_module(f"cyclic_wonderful.{path.stem}")).values():
                 if hasattr(obj, "cache_clear") and obj.__module__.startswith("cyclic_wonderful"):
                     obj.cache_clear()
-    entered = _called(lambda: [main(argv) for argv in _commands()])
+    entered = _called(lambda: [main(argv) for argv in _commands(tmp_path)])
     assert capsys.readouterr().out
     defined = {f"{path.stem}.{name}" for path in paths for name in _functions(ast.parse(path.read_text()))}
     # a dunder runs through the language's protocols
