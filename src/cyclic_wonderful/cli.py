@@ -24,6 +24,7 @@ itself returns a new parser each time.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import io
 import os
@@ -285,13 +286,16 @@ def _execute_to_file(args: argparse.Namespace) -> int:
     then replaces the target whatever the status, so the target holds all
     that stdout would or, when a write fails, is left as it was.  Only a
     regular file or a new path is replaced: a device, a pipe or a symlink
-    is written in place, as ``open`` writes it."""
+    is written in place, as ``open`` writes it.  A directory is refused
+    before the command runs."""
     path = args.out
     try:
         mode: int | None = os.lstat(path).st_mode
     except FileNotFoundError:
         mode = None
-    if mode is not None and not (stat.S_ISREG(mode) or stat.S_ISDIR(mode)):
+    if mode is not None and stat.S_ISDIR(mode):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    if mode is not None and not stat.S_ISREG(mode):
         with open(path, "w", encoding="utf-8") as fh:
             return _execute(args, fh.write)
     scratch, fh = _scratch_beside(path)

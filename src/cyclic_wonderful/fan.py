@@ -40,26 +40,32 @@ enumerates a face: they are 2,198 of the 3,128 cones at (3,3), (4,3) and
 (2,4) together.  The stellar route builds every cone as it goes and hands
 its faces over as they are.
 
-Cone coordinates are exact and integer.  Each cone caches, on first use,
-the result of a fraction-free (Bareiss) Gauss-Jordan elimination through
-the ray columns of [A | I], A the rays as columns: dim - k span-check rows,
-a basis of A's left kernel, and k coefficient rows, delta times a left
-inverse of A, every row, the identity's too, kept as its nonzero (index,
-coeff) pairs, so a one-ray cone at n = 1 costs order r, not r^2.  The
-elimination takes the columns in ray order, so its state after the first j
-rays is shared by every cone whose chain starts with the same j prefixes;
-those states, the empty prefix's identity too, are cached
-(``_prefix_elimination``), and a cone runs only the step of its last ray.
-A full cold scan of the 162 maximal cones at r = 3, n = 3 takes 225 steps
-(one per cone plus one per distinct proper prefix) against 486 for a full
-pass per cone.  A step negates a pivot row whose pivot is negative, so on
-these unimodular fans every pivot is 1 and a step keeps each row its ray
-does not meet: the 225 steps build 366 row tuples, not 519.  The rows are
-the cone's ``linalg.RowTest`` tests, span-check rows ``(row, 0, 0)`` (the
-row vanishes on the point) first and coefficient rows ``(row, 0, None)``
-(a nonnegative coordinate) after, so one cone's membership test of a
-rational point scaled to integers is ``linalg.tests_hold``, which stops at
-the first test the point fails.  Nothing assumes the cone is unimodular.
+Cone coordinates are exact and integer.  Each cone holds the result of a
+fraction-free (Bareiss) Gauss-Jordan elimination through the ray columns
+of [A | I], A the rays as columns: dim - k span-check rows, a basis of A's
+left kernel, and k coefficient rows, delta times a left inverse of A, every
+row, the identity's too, kept as its nonzero (index, coeff) pairs, so a
+one-ray cone at n = 1 costs order r, not r^2.  The elimination takes the
+columns in ray order, so its state after the first j rays is shared by
+every cone whose chain starts with the same j prefixes.  A fan's maximal
+cones get their eliminations in one pass over them all
+(``_invert_maximal_cones``), the first time the fan's index or the fan
+suite's walls need them: each distinct prefix's state is computed once,
+found by the identity of its rays, and each cone runs only the step of its
+last ray; no state outlives the pass, and labels only decide when a state
+is dropped.  A full cold scan of the 162 maximal cones at r = 3, n = 3
+takes 225 steps (one per cone plus one per distinct proper prefix) against
+486 for a full pass per cone.  Any other cone, a face or a one-off cone,
+runs its own full pass from the identity on first use.  A step negates a
+pivot row whose pivot is negative, so on these unimodular fans every pivot
+is 1, and a step keeps each row its ray does not meet and subtracts the
+pivot row from the others with no multiply or division: the 225 steps
+build 366 row tuples, not 519.  The rows are the cone's ``linalg.RowTest``
+tests, span-check rows ``(row, 0, 0)`` (the row vanishes on the point)
+first and coefficient rows ``(row, 0, None)`` (a nonnegative coordinate)
+after, so one cone's membership test of a rational point scaled to
+integers is ``linalg.tests_hold``, which stops at the first test the point
+fails.  Nothing assumes the cone is unimodular.
 
 The maximal cones repeat these rows heavily: at r = 4, n = 3 the 384 of
 them hold 3,456 rows, of which 114 are distinct (19 as span-check rows, 104
@@ -75,7 +81,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .guards import check_fan_spec
@@ -165,8 +171,10 @@ def _bareiss_step(state: _Elimination, c: int, a: Vector) -> _Elimination:
     input negated, so each entry stays a signed minor of it); every other
     row becomes ``(pv * row - f * pivot_row) // delta``, an exact division,
     written as sorted pairs, and a row with ``f == 0`` and ``pv == delta``
-    is kept as it is.  Raises ValueError when the column has no pivot, i.e.
-    the rays are dependent.
+    is kept as it is.  When ``pv`` and ``delta`` are both 1, as at every
+    step on a unimodular fan, that is ``row - f * pivot_row``, with no
+    multiply and no division.  Raises ValueError when the column has no
+    pivot, i.e. the rays are dependent.
     """
     rows, prev = state
     rows = list(rows)
@@ -176,14 +184,26 @@ def _bareiss_step(state: _Elimination, c: int, a: Vector) -> _Elimination:
         for j, x in row:
             s += x * a[j]
         col.append(s)
-    p = next((i for i in range(c, len(rows)) if col[i]), None)
-    if p is None:
+    p = c
+    while p < len(rows) and not col[p]:
+        p += 1
+    if p == len(rows):
         raise ValueError("columns are linearly dependent")
-    rows[c], rows[p] = rows[p], rows[c]
-    col[c], col[p] = col[p], col[c]
-    if col[c] < 0:
-        rows[c], col[c] = tuple([(j, -x) for j, x in rows[c]]), -col[c]
-    piv, pv = rows[c], col[c]
+    if p != c:
+        rows[c], rows[p] = rows[p], rows[c]
+        col[c], col[p] = col[p], col[c]
+    pv = col[c]
+    if pv < 0:
+        rows[c], pv = tuple([(j, -x) for j, x in rows[c]]), -pv
+    piv = rows[c]
+    if pv == 1 == prev:
+        for i, f in enumerate(col):
+            if f and i != c:
+                merged = dict(rows[i])
+                for j, y in piv:
+                    merged[j] = merged.get(j, 0) - f * y
+                rows[i] = tuple([(j, x) for j, x in sorted(merged.items()) if x])
+        return tuple(rows), 1
     for i, row in enumerate(rows):
         f = col[i]
         if i == c or (not f and pv == prev):
@@ -195,36 +215,18 @@ def _bareiss_step(state: _Elimination, c: int, a: Vector) -> _Elimination:
     return tuple(rows), pv
 
 
+def _identity(dim: int) -> _Elimination:
+    """The state of the empty prefix: dim one-entry rows and pivot 1."""
+    return tuple([((i, 1),) for i in range(dim)]), 1
+
+
 def _elimination(dim: int, rays: tuple[Vector, ...]) -> _Elimination:
-    """The Bareiss state after the columns of the rays, in R^dim.
-
-    The empty prefix is the identity, dim one-entry rows; any other is one
-    step on the state of the rays minus the last, which comes from the
-    prefix cache.
-    """
-    if not rays:
-        return tuple([((i, 1),) for i in range(dim)]), 1
-    return _bareiss_step(_prefix_elimination(dim, rays[:-1]), len(rays) - 1, rays[-1])
-
-
-# The states of proper prefixes, keyed by (dim, rays), the empty prefix one
-# entry per dimension.  The maximal cones have 1,745 distinct proper
-# prefixes at r = 4, n = 4, which all fit, and 29,893 at r = 2, n = 6, which
-# do not; but a scan in chain order reads each prefix while it is recent, so
-# it misses only 5 more times, each rebuilding the identity with no step.
-_prefix_elimination = lru_cache(maxsize=4096)(_elimination)
-
-
-@lru_cache(maxsize=4096)
-def _row_test(row: SparseRow, hi: int | None) -> RowTest:
-    """The test ``(row, 0, hi)`` of a state row.
-
-    Cached so that equal tests share one tuple: the cones of a fan repeat few
-    rows (123 distinct tests of 114 rows among the 3,456 of the maximal
-    cones at r = 4, n = 3, on 66 hyperplanes up to sign), and sharing them
-    keeps the cones' caches small.
-    """
-    return row, 0, hi
+    """The Bareiss state after the columns of the rays, in R^dim: one full
+    pass from the identity, sharing nothing with any other call."""
+    state = _identity(dim)
+    for c, a in enumerate(rays):
+        state = _bareiss_step(state, c, a)
+    return state
 
 
 class _Inverse(NamedTuple):
@@ -236,7 +238,9 @@ class _Inverse(NamedTuple):
     the rays exactly when every one of them pairs to zero with it.  The last
     k are ``(row, 0, None)`` for the rows of ``delta * L``, L a left inverse
     of A (``L A = I``) and ``delta > 0`` the last pivot: the point's cone
-    coordinates, times delta, are >= 0.
+    coordinates, times delta, are >= 0.  Each row is a row of the Bareiss
+    state after every ray (``_elimination``); within one pass over a fan's
+    maximal cones (``_invert_maximal_cones``) equal tests are one tuple.
     """
 
     tests: tuple[RowTest, ...]
@@ -268,16 +272,15 @@ class Cone(_Value):
         It multiplies ``[A | I]`` on the left by an invertible R, so ``R A``
         is delta times the identity stacked on zeros: the first k rows of R
         are the coefficient rows, the other dim - k rows span the left
-        kernel of A.  Only the last ray's step runs here; the state of the
-        other rays is shared with every cone that starts with them (see
-        ``_elimination``).  Computed on first use: a scan's index registers
-        every maximal cone, so only faces and one-off cones stay lazy.
+        kernel of A.  A fan's maximal cones get theirs from one pass over
+        them all (``_invert_maximal_cones``), which shares each prefix's
+        state; any other cone, a face or a one-off cone, runs its own full
+        pass from the identity here, on first use.
         """
         k = len(self.rays)
         rows, delta = _elimination(len(self.rays[0]), self.rays)
         return _Inverse(
-            (*(_row_test(row, 0) for row in rows[k:]), *(_row_test(row, None) for row in rows[:k])),
-            delta,
+            (*((row, 0, 0) for row in rows[k:]), *((row, 0, None) for row in rows[:k])), delta
         )
 
     def _scaled_coefficients(self, p: Vector) -> list[int] | None:
@@ -326,6 +329,69 @@ class Cone(_Value):
             return c
         scale *= self._inverse.delta
         return [Fraction(x, scale) for x in c]
+
+
+def _invert_maximal_cones(cones: Sequence[Cone]) -> None:
+    """Write every cone's ``_inverse`` in one pass, skipping the rayless
+    cone and any cone that has one.
+
+    Each distinct ray prefix's Bareiss state is computed once, and each cone
+    runs one step, for its last ray.  A state of depth j is keyed by the
+    identity of its j-th ray and kept with the state it was stepped from, so
+    a cone reads it only when both are the very objects it was made from
+    (the cones hold their rays for the whole pass, so no key is reused).
+    Labels decide only when states go: a state made under a j-th label
+    prefix with other indices than the last one made at depth j drops every
+    state of depth j and deeper.  In ``Chain.sort_key`` order the chains
+    that share a flag of index sets are contiguous, so no dropped state is
+    needed again; in any other order it is made again.  Equal tests are one
+    tuple, interned for the pass: 123 distinct tests among the 3,456 of the
+    maximal cones at r = 4, n = 3.
+    """
+    # per depth j: the states after j + 1 rays, keyed by the id of the last,
+    # each with the state it was stepped from; and the indices of the j-th
+    # label prefix they were made under
+    levels: list[dict[int, tuple[_Elimination, _Elimination]]] = []
+    indices: list[tuple[int, ...] | None] = []
+    spans: dict[SparseRow, RowTest] = {}
+    coefficients: dict[SparseRow, RowTest] = {}
+    identity = None
+    for cone in cones:
+        rays = cone.rays
+        if not rays or "_inverse" in vars(cone):
+            continue
+        k = len(rays)
+        if identity is None:
+            identity = _identity(len(rays[0]))
+        state = identity
+        for j in range(k - 1):
+            ray = rays[j]
+            held = levels[j].get(id(ray)) if j < len(levels) else None
+            if held is not None and held[0] is state:
+                state = held[1]
+                continue
+            label = cone.label
+            here = tuple([i for i, _ in label[j].items]) if j < len(label) else None
+            if j == len(levels) or here != indices[j]:
+                del levels[j:], indices[j:]
+                levels.append({})
+                indices.append(here)
+            after = _bareiss_step(state, j, ray)
+            levels[j][id(ray)] = state, after
+            state = after
+        rows, delta = _bareiss_step(state, k - 1, rays[-1])
+        tests = []
+        for row in rows[k:]:
+            test = spans.get(row)
+            if test is None:
+                test = spans[row] = row, 0, 0
+            tests.append(test)
+        for row in rows[:k]:
+            test = coefficients.get(row)
+            if test is None:
+                test = coefficients[row] = row, 0, None
+            tests.append(test)
+        vars(cone)["_inverse"] = _Inverse(tuple(tests), delta)
 
 
 class Fan(_Frozen):
@@ -392,6 +458,7 @@ class Fan(_Frozen):
     def _cone_index(self) -> SharedRowIndex:
         """The maximal cones' tests.  The rayless cone is maximal only at
         n = 0, where the ambient space is R^0 and it holds the one point."""
+        _invert_maximal_cones(self.maximal_cones)
         return SharedRowIndex(self.maximal_cones, lambda c: c._inverse.tests if c.rays else ())
 
 

@@ -255,10 +255,10 @@ def _level_slots(chain: Chain, spec: ArrangementSpec) -> list[_Slot]:
 def _cell_test(pairs: tuple[tuple[int, int], ...], bound: int) -> RowTest:
     """The test ``(pairs, None, bound)``.
 
-    Cached so that equal tests share one tuple, as ``fan._row_test`` does
-    for the cones: the cells repeat few rows (995 distinct among the 79,600
-    of the 200 cells at r = 200, n = 1, about 5r at n = 1, so (1000, 1)
-    fits).
+    Cached so that equal tests share one tuple, as the fan's maximal cones
+    share theirs within one pass (``fan._invert_maximal_cones``): the cells
+    repeat few rows (995 distinct among the 79,600 of the 200 cells at
+    r = 200, n = 1, about 5r at n = 1, so (1000, 1) fits).
     """
     return pairs, None, bound
 

@@ -117,7 +117,7 @@ import itertools
 from fractions import Fraction
 
 from . import chow, normal_complex, tropical
-from .fan import Fan, _stellar_labels, build_fan, locate_point
+from .fan import Fan, _invert_maximal_cones, _stellar_labels, build_fan, locate_point
 from .guards import FeasibilityError, check_fan_spec, check_override
 from .lattice import (
     ArrangementSpec,
@@ -162,9 +162,11 @@ def wall_failures(fan: Fan) -> tuple[int, list[tuple[DecoratedSubset, ...]]]:
 
     A wall is a maximal cone's label with one prefix removed, its facet.
     For an inner wall, the first coface's coefficient row of its extra ray
-    (``Cone._inverse``) vanishes on the wall's rays and is positive at that
-    ray, so the second coface's extra ray lies on the other side exactly
-    when the row is negative there: one integer dot product per wall.  A
+    (``Cone._inverse``, written for every maximal cone by the fan's one
+    pass, ``fan._invert_maximal_cones``, which the fan's scan index reads
+    too) vanishes on the wall's rays and is positive at that ray, so the
+    second coface's extra ray lies on the other side exactly when the row
+    is negative there: one integer dot product per wall.  A
     boundary wall reads only labels: the residue its cofaces' top prefixes
     add is one bit, found once per distinct pair of top prefixes, and the r
     cofaces must set all r bits, none twice.  Every maximal cone has n >= 1
@@ -216,6 +218,7 @@ def wall_failures(fan: Fan) -> tuple[int, list[tuple[DecoratedSubset, ...]]]:
             crowded.add(wall)
         residues[wall] = held | bit
     every = (1 << fan.spec.r) - 1
+    _invert_maximal_cones(maximal)  # the one pass the fan's index also reads
     failed = []
     for wall, c in first.items():
         one, j = c // n, c % n

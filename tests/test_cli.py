@@ -625,6 +625,16 @@ def test_unwritable_out_is_a_usage_error(tmp_path, capsys, where):
     assert len(captured.err.splitlines()) == 1
 
 
+def test_a_directory_target_is_refused_before_the_command_runs(monkeypatch, tmp_path, capsys):
+    def refuse(*args):
+        raise AssertionError("the command ran")
+
+    monkeypatch.setattr("cyclic_wonderful.cli.build_fan", refuse)
+    assert main(["fan", "--r", "2", "--n", "1", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr() == ("", f"error: cannot write {str(tmp_path)!r}: Is a directory\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "argv,status",
     [

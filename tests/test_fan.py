@@ -3,6 +3,7 @@
 import functools
 import itertools
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -431,7 +432,7 @@ def _gauss_jordan(m, k):
     columns of the integer matrix m, in place, with row swaps and a pivot
     row negated when its pivot is negative; returns the last pivot, which is
     positive.  The one full pass per cone that ``Cone._inverse`` ran before
-    it resumed each cone from the cached state of its leading rays."""
+    a fan's maximal cones shared their leading rays' states in one pass."""
     prev = 1
     for c in range(k):
         p = next((i for i in range(c, len(m)) if m[i][c]), None)
@@ -494,9 +495,29 @@ def test_inverse_equals_the_full_pass_on_non_unimodular_cones_in_any_ray_order(r
         assert _dense_state(len(rays[0]), rays[:j]) == _reference_state(len(rays[0]), rays[:j])
 
 
+def _fresh_fan(r, n):
+    """A new fan: none of its cones has an inverse yet."""
+    spec = ArrangementSpec(r, n)
+    return build_fan(spec, BuildingSet.maximal(spec))
+
+
+def _assert_the_pass_inverts(fan):
+    """Every maximal cone of the fan gets from the fan's one pass the
+    inverse that one full pass over its own rays gives."""
+    cones = fan.maximal_cones
+    assert not any("_inverse" in vars(cone) for cone in cones)
+    fan._cone_index
+    for cone in cones:
+        assert vars(cone)["_inverse"] == _reference_inverse(cone.rays)
+
+
 @pytest.mark.parametrize("spec", [(3, 2), (2, 3), (4, 2), (4, 3), (2, 4), (2, 1), (3, 1), (50, 1)])
 def test_inverse_equals_the_full_pass_on_every_fan_cone(spec):
-    dim, cones = _fan_cones(*spec)  # new cones: no inverse computed yet
+    # the maximal cones' inverses from the fan's one pass, each face's from
+    # its own elimination
+    fan = _fresh_fan(*spec)
+    _assert_the_pass_inverts(fan)
+    dim, cones = fan.spec.ambient_dim, list(fan.cones.values())
     for cone in cones:
         if cone.rays:
             assert cone._inverse == _reference_inverse(cone.rays)
@@ -557,10 +578,10 @@ def test_dependent_rays_raise_the_full_pass_error(rays, weights, data):
 
 
 def _cold_scan_steps(r, n, monkeypatch):
-    """Each Bareiss step of a cold scan at (r, n) as its column, its pivot
-    and the number of row tuples it builds (rows of its state that are not
-    rows of the state it starts from); the scanned fan; and the scan's
-    answer at (1, 1, 0, ..., 0)."""
+    """Each Bareiss step of a scan on a fresh fan at (r, n) as its column,
+    its pivot and the number of row tuples it builds (rows of its state that
+    are not rows of the state it starts from); the scanned fan; and the
+    scan's answer at (1, 1, 0, ..., 0)."""
     steps = []
     step = fan_module._bareiss_step
 
@@ -571,8 +592,6 @@ def _cold_scan_steps(r, n, monkeypatch):
         return out
 
     monkeypatch.setattr(fan_module, "_bareiss_step", counted)
-    fan_module._prefix_elimination.cache_clear()
-    fan_module._row_test.cache_clear()
     spec = ArrangementSpec(r, n)
     fan = build_fan(spec, BuildingSet.maximal(spec))
     located = locate_point(fan, (1, 1) + (0,) * (spec.ambient_dim - 2))
@@ -591,9 +610,19 @@ def test_a_cold_full_scan_takes_one_step_per_cone_and_per_shared_prefix(monkeypa
     assert [c for c, _, _ in steps].count(2) == len(cones)
     # a step builds only the rows its ray meets, and the negated pivot row:
     # 366 row tuples and 65 distinct row tests, where flipping every row's
-    # sign at each pivot of -1 built 519 and 128
+    # sign at each pivot of -1 built 519 and 128; the pass makes equal
+    # tests one tuple
     assert sum(built for _, _, built in steps) == 366
-    assert fan_module._row_test.cache_info().currsize == 65
+    tests = [test for cone in cones for test in cone._inverse.tests]
+    assert len({id(test) for test in tests}) == len(set(tests)) == 65
+
+
+def test_no_elimination_state_outlives_a_fan(monkeypatch):
+    # a second fresh fan of the same spec takes every step again
+    first, _, _ = _cold_scan_steps(3, 3, monkeypatch)
+    second, _, _ = _cold_scan_steps(3, 3, monkeypatch)
+    assert len(first) == len(second) == 225
+    assert first == second
 
 
 @pytest.mark.parametrize("r,n,count", [(3, 3, 225), (4, 3, 492), (2, 4, 632)])
@@ -604,17 +633,65 @@ def test_every_pivot_of_a_cold_scan_is_one(r, n, count, monkeypatch):
     assert [pv for _, pv, _ in steps] == [1] * count
 
 
-def test_the_identity_is_the_cached_empty_prefix():
-    # at n = 1 every maximal cone has one ray: each starts from the identity,
-    # built on the first cone's miss and read from the cache by the other 39
-    fan_module._prefix_elimination.cache_clear()
+def test_every_one_ray_cone_steps_from_one_identity(monkeypatch):
+    # at n = 1 every maximal cone has one ray: the pass builds the identity
+    # once and steps each of the 40 cones from that one state
+    starts = []
+    step = fan_module._bareiss_step
+
+    def counted(state, c, a):
+        starts.append(state)
+        return step(state, c, a)
+
+    monkeypatch.setattr(fan_module, "_bareiss_step", counted)
     spec = ArrangementSpec(40, 1)
     fan = build_fan(spec, BuildingSet.maximal(spec))
     assert locate_point(fan, (1, 1) + (0,) * (spec.ambient_dim - 2)) is None
-    info = fan_module._prefix_elimination.cache_info()
-    assert (info.currsize, info.misses, info.hits) == (1, 1, 39)
     dim = spec.ambient_dim
-    assert fan_module._prefix_elimination(dim, ()) == (tuple(((i, 1),) for i in range(dim)), 1)
+    assert len(starts) == 40
+    assert all(state is starts[0] for state in starts)
+    assert starts[0] == (tuple(((i, 1),) for i in range(dim)), 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rays=_rough_cones())
+def test_the_pass_equals_the_full_pass_on_cones_that_share_rays_in_any_order(rays):
+    # every ordering of every nonempty subset of the same ray objects, with
+    # no label: a ray follows different prefixes, and none is unimodular
+    cones = [
+        Cone(perm, ()) for k in range(1, len(rays) + 1) for perm in itertools.permutations(rays, k)
+    ]
+    fan_module._invert_maximal_cones(cones)
+    for cone in cones:
+        assert vars(cone)["_inverse"] == _reference_inverse(cone.rays)
+
+
+@pytest.mark.parametrize("spec,seed", [((3, 2), 1), ((2, 3), 2), ((4, 3), 3), ((2, 4), 4)])
+def test_the_pass_inverts_maximal_cones_in_any_order(spec, seed):
+    # out of chain order the pass drops states a later cone needs and makes
+    # them again, so every inverse is still its own rays'
+    built = _fresh_fan(*spec)
+    pairs = list(built.cones.items())
+    random.Random(seed).shuffle(pairs)
+    fan = Fan.from_cones(built.spec, built.rays, pairs)
+    assert [c.rays for c in fan.maximal_cones] != [c.rays for c in built.maximal_cones]
+    _assert_the_pass_inverts(fan)
+
+
+@pytest.mark.parametrize("spec", [(3, 2), (2, 3), (4, 3)])
+def test_the_pass_keys_its_states_by_rays_not_by_labels(spec):
+    # two maximal cones with different first rays swap their rays and keep
+    # their labels: each must get its new rays' inverse, not its label's
+    built = _fresh_fan(*spec)
+    pairs = list(built.cones.items())
+    maximal = [k for k, (chain, _) in enumerate(pairs) if len(chain.prefixes) == built.spec.n]
+    one = maximal[0]
+    other = next(k for k in maximal[1:] if pairs[k][1].rays[0] != pairs[one][1].rays[0])
+    (c1, a), (c2, b) = pairs[one], pairs[other]
+    pairs[one], pairs[other] = (c1, Cone(b.rays, a.label)), (c2, Cone(a.rays, b.label))
+    fan = Fan.from_cones(built.spec, built.rays, pairs)
+    assert fan.maximal_cones[0].label == a.label and fan.maximal_cones[0].rays == b.rays
+    _assert_the_pass_inverts(fan)
 
 
 def test_a_one_ray_state_stores_at_most_two_entries_per_row():

@@ -78,10 +78,8 @@ def test_curve_type_and_cone_scan_share_only_the_allowed_functions():
                 combinatorial_type(curve, spec)
 
     def cold_scan_route():
-        # a fresh fan, with no cached elimination state or row test: the
-        # build, the inverses and the index all count
-        fan_module._prefix_elimination.cache_clear()
-        fan_module._row_test.cache_clear()
+        # a fresh fan, whose inverses no earlier call computed: the build,
+        # the inverses and the index all count
         fan = build_fan(spec, BuildingSet.maximal(spec))
         for point in points:
             locate_point(fan, point)
@@ -113,9 +111,7 @@ def test_curve_type_and_relative_interior_certificate_share_only_the_allowed_fun
             combinatorial_type(curve_from_point(point, spec), spec)
 
     def certificate_route():
-        # no cached elimination state or row test: the cone's inverse counts
-        fan_module._prefix_elimination.cache_clear()
-        fan_module._row_test.cache_clear()
+        # each chain's new cone eliminates its own rays: the inverse counts
         assert all(in_relative_interior(c, p, spec) for c, p in zip(chains, points))
 
     curve_calls, certificate_calls = _called(curve_route), _called(certificate_route)
@@ -262,10 +258,7 @@ def test_direct_and_stellar_fans_share_only_the_allowed_functions():
     g = BuildingSet.maximal(spec)
 
     def stellar_route():
-        # the subdivisions test each singleton cone with its elimination,
-        # so start with no cached elimination state or row test
-        fan_module._prefix_elimination.cache_clear()
-        fan_module._row_test.cache_clear()
+        # the subdivisions test each singleton cone with its elimination
         build_fan_stellar(spec, g).cones
 
     # each route's output is every cone, so the direct route builds its faces
@@ -312,8 +305,6 @@ def test_direct_fan_and_stellar_labels_share_only_the_allowed_functions():
     g = BuildingSet.maximal(spec)
 
     def stellar_route():
-        fan_module._prefix_elimination.cache_clear()
-        fan_module._row_test.cache_clear()
         fan_module._stellar_labels(spec, g)
 
     direct_calls = _called(lambda: build_fan(spec, g).cones)
