@@ -338,7 +338,7 @@ def cell_polytope(chain: Chain, spec: ArrangementSpec) -> Polytope:
     slots = _level_slots(chain, spec)
     lengths, common = _vertex_lengths(len(slots))
     keys = sorted(place(block, spec.ambient_dim, 0, zip(slots, y)) for y in lengths)
-    ratios = {x: Fraction(x, common) for key in keys for x in key}
+    ratios = {x: Fraction(x, common) for x in set().union(*keys)}
     v_rep = tuple([tuple([ratios[x] for x in key]) for key in keys])
     return Polytope(v_rep, chain, _cell_rows(slots, block, spec.n))
 

@@ -82,17 +82,24 @@ chains at several specs, as the certificate's cross-check.
 The argument takes three conditions from the other lines of the suite.
 Every cone is the cone of its chain: its label is the chain's prefixes
 and its rays are those prefixes' rays in the fan's ray table, in order.
-The stellar line checks this for every cone, faces included; without it
-two faces that swapped cones would keep every set of rays and pass every
-other line.  The labels are chains: the direct route builds each by
+The stellar line checks this tie for every cone, faces included; without
+it two faces that swapped cones would keep every set of rays and pass
+every other line.  The labels are chains: the direct route builds each by
 restricting its top decoration, and the stellar route, which subdivides
 the product fan and never enumerates chains, must find the same label
-sets and ray table.  The rank line must pass, so that every cone is
-simplicial of its chain's length; a flat maximal cone fails the
-completeness line unrun.  And the count line finds the n! r^n maximal
-cones, one per maximal chain.  Both routes take each label's ray from
+sets and ray table.  And the count line finds the n! r^n maximal cones,
+one per maximal chain.  Both routes take each label's ray from
 ``ray_vector``, so the comparison of ray tables is no second route for
 the rays themselves; the chart reading is.
+
+The two lattice lines run ``lattice_pivots`` on the maximal cones alone,
+and a flat one fails the completeness line unrun.  Pivots all 1 say that
+a maximal cone's n rays extend to a basis of the lattice, and each face
+inherits that: every chain extends to a maximal chain whose cone is in
+the fan (the count and stellar lines); by the tie, a face's rays are some
+of that maximal cone's rays; and a subset of a lattice basis is a lattice
+basis of its span.  So every face is unimodular and of its chain's
+length, and the per-face pass is left to the tests, as the cross-check.
 
 At r = 2 each facet lies in two charts, a boundary wall's two cofaces lie
 on either side of its coordinate hyperplane, and the line's name says
@@ -267,14 +274,12 @@ def _rays_off_their_charts(fan: Fan) -> list[DecoratedSubset]:
     return off
 
 
-def suite_fan(
-    spec: ArrangementSpec, seed: int = 0, *, _fans: list[Fan] | None = None
-) -> list[CheckResult]:
+def suite_fan(spec: ArrangementSpec, *, _fans: list[Fan] | None = None) -> list[CheckResult]:
     """The fan's counts, its two routes (every cone tied to its chain), the
-    lattice lines and completeness, whose wall certificate also gives the
-    cone intersection law (see the module docstring).  It draws no sample,
-    so ``seed`` moves none of its lines.  The direct fan it builds is
-    appended to ``_fans`` when that is given (see ``run_suites``).
+    lattice lines on the maximal cones and completeness, whose wall
+    certificate also gives the cone intersection law (see the module
+    docstring).  The direct fan it builds is appended to ``_fans`` when
+    that is given (see ``run_suites``).
     """
     try:
         check_fan_spec(spec)  # before the building set is enumerated
@@ -316,18 +321,22 @@ def suite_fan(
     # one pass over the cones: each chain's label set leaves the stellar
     # route's, which, the counts being equal, empties exactly when the sets
     # are; each cone is tied to its chain (the label is the chain's prefixes,
-    # the rays theirs); a pivot list's length is the rank, all 1 if unimodular
+    # the rays theirs)
     ray = fan.rays.__getitem__
-    astray, rough, flat = [], [], []
+    astray = []
     for chain, cone in fan.cones.items():
         stellar.discard(frozenset(chain.prefixes))
         if cone.label != chain.prefixes or cone.rays != tuple(map(ray, chain.prefixes)):
             astray.append(chain)
+    # the lattice lines read the maximal cones alone (see the module
+    # docstring): a pivot list's length is the rank, all 1 if unimodular
+    rough, flat = [], []
+    for cone in maximal:
         pivots = lattice_pivots(cone.rays)
         if len(pivots) != len(cone.label):
-            flat.append(chain)
-        if len(chain.prefixes) == spec.n and pivots != [1] * len(cone.rays):
-            rough.append(chain)
+            flat.append(Chain._trusted(cone.label))
+        if pivots != [1] * len(cone.rays):
+            rough.append(Chain._trusted(cone.label))
     details = [broken] if broken else []
     if astray:
         details.append(f"{len(fan.cones)} cones, {len(astray)} not on their chain's rays, first {astray[0].text()}")
@@ -339,25 +348,10 @@ def suite_fan(
             ", ".join(details),
         )
     )
-    out.append(
-        _result(
-            "fan",
-            "maximal cones unimodular",
-            not rough,
-            f"{len(maximal)} cones"
-            + (f", {len(rough)} not unimodular, first {rough[0].text()}" if rough else ""),
-        )
-    )
-    out.append(
-        _result(
-            "fan",
-            "cone dimension equals chain length",
-            not flat,
-            f"{len(fan.cones)} cones, {len(flat)} of another rank, first {flat[0].text()}"
-            if flat
-            else "",
-        )
-    )
+    detail = f"{len(maximal)} cones" + (f", {len(rough)} not unimodular, first {rough[0].text()}" if rough else "")
+    out.append(_result("fan", "maximal cones unimodular", not rough, detail))
+    detail = f"{len(maximal)} maximal cones, {len(flat)} of another rank, first {flat[0].text()}" if flat else ""
+    out.append(_result("fan", "cone dimension equals chain length", not flat, detail))
     if spec.n == 0:
         name = "complete for n = 0: the fan is the origin of R^0"
     elif spec.r == 2:
@@ -368,11 +362,10 @@ def suite_fan(
             " meeting in common faces: every inner wall has two maximal cones on opposite sides,"
             " every boundary wall r at distinct residues"
         )
-    flat_maximal = [chain for chain in flat if len(chain.prefixes) == spec.n]
-    if flat_maximal:
+    if flat:
         # the walls and the scan eliminate every maximal cone, which a flat
         # one refuses
-        detail = f"not run, first flat maximal cone {flat_maximal[0].text()}"
+        detail = f"not run, first flat maximal cone {flat[0].text()}"
         out.append(_result("fan", name, False, detail))
         return out
     if spec.n == 0:
@@ -438,7 +431,7 @@ def _greedy_elimination_keeps_the_reduced(relations: chow.Relations) -> bool:
     return True
 
 
-def suite_chow(spec: ArrangementSpec, seed: int = 0) -> list[CheckResult]:
+def suite_chow(spec: ArrangementSpec) -> list[CheckResult]:
     try:
         check_fan_spec(spec)  # before the generators and chains are enumerated
     except FeasibilityError as exc:
@@ -537,10 +530,9 @@ def suite_tropical(
     return out
 
 
-def suite_normal(spec: ArrangementSpec, seed: int = 0) -> list[CheckResult]:
+def suite_normal(spec: ArrangementSpec) -> list[CheckResult]:
     """The cell count, the origin in every cell, the exact tiling line
-    (``normal_complex.cell_failures``) and, at (2, 2), the union extremes.
-    It draws no sample, so ``seed`` moves none of its lines."""
+    (``normal_complex.cell_failures``) and, at (2, 2), the union extremes."""
     out: list[CheckResult] = []
     try:
         complex_ = normal_complex.complex_cells(spec)
@@ -594,13 +586,13 @@ def run_suites(
 ) -> list[CheckResult]:
     # an invalid override is a usage error, not a refusal a suite may skip
     check_override()
-    # the fan suite leaves its direct fan here, with its maximal cones'
-    # inverses and index, and the tropical suite, run right after it, takes
-    # it: the fan is gone before any other suite runs, and the results keep
-    # the order asked for
+    # the fan suite leaves its direct fan here for the tropical suite (see
+    # the module docstring); the results keep the order asked for
     fans: list[Fan] = []
     parts: list[list[CheckResult]] = [[] for _ in suites]
     for k in sorted(range(len(suites)), key=lambda k: suites[k] not in _SHARING):
-        suite = globals()[f"suite_{suites[k]}"]
-        parts[k] = suite(spec, seed, _fans=fans) if suites[k] in _SHARING else suite(spec, seed)
+        kwargs = {"_fans": fans} if suites[k] in _SHARING else {}
+        if suites[k] == "tropical":  # the one suite that samples
+            kwargs["seed"] = seed
+        parts[k] = globals()[f"suite_{suites[k]}"](spec, **kwargs)
     return [res for part in parts for res in part]

@@ -247,11 +247,14 @@ def test_fan_closed_under_faces():
 
 
 def test_cone_dim_equals_chain_length():
-    for r, n in [(2, 2), (3, 2)]:
+    # the per-face pass ``check`` leaves out, the cross-check of the
+    # argument by which every face inherits its maximal cone's lattice
+    # lines: each cone, faces included, is unimodular of its chain's length
+    for r, n in [(2, 2), (3, 2), (2, 3), (3, 3), (4, 2), (2, 4)]:
         spec = ArrangementSpec(r, n)
         fan = build_fan(spec, BuildingSet.maximal(spec))
-        for cone in fan.cones.values():
-            assert len(lattice_pivots(cone.rays)) == len(cone.label)
+        for chain, cone in fan.cones.items():
+            assert lattice_pivots(cone.rays) == [1] * len(cone.rays) == [1] * chain.length
     assert lattice_pivots(Cone((), ()).rays) == []  # no rows, so no pivot
 
 

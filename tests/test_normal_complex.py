@@ -18,7 +18,7 @@ from test_linalg import combine, nullspace
 
 import cyclic_wonderful
 from cyclic_wonderful import fan, linalg, normal_complex, selfcheck, tropical
-from cyclic_wonderful.cli import main
+from cyclic_wonderful.cli import build_parser, main, run
 from cyclic_wonderful.fan import ray_vector, support_decomposition
 from cyclic_wonderful.guards import FeasibilityError
 from cyclic_wonderful.lattice import (
@@ -682,15 +682,16 @@ def test_the_tiling_line_samples_locates_and_indexes_nothing(monkeypatch):
     ]:
         monkeypatch.setattr(target, name, refuse, raising=False)
     for r, n in [(3, 2), (2, 3)]:
-        lines = selfcheck.suite_normal(ArrangementSpec(r, n), 5)
+        lines = selfcheck.suite_normal(ArrangementSpec(r, n))
         assert [res.status for res in lines] == ["PASS"] * len(lines)
         assert TILING in [res.name for res in lines]
 
 
 def test_the_seed_moves_no_line_of_the_normal_suite():
     for r, n in [(2, 2), (3, 2)]:
-        spec = ArrangementSpec(r, n)
-        assert selfcheck.suite_normal(spec, 0) == selfcheck.suite_normal(spec, 12)
+        argv = f"check --r {r} --n {n} --suite normal --seed".split()
+        outputs = {run(build_parser().parse_args([*argv, str(seed)])) for seed in (0, 12)}
+        assert len(outputs) == 1 and next(iter(outputs))[0] == 0
 
 
 def test_at_n_1_each_ray_and_each_distinct_span_row_is_read_once(monkeypatch):

@@ -10,7 +10,7 @@ import pytest
 from test_linalg import matrix_rank
 
 from cyclic_wonderful import fan as fan_module
-from cyclic_wonderful import selfcheck, tropical
+from cyclic_wonderful import linalg, selfcheck, tropical
 from cyclic_wonderful.cli import build_parser, run
 from cyclic_wonderful.fan import Cone, Fan, build_fan, fans_equal
 from cyclic_wonderful.lattice import (
@@ -22,6 +22,7 @@ from cyclic_wonderful.lattice import (
     parse_chain,
     parse_subset,
 )
+from cyclic_wonderful.linalg import lattice_pivots
 from cyclic_wonderful.sampling import Lcg
 from cyclic_wonderful.selfcheck import suite_fan, suite_tropical, wall_failures
 
@@ -143,31 +144,8 @@ def test_a_failing_lattice_line_counts_its_cones_and_names_the_first(monkeypatch
     )
     assert lines["cone dimension equals chain length"].status == "PASS"
     assert fan_suite_line(monkeypatch, broken, "maximal cones unimodular")[1] == 1
-    # a face whose ray is zero has rank 0: every line still prints
-    fan = fan_of(2, 2)
-    flat = flat_face(fan)
-    face = next(c for c in fan.cones if c.length == 1)
-    line, status = fan_suite_line(monkeypatch, flat, "cone dimension equals chain length")
-    assert (line.status, line.detail, status) == ("FAIL", f"17 cones, 1 of another rank, first {face.text()}", 1)
-    lines = {res.name: res for res in suite_fan(spec)}
-    assert list(lines) == list(passing)
-    assert lines[COMPLETE].status == "PASS"
-    # at (3, 2) the flat face fails the dimension line, and the law, which
-    # tests membership in no cone of dependent rays, fails exactly the
-    # pairs that meet it
-    flat = flat_face(fan_of(3, 2))
-    monkeypatch.setattr(selfcheck, "build_fan", lambda spec, g: flat)
-    lines = {res.name: res for res in suite_fan(flat.spec)}
-    face = next(c for c in flat.cones if c.length == 1)
-    assert lines["cone dimension equals chain length"].status == "FAIL"
-    pairs = law_pairs(flat)
-    assert len(pairs) == 1156
-    failing = [(a, b) for a, b in pairs if face in (a, b, chain_intersect(a, b))]
-    assert failing and law_failures(flat, pairs) == failing
-    # the completeness line reads the maximal cones alone
-    assert lines[NOT_COMPLETE].status == "PASS"
-    # a maximal cone that repeats a ray is flat too: the scan, which would
-    # eliminate it, is not run, and its line fails
+    # a maximal cone that repeats a ray is flat: both lattice lines fail,
+    # and the scan, which would eliminate it, is not run, and its line fails
     fan = fan_of(2, 2)
     top = next(c for c in fan.cones if c.length == 2)
     ray = fan.cones[top].rays[0]
@@ -176,8 +154,9 @@ def test_a_failing_lattice_line_counts_its_cones_and_names_the_first(monkeypatch
     monkeypatch.setattr(selfcheck, "build_fan", lambda spec, g: repeated)
     lines = {res.name: res for res in suite_fan(spec)}
     assert list(lines) == list(passing)
+    assert lines["maximal cones unimodular"].detail == f"8 cones, 1 not unimodular, first {top.text()}"
     assert lines["cone dimension equals chain length"].detail == (
-        f"17 cones, 1 of another rank, first {top.text()}"
+        f"8 maximal cones, 1 of another rank, first {top.text()}"
     )
     assert lines[COMPLETE].detail == (
         f"not run, first flat maximal cone {top.text()}"
@@ -186,6 +165,49 @@ def test_a_failing_lattice_line_counts_its_cones_and_names_the_first(monkeypatch
     status, out = run(build_parser().parse_args(["check", "--r", "2", "--n", "2", "--suite", "fan"]))
     assert status == 1
     assert out.count("FAIL [fan]") == 4 and out.endswith("2/6 checks passed for r=2, n=2\n")
+
+
+def test_a_zero_ray_face_fails_the_tie_and_passes_the_dimension_line(monkeypatch):
+    # the lattice lines read the maximal cones alone; the face's zero ray
+    # is not its prefix's entry in the ray table, so the tie, which the
+    # stellar line checks for every cone, sees it, and every line prints
+    spec = ArrangementSpec(2, 2)
+    passing = {res.name: res.detail for res in suite_fan(spec)}
+    fan = fan_of(2, 2)
+    flat = flat_face(fan)
+    face = next(c for c in fan.cones if c.length == 1)
+    line, status = fan_suite_line(monkeypatch, flat, "stellar route equals direct route")
+    assert (line.status, line.detail, status) == ("FAIL", f"17 cones, 1 not on their chain's rays, first {face.text()}", 1)
+    lines = {res.name: res for res in suite_fan(spec)}
+    assert list(lines) == list(passing)
+    assert [res.status for res in lines.values()] == ["PASS", "PASS", "FAIL", "PASS", "PASS", "PASS"]
+    assert lines["cone dimension equals chain length"].detail == ""
+    # at (3, 2) the flat face fails the stellar line too, and the law,
+    # which tests membership in no cone of dependent rays, fails exactly
+    # the pairs that meet it
+    flat = flat_face(fan_of(3, 2))
+    monkeypatch.setattr(selfcheck, "build_fan", lambda spec, g: flat)
+    lines = {res.name: res.status for res in suite_fan(flat.spec)}
+    face = next(c for c in flat.cones if c.length == 1)
+    assert lines["stellar route equals direct route"] == "FAIL"
+    assert lines["cone dimension equals chain length"] == "PASS"
+    pairs = law_pairs(flat)
+    assert len(pairs) == 1156
+    failing = [(a, b) for a, b in pairs if face in (a, b, chain_intersect(a, b))]
+    assert failing and law_failures(flat, pairs) == failing
+    # the completeness line reads the maximal cones alone
+    assert lines[NOT_COMPLETE] == "PASS"
+
+
+def test_the_fan_suite_eliminates_the_maximal_cones_alone(monkeypatch):
+    # 162 = 3! 3^3 maximal cones of the 442 cones at (3, 3)
+    calls = []
+    for module in (linalg, fan_module, selfcheck):
+        monkeypatch.setattr(module, "lattice_pivots", lambda rows: calls.append(rows) or lattice_pivots(rows))
+    status, out = run(build_parser().parse_args(["check", "--r", "3", "--n", "3", "--suite", "fan"]))
+    assert status == 0 and out.endswith("6/6 checks passed for r=3, n=3\n")
+    fan = fan_of(3, 3)
+    assert len(calls) == 162 == len(fan.maximal_cones) and len(fan.cones) == 442
 
 
 def flat_face(fan):
@@ -221,7 +243,7 @@ def test_the_law_holds_where_no_line_checks_it_and_the_fan_suite_draws_nothing(m
         "cone dimension equals chain length",
     ]
     for r, n in [(2, 0), (3, 0), (2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (4, 2), (3, 3)]:
-        results = suite_fan(ArrangementSpec(r, n), seed=n + 1)
+        results = suite_fan(ArrangementSpec(r, n))
         assert [res.status for res in results] == ["PASS"] * 6
         last = COMPLETE if r == 2 else NOT_COMPLETE
         if n == 0:
@@ -607,7 +629,7 @@ def test_one_check_run_builds_one_direct_fan_and_shares_it(monkeypatch):
     # each suite called alone builds its own
     for suite in (suite_fan, suite_tropical):
         built.clear()
-        assert all(res.status == "PASS" for res in suite(ArrangementSpec(3, 2), 5))
+        assert all(res.status == "PASS" for res in suite(ArrangementSpec(3, 2)))
         assert len(built) == 1
 
 
@@ -623,11 +645,11 @@ def test_the_shared_fan_is_gone_before_the_other_suites_run(monkeypatch):
     for name in ("chow", "normal"):
         suite = getattr(selfcheck, f"suite_{name}")
 
-        def after_the_fan(spec, seed=0, suite=suite, name=name):
+        def after_the_fan(spec, suite=suite, name=name):
             gc.collect()
             assert [ref() for ref in refs] == [None]
             ran.append(name)
-            return suite(spec, seed)
+            return suite(spec)
 
         monkeypatch.setattr(selfcheck, f"suite_{name}", after_the_fan)
     spec = ArrangementSpec(2, 2)
@@ -635,7 +657,9 @@ def test_the_shared_fan_is_gone_before_the_other_suites_run(monkeypatch):
     assert ran == ["chow", "normal"] and len(refs) == 1
     # the results come in the order asked for
     monkeypatch.undo()
-    assert results == [res for name in selfcheck.SUITES for res in getattr(selfcheck, f"suite_{name}")(spec, 3)]
+    alone = {name: getattr(selfcheck, f"suite_{name}") for name in selfcheck.SUITES}
+    seeds = {"tropical": (3,)}  # the one suite that samples
+    assert results == [res for name in selfcheck.SUITES for res in alone[name](spec, *seeds.get(name, ()))]
     assert [res.suite for res in results] == sorted((res.suite for res in results), key=selfcheck.SUITES.index)
 
 
