@@ -10,7 +10,9 @@ lattice is Z^(n*(r-1)) with basis images
 ``block_slot`` maps (i, a) to where e_i^a lies, and ``place`` writes a
 vector of one multiple of e_i^a per factor there: the rays, the support
 points (curves' embeddings, sampled points, the union's extreme points)
-and the normal cells' vertices.
+and the normal cells' vertices.  ``act`` moves a vector by a symmetry of
+``lattice.Symmetry``, reading and writing each e_i^a through
+``block_slot``.
 
 Rays.  The decorated subset (I, a) gives the primitive integer vector
 u = sum_{i in I} e_i^(-a(i) mod r); a chain contributes one ray per decorated
@@ -90,6 +92,7 @@ from .lattice import (
     BuildingSet,
     Chain,
     DecoratedSubset,
+    Symmetry,
     _Frozen,
     _Value,
     _chains_of_length,
@@ -150,6 +153,30 @@ def ray_vector(d: DecoratedSubset, spec: ArrangementSpec) -> Vector:
     validate_subset(d, spec)
     placed = [(block_slot(spec, i, -a), 1) for i, a in d.items]
     return tuple(place(spec.r - 1, spec.ambient_dim, 0, placed))
+
+
+def act(spec: ArrangementSpec, g: Symmetry, vector: Sequence) -> tuple:
+    """The image of a lattice vector under the symmetry g: the linear map
+    that sends each basis vector e_i^b (b = 1..r-1), the ray of residue -b
+    on factor i, to the ray of g's image of that residue on factor g(i),
+    both found through ``block_slot``.  Linear by construction, so it is
+    the lattice map that matches g's action on labels exactly when it also
+    sends e_i^0 = -(e_i^1 + ... + e_i^(r-1)) to its image's ray, that is,
+    when every residue map is a bijection."""
+    block, r = spec.r - 1, spec.r
+    out = [0] * spec.ambient_dim
+    for i in range(1, spec.n + 1):
+        to, residue = g.perm[i - 1], g.residues[i - 1]
+        for b in range(1, r):
+            x = vector[block_slot(spec, i, b)[1]]
+            if x:
+                off, slot = block_slot(spec, to, -residue[-b % r])
+                if slot is None:
+                    for k in range(off, off + block):
+                        out[k] -= x
+                else:
+                    out[slot] += x
+    return tuple(out)
 
 
 # The state of a fraction-free (Bareiss) Gauss-Jordan elimination of

@@ -515,3 +515,68 @@ def is_nested(s: Iterable[DecoratedSubset], g: BuildingSet) -> bool:
     if stray:
         raise ValueError(f"{min(stray, key=DecoratedSubset.sort_key).text()} is not in the building set")
     return _first_unnested_pair(sorted(set(s_list), key=DecoratedSubset.sort_key)) is None
+
+
+# ---------------------------------------------------------------------------
+# The symmetry group Z/r wr S_n
+# ---------------------------------------------------------------------------
+
+
+class Symmetry(_Value):
+    """An element of S_r wr S_n: factor i goes to factor ``perm[i - 1]``,
+    and its residue a to ``residues[i - 1][a]``.
+
+    The one record of the action: it moves decorated subsets and chains
+    here, lattice vectors through ``fan.block_slot`` (``fan.act``) and
+    curves (``tropical.TropicalCurve.moved``).  With every residue map a
+    bijection, the map on (index, residue) pairs is one, and keeps
+    containment, so a chain's image nests and is not checked.
+    """
+
+    _fields = ("perm", "residues")
+
+    def __init__(self, perm: tuple[int, ...], residues: tuple[tuple[int, ...], ...]) -> None:
+        object.__setattr__(self, "perm", perm)
+        object.__setattr__(self, "residues", residues)
+
+    def subset(self, d: DecoratedSubset) -> DecoratedSubset:
+        perm, residues = self.perm, self.residues
+        return DecoratedSubset._trusted(tuple(sorted([(perm[i - 1], residues[i - 1][a]) for i, a in d.items])))
+
+    def chain(self, chain: Chain) -> Chain:
+        return Chain._trusted(tuple([self.subset(d) for d in chain.prefixes]))
+
+
+def symmetry_generators(spec: ArrangementSpec) -> list[Symmetry]:
+    """The generators of Z/r wr S_n: the n - 1 swaps of factors k and
+    k + 1, then the shift a -> a + 1 of factor 1's residues (none at
+    n = 0).  The swaps generate S_n, and their conjugates of the shift
+    shift every factor."""
+    n, same = spec.n, tuple(range(spec.r))
+    identity = tuple(range(1, n + 1))
+    out = []
+    for k in range(1, n):
+        perm = list(identity)
+        perm[k - 1], perm[k] = k + 1, k
+        out.append(Symmetry(tuple(perm), (same,) * n))
+    if n:
+        shift = tuple([(a + 1) % spec.r for a in same])
+        out.append(Symmetry(identity, (shift,) + (same,) * (n - 1)))
+    return out
+
+
+def orbit_representatives(spec: ArrangementSpec) -> list[Chain]:
+    """One chain per orbit of Z/r wr S_n on chains, 2^n in all, in
+    ``Chain.sort_key`` order: for each set of prefix sizes s_1 < ... < s_k,
+    the undecorated prefixes {1..s_1} < ... < {1..s_k} (every residue 0).
+
+    A chain's orbit is its set of prefix sizes: a factor permutation takes
+    its prefixes to initial segments, and the residue maps then take its
+    top decoration to 0.
+    """
+    prefix = [DecoratedSubset._trusted(tuple([(i, 0) for i in range(1, s + 1)])) for s in range(spec.n + 1)]
+    return [
+        Chain._trusted(tuple([prefix[s] for s in sizes]))
+        for k in range(spec.n + 1)
+        for sizes in itertools.combinations(range(1, spec.n + 1), k)
+    ]

@@ -1,4 +1,4 @@
-"""Deterministic sampling for the self-check suites and tests.
+"""Deterministic sampling for the tests (no ``check`` suite samples).
 
 The generator is a 64-bit linear congruential recurrence, fixed here so any
 implementation can reproduce the exact sample streams:
@@ -15,7 +15,7 @@ them (``fan.support_point``), so placing it draws nothing.
 Each generator builds every sampled rational once: the ``Fraction`` of a
 drawn ``(numerator, denominator)`` pair is kept on the generator, and a
 later equal draw returns that same object.  The cache holds at most one
-entry per distinct pair drawn (a few hundred for the suites' bounds) and
+entry per distinct pair drawn (a few hundred for the tests' bounds) and
 lives as long as the generator; the draws, the values and their type are
 those of a fresh ``Fraction(num, den)``.
 """

@@ -21,7 +21,7 @@ from math import lcm
 from typing import Sequence
 
 from .fan import support_decomposition, support_point
-from .lattice import ArrangementSpec, Chain, DecoratedSubset, _Value
+from .lattice import ArrangementSpec, Chain, DecoratedSubset, Symmetry, _Value
 from .linalg import _integer_field, parse_rational
 
 CENTER = None  # spoke value for orbits on the central vertex
@@ -89,6 +89,19 @@ class TropicalCurve(_Value):
         if f <= 0:
             raise ValueError("scaling factor must be positive")
         return TropicalCurve._trusted(self.spokes, tuple(f * x for x in self.lengths))
+
+    def moved(self, g: Symmetry) -> "TropicalCurve":
+        """The curve moved by the symmetry g, as g moves its type: orbit i
+        goes to orbit g(i) at the same distance, and its spoke l, of
+        decoration -l, to the spoke of g's image of that decoration; an
+        orbit on the center stays there."""
+        spokes, lengths = list(self.spokes), list(self.lengths)
+        for i, (s, x) in enumerate(zip(self.spokes, self.lengths)):
+            to, residue = g.perm[i] - 1, g.residues[i]
+            r = len(residue)
+            spokes[to] = s if s is CENTER else -residue[-s % r] % r
+            lengths[to] = x
+        return TropicalCurve._trusted(tuple(spokes), tuple(lengths))
 
 
 def validate_curve(curve: TropicalCurve, spec: ArrangementSpec) -> None:

@@ -25,6 +25,7 @@ from cyclic_wonderful.fan import (
     fans_equal,
     in_relative_interior,
     is_smooth_cone,
+    act,
     locate_point,
     ray_vector,
     support_decomposition,
@@ -35,12 +36,14 @@ from cyclic_wonderful.lattice import (
     BuildingSet,
     Chain,
     DecoratedSubset,
+    Symmetry,
     chain_intersect,
     enumerate_chains,
     enumerate_decorated_subsets,
     is_nested,
     maximal_chains,
     parse_chain,
+    symmetry_generators,
 )
 from cyclic_wonderful.sampling import Lcg, sample_mixed_points
 from cyclic_wonderful.serialize import fan_from_dict, fan_to_dict
@@ -1229,3 +1232,29 @@ def test_fan_json_schema_fields():
     assert payload["basis"] == ["e_1^1", "e_2^1"]
     assert {"id", "subset", "vector"} <= set(payload["rays"][0])
     assert {"dim", "ray_ids", "chain"} <= set(payload["cones"][0])
+
+
+# --- the symmetry group on lattice vectors -----------------------------------
+
+
+@pytest.mark.parametrize("r,n", [(2, 3), (3, 2), (4, 2), (3, 3)])
+def test_each_generator_maps_every_ray_to_its_image_labels_ray(r, n):
+    spec = ArrangementSpec(r, n)
+    for g in symmetry_generators(spec):
+        for d in enumerate_decorated_subsets(spec):
+            assert act(spec, g, ray_vector(d, spec)) == ray_vector(g.subset(d), spec)
+
+
+def test_act_is_linear_and_matches_the_labels_exactly_for_residue_bijections():
+    spec = ArrangementSpec(4, 2)
+    same = (0, 1, 2, 3)
+    singles = [DecoratedSubset(((i, a),)) for i in (1, 2) for a in range(4)]
+    # any residue bijection is a lattice map: e_i^0 goes where its label says
+    swap = Symmetry((2, 1), ((0, 3, 1, 2), same))
+    assert all(act(spec, swap, ray_vector(d, spec)) == ray_vector(swap.subset(d), spec) for d in singles)
+    u, v = (1, -2, 0, 3, Fraction(1, 2), -1), (0, 5, -1, 2, 2, 7)
+    assert act(spec, swap, tuple(map(sum, zip(u, v)))) == tuple(map(sum, zip(act(spec, swap, u), act(spec, swap, v))))
+    # a residue map that is not a bijection is not: e_1^0 misses its label's ray
+    merged = Symmetry((1, 2), ((1, 2, 3, 3), same))
+    wrong = [d for d in singles if act(spec, merged, ray_vector(d, spec)) != ray_vector(merged.subset(d), spec)]
+    assert wrong == [DecoratedSubset(((1, 0),))]

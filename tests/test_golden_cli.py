@@ -76,7 +76,13 @@ finds the bytes printed before, and the tests of the earlier changes put
 it back first, and the five JSON outputs of ``fan`` and ``chow`` at n = 0,
 of ``chow --betti-only`` past the oracle's guard (``null``) and of
 ``locate`` by point and by curve, before the commands wrote their JSON
-record by record instead of through one ``json.dumps``.  Any later
+record by record instead of through one ``json.dumps``, and the eleven
+``check`` runs that include the tropical suite when its three lines stopped
+testing 500 sampled curves and read the unit curves, one chain per orbit
+of Z/r wr S_n and the group's generators instead;
+``test_only_the_tropical_lines_changed`` puts back the sampled lines and
+finds the bytes printed before, and the tests of the earlier changes put
+them back first.  Any later
 change that alters a byte of these outputs fails here.  The whole corpus runs in-process through
 ``cli.main`` in a few seconds.  To re-record after an
 intended output change, print ``hashlib.sha256(stdout).hexdigest()`` for each
@@ -124,33 +130,33 @@ GOLDEN = [
     ("normal-complex --r 3 --n 2 --format json", 0, "f6e42f34b48723d95bb92c9b055be68c6f1b5ff3306d3df5de5e80baeaa86598"),
     ("normal-complex --r 3 --n 3 --format json", 0, "d58bc653b3155aa9d94350c70ed60aedeeb05d92f91218df62dfebf7e704e585"),
     ("normal-complex --r 5 --n 1 --format json", 0, "39b221b27906bd59726c3b3a13f27a63a371766be53a1379dd16720ca6417108"),
-    ("check --r 2 --n 2 --seed 7", 0, "dcbe574184ed19a0f053d607f1cb5f1a3124414655a93fdd5909073daf623f8e"),
+    ("check --r 2 --n 2 --seed 7", 0, "c69b1ff74cbc2e77c604357de838b58c8af26243826d9807302aa97a92a5258c"),
     ("locate --r 3 --n 2 --curve 1:0:2,2:2:1", 0, "7a9124b53b8c59d4cdc7e34b105f4b180d21aaaa898e95374ada44354dd12d70"),
     ("locate --r 3 --n 2 --point 0,3,0,1", 0, "84026aa11330bb167bdfd30d9aabfc7005f18416caf00c1094aab95085e644e3"),
     ("fan --r 3 --n 3 --via-stellar --format json", 0, "0b62ae802b1c323b2f76f37a3f6aed6e53133351e81ce2ca8b27bed0dc2201e6"),
     ("fan --r 2 --n 4 --via-stellar", 0, "b129809afd2184a031f0d0d5d3a9ffca6cb0b4ae4053e7cdbf63f38110f75fb2"),
-    ("check --r 3 --n 2 --seed 5", 0, "9ffdfded998997c13ef8b442f747b7d86a9403ffd36faddbff507b7d8d85e3b1"),
-    ("check --r 2 --n 3 --seed 5", 0, "aae9cce75c979e6396a938b7e4bd37a9281f560a9133474fa93bba733d5788a9"),
-    ("check --r 3 --n 2 --seed 11", 0, "9ffdfded998997c13ef8b442f747b7d86a9403ffd36faddbff507b7d8d85e3b1"),
-    ("check --r 2 --n 3 --seed 12", 0, "aae9cce75c979e6396a938b7e4bd37a9281f560a9133474fa93bba733d5788a9"),
+    ("check --r 3 --n 2 --seed 5", 0, "44eed8d4de99e6818eb9229558ed6e4376560d12a4f06faba36a72d5ce736d0c"),
+    ("check --r 2 --n 3 --seed 5", 0, "61828aadb7441edcdf080b25e126c9e8b6a2c6e97a34caee8176780654a5e4f0"),
+    ("check --r 3 --n 2 --seed 11", 0, "44eed8d4de99e6818eb9229558ed6e4376560d12a4f06faba36a72d5ce736d0c"),
+    ("check --r 2 --n 3 --seed 12", 0, "61828aadb7441edcdf080b25e126c9e8b6a2c6e97a34caee8176780654a5e4f0"),
     ("fan --r 4 --n 3 --format json", 0, "df1a8a5b875058da880dfa3206a1bb99b2dc868b2604290de0498a4254d149ca"),
     ("locate --r 4 --n 3 --point 1,0,0,0,2,0,-1,-1,-1", 0, "3020828e5452ea6de027f8d5a3f48ec0743f6d2b6c56e8e378df8418e2b714e0"),
     ("check --r 3 --n 3 --suite fan --seed 1", 0, "beb5139059a20dfa023b7e79f5839a43a95af7cbc9a5105e54adf1d2e531bac0"),
-    ("check --r 4 --n 2 --suite tropical --seed 2", 0, "4dbd16917363db8bb9d9fd373910f864d508e7df653cff799d6ec2f8f6440980"),
+    ("check --r 4 --n 2 --suite tropical --seed 2", 0, "6ddf96a3af15482babbec91bef5fbfb348308bb7ad0fb2ff786c4ae8f7335dd2"),
     ("locate --r 4 --n 3 --curve 1:0:2,2:3:2,3:c:0", 0, "ba52bb937324716b1309d80ca5ec6fe7562a696cec1c049700ef174a56455c6e"),
     ("locate --r 2 --n 4 --point 2,2,0,-1", 0, "b3ad60ace39dc72e3c60f22d169ec6558cbd73b4692cfd9d8ff91418f1f3d6da"),
     ("check --r 3 --n 3 --suite normal --seed 2", 0, "6a983ad78177581d9cddbaf0c6e5781d67d71a5f1aeccb0b6fc781f1a167add0"),
     ("locate --r 4 --n 4 --point 1,0,0,0,2,0,-1,-1,-1,0,0,3", 0, "20dd79839446bab032a40d33844d0cffd75e8972f4dc87b74b1b47cd8a483248"),
     ("check --r 4 --n 3 --suite normal --seed 4", 0, "2ba56a7eb3a75aa1935897c777a3da2ccb81d110aed5fbe8cc64b40c07958347"),
-    ("check --r 4 --n 2 --seed 3", 0, "c39601fd98d8e2d739b4df3179bba15fb61e5f5e6fcb83536e2c59ec0cf304ea"),
+    ("check --r 4 --n 2 --seed 3", 0, "1bbe4b4af8118cf0830fd8fcf2c7f2ddfe0b01210bf4490b5c752a2348f7029a"),
     ("fan --r 2 --n 4 --format json", 0, "c2e0dafc385ef1bae3abc030349fbd5cd0c2f67759e817797e508d3be861db89"),
     ("check --r 2 --n 4 --suite fan --seed 1", 0, "cd382831b4712c7ada41e02c42220bd3af6ba7b1252d9f2d7f25c1bbdc0398ed"),
     ("normal-complex --r 3 --n 2 --union-extremes --format json", 0, "27fc40fd27c8aaca384d7ce0764e6ce3636e233789966ef18430315e5da24ee9"),
     ("normal-complex --r 5 --n 2 --union-extremes --format json", 0, "7a14575aa3d8e04b8f28e68f7a074276b4dda1d24fc1ee76d4cdc2cd0d50613d"),
     ("normal-complex --r 2 --n 1 --union-extremes", 0, "34ed19b42e519541801dfff893ad7499d044feb72012df63a5397423a819e6ef"),
     ("normal-complex --r 3 --n 0 --union-extremes --format json", 0, "e3ab51b747189d51578b18fa23c08567326bdb04ec232795b2dbfa4143d866a9"),
-    ("check --r 3 --n 3 --suite tropical --seed 1", 0, "084851fbb6c5ced6c759cef8e376e271999c041ea23cd2d4559e290a29a2cee4"),
-    ("check --r 2 --n 4 --suite tropical --seed 2", 0, "4a079faf44c5ad50aac2f76d8ba668e8e24e4bb5ca22e6c973ab9be633ca7b44"),
+    ("check --r 3 --n 3 --suite tropical --seed 1", 0, "bb7e6a56203f31bbb4d3f1fe8cacf0889bdedc9004b973eb72105bdf217a2b8f"),
+    ("check --r 2 --n 4 --suite tropical --seed 2", 0, "663289a38daa560a3bd7ad69e54e379fcfe777072a4fc6c931abb84b2f843cfd"),
     ("locate --r 4 --n 4 --point 1,1,0,0,0,0,-1,-1,-1,0,0,3", 0, "59c8ca186ab702e4c40065e40612ef8e6e0c0b7ff147c7c5c1618cdc436b92be"),
     ("locate --r 4 --n 4 --curve 1:0:2,2:3:2,3:1:1,4:c:0", 0, "c63752c2e2b34f216ac99518ecc37c6558ceb365c7ffa1059c2982729407d7c3"),
     ("chow --r 1000 --n 1 --betti-only", 0, "0b146279cad3fb1b65adbc5e6d8728a57b613ee19e6f964d11f8eb49fc2bc50e"),
@@ -158,9 +164,9 @@ GOLDEN = [
     ("normal-complex --r 120 --n 1", 0, "a201113ad41c17e60881d0015b337de9a572b44e2c5a2d1a991e955e555aadc5"),
     ("check --r 200 --n 1 --suite normal --seed 3", 0, "f3837d69e647698f480f5a205b4d6ec69dce5f7686a51de50321e13aaaafaf83"),
     ("normal-complex --r 40 --n 1 --format json", 0, "63fbab7ab8e5e0b907414b83f1da9e51681384f41e19833ac1c3e7994620b565"),
-    ("check --r 120 --n 1 --seed 3", 0, "23aad1d2ff5da75e2af95ae83cf17e8d85b326df6e5d5bdbc8440bfb2554fdfd"),
+    ("check --r 120 --n 1 --seed 3", 0, "a05f975fa4e40d60b55eb81953cc5a27f2669001d5d6ebb6f8a0e4d6d7d2f243"),
     ("locate --r 300 --n 1 --curve 1:0:5/2", 0, "26f38fdaa9bba24d05bfcd8add25e3b176b9ff344b3ecfc6c503fd0cead1ac6e"),
-    ("check --r 3 --n 0", 0, "b46d7b7a427e45065b3880e7908b88f155d9698327673c23ba6314e8cab1fa19"),
+    ("check --r 3 --n 0", 0, "c66381c40a35c3e932405ce67fff2d88436f139c7cdc541db0ab65fd16e547e2"),
     ("fan --r 2 --n 0 --format json", 0, "efad255bc8a235a4cb986300bbb68dbea6b86eadca39b1f104a48bf9af74b442"),
     ("chow --r 3 --n 0 --format json", 0, "c177d6a25ef6c8d3795f15357669c0489afe6241c37dd2b2b02d3202dba6a32a"),
     ("chow --r 10 --n 3 --betti-only --format json", 0, "320c7b66b04d2630835ed9c0ecb14c96057ad5fcceb918ca3b7928fc99cef01e"),
@@ -215,6 +221,52 @@ def run_golden(monkeypatch, command):
     return buf.getvalue()
 
 
+# The eleven digests above whose run includes the tropical suite, each with
+# the digest recorded while its three lines still tested 500 sampled curves.
+SAMPLED_TROPICAL = {
+    "check --r 2 --n 2 --seed 7": "dcbe574184ed19a0f053d607f1cb5f1a3124414655a93fdd5909073daf623f8e",
+    "check --r 3 --n 2 --seed 5": "9ffdfded998997c13ef8b442f747b7d86a9403ffd36faddbff507b7d8d85e3b1",
+    "check --r 2 --n 3 --seed 5": "aae9cce75c979e6396a938b7e4bd37a9281f560a9133474fa93bba733d5788a9",
+    "check --r 3 --n 2 --seed 11": "9ffdfded998997c13ef8b442f747b7d86a9403ffd36faddbff507b7d8d85e3b1",
+    "check --r 2 --n 3 --seed 12": "aae9cce75c979e6396a938b7e4bd37a9281f560a9133474fa93bba733d5788a9",
+    "check --r 4 --n 2 --suite tropical --seed 2": "4dbd16917363db8bb9d9fd373910f864d508e7df653cff799d6ec2f8f6440980",
+    "check --r 4 --n 2 --seed 3": "c39601fd98d8e2d739b4df3179bba15fb61e5f5e6fcb83536e2c59ec0cf304ea",
+    "check --r 3 --n 3 --suite tropical --seed 1": "084851fbb6c5ced6c759cef8e376e271999c041ea23cd2d4559e290a29a2cee4",
+    "check --r 2 --n 4 --suite tropical --seed 2": "4a079faf44c5ad50aac2f76d8ba668e8e24e4bb5ca22e6c973ab9be633ca7b44",
+    "check --r 120 --n 1 --seed 3": "23aad1d2ff5da75e2af95ae83cf17e8d85b326df6e5d5bdbc8440bfb2554fdfd",
+    "check --r 3 --n 0": "b46d7b7a427e45065b3880e7908b88f155d9698327673c23ba6314e8cab1fa19",
+}
+EXACT_TROPICAL = ("PASS [tropical] unit curves: ", "PASS [tropical] orbit representatives: ", "PASS [tropical] generators of ")
+SAMPLED_TROPICAL_LINES = (
+    "PASS [tropical] curve -> point -> curve round trip",
+    "PASS [tropical] combinatorial type agrees with point location",
+    "PASS [tropical] type is scaling invariant",
+)
+
+
+def with_the_sampled_tropical(out):
+    """The output as printed while the tropical suite sampled 500 curves:
+    its three sampled lines in place of the three exact ones, which follow
+    one another in the same place; the count of checks is the same."""
+    lines = out.splitlines(keepends=True)
+    (k,) = [k for k, line in enumerate(lines) if line.startswith(EXACT_TROPICAL[0])]
+    assert all(line.startswith(start) for line, start in zip(lines[k : k + 3], EXACT_TROPICAL))
+    lines[k : k + 3] = [f"{line}\n" for line in SAMPLED_TROPICAL_LINES]
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("command", SAMPLED_TROPICAL)
+def test_only_the_tropical_lines_changed(monkeypatch, command):
+    out = run_golden(monkeypatch, command)
+    assert not any(line in out for line in SAMPLED_TROPICAL_LINES)
+    assert hashlib.sha256(with_the_sampled_tropical(out).encode()).hexdigest() == SAMPLED_TROPICAL[command]
+
+
+def printed_before_the_exact_tropical(monkeypatch, command):
+    out = run_golden(monkeypatch, command)
+    return with_the_sampled_tropical(out) if command in SAMPLED_TROPICAL else out
+
+
 # The twelve digests above whose run includes the normal suite, each with
 # the digest recorded while its tiling line still tested 500 sampled points.
 SAMPLED_TILING = {
@@ -243,13 +295,13 @@ def with_the_sampled_tiling(out):
 
 @pytest.mark.parametrize("command", SAMPLED_TILING)
 def test_only_the_tiling_line_changed(monkeypatch, command):
-    out = run_golden(monkeypatch, command)
+    out = printed_before_the_exact_tropical(monkeypatch, command)
     assert "500 points" not in out
     assert hashlib.sha256(with_the_sampled_tiling(out).encode()).hexdigest() == SAMPLED_TILING[command]
 
 
 def printed_before_the_exact_tiling(monkeypatch, command):
-    out = run_golden(monkeypatch, command)
+    out = printed_before_the_exact_tropical(monkeypatch, command)
     return with_the_sampled_tiling(out) if command in SAMPLED_TILING else out
 
 

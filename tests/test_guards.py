@@ -292,7 +292,7 @@ def test_a_skip_never_hides_a_fail(monkeypatch, capsys):
         CheckResult("chow", "broken", "FAIL"),
         CheckResult("chow", "fine", "PASS"),
     ]
-    monkeypatch.setattr(cli, "run_suites", lambda spec, suites, seed: results)
+    monkeypatch.setattr(cli, "run_suites", lambda spec, suites: results)
     assert main(["check", "--r", "2", "--n", "1", "--suite", "chow"]) == 1
     assert capsys.readouterr().out.splitlines() == [
         "SKIP [chow] refused (too big)",

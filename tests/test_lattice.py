@@ -21,8 +21,10 @@ from cyclic_wonderful.lattice import (
     jump_type,
     leq,
     maximal_chains,
+    orbit_representatives,
     parse_chain,
     parse_subset,
+    symmetry_generators,
 )
 
 
@@ -452,3 +454,33 @@ def test_is_nested_rejects_a_non_maximal_building_set():
     with pytest.raises(ValueError, match="maximal building set only"):
         is_nested({ds((1, 0), (2, 0))}, pairs)
 
+
+
+# --- the symmetry group ------------------------------------------------------
+
+
+@pytest.mark.parametrize("r,n", [(2, 0), (3, 1), (2, 2), (3, 2), (2, 3), (3, 3), (4, 2)])
+def test_the_generators_carry_the_representatives_onto_every_chain_once(r, n):
+    spec = ArrangementSpec(r, n)
+    representatives = orbit_representatives(spec)
+    assert len(representatives) == 2**n
+    assert representatives == sorted(representatives, key=Chain.sort_key)
+    generators = symmetry_generators(spec)
+    assert len(generators) == n
+    chains = set(enumerate_chains(spec, n))
+    reached = set()
+    for start in representatives:
+        # the orbit of each representative, closed under the generators
+        orbit, frontier = {start}, [start]
+        while frontier:
+            c = frontier.pop()
+            for g in generators:
+                image = g.chain(c)
+                assert Chain(image.prefixes) == image  # the image nests
+                if image not in orbit:
+                    orbit.add(image)
+                    frontier.append(image)
+        assert {jump_type(c) for c in orbit} == {jump_type(start)}
+        assert not orbit & reached
+        reached |= orbit
+    assert reached == chains

@@ -674,7 +674,7 @@ def test_the_tiling_line_samples_locates_and_indexes_nothing(monkeypatch):
         raise AssertionError("the normal suite sampled or located a point")
 
     for target, name in [
-        (selfcheck, "Lcg"),
+        (Lcg, "below"),
         (normal_complex, "in_delta"),
         (normal_complex, "SharedRowIndex"),
         (NormalComplex, "contains"),

@@ -26,6 +26,7 @@ from cyclic_wonderful.lattice import (
     BuildingSet,
     Chain,
     DecoratedSubset,
+    Symmetry,
     _Frozen,
     _Value,
 )
@@ -51,6 +52,7 @@ def instances():
         "Polytope": cx.cells[-1],
         "NormalComplex": cx,
         "TropicalCurve": TropicalCurve.of([0, None], [2, 0]),
+        "Symmetry": Symmetry((2, 1), ((0, 1), (1, 0))),
         "CheckResult": CheckResult("fan", "x", "PASS"),
     }
 
@@ -69,6 +71,7 @@ PINNED_REPRS = {
         "09d86a22fc216d665050eebec0a382923e4c3db53147f568e73898728b287bc3",
     ),
     "TropicalCurve": "TropicalCurve(spokes=(0, None), lengths=(Fraction(2, 1), Fraction(0, 1)))",
+    "Symmetry": "Symmetry(perm=(2, 1), residues=((0, 1), (1, 0)))",
     "CheckResult": "CheckResult(suite='fan', name='x', status='PASS', detail='')",
 }
 
@@ -79,6 +82,7 @@ HASHABLE = [
     "BuildingSet",
     "Cone",
     "TropicalCurve",
+    "Symmetry",
     "CheckResult",
 ]
 BY_IDENTITY = ["Fan", "Polytope", "NormalComplex"]

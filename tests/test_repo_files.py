@@ -207,13 +207,17 @@ UNREACHED = {
     "normal_complex.Polytope.h_rep": "tests: the dense rows of the cell and JSON references",
     "normal_complex.in_delta": "benchmark: a per-layer metric, and the normal complex demo prints it",
     "normal_complex.z_vector": "ROADMAP item 3: the degree of D(z)^n reads it",
+    "sampling.Lcg._fraction": "tests: sample_curve and sample_support_point build each drawn rational once with it",
+    "sampling.Lcg.below": "tests: every draw of the tests' samplers (ROADMAP item 17b moves the sampler there)",
     "sampling.Lcg.fraction": "tests: sample_ambient_point draws with it",
     "sampling.sample_ambient_point": "tests: sample_mixed_points draws off the support with it",
     "sampling.sample_mixed_points": "tests: the sampled cross-checks of the exact check lines",
+    "sampling.sample_curve": "tests: the sampled curves of the tropical, acceptance and route tests",
     "sampling.sample_support_point": "tests: sample_mixed_points draws on the support with it",
     "serialize.fan_from_dict": "ROADMAP item 7: a documented JSON round trip",
     "serialize.fan_to_dict": "benchmark: a per-layer metric, and the tests' reference for fan JSON",
     "tropical.TropicalCurve.of": "benchmark: the query workload builds its curves with it",
+    "tropical.TropicalCurve.scaled": "tests: the scaling-invariance cross-check of the tropical suite's exact lines",
     "tropical.render_pinwheel": "demo: tropical_walkthrough prints it",
 }
 

@@ -23,11 +23,18 @@ from cyclic_wonderful.chow import (
     presentation,
     product_support,
 )
-from cyclic_wonderful.fan import build_fan, build_fan_stellar, in_relative_interior, locate_point
-from cyclic_wonderful.lattice import ArrangementSpec, BuildingSet, maximal_chains
+from cyclic_wonderful.fan import act, build_fan, build_fan_stellar, in_relative_interior, locate_point, ray_vector
+from cyclic_wonderful.lattice import (
+    ArrangementSpec,
+    BuildingSet,
+    maximal_chains,
+    orbit_representatives,
+    symmetry_generators,
+)
 from cyclic_wonderful.linalg import extreme_points
 from cyclic_wonderful.normal_complex import complex_cells, in_delta, union_extreme_points
 from cyclic_wonderful.sampling import Lcg, sample_curve, sample_mixed_points
+from cyclic_wonderful.selfcheck import _barycentric_curve
 from cyclic_wonderful.tropical import combinatorial_type, curve_from_point, embed
 
 
@@ -57,8 +64,9 @@ def assert_shared_exactly(calls, other_calls, allowed):
     assert not set(allowed) - shared, "allow-listed but no longer shared"
 
 
-# "combinatorial type agrees with point location": the curve's type against
-# the cone scan
+# the curve's type against the cone scan: ``check`` compared them on 500
+# sampled curves until its tropical lines became exact; tier-1 still does
+# (test_a_generic_curve_round_trips_locates_at_its_type_and_keeps_it_when_scaled)
 CURVE_TYPE_VS_CONE_SCAN = {
     "lattice.ArrangementSpec.ambient_dim": "both check the point's length against the spec",
     "lattice.Chain._trusted": "both wrap the chain they found in the record, unchecked",
@@ -120,8 +128,9 @@ def test_curve_type_and_relative_interior_certificate_share_only_the_allowed_fun
     assert_shared_exactly(curve_calls, certificate_calls, CURVE_TYPE_VS_CERTIFICATE)
 
 
-# "curve -> point -> curve round trip": the embedding writes the curve's
-# point and the support decomposition reads it back
+# the round trips of the tropical suite's representatives and generators:
+# the embedding writes the curve's point and the support decomposition
+# reads it back
 EMBED_VS_CURVE_FROM_POINT = {
     "lattice.ArrangementSpec.ambient_dim": "both size the point by the spec",
 }
@@ -139,6 +148,45 @@ def test_embedding_and_curve_from_point_share_only_the_allowed_functions():
     assert {"tropical.embed", "fan.support_point", "fan.place"} <= embed_calls
     assert {"fan.support_decomposition"} <= read_calls
     assert_shared_exactly(embed_calls, read_calls, EMBED_VS_CURVE_FROM_POINT)
+
+
+# the tropical certificate against the rays: the representatives' and their
+# images' embeddings, and the generators' action on their points, against
+# the rays of their chains' prefixes read through ``ray_vector``
+CERTIFICATE_VS_RAY_VECTOR = {
+    "fan.block_slot": (
+        "the one map from (i, a) to where e_i^a lies, which both write through; "
+        "the fan suite's chart reading, written without it, is the independent read of the rays"
+    ),
+    "fan.place": "both write a vector of one multiple of e_i^a per factor with it",
+    "lattice.ArrangementSpec.ambient_dim": "both size the vector by the spec",
+}
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="names functions by co_qualname")
+def test_tropical_certificate_and_ray_vector_share_only_the_allowed_functions():
+    spec = ArrangementSpec(3, 3)
+    representatives = orbit_representatives(spec)
+    generators = symmetry_generators(spec)
+    curves = [_barycentric_curve(chain, spec) for chain in representatives]
+    chains = representatives + [g.chain(chain) for g in generators for chain in representatives]
+
+    def certificate_route():
+        for curve in curves:
+            point = embed(curve, spec)
+            for g in generators:
+                act(spec, g, point)
+                embed(curve.moved(g), spec)
+
+    def ray_route():
+        for chain in chains:
+            for d in chain.prefixes:
+                ray_vector(d, spec)
+
+    certificate_calls, ray_calls = _called(certificate_route), _called(ray_route)
+    assert {"tropical.embed", "fan.act", "tropical.TropicalCurve.moved"} <= certificate_calls
+    assert {"fan.ray_vector"} <= ray_calls
+    assert_shared_exactly(certificate_calls, ray_calls, CERTIFICATE_VS_RAY_VECTOR)
 
 
 # membership in the placed cells against the subset sums of the support

@@ -5,6 +5,7 @@ import gc
 import itertools
 import math
 import weakref
+from fractions import Fraction
 
 import pytest
 from test_linalg import matrix_rank
@@ -25,6 +26,7 @@ from cyclic_wonderful.lattice import (
 from cyclic_wonderful.linalg import lattice_pivots
 from cyclic_wonderful.sampling import Lcg
 from cyclic_wonderful.selfcheck import suite_fan, suite_tropical, wall_failures
+from cyclic_wonderful.tropical import CENTER, TropicalCurve
 
 COMPLETE = "complete for r = 2, cones meeting in common faces: every wall has two maximal cones on opposite sides"
 NOT_COMPLETE = (
@@ -234,7 +236,7 @@ def test_the_law_holds_where_no_line_checks_it_and_the_fan_suite_draws_nothing(m
         chains = list(enumerate_chains(fan.spec, n))
         assert law_failures(fan, itertools.product(chains, chains)) == []
     # at every spec the fan suite draws no random number and prints no law line
-    monkeypatch.setattr(selfcheck, "Lcg", None)
+    monkeypatch.setattr(Lcg, "below", None)
     names = [
         "ray count (1+r)^n - 1",
         "maximal cone count n! r^n",
@@ -376,9 +378,12 @@ def test_tropical_suite_embeds_each_curve_once(monkeypatch):
         return embed(curve, spec)
 
     monkeypatch.setattr(tropical, "embed", counted)
-    results = suite_tropical(ArrangementSpec(3, 2), seed=5)
+    results = suite_tropical(ArrangementSpec(3, 2))
     assert [res.status for res in results] == ["PASS"] * 3
-    assert len(calls) == 500
+    # the n r = 6 unit curves, the 2^n = 4 representatives and their images
+    # under the 2 generators, each once in its line (the unit curve of e_1^0
+    # is also the barycentric curve of {1:0}, once in each line)
+    assert len(calls) == 6 + 4 + 2 * 4
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -616,7 +621,7 @@ def test_a_bent_ray_fails_the_stellar_line_and_the_check_exits_1(monkeypatch):
 # --- the work one ``check`` run shares ------------------------------------------
 
 
-def test_one_check_run_builds_one_direct_fan_and_shares_it(monkeypatch):
+def test_one_check_run_builds_one_direct_fan_in_the_fan_suite(monkeypatch):
     built, scanned = [], []
     monkeypatch.setattr(selfcheck, "build_fan", lambda spec, g: built.append(build_fan(spec, g)) or built[-1])
     locate = selfcheck.locate_point
@@ -624,16 +629,17 @@ def test_one_check_run_builds_one_direct_fan_and_shares_it(monkeypatch):
     status, out = run(build_parser().parse_args(["check", "--r", "3", "--n", "2", "--seed", "5"]))
     assert status == 0 and out.endswith("17/17 checks passed for r=3, n=2\n")
     (fan,) = built
-    # the fan suite's witness scan and the tropical suite's 500 scans
-    assert len(scanned) == 501 and all(f is fan for f in scanned)
-    # each suite called alone builds its own
-    for suite in (suite_fan, suite_tropical):
-        built.clear()
-        assert all(res.status == "PASS" for res in suite(ArrangementSpec(3, 2)))
-        assert len(built) == 1
+    # the fan suite's witness scan, and none in the tropical suite
+    assert scanned == [fan]
+    built.clear()
+    assert all(res.status == "PASS" for res in suite_fan(ArrangementSpec(3, 2)))
+    assert len(built) == 1
+    built.clear()
+    assert all(res.status == "PASS" for res in suite_tropical(ArrangementSpec(3, 2)))
+    assert built == []
 
 
-def test_the_shared_fan_is_gone_before_the_other_suites_run(monkeypatch):
+def test_the_fan_suites_fan_is_gone_before_the_other_suites_run(monkeypatch):
     refs, ran = [], []
 
     def build(spec, g):
@@ -642,7 +648,7 @@ def test_the_shared_fan_is_gone_before_the_other_suites_run(monkeypatch):
         return fan
 
     monkeypatch.setattr(selfcheck, "build_fan", build)
-    for name in ("chow", "normal"):
+    for name in ("chow", "tropical", "normal"):
         suite = getattr(selfcheck, f"suite_{name}")
 
         def after_the_fan(spec, suite=suite, name=name):
@@ -653,14 +659,11 @@ def test_the_shared_fan_is_gone_before_the_other_suites_run(monkeypatch):
 
         monkeypatch.setattr(selfcheck, f"suite_{name}", after_the_fan)
     spec = ArrangementSpec(2, 2)
-    results = selfcheck.run_suites(spec, seed=3)
-    assert ran == ["chow", "normal"] and len(refs) == 1
-    # the results come in the order asked for
+    results = selfcheck.run_suites(spec)
+    assert ran == ["chow", "tropical", "normal"] and len(refs) == 1
+    # the results are each suite's, in the order asked for
     monkeypatch.undo()
-    alone = {name: getattr(selfcheck, f"suite_{name}") for name in selfcheck.SUITES}
-    seeds = {"tropical": (3,)}  # the one suite that samples
-    assert results == [res for name in selfcheck.SUITES for res in alone[name](spec, *seeds.get(name, ()))]
-    assert [res.suite for res in results] == sorted((res.suite for res in results), key=selfcheck.SUITES.index)
+    assert results == [res for name in selfcheck.SUITES for res in getattr(selfcheck, f"suite_{name}")(spec)]
 
 
 def test_a_refused_fan_suite_leaves_the_tropical_suite_its_own_skip(monkeypatch):
@@ -678,3 +681,126 @@ def test_a_refused_fan_suite_leaves_the_tropical_suite_its_own_skip(monkeypatch)
         "PASS [normal] union extremes are the signed permutations of (1, 2) (8 extreme points)\n"
         "4/7 checks passed, 3 skipped for r=2, n=2\n",
     )
+
+
+# --- the tropical suite's exact lines -------------------------------------------
+
+UNIT = "unit curves: embed puts each e_i^l at its chart slot"
+REPRESENTATIVES = (
+    "orbit representatives: each barycentric curve has its chain as type, round-trips and embeds to its ray sum"
+)
+GENERATORS = "generators of Z/r wr S_n commute with embed, type and curve_from_point on the representatives"
+
+
+@pytest.mark.parametrize("r,n", [(3, 2), (2, 3)])
+def test_check_prints_the_same_bytes_for_every_seed(monkeypatch, r, n):
+    # and draws no random number: every draw goes through ``Lcg.below``
+    monkeypatch.setattr(Lcg, "below", None)
+    argv = f"check --r {r} --n {n} --seed".split()
+    outputs = {run(build_parser().parse_args([*argv, str(seed)])) for seed in (0, 12)}
+    (output,) = outputs
+    assert output[0] == 0 and "FAIL" not in output[1]
+
+
+@pytest.mark.parametrize("r,n", [(2, 0), (3, 1), (3, 2), (2, 3), (4, 3), (2, 6), (3, 5), (4, 4)])
+def test_the_tropical_lines_pass_up_to_the_guards_edge(r, n):
+    results = suite_tropical(ArrangementSpec(r, n))
+    assert [(res.name, res.status) for res in results] == [(UNIT, "PASS"), (REPRESENTATIVES, "PASS"), (GENERATORS, "PASS")]
+    assert results[0].detail == f"{n * r} curves"
+    assert results[1].detail == f"{2**n} chains, one per set of prefix sizes"
+    assert results[2].detail == f"{n} generators on {2**n} chains"
+
+
+def barycentre(chain, spec):
+    """The chain's barycentric curve, written here from its definition:
+    orbit i of the top prefix on spoke -a(i), as far out as the number of
+    prefixes that hold it."""
+    spokes, lengths = [CENTER] * spec.n, [0] * spec.n
+    for i, a in chain.decoration:
+        spokes[i - 1] = -a % spec.r
+    for d in chain.prefixes:
+        for i in d.indices:
+            lengths[i - 1] += 1
+    return TropicalCurve.of(spokes, lengths)
+
+
+@pytest.mark.parametrize("r,n", [(2, 2), (3, 2), (2, 3), (3, 3), (4, 2), (2, 4)])
+def test_every_chains_barycentric_curve_has_it_as_type_round_trips_and_embeds_to_its_ray_sum(r, n):
+    # the per-chain line the certificate stands for: every chain, faces
+    # included, read against the built fan's ray table
+    fan = fan_of(r, n)
+    spec = fan.spec
+    chains = list(enumerate_chains(spec, n))
+    assert len(chains) == len(fan.cones)
+    for chain in chains:
+        curve = barycentre(chain, spec)
+        point = tropical.embed(curve, spec)
+        assert tropical.combinatorial_type(curve, spec) == chain
+        assert tropical.curve_from_point(point, spec) == curve
+        rays = [fan.rays[d] for d in chain.prefixes]
+        assert point == (tuple(map(sum, zip(*rays))) if rays else (0,) * spec.ambient_dim)
+
+
+def tropical_failures(r, n):
+    """The exit status of ``check --suite tropical`` and the names of the
+    lines it fails."""
+    status, out = run(build_parser().parse_args(["check", "--r", str(r), "--n", str(n), "--suite", "tropical"]))
+    return status, [line[len("FAIL [tropical] ") :].split(" (")[0] for line in out.splitlines() if line.startswith("FAIL")]
+
+
+def test_a_unit_curve_placed_at_the_wrong_slot_fails_the_unit_line_alone(monkeypatch):
+    # orbit 2 on spoke 1 is written at spoke 2's slot: no representative,
+    # and no generator's image of one, puts orbit 2 on spoke 1
+    support_point = tropical.support_point
+
+    def misplaced(spec, decomposition):
+        pairs = list(decomposition)
+        if pairs[1][1] == 1:
+            pairs[1] = (pairs[1][0], 2)
+        return support_point(spec, pairs)
+
+    monkeypatch.setattr(tropical, "support_point", misplaced)
+    assert tropical_failures(3, 2) == (1, [UNIT])
+    assert suite_tropical(ArrangementSpec(3, 2))[0].detail == "6 curves, 1 off their slot, first e_2^1"
+
+
+def test_a_type_that_flips_one_decorations_sign_fails_the_generator_line_alone(monkeypatch):
+    # -a and a agree on residue 0, every representative's, so only the
+    # shift of factor 1 shows the flip
+    combinatorial_type = tropical.combinatorial_type
+
+    def flipped(curve, spec):
+        spokes = list(curve.spokes)
+        if spokes[0] is not CENTER:
+            spokes[0] = -spokes[0] % spec.r
+        return combinatorial_type(TropicalCurve._trusted(tuple(spokes), curve.lengths), spec)
+
+    monkeypatch.setattr(tropical, "combinatorial_type", flipped)
+    assert tropical_failures(3, 2) == (1, [GENERATORS])
+
+
+@pytest.mark.parametrize("r,n,failed", [(3, 1, [REPRESENTATIVES]), (3, 2, [REPRESENTATIVES, GENERATORS])])
+def test_a_curve_from_point_that_drops_a_factor_fails_the_representatives_line(monkeypatch, r, n, failed):
+    # at n >= 2 the swap that moves factor n sees it too: a map that forgets
+    # one factor does not commute with the swap that moves it
+    curve_from_point = tropical.curve_from_point
+
+    def dropped(point, spec):
+        curve = curve_from_point(point, spec)
+        return TropicalCurve._trusted(curve.spokes[:-1] + (CENTER,), curve.lengths[:-1] + (Fraction(0),))
+
+    monkeypatch.setattr(tropical, "curve_from_point", dropped)
+    assert tropical_failures(r, n) == (1, failed)
+
+
+def test_a_residue_shift_that_is_not_linear_fails_the_generator_line_alone(monkeypatch):
+    # residues 1 and 2 both go to 2: the lattice map that the shift's slots
+    # define sends e_1^0 to -2 e_1^1, not to e_1^2, the ray of its label
+    generators = selfcheck.symmetry_generators
+
+    def bent(spec):
+        *swaps, shift = generators(spec)
+        return [*swaps, type(shift)(shift.perm, ((1, 2, 2), *shift.residues[1:]))]
+
+    monkeypatch.setattr(selfcheck, "symmetry_generators", bent)
+    assert tropical_failures(3, 2) == (1, [GENERATORS])

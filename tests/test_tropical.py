@@ -292,6 +292,42 @@ def test_round_trip_and_fan_consistency(r, n):
         assert combinatorial_type(curve, spec) == locate_point(fan, point)
 
 
+_FANS = {}
+
+
+def fan_at(spec):
+    if spec not in _FANS:
+        _FANS[spec] = build_fan(spec, BuildingSet.maximal(spec))
+    return _FANS[spec]
+
+
+@st.composite
+def generic_curves(draw):
+    """A curve at a small spec, each orbit on the center or on a spoke at a
+    length p/q with q up to 12, so that lengths of mixed denominators tie
+    and differ in ways no barycentric curve (integer lengths) reaches."""
+    spec = draw(st.sampled_from([ArrangementSpec(2, 2), ArrangementSpec(3, 2), ArrangementSpec(2, 3), ArrangementSpec(3, 3)]))
+    spokes, lengths = [], []
+    for _ in range(spec.n):
+        spoke = draw(st.one_of(st.none(), st.integers(0, spec.r - 1)))
+        spokes.append(spoke)
+        lengths.append(Fraction(0) if spoke is None else Fraction(draw(st.integers(1, 36)), draw(st.integers(1, 12))))
+    return spec, TropicalCurve(tuple(spokes), tuple(lengths))
+
+
+@settings(max_examples=500, deadline=None)
+@given(generic_curves(), st.fractions(min_value=Fraction(1, 7), max_value=7).filter(lambda f: f > 0))
+def test_a_generic_curve_round_trips_locates_at_its_type_and_keeps_it_when_scaled(drawn, factor):
+    # the three lines check once sampled at 500 curves, now exact there;
+    # this is their cross-check on lengths the representatives never reach
+    spec, curve = drawn
+    point = embed(curve, spec)
+    assert curve_from_point(point, spec) == curve
+    kind = combinatorial_type(curve, spec)
+    assert kind == locate_point(fan_at(spec), point)
+    assert combinatorial_type(curve.scaled(factor), spec) == kind
+
+
 # --- text forms --------------------------------------------------------------
 
 
