@@ -19,7 +19,7 @@ g = BuildingSet.maximal(spec)
 
 fan = build_fan(spec, g)
 print(f"direct construction: {len(fan.rays)} rays, "
-      f"{sum(1 for c in fan.cones.values() if c.dim == 2)} two-dimensional cones")
+      f"{sum(1 for c in fan.chains if c.length == 2)} two-dimensional cones")
 
 for subset, vector in sorted(fan.rays.items(), key=lambda kv: kv[0].sort_key()):
     print(f"  ray {subset.text():12s} -> {vector}")

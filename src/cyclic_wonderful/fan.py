@@ -33,14 +33,16 @@ the 54 subdivisions at r = 3, n = 3, where a scan per subdivision read
 12,744.  The two routes must agree cone-for-cone, and the test suite checks
 that they do.
 
-A ``Fan`` holds its maximal cones, one per length-n chain (the n! r^n
-decorated complete flags), and builds the others, their faces, when
-``Fan.cones`` is first read, a table that then holds each cone once.  The
-direct route builds the ray table and the maximal cones up front and leaves
-the faces to that read, so a scan, which reads only ``maximal_cones``, never
-enumerates a face: they are 2,198 of the 3,128 cones at (3,3), (4,3) and
-(2,4) together.  The stellar route builds every cone as it goes and hands
-its faces over as they are.
+A cone is its chain, the nested set: its rays are its prefixes' entries in
+the ray table.  A ``Fan`` holds its ray table, its chains and a record
+(``Cone``) of each maximal cone, one per length-n chain (the n! r^n
+decorated complete flags), whose rays and eliminations the scan, the fan
+suite's walls and its lattice lines read; no face gets a record.  The
+direct route builds the ray table and the maximal records up front and
+enumerates the faces' chains when ``Fan.chains`` is first read, so a scan,
+which reads only ``maximal_cones``, never enumerates a face: they are 2,198
+of the 3,128 cones at (3,3), (4,3) and (2,4) together.  The stellar route
+finds every cone as a set of labels and hands its faces over as chains.
 
 Cone coordinates are exact and integer.  Each cone holds the result of a
 fraction-free (Bareiss) Gauss-Jordan elimination through the ray columns
@@ -57,17 +59,17 @@ found by the identity of its rays, and each cone runs only the step of its
 last ray; no state outlives the pass, and labels only decide when a state
 is dropped.  A full cold scan of the 162 maximal cones at r = 3, n = 3
 takes 225 steps (one per cone plus one per distinct proper prefix) against
-486 for a full pass per cone.  Any other cone, a face or a one-off cone,
-runs its own full pass from the identity on first use.  A step negates a
-pivot row whose pivot is negative, so on these unimodular fans every pivot
-is 1, and a step keeps each row its ray does not meet and subtracts the
-pivot row from the others with no multiply or division: the 225 steps
-build 366 row tuples, not 519.  The rows are the cone's ``linalg.RowTest``
-tests, span-check rows ``(row, 0, 0)`` (the row vanishes on the point)
-first and coefficient rows ``(row, 0, None)`` (a nonnegative coordinate)
-after, so one cone's membership test of a rational point scaled to
-integers is ``linalg.tests_hold``, which stops at the first test the point
-fails.  Nothing assumes the cone is unimodular.
+486 for a full pass per cone.  A one-off cone (the stellar route's tau,
+``in_relative_interior``'s) runs its own full pass from the identity on
+first use.  A step negates a pivot row whose pivot is negative, so on these
+unimodular fans every pivot is 1, and a step keeps each row its ray does
+not meet and subtracts the pivot row from the others with no multiply or
+division: the 225 steps build 366 row tuples, not 519.  The rows are the
+cone's ``linalg.RowTest`` tests, span-check rows ``(row, 0, 0)`` (the row
+vanishes on the point) first and coefficient rows ``(row, 0, None)`` (a
+nonnegative coordinate) after, so one cone's membership test of a rational
+point scaled to integers is ``linalg.tests_hold``, which stops at the
+first test the point fails.  Nothing assumes the cone is unimodular.
 
 The maximal cones repeat these rows heavily: at r = 4, n = 3 the 384 of
 them hold 3,456 rows, of which 114 are distinct (19 as span-check rows, 104
@@ -284,10 +286,6 @@ class Cone(_Value):
         object.__setattr__(self, "rays", rays)
         object.__setattr__(self, "label", label)
 
-    @property
-    def dim(self) -> int:
-        return len(self.rays)
-
     def contains(self, point: Sequence) -> bool:
         """Whether the point has cone coordinates (``coefficients``)."""
         return self.coefficients(point) is not None
@@ -301,8 +299,8 @@ class Cone(_Value):
         are the coefficient rows, the other dim - k rows span the left
         kernel of A.  A fan's maximal cones get theirs from one pass over
         them all (``_invert_maximal_cones``), which shares each prefix's
-        state; any other cone, a face or a one-off cone, runs its own full
-        pass from the identity here, on first use.
+        state; a one-off cone runs its own full pass from the identity
+        here, on first use.
         """
         k = len(self.rays)
         rows, delta = _elimination(len(self.rays[0]), self.rays)
@@ -424,23 +422,21 @@ def _invert_maximal_cones(cones: Sequence[Cone]) -> None:
 class Fan(_Frozen):
     """An immutable fan: a ray per decorated subset, one cone per chain.
 
-    Cones are keyed by their chain, and a cone's label is that chain's own
-    tuple of decorated prefixes.  A fan holds its maximal cones, those of
-    the length-n chains, and a zero-argument callable that returns its other
-    cones, the faces, in a dict of its own; ``cones`` calls it on first read
-    and takes that dict over, then the maximal cones' own.  Both keep the
-    order the cones were built in (see ``maximal_cones``).  The record shows
-    ``spec``, ``rays`` and ``cones``.
+    A cone is its chain, and its rays are its prefixes' entries in the ray
+    table.  A fan holds records (``Cone``) of its maximal cones alone, those
+    of the length-n chains, keyed by their chains, and a zero-argument
+    callable that returns its other chains, the faces; ``chains`` calls it
+    on first read.  The record shows ``spec``, ``rays`` and ``chains``.
     """
 
-    _fields = ("spec", "rays", "cones")
+    _fields = ("spec", "rays", "chains")
 
     def __init__(
         self,
         spec: ArrangementSpec,
         rays: dict[DecoratedSubset, Vector],
         maximal: dict[Chain, Cone],
-        faces: Callable[[], dict[Chain, Cone]],
+        faces: Callable[[], Iterable[Chain]],
     ) -> None:
         object.__setattr__(self, "spec", spec)
         object.__setattr__(self, "rays", rays)
@@ -448,37 +444,31 @@ class Fan(_Frozen):
         object.__setattr__(self, "_faces", faces)
 
     @classmethod
-    def from_cones(
-        cls,
-        spec: ArrangementSpec,
-        rays: dict[DecoratedSubset, Vector],
-        cones: Iterable[tuple[Chain, Cone]],
+    def from_chains(
+        cls, spec: ArrangementSpec, rays: dict[DecoratedSubset, Vector], chains: Iterable[Chain]
     ) -> "Fan":
-        """The fan of (chain, cone) pairs already built, split by chain
-        length: the length-n chains' cones are its maximal cones, the others
-        its faces."""
-        maximal, faces = {}, {}
-        for chain, cone in cones:
-            (maximal if len(chain.prefixes) == spec.n else faces)[chain] = cone
+        """The fan of these chains over this ray table, with a record for
+        each length-n chain, its rays read from the table."""
+        maximal, faces = {}, []
+        for chain in chains:
+            if len(chain.prefixes) == spec.n:
+                maximal[chain] = Cone(tuple([rays[d] for d in chain.prefixes]), chain.prefixes)
+            else:
+                faces.append(chain)
         return cls(spec, rays, maximal, lambda: faces)
 
     @cached_property
-    def cones(self) -> dict[Chain, Cone]:
-        """Every cone, keyed by its chain: the faces first, then the maximal
-        cones, each the very object that ``maximal_cones`` holds."""
-        self.maximal_cones  # read before the table takes the dict it reads
-        cones = self._faces()
-        cones.update(vars(self).pop("_maximal"))
-        return cones
-
-    def cone(self, chain: Chain) -> Cone:
-        return self.cones[chain]
+    def chains(self) -> tuple[Chain, ...]:
+        """Every chain, the faces first, then the maximal chains in the
+        order of ``maximal_cones``: the last of them is the chain of the
+        last maximal cone, and so on."""
+        return (*self._faces(), *self._maximal)
 
     @cached_property
     def maximal_cones(self) -> tuple[Cone, ...]:
         """The cones with n-element labels (these fans are pure of dimension
         n), in the order they were built in: ``Chain.sort_key`` order for
-        ``build_fan``, insertion order for ``Fan.from_cones``."""
+        ``build_fan``, insertion order for ``Fan.from_chains``."""
         return tuple(self._maximal.values())
 
     @cached_property
@@ -500,27 +490,28 @@ def build_fan(spec: ArrangementSpec, g: BuildingSet) -> Fan:
     """One cone per decorated chain, the nested sets of the maximal g.
 
     Built up front: the ray table, one ray per subset of the subset table,
-    and the cones of the length-n chains, the maximal cones.  The faces, the
-    cones of the chains of length 0..n-1, are built when ``Fan.cones`` is
+    and the records of the length-n chains, the maximal cones.  The faces,
+    the chains of length 0..n-1, are enumerated when ``Fan.chains`` is
     first read, so a caller that only scans (``locate_point``) never
     enumerates a face.  Every chain comes from that one table, so the labels
     and the ray table hold the very same subsets.  The chains come in
-    ``Chain.sort_key`` order, and so do ``maximal_cones`` and the keys of
-    ``Fan.cones``.
+    ``Chain.sort_key`` order, length by length, and so do ``maximal_cones``
+    and ``Fan.chains``.
     """
     _check_maximal(spec, g)
     check_fan_spec(spec)
     table = _subset_table(spec)
     rays = {d: ray_vector(d, spec) for d in table.values()}
-
-    def cones(lengths: range) -> dict[Chain, Cone]:
-        return {
-            chain: Cone(tuple([rays[d] for d in chain.prefixes]), chain.prefixes)
-            for length in lengths
-            for chain in _chains_of_length(spec, table, length)
-        }
-
-    return Fan(spec, rays, cones(range(spec.n, spec.n + 1)), lambda: cones(range(spec.n)))
+    maximal = {
+        chain: Cone(tuple([rays[d] for d in chain.prefixes]), chain.prefixes)
+        for chain in _chains_of_length(spec, table, spec.n)
+    }
+    return Fan(
+        spec,
+        rays,
+        maximal,
+        lambda: [chain for length in range(spec.n) for chain in _chains_of_length(spec, table, length)],
+    )
 
 
 def _star_subdivide(
@@ -624,19 +615,20 @@ def build_fan_stellar(spec: ArrangementSpec, g: BuildingSet) -> Fan:
     cones, rays = _stellar_labels(spec, g)
     chains = (Chain._trusted(tuple(sorted(s, key=DecoratedSubset.sort_key))) for s in cones)
     ray_map = {d: rays[d] for d in sorted(rays, key=DecoratedSubset.sort_key)}
-    return Fan.from_cones(
-        spec, ray_map, ((c, Cone(tuple(rays[d] for d in c.prefixes), c.prefixes)) for c in chains)
-    )
+    return Fan.from_chains(spec, ray_map, chains)
 
 
 def fans_equal(f1: Fan, f2: Fan) -> bool:
-    """Equality as sets of cones, each cone taken as its set of generators
-    (``check`` compares ``_stellar_labels`` with the direct chains instead)."""
+    """Equality as sets of cones, each cone taken as the set of its
+    prefixes' rays in its fan's ray table (``check`` compares
+    ``_stellar_labels`` with the direct chains instead)."""
     if f1.spec != f2.spec:
         raise ValueError("fans live over different parameters")
-    set1 = {frozenset(c.rays) for c in f1.cones.values()}
-    set2 = {frozenset(c.rays) for c in f2.cones.values()}
-    return set1 == set2
+
+    def cones(fan: Fan) -> set[frozenset[Vector]]:
+        return {frozenset([fan.rays[d] for d in chain.prefixes]) for chain in fan.chains}
+
+    return cones(f1) == cones(f2)
 
 
 def locate_point(fan: Fan, point: Sequence) -> Chain | None:

@@ -34,9 +34,9 @@ and none summed: a row as its ``linalg.RowTest`` test
 pairs, with the scale that clears it (the lcm of the squared norms of the
 steps it holds, r - 1 or 1), and a vertex over the common denominator of
 the cube's corners, written by ``fan.place``.  A cell stores each row
-once, as that test and scale, and cells that repeat a test share one
-tuple (``_cell_test``); ``h_rep``, the dense rational rows, is built
-from them on first read, and no command reads it: the JSON output writes
+once, as that test and scale, and the cells of one complex that repeat
+a test share one tuple (``complex_cells``); ``h_rep``, the dense rational
+rows, is built from them on first read, and no command reads it: the JSON output writes
 each distinct stored row's text once, from ``Polytope.integer_rows`` (at
 n = 1 the r cells hold O(r^2) references to about 5r distinct tests,
 their dense rows r^3 entries).
@@ -90,7 +90,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from functools import cache, cached_property, lru_cache
+from functools import cache, cached_property
 from fractions import Fraction
 from math import lcm
 from operator import itemgetter
@@ -160,8 +160,8 @@ class Polytope(_Frozen):
     def integer_rows(self) -> Iterator[tuple[RowTest, int]]:
         """Each row as stored, its test ``(pairs, None, bound)`` and the
         scale that clears it: ``h_rep``'s row is ``pairs / scale`` against
-        ``bound / scale``.  Cells that repeat a row share its test
-        tuple (``_cell_test``)."""
+        ``bound / scale``.  The cells of one complex that repeat a row
+        share its test tuple (``complex_cells``)."""
         return zip(self._tests, self._scales)
 
     @cached_property
@@ -251,22 +251,13 @@ def _level_slots(chain: Chain, spec: ArrangementSpec) -> list[_Slot]:
     return slots
 
 
-@lru_cache(maxsize=8192)
-def _cell_test(pairs: tuple[tuple[int, int], ...], bound: int) -> RowTest:
-    """The test ``(pairs, None, bound)``.
-
-    Cached so that equal tests share one tuple, as the fan's maximal cones
-    share theirs within one pass (``fan._invert_maximal_cones``): the cells
-    repeat few rows (995 distinct among the 79,600 of the 200 cells at
-    r = 200, n = 1, about 5r at n = 1, so (1000, 1) fits).
-    """
-    return pairs, None, bound
-
-
-def _cell_rows(slots: list[_Slot], block: int, n: int) -> list[tuple[RowTest, int]]:
+def _cell_rows(
+    slots: list[_Slot], block: int, n: int, tests: dict[RowTest, RowTest]
+) -> list[tuple[RowTest, int]]:
     """Each H-row of a cell as its integer test ``(pairs, None, bound)`` and
     the scale that clears it, in ``cell_polytope``'s row order, placed from
-    where the level steps lie.
+    where the level steps lie; a test equal to one in ``tests`` is that
+    tuple, and a new one is added there.
 
     A span row has scale 1.  A coefficient or truncation row is
     ``sum sign * u`` over its units u_j = f_j / |f_j|^2, scaled by their
@@ -274,13 +265,18 @@ def _cell_rows(slots: list[_Slot], block: int, n: int) -> list[tuple[RowTest, in
     A residue-0 entry is then ``-sign`` and a slot entry ``sign * scale``.
     """
     rows: list[tuple[RowTest, int]] = []
+
+    def test(pairs: SparseRow, bound: int) -> RowTest:
+        new = pairs, None, bound
+        return tests.setdefault(new, new)
+
     for off, slot in sorted(slots):
         if slot is None:  # e_f - e_off for each later slot f of the block
             spans = [((off, -1), (f, 1)) for f in range(off + 1, off + block)]
         else:  # e_f for each other slot f
             spans = [((f, 1),) for f in range(off, off + block) if f != slot]
         for pairs in spans:
-            rows += [(_cell_test(pairs, 0), 1), (_cell_test(tuple([(f, -a) for f, a in pairs]), 0), 1)]
+            rows += [(test(pairs, 0), 1), (test(tuple([(f, -a) for f, a in pairs]), 0), 1)]
 
     def unit_row(units: list[tuple[_Slot, int]], bound: int) -> tuple[RowTest, int]:
         scale = block if any(slot is None for (_, slot), _ in units) else 1
@@ -290,7 +286,7 @@ def _cell_rows(slots: list[_Slot], block: int, n: int) -> list[tuple[RowTest, in
                 pairs += [(f, -sign) for f in range(off, off + block)]
             else:
                 pairs.append((slot, sign * scale))
-        return _cell_test(tuple(pairs), bound * scale), scale
+        return test(tuple(pairs), bound * scale), scale
 
     for j, slot in enumerate(slots):
         rows.append(unit_row([(slot, -1)] + [(s, 1) for s in slots[j + 1 : j + 2]], 0))
@@ -299,7 +295,7 @@ def _cell_rows(slots: list[_Slot], block: int, n: int) -> list[tuple[RowTest, in
     return rows
 
 
-def cell_polytope(chain: Chain, spec: ArrangementSpec) -> Polytope:
+def cell_polytope(chain: Chain, spec: ArrangementSpec, tests: dict[RowTest, RowTest] | None = None) -> Polytope:
     """The truncated-cone cell of a maximal chain.
 
     Level j of the chain adds one factor, so the step f_j = g_j - g_{j-1}
@@ -327,7 +323,9 @@ def cell_polytope(chain: Chain, spec: ArrangementSpec) -> Polytope:
     (``_cell_rows``), stored once; ``Polytope.h_rep`` builds the dense rows
     from them when read.  The vertices sort by those integers, and each
     entry of ``v_rep`` is an integer over their denominator, one
-    ``Fraction`` per distinct value.
+    ``Fraction`` per distinct value.  A row test equal to one in ``tests``
+    is that tuple, and a new one is added there: ``complex_cells`` passes
+    one dict for all its cells.
     """
     if not chain.is_maximal(spec):
         raise ValueError(
@@ -340,13 +338,16 @@ def cell_polytope(chain: Chain, spec: ArrangementSpec) -> Polytope:
     keys = sorted(place(block, spec.ambient_dim, 0, zip(slots, y)) for y in lengths)
     ratios = {x: Fraction(x, common) for x in set().union(*keys)}
     v_rep = tuple([tuple([ratios[x] for x in key]) for key in keys])
-    return Polytope(v_rep, chain, _cell_rows(slots, block, spec.n))
+    return Polytope(v_rep, chain, _cell_rows(slots, block, spec.n, {} if tests is None else tests))
 
 
 def complex_cells(spec: ArrangementSpec) -> NormalComplex:
-    """One cell per maximal chain, in the deterministic chain order."""
+    """One cell per maximal chain, in the deterministic chain order, equal
+    row tests one tuple through a dict that lives for this call: the cells
+    repeat few rows (995 distinct among the 79,600 at r = 200, n = 1)."""
     check_normal_complex(spec.num_maximal_chains_upto(COUNT_CAP))
-    return NormalComplex(spec, tuple(cell_polytope(c, spec) for c in maximal_chains(spec)))
+    tests: dict[RowTest, RowTest] = {}
+    return NormalComplex(spec, tuple(cell_polytope(c, spec, tests) for c in maximal_chains(spec)))
 
 
 _LENGTH_ENTRIES = {x: Fraction(x) for x in (-1, 0, 1)}
@@ -415,8 +416,8 @@ def cell_failures(complex_: NormalComplex) -> list[Chain]:
     Why that suffices is in the module docstring.  A span row is read by
     its slots: it vanishes unread on a ray with no nonzero entry there, and
     its lead is one integer.  Each distinct span row is read once (the
-    cells share their tests, ``_cell_test``), and each ray once, kept until
-    the last cell on it: the r cells at n = 1, about r^2 span rows, cost
+    cells share their tests, ``complex_cells``), and each ray once, kept
+    until the last cell on it: the r cells at n = 1, about r^2 span rows, cost
     O(r^2) lookups, no product, and one ray of r - 1 entries at a time.
     """
     spec = complex_.spec

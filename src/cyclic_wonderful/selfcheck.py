@@ -75,16 +75,17 @@ some maximal cone s' of chart c' as well, every maximal chain having its
 cone; so s and t meet where s' and t meet within G, in the cone of the
 prefixes common to s and t (a common prefix lies inside G).  That is the
 law cone(a) ∩ cone(b) = cone(a ∧ b) for every pair of maximal cones, and
-a face is the cone of some of its maximal cone's rays, so pairs of faces
-meet in common faces too, once each face has the rays its label names.
+a face is the cone of some of its maximal cone's rays (below), so pairs
+of faces meet in common faces too.
 No command decides the law pair by pair; the tests do, on every pair of
 chains at several specs, as the certificate's cross-check.
 
 The argument takes three conditions from the other lines of the suite.
-Every cone is the cone of its chain: its label is the chain's prefixes
-and its rays are those prefixes' rays in the fan's ray table, in order.
-The stellar line checks this tie for every cone, faces included; without
-it two faces that swapped cones would keep every set of rays and pass
+A face is its chain: its rays are, by definition, its prefixes' entries
+in the fan's ray table, the rays ``fan`` prints.  A maximal cone also has
+a record, and the stellar line ties each record to its chain: the label
+is the chain's prefixes and the rays their entries, in order; without the
+tie two records that swapped chains would keep every set of rays and pass
 every other line.  The labels are chains: the direct route builds each by
 restricting its top decoration, and the stellar route, which subdivides
 the product fan and never enumerates chains, must find the same label
@@ -96,11 +97,11 @@ the rays themselves; the chart reading is.
 The two lattice lines run ``lattice_pivots`` on the maximal cones alone,
 and a flat one fails the completeness line unrun.  Pivots all 1 say that
 a maximal cone's n rays extend to a basis of the lattice, and each face
-inherits that: every chain extends to a maximal chain whose cone is in
-the fan (the count and stellar lines); by the tie, a face's rays are some
-of that maximal cone's rays; and a subset of a lattice basis is a lattice
-basis of its span.  So every face is unimodular and of its chain's
-length, and the per-face pass is left to the tests, as the cross-check.
+inherits that: every chain extends to a maximal chain (the count and
+stellar lines), whose record holds the face's rays by the tie; and a
+subset of a lattice basis is a lattice basis of its span.  So every face
+is unimodular and of its chain's length, and the per-face pass is left
+to the tests, as the cross-check.
 
 At r = 2 each facet lies in two charts, a boundary wall's two cofaces lie
 on either side of its coordinate hyperplane, and the line's name says
@@ -339,9 +340,9 @@ def _rays_off_their_charts(fan: Fan) -> list[DecoratedSubset]:
 
 
 def suite_fan(spec: ArrangementSpec) -> list[CheckResult]:
-    """The fan's counts, its two routes (every cone tied to its chain), the
-    lattice lines on the maximal cones and completeness, whose wall
-    certificate also gives the cone intersection law (see the module
+    """The fan's counts, its two routes (every maximal record tied to its
+    chain), the lattice lines on the maximal cones and completeness, whose
+    wall certificate also gives the cone intersection law (see the module
     docstring)."""
     try:
         check_fan_spec(spec)  # before the building set is enumerated
@@ -378,16 +379,18 @@ def suite_fan(spec: ArrangementSpec) -> list[CheckResult]:
     else:
         broken = ""
     stellar_count = len(stellar)
-    # one pass over the cones: each chain's label set leaves the stellar
+    # one pass over the chains: each chain's label set leaves the stellar
     # route's, which, the counts being equal, empties exactly when the sets
-    # are; each cone is tied to its chain (the label is the chain's prefixes,
-    # the rays theirs)
+    # are; each maximal record is tied to its chain (the label is the
+    # chain's prefixes, the rays their ray-table entries)
+    chains = fan.chains
+    stellar.difference_update(frozenset(chain.prefixes) for chain in chains)
     ray = fan.rays.__getitem__
-    astray = []
-    for chain, cone in fan.cones.items():
-        stellar.discard(frozenset(chain.prefixes))
-        if cone.label != chain.prefixes or cone.rays != tuple(map(ray, chain.prefixes)):
-            astray.append(chain)
+    astray = [
+        chain
+        for chain, cone in zip(chains[len(chains) - len(maximal) :], maximal)
+        if cone.label != chain.prefixes or cone.rays != tuple(map(ray, chain.prefixes))
+    ]
     # the lattice lines read the maximal cones alone (see the module
     # docstring): a pivot list's length is the rank, all 1 if unimodular
     rough, flat = [], []
@@ -399,12 +402,12 @@ def suite_fan(spec: ArrangementSpec) -> list[CheckResult]:
             rough.append(Chain._trusted(cone.label))
     details = [broken] if broken else []
     if astray:
-        details.append(f"{len(fan.cones)} cones, {len(astray)} not on their chain's rays, first {astray[0].text()}")
+        details.append(f"{len(chains)} cones, {len(astray)} not on their chain's rays, first {astray[0].text()}")
     out.append(
         _result(
             "fan",
             "stellar route equals direct route",
-            not broken and not stellar and len(fan.cones) == stellar_count and stellar_rays == fan.rays and not astray,
+            not broken and not stellar and len(chains) == stellar_count and stellar_rays == fan.rays and not astray,
             ", ".join(details),
         )
     )

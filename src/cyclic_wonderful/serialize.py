@@ -19,7 +19,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as quote
 from typing import Callable, Iterable, Sequence
 
-from .fan import Cone, Fan, basis_labels, ray_vector
+from .fan import Fan, basis_labels, ray_vector
 from .lattice import ArrangementSpec, Chain, DecoratedSubset, parse_chain, parse_subset
 from .linalg import RowTest
 from .normal_complex import Polytope
@@ -102,7 +102,7 @@ def fan_listing(fan: Fan) -> tuple[list[DecoratedSubset], list[str], list[tuple[
     subsets = sorted(fan.rays, key=DecoratedSubset.sort_key)
     ids = {d: k for k, d in enumerate(subsets)}
     # a chain's prefixes grow in size, so their ids increase along it
-    cones = sorted([tuple([ids[d] for d in chain.prefixes]) for chain in fan.cones])
+    cones = sorted([tuple([ids[d] for d in chain.prefixes]) for chain in fan.chains])
     cones.sort(key=len)
     return subsets, [d.text() for d in subsets], cones
 
@@ -242,8 +242,8 @@ def fan_to_dict(fan: Fan) -> dict:
         for d in subsets
     ]
     cones = [
-        {"dim": cone.dim, "ray_ids": sorted(ids[d] for d in cone.label), "chain": chain.text()}
-        for chain, cone in fan.cones.items()
+        {"dim": chain.length, "ray_ids": sorted(ids[d] for d in chain.prefixes), "chain": chain.text()}
+        for chain in fan.chains
     ]
     # distinct cones have distinct ray sets, so this order is total
     cones.sort(key=lambda c: (c["dim"], c["ray_ids"]))
@@ -272,10 +272,10 @@ def fan_from_dict(data: dict) -> Fan:
             raise ValueError(f"ray vector for {d.text()} does not match its subset")
         subsets_by_id[int(entry["id"])] = d
         rays[d] = vec
-    cones = {}
+    chains = []
     for entry in data["cones"]:
         chain = Chain.from_prefixes(subsets_by_id[int(k)] for k in entry["ray_ids"])
         if parse_chain(entry["chain"], spec) != chain:
             raise ValueError(f"cone chain {entry['chain']!r} does not match ray ids")
-        cones[chain] = Cone(tuple(rays[d] for d in chain.prefixes), chain.prefixes)
-    return Fan.from_cones(spec, rays, cones.items())
+        chains.append(chain)
+    return Fan.from_chains(spec, rays, chains)

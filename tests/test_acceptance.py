@@ -9,7 +9,7 @@ import itertools
 import time
 from fractions import Fraction
 
-from test_selfcheck import law_failures
+from test_selfcheck import cone_table, law_failures, records
 
 from cyclic_wonderful.chow import (
     DegreeReducer,
@@ -87,10 +87,10 @@ def test_criterion_3_structure_counts():
             spec = ArrangementSpec(r, n)
             fan = _fan(r, n)
             assert len(fan.rays) == (1 + r) ** n - 1, (r, n)
-            full = [c for c in fan.maximal_cones if c.dim == n]
+            full = [c for c in fan.maximal_cones if len(c.rays) == n]
             assert len(full) == spec.num_maximal_chains, (r, n)
     spec22 = ArrangementSpec(2, 2)
-    labeled = _fan(2, 2).cone(Chain.of([(2,), (1, 2)], {1: 1, 2: 0}))
+    labeled = records(_fan(2, 2))[Chain.of([(2,), (1, 2)], {1: 1, 2: 0})]
     e20 = ray_vector(DecoratedSubset.of({2: 0}), spec22)
     pair = ray_vector(DecoratedSubset.of({1: 1, 2: 0}), spec22)
     assert set(labeled.rays) == {e20, pair}
@@ -102,10 +102,10 @@ def test_criterion_4_cone_intersection_law():
         spec = ArrangementSpec(r, n)
         fan = _fan(r, n)
         chains = list(enumerate_chains(spec, n))
-        assert law_failures(fan, itertools.product(chains, repeat=2)) == [], (r, n)
+        assert law_failures(cone_table(fan), itertools.product(chains, repeat=2)) == [], (r, n)
     # all 21,609 pairs at (2,3) in one call, which shares the membership tests
     chains23 = list(enumerate_chains(ArrangementSpec(2, 3), 3))
-    assert law_failures(_fan(2, 3), itertools.product(chains23, repeat=2)) == []
+    assert law_failures(cone_table(_fan(2, 3)), itertools.product(chains23, repeat=2)) == []
     _report(4, "intersection law exhaustive at (2,2), (3,2), (2,3)")
 
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from test_linalg import combine, matrix_rank
-from test_selfcheck import law_failures
+from test_selfcheck import cone_table, law_failures, records, with_cones
 
 from cyclic_wonderful import fan as fan_module
 from cyclic_wonderful import selfcheck
@@ -109,21 +109,21 @@ def test_fan_3_1_has_three_rays_and_no_2_cones():
     spec = ArrangementSpec(3, 1)
     fan = build_fan(spec, BuildingSet.maximal(spec))
     assert sorted(fan.rays.values()) == [(-1, -1), (0, 1), (1, 0)]
-    assert max(c.dim for c in fan.cones.values()) == 1
+    assert max(c.length for c in fan.chains) == 1
 
 
 def test_fan_2_2_counts():
     spec = ArrangementSpec(2, 2)
     fan = build_fan(spec, BuildingSet.maximal(spec))
     assert len(fan.rays) == 8
-    assert sum(1 for c in fan.cones.values() if c.dim == 2) == 8
+    assert sum(1 for c in fan.chains if c.length == 2) == 8
 
 
 def test_fan_2_2_labeled_cone():
     # the 2-cone of the chain {2} < {1,2} with residues a(1)=1, a(2)=0
     spec = ArrangementSpec(2, 2)
     fan = build_fan(spec, BuildingSet.maximal(spec))
-    cone = fan.cone(chain([(2,), (1, 2)], {1: 1, 2: 0}))
+    cone = records(fan)[chain([(2,), (1, 2)], {1: 1, 2: 0})]
     e20 = ray_vector(ds((2, 0)), spec)
     pair = ray_vector(ds((1, 1), (2, 0)), spec)
     assert set(cone.rays) == {e20, pair} == {(0, -1), (1, -1)}
@@ -158,45 +158,54 @@ def test_cone_labels_share_the_ray_tables_subsets(r, n):
     for builder in (build_fan, build_fan_stellar):
         fan = builder(spec, BuildingSet.maximal(spec))
         keys = {d: d for d in fan.rays}
-        for chain, cone in fan.cones.items():
-            assert all(keys[d] is d for d in cone.label)
+        for chain in fan.chains:
+            assert all(keys[d] is d for d in chain.prefixes)
+            assert list(chain.prefixes) == sorted(chain.prefixes, key=DecoratedSubset.sort_key)
+        for chain, cone in records(fan).items():
             assert cone.label is chain.prefixes
-            assert list(cone.label) == sorted(cone.label, key=DecoratedSubset.sort_key)
             assert cone.rays == tuple(fan.rays[d] for d in cone.label)
 
 
 @pytest.mark.parametrize("r,n", [(3, 3), (4, 3), (2, 4)])
 def test_a_scan_builds_no_face_and_reading_the_cones_does(monkeypatch, r, n):
+    # a face is its chain: reading the chains enumerates the faces, and no
+    # path builds a face a record
     spec = ArrangementSpec(r, n)
-    built = []
-    init = Cone.__init__
+    built, enumerated = [], []
+    init, chains_of_length = Cone.__init__, fan_module._chains_of_length
 
     def recording(self, rays, label):
         built.append(len(label))
         init(self, rays, label)
 
+    def enumerating(spec, table, length):
+        enumerated.append(length)
+        return chains_of_length(spec, table, length)
+
     monkeypatch.setattr(Cone, "__init__", recording)
+    monkeypatch.setattr(fan_module, "_chains_of_length", enumerating)
     fan = build_fan(spec, BuildingSet.maximal(spec))
     fan.maximal_cones
     for point in sample_mixed_points(Lcg(r + n), spec, 50):
         locate_point(fan, point)
-    assert built and set(built) == {n}
-    fan.cones
-    assert set(built) == set(range(n + 1))
+    assert enumerated == [n] and built == [n] * spec.num_maximal_chains
+    assert {c.length for c in fan.chains} == set(range(n + 1))
+    assert sorted(enumerated) == list(range(n + 1)) and built == [n] * spec.num_maximal_chains
 
 
 @pytest.mark.parametrize(
     "r,n", [*itertools.product(range(2, 5), range(4)), (2, 4)]
 )
 def test_cones_are_one_per_enumerated_chain_in_its_order(r, n):
-    # the reference builds every cone from its chain's own ray vectors
+    # the reference builds every maximal cone from its chain's own ray vectors
     spec = ArrangementSpec(r, n)
     fan = build_fan(spec, BuildingSet.maximal(spec))
+    chains = tuple(enumerate_chains(spec, n))
     reference = [
-        (c, Cone(tuple(ray_vector(d, spec) for d in c.prefixes), c.prefixes))
-        for c in enumerate_chains(spec, n)
+        (c, Cone(tuple(ray_vector(d, spec) for d in c.prefixes), c.prefixes)) for c in chains if c.length == n
     ]
-    assert list(fan.cones.items()) == reference
+    assert fan.chains == chains
+    assert list(records(fan).items()) == reference
 
 
 @pytest.mark.parametrize("r,n", [(2, 0), (3, 1), (3, 2), (2, 3), (3, 3)])
@@ -205,7 +214,7 @@ def test_a_maximal_chains_cone_is_the_object_maximal_cones_holds(builder, r, n):
     spec = ArrangementSpec(r, n)
     fan = builder(spec, BuildingSet.maximal(spec))
     maximal = {id(cone) for cone in fan.maximal_cones}
-    held = {id(fan.cones[c]) for c in maximal_chains(spec)}
+    held = {id(records(fan)[c]) for c in maximal_chains(spec)}
     assert held == maximal and len(maximal) == spec.num_maximal_chains
 
 
@@ -217,16 +226,17 @@ def _read_from_dict(spec, g):
 @pytest.mark.parametrize("builder", [build_fan, build_fan_stellar, _read_from_dict])
 @pytest.mark.parametrize("maximal_first", [False, True])
 def test_a_read_fan_holds_its_maximal_cones_in_its_table_alone(builder, r, n, maximal_first):
-    # the table takes the maximal cones' dict over, whichever is read first
+    # the chains end with the maximal records' chains, in their order,
+    # whichever is read first, and no face has a record
     spec = ArrangementSpec(r, n)
     fan = builder(spec, BuildingSet.maximal(spec))
     if maximal_first:
         fan.maximal_cones
-    cones = fan.cones
-    assert "_maximal" not in vars(fan)
-    in_table = [cone for chain, cone in cones.items() if len(chain.prefixes) == n]
-    assert len(fan.maximal_cones) == len(in_table) == spec.num_maximal_chains
-    assert all(a is b for a, b in zip(fan.maximal_cones, in_table))
+    chains = fan.chains
+    faces = len(chains) - len(fan.maximal_cones)
+    assert len(fan.maximal_cones) == spec.num_maximal_chains
+    assert [c.prefixes for c in chains[faces:]] == [cone.label for cone in fan.maximal_cones]
+    assert all(c.length < n for c in chains[:faces])
 
 
 def test_cone_lookup_from_value_equal_subsets():
@@ -235,7 +245,7 @@ def test_cone_lookup_from_value_equal_subsets():
     parsed = parse_chain("{2:1}<{1:0,2:1}", spec)
     keys = {d: d for d in fan.rays}
     assert all(keys[d] is not d for d in parsed.prefixes)
-    cone = fan.cone(parsed)
+    cone = records(fan)[parsed]
     assert cone.label == parsed.prefixes
     assert Chain(cone.label) == parsed
 
@@ -243,10 +253,11 @@ def test_cone_lookup_from_value_equal_subsets():
 def test_fan_closed_under_faces():
     spec = ArrangementSpec(3, 2)
     fan = build_fan(spec, BuildingSet.maximal(spec))
-    for chain in fan.cones:
+    chains = set(fan.chains)
+    for chain in chains:
         for size in range(chain.length):
             for sub in itertools.combinations(chain.prefixes, size):
-                assert Chain(sub) in fan.cones
+                assert Chain(sub) in chains
 
 
 def test_cone_dim_equals_chain_length():
@@ -256,17 +267,17 @@ def test_cone_dim_equals_chain_length():
     for r, n in [(2, 2), (3, 2), (2, 3), (3, 3), (4, 2), (2, 4)]:
         spec = ArrangementSpec(r, n)
         fan = build_fan(spec, BuildingSet.maximal(spec))
-        for chain, cone in fan.cones.items():
+        for chain, cone in cone_table(fan).items():
             assert lattice_pivots(cone.rays) == [1] * len(cone.rays) == [1] * chain.length
     assert lattice_pivots(Cone((), ()).rays) == []  # no rows, so no pivot
 
 
 def _maximal_by_inclusion(fan):
     """The pairwise-subset rule maximal_cones used before filtering by size."""
-    keys = [frozenset(c.prefixes) for c in fan.cones]
+    keys = [frozenset(c.prefixes) for c in fan.chains]
     maximal = [k for k in keys if not any(k < other for other in keys)]
     chains = sorted((Chain.from_prefixes(k) for k in maximal), key=Chain.sort_key)
-    return tuple(fan.cone(c) for c in chains)
+    return tuple(map(records(fan).__getitem__, chains))
 
 
 @pytest.mark.parametrize("r,n", [(2, 2), (3, 2), (2, 3), (3, 3)])
@@ -296,7 +307,7 @@ _RATIONALS = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 
 def _fan_cones(r, n):
     spec = ArrangementSpec(r, n)
-    return spec.ambient_dim, list(build_fan(spec, BuildingSet.maximal(spec)).cones.values())
+    return spec.ambient_dim, list(cone_table(build_fan(spec, BuildingSet.maximal(spec))).values())
 
 
 _FAN_CONES = {spec: _fan_cones(*spec) for spec in [(2, 2), (3, 2), (2, 3), (4, 2)]}
@@ -523,7 +534,7 @@ def test_inverse_equals_the_full_pass_on_every_fan_cone(spec):
     # its own elimination
     fan = _fresh_fan(*spec)
     _assert_the_pass_inverts(fan)
-    dim, cones = fan.spec.ambient_dim, list(fan.cones.values())
+    dim, cones = fan.spec.ambient_dim, list(cone_table(fan).values())
     for cone in cones:
         if cone.rays:
             assert cone._inverse == _reference_inverse(cone.rays)
@@ -677,9 +688,9 @@ def test_the_pass_inverts_maximal_cones_in_any_order(spec, seed):
     # out of chain order the pass drops states a later cone needs and makes
     # them again, so every inverse is still its own rays'
     built = _fresh_fan(*spec)
-    pairs = list(built.cones.items())
-    random.Random(seed).shuffle(pairs)
-    fan = Fan.from_cones(built.spec, built.rays, pairs)
+    chains = list(built.chains)
+    random.Random(seed).shuffle(chains)
+    fan = Fan.from_chains(built.spec, built.rays, chains)
     assert [c.rays for c in fan.maximal_cones] != [c.rays for c in built.maximal_cones]
     _assert_the_pass_inverts(fan)
 
@@ -689,13 +700,10 @@ def test_the_pass_keys_its_states_by_rays_not_by_labels(spec):
     # two maximal cones with different first rays swap their rays and keep
     # their labels: each must get its new rays' inverse, not its label's
     built = _fresh_fan(*spec)
-    pairs = list(built.cones.items())
-    maximal = [k for k, (chain, _) in enumerate(pairs) if len(chain.prefixes) == built.spec.n]
-    one = maximal[0]
-    other = next(k for k in maximal[1:] if pairs[k][1].rays[0] != pairs[one][1].rays[0])
-    (c1, a), (c2, b) = pairs[one], pairs[other]
-    pairs[one], pairs[other] = (c1, Cone(b.rays, a.label)), (c2, Cone(a.rays, b.label))
-    fan = Fan.from_cones(built.spec, built.rays, pairs)
+    pairs = list(records(built).items())
+    (c1, a) = pairs[0]
+    (c2, b) = next(pair for pair in pairs[1:] if pair[1].rays[0] != a.rays[0])
+    fan = with_cones(built, {c1: Cone(b.rays, a.label), c2: Cone(a.rays, b.label)})
     assert fan.maximal_cones[0].label == a.label and fan.maximal_cones[0].rays == b.rays
     _assert_the_pass_inverts(fan)
 
@@ -794,7 +802,7 @@ def test_stellar_subdivides_the_one_cone_a_full_scan_finds(r, n, steps):
         assert holding == holding_map(rays, cones)
     assert len(order) == steps
     assert all(is_nested(s, g) for s in cones)
-    assert cones == {frozenset(c.prefixes) for c in build_fan_stellar(spec, g).cones}
+    assert cones == {frozenset(c.prefixes) for c in build_fan_stellar(spec, g).chains}
 
 
 class _Unscannable(set):
@@ -849,7 +857,7 @@ def test_stellar_route_never_enumerates_chains(monkeypatch):
     spec = ArrangementSpec(3, 2)
     g = BuildingSet.maximal(spec)
     direct = build_fan(spec, g)
-    direct.cones  # the direct route builds its faces here, before the patch
+    direct.chains  # the direct route enumerates its faces here, before the patch
 
     def refuse(*args, **kwargs):
         raise AssertionError("the stellar route must not enumerate chains")
@@ -873,7 +881,7 @@ def test_a_stray_cone_left_by_the_subdivisions_reaches_the_stellar_fan(monkeypat
     monkeypatch.setattr(fan_module, "_star_subdivide", subdivide_and_stray)
     stellar = build_fan_stellar(spec, g)
     assert not is_nested(stray, g)
-    assert Chain._trusted(stray) in stellar.cones
+    assert Chain._trusted(stray) in stellar.chains
     assert not fans_equal(build_fan(spec, g), stellar)
     # the check reaches the subdivisions through the stellar route's labels
     lines = {res.name: res.status for res in selfcheck.suite_fan(spec)}
@@ -893,8 +901,8 @@ def test_a_cone_the_subdivisions_lose_fails_the_stellar_line(monkeypatch):
         cones.discard(frozenset(lost.prefixes))  # a final cone: in no later star
 
     monkeypatch.setattr(fan_module, "_star_subdivide", subdivide_and_lose)
-    assert lost in build_fan(spec, g).cones
-    assert lost not in build_fan_stellar(spec, g).cones
+    assert lost in build_fan(spec, g).chains
+    assert lost not in build_fan_stellar(spec, g).chains
     lines = {res.name: res.status for res in selfcheck.suite_fan(spec)}
     assert lines["stellar route equals direct route"] == "FAIL"
 
@@ -915,8 +923,8 @@ def test_fans_equal_basics():
     g = BuildingSet.maximal(spec)
     fan = build_fan(spec, g)
     assert fans_equal(fan, fan)
-    no_2_cones = {k: c for k, c in fan.cones.items() if c.dim < 2}
-    assert not fans_equal(fan, Fan.from_cones(spec, fan.rays, no_2_cones.items()))
+    no_2_cones = [c for c in fan.chains if c.length < 2]
+    assert not fans_equal(fan, Fan.from_chains(spec, fan.rays, no_2_cones))
 
 
 # --- point location ----------------------------------------------------------
@@ -1003,7 +1011,7 @@ def fan_points(draw, fan):
         return combine(lengths, images, dim, Fraction(0))
     cone = draw(st.sampled_from(fan.maximal_cones))
     coeffs = draw(
-        st.lists(st.sampled_from([0, 0, 1, 2, Fraction(1, 2)]), min_size=cone.dim, max_size=cone.dim)
+        st.lists(st.sampled_from([0, 0, 1, 2, Fraction(1, 2)]), min_size=len(cone.rays), max_size=len(cone.rays))
     )
     face = combine(coeffs, cone.rays, dim, Fraction(0))
     if kind == "face":
@@ -1020,7 +1028,7 @@ def fan_points(draw, fan):
 def test_indexed_location_equals_the_plain_scan(r, n, data):
     built = _built_fan(r, n)
     # a new Fan over the same cones builds its own index on the first point
-    fan = Fan.from_cones(built.spec, built.rays, built.cones.items())
+    fan = Fan.from_chains(built.spec, built.rays, built.chains)
     for point in data.draw(st.lists(fan_points(built), min_size=1, max_size=8)):
         assert locate_point(fan, point) == scan_locate(fan, point)
 
@@ -1033,7 +1041,7 @@ def test_locate_command_prints_the_chain_the_scan_finds(r, n, data):
     # over a fan built here is the reference
     built = _built_fan(r, n)
     point = data.draw(fan_points(built))
-    fan = Fan.from_cones(built.spec, built.rays, built.cones.items())
+    fan = Fan.from_chains(built.spec, built.rays, built.chains)
     argv = ["locate", "--r", str(r), "--n", str(n), "--point=" + ",".join(map(str, point))]
     status, out = run(build_parser().parse_args(argv))
     located = locate_point(fan, point)
@@ -1097,11 +1105,11 @@ def test_the_cone_index_keeps_one_entry_per_hyperplane(r, n, hyperplanes):
 @pytest.mark.parametrize("r,n", [(3, 2), (2, 3), (3, 0)])
 def test_location_does_not_test_the_cone_the_index_found_again(r, n, monkeypatch):
     built = _built_fan(r, n)
-    fan = Fan.from_cones(built.spec, built.rays, built.cones.items())
+    fan = Fan.from_chains(built.spec, built.rays, built.chains)
     dim = built.spec.ambient_dim
     # the origin, and face points of every fifth maximal cone
     points = [(0,) * dim]
-    points += [combine([1, 0, 2][: cone.dim], cone.rays, dim) for cone in fan.maximal_cones[::5]]
+    points += [combine([1, 0, 2][: len(cone.rays)], cone.rays, dim) for cone in fan.maximal_cones[::5]]
     expected = [scan_locate(fan, point) for point in points]
     fan._cone_index  # the index tests every maximal cone; locating must not again
 
@@ -1127,7 +1135,7 @@ def test_single_primitive_ray_is_smooth():
 def test_smooth_2_cone_example():
     spec = ArrangementSpec(2, 2)
     fan = build_fan(spec, BuildingSet.maximal(spec))
-    cone = fan.cone(chain([(1,), (1, 2)], {1: 0, 2: 0}))
+    cone = records(fan)[chain([(1,), (1, 2)], {1: 0, 2: 0})]
     assert set(cone.rays) == {(-1, 0), (-1, -1)}
     assert is_smooth_cone(cone)
 
@@ -1151,7 +1159,7 @@ def test_cone_intersection_law_exhaustive_2_2():
     spec = ArrangementSpec(2, 2)
     fan = build_fan(spec, BuildingSet.maximal(spec))
     chains = list(enumerate_chains(spec, spec.n))
-    assert law_failures(fan, itertools.product(chains, repeat=2)) == []
+    assert law_failures(cone_table(fan), itertools.product(chains, repeat=2)) == []
 
 
 # --- trusted chains ----------------------------------------------------------
@@ -1182,7 +1190,7 @@ def test_located_chains_are_checked_chains(r, n, count):
     assert len(located) >= count // 2
     for c in located:
         assert c == Chain(c.prefixes) and hash(c) == hash(Chain(c.prefixes))
-        assert c in fan.cones
+        assert c in fan.chains
 
 
 # --- support decomposition ---------------------------------------------------

@@ -510,6 +510,18 @@ def test_cells_share_one_object_per_distinct_test(r, n):
     assert len({id(test) for test in tests}) == len(set(tests)) < len(tests)
 
 
+@pytest.mark.parametrize("r,n", [(50, 1), (3, 3)])
+def test_two_complexes_share_no_test(r, n):
+    # the cells share their tests through a dict that lives for one
+    # complex_cells call, so a second call builds every test afresh
+    spec = ArrangementSpec(r, n)
+    one, two = complex_cells(spec), complex_cells(spec)
+    first = [test for cell in one.cells for test in cell._tests]
+    second = [test for cell in two.cells for test in cell._tests]
+    assert first == second
+    assert not {id(test) for test in first} & {id(test) for test in second}
+
+
 # --- membership --------------------------------------------------------------
 
 

@@ -182,8 +182,6 @@ UNREACHED = {
     "cli.run": "tests: a command's status and text, written on main's one path",
     "fan.Cone.coefficients": "benchmark: a per-layer metric (ROADMAP item 7)",
     "fan.Cone.contains": "tests: the intersection law's membership test",
-    "fan.Cone.dim": "tests: fan_to_dict's cone dimension, the fan JSON reference",
-    "fan.Fan.cone": "tests: the intersection law reads each chain's cone with it",
     "fan.fans_equal": "demo: fan_walkthrough compares the two routes with it",
     "fan.is_smooth_cone": "ROADMAP item 7: reached only by tests",
     "lattice.Chain.decoration": "tests: part of Chain.sort_key",

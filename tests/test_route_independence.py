@@ -246,7 +246,6 @@ def test_cell_rows_and_ray_readings_share_only_the_allowed_functions():
 
     def cells_route():
         # every row test and every vertex table built afresh
-        normal_complex._cell_test.cache_clear()
         normal_complex._vertex_lengths.cache_clear()
         complex_cells(spec)
 
@@ -285,13 +284,10 @@ DIRECT_VS_STELLAR = {
     "lattice.ArrangementSpec.num_subsets_upto": ADMISSION,
     "lattice.ArrangementSpec.num_maximal_chains_upto": ADMISSION,
     "lattice._product_upto": ADMISSION,
-    "fan.Cone.__init__": RECORD,
+    "fan.Cone.__init__": "the record of each maximal cone, which both fans hold",
     "fan.Fan.__init__": RECORD,
-    "fan.Fan.cones": "fans_equal reads each route's cones through the record's one reader",
-    "fan.Fan.maximal_cones": (
-        "the record's one reader keeps the maximal cones before its table takes them over"
-    ),
-    "lattice.Chain.__hash__": "both key their cones by chain",
+    "fan.Fan.chains": "fans_equal reads each route's cones as its chains",
+    "lattice.Chain.__hash__": "both key their maximal records by chain",
     "lattice.Chain._trusted": "both wrap the chains they built in the record, unchecked",
     "lattice.DecoratedSubset.__init__": LABEL,
     "lattice.DecoratedSubset.__hash__": LABEL,
@@ -307,13 +303,13 @@ def test_direct_and_stellar_fans_share_only_the_allowed_functions():
 
     def stellar_route():
         # the subdivisions test each singleton cone with its elimination
-        build_fan_stellar(spec, g).cones
+        build_fan_stellar(spec, g).chains
 
     # each route's output is every cone, so the direct route builds its faces
-    direct_calls = _called(lambda: build_fan(spec, g).cones)
+    direct_calls = _called(lambda: build_fan(spec, g).chains)
     stellar_calls = _called(stellar_route)
     assert "lattice._chains_of_length" in direct_calls
-    assert {"fan._star_subdivide", "fan._bareiss_step", "fan.Fan.from_cones"} <= stellar_calls
+    assert {"fan._star_subdivide", "fan._bareiss_step", "fan.Fan.from_chains"} <= stellar_calls
     assert_shared_exactly(direct_calls, stellar_calls, DIRECT_VS_STELLAR)
 
 
@@ -355,11 +351,11 @@ def test_direct_fan_and_stellar_labels_share_only_the_allowed_functions():
     def stellar_route():
         fan_module._stellar_labels(spec, g)
 
-    direct_calls = _called(lambda: build_fan(spec, g).cones)
+    direct_calls = _called(lambda: build_fan(spec, g).chains)
     stellar_calls = _called(stellar_route)
     assert "lattice._chains_of_length" in direct_calls
     assert {"fan._star_subdivide", "fan._bareiss_step"} <= stellar_calls
-    records = {"fan.Fan.__init__", "fan.Fan.cones", "fan.Fan.from_cones", "lattice.Chain._trusted"}
+    records = {"fan.Fan.__init__", "fan.Fan.chains", "fan.Fan.from_chains", "lattice.Chain._trusted"}
     assert not records & stellar_calls
     assert_shared_exactly(direct_calls, stellar_calls, DIRECT_VS_STELLAR_LABELS)
 

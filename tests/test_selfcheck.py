@@ -18,6 +18,7 @@ from cyclic_wonderful.lattice import (
     ArrangementSpec,
     BuildingSet,
     Chain,
+    DecoratedSubset,
     chain_intersect,
     enumerate_chains,
     parse_chain,
@@ -52,8 +53,26 @@ class _Held(dict):
         return held
 
 
-def per_pair_law(fan, a, b, memo=None):
-    """Whether the cones of chains a and b meet as the law says,
+def records(fan):
+    """The fan's maximal records, keyed by their chains: the last of the
+    fan's chains, in the order of ``maximal_cones``."""
+    chains = fan.chains
+    return dict(zip(chains[len(chains) - len(fan.maximal_cones) :], fan.maximal_cones))
+
+
+def cone_table(fan):
+    """Every chain's cone: the fan's record of a maximal chain, and for a
+    face the cone of its prefixes' entries in the ray table."""
+    held = records(fan)
+    return {
+        c: held[c] if c in held else Cone(tuple([fan.rays[d] for d in c.prefixes]), c.prefixes)
+        for c in fan.chains
+    }
+
+
+def per_pair_law(cones, a, b, memo=None):
+    """Whether the cones of chains a and b in the table ``cones`` (chain ->
+    cone, as ``cone_table`` gives it) meet as the law says,
     cone(a) ∩ cone(b) = cone(a ∧ b): the tests' one law, the cross-check of
     the wall certificate from which ``check`` takes it.
 
@@ -62,13 +81,13 @@ def per_pair_law(fan, a, b, memo=None):
     and the sum of its rays (a point interior enough to catch mismatches),
     lies in the other cone exactly when it lies in the expected one.  A pair
     that meets a cone of dependent rays fails, and no point is tested in
-    such a cone.  ``memo`` maps a cone's id to its ``_Held``; the fan holds
-    every cone, so the pairs of one fan may share it.
+    such a cone.  ``memo`` maps a cone's id to its ``_Held``; the table
+    holds every cone, so the pairs of one table may share it.
     """
     memo = {} if memo is None else memo
     held = []
     for chain in (a, b, chain_intersect(a, b)):
-        cone = fan.cone(chain)
+        cone = cones[chain]
         if id(cone) not in memo:
             memo[id(cone)] = _Held(cone)
         held.append(memo[id(cone)])
@@ -83,10 +102,11 @@ def per_pair_law(fan, a, b, memo=None):
     return True
 
 
-def law_failures(fan, pairs):
-    """The pairs that break the law, in order, with one memo for them all."""
+def law_failures(cones, pairs):
+    """The pairs that break the law in the cone table, in order, with one
+    memo for them all."""
     memo = {}
-    return [(a, b) for a, b in pairs if not per_pair_law(fan, a, b, memo)]
+    return [(a, b) for a, b in pairs if not per_pair_law(cones, a, b, memo)]
 
 
 def fan_of(r, n):
@@ -107,6 +127,14 @@ def law_pairs(fan, seed=0):
     ]
 
 
+def with_cones(fan, new):
+    """The fan with the records of some maximal chains replaced, or dropped
+    with their chains for None; its faces kept."""
+    faces = fan.chains[: len(fan.chains) - len(fan.maximal_cones)]
+    held = {c: new.get(c, cone) for c, cone in records(fan).items()}
+    return Fan(fan.spec, fan.rays, {c: cone for c, cone in held.items() if cone is not None}, lambda: faces)
+
+
 def bent(fan):
     """The fan with the last ray of one maximal cone moved off its place,
     the rays kept independent, and that cone's chain: the cone now
@@ -114,9 +142,8 @@ def bent(fan):
     cone = fan.maximal_cones[1]
     *head, last = cone.rays
     moved = tuple(x + y for x, y in zip(last, fan.maximal_cones[-1].rays[0]))
-    chain = next(c for c, k in fan.cones.items() if k is cone)
-    cones = {**fan.cones, chain: Cone((*head, moved), cone.label)}
-    return chain, Fan.from_cones(fan.spec, fan.rays, cones.items())
+    chain = Chain._trusted(cone.label)
+    return chain, with_cones(fan, {chain: Cone((*head, moved), cone.label)})
 
 
 @pytest.mark.parametrize("r,n", [(2, 2), (3, 2)])
@@ -124,9 +151,10 @@ def test_a_perturbed_ray_fails_the_same_pairs_in_both_versions(r, n):
     fan = fan_of(r, n)
     pairs = law_pairs(fan)
     chain, broken = bent(fan)
-    failures = law_failures(broken, pairs)
+    cones = cone_table(broken)
+    failures = law_failures(cones, pairs)
     # one memo for all the pairs, or a fresh one per pair: the same failures
-    assert failures == [(a, b) for a, b in pairs if not per_pair_law(broken, a, b)]
+    assert failures == [(a, b) for a, b in pairs if not per_pair_law(cones, a, b)]
     assert failures and all(chain in pair for pair in failures)
 
 
@@ -149,10 +177,9 @@ def test_a_failing_lattice_line_counts_its_cones_and_names_the_first(monkeypatch
     # a maximal cone that repeats a ray is flat: both lattice lines fail,
     # and the scan, which would eliminate it, is not run, and its line fails
     fan = fan_of(2, 2)
-    top = next(c for c in fan.cones if c.length == 2)
-    ray = fan.cones[top].rays[0]
-    cones = {**fan.cones, top: Cone((ray, ray), top.prefixes)}
-    repeated = Fan.from_cones(spec, fan.rays, cones.items())
+    top = Chain._trusted(fan.maximal_cones[0].label)
+    ray = fan.maximal_cones[0].rays[0]
+    repeated = with_cones(fan, {top: Cone((ray, ray), top.prefixes)})
     monkeypatch.setattr(selfcheck, "build_fan", lambda spec, g: repeated)
     lines = {res.name: res for res in suite_fan(spec)}
     assert list(lines) == list(passing)
@@ -169,36 +196,17 @@ def test_a_failing_lattice_line_counts_its_cones_and_names_the_first(monkeypatch
     assert out.count("FAIL [fan]") == 4 and out.endswith("2/6 checks passed for r=2, n=2\n")
 
 
-def test_a_zero_ray_face_fails_the_tie_and_passes_the_dimension_line(monkeypatch):
-    # the lattice lines read the maximal cones alone; the face's zero ray
-    # is not its prefix's entry in the ray table, so the tie, which the
-    # stellar line checks for every cone, sees it, and every line prints
-    spec = ArrangementSpec(2, 2)
-    passing = {res.name: res.detail for res in suite_fan(spec)}
-    fan = fan_of(2, 2)
-    flat = flat_face(fan)
-    face = next(c for c in fan.cones if c.length == 1)
-    line, status = fan_suite_line(monkeypatch, flat, "stellar route equals direct route")
-    assert (line.status, line.detail, status) == ("FAIL", f"17 cones, 1 not on their chain's rays, first {face.text()}", 1)
-    lines = {res.name: res for res in suite_fan(spec)}
-    assert list(lines) == list(passing)
-    assert [res.status for res in lines.values()] == ["PASS", "PASS", "FAIL", "PASS", "PASS", "PASS"]
-    assert lines["cone dimension equals chain length"].detail == ""
-    # at (3, 2) the flat face fails the stellar line too, and the law,
-    # which tests membership in no cone of dependent rays, fails exactly
-    # the pairs that meet it
-    flat = flat_face(fan_of(3, 2))
-    monkeypatch.setattr(selfcheck, "build_fan", lambda spec, g: flat)
-    lines = {res.name: res.status for res in suite_fan(flat.spec)}
-    face = next(c for c in flat.cones if c.length == 1)
-    assert lines["stellar route equals direct route"] == "FAIL"
-    assert lines["cone dimension equals chain length"] == "PASS"
-    pairs = law_pairs(flat)
+def test_a_zero_ray_face_fails_the_law_on_the_pairs_that_meet_it():
+    # a face has no record, so no fan holds a zero-ray face; planted in the
+    # law's cone table at (3, 2), the law, which tests membership in no
+    # cone of dependent rays, fails exactly the pairs that meet it
+    cones = cone_table(fan_of(3, 2))
+    face = next(c for c in cones if c.length == 1)
+    cones[face] = Cone(((0,) * 4,), face.prefixes)
+    pairs = law_pairs(fan_of(3, 2))
     assert len(pairs) == 1156
     failing = [(a, b) for a, b in pairs if face in (a, b, chain_intersect(a, b))]
-    assert failing and law_failures(flat, pairs) == failing
-    # the completeness line reads the maximal cones alone
-    assert lines[NOT_COMPLETE] == "PASS"
+    assert failing and law_failures(cones, pairs) == failing
 
 
 def test_the_fan_suite_eliminates_the_maximal_cones_alone(monkeypatch):
@@ -209,14 +217,47 @@ def test_the_fan_suite_eliminates_the_maximal_cones_alone(monkeypatch):
     status, out = run(build_parser().parse_args(["check", "--r", "3", "--n", "3", "--suite", "fan"]))
     assert status == 0 and out.endswith("6/6 checks passed for r=3, n=3\n")
     fan = fan_of(3, 3)
-    assert len(calls) == 162 == len(fan.maximal_cones) and len(fan.cones) == 442
+    assert len(calls) == 162 == len(fan.maximal_cones) and len(fan.chains) == 442
 
 
-def flat_face(fan):
-    """The fan with its first one-ray face given the zero ray."""
-    face = next(c for c in fan.cones if c.length == 1)
-    zero = (0,) * fan.spec.ambient_dim
-    return Fan.from_cones(fan.spec, fan.rays, {**fan.cones, face: Cone((zero,), face.prefixes)}.items())
+def built_labels(monkeypatch, argv):
+    """The label of every ``Cone`` the command builds, in order, and its
+    exit status."""
+    built = []
+    init = Cone.__init__
+
+    def recording(self, rays, label):
+        built.append(label)
+        init(self, rays, label)
+
+    monkeypatch.setattr(Cone, "__init__", recording)
+    status, _ = run(build_parser().parse_args(argv))
+    monkeypatch.undo()
+    return built, status
+
+
+@pytest.mark.parametrize(
+    "argv,stellar",
+    [(["check", "--suite", "fan"], True), (["check"], True), (["fan", "--via-stellar"], True), (["fan"], False)],
+)
+def test_the_fan_commands_build_no_face_record(monkeypatch, argv, stellar):
+    # at (3, 3): a record per maximal chain, 162, and on the stellar route
+    # tau, the singleton cone of each of the 54 non-singleton subsets, which
+    # its subdivision tests the new ray in; a face is its chain alone
+    spec = ArrangementSpec(3, 3)
+    built, status = built_labels(monkeypatch, [argv[0], "--r", "3", "--n", "3", *argv[1:]])
+    assert status == 0
+    chains = [label for label in built if [d.size for d in label] == [1, 2, 3]]
+    taus = [frozenset(label) for label in built if len(label) > 1 and {d.size for d in label} == {1}]
+    assert len(chains) == len(set(chains)) == 162 == spec.num_maximal_chains
+    assert len(built) == len(chains) + len(taus)
+    expected = {
+        frozenset(DecoratedSubset((item,)) for item in d.items)
+        for d in BuildingSet.maximal(spec).elements
+        if d.size > 1
+    }
+    assert len(taus) == len(set(taus)) == (54 if stellar else 0) and len(expected) == 54
+    assert set(taus) == (expected if stellar else set())
 
 
 @pytest.mark.parametrize("n,pairs", [(1, 9), (2, 289), (3, 21609)])
@@ -226,7 +267,7 @@ def test_the_law_holds_on_every_pair_of_cones_at_r_2(n, pairs):
     fan = fan_of(2, n)
     chains = list(enumerate_chains(fan.spec, n))
     assert len(chains) ** 2 == pairs
-    assert law_failures(fan, itertools.product(chains, chains)) == []
+    assert law_failures(cone_table(fan), itertools.product(chains, chains)) == []
 
 
 def test_the_law_holds_where_no_line_checks_it_and_the_fan_suite_draws_nothing(monkeypatch):
@@ -234,7 +275,7 @@ def test_the_law_holds_where_no_line_checks_it_and_the_fan_suite_draws_nothing(m
     for r, n in [(2, 0), (3, 0), (3, 1), (3, 2), (4, 2)]:
         fan = fan_of(r, n)
         chains = list(enumerate_chains(fan.spec, n))
-        assert law_failures(fan, itertools.product(chains, chains)) == []
+        assert law_failures(cone_table(fan), itertools.product(chains, chains)) == []
     # at every spec the fan suite draws no random number and prints no law line
     monkeypatch.setattr(Lcg, "below", None)
     names = [
@@ -258,50 +299,52 @@ def test_the_law_holds_where_no_line_checks_it_and_the_fan_suite_draws_nothing(m
         assert len(outputs) == 1 and next(iter(outputs))[0] == 0
 
 
-def test_a_face_given_a_wrong_independent_ray_fails_the_stellar_line_alone(monkeypatch):
+def test_a_maximal_record_given_a_wrong_independent_ray_fails_the_stellar_line_alone(monkeypatch):
     fan = fan_of(2, 2)
-    face = parse_chain("{1:0}", fan.spec)
-    assert fan.cones[face].rays == ((-1, 0),)
-    # (0, 1) is the ray of {2:1}: rank and lattice lines still pass, and
-    # only the stellar line sees the face, by its ray sets and its chain
-    moved = Fan.from_cones(fan.spec, fan.rays, {**fan.cones, face: Cone(((0, 1),), face.prefixes)}.items())
-    assert not fans_equal(moved, fan)
+    chain = parse_chain("{1:1}<{1:1,2:0}", fan.spec)
+    cone = records(fan)[chain]
+    assert cone.rays == ((1, 0), (1, -1))
+    # (0, 1) is the ray of {2:1}: the record stays a lattice basis on the
+    # far side of its inner wall, so the rank, lattice and wall lines pass,
+    # and fans_equal, which reads chains and the ray table, sees nothing;
+    # only the tie of the record to its chain sees it
+    moved = with_cones(fan, {chain: Cone(((0, 1), (1, -1)), cone.label)})
+    assert fans_equal(moved, fan)
     monkeypatch.setattr(selfcheck, "build_fan", lambda spec, g: moved)
     status, out = run(build_parser().parse_args(["check", "--r", "2", "--n", "2", "--suite", "fan"]))
     assert status == 1
     assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
-        "FAIL [fan] stellar route equals direct route (17 cones, 1 not on their chain's rays, first {1:0})"
+        f"FAIL [fan] stellar route equals direct route (17 cones, 1 not on their chain's rays, first {chain.text()})"
     ]
     assert out.endswith("5/6 checks passed for r=2, n=2\n")
 
 
-def test_two_faces_that_swap_cones_fail_the_stellar_line(monkeypatch):
+def test_two_maximal_records_that_swap_chains_fail_the_stellar_line_alone(monkeypatch):
     fan = fan_of(2, 2)
-    one, two = parse_chain("{1:0}", fan.spec), parse_chain("{2:1}", fan.spec)
-    assert (fan.cones[one].rays, fan.cones[two].rays) == (((-1, 0),), ((0, 1),))
-    # every set of rays is kept, so fans_equal, the rank, lattice and wall
-    # lines pass; only the tie of each cone to its chain sees the swap
-    swapped = Fan.from_cones(fan.spec, fan.rays, {**fan.cones, one: fan.cones[two], two: fan.cones[one]}.items())
+    one, two = parse_chain("{1:0}<{1:0,2:0}", fan.spec), parse_chain("{2:1}<{1:0,2:1}", fan.spec)
+    held = records(fan)
+    # each record keeps its own label and rays, so fans_equal, the rank,
+    # lattice and wall lines pass; only the tie of each record to its chain
+    # sees the swap
+    swapped = with_cones(fan, {one: held[two], two: held[one]})
     assert fans_equal(swapped, fan)
     monkeypatch.setattr(selfcheck, "build_fan", lambda spec, g: swapped)
     status, out = run(build_parser().parse_args(["check", "--r", "2", "--n", "2", "--suite", "fan"]))
     assert status == 1
     assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
-        "FAIL [fan] stellar route equals direct route (17 cones, 2 not on their chain's rays, first {1:0})"
+        f"FAIL [fan] stellar route equals direct route (17 cones, 2 not on their chain's rays, first {one.text()})"
     ]
     assert out.endswith("5/6 checks passed for r=2, n=2\n")
-    # the same faces given each other's rays under their own labels
-    relabelled = Fan.from_cones(
-        fan.spec,
-        fan.rays,
-        {**fan.cones, one: Cone(fan.cones[two].rays, one.prefixes), two: Cone(fan.cones[one].rays, two.prefixes)}.items(),
+    # the same records given each other's rays under their own labels
+    relabelled = with_cones(
+        fan, {one: Cone(held[two].rays, one.prefixes), two: Cone(held[one].rays, two.prefixes)}
     )
     line, status = fan_suite_line(monkeypatch, relabelled, "stellar route equals direct route")
-    assert (line.status, line.detail, status) == ("FAIL", "17 cones, 2 not on their chain's rays, first {1:0}", 1)
+    assert (line.status, line.detail, status) == ("FAIL", f"17 cones, 2 not on their chain's rays, first {one.text()}", 1)
 
 
-class _PassCounter(dict):
-    """A cone table that counts the passes made over it."""
+class _PassCounter(tuple):
+    """A fan's chains, counting the passes made over them."""
 
     passes = 0
 
@@ -309,47 +352,36 @@ class _PassCounter(dict):
         self.passes += 1
         return super().__iter__()
 
-    def items(self):
-        self.passes += 1
-        return super().items()
-
-    def keys(self):
-        self.passes += 1
-        return super().keys()
-
-    def values(self):
-        self.passes += 1
-        return super().values()
-
 
 @pytest.mark.parametrize("r,n", [(2, 3), (3, 2)])
 def test_the_stellar_line_builds_no_record_and_reads_the_cones_once(monkeypatch, r, n):
     # the stellar route is compared by its label sets and ray table, so
     # neither its Fan nor its cones' records are built; one pass over the
-    # direct fan's cones serves the stellar and lattice lines
+    # direct fan's chains serves the stellar line, and the tie reads the
+    # maximal ones alone
     fan = fan_of(r, n)
-    table = vars(fan)["cones"] = _PassCounter(fan.cones)
+    chains = vars(fan)["chains"] = _PassCounter(fan.chains)
 
     def refuse(*args, **kwargs):
         raise AssertionError("the check built the stellar route's records")
 
-    monkeypatch.setattr(Fan, "from_cones", refuse)
+    monkeypatch.setattr(Fan, "from_chains", refuse)
     monkeypatch.setattr("cyclic_wonderful.fan.build_fan_stellar", refuse)
     monkeypatch.setattr(selfcheck, "build_fan", lambda spec, g: fan)
     lines = suite_fan(fan.spec)
     assert [res.status for res in lines] == ["PASS"] * len(lines)
     assert "cone intersection law" not in [res.name for res in lines]
-    assert table.passes == 1
+    assert chains.passes == 1
 
 
 def test_a_label_given_another_ray_in_every_cone_fails_the_stellar_line(monkeypatch):
     fan = fan_of(2, 2)
     label = parse_subset("{1:0}", fan.spec)
-    # every cone keeps the ray table's rays of its chain, so the tie holds
-    # and the label sets are equal: only the stellar route's ray table sees it
+    # every maximal record keeps the ray table's rays of its chain, so the
+    # tie holds and the label sets are equal: only the stellar route's ray
+    # table sees it
     rays = {**fan.rays, label: (-2, 1)}
-    cones = {chain: Cone(tuple(map(rays.get, chain.prefixes)), chain.prefixes) for chain in fan.cones}
-    moved = Fan.from_cones(fan.spec, rays, cones.items())
+    moved = Fan.from_chains(fan.spec, rays, fan.chains)
     line, status = fan_suite_line(monkeypatch, moved, "stellar route equals direct route")
     assert (line.status, line.detail, status) == ("FAIL", "", 1)
 
@@ -362,11 +394,11 @@ def test_a_meet_cone_with_a_ray_outside_both_cones_fails_by_its_rays():
     # the meet's cone gains the ray of {2:2}, which lies in neither cone; the
     # rays and ray sums of a and b still lie in it exactly when in the other
     # cone, so only the test of the meet's rays sees the break
-    cone = fan.cone(meet)
-    grown = Cone((*cone.rays, fan.rays[parse_subset("{2:2}", spec)]), cone.label)
-    broken = Fan.from_cones(spec, fan.rays, {**fan.cones, meet: grown}.items())
-    assert not per_pair_law(broken, a, b)
-    assert per_pair_law(fan, a, b)
+    cones = cone_table(fan)
+    assert per_pair_law(cones, a, b)
+    cone = cones[meet]
+    cones[meet] = Cone((*cone.rays, fan.rays[parse_subset("{2:2}", spec)]), cone.label)
+    assert not per_pair_law(cones, a, b)
 
 
 def test_tropical_suite_embeds_each_curve_once(monkeypatch):
@@ -409,14 +441,13 @@ def facets(chain):
 
 def with_cone(fan, old, rays):
     """The fan with the maximal cone ``old`` given these rays, its label kept."""
-    cones = {c: Cone(rays, k.label) if k is old else k for c, k in fan.cones.items()}
-    return Fan.from_cones(fan.spec, fan.rays, cones.items())
+    return with_cones(fan, {Chain._trusted(old.label): Cone(rays, old.label)})
 
 
 def test_a_missing_maximal_cone_leaves_its_walls_one_coface(monkeypatch):
     fan = fan_of(2, 3)
-    gone = [c for c in fan.cones if c.length == 3][20]
-    holed = Fan.from_cones(fan.spec, fan.rays, [(c, k) for c, k in fan.cones.items() if c != gone])
+    gone = [c for c in fan.chains if c.length == 3][20]
+    holed = with_cones(fan, {gone: None})
     walls, failed = wall_failures(holed)
     assert walls == 72 and set(failed) == facets(gone) and len(failed) == 3
     line, status = fan_suite_line(monkeypatch, holed, COMPLETE)
@@ -474,8 +505,7 @@ def test_a_wall_of_three_cofaces_fails_though_its_first_two_lie_on_opposite_side
     last = fan.maximal_cones[-1]
     assert last is not other and last.label[:1] != wall
     # the last maximal chain's cone becomes a third coface of the wall
-    cones = {c: Cone(other.rays, other.label) if k is last else k for c, k in fan.cones.items()}
-    crowded = Fan.from_cones(fan.spec, fan.rays, cones.items())
+    crowded = with_cones(fan, {Chain._trusted(last.label): Cone(other.rays, other.label)})
     walls, failed = wall_failures(crowded)
     assert walls == 8 and wall in failed
     line, status = fan_suite_line(monkeypatch, crowded, COMPLETE)
@@ -492,7 +522,7 @@ def test_the_law_holds_on_every_pair_of_chains_at_r_above_2(r, n, pairs):
     fan = fan_of(r, n)
     chains = list(enumerate_chains(fan.spec, n))
     assert len(chains) ** 2 == pairs
-    assert law_failures(fan, itertools.product(chains, chains)) == []
+    assert law_failures(cone_table(fan), itertools.product(chains, chains)) == []
 
 
 @pytest.mark.parametrize("r,n,walls", [(3, 1, 1), (3, 2, 15), (4, 2, 24), (3, 3, 216), (4, 3, 480), (4, 4, 10752)])
@@ -503,12 +533,6 @@ def test_every_wall_passes_at_r_above_2(r, n, walls):
     assert walls * 2 * r == math.factorial(n) * r**n * ((n - 1) * r + 2)
     assert wall_failures(fan) == (walls, [])
     assert selfcheck._rays_off_their_charts(fan) == []
-
-
-def with_cones(fan, new):
-    """The fan with the cones of some chains replaced, or dropped for None."""
-    cones = {c: new.get(c, k) for c, k in fan.cones.items()}
-    return Fan.from_cones(fan.spec, fan.rays, [(c, k) for c, k in cones.items() if k is not None])
 
 
 def failing_lines(monkeypatch, fan):
@@ -526,10 +550,10 @@ STELLAR, COUNT = "stellar route equals direct route", "maximal cone count n! r^n
 
 def test_a_top_ray_swapped_for_the_new_factor_s_singleton_ray_fails_one_wall(monkeypatch):
     fan = fan_of(3, 3)
-    chain = [c for c in fan.cones if c.length == 3][4]
+    chain = [c for c in fan.chains if c.length == 3][4]
     below, top = chain.prefixes[-2:]
     ((m, a),) = set(top.items) - set(below.items)
-    cone = fan.cones[chain]
+    cone = records(fan)[chain]
     # the cone of the chart's coordinate face: in the chart, of rank 3 and
     # unimodular, but not its chain's cone
     moved = with_cones(fan, {chain: Cone((*cone.rays[:-1], fan.rays[parse_subset(f"{{{m}:{a}}}", fan.spec)]), cone.label)})
@@ -540,7 +564,7 @@ def test_a_top_ray_swapped_for_the_new_factor_s_singleton_ray_fails_one_wall(mon
 
 def test_a_lost_maximal_cone_fails_its_inner_and_boundary_walls(monkeypatch):
     fan = fan_of(3, 3)
-    gone = [c for c in fan.cones if c.length == 3][7]
+    gone = [c for c in fan.chains if c.length == 3][7]
     holed = with_cones(fan, {gone: None})
     walls, failed = wall_failures(holed)
     # two inner walls left one coface, the boundary wall r - 1
@@ -551,9 +575,9 @@ def test_a_lost_maximal_cone_fails_its_inner_and_boundary_walls(monkeypatch):
 @pytest.mark.parametrize("r,n,fails", [(3, 2, [STELLAR]), (3, 3, [STELLAR, NOT_COMPLETE])])
 def test_two_maximal_cones_that_swap_rays_fail_the_tie(monkeypatch, r, n, fails):
     fan = fan_of(r, n)
-    maximal = [c for c in fan.cones if c.length == n]
-    a, b = maximal[0], maximal[-1]
-    swapped = with_cones(fan, {a: Cone(fan.cones[b].rays, a.prefixes), b: Cone(fan.cones[a].rays, b.prefixes)})
+    held = records(fan)
+    a, b = list(held)[0], list(held)[-1]
+    swapped = with_cones(fan, {a: Cone(held[b].rays, a.prefixes), b: Cone(held[a].rays, b.prefixes)})
     # the walls assume the tie, which the stellar line checks; at (3, 2)
     # the swapped cones' walls happen to pass
     assert failing_lines(monkeypatch, swapped) == (fails, 1)
@@ -561,12 +585,12 @@ def test_two_maximal_cones_that_swap_rays_fail_the_tie(monkeypatch, r, n, fails)
 
 def test_a_boundary_wall_whose_cofaces_repeat_a_residue_fails(monkeypatch):
     fan = fan_of(3, 3)
-    maximal = [c for c in fan.cones if c.length == 3]
-    one = maximal[0]
-    other = next(c for c in maximal if c != one and c.prefixes[:-1] == one.prefixes[:-1])
+    held = records(fan)
+    one = next(iter(held))
+    other = next(c for c in held if c != one and c.prefixes[:-1] == one.prefixes[:-1])
     # the other coface of the boundary wall becomes a copy of the first, so
     # its top prefix adds the same residue
-    repeated = with_cones(fan, {other: fan.cones[one]})
+    repeated = with_cones(fan, {other: held[one]})
     walls, failed = wall_failures(repeated)
     assert walls == 216 and one.prefixes[:-1] in failed
     assert failing_lines(monkeypatch, repeated) == ([STELLAR, NOT_COMPLETE], 1)
@@ -576,7 +600,7 @@ def test_a_boundary_wall_whose_cofaces_repeat_a_residue_fails(monkeypatch):
     spec = fan.spec
     chain = parse_chain("{2:0}<{2:0,3:0}<{1:0,2:0,3:0}", spec)
     stray = (*chain.prefixes[:-1], parse_subset("{1:0,2:1,3:0}", spec))
-    relabelled = with_cones(fan, {chain: Cone(fan.cones[chain].rays, stray)})
+    relabelled = with_cones(fan, {chain: Cone(held[chain].rays, stray)})
     assert chain.prefixes[:-1] in wall_failures(relabelled)[1]
 
 
@@ -592,7 +616,7 @@ def test_a_ray_off_its_label_s_chart_fails_the_completeness_line_alone(monkeypat
     fan = fan_of(3, 1)
     assert fan.rays[label] == (1, -1)
     chains = list(enumerate_chains(spec, 1))
-    assert law_failures(fan, itertools.product(chains, chains)) == []
+    assert law_failures(cone_table(fan), itertools.product(chains, chains)) == []
     assert wall_failures(fan) == (1, [])
     assert selfcheck._rays_off_their_charts(fan) == [label]
     status, out = run(build_parser().parse_args(["check", "--r", "3", "--n", "1", "--suite", "fan"]))
@@ -731,7 +755,7 @@ def test_every_chains_barycentric_curve_has_it_as_type_round_trips_and_embeds_to
     fan = fan_of(r, n)
     spec = fan.spec
     chains = list(enumerate_chains(spec, n))
-    assert len(chains) == len(fan.cones)
+    assert len(chains) == len(fan.chains)
     for chain in chains:
         curve = barycentre(chain, spec)
         point = tropical.embed(curve, spec)
