@@ -6,7 +6,7 @@ Public surface, by capability:
   maximal building set and nestedness.
 * :mod:`cyclic_wonderful.fan` - the nested-set fan over integer lattice
   coordinates, built directly or by stellar subdivision, with point
-  location and smoothness checks.
+  location.
 * :mod:`cyclic_wonderful.chow` - the boundary-divisor presentation of the
   Chow ring and its graded ranks, by closed formula and by an independent
   rank oracle.
@@ -37,7 +37,6 @@ from .fan import (
     build_fan,
     build_fan_stellar,
     fans_equal,
-    is_smooth_cone,
     locate_point,
     ray_vector,
     support_decomposition,
@@ -96,7 +95,6 @@ __all__ = [
     "fans_equal",
     "in_delta",
     "is_nested",
-    "is_smooth_cone",
     "jump_census",
     "jump_type",
     "leq",

@@ -9,10 +9,9 @@ lattice is Z^(n*(r-1)) with basis images
 
 ``block_slot`` maps (i, a) to where e_i^a lies, and ``place`` writes a
 vector of one multiple of e_i^a per factor there: the rays, the support
-points (curves' embeddings, sampled points, the union's extreme points)
-and the normal cells' vertices.  ``act`` moves a vector by a symmetry of
-``lattice.Symmetry``, reading and writing each e_i^a through
-``block_slot``.
+points (curves' embeddings, the union's extreme points) and the normal
+cells' vertices.  ``act`` moves a vector by a symmetry of
+``lattice.Symmetry``, reading and writing each e_i^a through ``block_slot``.
 
 Rays.  The decorated subset (I, a) gives the primitive integer vector
 u = sum_{i in I} e_i^(-a(i) mod r); a chain contributes one ray per decorated
@@ -105,7 +104,6 @@ from .linalg import (
     RowTest,
     SharedRowIndex,
     SparseRow,
-    lattice_pivots,
     scaled_point,
     tests_hold,
 )
@@ -285,10 +283,6 @@ class Cone(_Value):
     def __init__(self, rays: tuple[Vector, ...], label: tuple[DecoratedSubset, ...]) -> None:
         object.__setattr__(self, "rays", rays)
         object.__setattr__(self, "label", label)
-
-    def contains(self, point: Sequence) -> bool:
-        """Whether the point has cone coordinates (``coefficients``)."""
-        return self.coefficients(point) is not None
 
     @cached_property
     def _inverse(self) -> _Inverse:
@@ -666,12 +660,6 @@ def in_relative_interior(chain: Chain, point: Sequence, spec: ArrangementSpec) -
     cone = Cone(tuple([ray_vector(d, spec) for d in chain.prefixes]), chain.prefixes)
     coeffs = cone._scaled_coefficients(scaled_point(point, spec.ambient_dim)[0])
     return coeffs is not None and all(c > 0 for c in coeffs)
-
-
-def is_smooth_cone(cone: Cone) -> bool:
-    """Whether the generators extend to a basis of the ambient lattice: each
-    gets a ``lattice_pivots`` pivot, and every pivot is 1."""
-    return lattice_pivots(cone.rays) == [1] * len(cone.rays)
 
 
 _ZERO = Fraction(0)

@@ -37,6 +37,8 @@ import operator
 from math import factorial
 from typing import Iterable, Iterator, Sequence
 
+from .linalg import _integer_field
+
 
 class _Frozen:
     """An immutable record: ``__init__`` sets each field through
@@ -206,7 +208,10 @@ class DecoratedSubset(_Value):
 
 
 def parse_subset(text: str, spec: ArrangementSpec | None = None) -> DecoratedSubset:
-    """Parse the canonical ``{i:a,j:b}`` form; validates against spec if given."""
+    """Parse the canonical ``{i:a,j:b}`` form; validates against spec if given.
+
+    Each index and residue is read by ``linalg._integer_field``, which
+    refuses ``1_0`` and ``١``."""
     text = text.strip()
     if not (text.startswith("{") and text.endswith("}")):
         raise ValueError(f"malformed decorated subset {text!r}")
@@ -215,7 +220,7 @@ def parse_subset(text: str, spec: ArrangementSpec | None = None) -> DecoratedSub
     if inner:
         for part in inner.split(","):
             i_str, _, a_str = part.partition(":")
-            pairs.append((int(i_str), int(a_str)))
+            pairs.append((_integer_field(i_str, "index"), _integer_field(a_str, "residue")))
     d = DecoratedSubset.of(pairs)
     if spec is not None:
         validate_subset(d, spec)
@@ -349,10 +354,6 @@ def leq(a: DecoratedSubset, b: DecoratedSubset) -> bool:
     """Partial order: containment of supports with agreeing residues, that
     is, of the sets of (index, residue) pairs."""
     return set(a.items).issubset(b.items)
-
-
-def comparable(a: DecoratedSubset, b: DecoratedSubset) -> bool:
-    return leq(a, b) or leq(b, a)
 
 
 _BOTTOM = DecoratedSubset(())

@@ -12,12 +12,12 @@ references.  No command runs it: a cone's rank is the number of its
 generators' ``lattice_pivots``, which also say whether the generators extend
 to a lattice basis, and a normal cell's span rows are a closed form.  No
 vector is summed here either: every vector the fan and the normal complex
-are built from (a ray, a curve's embedding, a sampled support point, an
-extreme point of the union, a normal cell's vertices and rows) is one
-multiple of a basis image per factor, at the slots ``fan.block_slot``
-gives, and every vector but a cell's sparse rows is written by
-``fan.place``.  ``solve_columns`` shares nothing with the integer cone
-kernel of :mod:`cyclic_wonderful.fan`, whose reference it is.
+are built from (a ray, a curve's embedding, an extreme point of the
+union, a normal cell's vertices and rows) is one multiple of a basis image
+per factor, at the slots ``fan.block_slot`` gives, and every vector but a
+cell's sparse rows is written by ``fan.place``.  ``solve_columns`` shares
+nothing with the integer cone kernel of :mod:`cyclic_wonderful.fan`, whose
+reference it is.
 
 Sparse integer elimination (``SparseEliminator``) updates each row in place:
 against a pivot row of lead 1 it subtracts a multiple over the pivot's

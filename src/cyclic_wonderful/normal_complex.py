@@ -111,7 +111,6 @@ from .linalg import (
     SharedRowIndex,
     SparseRow,
     scaled_point,
-    tests_hold,
 )
 
 FracVec = tuple[Fraction, ...]
@@ -173,11 +172,6 @@ class Polytope(_Frozen):
                 row[f] = Fraction(a, scale)
             rows.append((tuple(row), Fraction(bound, scale)))
         return tuple(rows)
-
-    def contains(self, point: Sequence) -> bool:
-        # the origin is a vertex of every cell, so v_rep gives the dimension
-        p, scale = scaled_point(point, len(self.v_rep[0]))
-        return tests_hold(self._tests, p, scale)
 
 
 class NormalComplex(_Frozen):

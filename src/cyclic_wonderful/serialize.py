@@ -262,19 +262,26 @@ def fan_from_dict(data: dict) -> Fan:
     No command calls it; it stays as the reference the tests round-trip the
     ``fan --format json`` output through.
     """
-    spec = ArrangementSpec(int(data["r"]), int(data["n"]))
+
+    def integer(x: object) -> int:
+        # int() would truncate 2.5 and read "1_0" as 10
+        if type(x) is not int:
+            raise ValueError(f"{x!r} is not a JSON integer")
+        return x
+
+    spec = ArrangementSpec(integer(data["r"]), integer(data["n"]))
     subsets_by_id: dict[int, DecoratedSubset] = {}
     rays: dict[DecoratedSubset, tuple[int, ...]] = {}
     for entry in data["rays"]:
         d = parse_subset(entry["subset"], spec)
-        vec = tuple(int(x) for x in entry["vector"])
+        vec = tuple(integer(x) for x in entry["vector"])
         if vec != ray_vector(d, spec):
             raise ValueError(f"ray vector for {d.text()} does not match its subset")
-        subsets_by_id[int(entry["id"])] = d
+        subsets_by_id[integer(entry["id"])] = d
         rays[d] = vec
     chains = []
     for entry in data["cones"]:
-        chain = Chain.from_prefixes(subsets_by_id[int(k)] for k in entry["ray_ids"])
+        chain = Chain.from_prefixes(subsets_by_id[integer(k)] for k in entry["ray_ids"])
         if parse_chain(entry["chain"], spec) != chain:
             raise ValueError(f"cone chain {entry['chain']!r} does not match ray ids")
         chains.append(chain)

@@ -82,14 +82,6 @@ class TropicalCurve(_Value):
     ) -> "TropicalCurve":
         return cls(tuple(spokes), tuple(Fraction(x) for x in lengths))
 
-    def scaled(self, factor) -> "TropicalCurve":
-        """The curve with every length times a positive factor: a length
-        keeps its sign, so the curve stays valid and is not checked again."""
-        f = Fraction(factor)
-        if f <= 0:
-            raise ValueError("scaling factor must be positive")
-        return TropicalCurve._trusted(self.spokes, tuple(f * x for x in self.lengths))
-
     def moved(self, g: Symmetry) -> "TropicalCurve":
         """The curve moved by the symmetry g, as g moves its type: orbit i
         goes to orbit g(i) at the same distance, and its spoke l, of

@@ -24,9 +24,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .fan import support_point
-from .lattice import ArrangementSpec
-from .tropical import CENTER, TropicalCurve
+from cyclic_wonderful.fan import support_point
+from cyclic_wonderful.lattice import ArrangementSpec
+from cyclic_wonderful.tropical import CENTER, TropicalCurve
 
 _MULT = 6364136223846793005
 _INC = 1442695040888963407

@@ -9,6 +9,7 @@ import itertools
 import time
 from fractions import Fraction
 
+from sampling import Lcg, sample_curve, sample_mixed_points
 from test_selfcheck import cone_table, law_failures, records
 
 from cyclic_wonderful.chow import (
@@ -22,7 +23,6 @@ from cyclic_wonderful.fan import (
     build_fan,
     build_fan_stellar,
     fans_equal,
-    is_smooth_cone,
     locate_point,
     ray_vector,
 )
@@ -33,12 +33,12 @@ from cyclic_wonderful.lattice import (
     DecoratedSubset,
     enumerate_chains,
 )
+from cyclic_wonderful.linalg import lattice_pivots
 from cyclic_wonderful.normal_complex import (
     complex_cells,
     in_delta,
     union_extreme_points,
 )
-from cyclic_wonderful.sampling import Lcg, sample_curve, sample_mixed_points
 from cyclic_wonderful.tropical import combinatorial_type, curve_from_point, embed
 
 BETTI_GRID = [(2, 1), (3, 1), (4, 1), (2, 2), (3, 2), (4, 2), (2, 3), (3, 3)]
@@ -112,7 +112,7 @@ def test_criterion_4_cone_intersection_law():
 def test_criterion_5_smoothness():
     for r, n in [(2, 2), (3, 2), (2, 3), (4, 2)]:
         fan = _fan(r, n)
-        assert all(is_smooth_cone(c) for c in fan.maximal_cones), (r, n)
+        assert all(lattice_pivots(c.rays) == [1] * len(c.rays) for c in fan.maximal_cones), (r, n)
     _report(5, "all maximal cones unimodular at (2,2), (3,2), (2,3), (4,2)")
 
 

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from sampling import Lcg, sample_mixed_points
 from test_linalg import combine, matrix_rank
 from test_selfcheck import cone_table, law_failures, records, with_cones
 
@@ -24,7 +25,6 @@ from cyclic_wonderful.fan import (
     build_fan_stellar,
     fans_equal,
     in_relative_interior,
-    is_smooth_cone,
     act,
     locate_point,
     ray_vector,
@@ -45,7 +45,6 @@ from cyclic_wonderful.lattice import (
     parse_chain,
     symmetry_generators,
 )
-from cyclic_wonderful.sampling import Lcg, sample_mixed_points
 from cyclic_wonderful.serialize import fan_from_dict, fan_to_dict
 
 
@@ -341,7 +340,7 @@ def _rough_cones(draw):
         tuple(draw(st.lists(st.integers(-3, 3), min_size=dim, max_size=dim)))
         for _ in range(k)
     )
-    assume(matrix_rank(rays) == k and not is_smooth_cone(Cone(rays, ())))
+    assume(matrix_rank(rays) == k and lattice_pivots(rays) != [1] * k)
     return rays
 
 
@@ -392,9 +391,7 @@ def _cones_below_full_rank(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(rays=_cones_below_full_rank(), integral=st.booleans(), data=st.data())
-def test_contains_agrees_with_coefficients_off_the_span_and_at_a_negative_coordinate(
-    rays, integral, data
-):
+def test_coefficients_are_none_off_the_span_and_at_a_negative_coordinate(rays, integral, data):
     cone = Cone(rays, ())
     dim, k = len(rays[0]), len(rays)
     numbers = st.integers(-4, 4) if integral else _RATIONALS
@@ -409,9 +406,7 @@ def test_contains_agrees_with_coefficients_off_the_span_and_at_a_negative_coordi
     if integral:
         points = [tuple(int(x) for x in p) for p in points]
         assert all(type(x) is int for p in points for x in p)
-    assert [cone.contains(p) for p in points] == [True, False, False]
-    for p in points:
-        assert cone.contains(p) == (cone.coefficients(p) is not None)
+    assert [cone.coefficients(p) for p in points] == [coeffs, None, None]
 
 
 @settings(max_examples=100, deadline=None)
@@ -436,7 +431,7 @@ def test_dependent_rays_raise(rays, weights, point):
 def test_cone_rejects_a_point_of_the_wrong_length():
     cone = Cone(((1, 0, 0), (0, 1, 0)), ())
     with pytest.raises(ValueError, match="length 2, expected 3"):
-        cone.contains((1, 1))
+        cone.coefficients((1, 1))
     with pytest.raises(ValueError, match="length 4, expected 3"):
         cone.coefficients((1, 1, 0, 0))
 
@@ -1084,7 +1079,7 @@ def test_one_location_computes_the_inverses_of_the_scanned_cones_only(where):
 
     located = locate_point(fan, point)
     assert computed() == len(cones)
-    position = next((j for j, c in enumerate(cones) if c.contains(point)), None)
+    position = next((j for j, c in enumerate(cones) if c.coefficients(point) is not None), None)
     assert position == expected
     assert (located is None) == (position is None)
     # a repeated location computes nothing new
@@ -1123,33 +1118,19 @@ def test_location_does_not_test_the_cone_the_index_found_again(r, n, monkeypatch
 # --- smoothness --------------------------------------------------------------
 
 
-def test_rayless_cone_is_smooth():
-    # no pivots, so none differs from 1
-    assert is_smooth_cone(Cone((), ()))
-
-
-def test_single_primitive_ray_is_smooth():
-    assert is_smooth_cone(Cone(((1, 0),), (ds((1, 1)),)))
-
-
 def test_smooth_2_cone_example():
     spec = ArrangementSpec(2, 2)
     fan = build_fan(spec, BuildingSet.maximal(spec))
     cone = records(fan)[chain([(1,), (1, 2)], {1: 0, 2: 0})]
     assert set(cone.rays) == {(-1, 0), (-1, -1)}
-    assert is_smooth_cone(cone)
-
-
-def test_index_two_sublattice_is_not_smooth():
-    synthetic = Cone(((2, 0), (0, 1)), (ds((1, 0)), ds((2, 0))))
-    assert not is_smooth_cone(synthetic)
+    assert lattice_pivots(cone.rays) == [1, 1]
 
 
 @pytest.mark.parametrize("r,n", [(2, 2), (3, 2), (4, 2)])
 def test_all_maximal_cones_smooth(r, n):
     spec = ArrangementSpec(r, n)
     fan = build_fan(spec, BuildingSet.maximal(spec))
-    assert all(is_smooth_cone(c) for c in fan.maximal_cones)
+    assert all(lattice_pivots(c.rays) == [1] * len(c.rays) for c in fan.maximal_cones)
 
 
 # --- cone intersection law ---------------------------------------------------
@@ -1223,13 +1204,28 @@ def test_incompleteness_for_r_3():
 # --- JSON round trip ---------------------------------------------------------
 
 
-@pytest.mark.parametrize("r,n", [(2, 2), (3, 2)])
+@pytest.mark.parametrize("r,n", [(2, 1), (2, 2), (3, 2)])
 def test_fan_json_round_trip(r, n):
     spec = ArrangementSpec(r, n)
     fan = build_fan(spec, BuildingSet.maximal(spec))
     payload = json.loads(json.dumps(fan_to_dict(fan)))
     rebuilt = fan_from_dict(payload)
     assert fans_equal(fan, rebuilt)
+    # a number that is not a JSON integer raises: int() reads each of these
+    # as the number it replaces, so the edited payload rebuilt the same fan
+    ray, ids = payload["rays"][0], payload["cones"][-1]["ray_ids"]
+    x = ray["vector"][0]
+    for where, key, bad in [
+        (lambda p: p, "r", r + 0.5),
+        (lambda p: p["rays"][0]["vector"], 0, x - 0.9 if x < 0 else x + 0.9),
+        (lambda p: p["rays"][0], "id", ray["id"] + 0.7),
+        (lambda p: p["rays"][0], "id", f"0_{ray['id']}"),
+        (lambda p: p["cones"][-1]["ray_ids"], 0, ids[0] + 0.7),
+    ]:
+        edited = json.loads(json.dumps(payload))
+        where(edited)[key] = bad
+        with pytest.raises(ValueError, match="is not a JSON integer"):
+            fan_from_dict(edited)
 
 
 def test_fan_json_schema_fields():

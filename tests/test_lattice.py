@@ -143,6 +143,10 @@ def test_subset_text_round_trip():
     d = ds((1, 0), (3, 2))
     assert d.text() == "{1:0,3:2}"
     assert parse_subset(d.text()) == d
+    # int() reads these as {10:0}, {1:0} and, from Arabic-Indic digits, {1:0}
+    for text in ("{1_0:0}", "{1:0_0}", "{\u0661:\u0660}"):
+        with pytest.raises(ValueError, match="is not an integer"):
+            parse_subset(text)
 
 
 def test_chain_prefixes():

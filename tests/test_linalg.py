@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cyclic_wonderful import linalg
@@ -129,6 +129,10 @@ def maximal_minors_gcd(rows):
 
 @settings(max_examples=300, deadline=None)
 @given(matrices())
+# a primitive ray extends to a lattice basis (pivots [1]); (2,0), (0,1)
+# span an index-two sublattice (pivot product 2), so they do not
+@example([[1, 0]])
+@example([[2, 0], [0, 1]])
 def test_lattice_pivots_count_the_rank_and_multiply_to_the_minors_gcd(rows):
     pivots = lattice_pivots(rows)
     assert len(pivots) == matrix_rank(rows)

@@ -181,9 +181,7 @@ def _commands(out_dir):
 UNREACHED = {
     "cli.run": "tests: a command's status and text, written on main's one path",
     "fan.Cone.coefficients": "benchmark: a per-layer metric (ROADMAP item 7)",
-    "fan.Cone.contains": "tests: the intersection law's membership test",
     "fan.fans_equal": "demo: fan_walkthrough compares the two routes with it",
-    "fan.is_smooth_cone": "ROADMAP item 7: reached only by tests",
     "lattice.Chain.decoration": "tests: part of Chain.sort_key",
     "lattice.Chain.empty": "ROADMAP item 7: parse_chain's empty chain, in fan_from_dict's round trip",
     "lattice.Chain.of": "tests: the tests write their chains with it",
@@ -192,7 +190,6 @@ UNREACHED = {
     "lattice.DecoratedSubset.indices": "demo: Chain.sets, which render_pinwheel reads",
     "lattice.DecoratedSubset.of": "ROADMAP item 7: parse_subset builds its subset with it",
     "lattice.chain_intersect": "tests: the meet a ∧ b of the intersection law",
-    "lattice.comparable": "ROADMAP item 7: reached only by tests",
     "lattice.is_nested": "benchmark: a per-layer metric (ROADMAP item 7)",
     "lattice.parse_chain": "ROADMAP item 7: fan_from_dict's JSON round trip",
     "lattice.parse_subset": "ROADMAP item 7: fan_from_dict's JSON round trip",
@@ -201,21 +198,12 @@ UNREACHED = {
     "linalg.solve_columns": "benchmark: a per-layer metric (ROADMAP item 7)",
     "normal_complex.NormalComplex._cell_index": "demo: NormalComplex.contains scans it",
     "normal_complex.NormalComplex.contains": "demo: normal_complex_walkthrough locates points with it",
-    "normal_complex.Polytope.contains": "ROADMAP item 7: reached only by tests",
     "normal_complex.Polytope.h_rep": "tests: the dense rows of the cell and JSON references",
     "normal_complex.in_delta": "benchmark: a per-layer metric, and the normal complex demo prints it",
     "normal_complex.z_vector": "ROADMAP item 3: the degree of D(z)^n reads it",
-    "sampling.Lcg._fraction": "tests: sample_curve and sample_support_point build each drawn rational once with it",
-    "sampling.Lcg.below": "tests: every draw of the tests' samplers (ROADMAP item 17b moves the sampler there)",
-    "sampling.Lcg.fraction": "tests: sample_ambient_point draws with it",
-    "sampling.sample_ambient_point": "tests: sample_mixed_points draws off the support with it",
-    "sampling.sample_mixed_points": "tests: the sampled cross-checks of the exact check lines",
-    "sampling.sample_curve": "tests: the sampled curves of the tropical, acceptance and route tests",
-    "sampling.sample_support_point": "tests: sample_mixed_points draws on the support with it",
     "serialize.fan_from_dict": "ROADMAP item 7: a documented JSON round trip",
     "serialize.fan_to_dict": "benchmark: a per-layer metric, and the tests' reference for fan JSON",
     "tropical.TropicalCurve.of": "benchmark: the query workload builds its curves with it",
-    "tropical.TropicalCurve.scaled": "tests: the scaling-invariance cross-check of the tropical suite's exact lines",
     "tropical.render_pinwheel": "demo: tropical_walkthrough prints it",
 }
 

@@ -13,6 +13,7 @@ import itertools
 import sys
 
 import pytest
+from sampling import Lcg, sample_curve, sample_mixed_points
 
 from cyclic_wonderful import fan as fan_module
 from cyclic_wonderful import normal_complex
@@ -33,7 +34,6 @@ from cyclic_wonderful.lattice import (
 )
 from cyclic_wonderful.linalg import extreme_points
 from cyclic_wonderful.normal_complex import complex_cells, in_delta, union_extreme_points
-from cyclic_wonderful.sampling import Lcg, sample_curve, sample_mixed_points
 from cyclic_wonderful.selfcheck import _barycentric_curve
 from cyclic_wonderful.tropical import combinatorial_type, curve_from_point, embed
 
