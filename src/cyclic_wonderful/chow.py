@@ -22,27 +22,32 @@ relation) x (chain monomial of degree k-1) against that spanning set, and
 subtracts the exact rank of the resulting integer matrix.
 It builds and expands only the n(r-1) reduced relations (i, 0, b), by the
 presentation's writer; they span the same degree-1 space as all emitted
-relations, so their products span the same degree-k space.  Columns run in
-reverse lexicographic order, so each pivot sits on a row's lexicographically
-last chain monomial.
+relations, so their products span the same degree-k space.  Columns number
+each degree's monomials in colex order: by largest generator first, then
+by the colex order of the rest.  Each pivot sits on its row's colex-first
+chain monomial.
 
 Rows are fed relation-major (every row of reduced relation 0, then of
-relation 1, ...), shortest first within a relation, and the row L_j * mu is
-skipped when mu became a degree-(k-1) pivot while a relation before j was
-fed (Faugere's F5 criterion).  Such a mu is the lead (the eliminator's
-pivot) of some g = sum_{i<j} h_i L_i, and L_j g = sum_{i<j} L_i (h_i L_j),
-so L_j mu is a combination of rows of earlier relations and rows L_j mu'
-with mu' past mu among g's other monomials; induction on (relation,
-monomial) shows the skipped rows add nothing to the span.  The argument
-holds in the quotient by the incomparable products and for any column
-order, but it needs the relation-major feed: a pivot created while
-relation i is fed is a combination of rows of relations <= i only.  At
-r = 2 no fed row reduces to zero.  Row order, column order and the
-skipped rows change the fill of the pivot rows, never the rank: the
-elimination is exact integer arithmetic throughout.  With this order
-nearly every pivot row has lead 1, so a row is updated in place against
-it with no gcd; only a step against another lead scales the row and
-divides it by its content.
+relation 1, ...), in the colex order of mu within a relation, and the row
+L_j * mu is skipped when mu became a degree-(k-1) pivot while a relation
+before j was fed (Faugere's F5 criterion).  Such a mu is the lead (the
+eliminator's pivot) of some g = sum_{i<j} h_i L_i, and
+L_j g = sum_{i<j} L_i (h_i L_j), so L_j mu is a combination of rows of
+earlier relations and rows L_j mu' with mu' past mu among g's other
+monomials; induction on (relation, monomial) shows the skipped rows add
+nothing to the span.  The argument holds in the quotient by the
+incomparable products and for any column order, but it needs the
+relation-major feed: a pivot created while relation i is fed is a
+combination of rows of relations <= i only.  What the criterion skips
+depends on the column order.  Under colex columns no fed row reduces to
+zero at any of 13 specs, (2..6, 2), (2..5, 3), (2..4, 4) and (2, 5); the
+tests count them up to (3,4).  This is measured, not proved.  Row
+order, column order and the skipped rows change the fill of the pivot
+rows, never the rank: the elimination is exact integer arithmetic
+throughout.  With this order all but a few pivot rows have lead 1 (8 of
+6,177 at (2,4), 10 of 79,793 at (4,4)), so a row is updated in place
+against it with no gcd; only a step against another lead scales the row
+and divides it by its content.
 
 The top set T of mu's chain repeats rows too.  Every multiplier of mu is
 comparable to T, so one that holds a factor i of T decorates it by T(i):
@@ -55,11 +60,14 @@ are as before.  At r = 2 there is no such row.
 
 A monomial's multipliers (the generators comparable to all its factors)
 are filtered from those of the monomial one degree below.  They give the
-next degree's monomials, mu + (g,) for g >= mu[-1] in lexicographic order,
-and the columns of mu's rows: mu * g is the next new monomial, or for
-g < mu[-1] one made earlier, found with g inserted at
-``bisect_right(mu, g)``.  One loop runs over the degrees, and pass k
-holds the lists of degrees k-1 and k only: it frees the eliminator of
+next degree's monomials, mu + (g,) for g >= mu[-1], with no sort: they
+are counted by their largest generator g, and each g's run of columns is
+filled by walking degree k-1 in its colex order.  The same walk gives the
+columns of mu's rows: mu * g with g >= mu[-1] takes the next column of
+g's run, and one with g < mu[-1] is (mu less mu[-1], with g) * mu[-1],
+made earlier in the walk and found by its key, the product of one prime
+per factor.  One loop runs over the degrees, and pass k holds the lists
+of degrees k-1 and k only: it frees the eliminator of
 degree k-1, builds degree k's monomials and rows, then (below the top)
 degree k's multipliers, drops degree k-1's lists and only then
 eliminates.  The oracle is refused before any work by its
@@ -70,8 +78,8 @@ generator count and by the width of its top degree
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left, bisect_right
-from math import comb, factorial
+from bisect import bisect_left
+from math import comb, factorial, isqrt
 from typing import Iterator, Sequence
 
 from .guards import COUNT_CAP, check_oracle_size, check_oracle_width
@@ -273,15 +281,48 @@ def _comparable_sets(generators: Sequence[DecoratedSubset]) -> list[frozenset[in
     return [frozenset(s) for s in sets]
 
 
-def _extensions(
-    lower: Sequence[tuple[int, ...]], multipliers: Sequence[Sequence[int]]
-) -> Iterator[tuple[tuple[int, ...], Sequence[int], int]]:
-    """(mu, multipliers of mu, g) for each monomial mu + (g,) one degree
-    above ``lower``, in lexicographic order: g runs over mu's multipliers
-    from mu[-1] on."""
+def _primes(count: int) -> list[int]:
+    """The first ``count`` primes: a sieve of Eratosthenes doubles its
+    bound until it holds that many."""
+    bound = 16
+    while True:
+        sieve = bytearray([1]) * bound
+        sieve[:2] = bytes(2)
+        for x in range(2, isqrt(bound - 1) + 1):
+            if sieve[x]:
+                sieve[x * x :: x] = bytes(len(range(x * x, bound, x)))
+        primes = list(itertools.compress(range(bound), sieve))
+        if len(primes) >= count:
+            return primes[:count]
+        bound *= 2
+
+
+def _column_starts(
+    lower: Sequence[tuple[int, ...]], multipliers: Sequence[Sequence[int]], generator_count: int
+) -> list[int]:
+    """Entry g is the column of the first monomial one degree above
+    ``lower`` whose largest generator is g, and the last entry is their
+    number: the products are counted by their largest generator."""
+    counts = [0] * generator_count
     for mono, mults in zip(lower, multipliers):
         for g in mults[bisect_left(mults, mono[-1]) if mono else 0:]:
-            yield mono, mults, g
+            counts[g] += 1
+    return list(itertools.accumulate(counts, initial=0))
+
+
+def _extensions(
+    lower: Sequence[tuple[int, ...]], multipliers: Sequence[Sequence[int]], starts: Sequence[int]
+) -> Iterator[tuple[int, tuple[int, ...], Sequence[int], int]]:
+    """(column, mu, multipliers of mu, g) for each monomial mu + (g,) one
+    degree above ``lower``: g runs over mu's multipliers from mu[-1] on, and
+    the products topped by g take their columns from ``starts[g]`` on in
+    the order of ``lower``.  With ``lower`` in colex order, so is the
+    numbering."""
+    free = list(starts)
+    for mono, mults in zip(lower, multipliers):
+        for g in mults[bisect_left(mults, mono[-1]) if mono else 0:]:
+            yield free[g], mono, mults, g
+            free[g] += 1
 
 
 def _relation_rows(
@@ -290,45 +331,50 @@ def _relation_rows(
     repeats: Sequence[Sequence[int]],
     lower: Sequence[tuple[int, ...]],
     multipliers: Sequence[Sequence[int]],
-    upper: Sequence[tuple[int, ...]],
+    starts: Sequence[int],
     lower_pivots: dict[int, int],
+    primes: Sequence[int],
 ) -> list[list[dict[int, int]]]:
     """The rows (relation) x (degree k-1 chain monomial), one block per relation.
 
-    ``lower`` and ``upper`` are the chain monomials of degrees k-1 and k in
-    lexicographic order, and ``multipliers`` holds the multipliers of each
-    monomial of ``lower``.  ``by_generator`` maps each generator to its
-    (relation index, coefficient) pairs in relation order, and ``repeats``
-    maps each generator to the relations whose rows repeat that of
-    (i, 0, 1) on a monomial it tops.  Columns number ``upper`` in reverse
-    lexicographic order.
+    ``lower`` holds the chain monomials of degree k-1 in colex order, each
+    numbered by its position, and ``multipliers`` the multipliers of each;
+    ``starts`` numbers degree k as :func:`_extensions` does.
+    ``by_generator`` maps each generator to its (relation index,
+    coefficient) pairs in relation order, and ``repeats`` maps each
+    generator to the relations whose rows repeat that of (i, 0, 1) on a
+    monomial it tops.
 
-    Block j holds the rows of relation j, shortest first (stable over
-    ``lower``).  Products whose support is not a chain are dropped: they
-    die under the quadratic relations.  The row (j, mu) is skipped when
-    ``lower_pivots`` (degree-(k-1) pivot column -> creating relation) says
-    mu's column became a pivot while a relation before j was fed, and the
-    rows of ``repeats[mu[-1]]`` are dropped (see the module docstring for
-    both).  The product mu * g with g >= mu[-1] is the next monomial of
-    ``upper``, so its column is a running count; one with g < mu[-1] is
-    looked up, with g inserted at ``bisect_right(mu, g)``.
+    Block j holds the rows of relation j, in the order of ``lower``.
+    Products whose support is not a chain are dropped: they die under the
+    quadratic relations.  The row (j, mu) is skipped when ``lower_pivots``
+    (degree-(k-1) pivot column -> creating relation) says mu's column
+    became a pivot while a relation before j was fed, and the rows of
+    ``repeats[mu[-1]]`` are dropped (see the module docstring for both).
+
+    A product is keyed by the product of its factors' ``primes``, one per
+    generator, so mu * g is mu's key times g's prime.  With g >= mu[-1] it
+    takes the next column of g's run and enters the key map; with
+    g < mu[-1] it is (mu less mu[-1], with g) * mu[-1], whose first factor
+    comes before mu in colex order, so its column is already in the map.
     """
-    fresh = len(upper)  # one past the column of the last new product
-    columns = {mono: fresh - 1 - pos for pos, mono in enumerate(upper)}
+    columns: dict[int, int] = {}  # key -> column of the products made so far
     blocks: list[list[dict[int, int]]] = [[] for _ in relations]
-    last = len(lower) - 1
+    free = list(starts)
     for pos, (mono, mults) in enumerate(zip(lower, multipliers)):
         # rows of relations past the pivot's creator are redundant
-        keep = lower_pivots.get(last - pos, len(relations))
+        keep = lower_pivots.get(pos, len(relations))
         split = bisect_left(mults, mono[-1]) if mono else 0
+        key = 1
+        for x in mono:
+            key *= primes[x]
         mono_rows: dict[int, dict[int, int]] = {}
         for at, g in enumerate(mults):
             if at < split:
-                i = bisect_right(mono, g)
-                col = columns[mono[:i] + (g,) + mono[i:]]
+                col = columns[key * primes[g]]
             else:
-                fresh -= 1
-                col = fresh
+                col = columns[key * primes[g]] = free[g]
+                free[g] += 1
             for index, c in by_generator[g]:
                 if index > keep:
                     break
@@ -341,8 +387,6 @@ def _relation_rows(
             mono_rows.pop(index, None)
         for index, row in mono_rows.items():
             blocks[index].append(row)
-    for block in blocks:
-        block.sort(key=len)
     return blocks
 
 
@@ -369,7 +413,8 @@ def _relation_spaces(
     """The relation spaces of degrees 1..top, one degree at a time.
 
     Returns the comparable sets of :func:`_comparable_sets`, the degree-top
-    chain monomials in lexicographic order, the width (monomial count) and
+    chain monomials in colex order (a monomial's column is its position),
+    the width (monomial count) and
     the rank of each degree 1..top, and the degree-top eliminator.  The
     relations are the n(r-1) reduced ones, from the presentation's writer.
 
@@ -395,6 +440,7 @@ def _relation_spaces(
         [index for i, c in d.items if c == 0 for index in by_factor.get(i, ())]
         for d in generators
     ]
+    primes = _primes(len(generators))
     lower: list[tuple[int, ...]] = [()]
     multipliers: list[Sequence[int]] = [range(len(generators))]
     widths: list[int] = []
@@ -402,17 +448,21 @@ def _relation_spaces(
     elim, pivots = SparseEliminator(), {}
     for k in range(1, top + 1):
         del elim  # free degree k-1 before degree k's rows are built
-        upper = [mono + (g,) for mono, _, g in _extensions(lower, multipliers)]
-        blocks = _relation_rows(relations, by_generator, repeats, lower, multipliers, upper, pivots)
+        starts = _column_starts(lower, multipliers, len(generators))
+        upper: list[tuple[int, ...]] = [()] * starts[-1]
+        for col, mono, _, g in _extensions(lower, multipliers, starts):
+            upper[col] = mono + (g,)
+        blocks = _relation_rows(
+            relations, by_generator, repeats, lower, multipliers, starts, pivots, primes
+        )
         # degree k's multipliers are made once its rows exist, and degree
         # k-1's lists go before the elimination
+        upper_multipliers: list[Sequence[int]] = []
         if k < top:
-            multipliers = [
-                list(filter(comparable[g].__contains__, mults))
-                for _, mults, g in _extensions(lower, multipliers)
-            ]
-        else:
-            multipliers = []
+            upper_multipliers = [()] * len(upper)
+            for col, _, mults, g in _extensions(lower, multipliers, starts):
+                upper_multipliers[col] = list(filter(comparable[g].__contains__, mults))
+        multipliers = upper_multipliers
         lower = upper
         elim, pivots = _eliminate(blocks)
         del blocks  # spent: the eliminator holds the rows it kept
@@ -440,8 +490,7 @@ class DegreeReducer:
         self.spec = spec
         self.k = k
         self._comparable, top, _, _, self._elim = _relation_spaces(spec, k)
-        last = len(top) - 1
-        self._columns = {mono: last - pos for pos, mono in enumerate(top)}
+        self._columns = {mono: col for col, mono in enumerate(top)}
         self._generator_index = {d: i for i, d in enumerate(enumerate_decorated_subsets(spec))}
 
     def monomial_is_zero(self, gens: Sequence[DecoratedSubset]) -> bool:

@@ -120,12 +120,15 @@ class SparseEliminator:
     Rows are sparse ``{column: coefficient}`` dicts.  Feeding a row reduces
     it against the pivots collected so far; a surviving nonzero row becomes
     a new pivot, divided by its content and with a positive lead.  The row
-    is updated in place: against a pivot of lead 1 (nearly every pivot of
-    the rank oracle) the update is ``r -= b * p`` over the pivot's columns,
-    with no gcd; only a pivot of lead ``a > 1`` scales the row by
-    ``a / gcd(a, b)``, and the row is then divided by its content.  Each
-    intermediate row is a nonzero multiple of the cross-multiplied one, so
-    the pivots are the same.
+    is updated in place: against a pivot of lead 1 the update is
+    ``r -= b * p`` over the pivot's columns, with no gcd; only a pivot of
+    lead ``a > 1`` scales the row by ``a / gcd(a, b)``, and the row is then
+    divided by its content.  Each intermediate row is a nonzero multiple of
+    the cross-multiplied one, so the pivots are the same.  The rank
+    oracle's colex columns give lead 1 to all but a few of its pivots (8
+    of 6,177 at (2,4)) and feed it no row that reduces to zero at the specs
+    measured: 1,340 reduction steps at (2,4), where reverse lexicographic
+    columns took 8,564.
 
     ``add`` takes its row over and reduces it as it is, with no copy;
     ``reduce`` and ``is_in_span`` work on a copy and leave their argument

@@ -2,7 +2,7 @@
 
 import functools
 import itertools
-from math import comb, factorial
+from math import comb, factorial, isqrt
 from types import SimpleNamespace
 
 import pytest
@@ -10,6 +10,7 @@ from test_linalg import ReferenceEliminator, independent_row_indices
 
 from cyclic_wonderful.chow import (
     DegreeReducer,
+    _primes,
     _relation_rows,
     _relation_spaces,
     betti_closed_form,
@@ -64,6 +65,17 @@ def reference_monomials(r, n, k):
     )
 
 
+def colex(monos):
+    """The monomials in colex order, the oracle's column order: by largest
+    generator, then by the colex order of the rest."""
+    return tuple(sorted(monos, key=lambda m: m[::-1]))
+
+
+def colex_columns(monos):
+    """The oracle's column of each monomial: its position in colex order."""
+    return {mono: col for col, mono in enumerate(colex(monos))}
+
+
 def record_degrees(monkeypatch, spec, top):
     """Run the oracle's degree loop up to ``top`` and record each call of
     the row builder: its arguments and a copy of its blocks (the
@@ -71,16 +83,15 @@ def record_degrees(monkeypatch, spec, top):
     calls, one per degree."""
     calls = []
 
-    def recording(relations, by_generator, repeats, lower, multipliers, upper, lower_pivots):
-        blocks = _relation_rows(
-            relations, by_generator, repeats, lower, multipliers, upper, lower_pivots
-        )
+    def recording(*args):
+        blocks = _relation_rows(*args)
+        relations, _, _, lower, multipliers, starts, lower_pivots, _ = args
         calls.append(
             SimpleNamespace(
                 relations=list(relations.items()),
                 lower=tuple(lower),
                 multipliers=[list(m) for m in multipliers],
-                upper=tuple(upper),
+                starts=list(starts),
                 lower_pivots=lower_pivots,
                 blocks=[[dict(row) for row in block] for block in blocks],
             )
@@ -355,18 +366,12 @@ def test_oracle_ranks_are_palindromic(r, n):
     assert dims == dims[::-1]
 
 
-def reverse_columns(upper):
-    """The oracle's column of each monomial: reverse lexicographic order."""
-    last = len(upper) - 1
-    return {mono: last - pos for pos, mono in enumerate(upper)}
-
-
 def expanded_rows(relations, lower, upper):
     """Every (relation) x (monomial of ``lower``) row over the monomials of
     ``upper``, the chain monomials one degree up, with no row skipped: the
     reference for the oracle.  ``relations`` holds each relation's
     (generator, coefficient) pairs."""
-    columns = reverse_columns(upper)
+    columns = colex_columns(upper)
     for pairs in relations:
         for mono in lower:
             row = {}
@@ -380,7 +385,7 @@ def expanded_rows(relations, lower, upper):
 @pytest.mark.parametrize("r,n", [(2, 2), (3, 2), (2, 3), (4, 2), (3, 3)])
 def test_relation_space_rank_matches_dense_rank_of_all_emitted_relations(r, n):
     # the oracle expands only the reduced relations, numbers columns in
-    # reverse lexicographic order, feeds its rows relation-major and skips
+    # colex order, feeds its rows relation-major and skips
     # the rows the F5 criterion proves redundant; none of that may change
     # the span of (every emitted relation) x (chain monomial), built densely
     spec = ArrangementSpec(r, n)
@@ -388,7 +393,7 @@ def test_relation_space_rank_matches_dense_rank_of_all_emitted_relations(r, n):
     for k in range(1, n + 1):
         _, top, _, _, elim = _relation_spaces(spec, k)
         basis = reference_monomials(r, n, k)
-        assert tuple(top) == basis
+        assert tuple(top) == colex(basis)
         # every row of every emitted relation, ranked by the cross-multiplied
         # reference (a Fraction RREF takes 10 s at (3, 3), degree 3)
         reference = ReferenceEliminator()
@@ -399,9 +404,12 @@ def test_relation_space_rank_matches_dense_rank_of_all_emitted_relations(r, n):
         assert elim.rank == reference.rank
 
 
-@pytest.mark.parametrize("r,n", [(2, 2), (2, 3), (2, 4)])
-def test_every_fed_row_raises_the_rank_at_r2(monkeypatch, r, n):
-    # at r = 2 the F5 criterion skips every row that would reduce to zero
+@pytest.mark.parametrize(
+    "r,n", [(2, 2), (2, 3), (2, 4), (3, 2), (4, 2), (5, 2), (3, 3), (4, 3), (5, 3), (3, 4)]
+)
+def test_every_fed_row_raises_the_rank(monkeypatch, r, n):
+    # with colex columns the F5 criterion and the rows the top set repeats
+    # leave no fed row that reduces to zero
     fed = []
     add = SparseEliminator.add
 
@@ -415,10 +423,10 @@ def test_every_fed_row_raises_the_rank_at_r2(monkeypatch, r, n):
     assert fed and all(fed)
 
 
-@pytest.mark.parametrize("r,n,rows", [(3, 3, 931), (4, 3, 2125), (2, 4, 6177)])
+@pytest.mark.parametrize("r,n,rows", [(3, 3, 884), (4, 3, 1965), (2, 4, 6177)])
 def test_every_oracle_row_is_fed_through_add(monkeypatch, r, n, rows):
     # add is the oracle's only feed path: the benchmark's add counters and
-    # the r = 2 test above see every row through it
+    # the test above see every row through it
     spec = ArrangementSpec(r, n)
     calls = []
     add = SparseEliminator.add
@@ -442,22 +450,20 @@ def reference_multipliers(comp, mono):
 def reference_relation_rows(r, n, relations, k, lower_pivots):
     """The oracle's degree-k blocks as they were built before each
     monomial's multipliers were filtered from the degree below: every
-    product's column is looked up by its sorted tuple.  The row of
-    (i, 0, b), b >= 2, is left out when the monomial's top set decorates i
-    by 0."""
+    product's column is looked up by its sorted tuple, and the degree-(k-1)
+    monomials are walked in colex order.  The row of (i, 0, b), b >= 2, is
+    left out when the monomial's top set decorates i by 0."""
     gens, _ = presentation(ArrangementSpec(r, n))
     comp = reference_comparable(r, n)
-    columns = reverse_columns(reference_monomials(r, n, k))
+    columns = colex_columns(reference_monomials(r, n, k))
     keys = list(relations)
     by_generator = [[] for _ in gens]
     for index, pairs in enumerate(relations.values()):
         for g, c in pairs:
             by_generator[g].append((index, c))
     blocks = [[] for _ in relations]
-    lower = reference_monomials(r, n, k - 1)
-    last = len(lower) - 1
-    for pos, mono in enumerate(lower):
-        keep = lower_pivots.get(last - pos, len(relations))
+    for pos, mono in enumerate(colex(reference_monomials(r, n, k - 1))):
+        keep = lower_pivots.get(pos, len(relations))
         mono_rows = {}
         for g in reference_multipliers(comp, mono):
             col = columns[tuple(sorted(mono + (g,)))]
@@ -470,8 +476,6 @@ def reference_relation_rows(r, n, relations, k, lower_pivots):
             i, _, b = keys[index]
             if b < 2 or top.get(i) != 0:
                 blocks[index].append(row)
-    for block in blocks:
-        block.sort(key=len)
     return blocks
 
 
@@ -511,10 +515,25 @@ def test_relation_rows_equal_the_sorted_product_rows(monkeypatch, r, n):
     assert len(calls) == n
     comp = reference_comparable(r, n)
     for k, call in enumerate(calls, 1):
-        assert call.lower == reference_monomials(r, n, k - 1)
-        assert call.upper == reference_monomials(r, n, k)
+        upper = colex(reference_monomials(r, n, k))
+        # starts[g]: the first column of the monomials topped by g
+        assert call.starts == [sum(m[-1] < g for m in upper) for g in range(len(comp) + 1)]
         assert call.multipliers == [reference_multipliers(comp, mono) for mono in call.lower]
         assert call.blocks == reference_relation_rows(r, n, relations, k, call.lower_pivots)
+
+
+@pytest.mark.parametrize("r,n", [(2, 2), (3, 2), (2, 3), (3, 3), (4, 3), (2, 4)])
+def test_oracle_and_reducer_columns_are_the_colex_order(monkeypatch, r, n):
+    # the oracle numbers each degree by counting its monomials' largest
+    # generators, with no sort; a monomial's column is its position in the
+    # degree's list, and the reducer reads the top list's numbering
+    spec = ArrangementSpec(r, n)
+    for k in range(1, n + 1):
+        reducer = DegreeReducer(spec, k)
+        assert reducer._columns == colex_columns(reference_monomials(r, n, k))
+    (_, top, _, _, _), calls = record_degrees(monkeypatch, spec, n)
+    for k, monos in enumerate([*(call.lower for call in calls), tuple(top)]):
+        assert monos == colex(reference_monomials(r, n, k))
 
 
 @pytest.mark.parametrize("r,n", [(3, 3), (4, 3), (2, 4)])
@@ -532,6 +551,16 @@ def test_oracle_rows_give_the_cross_multiplied_pivots(monkeypatch, r, n):
         if k < n:
             assert set(calls[k].lower_pivots) == set(elim.pivots)
     assert oracle.pivots == elim.pivots
+
+
+# the sieve's first bound, 16, holds 6 primes; 1,000 is the oracle's
+# default generator bound
+@pytest.mark.parametrize("count", [0, 1, 6, 7, 55, 1000])
+def test_product_keys_use_the_first_primes(count):
+    # a product's key is the product of its factors' primes, one per
+    # generator, so two distinct monomials never share a key
+    reference = [x for x in range(2, 8000) if all(x % p for p in range(2, isqrt(x) + 1))][:count]
+    assert _primes(count) == reference
 
 
 @pytest.mark.parametrize("r,n", [(2, 2), (3, 2), (2, 3), (3, 3), (4, 2), (2, 4)])
@@ -661,7 +690,7 @@ def test_degree_two_reducer_matches_the_unpruned_rows(r, n):
     unpruned = SparseEliminator()
     for row in expanded_rows(reduced_relations(pres).values(), lower, upper):
         unpruned.add(row)
-    columns = reverse_columns(upper)
+    columns = colex_columns(upper)
     for mono in upper:
         gens = [generators[x] for x in mono]
         assert reducer.monomial_is_zero(gens) == unpruned.is_in_span({columns[mono]: 1})
