@@ -127,8 +127,7 @@ class SparseEliminator:
     the cross-multiplied one, so the pivots are the same.  The rank
     oracle's colex columns give lead 1 to all but a few of its pivots (8
     of 6,177 at (2,4)) and feed it no row that reduces to zero at the specs
-    measured: 1,340 reduction steps at (2,4), where reverse lexicographic
-    columns took 8,564.
+    measured.
 
     ``add`` takes its row over and reduces it as it is, with no copy;
     ``reduce`` and ``is_in_span`` work on a copy and leave their argument
