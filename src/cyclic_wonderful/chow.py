@@ -47,7 +47,8 @@ rows, never the rank: the elimination is exact integer arithmetic
 throughout.  With this order all but a few pivot rows have lead 1 (8 of
 6,177 at (2,4), 10 of 79,793 at (4,4)), so a row is updated in place
 against it with no gcd; only a step against another lead scales the row
-and divides it by its content.
+and divides it by its content.  A new pivot of lead +-1 has content 1 and
+needs no content pass: all but 8 of the 6,177 at (2,4).
 
 The top set T of mu's chain repeats rows too.  Every multiplier of mu is
 comparable to T, so one that holds a factor i of T decorates it by T(i):
@@ -62,16 +63,21 @@ A monomial's multipliers (the generators comparable to all its factors)
 are filtered from those of the monomial one degree below.  They give the
 next degree's monomials, mu + (g,) for g >= mu[-1], with no sort: they
 are counted by their largest generator g, and each g's run of columns is
-filled by walking degree k-1 in its colex order.  The same walk gives the
-columns of mu's rows: mu * g with g >= mu[-1] takes the next column of
-g's run, and one with g < mu[-1] is (mu less mu[-1], with g) * mu[-1],
-made earlier in the walk and found by its key, the product of one prime
-per factor.  One loop runs over the degrees, and pass k holds the lists
-of degrees k-1 and k only: it frees the eliminator of
-degree k-1, builds degree k's monomials and rows, then (below the top)
-degree k's multipliers, drops degree k-1's lists and only then
-eliminates.  The oracle is refused before any work by its
-generator count and by the width of its top degree
+filled by walking degree k-1 in its colex order.  Degree k-1 is walked
+once.  The walk gives the columns of mu's rows: mu * g with g >= mu[-1]
+is a new monomial, which takes the next column of g's run and enters
+degree k's list, and one with g < mu[-1] is (mu less mu[-1], with g) *
+mu[-1], made earlier in the walk and found by its key, the product of
+one prime per factor.  Below the top, each new monomial takes mu's
+multipliers along, and once the rows exist a plain loop over degree k
+filters them by its largest generator's comparable set and counts degree
+k+1's monomials by largest generator (filtered between the rows, they
+raised the cold peak at (2,5) from 88 to 91 MiB).  One loop runs over
+the degrees, and pass k holds the lists of degrees k-1 and k only: it
+frees the eliminator of degree k-1, builds degree k's monomials, rows
+and (below the top) multipliers, drops degree k-1's lists and only then
+eliminates.  The oracle is refused before any work by its generator
+count and by the width of its top degree
 (:func:`top_monomial_count`).
 """
 
@@ -80,7 +86,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from math import comb, factorial, isqrt
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .guards import COUNT_CAP, check_oracle_size, check_oracle_width
 from .lattice import (
@@ -297,49 +303,26 @@ def _primes(count: int) -> list[int]:
         bound *= 2
 
 
-def _column_starts(
-    lower: Sequence[tuple[int, ...]], multipliers: Sequence[Sequence[int]], generator_count: int
-) -> list[int]:
-    """Entry g is the column of the first monomial one degree above
-    ``lower`` whose largest generator is g, and the last entry is their
-    number: the products are counted by their largest generator."""
-    counts = [0] * generator_count
-    for mono, mults in zip(lower, multipliers):
-        for g in mults[bisect_left(mults, mono[-1]) if mono else 0:]:
-            counts[g] += 1
-    return list(itertools.accumulate(counts, initial=0))
-
-
-def _extensions(
-    lower: Sequence[tuple[int, ...]], multipliers: Sequence[Sequence[int]], starts: Sequence[int]
-) -> Iterator[tuple[int, tuple[int, ...], Sequence[int], int]]:
-    """(column, mu, multipliers of mu, g) for each monomial mu + (g,) one
-    degree above ``lower``: g runs over mu's multipliers from mu[-1] on, and
-    the products topped by g take their columns from ``starts[g]`` on in
-    the order of ``lower``.  With ``lower`` in colex order, so is the
-    numbering."""
-    free = list(starts)
-    for mono, mults in zip(lower, multipliers):
-        for g in mults[bisect_left(mults, mono[-1]) if mono else 0:]:
-            yield free[g], mono, mults, g
-            free[g] += 1
-
-
 def _relation_rows(
     relations: Relations,
     by_generator: Sequence[Sequence[tuple[int, int]]],
     repeats: Sequence[Sequence[int]],
+    comparable: Sequence[frozenset[int]],
     lower: Sequence[tuple[int, ...]],
     multipliers: Sequence[Sequence[int]],
     starts: Sequence[int],
     lower_pivots: dict[int, int],
     primes: Sequence[int],
-) -> list[list[dict[int, int]]]:
-    """The rows (relation) x (degree k-1 chain monomial), one block per relation.
+    extend: bool,
+) -> tuple[list[list[dict[int, int]]], list[tuple[int, ...]], list[Sequence[int]], list[int]]:
+    """Degree k in one walk of degree k-1: its rows (relation) x (degree k-1
+    chain monomial), one block per relation, its chain monomials in colex
+    order and, when ``extend``, their multipliers and degree k+1's starts.
 
     ``lower`` holds the chain monomials of degree k-1 in colex order, each
     numbered by its position, and ``multipliers`` the multipliers of each;
-    ``starts`` numbers degree k as :func:`_extensions` does.
+    entry g of ``starts`` is the column of the first degree-k monomial
+    whose largest generator is g, and the last entry is their number.
     ``by_generator`` maps each generator to its (relation index,
     coefficient) pairs in relation order, and ``repeats`` maps each
     generator to the relations whose rows repeat that of (i, 0, 1) on a
@@ -354,12 +337,19 @@ def _relation_rows(
 
     A product is keyed by the product of its factors' ``primes``, one per
     generator, so mu * g is mu's key times g's prime.  With g >= mu[-1] it
-    takes the next column of g's run and enters the key map; with
-    g < mu[-1] it is (mu less mu[-1], with g) * mu[-1], whose first factor
-    comes before mu in colex order, so its column is already in the map.
+    is a new monomial: it takes the next column of g's run and enters the
+    key map and the monomial list; with g < mu[-1] it is (mu less mu[-1],
+    with g) * mu[-1], whose first factor comes before mu in colex order, so
+    its column is already in the map.  A new monomial's multipliers are
+    mu's, filtered by ``comparable[g]`` once the rows exist (see the module
+    docstring); without ``extend`` (the top degree) none is made, and the
+    next degree's starts are all 0.
     """
     columns: dict[int, int] = {}  # key -> column of the products made so far
     blocks: list[list[dict[int, int]]] = [[] for _ in relations]
+    upper: list[tuple[int, ...]] = [()] * starts[-1]
+    upper_multipliers: list[Sequence[int]] = [()] * starts[-1] if extend else []
+    counts = [0] * (len(starts) - 1)  # next degree's monomials by largest generator
     free = list(starts)
     for pos, (mono, mults) in enumerate(zip(lower, multipliers)):
         # rows of relations past the pivot's creator are redundant
@@ -375,6 +365,9 @@ def _relation_rows(
             else:
                 col = columns[key * primes[g]] = free[g]
                 free[g] += 1
+                upper[col] = mono + (g,)
+                if extend:
+                    upper_multipliers[col] = mults
             for index, c in by_generator[g]:
                 if index > keep:
                     break
@@ -387,7 +380,13 @@ def _relation_rows(
             mono_rows.pop(index, None)
         for index, row in mono_rows.items():
             blocks[index].append(row)
-    return blocks
+    if extend:  # each product holds mu's multipliers: filter them once the rows exist
+        for col, (mono, mults) in enumerate(zip(upper, upper_multipliers)):
+            g = mono[-1]
+            mults = upper_multipliers[col] = list(filter(comparable[g].__contains__, mults))
+            for h in mults[bisect_left(mults, g):]:
+                counts[h] += 1
+    return blocks, upper, upper_multipliers, list(itertools.accumulate(counts, initial=0))
 
 
 def _eliminate(blocks: list[list[dict[int, int]]]) -> tuple[SparseEliminator, dict[int, int]]:
@@ -399,10 +398,11 @@ def _eliminate(blocks: list[list[dict[int, int]]]) -> tuple[SparseEliminator, di
     alive into the next degree.
     """
     elim = SparseEliminator()
+    add = elim.add
     creators: list[int] = []  # block index of each pivot, in insertion order
     for index, block in enumerate(blocks):
         for row in block:
-            elim.add(row)
+            add(row)
         creators.extend([index] * (elim.rank - len(creators)))
     return elim, dict(zip(elim.pivots, creators))
 
@@ -419,8 +419,8 @@ def _relation_spaces(
     relations are the n(r-1) reduced ones, from the presentation's writer.
 
     Pass k builds degree k's monomials, rows and (below ``top``)
-    multipliers from degree k-1's, in the order the module docstring gives,
-    and feeds the rows of :func:`_relation_rows` block by block,
+    multipliers and next starts from degree k-1's, in the one walk of
+    :func:`_relation_rows`, and feeds its rows block by block,
     relation-major, through :func:`_eliminate`.  The map from each pivot
     column to the relation whose block created it goes to the next pass as
     ``lower_pivots``.
@@ -443,30 +443,20 @@ def _relation_spaces(
     primes = _primes(len(generators))
     lower: list[tuple[int, ...]] = [()]
     multipliers: list[Sequence[int]] = [range(len(generators))]
+    starts = list(range(len(generators) + 1))  # one degree-1 monomial per generator
     widths: list[int] = []
     ranks: list[int] = []
     elim, pivots = SparseEliminator(), {}
     for k in range(1, top + 1):
         del elim  # free degree k-1 before degree k's rows are built
-        starts = _column_starts(lower, multipliers, len(generators))
-        upper: list[tuple[int, ...]] = [()] * starts[-1]
-        for col, mono, _, g in _extensions(lower, multipliers, starts):
-            upper[col] = mono + (g,)
-        blocks = _relation_rows(
-            relations, by_generator, repeats, lower, multipliers, starts, pivots, primes
+        # degree k-1's lists go before the elimination
+        blocks, lower, multipliers, starts = _relation_rows(
+            relations, by_generator, repeats, comparable, lower, multipliers, starts, pivots,
+            primes, k < top,
         )
-        # degree k's multipliers are made once its rows exist, and degree
-        # k-1's lists go before the elimination
-        upper_multipliers: list[Sequence[int]] = []
-        if k < top:
-            upper_multipliers = [()] * len(upper)
-            for col, _, mults, g in _extensions(lower, multipliers, starts):
-                upper_multipliers[col] = list(filter(comparable[g].__contains__, mults))
-        multipliers = upper_multipliers
-        lower = upper
         elim, pivots = _eliminate(blocks)
         del blocks  # spent: the eliminator holds the rows it kept
-        widths.append(len(upper))
+        widths.append(len(lower))
         ranks.append(elim.rank)
     return comparable, lower, widths, ranks, elim
 

@@ -22,9 +22,10 @@ reference it is.
 Sparse integer elimination (``SparseEliminator``) updates each row in place:
 against a pivot row of lead 1 it subtracts a multiple over the pivot's
 columns with no gcd, and only a pivot of another lead scales the row, which
-is then divided by its content.  A surviving row is divided by its content
-once, when it becomes a pivot, at the lead column the reduction found.  A
-fed row is reduced as it is, with no copy: ``add`` takes it over.
+is then divided by its content.  A surviving row becomes a pivot at the
+lead column the reduction found, divided by its content only when that
+lead is not +-1.  A fed row is reduced as it is, with no copy: ``add``
+takes it over.
 
 Membership in a cone of a fan or a cell of a normal complex is one kind of
 question, asked of a point cleared to integers by ``scaled_point``: do a
@@ -119,15 +120,16 @@ class SparseEliminator:
 
     Rows are sparse ``{column: coefficient}`` dicts.  Feeding a row reduces
     it against the pivots collected so far; a surviving nonzero row becomes
-    a new pivot, divided by its content and with a positive lead.  The row
-    is updated in place: against a pivot of lead 1 the update is
+    a new pivot with a positive lead, divided by its content unless its
+    lead is +-1 (its content is then 1: it is kept or negated in place).
+    The row is updated in place: against a pivot of lead 1 the update is
     ``r -= b * p`` over the pivot's columns, with no gcd; only a pivot of
     lead ``a > 1`` scales the row by ``a / gcd(a, b)``, and the row is then
     divided by its content.  Each intermediate row is a nonzero multiple of
     the cross-multiplied one, so the pivots are the same.  The rank
     oracle's colex columns give lead 1 to all but a few of its pivots (8
-    of 6,177 at (2,4)) and feed it no row that reduces to zero at the specs
-    measured.
+    of 6,177 at (2,4)); every row it is fed has lead +-1 as built, and
+    none reduces to zero, at the specs measured.
 
     ``add`` takes its row over and reduces it as it is, with no copy;
     ``reduce`` and ``is_in_span`` work on a copy and leave their argument
@@ -149,7 +151,13 @@ class SparseEliminator:
             c = min(r)
             p = pivots.get(c)
             if p is None:
-                return c, _primitive(r, c)
+                lead = r[c]
+                if lead == -1:  # a lead of +-1 leaves content 1: no gcd
+                    for col, v in r.items():
+                        r[col] = -v
+                elif lead != 1:
+                    r = _primitive(r, c)
+                return c, r
             a, b = p[c], r[c]
             if a != 1:
                 g = gcd(a, b)

@@ -581,10 +581,12 @@ def suite_tropical(spec: ArrangementSpec) -> list[CheckResult]:
     which the fan suite's chart reading checks against every ray-table
     entry."""
     try:
-        # no fan is built, but a spec the fan suite refuses prints the same SKIP
+        # no fan is built, but past the fan guard the fan suite checks
+        # neither of the conditions the argument takes from it
         check_fan_spec(spec)
     except FeasibilityError as exc:
-        return [_skipped("tropical", "fan construction", exc)]
+        name = "fan-suite chart reading and wall certificate, which its argument takes, not checked"
+        return [_skipped("tropical", name, exc)]
     r, n = spec.r, spec.n
     out: list[CheckResult] = []
     off = []

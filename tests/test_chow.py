@@ -78,14 +78,15 @@ def colex_columns(monos):
 
 def record_degrees(monkeypatch, spec, top):
     """Run the oracle's degree loop up to ``top`` and record each call of
-    the row builder: its arguments and a copy of its blocks (the
-    eliminator takes the rows over).  Returns the loop's result and the
-    calls, one per degree."""
+    the one walk per degree: its arguments, a copy of its blocks (the
+    eliminator takes the rows over) and the monomials, multipliers and
+    next starts it made.  Returns the loop's result and the calls, one per
+    degree."""
     calls = []
 
     def recording(*args):
-        blocks = _relation_rows(*args)
-        relations, _, _, lower, multipliers, starts, lower_pivots, _ = args
+        blocks, upper, upper_multipliers, upper_starts = result = _relation_rows(*args)
+        relations, _, _, _, lower, multipliers, starts, lower_pivots, _, extend = args
         calls.append(
             SimpleNamespace(
                 relations=list(relations.items()),
@@ -93,10 +94,14 @@ def record_degrees(monkeypatch, spec, top):
                 multipliers=[list(m) for m in multipliers],
                 starts=list(starts),
                 lower_pivots=lower_pivots,
+                extend=extend,
                 blocks=[[dict(row) for row in block] for block in blocks],
+                upper=tuple(upper),
+                upper_multipliers=[list(m) for m in upper_multipliers],
+                upper_starts=list(upper_starts),
             )
         )
-        return blocks
+        return result
 
     monkeypatch.setattr("cyclic_wonderful.chow._relation_rows", recording)
     return _relation_spaces(spec, top), calls
@@ -520,6 +525,18 @@ def test_relation_rows_equal_the_sorted_product_rows(monkeypatch, r, n):
         assert call.starts == [sum(m[-1] < g for m in upper) for g in range(len(comp) + 1)]
         assert call.multipliers == [reference_multipliers(comp, mono) for mono in call.lower]
         assert call.blocks == reference_relation_rows(r, n, relations, k, call.lower_pivots)
+        # the same walk makes degree k's list, its multipliers and degree
+        # k+1's starts, counted by largest generator; the top degree makes
+        # no multiplier, and its next degree is empty
+        assert call.upper == upper
+        assert call.extend == (k < n)
+        if k < n:
+            above = colex(reference_monomials(r, n, k + 1))
+            assert call.upper_multipliers == [reference_multipliers(comp, mono) for mono in upper]
+            assert call.upper_starts == [sum(m[-1] < g for m in above) for g in range(len(comp) + 1)]
+        else:
+            assert call.upper_multipliers == []
+            assert call.upper_starts == [0] * (len(comp) + 1)
 
 
 @pytest.mark.parametrize("r,n", [(2, 2), (3, 2), (2, 3), (3, 3), (4, 3), (2, 4)])

@@ -312,6 +312,40 @@ def test_in_place_pivots_are_the_cross_multiplied_pivots(rows):
     assert fed(SparseEliminator(), rows).pivots == fed(ReferenceEliminator(), rows).pivots
 
 
+class EveryPivotPrimitiveEliminator(SparseEliminator):
+    """The in-place reduction with ``_primitive`` run on every new pivot,
+    whatever its lead: no shortcut for a lead of +-1."""
+
+    def _reduced(self, r):
+        while r:
+            c = min(r)
+            p = self.pivots.get(c)
+            if p is None:
+                return c, linalg._primitive(r, c)
+            a, b = p[c], r[c]
+            g = gcd(a, b)
+            a, b = a // g, b // g
+            if a != 1:
+                r = {col: a * v for col, v in r.items()}
+            for col, v in p.items():
+                x = r.get(col, 0) - b * v
+                if x:
+                    r[col] = x
+                else:
+                    del r[col]
+            if a != 1 and r:
+                r = linalg._primitive(r, min(r))
+        return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(wide_sparse_matrices())
+def test_unit_lead_pivots_are_the_pivots_primitive_makes(rows):
+    # a new pivot of lead 1 is kept and one of lead -1 negated, with no
+    # content pass: a lead of +-1 leaves content 1
+    assert fed(SparseEliminator(), rows).pivots == fed(EveryPivotPrimitiveEliminator(), rows).pivots
+
+
 @settings(max_examples=300, deadline=None)
 @given(wide_sparse_matrices(), st.data())
 def test_in_place_span_answers_are_the_cross_multiplied_answers(rows, data):
@@ -348,6 +382,32 @@ def test_a_pivot_of_lead_2_scales_the_row_and_divides_out_the_content():
     # gcd(2, -4) = 2 leaves no scaling: (-4, 0, 6) + 2 * (2, 1, 0) = (0, 2, 6)
     assert elim.add({0: -4, 2: 6})
     assert elim.pivots[2] == {2: 1}
+
+
+def test_a_unit_lead_pivot_is_the_fed_row_with_no_content_pass(monkeypatch):
+    calls = []
+    primitive = linalg._primitive
+
+    def counting(row, lead):
+        calls.append(dict(row))
+        return primitive(row, lead)
+
+    monkeypatch.setattr(linalg, "_primitive", counting)
+    elim = SparseEliminator()
+    # lead 1: stored as it is
+    row = {5: 1, 6: 6}
+    assert elim.add(row)
+    assert elim.pivots[5] is row and row == {5: 1, 6: 6}
+    # lead -1: negated in place, not divided, though 2 and 4 share a factor
+    row = {0: -1, 1: 2, 2: 4}
+    assert elim.add(row)
+    assert elim.pivots[0] is row and row == {0: 1, 1: -2, 2: -4}
+    assert calls == []
+    # lead 2: still divided by its content
+    row = {3: 2, 4: 4}
+    assert elim.add(row)
+    assert elim.pivots[3] == {3: 1, 4: 2}
+    assert calls == [{3: 2, 4: 4}]
 
 
 def test_a_row_of_content_1_and_negative_lead_is_negated_in_place():

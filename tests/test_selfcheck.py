@@ -698,7 +698,7 @@ def test_a_refused_fan_suite_leaves_the_tropical_suite_its_own_skip(monkeypatch)
         0,
         f"SKIP [fan] fan construction ({refusal})\n"
         f"SKIP [chow] presentation and chain census ({refusal})\n"
-        f"SKIP [tropical] fan construction ({refusal})\n"
+        f"SKIP [tropical] fan-suite chart reading and wall certificate, which its argument takes, not checked ({refusal})\n"
         "PASS [normal] one cell per maximal chain (8 cells)\n"
         "PASS [normal] origin is a vertex of every cell\n"
         "PASS [normal] cells tile the truncated support: each cell is its maximal cone's part of it, read on the chain's rays (8 cells, 0 failures)\n"
