@@ -22,15 +22,18 @@ Two constructions are provided: the direct one (one cone per decorated chain,
 the nested sets of the maximal building set) and the stellar route, which
 starts from the product of the n one-dimensional factor fans, whose rays are
 the singletons, and subdivides at the non-singleton ray vectors in an
-inclusion-increasing order.  Each subdivision's cone is known without a
-search: the ray of (I, a) is the sum of the singleton rays (i, a(i)), and
-that singleton cone survives until (I, a) is processed, since only smaller
-decorated subsets (processed later) could subdivide it.  A map from each
-label to the cones holding it gives that cone's star as an intersection of
-sets, so a subdivision visits only the cones it replaces: 135 in all for
-the 54 subdivisions at r = 3, n = 3, where a scan per subdivision read
-12,744.  The two routes must agree cone-for-cone, and the test suite checks
-that they do.
+inclusion-increasing order.  Both fans are pure and simplicial, so the
+stellar route holds only the maximal cones: a subdivision replaces each
+maximal cone of the star by one cone per ray of the subdivided cone.  Each
+subdivision's cone is known without a search: the ray of (I, a) is the sum
+of the singleton rays (i, a(i)), and that singleton cone survives until
+(I, a) is processed, since only smaller decorated subsets (processed later)
+could subdivide it.  A map from each label to the maximal cones holding it
+gives that cone's star as an intersection of sets, so a subdivision visits
+only the cones it replaces: 108 in all for the 54 subdivisions at r = 3,
+n = 3, where a scan of the maximal cones per subdivision read 4,671.  The
+two routes must agree cone-for-cone, and the test suite checks that they
+do, faces included.
 
 A cone is its chain, the nested set: its rays are its prefixes' entries in
 the ray table.  A ``Fan`` holds its ray table, its chains and a record
@@ -41,7 +44,8 @@ direct route builds the ray table and the maximal records up front and
 enumerates the faces' chains when ``Fan.chains`` is first read, so a scan,
 which reads only ``maximal_cones``, never enumerates a face: they are 2,198
 of the 3,128 cones at (3,3), (4,3) and (2,4) together.  The stellar route
-finds every cone as a set of labels and hands its faces over as chains.
+finds every maximal cone as a set of labels and its faces as their proper
+subsets.
 
 Cone coordinates are exact and integer.  Each cone holds the result of a
 fraction-free (Bareiss) Gauss-Jordan elimination through the ray columns
@@ -515,14 +519,15 @@ def _star_subdivide(
     new_label: DecoratedSubset,
     v: Vector,
 ) -> None:
-    """Stellar subdivision at v = ray_vector(new_label), in place: every
-    cone t that contains tau, the star of tau, gives way to the cones
-    (t minus tau) + B + {new_label} for the proper subsets B of tau, the
-    joins of the new ray with t's faces not containing tau.
+    """Stellar subdivision at v = ray_vector(new_label) of a pure simplicial
+    fan held as its maximal cones, in place: every maximal cone t that
+    contains tau, the star of tau, gives way to the |tau| maximal cones
+    (t minus {d}) + {new_label}, one for each d in tau; the faces follow.
 
-    ``holding`` maps each label to the set of current cones that hold it,
-    so the star is the intersection of the sets of tau's rays, and only the
-    star's cones are visited; both ``cones`` and ``holding`` are updated.
+    ``holding`` maps each label to the set of current maximal cones that
+    hold it, so the star is the intersection of the sets of tau's rays, and
+    only the star's cones are visited; both ``cones`` and ``holding`` are
+    updated.
 
     tau is known without a search: it is the cone of the singletons
     (i, a(i)) of new_label = (I, a), whose rays sum to v.  A subdivision at
@@ -530,67 +535,54 @@ def _star_subdivide(
     a d' < new_label could have removed tau; such a d' has smaller support
     and is processed later, and singletons are never subdivided.  Relative
     interiors of a fan's cones are disjoint, so tau is the one cone holding
-    v in its relative interior.  The check below confirms that on tau's
-    single cone."""
+    v in its relative interior.  The check below confirms that: tau is a
+    cone of the fan (its star is nonempty), and v has positive coordinates
+    on tau's singleton cone."""
     singletons = tuple(DecoratedSubset((p,)) for p in new_label.items)
-    tau = frozenset(singletons)
+    star = set.intersection(*sorted((holding[d] for d in singletons), key=len))
     tau_cone = Cone(tuple(rays[d] for d in singletons), singletons)
-    coeffs = tau_cone._scaled_coefficients(v) if tau in cones else None
+    coeffs = tau_cone._scaled_coefficients(v) if star else None
     if coeffs is None or not all(c > 0 for c in coeffs):
         raise ValueError("subdivision vector lies outside the fan support")
-    star = set.intersection(*sorted((holding[d] for d in singletons), key=len))
-    # tau's labels as the cones hold them, so that the new cones share them
-    held = [d for d in next(iter(star)) if d in tau]
-    faces = [
-        frozenset((new_label, *b))
-        for k in range(len(held))
-        for b in itertools.combinations(held, k)
-    ]
     holding[new_label] = set()
     for t in star:
         cones.remove(t)
         for d in t:
             holding[d].remove(t)
-        rest = t - tau
-        for face in faces:
-            s = rest | face
+        for d in singletons:
+            s = (t - {d}) | {new_label}
             cones.add(s)
-            for d in s:
-                holding[d].add(s)
+            for x in s:
+                holding[x].add(s)
 
 
 def _stellar_labels(
     spec: ArrangementSpec, g: BuildingSet
 ) -> tuple[set[frozenset[DecoratedSubset]], dict[DecoratedSubset, Vector]]:
-    """The stellar route's cones as sets of labels, and its ray table.
+    """The stellar route's maximal cones as sets of labels, and its ray
+    table.
 
-    Starts from the product of the factor fans: its rays are the singletons,
-    and its cones are the sets with at most one singleton per factor.  It
-    then subdivides at the ray vector of every non-singleton element,
-    ordered by increasing inclusion of the loci the elements cut out:
-    deepest intersections first, so support size runs downward (ties broken
-    by the global deterministic order).  That order
-    keeps each element's singleton cone intact until its own step, so every
-    step subdivides the star of that known cone (see ``_star_subdivide``),
-    found through a map from each label to the cones holding it that lives
-    only for this call.  Every cone and every ray the subdivisions made is
-    kept: a cone whose labels are not a chain would be their fault, so it
-    is left for the comparison to find, not filtered out.
+    Starts from the r^n maximal cones of the product of the factor fans,
+    one singleton per factor.  It then subdivides at the ray vector of
+    every non-singleton element, ordered by increasing inclusion of the
+    loci the elements cut out: deepest intersections first, so support size
+    runs downward (ties broken by the global deterministic order).  That
+    order keeps each element's singleton cone intact until its own step, so
+    every step subdivides the star of that known cone (see
+    ``_star_subdivide``), found through a map from each label to the
+    maximal cones holding it that lives only for this call.  Every cone and
+    every ray the subdivisions made is kept: a cone whose labels are not a
+    chain would be their fault, so it is left for the comparison to find,
+    not filtered out.
     """
     _check_maximal(spec, g)
     check_fan_spec(spec)
-    # product fan: at most one singleton ray per factor
-    per_factor: list[list[DecoratedSubset | None]] = [
-        [None] + [DecoratedSubset(((i, a),)) for a in range(spec.r)]
-        for i in range(1, spec.n + 1)
-    ]
-    rays: dict[DecoratedSubset, Vector] = {
-        d: ray_vector(d, spec) for factor in per_factor for d in factor[1:]
-    }
+    per_factor = [[DecoratedSubset(((i, a),)) for a in range(spec.r)] for i in range(1, spec.n + 1)]
+    rays = {d: ray_vector(d, spec) for factor in per_factor for d in factor}
     cones: set[frozenset[DecoratedSubset]] = set()
     holding: dict[DecoratedSubset, set[frozenset[DecoratedSubset]]] = {d: set() for d in rays}
     for combo in itertools.product(*per_factor):
-        s = frozenset(d for d in combo if d is not None)
+        s = frozenset(combo)
         cones.add(s)
         for d in s:
             holding[d].add(s)
@@ -604,18 +596,22 @@ def _stellar_labels(
 
 
 def build_fan_stellar(spec: ArrangementSpec, g: BuildingSet) -> Fan:
-    """Stellar-subdivision construction of the same fan: each cone of
-    ``_stellar_labels`` sorted into its chain, the ray table in global order."""
+    """Stellar-subdivision construction of the same fan: each maximal cone
+    of ``_stellar_labels`` sorted into its chain, its faces the proper
+    subsets of those chains, each once, and the ray table in global order.
+    The route enumerates its faces itself, with no ``_chains_of_length``."""
     cones, rays = _stellar_labels(spec, g)
-    chains = (Chain._trusted(tuple(sorted(s, key=DecoratedSubset.sort_key))) for s in cones)
+    maximal = [tuple(sorted(s, key=DecoratedSubset.sort_key)) for s in cones]
+    faces = {face for chain in maximal for k in range(len(chain)) for face in itertools.combinations(chain, k)}
     ray_map = {d: rays[d] for d in sorted(rays, key=DecoratedSubset.sort_key)}
-    return Fan.from_chains(spec, ray_map, chains)
+    return Fan.from_chains(spec, ray_map, map(Chain._trusted, itertools.chain(faces, maximal)))
 
 
 def fans_equal(f1: Fan, f2: Fan) -> bool:
-    """Equality as sets of cones, each cone taken as the set of its
-    prefixes' rays in its fan's ray table (``check`` compares
-    ``_stellar_labels`` with the direct chains instead)."""
+    """Equality as sets of cones, faces included, each cone taken as the
+    set of its prefixes' rays in its fan's ray table (``check`` compares
+    the maximal label sets of ``_stellar_labels`` with the direct maximal
+    chains instead; the tests keep this full-face comparison)."""
     if f1.spec != f2.spec:
         raise ValueError("fans live over different parameters")
 

@@ -88,20 +88,42 @@ is the chain's prefixes and the rays their entries, in order; without the
 tie two records that swapped chains would keep every set of rays and pass
 every other line.  The labels are chains: the direct route builds each by
 restricting its top decoration, and the stellar route, which subdivides
-the product fan and never enumerates chains, must find the same label
-sets and ray table.  And the count line finds the n! r^n maximal cones,
-one per maximal chain.  Both routes take each label's ray from
+the product fan and never enumerates chains, must find the same maximal
+label sets and ray table.  And the count line finds the n! r^n maximal
+cones, one per maximal chain.  Both routes take each label's ray from
 ``ray_vector``, so the comparison of ray tables is no second route for
 the rays themselves; the chart reading is.
+
+The stellar line compares maximal cones alone and reads no face.  That
+is enough, because both fans are pure of dimension n, so equal maximal
+label sets over equal ray tables mean equal fans.  The stellar route is
+pure by construction: it holds maximal cones only, and each subdivision
+replaces a maximal cone by maximal cones.  In the direct route every
+chain extends to a maximal chain: refine its flag of index sets to a
+complete flag of [n], extend its top decoration to [n] by any residues,
+and restrict that to each set of the flag.  So each direct face lies in
+the down-closure of the maximal chains.  The other inclusion, that the
+direct face list is exactly that down-closure (the enumerator
+``_chains_of_length`` yields every subset of a maximal chain at each
+length below n, and each once), is read by no fan-suite line.
+It is the condition the argument takes from the chow suite's census
+line, "jump census matches multinomial counts", which reads the same
+enumerator and counts its chains by jump type against the multinomial
+counts and their total against the closed count: a lost or extra face
+shows there, though a duplicate paired with a lost face of the same jump
+type would not.  So ``check --suite fan`` alone covers the maximal cones
+and the ray table; the faces ``fan`` prints are covered by the census
+line.  The tests keep the full-face comparison of the two routes
+(``fans_equal``, faces included) as the cross-check.
 
 The two lattice lines run ``lattice_pivots`` on the maximal cones alone,
 and a flat one fails the completeness line unrun.  Pivots all 1 say that
 a maximal cone's n rays extend to a basis of the lattice, and each face
-inherits that: every chain extends to a maximal chain (the count and
-stellar lines), whose record holds the face's rays by the tie; and a
-subset of a lattice basis is a lattice basis of its span.  So every face
-is unimodular and of its chain's length, and the per-face pass is left
-to the tests, as the cross-check.
+inherits that: every chain extends to a maximal chain (above), whose
+record holds the face's rays by the tie; and a subset of a lattice basis
+is a lattice basis of its span.  So every face is unimodular and of its
+chain's length, and the per-face pass is left to the tests, as the
+cross-check.
 
 At r = 2 each facet lies in two charts, a boundary wall's two cofaces lie
 on either side of its coordinate hyperplane, and the line's name says
@@ -379,16 +401,16 @@ def suite_fan(spec: ArrangementSpec) -> list[CheckResult]:
     else:
         broken = ""
     stellar_count = len(stellar)
-    # one pass over the chains: each chain's label set leaves the stellar
-    # route's, which, the counts being equal, empties exactly when the sets
+    # each maximal chain's label set leaves the stellar route's maximal
+    # ones, which, the counts being equal, empties exactly when the sets
     # are; each maximal record is tied to its chain (the label is the
-    # chain's prefixes, the rays their ray-table entries)
-    chains = fan.chains
-    stellar.difference_update(frozenset(chain.prefixes) for chain in chains)
+    # chain's prefixes, the rays their ray-table entries).  No face is read
+    # (see the module docstring)
+    stellar.difference_update(frozenset(chain.prefixes) for chain in fan._maximal)
     ray = fan.rays.__getitem__
     astray = [
         chain
-        for chain, cone in zip(chains[len(chains) - len(maximal) :], maximal)
+        for chain, cone in fan._maximal.items()
         if cone.label != chain.prefixes or cone.rays != tuple(map(ray, chain.prefixes))
     ]
     # the lattice lines read the maximal cones alone (see the module
@@ -402,12 +424,12 @@ def suite_fan(spec: ArrangementSpec) -> list[CheckResult]:
             rough.append(Chain._trusted(cone.label))
     details = [broken] if broken else []
     if astray:
-        details.append(f"{len(chains)} cones, {len(astray)} not on their chain's rays, first {astray[0].text()}")
+        details.append(f"{len(maximal)} maximal cones, {len(astray)} not on their chain's rays, first {astray[0].text()}")
     out.append(
         _result(
             "fan",
             "stellar route equals direct route",
-            not broken and not stellar and len(chains) == stellar_count and stellar_rays == fan.rays and not astray,
+            not broken and not stellar and len(maximal) == stellar_count and stellar_rays == fan.rays and not astray,
             ", ".join(details),
         )
     )

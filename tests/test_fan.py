@@ -724,11 +724,18 @@ def test_stellar_2_1_performs_no_subdivisions():
     assert fans_equal(build_fan(spec, g), build_fan_stellar(spec, g))
 
 
-@pytest.mark.parametrize("r,n", [(2, 2), (3, 2), (2, 3), (3, 3), (4, 3), (2, 4)])
+@pytest.mark.parametrize("r,n", [(2, 0), (2, 1), (5, 1), (2, 2), (3, 2), (4, 2), (2, 3), (3, 3), (4, 3), (2, 4)])
 def test_stellar_equals_direct(r, n):
+    # every cone, faces included; the route's label sets are the maximal
+    # chains' alone, and its faces the proper subsets of those, each once
     spec = ArrangementSpec(r, n)
     g = BuildingSet.maximal(spec)
-    assert fans_equal(build_fan(spec, g), build_fan_stellar(spec, g))
+    direct, stellar = build_fan(spec, g), build_fan_stellar(spec, g)
+    assert fans_equal(direct, stellar)
+    cones, rays = fan_module._stellar_labels(spec, g)
+    assert cones == {frozenset(chain.prefixes) for chain in maximal_chains(spec)}
+    assert rays == direct.rays
+    assert len(stellar.chains) == len(set(stellar.chains)) == len(direct.chains)
 
 
 def _cones_holding_in_relative_interior(cones, rays, v):
@@ -742,9 +749,10 @@ def _cones_holding_in_relative_interior(cones, rays, v):
 
 
 def scan_star_subdivide(cones, rays, new_label, v):
-    """The stellar subdivision by a full scan, the route the star map
-    replaced: every current cone is tested for tau, and a new cone joins the
-    new ray to each cone s without tau whose union with tau is a cone."""
+    """The stellar subdivision of a fan held with every face, by a full
+    scan, the reference for the route's maximal-cone subdivision: every
+    current cone is tested for tau, and a new cone joins the new ray to each
+    cone s without tau whose union with tau is a cone."""
     singletons = tuple(ds(p) for p in new_label.items)
     tau = frozenset(singletons)
     coeffs = Cone(tuple(rays[d] for d in singletons), singletons).coefficients(v)
@@ -756,14 +764,19 @@ def scan_star_subdivide(cones, rays, new_label, v):
     return out
 
 
+def down_closure(cones):
+    """Every subset of every cone, the cones themselves and the empty set
+    included: the fan that maximal cones determine."""
+    return {frozenset(b) for s in cones for k in range(len(s) + 1) for b in itertools.combinations(s, k)}
+
+
 def product_fan(spec):
-    """The singleton rays and the cones of the product of the factor fans,
-    with the map from each label to the cones holding it."""
+    """The singleton rays, the r^n maximal cones of the product of the
+    factor fans (one singleton per factor) and the map from each label to
+    the maximal cones holding it."""
     singles = [ds((i, a)) for i in range(1, spec.n + 1) for a in range(spec.r)]
-    per_factor = [[None] + [ds((i, a)) for a in range(spec.r)] for i in range(1, spec.n + 1)]
-    cones = {
-        frozenset(d for d in combo if d is not None) for combo in itertools.product(*per_factor)
-    }
+    per_factor = [[ds((i, a)) for a in range(spec.r)] for i in range(1, spec.n + 1)]
+    cones = {frozenset(combo) for combo in itertools.product(*per_factor)}
     return {d: ray_vector(d, spec) for d in singles}, cones, holding_map(singles, cones)
 
 
@@ -778,26 +791,31 @@ def subdivision_order(spec):
 
 @pytest.mark.parametrize("r,n,steps", [(2, 2, 4), (3, 2, 9), (2, 3, 20), (3, 3, 54)])
 def test_stellar_subdivides_the_one_cone_a_full_scan_finds(r, n, steps):
-    # replay the stellar subdivisions; at every step the scan over all current
-    # cones must find exactly the singleton cone of the new label, and the
-    # star map's subdivision must leave the cones the full scan leaves
+    # replay the stellar subdivisions beside the full-face reference; at
+    # every step the scan over all its cones must find exactly the singleton
+    # cone of the new label, and the down-closure of the maximal cones the
+    # star map's subdivision leaves must be the cones the reference leaves
     spec = ArrangementSpec(r, n)
     g = BuildingSet.maximal(spec)
     rays, cones, holding = product_fan(spec)
-    scanned = set(cones)
+    scanned = down_closure(cones)
     order = subdivision_order(spec)
     for d in order:
         v = ray_vector(d, spec)
         tau = frozenset(ds(p) for p in d.items)
-        assert _cones_holding_in_relative_interior(cones, rays, v) == [tau]
+        assert _cones_holding_in_relative_interior(scanned, rays, v) == [tau]
         scanned = scan_star_subdivide(scanned, rays, d, v)
         _star_subdivide(cones, holding, rays, d, v)
         rays[d] = v
-        assert cones == scanned
+        assert {len(s) for s in cones} == {n}
+        assert down_closure(cones) == scanned
         assert holding == holding_map(rays, cones)
     assert len(order) == steps
-    assert all(is_nested(s, g) for s in cones)
-    assert cones == {frozenset(c.prefixes) for c in build_fan_stellar(spec, g).chains}
+    assert len(cones) == spec.num_maximal_chains and all(is_nested(s, g) for s in cones)
+    stellar = build_fan_stellar(spec, g)
+    assert cones == {frozenset(cone.label) for cone in stellar.maximal_cones}
+    assert scanned == {frozenset(c.prefixes) for c in stellar.chains}
+    assert len(stellar.chains) == len(scanned)
 
 
 class _Unscannable(set):
@@ -814,8 +832,9 @@ class _Unscannable(set):
 
 
 def test_each_subdivision_visits_only_the_star_of_its_cone():
-    # at (3,3) the 54 subdivisions replace 135 cones in all, where a scan
-    # per subdivision read 12,744
+    # at (3,3) the 54 subdivisions replace 108 maximal cones in all, where a
+    # scan of the maximal cones per subdivision read 4,671 (and a scan of
+    # every cone, faces included, 12,744)
     spec = ArrangementSpec(3, 3)
     rays, cones, holding = product_fan(spec)
     cones = _Unscannable(cones)
@@ -831,7 +850,7 @@ def test_each_subdivision_visits_only_the_star_of_its_cone():
         assert cones.removed - before == len(star)
         assert not any(s in cones for s in star)
         stars.append(len(star))
-    assert (len(stars), sum(stars), scanned) == (54, 135, 12744)
+    assert (len(stars), sum(stars), scanned) == (54, 108, 4671)
 
 
 def test_star_subdivide_refuses_a_vector_off_its_cone():

@@ -263,7 +263,8 @@ def test_cell_rows_and_ray_readings_share_only_the_allowed_functions():
 
 
 # ``fan --via-stellar`` against ``fan``: one cone per decorated chain against
-# the records of stellar subdivisions of the product fan
+# stellar subdivisions of the product fan's maximal cones, whose faces the
+# stellar route lists itself as the proper subsets of its maximal chains
 RAYS = "the ray of each label, the data fans_equal compares"
 ADMISSION = "both admit the spec through the same fan guard"
 RECORD = "the record both routes return, compared by fans_equal"
@@ -314,8 +315,16 @@ def test_direct_and_stellar_fans_share_only_the_allowed_functions():
 
 
 # "stellar route equals direct route" as ``check`` runs it: the direct fan's
-# cones against the stellar core's label sets and ray table, the stellar
-# route building no record of its cones or its fan
+# maximal chains and ray table against the stellar core's maximal label sets
+# and ray table, no face read on either side and the stellar route building
+# no record of its cones or its fan.  Besides the functions below, the two
+# routes share data made before either runs: the stellar route subdivides at
+# the elements of the one building set, ``enumerate_decorated_subsets``,
+# which also fills the direct route's subset table, so a subset missing from
+# that list is missing from both.  Each subdivision's test of tau runs
+# ``Cone._scaled_coefficients`` and ``_bareiss_step``, the elimination the
+# wall and lattice lines run on the direct fan's maximal records; the direct
+# side of this line reads labels and rays only, so it runs neither
 STELLAR_RAYS = "the ray of each label: the check compares the two ray tables"
 DIRECT_VS_STELLAR_LABELS = {
     "fan.ray_vector": STELLAR_RAYS,
@@ -334,8 +343,8 @@ DIRECT_VS_STELLAR_LABELS = {
     "lattice.ArrangementSpec.num_maximal_chains_upto": ADMISSION,
     "lattice._product_upto": ADMISSION,
     "fan.Cone.__init__": (
-        "the record of a cone: the direct route's cones, and the singleton "
-        "cone each subdivision tests its new ray in"
+        "the record of a cone: the direct route's maximal cones, and the "
+        "singleton cone each subdivision tests its new ray in"
     ),
     "lattice.DecoratedSubset.__init__": "the record of a label, compared by the check in both routes",
     "lattice.DecoratedSubset.__hash__": "both key labels in sets and in the ray table",
@@ -351,10 +360,15 @@ def test_direct_fan_and_stellar_labels_share_only_the_allowed_functions():
     def stellar_route():
         fan_module._stellar_labels(spec, g)
 
-    direct_calls = _called(lambda: build_fan(spec, g).chains)
+    def direct_route():
+        fan = build_fan(spec, g)
+        return fan.rays, fan._maximal
+
+    direct_calls = _called(direct_route)
     stellar_calls = _called(stellar_route)
     assert "lattice._chains_of_length" in direct_calls
-    assert {"fan._star_subdivide", "fan._bareiss_step"} <= stellar_calls
+    assert {"fan._star_subdivide", "fan.Cone._scaled_coefficients", "fan._bareiss_step"} <= stellar_calls
+    assert not {"fan.Cone._scaled_coefficients", "fan._bareiss_step", "fan.Fan.chains"} & direct_calls
     records = {"fan.Fan.__init__", "fan.Fan.chains", "fan.Fan.from_chains", "lattice.Chain._trusted"}
     assert not records & stellar_calls
     assert_shared_exactly(direct_calls, stellar_calls, DIRECT_VS_STELLAR_LABELS)

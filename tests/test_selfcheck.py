@@ -12,7 +12,7 @@ from sampling import Lcg
 from test_linalg import matrix_rank
 
 from cyclic_wonderful import fan as fan_module
-from cyclic_wonderful import linalg, selfcheck, tropical
+from cyclic_wonderful import lattice, linalg, selfcheck, tropical
 from cyclic_wonderful.cli import build_parser, run
 from cyclic_wonderful.fan import Cone, Fan, build_fan, fans_equal
 from cyclic_wonderful.lattice import (
@@ -22,6 +22,7 @@ from cyclic_wonderful.lattice import (
     DecoratedSubset,
     chain_intersect,
     enumerate_chains,
+    is_nested,
     parse_chain,
     parse_subset,
 )
@@ -314,7 +315,7 @@ def test_a_maximal_record_given_a_wrong_independent_ray_fails_the_stellar_line_a
     status, out = run(build_parser().parse_args(["check", "--r", "2", "--n", "2", "--suite", "fan"]))
     assert status == 1
     assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
-        f"FAIL [fan] stellar route equals direct route (17 cones, 1 not on their chain's rays, first {chain.text()})"
+        f"FAIL [fan] stellar route equals direct route (8 maximal cones, 1 not on their chain's rays, first {chain.text()})"
     ]
     assert out.endswith("5/6 checks passed for r=2, n=2\n")
 
@@ -332,7 +333,7 @@ def test_two_maximal_records_that_swap_chains_fail_the_stellar_line_alone(monkey
     status, out = run(build_parser().parse_args(["check", "--r", "2", "--n", "2", "--suite", "fan"]))
     assert status == 1
     assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
-        f"FAIL [fan] stellar route equals direct route (17 cones, 2 not on their chain's rays, first {one.text()})"
+        f"FAIL [fan] stellar route equals direct route (8 maximal cones, 2 not on their chain's rays, first {one.text()})"
     ]
     assert out.endswith("5/6 checks passed for r=2, n=2\n")
     # the same records given each other's rays under their own labels
@@ -340,38 +341,31 @@ def test_two_maximal_records_that_swap_chains_fail_the_stellar_line_alone(monkey
         fan, {one: Cone(held[two].rays, one.prefixes), two: Cone(held[one].rays, two.prefixes)}
     )
     line, status = fan_suite_line(monkeypatch, relabelled, "stellar route equals direct route")
-    assert (line.status, line.detail, status) == ("FAIL", f"17 cones, 2 not on their chain's rays, first {one.text()}", 1)
-
-
-class _PassCounter(tuple):
-    """A fan's chains, counting the passes made over them."""
-
-    passes = 0
-
-    def __iter__(self):
-        self.passes += 1
-        return super().__iter__()
+    assert (line.status, line.detail, status) == ("FAIL", f"8 maximal cones, 2 not on their chain's rays, first {one.text()}", 1)
 
 
 @pytest.mark.parametrize("r,n", [(2, 3), (3, 2)])
-def test_the_stellar_line_builds_no_record_and_reads_the_cones_once(monkeypatch, r, n):
-    # the stellar route is compared by its label sets and ray table, so
-    # neither its Fan nor its cones' records are built; one pass over the
-    # direct fan's chains serves the stellar line, and the tie reads the
-    # maximal ones alone
+def test_the_stellar_line_builds_no_record_and_reads_no_face(monkeypatch, r, n):
+    # the stellar route is compared by its maximal label sets and ray table,
+    # so neither its Fan nor its cones' records are built; the direct fan's
+    # chains are never read, so no face is enumerated, and the tie reads the
+    # maximal records by their chains
     fan = fan_of(r, n)
-    chains = vars(fan)["chains"] = _PassCounter(fan.chains)
+    faces = []
+    unread = Fan(fan.spec, fan.rays, fan._maximal, lambda: faces.append(1) or [])
+    chains, reads = Fan.__dict__["chains"], []
+    monkeypatch.setattr(Fan, "chains", property(lambda self: reads.append(self) or chains.func(self)))
 
     def refuse(*args, **kwargs):
         raise AssertionError("the check built the stellar route's records")
 
     monkeypatch.setattr(Fan, "from_chains", refuse)
     monkeypatch.setattr("cyclic_wonderful.fan.build_fan_stellar", refuse)
-    monkeypatch.setattr(selfcheck, "build_fan", lambda spec, g: fan)
+    monkeypatch.setattr(selfcheck, "build_fan", lambda spec, g: unread)
     lines = suite_fan(fan.spec)
     assert [res.status for res in lines] == ["PASS"] * len(lines)
     assert "cone intersection law" not in [res.name for res in lines]
-    assert chains.passes == 1
+    assert reads == [] and faces == []
 
 
 def test_a_label_given_another_ray_in_every_cone_fails_the_stellar_line(monkeypatch):
@@ -640,6 +634,73 @@ def test_a_bent_ray_fails_the_stellar_line_and_the_check_exits_1(monkeypatch):
     assert fails[0] == "FAIL [fan] stellar route equals direct route (subdivision vector lies outside the fan support)"
     assert fails[1].startswith(f"FAIL [fan] {NOT_COMPLETE} (15 walls, 1 failures, first {{1:1,2:1}}")
     assert out.endswith("4/6 checks passed for r=3, n=2\n")
+
+
+def stellar_changed(monkeypatch, change):
+    """Let ``change`` rewrite the stellar route's maximal label sets and ray
+    table before the fan suite compares them."""
+    stellar = selfcheck._stellar_labels
+    monkeypatch.setattr(selfcheck, "_stellar_labels", lambda spec, g: change(*stellar(spec, g)))
+
+
+def test_a_maximal_set_swapped_for_a_non_chain_fails_the_stellar_line_alone(monkeypatch):
+    # {1:0} < {1:0,2:0} gives way to {1:0} and {1:1}, two labels, as many as
+    # a maximal cone's, that clash at factor 1: the counts stay equal
+    fan = fan_of(3, 2)
+    spec = fan.spec
+    gone = frozenset(parse_chain("{1:0}<{1:0,2:0}", spec).prefixes)
+    stray = frozenset({parse_subset("{1:0}", spec), parse_subset("{1:1}", spec)})
+    assert not is_nested(stray, BuildingSet.maximal(spec))
+
+    def swap(cones, rays):
+        assert gone in cones
+        return (cones - {gone}) | {stray}, rays
+
+    stellar_changed(monkeypatch, swap)
+    assert failing_lines(monkeypatch, fan) == ([STELLAR], 1)
+
+
+def test_a_bent_entry_of_the_stellar_ray_table_fails_the_stellar_line_alone(monkeypatch):
+    # bent after the subdivisions, so the route runs to its end; the direct
+    # fan keeps its own ray table, so the chart reading passes
+    fan = fan_of(3, 2)
+    label = parse_subset("{1:1,2:1}", fan.spec)
+    stellar_changed(monkeypatch, lambda cones, rays: (cones, {**rays, label: (1, 1, 0, 1)}))
+    assert failing_lines(monkeypatch, fan) == ([STELLAR], 1)
+
+
+@pytest.mark.parametrize("replaced", [False, True])
+def test_a_stellar_set_of_fewer_than_n_labels_fails_the_stellar_line_alone(monkeypatch, replaced):
+    # a face of a maximal cone, added beside it or in its place: the route
+    # must hand over maximal cones only
+    fan = fan_of(3, 2)
+    whole = frozenset(parse_chain("{1:0}<{1:0,2:0}", fan.spec).prefixes)
+    face = frozenset({parse_subset("{1:0}", fan.spec)})
+
+    def with_face(cones, rays):
+        return (cones - {whole} if replaced else cones) | {face}, rays
+
+    stellar_changed(monkeypatch, with_face)
+    assert failing_lines(monkeypatch, fan) == ([STELLAR], 1)
+
+
+def test_a_face_the_direct_enumerator_loses_fails_the_census_line_not_the_fan_suite(monkeypatch):
+    # the fan suite reads no face, so the condition it takes for the faces
+    # ``fan`` prints, that the direct route lists exactly the subsets of its
+    # maximal chains, is the census line's, which counts the same enumerator
+    spec = ArrangementSpec(3, 2)
+    lost = parse_chain("{1:0}", spec)
+    chains_of_length = lattice._chains_of_length
+
+    def losing(spec, table, length):
+        return (chain for chain in chains_of_length(spec, table, length) if chain != lost)
+
+    monkeypatch.setattr(lattice, "_chains_of_length", losing)
+    monkeypatch.setattr(fan_module, "_chains_of_length", losing)
+    assert lost not in build_fan(spec, BuildingSet.maximal(spec)).chains
+    status, out = run(build_parser().parse_args(["check", "--r", "3", "--n", "2"]))
+    fails = [line.split(" (")[0] for line in out.splitlines() if line.startswith("FAIL")]
+    assert (fails, status) == (["FAIL [chow] jump census matches multinomial counts"], 1)
 
 
 # --- the work one ``check`` run shares ------------------------------------------
