@@ -56,11 +56,11 @@ one-ray cone at n = 1 costs order r, not r^2.  The elimination takes the
 columns in ray order, so its state after the first j rays is shared by
 every cone whose chain starts with the same j prefixes.  A fan's maximal
 cones get their eliminations in one pass over them all
-(``_invert_maximal_cones``), the first time the fan's index or the fan
-suite's walls need them: each distinct prefix's state is computed once,
-found by the identity of its rays, and each cone runs only the step of its
-last ray; no state outlives the pass, and labels only decide when a state
-is dropped.  A full cold scan of the 162 maximal cones at r = 3, n = 3
+(``_invert_maximal_cones``), the first time the fan's scan index or the
+fan suite's inner walls (n >= 2) need them: each distinct prefix's state
+is computed once, found by the identity of its rays, and each cone runs
+only the step of its last ray; no state outlives the pass, and labels
+only decide when a state is dropped.  A full cold scan of the 162 maximal cones at r = 3, n = 3
 takes 225 steps (one per cone plus one per distinct proper prefix) against
 486 for a full pass per cone.  A one-off cone (the stellar route's tau,
 ``in_relative_interior``'s) runs its own full pass from the identity on
@@ -80,8 +80,11 @@ as coefficient rows, 9 as both), and many of those are one another's
 negatives: they lie on 66 hyperplanes.  The scan ``locate_point`` asks the
 fan's ``linalg.SharedRowIndex``, built from every maximal cone, for the
 first cone that holds the point: each hyperplane is evaluated once per
-point.  The ``locate`` command does not scan: ``in_relative_interior``
-certifies the chain of the point's tropical curve on that chain's own cone.
+point.  No command scans: ``locate`` certifies the chain of the point's
+tropical curve on that chain's own cone (``in_relative_interior``), and
+the fan suite decides its two points from one chart's cones and the
+labels (``selfcheck``'s docstring).  The scan serves the library's
+callers, the demos and the tests.
 """
 
 from __future__ import annotations

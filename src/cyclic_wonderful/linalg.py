@@ -32,11 +32,10 @@ question, asked of a point cleared to integers by ``scaled_point``: do a
 few sparse integer row tests ``(row, lo, hi)``, meaning
 ``lo * D <= row . p <= hi * D``, all hold at a point ``p / D``.
 ``tests_hold`` answers it for one member, stopping at the first failing
-test.  ``SharedRowIndex`` finds the members of a scan (the maximal cones
-of a fan, the cells of a normal complex) whose tests all hold, as a
-bitmask, or the first of them; the members share most of their rows, so it
-evaluates each distinct row, up to sign, once per point and drops members
-by bitmask.
+test.  ``SharedRowIndex`` finds the first member of a scan (the maximal
+cones of a fan, the cells of a normal complex) whose tests all hold; the
+members share most of their rows, so it evaluates each distinct row, up
+to sign, once per point and drops members by bitmask.
 
 Hull extremeness is decided over the integers: ``integer_scaled`` clears a
 point set's denominators to one common D, each point through
@@ -248,8 +247,7 @@ def tests_hold(tests: Iterable[RowTest], p: Sequence[int], scale: int) -> bool:
 
 
 class SharedRowIndex:
-    """The members, in scan order, whose integer row tests all hold: all of
-    them as a bitmask (``holding``), or the first (``first``).
+    """The first member, in scan order, whose integer row tests all hold.
 
     A member holds at ``p / scale`` (p an integer vector, scale > 0) when
     ``tests_hold(tests(member), p, scale)``.
@@ -296,9 +294,9 @@ class SharedRowIndex:
             for row, (users, checks) in folded.items()
         )
 
-    def holding(self, p: Sequence[int], scale: int) -> int:
-        """The bitmask of every member that holds at ``p / scale``: bit k is
-        set exactly when the k-th member's tests all hold there."""
+    def first(self, p: Sequence[int], scale: int) -> int | None:
+        """Position of the first member that holds at ``p / scale``, or None:
+        the lowest bit that no failing test clears."""
         alive = self._all
         for row, users, checks in self._rows:
             if not users & alive:
@@ -310,13 +308,7 @@ class SharedRowIndex:
                 if (lo is not None and s < lo * scale) or (hi is not None and s > hi * scale):
                     alive &= keep
                     if not alive:
-                        return 0
-        return alive
-
-    def first(self, p: Sequence[int], scale: int) -> int | None:
-        """Position of the first member that holds at ``p / scale``, or None:
-        the lowest bit of ``holding``."""
-        alive = self.holding(p, scale)
+                        return None
         return (alive & -alive).bit_length() - 1 if alive else None
 
 

@@ -45,7 +45,8 @@ top prefix adds, so it lies on the chart's facet t_m = 0.  The line asks:
   its label's factors, read as integers over its nonzero entries (the
   chart condition);
 - of one point, the ray sum of the first maximal cone, that it lies in
-  that cone alone.
+  no other maximal cone of that cone's chart, the cones whose top prefix
+  is its own, each read by its own ``Cone._inverse`` tests.
 
 Why that suffices.  In one chart, count the maximal cones that hold a
 point of the chart's interior on no wall.  A path that crosses an inner
@@ -59,13 +60,17 @@ walls through x, one each, and those walls are the same for the r charts
 around the facet: the count is the same on both sides of every facet, and
 the charts connect through their facets, so it is one number for all of
 T.  The first maximal cone's ray sum has every chart coordinate at least
-1 and lies in no other maximal cone, so it is on no wall, and that number
-is 1.  (At n = 1 the one wall is the origin, a boundary wall, and its r
-cofaces are the r rays of L.)  Within a chart the maximal cones pass from
-one to the next across their shared walls, each on its own side, so
-around each face they cover a neighbourhood of the face's relative
-interior (within T) a whole number of times, at least once; the count 1
-makes it exactly once, and the maximal cones of one chart triangulate it
+1 in its chart c (each factor lies in some prefix), and lies in no other
+maximal cone of chart c.  A maximal cone of another chart c' lies in
+O_c', which meets O_c only where some chart coordinate is 0, so no such
+cone holds the ray sum, and none of its walls does either.  So the ray
+sum is on no wall, and that number is 1.  (At n = 1 the one wall is the
+origin, a boundary wall, and its r cofaces are the r rays of L.)  Within
+a chart the maximal cones pass from one to the next across their
+shared walls, each on its own side, so around each face they cover a
+neighbourhood of the face's relative interior (within T) a whole number
+of times, at least once; the count 1 makes it exactly once, and the
+maximal cones of one chart triangulate it
 (the pseudomanifold argument of De Loera, Rambau and Santos,
 *Triangulations*): two of them meet in the cone of their common rays, the
 rays of their chains' common prefixes.  Two maximal cones s, t of charts
@@ -128,9 +133,22 @@ cross-check.
 At r = 2 each facet lies in two charts, a boundary wall's two cofaces lie
 on either side of its coordinate hyperplane, and the line's name says
 that every wall has two maximal cones on opposite sides.  At r > 2 the
-line also names a point outside T: e_1^1 + e_1^2, which it locates in no
-cone.  At n = 0 the fan is the one rayless cone, the origin of R^0, which
-the line checks alone.
+line also names a point outside T, e_1^1 + e_1^2, which no cone holds,
+decided on the labels with no scan.  A point of a cone is a nonnegative
+combination of its record's rays, which are its chain's (the tie).  The
+prefixes of a chain that hold factor 1 all decorate it by the top one's
+residue a (the labels are chains), and each of their rays has factor 1's
+block e_1^(-a) (the chart reading).  So factor 1's block of a point of a
+cone is a nonnegative multiple of one e_1^(-a), and e_1^1 + e_1^2 is
+none when r > 2.  At n = 0 the fan is the one rayless cone, the origin of
+R^0, which the line checks alone.
+
+The two points take the same three conditions from the other lines: the
+labels are chains and each record is its chain's (the stellar line), and
+each ray's block is e_i^(-a(i)) (the chart reading).  Together they put
+each maximal cone in the chart of its top prefix, which the ray sum's
+count, restricted to one chart, needs as well.  So ``check`` scans no
+cone: at n = 1 it inverts the first chart's one cone and no other.
 
 The tropical suite.  The fan's support T is the space of tropical curves:
 a curve c puts orbit i on spoke l_i at distance L_i > 0, or on the center,
@@ -208,7 +226,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from . import chow, normal_complex, tropical
-from .fan import Fan, _invert_maximal_cones, _stellar_labels, act, build_fan, locate_point, ray_vector
+from .fan import Fan, _invert_maximal_cones, _stellar_labels, act, build_fan, ray_vector
 from .guards import FeasibilityError, check_fan_spec, check_override
 from .lattice import (
     ArrangementSpec,
@@ -256,11 +274,12 @@ def wall_failures(fan: Fan) -> tuple[int, list[tuple[DecoratedSubset, ...]]]:
 
     A wall is a maximal cone's label with one prefix removed, its facet.
     For an inner wall, the first coface's coefficient row of its extra ray
-    (``Cone._inverse``, written for every maximal cone by the fan's one
-    pass, ``fan._invert_maximal_cones``, which the fan's scan index reads
-    too) vanishes on the wall's rays and is positive at that ray, so the
-    second coface's extra ray lies on the other side exactly when the row
-    is negative there: one integer dot product per wall.  A
+    (``Cone._inverse``, written for every maximal cone by one pass,
+    ``fan._invert_maximal_cones``) vanishes on the wall's rays and is
+    positive at that ray, so the second coface's extra ray lies on the
+    other side exactly when the row is negative there: one integer dot
+    product per wall.  An inner wall is the only reader of an inverse, so
+    the pass runs only when n >= 2, where inner walls exist.  A
     boundary wall reads only labels: the residue its cofaces' top prefixes
     add is one bit, found once per distinct pair of top prefixes, and the r
     cofaces must set all r bits, none twice.  Every maximal cone has n >= 1
@@ -312,7 +331,8 @@ def wall_failures(fan: Fan) -> tuple[int, list[tuple[DecoratedSubset, ...]]]:
             crowded.add(wall)
         residues[wall] = held | bit
     every = (1 << fan.spec.r) - 1
-    _invert_maximal_cones(maximal)  # the one pass the fan's index also reads
+    if n > 1:
+        _invert_maximal_cones(maximal)
     failed = []
     for wall, c in first.items():
         one, j = c // n, c % n
@@ -448,8 +468,8 @@ def suite_fan(spec: ArrangementSpec) -> list[CheckResult]:
             " every boundary wall r at distinct residues"
         )
     if flat:
-        # the walls and the scan eliminate every maximal cone, which a flat
-        # one refuses
+        # the walls (n >= 2) and the ray sum's count eliminate maximal
+        # cones, which a flat one refuses
         detail = f"not run, first flat maximal cone {flat[0].text()}"
         out.append(_result("fan", name, False, detail))
         return out
@@ -464,20 +484,15 @@ def suite_fan(spec: ArrangementSpec) -> list[CheckResult]:
     if off:
         detail += f", {len(off)} rays off their label's chart, first {off[0].text()}"
     # the ray sum of the first maximal cone lies inside it, and must lie in
-    # no other maximal cone
+    # no other maximal cone of its chart; e_1^1 + e_1^2 is decided on the
+    # labels (see the module docstring)
     first = maximal[0]
-    covers = fan._cone_index.holding(tuple(map(sum, zip(*first.rays))), 1).bit_count()
+    point, top = tuple(map(sum, zip(*first.rays))), first.label[-1]
+    covers = sum(1 for cone in maximal if cone.label[-1] == top and cone._scaled_coefficients(point) is not None)
     if covers != 1:
         label = Chain._trusted(first.label).text()
-        detail += f", the ray sum of {label} lies in {covers} maximal cones"
-    outside = None
-    if spec.r > 2:
-        # factor 1's block of a point of a cone is a nonnegative multiple of
-        # one e_1^a, and e_1^1 + e_1^2 is none
-        outside = locate_point(fan, (1, 1, *[0] * (spec.ambient_dim - 2)))
-        if outside is not None:
-            detail += f", e_1^1 + e_1^2 lies in the cone of {outside.text()}"
-    out.append(_result("fan", name, not failed and not off and covers == 1 and outside is None, detail))
+        detail += f", the ray sum of {label} lies in {covers} maximal cones of its chart"
+    out.append(_result("fan", name, not failed and not off and covers == 1, detail))
     return out
 
 

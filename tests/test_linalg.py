@@ -664,16 +664,6 @@ def test_shared_row_index_finds_the_first_member_the_scan_finds(members, points)
         assert index.first(p, scale) == _scan(members, p, scale)
 
 
-@settings(max_examples=150, deadline=None)
-@given(members=st.lists(_MEMBER, max_size=12), points=_POINTS)
-def test_holding_is_the_mask_of_the_members_that_hold_and_first_its_lowest_bit(members, points):
-    index = SharedRowIndex(members, lambda member: member)
-    for p, scale in points:
-        mask = index.holding(p, scale)
-        assert mask == sum(1 << k for k, m in enumerate(members) if linalg.tests_hold(m, p, scale))
-        assert index.first(p, scale) == ((mask & -mask).bit_length() - 1 if mask else None)
-
-
 # rows drawn with either sign, so members test one hyperplane from both sides
 _SIGNED_ROW = st.tuples(
     st.sampled_from([((0, 1),), ((0, 2), (2, -1)), ((0, -1), (1, 1)), ((1, 2), (2, 3))]),

@@ -181,7 +181,9 @@ def _commands(out_dir):
 UNREACHED = {
     "cli.run": "tests: a command's status and text, written on main's one path",
     "fan.Cone.coefficients": "benchmark: a per-layer metric (ROADMAP item 7)",
+    "fan.Fan._cone_index": "benchmark: the query workload's cone scan (locate_point) builds it",
     "fan.fans_equal": "demo: fan_walkthrough compares the two routes with it",
+    "fan.locate_point": "benchmark: a per-layer metric, and the query workload's cone scan",
     "lattice.Chain.decoration": "tests: part of Chain.sort_key",
     "lattice.Chain.empty": "ROADMAP item 7: parse_chain's empty chain, in fan_from_dict's round trip",
     "lattice.Chain.of": "tests: the tests write their chains with it",
@@ -194,6 +196,7 @@ UNREACHED = {
     "lattice.parse_chain": "ROADMAP item 7: fan_from_dict's JSON round trip",
     "lattice.parse_subset": "ROADMAP item 7: fan_from_dict's JSON round trip",
     "linalg._rref": "tests: the rank and nullspace references, and solve_columns",
+    "linalg.SharedRowIndex.first": "benchmark: the query workload's cone scan (locate_point) runs it",
     "linalg.in_convex_hull": "benchmark: a per-layer metric (ROADMAP item 7)",
     "linalg.solve_columns": "benchmark: a per-layer metric (ROADMAP item 7)",
     "normal_complex.NormalComplex._cell_index": "demo: NormalComplex.contains scans it",

@@ -36,6 +36,7 @@ NOT_COMPLETE = (
     " meeting in common faces: every inner wall has two maximal cones on opposite sides,"
     " every boundary wall r at distinct residues"
 )
+STELLAR, COUNT = "stellar route equals direct route", "maximal cone count n! r^n"
 
 
 class _Held(dict):
@@ -470,11 +471,28 @@ def test_a_wall_whose_two_cofaces_lie_on_one_side_fails(monkeypatch):
 
 def test_a_second_maximal_cone_over_the_first_one_s_ray_sum_fails(monkeypatch):
     fan = fan_of(2, 2)
-    one, twin = fan.maximal_cones[0], fan.maximal_cones[5]
+    one, twin = fan.maximal_cones[0], fan.maximal_cones[4]
+    # the twin's label keeps the first cone's top prefix, so its record
+    # lies in the first cone's chart, where the count reads
+    assert twin.label[-1] == one.label[-1] and twin.label != one.label
     line, status = fan_suite_line(monkeypatch, with_cone(fan, twin, one.rays), COMPLETE)
     assert (line.status, status) == ("FAIL", 1)
     first = Chain._trusted(one.label).text()
-    assert line.detail.endswith(f", the ray sum of {first} lies in 2 maximal cones")
+    assert line.detail.endswith(f", the ray sum of {first} lies in 2 maximal cones of its chart")
+
+
+def test_a_twin_of_the_first_cone_from_another_chart_fails_the_stellar_line_s_tie(monkeypatch):
+    fan = fan_of(2, 2)
+    one, twin = fan.maximal_cones[0], fan.maximal_cones[5]
+    # the count reads the first cone's chart alone; a record of another
+    # chart over the ray sum is off its chain's rays, which the tie sees
+    assert twin.label[-1] != one.label[-1]
+    line, status = fan_suite_line(monkeypatch, with_cone(fan, twin, one.rays), STELLAR)
+    chain = Chain._trusted(twin.label).text()
+    assert (line.status, status) == ("FAIL", 1)
+    assert line.detail == f"8 maximal cones, 1 not on their chain's rays, first {chain}"
+    complete = {res.name: res for res in suite_fan(fan.spec)}[COMPLETE]
+    assert "ray sum" not in complete.detail
 
 
 def test_a_maximal_cone_through_the_witness_fails_the_r_above_2_line(monkeypatch):
@@ -482,13 +500,21 @@ def test_a_maximal_cone_through_the_witness_fails_the_r_above_2_line(monkeypatch
     line, status = fan_suite_line(monkeypatch, fan, NOT_COMPLETE)
     assert (line.status, line.detail, status) == ("PASS", "15 walls, 0 failures", 0)
     cone = fan.maximal_cones[7]
+    chain = Chain._trusted(cone.label)
     # its first ray becomes e_1^1 + e_1^2; the second, with a nonzero
-    # entry in factor 2's block, stays independent of it
+    # entry in factor 2's block, stays independent of it.  The label
+    # argument takes the tie, so the record fails it
     moved = with_cone(fan, cone, ((1, 1, 0, 0), cone.rays[1]))
-    line, status = fan_suite_line(monkeypatch, moved, NOT_COMPLETE)
-    ray = Chain._trusted(cone.label[:1]).text()
+    line, status = fan_suite_line(monkeypatch, moved, STELLAR)
     assert (line.status, status) == ("FAIL", 1)
-    assert line.detail.endswith(f", e_1^1 + e_1^2 lies in the cone of {ray}")
+    assert line.detail == f"18 maximal cones, 1 not on their chain's rays, first {chain.text()}"
+    # a label whose prefixes decorate factor 1 twice, {1:1} below {1:2,2:1},
+    # is no chain, and its record is not its chain's
+    twice = (parse_subset("{1:1}", fan.spec), cone.label[1])
+    relabelled = with_cones(fan, {chain: Cone((fan.rays[twice[0]], cone.rays[1]), twice)})
+    line, status = fan_suite_line(monkeypatch, relabelled, STELLAR)
+    assert (line.status, status) == ("FAIL", 1)
+    assert line.detail == f"18 maximal cones, 1 not on their chain's rays, first {chain.text()}"
 
 
 def test_a_wall_of_three_cofaces_fails_though_its_first_two_lie_on_opposite_sides(monkeypatch):
@@ -537,9 +563,6 @@ def failing_lines(monkeypatch, fan):
     status, out = run(build_parser().parse_args(argv))
     fails = [line[len("FAIL [fan] ") :].split(" (")[0] for line in out.splitlines() if line.startswith("FAIL")]
     return fails, status
-
-
-STELLAR, COUNT = "stellar route equals direct route", "maximal cone count n! r^n"
 
 
 def test_a_top_ray_swapped_for_the_new_factor_s_singleton_ray_fails_one_wall(monkeypatch):
@@ -617,6 +640,36 @@ def test_a_ray_off_its_label_s_chart_fails_the_completeness_line_alone(monkeypat
     assert status == 1
     (line,) = [line for line in out.splitlines() if line.startswith("FAIL")]
     assert line == f"FAIL [fan] {NOT_COMPLETE} (1 walls, 0 failures, 1 rays off their label's chart, first {{1:1}})"
+
+
+def test_a_ray_moved_into_another_chart_fails_the_chart_reading(monkeypatch):
+    # at (3, 1) the ray of {1:1} moved onto the first cone's ray e_1^0:
+    # its cone now holds the first cone's ray sum, in the first cone's
+    # chart.  The count reads that chart's cones alone, the first one, and
+    # takes from the chart reading that no other chart's cone is there
+    spec = ArrangementSpec(3, 1)
+    label = parse_subset("{1:1}", spec)
+    ray_vector = fan_module.ray_vector
+    monkeypatch.setattr(fan_module, "ray_vector", lambda d, spec: (-1, -1) if d == label else ray_vector(d, spec))
+    fan = fan_of(3, 1)
+    first = fan.maximal_cones[0]
+    assert first.rays == ((-1, -1),) and fan.rays[label] == (-1, -1)
+    assert sum(cone.coefficients(first.rays[0]) is not None for cone in fan.maximal_cones) == 2
+    status, out = run(build_parser().parse_args(["check", "--r", "3", "--n", "1", "--suite", "fan"]))
+    assert status == 1
+    (line,) = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert line == f"FAIL [fan] {NOT_COMPLETE} (1 walls, 0 failures, 1 rays off their label's chart, first {{1:1}})"
+
+
+@pytest.mark.parametrize("r", [5, 50])
+def test_the_n_1_fan_suite_inverts_the_first_chart_s_one_cone_alone(monkeypatch, r):
+    # n = 1 has no inner wall, so the walls invert nothing, and the ray
+    # sum's count reads the one cone of the first cone's chart
+    fan = fan_of(r, 1)
+    monkeypatch.setattr(selfcheck, "build_fan", lambda spec, g: fan)
+    assert all(res.status == "PASS" for res in suite_fan(fan.spec))
+    inverted = [cone for cone in fan.maximal_cones if "_inverse" in vars(cone)]
+    assert len(fan.maximal_cones) == r and inverted == [fan.maximal_cones[0]]
 
 
 def test_a_bent_ray_fails_the_stellar_line_and_the_check_exits_1(monkeypatch):
@@ -709,13 +762,15 @@ def test_a_face_the_direct_enumerator_loses_fails_the_census_line_not_the_fan_su
 def test_one_check_run_builds_one_direct_fan_in_the_fan_suite(monkeypatch):
     built, scanned = [], []
     monkeypatch.setattr(selfcheck, "build_fan", lambda spec, g: built.append(build_fan(spec, g)) or built[-1])
-    locate = selfcheck.locate_point
-    monkeypatch.setattr(selfcheck, "locate_point", lambda fan, p: scanned.append(fan) or locate(fan, p))
+    locate, index = fan_module.locate_point, Fan._cone_index
+    monkeypatch.setattr(fan_module, "locate_point", lambda fan, p: scanned.append(fan) or locate(fan, p))
+    monkeypatch.setattr(Fan, "_cone_index", property(lambda fan: scanned.append(fan) or index.func(fan)))
     status, out = run(build_parser().parse_args(["check", "--r", "3", "--n", "2", "--seed", "5"]))
     assert status == 0 and out.endswith("17/17 checks passed for r=3, n=2\n")
     (fan,) = built
-    # the fan suite's witness scan, and none in the tropical suite
-    assert scanned == [fan]
+    # the fan suite decides its two points with no scan, and the tropical
+    # suite scans nothing
+    assert scanned == []
     built.clear()
     assert all(res.status == "PASS" for res in suite_fan(ArrangementSpec(3, 2)))
     assert len(built) == 1
